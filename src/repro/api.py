@@ -289,6 +289,7 @@ class GraphDatabase:
         # write (replay happens before the build below sees the graph).
         self._write_patched = 0
         self._write_rebuilt = 0
+        self._recounted_sources = 0
         self._replayed_batches = 0
         self._mutation_log: MutationLog | None = None
         if config.mutation_log_path is not None:
@@ -410,6 +411,7 @@ class GraphDatabase:
                     path=self._index_path,
                 )
                 exact_statistics = ExactStatistics.from_index(index, self.graph)
+                self._note_recounted(self.graph.node_count)
                 histogram = EquiDepthHistogram.from_counts(
                     index.counts_by_path(),
                     k=self.k,
@@ -450,6 +452,7 @@ class GraphDatabase:
         exact_statistics = ExactStatistics(
             counts=counts, k=self.k, total_paths_k=index.total_paths_k()
         )
+        self._note_recounted(index.take_recounted_sources())
         for shard in range(index.shard_count):
             index.shard_statistics(shard)
         histogram = EquiDepthHistogram.from_counts(
@@ -459,6 +462,11 @@ class GraphDatabase:
             buckets=self._histogram_buckets,
         )
         return exact_statistics, histogram
+
+    def _note_recounted(self, sources: int) -> None:
+        """Add to ``stats().write.recounted_sources``."""
+        with self._cache_lock:
+            self._recounted_sources += sources
 
     def _ensure_built(self) -> None:
         """Resolve lazy build *before* entering a read section.
@@ -859,12 +867,12 @@ class GraphDatabase:
             affected = (
                 None if staged.fallback == "alphabet" else set(staged.touched)
             )
-            self._rebuild_shards_locked(affected)
+            self._rebuild_shards_locked(affected, staged.endpoints)
             return "rebuild", ()
         changes = resolve_patch(self.graph, index, staged.dirty)
         self.cache_clear()
         try:
-            index.patch_shards(changes)
+            index.patch_shards(changes, staged.endpoints)
             exact_statistics, histogram = self._refresh_sharded_statistics(index)
         except BaseException:
             # Same contract as a failed partial rebuild: never leave a
@@ -935,7 +943,9 @@ class GraphDatabase:
             self._build_index_locked()
             return True
 
-    def _rebuild_shards_locked(self, affected: set[int] | None) -> None:
+    def _rebuild_shards_locked(
+        self, affected: set[int] | None, endpoints: set[int] | None = None
+    ) -> None:
         """Partial index rebuild after a mutation; caller holds the lock.
 
         Falls back to :meth:`_build_index_locked` whenever the partial
@@ -943,7 +953,9 @@ class GraphDatabase:
         neighborhood, a changed label vocabulary, or a ball that
         reached every shard anyway.  The query cache is always cleared
         (the graph version moved, so every entry is dead); statistics
-        are re-derived from the merged shard catalogs.
+        are re-derived from the merged shard catalogs, and
+        ``|paths_k(G)|`` from ``endpoints`` — the ends of the mutated
+        edges (``None``: unknown, count from scratch).
         """
         index = self._index
         if (
@@ -956,7 +968,7 @@ class GraphDatabase:
             return
         self.cache_clear()
         try:
-            index.rebuild_shards(affected)
+            index.rebuild_shards(affected, endpoints=endpoints)
             exact_statistics, histogram = self._refresh_sharded_statistics(index)
         except BaseException:
             # Same contract as a failed full rebuild: never leave a
@@ -1385,6 +1397,7 @@ class GraphDatabase:
                         else 0
                     ),
                     replayed=self._replayed_batches,
+                    recounted_sources=self._recounted_sources,
                 ),
             )
 

@@ -9,9 +9,10 @@ selectivity function ``sel_{G,k}``.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cache
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import ValidationError
 from repro.graph.graph import Graph
@@ -59,6 +60,27 @@ def degree_histogram(graph: Graph, direction: str = "out") -> dict[int, int]:
     return dict(Counter(degrees))
 
 
+def _ball(
+    neighbors: Callable[[int], set[int]], centers: Iterable[int], radius: int
+) -> set[int]:
+    """Nodes within ``radius`` undirected hops of any of ``centers``.
+
+    Level-by-level BFS; each level is one C-level union of the
+    frontier's neighbor sets.  ``neighbors`` is
+    :meth:`Graph.undirected_neighbors`; a caller growing many balls
+    passes it memoized, so that a node's set is built once however
+    many balls reach it.
+    """
+    seen = set(centers)
+    frontier = seen
+    for _ in range(radius):
+        frontier = set().union(*map(neighbors, frontier)) - seen
+        if not frontier:
+            break
+        seen |= frontier
+    return seen
+
+
 def paths_k_from(graph: Graph, source: int, k: int) -> set[int]:
     """All targets ``t`` with an i-path from ``source`` for some i <= k.
 
@@ -68,17 +90,29 @@ def paths_k_from(graph: Graph, source: int, k: int) -> set[int]:
     """
     if k < 0:
         raise ValidationError(f"k must be non-negative, got {k}")
-    seen: set[int] = {source}
-    frontier = deque([(source, 0)])
-    while frontier:
-        node, depth = frontier.popleft()
-        if depth == k:
-            continue
-        for neighbor in graph.undirected_neighbors(node):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append((neighbor, depth + 1))
-    return seen
+    return _ball(graph.undirected_neighbors, (source,), k)
+
+
+def paths_k_sizes(
+    graph: Graph, k: int, around: Iterable[int] | None = None
+) -> dict[int, int]:
+    """``|paths_k_from(graph, s, k)|`` per source ``s``.
+
+    ``around=None`` sizes every node; their sum is ``|paths_k(G)|``.
+    Otherwise ``around`` holds the endpoints of every edge the graph
+    gained or lost since the sizes were last taken, and only the
+    sources whose size can have moved are sized: those within ``k - 1``
+    undirected hops of ``around`` in the graph as it is *now*.  That is
+    enough because a path of at most ``k`` hops that crosses a changed
+    edge reaches it over a changed-edge-free prefix of at most
+    ``k - 1`` hops, and such a prefix exists before and after the
+    change alike.
+    """
+    if k < 0:
+        raise ValidationError(f"k must be non-negative, got {k}")
+    neighbors = cache(graph.undirected_neighbors)
+    sources = graph.node_ids() if around is None else _ball(neighbors, around, k - 1)
+    return {source: len(_ball(neighbors, (source,), k)) for source in sources}
 
 
 def count_paths_k(graph: Graph, k: int) -> int:
@@ -87,7 +121,7 @@ def count_paths_k(graph: Graph, k: int) -> int:
     This is the selectivity denominator of Section 3.2.  Every ``(s, s)``
     pair counts (0-paths), so the result is at least ``node_count``.
     """
-    return sum(len(paths_k_from(graph, node, k)) for node in graph.node_ids())
+    return sum(paths_k_sizes(graph, k).values())
 
 
 def paths_k_pairs(graph: Graph, k: int) -> Iterator[tuple[int, int]]:

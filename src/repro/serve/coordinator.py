@@ -340,6 +340,7 @@ class RpcShardedGraph(ShardedGraph):
         mutations: list[dict],
         patch: dict[int, dict] | None,
         touched: set[int],
+        endpoints: set[int] | None = None,
     ) -> None:
         """Broadcast one commit group to every worker, then journal it.
 
@@ -351,7 +352,9 @@ class RpcShardedGraph(ShardedGraph):
         ``touched`` rebuild their ball instead.  Any worker failing
         mid-broadcast propagates — the caller discards the whole index
         and relaunches, because half-mutated workers are unusable.  The
-        journaled group is what restarted workers replay.
+        journaled group is what restarted workers replay.  ``endpoints``
+        goes to :meth:`invalidate_statistics`, as for the in-process
+        ``patch_shards`` / ``rebuild_shards``.
         """
         seq = self.journal_seq + 1
         for shard, stub in enumerate(self._shards):
@@ -361,7 +364,7 @@ class RpcShardedGraph(ShardedGraph):
                 stub.apply_group(seq, mutations, rebuild=shard in touched)
         self.journal_seq = seq
         self.journal.append((seq, mutations))
-        self.invalidate_statistics()
+        self.invalidate_statistics(endpoints)
 
     def worker_alive(self, shard: int) -> bool:
         return self.handles[shard].alive()
@@ -504,7 +507,9 @@ class CoordinatorDatabase(GraphDatabase):
         ]
         self.cache_clear()
         try:
-            index.apply_commit_group(mutations, changes, set(staged.touched))
+            index.apply_commit_group(
+                mutations, changes, set(staged.touched), staged.endpoints
+            )
             exact_statistics, histogram = self._refresh_sharded_statistics(index)
         except BaseException:
             self._index = None

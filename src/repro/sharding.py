@@ -58,7 +58,7 @@ from repro import relation as rel
 from repro.errors import ShardUnavailableError, TransientError, ValidationError
 from repro.faults import fire, retry_call
 from repro.graph.graph import Graph, LabelPath
-from repro.graph.stats import count_paths_k
+from repro.graph.stats import paths_k_sizes
 from repro.indexes.builder import path_relations_columnar
 from repro.indexes.pathindex import PathIndex
 from repro.indexes.statistics import (
@@ -261,19 +261,25 @@ class ShardedGraph:
         # map is pure, but the id space grows with the graph).
         self._owned_version = -1
         self._owned_lists: list[list[int]] = []
-        # Statistics caches.  The merged catalog and |paths_k(G)| are
-        # shared by every planner costing pass, so both are computed
-        # once and invalidated only when shard contents can change
-        # (rebuild_shards; a full rebuild constructs a new instance).
-        # Per-shard ShardStatistics are built lazily per shard — the
-        # catalogs they read already exist, so construction is one
-        # pass over each shard's counts, exactly the "one extra pass"
-        # the build pays for skew-aware planning.
+        # Statistics caches (see invalidate_statistics for what drops
+        # them).  The merged catalog is shared by every planner costing
+        # pass, so it is computed once.  Per-shard ShardStatistics are
+        # built lazily per shard — the catalogs they read already
+        # exist, so construction is one pass over each shard's counts,
+        # exactly the "one extra pass" the build pays for skew-aware
+        # planning.
         self._merged_counts: dict[str, int] | None = None
-        self._total_paths_k: int | None = None
         self._shard_statistics: list[ShardStatistics | None] = [
             None for _ in self._shards
         ]
+        # |paths_k(G)| is maintained, not cached: one ball size
+        # |paths_k_from(G, s, k)| per node id and their running sum.
+        # ``None`` until first read, and again whenever the graph
+        # changed at endpoints nobody named.
+        self._ball_sizes: list[int] | None = None
+        self._total_paths_k = 0
+        #: Sources sized since the last :meth:`take_recounted_sources`.
+        self._recounted_sources = 0
         #: Scatter decisions and re-planned disjunct spines, keyed on
         #: ``(shard, tag, plan)`` and
         #: ``(shard, encoded path, strategy, statistics flavor)``
@@ -283,7 +289,7 @@ class ShardedGraph:
         #: per-execution one.  Bounded (FIFO eviction) so a
         #: template-heavy workload of distinct queries cannot grow it
         #: without limit; dropped wholesale with the other statistics
-        #: caches in :meth:`rebuild_shards`.
+        #: caches in :meth:`invalidate_statistics`.
         self.replan_cache = BoundedCache(DECISION_CACHE_MAX)
 
     # -- construction ----------------------------------------------------
@@ -553,7 +559,10 @@ class ShardedGraph:
         return touched
 
     def rebuild_shards(
-        self, shard_ids: Iterable[int], workers: int | None = None
+        self,
+        shard_ids: Iterable[int],
+        workers: int | None = None,
+        endpoints: Iterable[int] | None = None,
     ) -> None:
         """Recompute the listed shards against the current graph.
 
@@ -563,6 +572,7 @@ class ShardedGraph:
         all-or-nothing contract as a full rebuild).  Must not be used
         across an alphabet change — the unlisted shards' path sets
         would silently be stale (:attr:`alphabet` is the guard).
+        ``endpoints`` goes to :meth:`invalidate_statistics`.
         """
         if self.alphabet != self.graph.labels():
             raise ValidationError(
@@ -601,22 +611,44 @@ class ShardedGraph:
             self._shards[shard] = replacement
             if self._backend != "disk":
                 old.close()
-        # Every statistics cache is stale now: rebuilt shards changed
-        # their catalogs, and the graph mutation behind the rebuild
-        # moved |paths_k(G)| for *all* shards' selectivities.
-        self.invalidate_statistics()
+        self.invalidate_statistics(endpoints)
 
-    def invalidate_statistics(self) -> None:
-        """Drop every statistics cache (after a rebuild or a patch).
+    def invalidate_statistics(self, endpoints: Iterable[int] | None = None) -> None:
+        """Bring the statistics in line with changed shards and graph.
 
-        Patched or rebuilt shards changed their catalogs, and the graph
-        mutation behind either moved ``|paths_k(G)|`` for *all* shards'
-        selectivities.
+        Called by everything that changes shard contents under one
+        instance: :meth:`rebuild_shards`, :meth:`patch_shards`, and the
+        RPC engine's ``apply_commit_group``.  The merged counts, the
+        per-shard statistics slices and :attr:`replan_cache` are
+        dropped and rebuilt on next use — touched shards changed their
+        catalogs, and the graph change behind that moved
+        ``|paths_k(G)|`` under *every* shard's selectivities.
+
+        The per-source ball sizes behind :meth:`total_paths_k` survive:
+        ``endpoints`` names the endpoints of every edge the graph
+        gained or lost since the last call, and only the sources near
+        them are sized again (:func:`repro.graph.stats.paths_k_sizes`
+        has the argument).  ``None`` means the endpoints are unknown,
+        which drops the sizes for a count from scratch on next read.
+        New sizes are computed before any is stored, so a failure in
+        between leaves the old, consistent sizes (and a caller that
+        discards the index, as the API layer does).
         """
         self._merged_counts = None
-        self._total_paths_k = None
         self._shard_statistics = [None for _ in self._shards]
         self.replan_cache.clear()
+        sizes = self._ball_sizes
+        if endpoints is None or sizes is None:
+            self._ball_sizes = None
+            return
+        # Nodes the graph grew by are sized whether or not an endpoint.
+        grown = range(len(sizes), self.graph.node_count)
+        fresh = paths_k_sizes(self.graph, self.k, around={*endpoints, *grown})
+        sizes.extend([0] * len(grown))
+        for source, size in fresh.items():
+            self._total_paths_k += size - sizes[source]
+            sizes[source] = size
+        self._recounted_sources += len(fresh)
 
     # -- delta patching (the sharded write path) --------------------------
 
@@ -632,7 +664,9 @@ class ShardedGraph:
             getattr(shard, "supports_patch", False) for shard in self._shards
         )
 
-    def patch_shards(self, changes: dict[int, dict]) -> None:
+    def patch_shards(
+        self, changes: dict[int, dict], endpoints: Iterable[int] | None = None
+    ) -> None:
         """Apply per-shard index deltas in place of a ball rebuild.
 
         ``changes`` maps shard id -> (encoded path -> ``(adds,
@@ -640,9 +674,9 @@ class ShardedGraph:
         :func:`repro.write.delta.resolve_patch` produces.  Inserts and
         deletes are idempotent at the backend, so patching is safe to
         drive from a recheck that lists a pair already in its final
-        state.  Statistics caches drop afterwards, exactly as for
-        :meth:`rebuild_shards`.  Must not be used across an alphabet
-        change — same guard, same reason.
+        state.  ``endpoints`` goes to :meth:`invalidate_statistics`,
+        exactly as for :meth:`rebuild_shards`.  Must not be used across
+        an alphabet change — same guard, same reason.
         """
         if self.alphabet != self.graph.labels():
             raise ValidationError(
@@ -655,7 +689,7 @@ class ShardedGraph:
             index = self._shards[shard]
             for encoded, (adds, removes) in patches.items():
                 index.patch(LabelPath.decode(encoded), adds, removes)
-        self.invalidate_statistics()
+        self.invalidate_statistics(endpoints)
 
     # -- PathIndex facade (global scatter-gather) -------------------------
 
@@ -696,11 +730,10 @@ class ShardedGraph:
         catalog may record it with count 0; both sides estimate such a
         path at 0, so statistics agree where it matters.
 
-        The merge is cached: planner costing probes this per query, and
-        re-summing N shard catalogs each time was pure waste.  The cache
-        is invalidated by :meth:`rebuild_shards` (the only way shard
-        contents change under one instance); a defensive copy is
-        returned so callers cannot corrupt it.
+        The merge is cached until :meth:`invalidate_statistics`: planner
+        costing probes this per query, and re-summing N shard catalogs
+        each time was pure waste.  A defensive copy is returned so
+        callers cannot corrupt the cache.
         """
         if self._merged_counts is None:
             self._merged_counts = merge_shard_counts(
@@ -746,10 +779,27 @@ class ShardedGraph:
     # -- statistics (global merge + per-shard slices) ---------------------
 
     def total_paths_k(self) -> int:
-        """``|paths_k(G)|`` — the shared selectivity denominator (cached)."""
-        if self._total_paths_k is None:
-            self._total_paths_k = count_paths_k(self.graph, self.k)
+        """``|paths_k(G)|`` — the shared selectivity denominator.
+
+        Counted from scratch once per instance, then kept current by
+        :meth:`invalidate_statistics` from the endpoints it is given.
+        """
+        if self._ball_sizes is None:
+            sizes = paths_k_sizes(self.graph, self.k)
+            self._ball_sizes = [sizes[node] for node in self.graph.node_ids()]
+            self._total_paths_k = sum(self._ball_sizes)
+            self._recounted_sources += len(sizes)
         return self._total_paths_k
+
+    def take_recounted_sources(self) -> int:
+        """Sources sized for :meth:`total_paths_k` since the last call.
+
+        The API layer adds this to ``stats().write.recounted_sources``
+        after every refresh; taking (not reading) keeps that sum right
+        across the index instances a database goes through.
+        """
+        taken, self._recounted_sources = self._recounted_sources, 0
+        return taken
 
     def merged_statistics(self) -> ExactStatistics:
         """Exact global statistics from the merged shard catalogs.
@@ -771,7 +821,7 @@ class ShardedGraph:
 
         Built on first use from the shard's already-materialized
         catalog — one pass over its counts — and cached until
-        :meth:`rebuild_shards` invalidates it.  The scatter planner
+        :meth:`invalidate_statistics`.  The scatter planner
         reads this per slice: exact zeros drive shard pruning,
         histogram estimates drive per-shard join-order re-planning.
         """

@@ -82,6 +82,11 @@ class WriteStats:
     log_records: int = 0
     #: Batches replayed from the log when the database opened.
     replayed: int = 0
+    #: Sources whose ``paths_k`` ball was re-counted to keep
+    #: ``|paths_k(G)|`` current (every node on an index build; only
+    #: those near the mutated edges when a sharded index absorbs a
+    #: group).  Divided by ``groups`` it says how local the writes are.
+    recounted_sources: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,4 +132,5 @@ class EngineStats:
             "write_rebuilt": self.write.rebuilt,
             "log_records": self.write.log_records,
             "replayed": self.write.replayed,
+            "recounted_sources": self.write.recounted_sources,
         }

@@ -13,7 +13,9 @@ Two phases:
   (in order), collecting per-path *dirty pairs* — the union of each
   graph-changing mutation's :func:`~repro.indexes.dynamic.edge_delta`,
   evaluated post-insert for additions and pre-delete for removals —
-  plus the union of touched-shard balls.  Why the union of deltas is a
+  plus the union of touched-shard balls and the endpoints of those
+  mutations (all the index needs to keep ``|paths_k(G)|`` current
+  without recounting the graph).  Why the union of deltas is a
   superset of every membership change across the group: take any pair
   whose membership of path ``p`` differs between the group's initial
   and final graph.  If it became *present*, its final witness exists;
@@ -68,6 +70,10 @@ class StagedGroup:
     dirty: dict[str, set[Pair]] = field(default_factory=dict)
     #: ``None`` (patchable), ``"alphabet"`` or ``"overflow"``.
     fallback: str | None = None
+    #: Node ids at either end of every graph-changing mutation: what
+    #: the index needs to bring ``|paths_k(G)|`` up to date locally
+    #: (:meth:`repro.sharding.ShardedGraph.invalidate_statistics`).
+    endpoints: set[int] = field(default_factory=set)
 
     @property
     def changed(self) -> bool:
@@ -101,13 +107,14 @@ def stage_group(
                     noops += 1
                     continue
                 applied += 1
+                source = graph.node_id(mutation.source)
+                target = graph.node_id(mutation.target)
+                staged.endpoints.update((source, target))
                 if new_label:
                     staged.fallback = "alphabet"
                     staged.dirty.clear()
                 if staged.fallback == "alphabet":
                     continue
-                source = graph.node_id(mutation.source)
-                target = graph.node_id(mutation.target)
                 # Ball and delta both on the post-insert graph.
                 staged.touched |= index.shards_touching((source, target))
                 if staged.fallback is None:
@@ -120,9 +127,10 @@ def stage_group(
                 ):
                     noops += 1
                     continue
+                source = graph.node_id(mutation.source)
+                target = graph.node_id(mutation.target)
+                staged.endpoints.update((source, target))
                 if staged.fallback != "alphabet":
-                    source = graph.node_id(mutation.source)
-                    target = graph.node_id(mutation.target)
                     # Ball and candidates on the pre-delete graph: the
                     # witnesses being retracted run through the edge.
                     staged.touched |= index.shards_touching((source, target))

@@ -212,7 +212,7 @@ class TestRebuildRecoveryTaxonomy:
 
         db, index = self._sharded_db(figure1)
 
-        def failing_rebuild(affected):
+        def failing_rebuild(affected, endpoints=None):
             raise StorageError("disk gone during partial rebuild")
 
         def timing_out_close():
@@ -232,7 +232,7 @@ class TestRebuildRecoveryTaxonomy:
 
         db, index = self._sharded_db(figure1)
 
-        def failing_rebuild(affected):
+        def failing_rebuild(affected, endpoints=None):
             raise StorageError("disk gone during partial rebuild")
 
         def broken_close():
@@ -249,7 +249,7 @@ class TestRebuildRecoveryTaxonomy:
         db, index = self._sharded_db(figure1)
         expected = db.query("knows/knows", use_cache=False).pairs
 
-        def failing_rebuild(affected):
+        def failing_rebuild(affected, endpoints=None):
             raise StorageError("disk gone during partial rebuild")
 
         monkeypatch.setattr(index, "rebuild_shards", failing_rebuild)

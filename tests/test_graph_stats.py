@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.graph import stats
 from repro.graph.examples import figure1_graph
 from repro.graph.generators import chain, cycle
 from repro.graph.graph import Graph
+from tests.strategies import graphs
 
 
 class TestPathsK:
@@ -52,6 +57,65 @@ class TestPathsK:
         graph = chain(2)
         with pytest.raises(ValidationError):
             stats.paths_k_from(graph, 0, -1)
+
+
+def _reference_ball(graph: Graph, source: int, k: int) -> set[int]:
+    """The node-at-a-time BFS ``paths_k_from`` used to be."""
+    seen = {source}
+    frontier = deque([(source, 0)])
+    while frontier:
+        node, depth = frontier.popleft()
+        if depth == k:
+            continue
+        for neighbor in graph.undirected_neighbors(node):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append((neighbor, depth + 1))
+    return seen
+
+
+class TestPathsKSizes:
+    @settings(max_examples=40, deadline=None)
+    @given(graph=graphs(), k=st.integers(min_value=0, max_value=3))
+    def test_level_expansion_matches_reference_bfs(self, graph, k):
+        sizes = stats.paths_k_sizes(graph, k)
+        assert list(sizes) == list(graph.node_ids())
+        for node in graph.node_ids():
+            ball = _reference_ball(graph, node, k)
+            assert stats.paths_k_from(graph, node, k) == ball
+            assert sizes[node] == len(ball)
+        assert stats.count_paths_k(graph, k) == sum(sizes.values())
+
+    def test_around_sizes_the_k_minus_1_neighbourhood(self):
+        graph = chain(6)  # n0-n1-...-n6
+        n3 = graph.node_id("n3")
+        near = stats.paths_k_sizes(graph, 2, around=[n3])
+        names = {graph.node_name(node) for node in near}
+        assert names == {"n2", "n3", "n4"}  # within k-1 = 1 hop
+        everywhere = stats.paths_k_sizes(graph, 2)
+        assert all(near[node] == everywhere[node] for node in near)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=graphs(),
+        k=st.integers(min_value=1, max_value=3),
+        edge=st.tuples(
+            st.integers(min_value=0, max_value=7),
+            st.sampled_from("abc"),
+            st.integers(min_value=0, max_value=7),
+        ),
+    )
+    def test_sizes_away_from_a_changed_edge_do_not_move(self, graph, k, edge):
+        """The locality argument: only ``around`` sources can change."""
+        before = stats.paths_k_sizes(graph, k)
+        source, label, target = (f"n{edge[0]}", edge[1], f"n{edge[2]}")
+        if not graph.remove_edge(source, label, target):
+            graph.add_edge(source, label, target)
+        ends = [graph.node_id(source), graph.node_id(target)]
+        moved = stats.paths_k_sizes(graph, k, around=ends)
+        after = stats.paths_k_sizes(graph, k)
+        for node, size in after.items():
+            assert size == moved.get(node, before.get(node))
 
 
 class TestStarBound:

@@ -269,7 +269,7 @@ class TestEngineStats:
             "artifact_loads", "plans_computed", "plan_artifacts",
             "shards_failed",
             "write_groups", "write_coalesced", "write_patched",
-            "write_rebuilt", "log_records", "replayed",
+            "write_rebuilt", "log_records", "replayed", "recounted_sources",
         }
         assert set(oracle.stats().as_dict()) == expected
 

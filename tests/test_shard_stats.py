@@ -28,6 +28,7 @@ from repro.api import GraphDatabase, default_shard_count
 from repro.errors import ValidationError
 from repro.graph.generators import advogato_like
 from repro.graph.graph import Graph, LabelPath
+from repro.graph.stats import count_paths_k
 from repro.indexes.histogram import EquiDepthHistogram
 from repro.indexes.pathindex import PathIndex
 from repro.indexes.statistics import (
@@ -157,6 +158,25 @@ class TestStatisticsCaches:
         assert "sentinel" not in sharded.replan_cache
         # Shard statistics are rebuilt lazily against the new catalogs.
         assert sharded.shard_statistics(0) is not stats_before
+
+    def test_paths_k_total_follows_named_and_unnamed_changes(self):
+        graph = advogato_like(
+            nodes=40, edges=160, seed=5, labels=("a", "b"), label_weights=None
+        )
+        sharded = ShardedGraph.build(graph, 2, shards=3)
+        assert sharded.total_paths_k() == count_paths_k(graph, 2)
+        assert sharded.take_recounted_sources() == graph.node_count
+        # Endpoints named: the sizes survive and a neighbourhood is resized.
+        graph.add_edge("n0", "a", "fresh")
+        ends = {graph.node_id("n0"), graph.node_id("fresh")}
+        sharded.rebuild_shards(range(3), endpoints=ends)
+        assert sharded.total_paths_k() == count_paths_k(graph, 2)
+        assert 2 <= sharded.take_recounted_sources() < graph.node_count
+        # Endpoints unknown: everything is counted again on next read.
+        graph.remove_edge("n0", "a", "fresh")
+        sharded.rebuild_shards(range(3))
+        assert sharded.total_paths_k() == count_paths_k(graph, 2)
+        assert sharded.take_recounted_sources() == graph.node_count
 
 
 # -- pruning exactness --------------------------------------------------------

@@ -8,6 +8,11 @@ The contracts under test, in the order the module covers them:
   sharded delta-patching engine answers exactly like a ``shards=1``
   oracle that rebuilds from scratch after every batch (the hypothesis
   property), including under concurrent writers;
+* **the selectivity denominator** — ``|paths_k(G)|`` is maintained
+  from each group's endpoints, never recounted per group, and stays
+  exactly what a count from scratch gives (hypothesis property over
+  in-process patching, the ball-rebuild fallback and the coordinator);
+  a failed absorb discards the maintained sizes with the index;
 * **durability** — the mutation log survives torn tails, a crash
   injected at the ``mutlog.flush`` seam fails the group with nothing
   applied, and reopening the log replays exactly the acknowledged
@@ -22,6 +27,7 @@ The contracts under test, in the order the module covers them:
 
 from __future__ import annotations
 
+import copy
 import io
 import random
 import sys
@@ -36,8 +42,13 @@ from repro import cli
 from repro.api import GraphDatabase
 from repro.client import Client
 from repro.config import ServiceConfig
-from repro.errors import ValidationError
+from repro.errors import ShardUnavailableError, ValidationError
 from repro.faults import FaultPlan, FaultRule, armed, disarmed
+from repro.graph import stats as graph_stats
+from repro.graph.stats import count_paths_k
+from repro.indexes.builder import enumerate_label_paths
+from repro.indexes.histogram import EquiDepthHistogram
+from repro.indexes.pathindex import PathIndex
 from repro.serve import CoordinatorDatabase
 from repro.serve.server import serve_in_thread
 from repro.write import ApplyResult, Mutation, MutationBatch, MutationLog
@@ -277,6 +288,273 @@ class TestInterleavingProperty:
         finally:
             db.close()
             oracle.close()
+
+
+# -- |paths_k(G)| maintained across commit groups ------------------------------
+
+#: How the sharded index absorbs a group: delta patches in process, the
+#: ball rebuild every group overflows into, or the worker broadcast.
+ABSORBERS = ("patch", "fallback", "coordinator")
+
+
+def _open(absorber: str, edges, k: int, shards: int) -> GraphDatabase:
+    # One dirty pair is over budget: every group overflows into the rebuild.
+    overflow = {"delta_max_pairs": 1} if absorber == "fallback" else {}
+    config = ServiceConfig(k=k, shards=shards, shard_build_workers=1, **overflow)
+    cls = CoordinatorDatabase if absorber == "coordinator" else GraphDatabase
+    return cls.from_edges(edges, config=config)
+
+
+def _commit(db: GraphDatabase, group) -> None:
+    """One commit group of one or more batches, as the committer runs it."""
+    db._commit_group(
+        [
+            MutationBatch.of(
+                *(
+                    (Mutation.add if add else Mutation.remove)(*edge)
+                    for add, edge in batch
+                )
+            )
+            for batch in group
+        ]
+    )
+
+
+def _assert_statistics_fresh(db: GraphDatabase, k: int, shards: int) -> None:
+    """The maintained statistics equal ones taken from scratch right now.
+
+    Exact selectivities are held against a database freshly built on
+    the same graph.  The histogram is held against one rebuilt over the
+    database's *own* catalog with a from-scratch denominator: a patched
+    catalog and a fresh one differ in which empty paths they list
+    (count 0 either way), and bucket averages see that.
+    """
+    graph = db.graph
+    total = count_paths_k(graph, k)
+    assert db.index.total_paths_k() == total
+    config = ServiceConfig(k=k, shards=shards, shard_build_workers=1)
+    fresh = GraphDatabase(copy.deepcopy(graph), config=config)
+    try:
+        exact, histogram = db.exact_statistics, db.histogram
+        assert exact.total_paths_k == fresh.exact_statistics.total_paths_k == total
+        recounted = EquiDepthHistogram.from_counts(
+            db.index.counts_by_path(),
+            k=k,
+            total_paths_k=total,
+            buckets=config.histogram_buckets,
+        )
+        for path in enumerate_label_paths(graph.labels(), k):
+            want = fresh.exact_statistics.selectivity(path)
+            assert exact.selectivity(path) == want
+            assert histogram.selectivity(path) == recounted.selectivity(path)
+    finally:
+        fresh.close()
+
+
+@st.composite
+def group_plans(draw):
+    """Starting edges plus commit groups (lists of batches) over few names.
+
+    Mutations draw from more names and labels than the start does, so
+    adds create nodes and (rarely) a label; the small spaces make
+    no-ops, self-loops and an edge added and removed inside one group
+    common.
+    """
+    names = [f"n{i}" for i in range(6)]
+    start_edge = st.tuples(
+        st.sampled_from(names), st.sampled_from("ab"), st.sampled_from(names)
+    )
+    wider = st.sampled_from(names + ["m0", "m1"])
+    edge = st.tuples(wider, st.sampled_from("aabbc"), wider)
+    batch = st.lists(st.tuples(st.booleans(), edge), min_size=1, max_size=4)
+    start = draw(st.lists(start_edge, min_size=2, max_size=12))
+    groups = draw(
+        st.lists(st.lists(batch, min_size=1, max_size=2), min_size=1, max_size=3)
+    )
+    return start, groups
+
+
+class TestMaintainedPathsK:
+    @pytest.mark.parametrize("absorber", ABSORBERS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @settings(max_examples=10, deadline=None)
+    @given(plan=group_plans(), shards=st.sampled_from([2, 4]))
+    def test_total_stays_exact_after_every_group(self, absorber, k, plan, shards):
+        start, groups = plan
+        db = _open(absorber, start, k, shards)
+        try:
+            for group in groups:
+                _commit(db, group)
+                _assert_statistics_fresh(db, k, shards)
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("absorber", ABSORBERS)
+    def test_named_corner_cases_in_one_group(self, absorber):
+        start = [("n0", "a", "n1"), ("n1", "b", "n2"), ("n2", "a", "n3")]
+        group = [
+            [
+                (True, ("n3", "a", "fresh0")),  # creates a node
+                (True, ("n0", "a", "n1")),  # no-op add
+                (False, ("n4", "b", "n5")),  # no-op remove, unknown nodes
+                (True, ("n1", "a", "n1")),  # self-loop
+            ],
+            [
+                (True, ("fresh1", "b", "fresh2")),  # an island of new nodes
+                (True, ("n2", "b", "n0")),
+                (False, ("n2", "b", "n0")),  # ...added and removed again
+                (False, ("n1", "b", "n2")),  # cuts the original chain
+            ],
+        ]
+        for k in (1, 2, 3):
+            db = _open(absorber, start, k, shards=4)
+            try:
+                _commit(db, group)
+                _assert_statistics_fresh(db, k, 4)
+            finally:
+                db.close()
+
+    def test_full_count_runs_once_per_index_instance(self, monkeypatch):
+        """Local groups never recount the graph; only a new instance does."""
+        from repro import sharding
+        from repro.indexes import histogram, statistics
+
+        full_counts: list[int] = []
+        real_sizes = graph_stats.paths_k_sizes
+
+        def counting_sizes(graph, k, around=None):
+            if around is None:
+                full_counts.append(graph.version)
+            return real_sizes(graph, k, around)
+
+        def no_count(graph, k):
+            raise AssertionError("count_paths_k called by the sharded engine")
+
+        monkeypatch.setattr(sharding, "paths_k_sizes", counting_sizes)
+        for module in (statistics, histogram):
+            monkeypatch.setattr(module, "count_paths_k", no_count)
+
+        db = GraphDatabase.from_edges(
+            _edges(13, nodes=200, count=600),
+            config=ServiceConfig(k=2, shards=4, shard_build_workers=1),
+        )
+        try:
+            first = db.index
+            assert len(full_counts) == 1
+            for mutation in _mutations(14, 12, nodes=200):
+                db.apply(mutation)
+            assert db.index is first
+            assert len(full_counts) == 1  # twelve groups, no recount
+            assert db.stats().write.patched > 0
+
+            db.apply(Mutation.add("n0", "brand_new_label", "n1"))
+            assert db.index is not first  # alphabet change: new instance
+            assert len(full_counts) == 2
+            assert db.index.total_paths_k() == sum(
+                real_sizes(db.graph, 2).values()
+            )
+        finally:
+            db.close()
+
+    def test_one_edge_apply_recounts_a_neighbourhood(self):
+        db = GraphDatabase.from_edges(
+            _edges(21, nodes=200, count=300),
+            config=ServiceConfig(k=2, shards=2, shard_build_workers=1),
+        )
+        try:
+            nodes = db.graph.node_count
+            assert db.stats().write.recounted_sources == nodes  # the build
+            result = db.apply(Mutation.add("n0", "a", "n1"))
+            assert result.mode == "patch"
+            recounted = db.stats().write.recounted_sources - nodes
+            assert 2 <= recounted < nodes
+            assert db.stats().as_dict()["recounted_sources"] == nodes + recounted
+            assert db.index.total_paths_k() == count_paths_k(db.graph, 2)
+        finally:
+            db.close()
+
+
+class TestFailedAbsorbDropsMaintainedSizes:
+    """A failure between graph mutation and refresh: sizes go with the index.
+
+    The graph has moved but the per-source sizes have not; the only
+    safe continuation is the one the API layer takes — discard the
+    index, and let the next build count from scratch.
+    """
+
+    def _db(self, **extra):
+        return GraphDatabase.from_edges(
+            _edges(17, nodes=60, count=90),
+            config=ServiceConfig(k=2, shards=4, shard_build_workers=1, **extra),
+        )
+
+    def _assert_recovers(self, db, doomed_index) -> None:
+        assert db._index is None and db._exact_statistics is None
+        built_before = db.stats().write.recounted_sources
+        rebuilt = db.index  # lazy rebuild
+        assert rebuilt is not doomed_index
+        assert (
+            db.stats().write.recounted_sources - built_before
+            == db.graph.node_count
+        )
+        assert rebuilt.total_paths_k() == count_paths_k(db.graph, 2)
+        assert db.exact_statistics.total_paths_k == rebuilt.total_paths_k()
+
+    def test_fault_at_shard_build_during_ball_rebuild(self):
+        with disarmed():
+            db = self._db(delta_max_pairs=1)
+            doomed = db.index
+        try:
+            # A ball that leaves at least one shard out, so the group
+            # takes rebuild_shards rather than a whole new index.
+            mutation = next(
+                candidate
+                for candidate in _mutations(18, 200, nodes=60)
+                if candidate.kind == "add"
+                and db.graph.has_node(candidate.source)
+                and db.graph.has_node(candidate.target)
+                and not db.graph.has_edge(
+                    candidate.source, candidate.label, candidate.target
+                )
+                and len(
+                    doomed.shards_touching(
+                        (
+                            db.graph.node_id(candidate.source),
+                            db.graph.node_id(candidate.target),
+                        )
+                    )
+                )
+                < 4
+            )
+            version = db.graph.version
+            plan = FaultPlan([FaultRule("shard.build", "transient")])
+            with armed(plan):
+                with pytest.raises(ShardUnavailableError):
+                    db.apply(mutation)
+            assert plan.fired > 0
+            assert db.graph.version > version  # the graph did move
+            with disarmed():
+                self._assert_recovers(db, doomed)
+        finally:
+            db.close()
+
+    def test_failure_in_the_patch_step(self, monkeypatch):
+        with disarmed():
+            db = self._db()
+            doomed = db.index
+            try:
+
+                def torn_patch(self, path, adds, removes):
+                    raise OSError("shard tree gone mid-patch")
+
+                with monkeypatch.context() as patched:
+                    patched.setattr(PathIndex, "patch", torn_patch)
+                    with pytest.raises(OSError):
+                        db.apply(Mutation.add("n0", "a", "n1"))
+                assert db.graph.has_edge("n0", "a", "n1")
+                self._assert_recovers(db, doomed)
+            finally:
+                db.close()
 
 
 # -- the mutation log ----------------------------------------------------------
