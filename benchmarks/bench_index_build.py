@@ -4,6 +4,8 @@ The companion work the paper cites ([14], the from-scratch B+tree
 implementation) studies index size and construction cost; this bench
 regenerates that table for k = 1..3 on both backends.  Size growth is
 asserted to be monotone (each k adds strictly more label paths).
+``PathIndex.build`` is one shard's load of the one columnar builder —
+what ``GraphDatabase`` builds at ``shards=1``.
 """
 
 from __future__ import annotations

@@ -14,34 +14,36 @@ Run:  python examples/dynamic_and_explainable.py
 """
 
 from repro.api import GraphDatabase
+from repro.config import ServiceConfig
 from repro.graph.examples import FIGURE1_EDGES, figure1_graph
 from repro.graph.graph import LabelPath
 from repro.indexes.compressed import compression_ratio
-from repro.indexes.dynamic import DynamicPathIndex
 from repro.indexes.pathindex import PathIndex
+from repro.write import Mutation
 
 
 def incremental_updates() -> None:
     print("=" * 64)
     print("1. INCREMENTAL INDEX MAINTENANCE")
     print("=" * 64)
-    index = DynamicPathIndex(figure1_graph(), k=2)
+    db = GraphDatabase(figure1_graph(), config=ServiceConfig(k=2, shards=1))
+    index = db.index
     path = LabelPath.of("knows", "worksFor")
     print(f"initially: |{path}| = {index.count(path)} pairs, "
           f"{index.entry_count} total entries")
 
     print("\ninsert liz -knows-> zoe  (new 2-paths through the edge appear)")
-    index.add_edge("liz", "knows", "zoe")
+    result = db.apply(Mutation.add("liz", "knows", "zoe"))
     print(f"now:       |{path}| = {index.count(path)} pairs, "
-          f"{index.entry_count} total entries")
+          f"{index.entry_count} total entries  (mode={result.mode})")
 
     print("\ndelete it again")
-    index.remove_edge("liz", "knows", "zoe")
+    result = db.apply(Mutation.remove("liz", "knows", "zoe"))
     print(f"back to:   |{path}| = {index.count(path)} pairs, "
-          f"{index.entry_count} total entries")
+          f"{index.entry_count} total entries  (mode={result.mode})")
 
-    fresh = PathIndex.build(index.graph, 2)
-    consistent = all(
+    fresh = PathIndex.build(db.graph, 2)
+    consistent = db.index is index and all(
         index.scan(p) == fresh.scan(p) for p in fresh.paths()
     )
     print(f"\nconsistency vs full rebuild: {'OK' if consistent else 'BROKEN'}")

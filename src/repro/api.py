@@ -57,7 +57,6 @@ from repro.graph.io import load_csv, load_edgelist, load_json
 from repro.graph.stats import GraphSummary, star_bound, summarize
 from repro.indexes.builder import enumerate_label_paths
 from repro.indexes.histogram import EquiDepthHistogram
-from repro.indexes.pathindex import PathIndex
 from repro.indexes.statistics import ExactStatistics
 from repro.relation import restrict_src
 from repro.rpq.ast import Node
@@ -206,10 +205,10 @@ class GraphDatabase:
         self._backend = config.backend
         self._index_path = config.index_path
         self._histogram_buckets = config.histogram_buckets
-        # Sharding knob (fully transparent): shards=1 runs the plain
-        # unsharded engine; shards=N hash-partitions the index by path
-        # start (repro.sharding) with identical answers.  Build fans out
-        # over shard_build_workers processes (None = one per core);
+        # Sharding knob (fully transparent): the index is hash-partitioned
+        # by path start (repro.sharding) into shards >= 1 parts with
+        # identical answers at every count.  Build fans out over
+        # shard_build_workers processes (None = one per core);
         # shard_query_workers threads the scatter side of execution.
         self._shards = resolved_shards
         self._shard_build_workers = config.shard_build_workers
@@ -217,7 +216,7 @@ class GraphDatabase:
         # Hash seed of the vertex-to-shard map.  Mutable on purpose:
         # rebalance() re-seeds it and triggers one full rebuild.
         self._shard_seed = config.shard_seed
-        self._index: PathIndex | ShardedGraph | None = None
+        self._index: ShardedGraph | None = None
         self._histogram: EquiDepthHistogram | None = None
         self._exact_statistics: ExactStatistics | None = None
         # Concurrency model: queries are readers, mutations and index
@@ -248,7 +247,7 @@ class GraphDatabase:
         # actually executed through the engine.
         self._scan_memo_hits = 0
         self._scan_memo_misses = 0
-        # Aggregated scatter-planning decisions (sharded engines):
+        # Aggregated scatter-planning decisions (shards > 1):
         # shard slices executed / skipped as provably empty / disjuncts
         # re-planned per shard, summed over every executed query.
         self._shards_scanned = 0
@@ -334,7 +333,7 @@ class GraphDatabase:
 
     # -- index & statistics ----------------------------------------------------------
 
-    def build_index(self) -> PathIndex:
+    def build_index(self) -> ShardedGraph:
         """(Re)build the k-path index and both statistics providers.
 
         Runs as a writer: in-flight queries finish first, and no query
@@ -345,16 +344,17 @@ class GraphDatabase:
         with self._lock.write_locked():
             return self._build_index_locked()
 
-    def _build_index_locked(self) -> PathIndex:
+    def _build_index_locked(self) -> ShardedGraph:
         """Rebuild index + statistics; caller holds the write lock.
 
         Built into locals and swapped in only on success, so a failed
         rebuild never leaves a half-replaced index/statistics triple.
         The disk backend is the exception that forces destruction
         first: its B+tree only bulk-loads into an empty file, so the
-        old backend is released (and the file removed) before the
-        build — on failure every handle is cleared and queries raise
-        the clean "index unavailable" error until a rebuild succeeds.
+        old backend is released before the build (which removes each
+        shard's stale file itself) — on failure every handle is cleared
+        and queries raise the clean "index unavailable" error until a
+        rebuild succeeds.
         """
         self.cache_clear()
         old_index = self._index
@@ -362,62 +362,35 @@ class GraphDatabase:
         # not silently reset toggles the user set on the old instance.
         old_knobs = (
             (old_index.scatter_pruning, old_index.replan_divergence)
-            if isinstance(old_index, ShardedGraph)
+            if old_index is not None
             else None
         )
         try:
-            if self._backend == "disk":
-                if old_index is not None:
-                    # Clear the handle before close: if the close
-                    # itself dies, the stale pre-mutation index must
-                    # not stay installed behind the mutated graph.
-                    self._index = None
-                    closing, old_index = old_index, None
-                    closing.close()
-                # Unconditional: a previously *failed* build leaves a
-                # partial non-empty file behind with no live index — it
-                # must be removed too, or every retry dies in bulk_load.
-                if self._index_path is not None:
-                    Path(self._index_path).unlink(missing_ok=True)
-                    for shard in range(self._shards):
-                        shard_path = ShardedGraph.shard_index_path(
-                            self._index_path, shard
-                        )
-                        shard_path.unlink(missing_ok=True)
-            if self._shards > 1:
-                index = ShardedGraph.build(
-                    self.graph,
-                    self.k,
-                    shards=self._shards,
-                    backend=self._backend,
-                    index_path=self._index_path,
-                    workers=self._shard_build_workers,
-                    shard_seed=self._shard_seed,
-                )
-                index.query_workers = self._shard_query_workers
-                # Declared knobs seed the fresh instance; toggles the
-                # user poked on the *old* instance still win, so a
-                # rebuild never silently resets a live experiment.
-                index.scatter_pruning = self.config.scatter_pruning
-                index.replan_divergence = self.config.replan_divergence
-                if old_knobs is not None:
-                    index.scatter_pruning, index.replan_divergence = old_knobs
-                exact_statistics, histogram = self._refresh_sharded_statistics(index)
-            else:
-                index = PathIndex.build(
-                    self.graph,
-                    self.k,
-                    backend=self._backend,
-                    path=self._index_path,
-                )
-                exact_statistics = ExactStatistics.from_index(index, self.graph)
-                self._note_recounted(self.graph.node_count)
-                histogram = EquiDepthHistogram.from_counts(
-                    index.counts_by_path(),
-                    k=self.k,
-                    total_paths_k=exact_statistics.total_paths_k,
-                    buckets=self._histogram_buckets,
-                )
+            if self._backend == "disk" and old_index is not None:
+                # Clear the handle before close: if the close itself
+                # dies, the stale pre-mutation index must not stay
+                # installed behind the mutated graph.
+                self._index = None
+                closing, old_index = old_index, None
+                closing.close()
+            index = ShardedGraph.build(
+                self.graph,
+                self.k,
+                shards=self._shards,
+                backend=self._backend,
+                index_path=self._index_path,
+                workers=self._shard_build_workers,
+                shard_seed=self._shard_seed,
+            )
+            index.query_workers = self._shard_query_workers
+            # Declared knobs seed the fresh instance; toggles the user
+            # poked on the *old* instance still win, so a rebuild never
+            # silently resets a live experiment.
+            index.scatter_pruning = self.config.scatter_pruning
+            index.replan_divergence = self.config.replan_divergence
+            if old_knobs is not None:
+                index.scatter_pruning, index.replan_divergence = old_knobs
+            exact_statistics, histogram = self._refresh_sharded_statistics(index)
         except BaseException:
             # Never leave a stale or partial triple behind a mutated
             # graph: clear everything so _ensure_built can rebuild and
@@ -439,14 +412,14 @@ class GraphDatabase:
     def _refresh_sharded_statistics(
         self, index: ShardedGraph
     ) -> tuple[ExactStatistics, EquiDepthHistogram]:
-        """Derive the statistics pair from a (re)built sharded index.
+        """Derive the statistics pair from a built, rebuilt or patched index.
 
         One extra pass over each shard's catalog builds the per-shard
         statistics alongside the index, and the merged view doubles as
         the global exact statistics — ``|paths_k(G)|`` and the catalog
         merge are computed once and shared by everything downstream.
-        The one recipe serves both the full build and the
-        partial-rebuild path, so the two can never drift.
+        The one recipe serves every shard count and every way the
+        index absorbs a change, so none of them can drift.
         """
         counts = index.counts_by_path()
         exact_statistics = ExactStatistics(
@@ -483,8 +456,12 @@ class GraphDatabase:
                     self._build_index_locked()
 
     @property
-    def index(self) -> PathIndex:
-        """The k-path index (building it on first use if needed)."""
+    def index(self) -> ShardedGraph:
+        """The k-path index (building it on first use if needed).
+
+        A :class:`~repro.sharding.ShardedGraph` at every shard count;
+        at ``shards=1`` it holds one shard.
+        """
         self._ensure_built()
         assert self._index is not None
         return self._index
@@ -672,7 +649,7 @@ class GraphDatabase:
                 self._remember_locked(cache_key, result)
         return result
 
-    def _require_index(self) -> PathIndex:
+    def _require_index(self) -> ShardedGraph:
         """The index for a read section; fails cleanly if a rebuild died."""
         index = self._index
         if index is None:
@@ -734,11 +711,12 @@ class GraphDatabase:
         behind one leader into one write-lock acquisition, one mutation
         log append run + ``fsync`` (when ``mutation_log_path`` is set),
         and one index update — per-shard delta patching when the group
-        is local (``delta_patching``, memory-backed shards), a ball or
-        full rebuild otherwise.  By the time this returns the batch is
-        durable (if logging) and visible to queries; the result says
-        how many mutations changed the graph, the version they landed
-        on, and how the index absorbed the group.
+        is local (``delta_patching``, memory-backed shards, any shard
+        count), a ball or full rebuild otherwise.  By the time this
+        returns the batch is durable (if logging) and visible to
+        queries; the result says how many mutations changed the graph,
+        the version they landed on, and how the index absorbed the
+        group.
 
         ``add_edge`` / ``remove_edge`` are one-element shims over this.
         """
@@ -797,43 +775,26 @@ class GraphDatabase:
     def _apply_group_locked(self, batches) -> list[ApplyResult]:
         """Apply a durable group to graph + index; caller holds the lock."""
         index = self._index
-        if isinstance(index, ShardedGraph):
-            patchable = self.config.delta_patching and index.supports_patch
-            # Delta staging needs the full path enumeration over the
-            # pre-group alphabet (an alphabet change falls back anyway);
-            # the rebuild path skips collecting deltas entirely.
-            paths = (
-                enumerate_label_paths(self.graph.labels(), self.k)
-                if patchable
-                else []
-            )
-            staged = stage_group(
-                self.graph, index, batches, paths, self.config.delta_max_pairs
-            )
-            counts = staged.batch_counts
-            if not staged.changed:
-                mode, patched = "noop", ()
-            else:
-                mode, patched = self._absorb_group_locked(
-                    index, staged, batches, patchable
-                )
+        if index is None:
+            # A failed absorb leaves no index behind the graph it
+            # mutated; this group lands on one built from that graph.
+            index = self._build_index_locked()
+        patchable = self.config.delta_patching and index.supports_patch
+        # Delta staging needs the full path enumeration over the
+        # pre-group alphabet (an alphabet change falls back anyway);
+        # the rebuild path skips collecting deltas entirely.
+        paths = (
+            enumerate_label_paths(self.graph.labels(), self.k) if patchable else []
+        )
+        staged = stage_group(
+            self.graph, index, batches, paths, self.config.delta_max_pairs
+        )
+        if not staged.changed:
+            mode, patched = "noop", ()
         else:
-            # Unsharded (or unbuilt) engine: apply, then full rebuild —
-            # the correctness-first baseline the sharded path beats.
-            counts = []
-            changed = False
-            for batch in batches:
-                applied = noops = 0
-                for mutation in batch:
-                    if mutation.apply_to(self.graph):
-                        applied += 1
-                    else:
-                        noops += 1
-                counts.append((applied, noops))
-                changed = changed or bool(applied)
-            if changed:
-                self._build_index_locked()
-            mode, patched = ("rebuild", ()) if changed else ("noop", ())
+            mode, patched = self._absorb_group_locked(
+                index, staged, batches, patchable
+            )
         with self._cache_lock:
             if mode == "patch":
                 self._write_patched += 1
@@ -848,13 +809,13 @@ class GraphDatabase:
                 mode=mode,
                 patched_shards=patched,
             )
-            for applied, noops in counts
+            for applied, noops in staged.batch_counts
         ]
 
     def _absorb_group_locked(
         self, index: ShardedGraph, staged, batches, patchable: bool
     ) -> tuple[str, tuple[int, ...]]:
-        """How the sharded index absorbs one applied group.
+        """How the index absorbs one applied group.
 
         The patch path resolves every dirty pair against the (final)
         graph and applies per-shard B+tree point edits in place; any
@@ -909,7 +870,7 @@ class GraphDatabase:
         """
         with self._lock.write_locked():
             index = self._index
-            if not isinstance(index, ShardedGraph) or index.shard_count < 2:
+            if index is None or index.shard_count < 2:
                 return False
             counts = index.shard_entry_counts()
             mean = sum(counts) / len(counts)
@@ -949,9 +910,9 @@ class GraphDatabase:
         """Partial index rebuild after a mutation; caller holds the lock.
 
         Falls back to :meth:`_build_index_locked` whenever the partial
-        path cannot be proven safe: no sharded index, an unknown
-        neighborhood, a changed label vocabulary, or a ball that
-        reached every shard anyway.  The query cache is always cleared
+        path cannot be proven safe: no index, an unknown neighborhood,
+        a changed label vocabulary, or a ball that reached every shard
+        anyway (always, at one shard).  The query cache is always cleared
         (the graph version moved, so every entry is dead); statistics
         are re-derived from the merged shard catalogs, and
         ``|paths_k(G)|`` from ``endpoints`` — the ends of the mutated
@@ -960,7 +921,7 @@ class GraphDatabase:
         index = self._index
         if (
             affected is None
-            or not isinstance(index, ShardedGraph)
+            or index is None
             or index.alphabet != self.graph.labels()
             or len(affected) >= index.shard_count
         ):
@@ -1344,13 +1305,13 @@ class GraphDatabase:
         executor's per-execution scan memo (index scans and shared
         subplans reused across union disjuncts and batches), aggregated
         over every executed query.  ``stats().scatter`` aggregates the
-        sharded engine's scatter-planning decisions — shard executions
-        run, shard executions skipped whole, individual disjunct slices
+        engine's scatter-planning decisions — shard executions run,
+        shard executions skipped whole, individual disjunct slices
         skipped as provably empty, and disjunct spines re-planned
-        against per-shard statistics (all zero on the unsharded
-        engine).  ``stats().faults.shards_failed`` counts shard slices
-        dropped by ``query(degraded=True)`` — nonzero means some
-        answers were served partial.  ``stats().prepared`` counts
+        against per-shard statistics (all zero at ``shards=1``, which
+        does not scatter).  ``stats().faults.shards_failed`` counts
+        shard slices dropped by ``query(degraded=True)`` — nonzero
+        means some answers were served partial.  ``stats().prepared`` counts
         per-binding plan-cache traffic across every :meth:`prepare`\\ d
         statement, plans revived from the persistent artifact store,
         and actual planner invocations — a freshly restarted

@@ -37,7 +37,7 @@ def default_shard_count() -> int:
     Reads ``REPRO_DEFAULT_SHARDS`` so a whole process — notably the CI
     ``sharded-stress`` run of the test suite — can route every
     default-configured database through the sharded engine without
-    touching call sites.  Unset or empty means 1 (unsharded); garbage
+    touching call sites.  Unset or empty means 1 (one shard); garbage
     fails loudly rather than silently testing the wrong engine.
     """
     raw = os.environ.get("REPRO_DEFAULT_SHARDS", "").strip()

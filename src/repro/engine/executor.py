@@ -42,7 +42,6 @@ from repro.graph.graph import Graph
 from repro.graph.stats import star_bound
 from repro.indexes.pathindex import PathIndex
 from repro.relation import Relation
-from repro.sharding import ShardedGraph
 from repro.rpq.ast import Concat, Epsilon, Inverse, Label, Node, Repeat, Star, Union
 from repro.rpq.rewrite import DEFAULT_MAX_DISJUNCTS, normalize, push_inverse
 
@@ -69,8 +68,8 @@ class ExecutionReport:
     #: subtrees, and AST subtrees in the hybrid fallback).
     scan_memo_hits: int = 0
     scan_memo_misses: int = 0
-    #: Scatter-planning decisions (sharded engines only; all zero on
-    #: the unsharded path): shard slices executed, slices skipped as
+    #: Scatter-planning decisions (all zero at one shard, which does
+    #: not scatter): shard slices executed, slices skipped as
     #: provably empty, and disjunct spines re-planned against a
     #: shard's own statistics.  Aggregated across every scatter this
     #: execution performed (the hybrid fallback can perform several).
@@ -212,6 +211,18 @@ def _disjunct_map(parts) -> dict:
     return {costed.plan: path for path, costed in parts if path is not None}
 
 
+def _scatters(index) -> bool:
+    """The engine's one selection: scatter-gather, or the plain executor.
+
+    More than one shard runs :func:`execute_scattered` /
+    :func:`scattered_parts` under a :class:`ScatterPolicy`.  One shard
+    runs :func:`execute` over the index facade: there is nothing to
+    prune, re-plan or gather, and a facade ``scan_swapped`` is the
+    zero-copy inverse-path scan where a shard slice has to re-sort.
+    """
+    return index.shard_count > 1
+
+
 def _scatter_policy(
     index,
     graph: Graph,
@@ -219,16 +230,14 @@ def _scatter_policy(
     strategy: Strategy,
     disjunct_paths: dict | None,
     counters: ScatterCounters | None,
-) -> ScatterPolicy | None:
-    """The skew-aware scatter policy for one execution (or ``None``).
+) -> ScatterPolicy:
+    """The skew-aware scatter policy for one scattered execution.
 
-    ``None`` only for unsharded indexes.  With both skew features
-    switched off the policy still runs — it decides nothing, but it
-    keeps the ``shards_scanned`` counter truthful (one count per shard
-    execution), so an A/B of the knobs reads consistently.
+    With both skew features switched off the policy still runs — it
+    decides nothing, but it keeps the ``shards_scanned`` counter
+    truthful (one count per shard execution), so an A/B of the knobs
+    reads consistently.
     """
-    if not isinstance(index, ShardedGraph):
-        return None
     planner = Planner(index.k, statistics, graph, strategy)
 
     def replan(shard, path, provider):
@@ -253,6 +262,16 @@ def _scatter_policy(
     )
 
 
+def _scatter_plan(normal_form, index, graph, statistics, strategy, counters):
+    """Plan a normal form for scattered execution: ``(plan, policy)``."""
+    planner = Planner(index.k, statistics, graph, strategy)
+    parts = planner.disjunct_plans(normal_form)
+    policy = _scatter_policy(
+        index, graph, statistics, strategy, _disjunct_map(parts), counters
+    )
+    return planner.assemble(parts).plan, policy
+
+
 def execute_prepared(
     prepared: PreparedQuery,
     index: PathIndex,
@@ -273,7 +292,7 @@ def execute_prepared(
     :class:`QueryTimeoutError` — the caller sees how far the scatter
     got before time ran out.
     """
-    sharded = isinstance(index, ShardedGraph)
+    sharded = _scatters(index)
     shard_workers = index.query_workers if sharded else 1
     if memo is None:
         # Scatter-gather fan-out populates the memo from several
@@ -412,15 +431,12 @@ def _hybrid_uncached(
     deadline = context.deadline if context is not None else None
     normal_form = _try_normalize(node, graph, max_disjuncts)
     if normal_form is not None:
-        if isinstance(index, ShardedGraph):
-            planner = Planner(index.k, statistics, graph, strategy)
-            parts = planner.disjunct_plans(normal_form)
-            costed = planner.assemble(parts)
-            policy = _scatter_policy(
-                index, graph, statistics, strategy, _disjunct_map(parts), counters
+        if _scatters(index):
+            plan, policy = _scatter_plan(
+                normal_form, index, graph, statistics, strategy, counters
             )
             return execute_scattered(
-                costed.plan,
+                plan,
                 index,
                 graph,
                 memo,
@@ -549,10 +565,10 @@ def _hybrid_uncached(
 
 
 def _closure_workers(index: PathIndex) -> int:
-    """Thread fan-out of the global closure: the sharded engine's
+    """Thread fan-out of the global closure: a scattering engine's
     ``query_workers`` knob reaches the CSR schedule partitioning too
-    (:func:`repro.csr.closure_bitsets`); unsharded stays sequential."""
-    return index.query_workers if isinstance(index, ShardedGraph) else 1
+    (:func:`repro.csr.closure_bitsets`); one shard stays sequential."""
+    return index.query_workers if _scatters(index) else 1
 
 
 def _closure_base_parts(
@@ -568,25 +584,22 @@ def _closure_base_parts(
 ) -> list[Relation]:
     """The operand of a Kleene closure, as per-shard slices when possible.
 
-    Sharded engines evaluate a bounded closure operand once per shard
+    Scattering engines evaluate a bounded closure operand once per shard
     (the gather is subsumed by the closure's own merge —
     :func:`repro.csr.partitioned_closure`); the closure itself always
     runs globally, because recursive paths hop shards freely.  Pruned
-    shards simply contribute no slice.  The unsharded engine — and any
-    operand the planner cannot bound — keeps the single-relation path,
-    memoized under the operand's AST node as before.
+    shards simply contribute no slice.  One shard — and any operand the
+    planner cannot bound — keeps the single-relation path, memoized
+    under the operand's AST node.
     """
-    if isinstance(index, ShardedGraph):
+    if _scatters(index):
         normal_form = _try_normalize(node, graph, max_disjuncts)
         if normal_form is not None:
-            planner = Planner(index.k, statistics, graph, strategy)
-            parts = planner.disjunct_plans(normal_form)
-            costed = planner.assemble(parts)
-            policy = _scatter_policy(
-                index, graph, statistics, strategy, _disjunct_map(parts), counters
+            plan, policy = _scatter_plan(
+                normal_form, index, graph, statistics, strategy, counters
             )
             return scattered_parts(
-                costed.plan,
+                plan,
                 index,
                 graph,
                 memo,

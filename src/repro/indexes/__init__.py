@@ -1,7 +1,6 @@
 """Indexes: the k-path index, selectivity statistics, reachability."""
 
 from repro.indexes.compressed import CompressedBackend, compression_ratio
-from repro.indexes.dynamic import DynamicPathIndex
 from repro.indexes.histogram import EquiDepthHistogram
 from repro.indexes.pathindex import PathIndex
 from repro.indexes.reachability import LabelReachabilityIndex
@@ -9,7 +8,6 @@ from repro.indexes.statistics import ExactStatistics, Statistics, UniformStatist
 
 __all__ = [
     "CompressedBackend",
-    "DynamicPathIndex",
     "EquiDepthHistogram",
     "ExactStatistics",
     "LabelReachabilityIndex",

@@ -15,7 +15,7 @@ still *reported* with count 0 so the statistics layer knows it exists.
 from __future__ import annotations
 
 from array import array
-from typing import Container, Iterator
+from typing import Container, Iterator, Mapping
 
 from repro import relation as rel
 from repro.errors import ValidationError
@@ -107,11 +107,11 @@ def path_relations_columnar(
     — but every relation is a ``BY_SRC``-sorted columnar
     :class:`~repro.relation.Relation` and each extension is one
     :func:`repro.relation.compose` call (packed-key / numpy kernels)
-    instead of a tuple-set loop.  This is the engine behind the sharded
-    index build (:meth:`repro.sharding.ShardedGraph.build`), where it
-    beats the tuple-set builder severalfold even on one core; the
-    unsharded :meth:`repro.indexes.pathindex.PathIndex.build` keeps the
-    tuple-set path as the stable single-shard baseline.
+    instead of a tuple-set loop.  This is the one index builder: every
+    shard of :meth:`repro.sharding.ShardedGraph.build` and
+    :meth:`repro.indexes.pathindex.PathIndex.build` load from it, and
+    :func:`path_relations` stays only as the tuple-set oracle the tests
+    hold it against.
     """
     _check_k(k)
     steps = _sorted_steps(graph.labels())
@@ -144,6 +144,39 @@ def path_relations_columnar(
                     yield from expand(path_steps, extended)
 
     yield from expand((), None)
+
+
+def cataloged_counts(
+    counts: Mapping[str, int],
+    labels: tuple[str, ...],
+    k: int,
+    prune_empty: bool = True,
+) -> dict[str, int]:
+    """The catalog a fresh build reports for relations of these sizes.
+
+    ``counts`` maps encoded path -> ``|p(G)|`` and may leave empty
+    paths out or carry them with count 0.  The result lists, in trie
+    order, exactly the paths :func:`path_relations_columnar` yields
+    over ``labels``: with ``prune_empty`` an empty path is listed once
+    (count 0) and its extensions are not.  A patched index reports its
+    catalog through this function too, so which *empty* paths the
+    statistics layer sees never depends on the history that led to the
+    counts.
+    """
+    _check_k(k)
+    steps = [step.encode() for step in _sorted_steps(labels)]
+    listed: dict[str, int] = {}
+
+    def extend(prefix: str, length: int) -> None:
+        for step in steps:
+            encoded = prefix + step
+            count = counts.get(encoded, 0)
+            listed[encoded] = count
+            if length < k and (count or not prune_empty):
+                extend(encoded + ".", length + 1)
+
+    extend("", 1)
+    return listed
 
 
 def _restrict_sources(relation: Relation, sources: Container[int]) -> Relation:

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 from repro.errors import PathIndexError, ValidationError
 from repro.graph.graph import Graph, LabelPath
-from repro.indexes.builder import path_relations
+from repro.indexes.builder import path_relations_columnar
 from repro.relation import Order, Relation, swap
 from repro.storage.diskbtree import DiskBPlusTree
 from repro.storage.memtree import BPlusTree
@@ -161,6 +161,10 @@ class PathIndex:
     compresses them for the optimizer.
     """
 
+    #: A ``PathIndex`` is one shard: the executor's scatter-or-plain
+    #: selection reads this off whatever index it is handed.
+    shard_count = 1
+
     def __init__(self, graph: Graph, k: int, backend) -> None:
         self.graph = graph
         self.k = k
@@ -194,36 +198,16 @@ class PathIndex:
             provably empty); the empty paths themselves are still
             recorded with count 0.
         """
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
-        store = cls._make_backend(
-            backend,
+        return cls.from_relations(
+            graph,
+            k,
+            path_relations_columnar(graph, k, prune_empty=prune_empty),
+            backend=backend,
             order=order,
             path=path,
             page_size=page_size,
             cache_pages=cache_pages,
         )
-        index = cls(graph, k, store)
-
-        def entries() -> Iterator[tuple[int, int, int]]:
-            for label_path, pairs in path_relations(
-                graph, k, prune_empty=prune_empty
-            ):
-                encoded = label_path.encode()
-                path_id = len(index._path_ids)
-                index._path_ids[encoded] = path_id
-                index._counts[encoded] = len(pairs)
-                for source, target in pairs:
-                    yield path_id, source, target
-
-        try:
-            store.bulk_load(entries())
-        except BaseException:
-            # Do not leak the backend (the disk flavor holds an open
-            # file handle) when the build dies partway.
-            store.close()
-            raise
-        return index
 
     @classmethod
     def from_relations(
@@ -246,7 +230,10 @@ class PathIndex:
         Each path becomes one key run loaded through the backend's
         ``bulk_load_runs`` fast path (leaf slicing on the memory B+tree,
         one posting list per run on the compressed backend), with key
-        tuples materialized by C-speed ``zip``.
+        tuples materialized by C-speed ``zip``.  Both columns go through
+        one list of the graph's node ids first: an ``array('q')`` read
+        mints a fresh ``int`` per element, and an index holding two of
+        those per entry weighs a fifth more than one sharing them.
         """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
@@ -258,6 +245,7 @@ class PathIndex:
             cache_pages=cache_pages,
         )
         index = cls(graph, k, store)
+        shared_id = list(graph.node_ids()).__getitem__
 
         def runs() -> Iterator[list[tuple[int, int, int]]]:
             for label_path, relation in relations:
@@ -267,10 +255,16 @@ class PathIndex:
                 index._counts[encoded] = len(relation)
                 if len(relation):
                     if isinstance(relation, Relation):
-                        columns = (relation.src, relation.tgt)
+                        sources, targets = relation.src, relation.tgt
                     else:
-                        columns = zip(*relation)
-                    yield list(zip(repeat(path_id), *columns))
+                        sources, targets = zip(*relation)
+                    yield list(
+                        zip(
+                            repeat(path_id),
+                            map(shared_id, sources),
+                            map(shared_id, targets),
+                        )
+                    )
 
         try:
             store.bulk_load_runs(runs())

@@ -57,7 +57,7 @@ from repro.errors import (
 )
 from repro.faults import fire, retry_call
 from repro.graph.graph import Graph, LabelPath
-from repro.relation import Order, Relation, dedup_sort
+from repro.relation import Order, Relation, dedup_sort, union
 from repro.serve import protocol
 from repro.serve.worker import WorkerHandle, launch_worker, launch_workers
 from repro.sharding import ShardedGraph
@@ -288,6 +288,17 @@ class RpcShardedGraph(ShardedGraph):
             shard_seed=shard_seed,
         )
 
+    def scan(self, path: LabelPath) -> Relation:
+        """Facade scan: every worker's slice through :meth:`shard_scan`.
+
+        A one-worker fleet answers through the plain executor, which
+        reads the facade; routing it here keeps the per-scan retry and
+        the ``shard.scan`` injection point between it and the wire.
+        """
+        return union(
+            self.shard_scan(shard, path) for shard in range(len(self._shards))
+        )
+
     # -- scatter calls (deadline-forwarding overrides) --------------------
 
     def shard_scan(self, shard: int, path: LabelPath, deadline=None) -> Relation:
@@ -441,14 +452,14 @@ class CoordinatorDatabase(GraphDatabase):
         old_index = self._index
         old_knobs = (
             (old_index.scatter_pruning, old_index.replan_divergence)
-            if isinstance(old_index, ShardedGraph)
+            if old_index is not None
             else None
         )
         try:
             index = RpcShardedGraph.launch(
                 self.graph,
                 self.k,
-                shards=max(1, self._shards),
+                shards=self._shards,
                 shard_seed=self._shard_seed,
             )
             index.query_workers = self._shard_query_workers
@@ -493,9 +504,7 @@ class CoordinatorDatabase(GraphDatabase):
         index (half-mutated workers are unusable) under the same
         cleanup contract as the in-process paths.
         """
-        if staged.fallback == "alphabet" or not isinstance(
-            index, RpcShardedGraph
-        ):
+        if staged.fallback == "alphabet":
             self._build_index_locked()
             return "rebuild", ()
         patchable = patchable and staged.fallback is None
@@ -542,7 +551,7 @@ class CoordinatorDatabase(GraphDatabase):
         """
         with self._lock.write_locked():
             index = self._index
-            if not isinstance(index, RpcShardedGraph):
+            if index is None:
                 return []
             dead = [
                 shard

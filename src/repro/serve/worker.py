@@ -203,21 +203,20 @@ class _WorkerState:
     def _build(self) -> PathIndex:
         """This shard's index, via the exact in-process build recipe.
 
-        ``_serial_payload`` keeps the ``shard.build`` injection point
+        ``_serial_shard`` keeps the ``shard.build`` injection point
         and its retry/``ShardUnavailableError`` contract; the index is
         always memory-backed — durability is the coordinator's concern,
         workers are rebuildable by construction.
         """
-        payload = ShardedGraph._serial_payload(
+        return ShardedGraph._serial_shard(
             self.graph,
             self.k,
             self.shard_count,
             self.shard,
             self.prune_empty,
             self.shard_seed,
-        )
-        return ShardedGraph._shard_index(
-            self.graph, self.k, payload, "memory", None, self.shard
+            "memory",
+            None,
         )
 
     def rebuild(self) -> None:

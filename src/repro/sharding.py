@@ -15,7 +15,7 @@ Three properties fall out of that rule and carry the whole design:
 
 * **disjoint exactness** — for every label path ``p``, the per-shard
   relations partition ``p(G)``; their union (one packed-key merge,
-  :func:`repro.relation.union`) is exactly the unsharded scan.  Nothing
+  :func:`repro.relation.union`) is exactly the one-shard scan.  Nothing
   is approximated, so ``shards=N`` answers are identical to
   ``shards=1``.
 * **independent builds** — a shard's relations are computed by
@@ -59,7 +59,7 @@ from repro.errors import ShardUnavailableError, TransientError, ValidationError
 from repro.faults import fire, retry_call
 from repro.graph.graph import Graph, LabelPath
 from repro.graph.stats import paths_k_sizes
-from repro.indexes.builder import path_relations_columnar
+from repro.indexes.builder import cataloged_counts, path_relations_columnar
 from repro.indexes.pathindex import PathIndex
 from repro.indexes.statistics import (
     ExactStatistics,
@@ -215,8 +215,9 @@ class ShardedGraph:
 
     Build with :meth:`build`; query through the PathIndex-compatible
     facade (global scatter-gather) or the ``shard_*`` methods (one
-    shard's slice).  ``shards=1`` is legal but pointless — the API layer
-    keeps the plain unsharded engine for that case.
+    shard's slice).  This is the only index the API layer holds:
+    ``shards=1`` is the one-shard instance, whose facade scans hand the
+    single shard's relations through untouched.
     """
 
     def __init__(
@@ -321,31 +322,27 @@ class ShardedGraph:
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         if backend == "disk" and index_path is None:
-            # Fail before the payload computation (the dominant build
-            # cost), exactly as the unsharded build would.
+            # Fail before any relation is computed (the dominant
+            # build cost).
             raise ValidationError("the disk backend requires a file path")
         if workers is None and graph.edge_count < PARALLEL_MIN_EDGES:
             workers = 1
         resolved = cls._resolve_workers(workers, shards)
-        payloads = cls._compute_payloads(
-            graph, k, shards, list(range(shards)), resolved, prune_empty, shard_seed
+        built = cls._build_shards(
+            graph,
+            k,
+            shards,
+            list(range(shards)),
+            resolved,
+            prune_empty,
+            shard_seed,
+            backend,
+            index_path,
         )
-        indexes: list[PathIndex] = []
-        try:
-            for shard in range(shards):
-                indexes.append(
-                    cls._shard_index(
-                        graph, k, payloads[shard], backend, index_path, shard
-                    )
-                )
-        except BaseException:
-            for built in indexes:
-                built.close()
-            raise
         return cls(
             graph,
             k,
-            indexes,
+            [built[shard] for shard in range(shards)],
             backend,
             index_path,
             resolved,
@@ -360,7 +357,7 @@ class ShardedGraph:
         return max(1, min(workers, shards))
 
     @classmethod
-    def _compute_payloads(
+    def _build_shards(
         cls,
         graph: Graph,
         k: int,
@@ -368,15 +365,24 @@ class ShardedGraph:
         shard_ids: list[int],
         workers: int,
         prune_empty: bool,
-        seed: int = 0,
-    ) -> dict[int, ShardPayload]:
+        seed: int,
+        backend: str,
+        index_path: str | FilePath | None,
+    ) -> dict[int, PathIndex]:
+        """The listed shards' indexes, built from the graph as it is now.
+
+        A pool computes whole payloads and this process loads them; the
+        serial path streams each shard (:meth:`_serial_shard`).  Either
+        way nothing built is left open when a later shard fails.
+        """
+        payloads = None
         if workers > 1 and len(shard_ids) > 1:
             try:
                 # Injection seam for the whole-pool stage: a crash here
                 # models the pool itself dying (fork failure, OOM kill)
                 # and exercises the serial fallback below.
                 fire("shard.build", stage="pool")
-                return cls._parallel_payloads(
+                payloads = cls._parallel_payloads(
                     graph, k, shard_count, shard_ids, workers, prune_empty, seed
                 )
             except (BrokenExecutor, PicklingError, TransientError):
@@ -388,36 +394,69 @@ class ShardedGraph:
                 # propagates instead — retrying it serially would only
                 # double time-to-fail.
                 pass
-        return {
-            shard: cls._serial_payload(
-                graph, k, shard_count, shard, prune_empty, seed
-            )
-            for shard in shard_ids
-        }
+        built: dict[int, PathIndex] = {}
+        try:
+            for shard in shard_ids:
+                if payloads is None:
+                    built[shard] = cls._serial_shard(
+                        graph,
+                        k,
+                        shard_count,
+                        shard,
+                        prune_empty,
+                        seed,
+                        backend,
+                        index_path,
+                    )
+                else:
+                    relations = (
+                        (LabelPath.decode(encoded), Relation(src, tgt, Order.BY_SRC))
+                        for encoded, src, tgt in payloads[shard]
+                    )
+                    built[shard] = cls._shard_index(
+                        graph, k, relations, backend, index_path, shard
+                    )
+        except BaseException:
+            for index in built.values():
+                index.close()
+            raise
+        return built
 
-    @staticmethod
-    def _serial_payload(
+    @classmethod
+    def _serial_shard(
+        cls,
         graph: Graph,
         k: int,
         shard_count: int,
         shard: int,
         prune_empty: bool,
-        seed: int = 0,
-    ) -> ShardPayload:
-        """One shard's payload on the serial path, with build retry.
+        seed: int,
+        backend: str,
+        index_path: str | FilePath | None,
+    ) -> PathIndex:
+        """One shard's index on the serial path, with build retry.
 
-        Transient faults retry with backoff *per shard* — one flaky
-        shard no longer restarts the whole build.  A worker-crash fault
-        that persists through the retries is permanent for this build
-        and surfaces as a typed :class:`ShardUnavailableError` naming
-        the shard (degraded *query* answers exist; degraded *builds* do
+        The builder's generator feeds the load directly, so only ``k``
+        relations are alive at a time — a payload list would hold the
+        whole shard twice.  Transient faults retry with backoff *per
+        shard* (the retry starts the generator over) — one flaky shard
+        does not restart the whole build.  A worker-crash fault that
+        persists through the retries is permanent for this build and
+        surfaces as a typed :class:`ShardUnavailableError` naming the
+        shard (degraded *query* answers exist; degraded *builds* do
         not — an index missing a shard would silently under-answer
         every future query).
         """
 
-        def attempt() -> ShardPayload:
+        def attempt() -> PathIndex:
             fire("shard.build", shard=shard)
-            return _shard_payload(graph, k, shard_count, shard, prune_empty, seed)
+            relations = path_relations_columnar(
+                graph,
+                k,
+                prune_empty=prune_empty,
+                sources=ShardMembership(shard, shard_count, seed),
+            )
+            return cls._shard_index(graph, k, relations, backend, index_path, shard)
 
         try:
             return retry_call(attempt)
@@ -471,7 +510,7 @@ class ShardedGraph:
         cls,
         graph: Graph,
         k: int,
-        payload: ShardPayload,
+        relations: Iterable[tuple[LabelPath, Relation]],
         backend: str,
         index_path: str | FilePath | None,
         shard: int,
@@ -481,10 +520,6 @@ class ShardedGraph:
             # The disk B+tree only bulk-loads into an empty file; a
             # stale or partial shard file must go first.
             FilePath(path).unlink(missing_ok=True)
-        relations = (
-            (LabelPath.decode(encoded), Relation(src, tgt, Order.BY_SRC))
-            for encoded, src, tgt in payload
-        )
         return PathIndex.from_relations(
             graph, k, relations, backend=backend, path=path
         )
@@ -566,13 +601,15 @@ class ShardedGraph:
     ) -> None:
         """Recompute the listed shards against the current graph.
 
-        All payloads are computed before any shard is swapped, so a
-        failing computation leaves every shard intact; a failing swap
-        propagates and the API layer discards the whole index (the same
-        all-or-nothing contract as a full rebuild).  Must not be used
-        across an alphabet change — the unlisted shards' path sets
-        would silently be stale (:attr:`alphabet` is the guard).
-        ``endpoints`` goes to :meth:`invalidate_statistics`.
+        Every replacement is built before any shard is swapped, so a
+        failing computation leaves every shard intact — except on the
+        disk backend, whose stale files must be released before their
+        replacements can be written.  Any failure propagates and the
+        API layer discards the whole index (the same all-or-nothing
+        contract as a full rebuild).  Must not be used across an
+        alphabet change — the unlisted shards' path sets would silently
+        be stale (:attr:`alphabet` is the guard).  ``endpoints`` goes
+        to :meth:`invalidate_statistics`.
         """
         if self.alphabet != self.graph.labels():
             raise ValidationError(
@@ -586,7 +623,10 @@ class ShardedGraph:
             workers if workers is not None else self._build_workers,
             max(len(shard_ids), 1),
         )
-        payloads = self._compute_payloads(
+        if self._backend == "disk":
+            for shard in shard_ids:
+                self._shards[shard].close()
+        built = self._build_shards(
             self.graph,
             self.k,
             len(self._shards),
@@ -594,21 +634,11 @@ class ShardedGraph:
             resolved,
             self._prune_empty,
             self.shard_seed,
+            self._backend,
+            self._index_path,
         )
-        for shard in shard_ids:
-            old = self._shards[shard]
-            if self._backend == "disk":
-                # Release the stale file before the unlink+rebuild.
-                old.close()
-            replacement = self._shard_index(
-                self.graph,
-                self.k,
-                payloads[shard],
-                self._backend,
-                self._index_path,
-                shard,
-            )
-            self._shards[shard] = replacement
+        for shard, replacement in built.items():
+            old, self._shards[shard] = self._shards[shard], replacement
             if self._backend != "disk":
                 old.close()
         self.invalidate_statistics(endpoints)
@@ -698,14 +728,14 @@ class ShardedGraph:
 
         Per-shard slices are disjoint (they partition by start owner),
         so the packed-key union is a pure merge; sort order and
-        duplicate-freedom match the unsharded scan exactly.
+        duplicate-freedom match the one-shard scan exactly.
         """
         return rel.union(shard.scan(path) for shard in self._shards)
 
     def scan_swapped(self, path: LabelPath) -> Relation:
         """The relation of ``p`` sorted by (tgt, src) — inverse-scan trick.
 
-        Exactly the unsharded implementation lifted over the merge:
+        Exactly a single index's implementation lifted over the merge:
         scatter-gather the inverse path (itself indexed in every shard)
         and swap the merged columns zero-copy.
         """
@@ -722,13 +752,29 @@ class ShardedGraph:
     def count(self, path: LabelPath) -> int:
         return sum(shard.count(path) for shard in self._shards)
 
+    def _shard_catalog(self, shard: int) -> dict[str, int]:
+        """What one shard reports to the statistics layer.
+
+        :func:`~repro.indexes.builder.cataloged_counts` over the
+        shard's exact counts, whether the shard was just built or has
+        been patched since: a patch gives a path an id on its first
+        pair and never retires one, so the shard's own catalog lists
+        *empty* paths by history, and histogram bucket averages would
+        see that.
+        """
+        return cataloged_counts(
+            self._shards[shard].counts_by_path(),
+            self.alphabet,
+            self.k,
+            self._prune_empty,
+        )
+
     def counts_by_path(self) -> dict[str, int]:
         """Merged exact counts (the statistics layer's input).
 
-        Keys are the union of the shards' catalogs.  A path pruned as
-        empty in *every* shard is absent here where the unsharded
-        catalog may record it with count 0; both sides estimate such a
-        path at 0, so statistics agree where it matters.
+        Keys are the union of the shards' catalogs: every non-empty
+        path, and an empty one exactly when its prefix is non-empty
+        somewhere — the same listing at every shard count.
 
         The merge is cached until :meth:`invalidate_statistics`: planner
         costing probes this per query, and re-summing N shard catalogs
@@ -737,22 +783,18 @@ class ShardedGraph:
         """
         if self._merged_counts is None:
             self._merged_counts = merge_shard_counts(
-                [shard.counts_by_path() for shard in self._shards]
+                [self._shard_catalog(shard) for shard in range(len(self._shards))]
             )
         return dict(self._merged_counts)
 
     def paths(self) -> Iterator[LabelPath]:
         """Every cataloged label path, in first-seen (trie) order."""
-        seen: set[str] = set()
-        for shard in self._shards:
-            for encoded in shard.counts_by_path():
-                if encoded not in seen:
-                    seen.add(encoded)
-                    yield LabelPath.decode(encoded)
+        for encoded in self.counts_by_path():
+            yield LabelPath.decode(encoded)
 
     @property
     def path_count(self) -> int:
-        return sum(1 for _ in self.paths())
+        return len(self.counts_by_path())
 
     @property
     def entry_count(self) -> int:
@@ -804,11 +846,10 @@ class ShardedGraph:
     def merged_statistics(self) -> ExactStatistics:
         """Exact global statistics from the merged shard catalogs.
 
-        Agrees with ``ExactStatistics.from_index(unsharded_index)`` on
-        every path estimate: per-shard slices partition each relation,
-        so their counts sum to the global catalog (paths empty in every
-        shard estimate to 0 on both sides).  The API layer uses this in
-        place of a fresh global recount, reusing both caches.
+        Agrees with ``ExactStatistics.from_index`` over one
+        :class:`PathIndex` of the whole graph on every path estimate:
+        per-shard slices partition each relation, so their counts sum
+        to the global catalog.  Both caches are reused.
         """
         return ExactStatistics(
             counts=self.counts_by_path(),
@@ -831,7 +872,7 @@ class ShardedGraph:
         if cached is None:
             cached = ShardStatistics(
                 shard=shard,
-                counts=self._shards[shard].counts_by_path(),
+                counts=self._shard_catalog(shard),
                 k=self.k,
                 total_paths_k=self.total_paths_k(),
                 buckets=SHARD_STATISTICS_BUCKETS,

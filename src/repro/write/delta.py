@@ -1,17 +1,19 @@
 """Sharded delta patching: turn a commit group into per-shard index edits.
 
-This is the marriage of the paper's dynamic-maintenance story
-(:mod:`repro.indexes.dynamic` — localized ``A x B`` deltas per edge)
-with the sharded engine (:mod:`repro.sharding` — entries partitioned by
-path start).  Instead of rebuilding the touched shard *ball* per
-mutation, a whole commit group becomes one small set of B+tree point
-edits per touched shard.
+The demo paper builds ``I_{G,k}`` once per graph and leaves maintaining
+it under edge insertions and deletions open.  This module maintains it
+with a localized delta (:func:`edge_delta` — ``A x B`` pairs per edge
+and path position, at a cost proportional to the affected
+neighborhoods rather than the graph) over the sharded engine
+(:mod:`repro.sharding` — entries partitioned by path start).  Instead
+of rebuilding the touched shard *ball* per mutation, a whole commit
+group becomes one small set of B+tree point edits per touched shard.
 
 Two phases:
 
 * :func:`stage_group` applies every mutation of the group to the graph
   (in order), collecting per-path *dirty pairs* — the union of each
-  graph-changing mutation's :func:`~repro.indexes.dynamic.edge_delta`,
+  graph-changing mutation's :func:`edge_delta`,
   evaluated post-insert for additions and pre-delete for removals —
   plus the union of touched-shard balls and the endpoints of those
   mutations (all the index needs to keep ``|paths_k(G)|`` current
@@ -47,13 +49,66 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.graph.graph import Graph, LabelPath
-from repro.indexes.dynamic import edge_delta, path_targets
 from repro.write.mutation import MutationBatch
 
 Pair = tuple[int, int]
 
 #: Per-shard patch: encoded path -> (pairs to insert, pairs to delete).
 ShardPatch = dict[str, tuple[list[Pair], list[Pair]]]
+
+
+def path_targets(graph: Graph, source: int, path: LabelPath) -> set[int]:
+    """Frontier expansion: all targets of ``path`` from ``source``."""
+    frontier = {source}
+    for step in path:
+        if not frontier:
+            break
+        next_frontier: set[int] = set()
+        for node in frontier:
+            next_frontier.update(graph.step_neighbors(node, step))
+        frontier = next_frontier
+    return frontier
+
+
+def edge_delta(
+    graph: Graph, path: LabelPath, label: str, source: int, target: int
+) -> set[Pair]:
+    """Pairs of ``path`` with a witness through the ``(source, target)``
+    edge labelled ``label``, evaluated on the graph as given.
+
+    For every position ``i`` of ``path = s_1 ... s_m`` whose step
+    matches the edge (forward ``l`` or inverse ``l⁻``), the pairs are
+    ``A × B``: ``A`` the nodes reaching the edge's entry point via the
+    inverted prefix ``(s_1..s_{i-1})⁻``, ``B`` the nodes reachable from
+    its exit point via the suffix ``s_{i+1}..s_m``, both by
+    depth-bounded frontier expansion.  For an insertion call it on the
+    post-insert graph (the result is exactly the new pairs — every new
+    pair has a witness through the new edge at some position); for a
+    deletion call it pre-delete (the result is the candidate set to
+    re-check once the edge is gone, since a candidate may have
+    surviving witnesses elsewhere).
+    """
+    delta: set[Pair] = set()
+    for position, step in enumerate(path.steps):
+        if step.label != label:
+            continue
+        entry, exit_ = (source, target) if not step.inverse else (target, source)
+        if position > 0:
+            prefix = path.prefix(position).inverted()
+            left = path_targets(graph, entry, prefix)
+        else:
+            left = {entry}
+        if not left:
+            continue
+        if position + 1 < len(path):
+            suffix = path.subpath(position + 1, len(path))
+            right = path_targets(graph, exit_, suffix)
+        else:
+            right = {exit_}
+        for a in left:
+            for b in right:
+                delta.add((a, b))
+    return delta
 
 
 @dataclass(slots=True)

@@ -186,10 +186,12 @@ class ApplyResult:
     """What one batch did, as observed after its commit group flushed.
 
     ``mode`` records how the index absorbed the group the batch rode
-    in: ``"patch"`` (per-shard delta patching), ``"rebuild"`` (ball or
-    full rebuild fallback), or ``"noop"`` (nothing changed).
-    ``patched_shards`` lists the shards the group's delta touched
-    (empty for rebuilds and no-ops).
+    in, the same at every shard count (``shards=1`` included):
+    ``"patch"`` (per-shard delta patching — memory-backed shards),
+    ``"rebuild"`` (ball or full rebuild: disk and compressed shards,
+    an alphabet change, a dirty-pair overflow), or ``"noop"`` (nothing
+    changed).  ``patched_shards`` lists the shards the group's delta
+    touched (empty for rebuilds and no-ops).
     """
 
     applied: int

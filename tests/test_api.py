@@ -183,9 +183,10 @@ class TestWitnessApi:
 
 class TestCompressedBackendApi:
     def test_compressed_database(self, figure1):
-        # shards=1 pinned: the assertion reads the raw backend facade.
         db = GraphDatabase(figure1, k=2, backend="compressed", shards=1)
-        assert db.index.backend_name == "compressed"
+        assert db.index.backend_name == "sharded[1xcompressed]"
+        (shard,) = db.index.shard_indexes
+        assert shard.backend_name == "compressed"
         expected = GraphDatabase(figure1, k=2).query("knows/knows").pairs
         assert db.query("knows/knows").pairs == expected
 

@@ -206,13 +206,17 @@ def test_pool_build_failure_falls_back_and_recovers() -> None:
 
 
 def test_build_raises_shard_unavailable_when_permanent() -> None:
-    plan = FaultPlan(
-        [FaultRule("shard.build", "transient", shard=1)], clock=FakeClock()
-    )
-    with armed(plan):
-        with pytest.raises(ShardUnavailableError) as info:
-            build_db(2)
-    assert info.value.shard == 1
+    # The streamed serial build at any shard count, one shard included.
+    for shards, doomed in ((2, 1), (1, 0)):
+        plan = FaultPlan(
+            [FaultRule("shard.build", "transient", shard=doomed)],
+            clock=FakeClock(),
+        )
+        with armed(plan):
+            with pytest.raises(ShardUnavailableError) as info:
+                build_db(shards)
+        assert info.value.shard == doomed
+        assert plan.fired > 1  # retried before giving up
 
 
 # -- deadlines and timeouts ----------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from repro.errors import PathIndexError, ValidationError
 from repro.graph.examples import figure1_graph
 from repro.graph.graph import LabelPath
+from repro.indexes.builder import cataloged_counts, path_relations
 from repro.indexes.pathindex import PathIndex
 from repro.rpq.semantics import eval_label_path
 
@@ -95,6 +96,24 @@ class TestBuildOptions:
     def test_repr(self, fig1_index):
         text = repr(fig1_index)
         assert "k=3" in text and "memory" in text
+
+    @pytest.mark.parametrize("prune_empty", [True, False])
+    def test_build_matches_the_tuple_set_oracle(self, prune_empty):
+        """The one (columnar) builder against ``path_relations``: catalog
+        order, counts, every scan — and the function that owns which
+        paths a catalog reports lists exactly what the oracle yields."""
+        graph = figure1_graph()  # supervisor/supervisor is empty
+        for k in (1, 2, 3):
+            index = PathIndex.build(graph, k, prune_empty=prune_empty)
+            oracle = list(path_relations(graph, k, prune_empty=prune_empty))
+            counts = {path.encode(): len(pairs) for path, pairs in oracle}
+            assert list(index.paths()) == [path for path, _ in oracle]
+            assert list(index.counts_by_path().items()) == list(counts.items())
+            for path, pairs in oracle:
+                assert list(index.scan(path)) == pairs
+            nonzero = {encoded: n for encoded, n in counts.items() if n}
+            listed = cataloged_counts(nonzero, graph.labels(), k, prune_empty)
+            assert list(listed.items()) == list(counts.items())
 
 
 class TestDiskBackend:

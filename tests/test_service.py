@@ -28,6 +28,7 @@ from repro import relation as rel
 from repro.api import GraphDatabase
 from repro.bench.workloads import closure_base_pairs
 from repro.concurrency import ReadWriteLock
+from repro.config import ServiceConfig
 from repro.engine.operators import ScanMemo, SharedScanMemo
 from repro.engine.plan import IdentityPlan
 from repro.errors import ExecutionError
@@ -295,16 +296,17 @@ class TestServiceMutations:
         from repro.errors import PathIndexError
         from repro.indexes.pathindex import PathIndex
 
-        # shards=1 pinned: the failure is injected into the unsharded
-        # PathIndex.build (the sharded engine rebuilds via
-        # from_relations and has its own failure-path tests).
-        database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2, shards=1)
-        original_build = PathIndex.build
+        # Patching off, so the mutation rebuilds; the failure is
+        # injected into the one loader every shard is built through.
+        database = GraphDatabase.from_edges(
+            FIGURE1_EDGES, config=ServiceConfig(k=2, delta_patching=False)
+        )
+        original_build = PathIndex.from_relations
 
         def exploding_build(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(PathIndex, "build", exploding_build)
+        monkeypatch.setattr(PathIndex, "from_relations", exploding_build)
         with pytest.raises(OSError):
             database.add_edge("ada", "knows", "kim")
         # The graph is mutated and the index cleared: queries retry the
@@ -316,7 +318,7 @@ class TestServiceMutations:
         with pytest.raises(PathIndexError, match="index unavailable"):
             database._require_index()
         # Once building works again, the service self-heals.
-        monkeypatch.setattr(PathIndex, "build", original_build)
+        monkeypatch.setattr(PathIndex, "from_relations", original_build)
         fresh = database.query("knows", use_cache=False)
         assert set(fresh.pairs) == eval_query(database.graph, "knows")
         assert ("ada", "kim") in fresh.pairs  # the mutation is visible
@@ -584,14 +586,13 @@ class TestConcurrentHammer:
         and one LRU across readers — concurrent queries interleaved
         seek/read and could serve torn pages.  A tiny page cache forces
         constant misses/evictions while threads query and mutate."""
-        # shards=1 pinned: the test reaches into the *unsharded* disk
-        # backend's pager (the shared handle under test).
         database = GraphDatabase.from_edges(
             FIGURE1_EDGES, k=2, backend="disk",
-            index_path=str(tmp_path / "index.db"), shards=1,
+            index_path=str(tmp_path / "index.db"),
         )
-        # Shrink the pager cache so nearly every read goes to the file.
-        database.index._backend._tree._pager._cache_pages = 4
+        # Shrink the pager caches so nearly every read goes to the file.
+        for shard in database.index.shard_indexes:
+            shard._backend._tree._pager._cache_pages = 4
         expected = {
             text: eval_query(database.graph, text) for text in self.QUERIES
         }

@@ -325,7 +325,8 @@ class TestDefaultShardsKnob:
         assert database.index.shard_count == 3
         # An explicit shards= always wins over the environment.
         pinned = GraphDatabase(graph, k=2, shards=1)
-        assert isinstance(pinned.index, PathIndex)
+        assert isinstance(pinned.index, ShardedGraph)
+        assert pinned.index.shard_count == 1
 
     def test_garbage_fails_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEFAULT_SHARDS", "four")

@@ -146,11 +146,11 @@ def test_builder_sources_filter_tuple_and_columnar_agree(pure_python):
 
 
 def test_from_relations_matches_build():
+    """Tuple-list relations (the oracle builder's shape) load to the
+    same index the columnar build produces."""
     graph = figure1_graph()
     built = PathIndex.build(graph, 2)
-    loaded = PathIndex.from_relations(
-        graph, 2, path_relations_columnar(graph, 2)
-    )
+    loaded = PathIndex.from_relations(graph, 2, path_relations(graph, 2))
     assert loaded.counts_by_path() == built.counts_by_path()
     assert loaded.entry_count == built.entry_count
     for path in built.paths():

@@ -5,14 +5,15 @@ The contracts under test, in the order the module covers them:
 * **value types** — ``Mutation`` / ``MutationBatch`` / ``ApplyResult``
   validate eagerly and round-trip their wire forms;
 * **exactness** — any interleaving of ``apply()`` batches against the
-  sharded delta-patching engine answers exactly like a ``shards=1``
-  oracle that rebuilds from scratch after every batch (the hypothesis
-  property), including under concurrent writers;
+  delta-patching engine, at one shard or many, answers exactly like
+  the ``rpq/semantics`` reference evaluator over a graph kept in step
+  (the hypothesis property), including under concurrent writers;
 * **the selectivity denominator** — ``|paths_k(G)|`` is maintained
   from each group's endpoints, never recounted per group, and stays
-  exactly what a count from scratch gives (hypothesis property over
-  in-process patching, the ball-rebuild fallback and the coordinator);
-  a failed absorb discards the maintained sizes with the index;
+  exactly what a count from scratch gives, and the histogram exactly
+  a freshly built database's (hypothesis property over in-process
+  patching, the ball-rebuild fallback and the coordinator); a failed
+  absorb discards the maintained sizes with the index;
 * **durability** — the mutation log survives torn tails, a crash
   injected at the ``mutlog.flush`` seam fails the group with nothing
   applied, and reopening the log replays exactly the acknowledged
@@ -45,10 +46,11 @@ from repro.config import ServiceConfig
 from repro.errors import ShardUnavailableError, ValidationError
 from repro.faults import FaultPlan, FaultRule, armed, disarmed
 from repro.graph import stats as graph_stats
+from repro.graph.graph import Graph
 from repro.graph.stats import count_paths_k
 from repro.indexes.builder import enumerate_label_paths
-from repro.indexes.histogram import EquiDepthHistogram
 from repro.indexes.pathindex import PathIndex
+from repro.rpq.semantics import eval_query
 from repro.serve import CoordinatorDatabase
 from repro.serve.server import serve_in_thread
 from repro.write import ApplyResult, Mutation, MutationBatch, MutationLog
@@ -116,26 +118,24 @@ class TestMutationTypes:
 
 
 class _Oracle:
-    """A shards=1 database rebuilt from scratch after every batch.
+    """The reference evaluator over a graph kept in step with the database.
 
-    The unsharded engine absorbs every changed group with a full
-    index rebuild — an independent code path from delta patching,
-    which is what makes it a ground truth here.
+    No index at all — ``rpq/semantics`` walks the graph — which is what
+    makes it a ground truth for every way an index absorbs a group.
     """
 
-    def __init__(self, edges, k=2):
-        self.db = GraphDatabase.from_edges(
-            edges, config=ServiceConfig(k=k, shards=1)
-        )
+    def __init__(self, edges):
+        self.graph = Graph.from_edges(edges)
 
     def apply(self, batch):
-        self.db.apply(MutationBatch.coerce(batch))
+        for mutation in MutationBatch.coerce(batch):
+            mutation.apply_to(self.graph)
+
+    def answer(self, query):
+        return frozenset(eval_query(self.graph, query))
 
     def answers(self):
-        return {q: self.db.query(q, use_cache=False).pairs for q in QUERIES}
-
-    def close(self):
-        self.db.close()
+        return {query: self.answer(query) for query in QUERIES}
 
 
 class TestApplyEngine:
@@ -156,7 +156,6 @@ class TestApplyEngine:
             assert db.stats().write.patched > 0
         finally:
             db.close()
-            oracle.close()
 
     def test_new_label_falls_back_to_rebuild(self):
         db = GraphDatabase.from_edges(_edges(3), config=ServiceConfig(k=2, shards=4))
@@ -227,7 +226,6 @@ class TestApplyEngine:
                 assert db.query(query, use_cache=False).pairs == want
         finally:
             db.close()
-            oracle.close()
 
     def test_rebalance_preserves_answers(self):
         edges = _edges(7)
@@ -240,7 +238,67 @@ class TestApplyEngine:
                 assert db.query(query, use_cache=False).pairs == want
         finally:
             db.close()
-            oracle.close()
+
+
+class TestOneShardAbsorbs:
+    """``shards=1`` takes the same write path as any other count."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        ("backend", "mode"),
+        [("memory", "patch"), ("disk", "rebuild"), ("compressed", "rebuild")],
+    )
+    def test_mode_and_answers_by_backend(self, backend, mode, k, tmp_path):
+        index_path = tmp_path / "index.db"
+        extra = {"index_path": str(index_path)} if backend == "disk" else {}
+        edges = _edges(31, nodes=20, count=60)
+        config = ServiceConfig(k=k, shards=1, backend=backend, **extra)
+        db = GraphDatabase.from_edges(edges, config=config)
+        oracle = _Oracle(edges)
+        try:
+            modes = set()
+            for seed in range(3):
+                batch = MutationBatch.of(*_mutations(seed, 4, nodes=20))
+                result = db.apply(batch)
+                oracle.apply(batch)
+                modes.add(result.mode)
+                for query, want in oracle.answers().items():
+                    assert db.query(query, use_cache=False).pairs == want
+            assert modes - {"noop"} == {mode}
+            write = db.stats().write
+            assert (write.patched > 0) == (mode == "patch")
+            assert (write.rebuilt > 0) == (mode == "rebuild")
+            if backend == "disk":
+                # One shard is still a shard: its file carries the suffix.
+                assert not index_path.exists()
+                assert index_path.with_name("index.db.shard0").exists()
+        finally:
+            db.close()
+
+    def test_one_worker_coordinator_takes_the_plain_executor(self):
+        edges = _edges(33)
+        db = CoordinatorDatabase.from_edges(
+            edges, config=ServiceConfig(k=2, shards=1)
+        )
+        oracle = _Oracle(edges)
+        try:
+            assert db.index.shard_count == 1
+            batch = MutationBatch.of(*_mutations(34, 6))
+            assert db.apply(batch).mode == "patch"
+            oracle.apply(batch)
+            for query in (*QUERIES, "(a|b)*/c"):
+                result = db.query(query, use_cache=False)
+                assert result.pairs == oracle.answer(query)
+                # One shard does not scatter: no slice was ever counted.
+                assert result.report.shards_scanned == 0
+            assert db.stats().scatter.shards_scanned == 0
+            # ...and still retries a scan the wire dropped.
+            plan = FaultPlan([FaultRule("rpc.send", "transient", times=1)])
+            with armed(plan):
+                result = db.query("a/b", use_cache=False)
+            assert plan.fired == 1 and result.pairs == oracle.answer("a/b")
+        finally:
+            db.close()
 
 
 @st.composite
@@ -265,7 +323,7 @@ def batch_plans(draw):
 
 class TestInterleavingProperty:
     @settings(max_examples=20, deadline=None)
-    @given(plan=batch_plans(), shards=st.sampled_from([2, 3]))
+    @given(plan=batch_plans(), shards=st.sampled_from([1, 2, 3]))
     def test_any_batch_sequence_matches_oracle(self, plan, shards):
         start, batches = plan
         db = GraphDatabase.from_edges(
@@ -283,11 +341,11 @@ class TestInterleavingProperty:
                 db.apply(batch)
                 oracle.apply(batch)
                 for query in ("a/b", "b/a", "a/a"):
-                    want = oracle.db.query(query, use_cache=False).pairs
-                    assert db.query(query, use_cache=False).pairs == want
+                    assert db.query(query, use_cache=False).pairs == oracle.answer(
+                        query
+                    )
         finally:
             db.close()
-            oracle.close()
 
 
 # -- |paths_k(G)| maintained across commit groups ------------------------------
@@ -321,14 +379,8 @@ def _commit(db: GraphDatabase, group) -> None:
 
 
 def _assert_statistics_fresh(db: GraphDatabase, k: int, shards: int) -> None:
-    """The maintained statistics equal ones taken from scratch right now.
-
-    Exact selectivities are held against a database freshly built on
-    the same graph.  The histogram is held against one rebuilt over the
-    database's *own* catalog with a from-scratch denominator: a patched
-    catalog and a fresh one differ in which empty paths they list
-    (count 0 either way), and bucket averages see that.
-    """
+    """The maintained statistics equal ones taken from scratch right now:
+    those of a database freshly built on the same graph."""
     graph = db.graph
     total = count_paths_k(graph, k)
     assert db.index.total_paths_k() == total
@@ -337,16 +389,16 @@ def _assert_statistics_fresh(db: GraphDatabase, k: int, shards: int) -> None:
     try:
         exact, histogram = db.exact_statistics, db.histogram
         assert exact.total_paths_k == fresh.exact_statistics.total_paths_k == total
-        recounted = EquiDepthHistogram.from_counts(
-            db.index.counts_by_path(),
-            k=k,
-            total_paths_k=total,
-            buckets=config.histogram_buckets,
-        )
+        assert db.index.counts_by_path() == fresh.index.counts_by_path()
         for path in enumerate_label_paths(graph.labels(), k):
             want = fresh.exact_statistics.selectivity(path)
             assert exact.selectivity(path) == want
-            assert histogram.selectivity(path) == recounted.selectivity(path)
+            assert histogram.selectivity(path) == fresh.histogram.selectivity(path)
+        for shard in range(shards):
+            mine = db.index.shard_statistics(shard).histogram
+            theirs = fresh.index.shard_statistics(shard).histogram
+            for path in enumerate_label_paths(graph.labels(), k):
+                assert mine.selectivity(path) == theirs.selectivity(path)
     finally:
         fresh.close()
 
@@ -378,7 +430,7 @@ class TestMaintainedPathsK:
     @pytest.mark.parametrize("absorber", ABSORBERS)
     @pytest.mark.parametrize("k", [1, 2, 3])
     @settings(max_examples=10, deadline=None)
-    @given(plan=group_plans(), shards=st.sampled_from([2, 4]))
+    @given(plan=group_plans(), shards=st.sampled_from([1, 2, 4]))
     def test_total_stays_exact_after_every_group(self, absorber, k, plan, shards):
         start, groups = plan
         db = _open(absorber, start, k, shards)
@@ -407,12 +459,13 @@ class TestMaintainedPathsK:
             ],
         ]
         for k in (1, 2, 3):
-            db = _open(absorber, start, k, shards=4)
-            try:
-                _commit(db, group)
-                _assert_statistics_fresh(db, k, 4)
-            finally:
-                db.close()
+            for shards in (1, 4):
+                db = _open(absorber, start, k, shards)
+                try:
+                    _commit(db, group)
+                    _assert_statistics_fresh(db, k, shards)
+                finally:
+                    db.close()
 
     def test_full_count_runs_once_per_index_instance(self, monkeypatch):
         """Local groups never recount the graph; only a new instance does."""
@@ -457,21 +510,23 @@ class TestMaintainedPathsK:
             db.close()
 
     def test_one_edge_apply_recounts_a_neighbourhood(self):
-        db = GraphDatabase.from_edges(
-            _edges(21, nodes=200, count=300),
-            config=ServiceConfig(k=2, shards=2, shard_build_workers=1),
-        )
-        try:
-            nodes = db.graph.node_count
-            assert db.stats().write.recounted_sources == nodes  # the build
-            result = db.apply(Mutation.add("n0", "a", "n1"))
-            assert result.mode == "patch"
-            recounted = db.stats().write.recounted_sources - nodes
-            assert 2 <= recounted < nodes
-            assert db.stats().as_dict()["recounted_sources"] == nodes + recounted
-            assert db.index.total_paths_k() == count_paths_k(db.graph, 2)
-        finally:
-            db.close()
+        for shards in (1, 2):
+            db = GraphDatabase.from_edges(
+                _edges(21, nodes=200, count=300),
+                config=ServiceConfig(k=2, shards=shards, shard_build_workers=1),
+            )
+            try:
+                nodes = db.graph.node_count
+                assert db.stats().write.recounted_sources == nodes  # the build
+                result = db.apply(Mutation.add("n0", "a", "n1"))
+                assert result.mode == "patch"
+                assert db.stats().write.patched == 1
+                recounted = db.stats().write.recounted_sources - nodes
+                assert 2 <= recounted < nodes
+                assert db.stats().as_dict()["recounted_sources"] == nodes + recounted
+                assert db.index.total_paths_k() == count_paths_k(db.graph, 2)
+            finally:
+                db.close()
 
 
 class TestFailedAbsorbDropsMaintainedSizes:
@@ -708,9 +763,7 @@ def write_coordinator():
 
 @pytest.fixture(scope="module")
 def write_oracle():
-    db = GraphDatabase.from_edges(_edges(5), config=ServiceConfig(k=2, shards=1))
-    yield db
-    db.close()
+    return _Oracle(_edges(5))
 
 
 class TestCoordinatorWritePath:
@@ -722,7 +775,7 @@ class TestCoordinatorWritePath:
         write_oracle.apply(batch)
         assert result.mode == "patch" and result.patched_shards
         for query in QUERIES:
-            want = write_oracle.query(query, use_cache=False).pairs
+            want = write_oracle.answer(query)
             assert write_coordinator.query(query, use_cache=False).pairs == want
 
     def test_restart_resyncs_by_replay_not_transfer(
@@ -742,14 +795,14 @@ class TestCoordinatorWritePath:
         assert index.replayed_mutations > 0
         assert index.full_graph_transfers == 0
         for query in QUERIES:
-            want = write_oracle.query(query, use_cache=False).pairs
+            want = write_oracle.answer(query)
             assert write_coordinator.query(query, use_cache=False).pairs == want
 
         # The restarted worker keeps taking writes.
         result = write_coordinator.apply(Mutation.add("n3", "c", "n4"))
         assert result.changed
         write_oracle.apply(Mutation.add("n3", "c", "n4"))
-        want = write_oracle.query("a/c", use_cache=False).pairs
+        want = write_oracle.answer("a/c")
         assert write_coordinator.query("a/c", use_cache=False).pairs == want
 
 
