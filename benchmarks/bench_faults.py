@@ -116,7 +116,7 @@ def _paired_best(
 def overhead_rows(batches: int, scale: str = SCALE) -> list[FaultRow]:
     """Per-query armed-idle vs disarmed timings plus the gated aggregate."""
     graph = sharding_graph(scale)
-    database = GraphDatabase(graph, k=K, shards=SHARDS, shard_build_workers=1)
+    database = GraphDatabase(graph, k=K, shards=SHARDS)
     plan = idle_plan()
     rows: list[FaultRow] = []
     armed_total = 0.0

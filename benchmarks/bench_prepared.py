@@ -190,9 +190,7 @@ def gather_rows(repeats: int, scale: str = GATHER_SCALE) -> list[PreparedRow]:
             parse(query), index, graph, statistics, Strategy.MIN_SUPPORT
         )
         assert prepared.costed is not None
-        parts = list(
-            scattered_parts(prepared.costed.plan, index, graph, None, 1, None)
-        )
+        parts = scattered_parts(prepared.costed.plan, index, graph)
         fused = rel.union_into(parts, disjoint=True)
         plain = rel.union(parts)
         assert fused.to_frozenset() == plain.to_frozenset(), (

@@ -1,10 +1,11 @@
 """Service-layer ablation: ``query_batch`` vs a sequential ``query()`` loop.
 
-The concurrent service layer answers a batch of queries with three
-mechanisms a plain loop lacks: key-level dedup (identical queries in
-the batch execute once), a batch-wide shared scan memo (a plan subtree
-appearing under any number of queries is computed once), and optional
-fan-out over a thread pool.  This benchmark measures all three on the
+The service layer answers a batch of queries with two mechanisms a
+plain loop lacks: key-level dedup (identical queries in the batch
+execute once) and a batch-wide scan memo (a plan subtree appearing
+under any number of queries is computed once).  A third, fan-out over
+a thread pool, was deleted after this benchmark read 8.7x at 2 and 4
+threads against 9.7x at 1.  This benchmark measures the two on the
 shared-subplan workload from
 :func:`repro.bench.workloads.service_batch_queries` — a skewed draw of
 2-/3-step label paths over the Advogato-like graph, the shape of heavy
@@ -39,7 +40,6 @@ from repro.bench.workloads import advogato_workload, service_batch_queries
 #: gate runs on the smoke configuration so CI stays fast.
 FULL_CONFIG = ("bench", 200)
 SMOKE_CONFIG = ("small", 120)
-WORKER_COUNTS = (1, 2, 4)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +47,6 @@ class ServiceRow:
     """One batched-vs-loop comparison on the shared-subplan workload."""
 
     mode: str  # "sequential-loop" or "batch"
-    workers: int  # 0 for the loop
     scale: str
     queries: int
     distinct: int
@@ -71,9 +70,8 @@ def _timed(callable_):
 def compare_service(
     scale: str = SMOKE_CONFIG[0],
     count: int = SMOKE_CONFIG[1],
-    worker_counts: tuple[int, ...] = WORKER_COUNTS,
 ) -> list[ServiceRow]:
-    """Time the loop and the batch at each worker count; check answers."""
+    """Time the loop and the batch; check answers."""
     prepared = advogato_workload(scale=scale, ks=(2,))
     database = prepared.database(2)
     queries = service_batch_queries(count)
@@ -84,37 +82,26 @@ def compare_service(
             database.query(query, use_cache=False) for query in queries
         ]
     )
-    rows = [
+    batch_seconds, batch_results = _timed(
+        lambda: database.query_batch(queries, use_cache=False)
+    )
+    assert [result.pairs for result in batch_results] == [
+        result.pairs for result in loop_results
+    ]
+    return [
         ServiceRow(
-            mode="sequential-loop",
-            workers=0,
+            mode=mode,
             scale=scale,
             queries=count,
             distinct=distinct,
-            seconds=loop_seconds,
+            seconds=seconds,
             loop_seconds=loop_seconds,
         )
+        for mode, seconds in (
+            ("sequential-loop", loop_seconds),
+            ("batch", batch_seconds),
+        )
     ]
-    expected = [result.pairs for result in loop_results]
-    for workers in worker_counts:
-        batch_seconds, batch_results = _timed(
-            lambda: database.query_batch(
-                queries, use_cache=False, workers=workers
-            )
-        )
-        assert [result.pairs for result in batch_results] == expected
-        rows.append(
-            ServiceRow(
-                mode="batch",
-                workers=workers,
-                scale=scale,
-                queries=count,
-                distinct=distinct,
-                seconds=batch_seconds,
-                loop_seconds=loop_seconds,
-            )
-        )
-    return rows
 
 
 def export_rows(
@@ -136,7 +123,7 @@ def test_smoke_rows_agree_and_export(tmp_path):
 
     payload = read_json(path)
     assert payload["experiment"] == "service-batch-ablation"
-    assert len(payload["rows"]) == 1 + len(WORKER_COUNTS)
+    assert [row["mode"] for row in payload["rows"]] == ["sequential-loop", "batch"]
     assert all("speedup_vs_loop" in row for row in payload["rows"])
 
 
@@ -145,7 +132,7 @@ def test_batch_at_least_1_5x(tmp_path):
     shared-subplan workload (the ISSUE-3 service-layer gate)."""
     rows = compare_service()
     export_rows(rows, tmp_path / "BENCH_service.json")
-    gate = next(row for row in rows if row.mode == "batch" and row.workers == 1)
+    gate = next(row for row in rows if row.mode == "batch")
     assert gate.speedup_vs_loop >= 1.5, (
         f"query_batch only {gate.speedup_vs_loop:.2f}x over the "
         f"sequential loop"
@@ -157,12 +144,12 @@ def main() -> None:
     scale, count = SMOKE_CONFIG if smoke else FULL_CONFIG
     rows = compare_service(scale=scale, count=count)
     print(
-        f"{'mode':<18}{'workers':>8}{'queries':>9}{'distinct':>10}"
+        f"{'mode':<18}{'queries':>9}{'distinct':>10}"
         f"{'seconds':>10}{'vs loop':>9}"
     )
     for row in rows:
         print(
-            f"{row.mode:<18}{row.workers:>8}{row.queries:>9}"
+            f"{row.mode:<18}{row.queries:>9}"
             f"{row.distinct:>10}{row.seconds:>10.3f}"
             f"{row.speedup_vs_loop:>8.1f}x"
         )

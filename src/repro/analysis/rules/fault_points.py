@@ -29,7 +29,6 @@ BOUNDARIES = (
     ("repro/storage/pager.py", r"Pager\.read_page$", "storage.read_page"),
     ("repro/sharding.py", r"\.shard_scan$", "shard.scan"),
     ("repro/sharding.py", r"\.shard_scan_swapped$", "shard.scan"),
-    ("repro/sharding.py", r"\._build_shards$", "shard.build"),
     ("repro/sharding.py", r"\._serial_shard$", "shard.build"),
     ("repro/engine/prepared.py", r"PlanArtifactStore\.open$", "prepared.artifact_load"),
     ("repro/engine/prepared.py", r"PlanArtifactStore\.load$", "prepared.artifact_load"),

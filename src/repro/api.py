@@ -23,7 +23,6 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,7 +36,7 @@ from repro.engine.executor import (
     execute_prepared,
     prepare_ast,
 )
-from repro.engine.operators import SharedScanMemo
+from repro.engine.operators import ScanMemo
 from repro.engine.plan import render
 from repro.engine.planner import Planner, Strategy
 from repro.engine.prepared import (
@@ -95,8 +94,6 @@ _LEGACY_KNOBS = (
     "query_cache_size",
     "query_cache_max_pairs",
     "shards",
-    "shard_build_workers",
-    "shard_query_workers",
 )
 
 
@@ -139,8 +136,6 @@ class GraphDatabase:
         query_cache_size=_UNSET,
         query_cache_max_pairs=_UNSET,
         shards=_UNSET,
-        shard_build_workers=_UNSET,
-        shard_query_workers=_UNSET,
         config: ServiceConfig | None = None,
     ):
         """Open a graph for querying.
@@ -164,8 +159,6 @@ class GraphDatabase:
                     query_cache_size,
                     query_cache_max_pairs,
                     shards,
-                    shard_build_workers,
-                    shard_query_workers,
                 ),
             )
             if value is not _UNSET
@@ -207,12 +200,8 @@ class GraphDatabase:
         self._histogram_buckets = config.histogram_buckets
         # Sharding knob (fully transparent): the index is hash-partitioned
         # by path start (repro.sharding) into shards >= 1 parts with
-        # identical answers at every count.  Build fans out over
-        # shard_build_workers processes (None = one per core);
-        # shard_query_workers threads the scatter side of execution.
+        # identical answers at every count.
         self._shards = resolved_shards
-        self._shard_build_workers = config.shard_build_workers
-        self._shard_query_workers = config.shard_query_workers
         # Hash seed of the vertex-to-shard map.  Mutable on purpose:
         # rebalance() re-seeds it and triggers one full rebuild.
         self._shard_seed = config.shard_seed
@@ -353,11 +342,12 @@ class GraphDatabase:
         first: its B+tree only bulk-loads into an empty file, so the
         old backend is released before the build (which removes each
         shard's stale file itself) — on failure every handle is cleared
-        and queries raise the clean "index unavailable" error until a
-        rebuild succeeds.
+        and closed, and queries raise the clean "index unavailable"
+        error until a rebuild succeeds.
         """
         self.cache_clear()
         old_index = self._index
+        index = None
         # Skew-planning knobs live on the ShardedGraph; a rebuild must
         # not silently reset toggles the user set on the old instance.
         old_knobs = (
@@ -379,10 +369,8 @@ class GraphDatabase:
                 shards=self._shards,
                 backend=self._backend,
                 index_path=self._index_path,
-                workers=self._shard_build_workers,
                 shard_seed=self._shard_seed,
             )
-            index.query_workers = self._shard_query_workers
             # Declared knobs seed the fresh instance; toggles the user
             # poked on the *old* instance still win, so a rebuild never
             # silently resets a live experiment.
@@ -396,9 +384,7 @@ class GraphDatabase:
             # graph: clear everything so _ensure_built can rebuild and
             # in-flight readers fail loudly instead of answering from
             # pre-mutation state.
-            self._index = None
-            self._exact_statistics = None
-            self._histogram = None
+            self._discard_indexes_locked(old_index, index)
             raise
         self._index = index
         self._exact_statistics = exact_statistics
@@ -408,6 +394,31 @@ class GraphDatabase:
         if old_index is not None:
             old_index.close()
         return index
+
+    def _discard_indexes_locked(self, *indexes: ShardedGraph | None) -> None:
+        """Clear the index/statistics triple and close what it dropped.
+
+        The failure arm of every rebuild and patch path: a dropped
+        index holds file handles (disk backend) or a whole worker fleet
+        (the coordinator), so it is closed here, without masking the
+        failure being handled.  The resilience taxonomy is the one
+        exception — a deadline or retryable fault inside ``close()``
+        propagates, the original failure riding along as
+        ``__context__`` — once every index has had its close.
+        """
+        self._index = None
+        self._exact_statistics = None
+        self._histogram = None
+        for position, index in enumerate(indexes):
+            if index is None:
+                continue
+            try:
+                index.close()
+            except (QueryTimeoutError, TransientError):
+                self._discard_indexes_locked(*indexes[position + 1 :])
+                raise
+            except Exception:
+                pass
 
     def _refresh_sharded_statistics(
         self, index: ShardedGraph
@@ -838,15 +849,7 @@ class GraphDatabase:
         except BaseException:
             # Same contract as a failed partial rebuild: never leave a
             # half-patched triple behind a mutated graph.
-            self._index = None
-            self._exact_statistics = None
-            self._histogram = None
-            try:
-                index.close()
-            except (QueryTimeoutError, TransientError):
-                raise
-            except Exception:
-                pass
+            self._discard_indexes_locked(index)
             raise
         self._exact_statistics = exact_statistics
         self._histogram = histogram
@@ -933,22 +936,8 @@ class GraphDatabase:
             exact_statistics, histogram = self._refresh_sharded_statistics(index)
         except BaseException:
             # Same contract as a failed full rebuild: never leave a
-            # partially refreshed triple behind a mutated graph.  The
-            # dropped index is closed first — its shards hold open
-            # file handles on the disk backend — without masking the
-            # original failure.
-            self._index = None
-            self._exact_statistics = None
-            self._histogram = None
-            try:
-                index.close()
-            except (QueryTimeoutError, TransientError):
-                # Never swallow the resilience taxonomy: a deadline or
-                # retryable fault inside close() propagates (the
-                # rebuild failure rides along as __context__).
-                raise
-            except Exception:
-                pass
+            # partially refreshed triple behind a mutated graph.
+            self._discard_indexes_locked(index)
             raise
         self._exact_statistics = exact_statistics
         self._histogram = histogram
@@ -964,7 +953,6 @@ class GraphDatabase:
         use_exact_statistics: bool = False,
         max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
         use_cache: bool = True,
-        workers: int = 1,
     ) -> list[QueryResult]:
         """Answer many RPQs as one batch against one graph snapshot.
 
@@ -974,18 +962,16 @@ class GraphDatabase:
         mechanisms make this faster than a ``query()`` loop:
 
         * **plan-up-front** — every miss is rewritten and planned
-          sequentially first; only execution fans out;
-        * **one shared scan memo** — a
-          :class:`~repro.engine.operators.SharedScanMemo` spans the
-          batch, so a subplan (an index scan, a join subtree) appearing
-          under any number of queries is computed exactly once;
+          first, then executed in input order on the calling thread;
+        * **one scan memo** — a
+          :class:`~repro.engine.operators.ScanMemo` spans the batch, so
+          a subplan (an index scan, a join subtree) appearing under any
+          number of queries is computed exactly once;
         * **key-level dedup** — queries with identical cache keys share
           one execution and one :class:`QueryResult` object.
 
-        ``workers > 1`` executes independent plans on a thread pool
-        (answers are unaffected; under CPython's GIL the speedup is
-        bounded by the numpy/C share of the work).  Results come back
-        in input order.
+        Results come back in input order.  To overlap batches, call
+        this from several threads: each call has its own memo.
         """
         parsed = [self._parse(query) for query in queries]
         if not parsed:
@@ -1024,7 +1010,6 @@ class GraphDatabase:
                     use_exact_statistics,
                     max_disjuncts,
                     version,
-                    workers,
                 ):
                     for position in slots[key]:
                         results[position] = result
@@ -1043,7 +1028,6 @@ class GraphDatabase:
         use_exact_statistics: bool,
         max_disjuncts: int,
         version: int,
-        workers: int,
     ) -> list[tuple[tuple, QueryResult]]:
         """Execute the batch misses; caller holds the read lock."""
         if strategy is None:
@@ -1065,7 +1049,7 @@ class GraphDatabase:
             statistics = (
                 self._exact_statistics if use_exact_statistics else self._histogram
             )
-            memo = SharedScanMemo()
+            memo = ScanMemo()
             items = [
                 (
                     key,
@@ -1096,18 +1080,8 @@ class GraphDatabase:
                     version=version,
                 )
 
-        if workers > 1 and len(items) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(items))
-            ) as pool:
-                outcomes = list(pool.map(run_one, items))
-        else:
-            outcomes = [run_one(item) for item in items]
+        outcomes = [run_one(item) for item in items]
         if strategy is not None:
-            # Aggregate the batch's memo traffic once, from the memo
-            # itself (per-report deltas overlap under concurrency).
-            # Scatter counters are per-execution objects, so their
-            # per-report values sum exactly.
             with self._cache_lock:
                 self._scan_memo_hits += memo.hits
                 self._scan_memo_misses += memo.misses
@@ -1147,7 +1121,7 @@ class GraphDatabase:
         shares one plan.  On the disk backend, plans also persist to a
         fingerprinted artifact file next to the index, so a restarted
         service answers its first prepared query with zero planning
-        calls (see ``artifact_loads`` in :meth:`cache_info`).
+        calls (see ``artifact_loads`` in :meth:`stats`).
 
         Only the index strategies can be prepared — baselines have no
         plan to cache.
@@ -1361,20 +1335,6 @@ class GraphDatabase:
                     recounted_sources=self._recounted_sources,
                 ),
             )
-
-    def cache_info(self) -> dict[str, int]:
-        """Deprecated: the counters of :meth:`stats` as the flat dict.
-
-        Use :meth:`stats` (grouped) or ``stats().as_dict()`` (the same
-        flat mapping this returns).
-        """
-        warnings.warn(
-            "cache_info() is deprecated; use stats() "
-            "(or stats().as_dict() for the flat mapping)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.stats().as_dict()
 
     def cache_clear(self) -> None:
         """Drop every cached query answer (counters are kept)."""

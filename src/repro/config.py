@@ -1,9 +1,9 @@
 """Service configuration: every deployment knob in one frozen object.
 
 :class:`GraphDatabase` grew its knobs one keyword argument at a time —
-backend selection, cache budgets, shard counts, build/query worker
-pools, scatter-planning toggles — plus environment fallbacks scattered
-across modules.  :class:`ServiceConfig` consolidates all of them:
+backend selection, cache budgets, shard counts, scatter-planning
+toggles — plus environment fallbacks scattered across modules.
+:class:`ServiceConfig` consolidates all of them:
 
 >>> from repro.config import ServiceConfig
 >>> config = ServiceConfig(k=3, shards=4)
@@ -17,8 +17,11 @@ config object is a value, the environment is deployment state.
 
 The serve layer (``repro.serve``) reads the ``host`` / ``port`` /
 ``max_inflight`` / ``queue_limit`` fields; the embedded engine ignores
-them.  Old keyword-argument construction still works but warns with a
-:class:`DeprecationWarning` (see :class:`repro.api.GraphDatabase`).
+them.  There is no worker-pool field: work inside one database runs
+on the calling thread, and parallelism is one process per shard
+(``repro serve``) plus the caller's own threads.  Old keyword-argument
+construction still works but warns with a :class:`DeprecationWarning`
+(see :class:`repro.api.GraphDatabase`).
 """
 
 from __future__ import annotations
@@ -74,8 +77,6 @@ class ServiceConfig:
     query_cache_max_pairs: int = 1_000_000
     #: ``None`` defers to ``REPRO_DEFAULT_SHARDS`` (default 1).
     shards: int | None = None
-    shard_build_workers: int | None = None
-    shard_query_workers: int = 1
     scatter_pruning: bool = True
     replan_divergence: float | None = REPLAN_DIVERGENCE
     #: Hash seed of the vertex-to-shard map; ``rebalance()`` re-seeds
@@ -111,11 +112,6 @@ class ServiceConfig:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.shards is not None and self.shards < 1:
             raise ValidationError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_query_workers < 1:
-            raise ValidationError(
-                f"shard_query_workers must be >= 1, "
-                f"got {self.shard_query_workers}"
-            )
         if self.shard_seed < 0:
             raise ValidationError(
                 f"shard_seed must be >= 0, got {self.shard_seed}"

@@ -210,16 +210,13 @@ def supports(node_ids, base: Relation) -> bool:
 
 def transitive_fixpoint(
     node_ids, base: Relation, low: int, bound: int | None = None,
-    workers: int = 1, deadline=None,
+    deadline=None,
 ) -> Relation:
     """``base^low ∪ base^{low+1} ∪ ...`` by frontier-based closure.
 
     Semantics match :func:`repro.rpq.semantics.transitive_fixpoint`:
     ``low == 0`` unions in the identity over ``node_ids``.  ``bound``
-    is an optional precomputed :func:`dense_bound`.  ``workers > 1``
-    partitions the source schedule across threads (see
-    :func:`closure_bitsets`); the sequential path is the default and
-    the oracle the parallel path is tested against.  ``deadline`` (a
+    is an optional precomputed :func:`dense_bound`.  ``deadline`` (a
     :class:`repro.faults.Deadline`) is checked cooperatively inside the
     closure loops — the one place a query's running time is not bounded
     by the plan shape.
@@ -228,7 +225,7 @@ def transitive_fixpoint(
     if not len(base):
         return rel.identity(ids) if low == 0 else Relation.empty()
     csr = CSR.from_relation(base, bound if bound is not None else dense_bound(ids, base))
-    reach = closure_bitsets(csr, workers=workers, deadline=deadline)
+    reach = closure_bitsets(csr, deadline=deadline)
     if low <= 1:
         answers = reach
     else:
@@ -244,8 +241,7 @@ def transitive_fixpoint(
 
 
 def partitioned_closure(
-    node_ids, parts: Sequence[Relation], low: int = 0, workers: int = 1,
-    deadline=None,
+    node_ids, parts: Sequence[Relation], low: int = 0, deadline=None
 ) -> Relation:
     """Kleene closure of a base relation scattered across shards.
 
@@ -258,18 +254,15 @@ def partitioned_closure(
     of the design: recursion is the one operator that always gathers.
 
     Delegates to :func:`repro.relation.transitive_fixpoint`, so the
-    sparse-id delta fallback and the ``workers`` schedule partitioning
-    apply unchanged; with a single part this *is* the unsharded
-    closure.
+    sparse-id delta fallback applies unchanged; with a single part this
+    *is* the unsharded closure.
     """
     parts = [part for part in parts if len(part)]
     if not parts:
         ids = node_ids if isinstance(node_ids, range) else list(node_ids)
         return rel.identity(ids) if low == 0 else Relation.empty()
     base = parts[0] if len(parts) == 1 else rel.union(parts)
-    return rel.transitive_fixpoint(
-        node_ids, base, low, workers=workers, deadline=deadline
-    )
+    return rel.transitive_fixpoint(node_ids, base, low, deadline=deadline)
 
 
 def relation_power(
@@ -361,7 +354,7 @@ def _postorder(csr: CSR) -> list[int]:
     return order
 
 
-def closure_bitsets(csr: CSR, workers: int = 1, deadline=None) -> dict[int, int]:
+def closure_bitsets(csr: CSR, deadline=None) -> dict[int, int]:
     """``reach(s)`` (targets of paths of length >= 1) for every source.
 
     Per-source breadth-first frontier expansion with two twists:
@@ -373,39 +366,11 @@ def closure_bitsets(csr: CSR, workers: int = 1, deadline=None) -> dict[int, int]
       ``|=`` instead of re-walking it (finished closures are complete,
       so this is exact even on cycles).
 
-    With ``workers > 1`` the postorder schedule is cut into contiguous
-    per-worker slices, each closed on its own thread with a *local*
-    finished-source table (absorption never reads another worker's
-    table, so no synchronization is needed mid-flight), and the slice
-    tables are merged at the end.  Every per-source expansion is exact
-    on its own — absorption is purely an accelerator — so the partition
-    changes scheduling, never answers; the sequential path stays the
-    default and is the oracle the parallel path is property-tested
-    against.  Under CPython's GIL the big-int kernels do not overlap,
-    so this is a correctness/plumbing knob more than a speedup one.
+    One schedule, closed on the calling thread: every later source can
+    absorb every earlier one, and under CPython's GIL the big-int
+    kernels would not overlap across threads anyway.
     """
-    schedule = _postorder(csr)
-    if workers <= 1 or len(schedule) < 2:
-        return _close_slice(csr, schedule, {}, deadline)
-    workers = min(workers, len(schedule))
-    chunk = (len(schedule) + workers - 1) // workers
-    slices = [
-        schedule[start : start + chunk]
-        for start in range(0, len(schedule), chunk)
-    ]
-    from concurrent.futures import ThreadPoolExecutor
-
-    reach: dict[int, int] = {}
-    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-        futures = [
-            pool.submit(_close_slice, csr, piece, {}, deadline)
-            for piece in slices
-        ]
-        for future in futures:
-            # Final absorption merge: slice tables are disjoint by
-            # construction (each source is scheduled exactly once).
-            reach.update(future.result())
-    return reach
+    return _close_slice(csr, _postorder(csr), {}, deadline)
 
 
 def _close_slice(

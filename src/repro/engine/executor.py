@@ -32,7 +32,6 @@ from repro.engine.operators import (
     ScanMemo,
     ScatterCounters,
     ScatterPolicy,
-    SharedScanMemo,
     execute,
     execute_scattered,
     scattered_parts,
@@ -283,8 +282,7 @@ def execute_prepared(
     """Execute a :class:`PreparedQuery`, optionally under a shared memo.
 
     The report's memo counters are the memo's traffic delta while this
-    query ran; under a concurrently shared memo they attribute overlap
-    loosely (batch totals are aggregated from the memo itself).
+    query ran.
 
     ``context`` carries the execution's resilience settings (deadline,
     degraded mode, retry policy).  A deadline that fires gets this
@@ -293,11 +291,8 @@ def execute_prepared(
     got before time ran out.
     """
     sharded = _scatters(index)
-    shard_workers = index.query_workers if sharded else 1
     if memo is None:
-        # Scatter-gather fan-out populates the memo from several
-        # threads; the locked memo is only paid for when that happens.
-        memo = SharedScanMemo() if shard_workers > 1 else ScanMemo()
+        memo = ScanMemo()
     counters = ScatterCounters() if sharded else None
     deadline = context.deadline if context is not None else None
     hits_before, misses_before = memo.hits, memo.misses
@@ -318,7 +313,6 @@ def execute_prepared(
                     index,
                     graph,
                     memo,
-                    workers=shard_workers,
                     policy=policy,
                     context=context,
                 )
@@ -440,7 +434,6 @@ def _hybrid_uncached(
                 index,
                 graph,
                 memo,
-                workers=index.query_workers,
                 policy=policy,
                 context=context,
             )
@@ -523,11 +516,7 @@ def _hybrid_uncached(
             context,
         )
         return csr.partitioned_closure(
-            graph.node_ids(),
-            parts,
-            low=0,
-            workers=_closure_workers(index),
-            deadline=deadline,
+            graph.node_ids(), parts, low=0, deadline=deadline
         )
     if isinstance(node, Repeat):
         if node.high is None:
@@ -543,9 +532,7 @@ def _hybrid_uncached(
                 context,
             )
             return csr.partitioned_closure(
-                graph.node_ids(), parts, low=node.low,
-                workers=_closure_workers(index),
-                deadline=deadline,
+                graph.node_ids(), parts, low=node.low, deadline=deadline
             )
         base = _hybrid(
             node.child,
@@ -562,13 +549,6 @@ def _hybrid_uncached(
             graph.node_ids(), base, node.low, node.high, deadline=deadline
         )
     raise RewriteError(f"unknown AST node {type(node).__name__}")
-
-
-def _closure_workers(index: PathIndex) -> int:
-    """Thread fan-out of the global closure: a scattering engine's
-    ``query_workers`` knob reaches the CSR schedule partitioning too
-    (:func:`repro.csr.closure_bitsets`); one shard stays sequential."""
-    return index.query_workers if _scatters(index) else 1
 
 
 def _closure_base_parts(
@@ -603,7 +583,6 @@ def _closure_base_parts(
                 index,
                 graph,
                 memo,
-                workers=index.query_workers,
                 policy=policy,
                 context=context,
             )

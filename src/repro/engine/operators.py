@@ -26,7 +26,6 @@ repeat is a dictionary hit.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import BrokenExecutor
 
 from repro import relation as rel
@@ -87,11 +86,11 @@ class ScanMemo:
     ``hits`` counts results served from the memo; ``misses`` counts
     distinct subproblems actually computed.  Both are surfaced on
     :class:`repro.engine.executor.ExecutionReport` and aggregated by
-    :meth:`repro.api.GraphDatabase.cache_info`.
+    :meth:`repro.api.GraphDatabase.stats`.
 
-    Access goes through :meth:`lookup_plan` / :meth:`store_plan` (and
-    the ``_ast`` twins) so :class:`SharedScanMemo` can interpose a lock
-    without the single-threaded path paying for one.
+    A memo belongs to one execution on one thread: every ``query()`` /
+    ``query_batch()`` call builds its own inside its own read section,
+    so nothing here is synchronized.
     """
 
     __slots__ = ("plans", "asts", "hits", "misses")
@@ -142,40 +141,6 @@ class ScanMemo:
         )
 
 
-class SharedScanMemo(ScanMemo):
-    """A :class:`ScanMemo` safe to share across executor threads.
-
-    :meth:`repro.api.GraphDatabase.query_batch` fans independent plans
-    out over a thread pool with *one* memo, so identical scans across
-    the batch run once.  Every lookup/store (and its counter update)
-    happens under a lock; the worst concurrent interleaving is two
-    threads computing the same subtree before either stores it — both
-    results are equal and frozen, so last-store-wins is harmless.
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def lookup_plan(self, plan: PlanNode) -> Relation | None:
-        with self._lock:
-            return super().lookup_plan(plan)
-
-    def store_plan(self, plan: PlanNode, result: Relation) -> Relation:
-        with self._lock:
-            return super().store_plan(plan, result)
-
-    def lookup_ast(self, node) -> Relation | None:
-        with self._lock:
-            return super().lookup_ast(node)
-
-    def store_ast(self, node, result: Relation) -> Relation:
-        with self._lock:
-            return super().store_ast(node, result)
-
-
 def execute(
     plan: PlanNode,
     index: PathIndex,
@@ -187,7 +152,7 @@ def execute(
 
     With a ``memo``, every subtree result — index scans first among
     them — is computed at most once per execution (or per batch, when
-    the memo is a :class:`SharedScanMemo` spanning one).
+    :meth:`repro.api.GraphDatabase.query_batch` spans one with it).
 
     ``deadline`` (a :class:`repro.faults.Deadline`) is checked once per
     plan node — operator granularity, the cooperative-timeout contract.
@@ -450,17 +415,17 @@ def execute_scattered(
     sharded,
     graph: Graph,
     memo: ScanMemo | None = None,
-    workers: int = 1,
     policy: ScatterPolicy | None = None,
     context=None,
 ) -> Relation:
     """Run a plan against every shard and merge the slices.
 
     ``sharded`` is a :class:`repro.sharding.ShardedGraph`.  The plan is
-    executed once per shard with its *output-source position* pinned to
-    the shard: the leftmost leaf of every join chain (whose source
-    column becomes the answer's source column) reads the shard-local
-    slice, while every other subtree is executed globally through
+    executed once per shard, in shard order on the calling thread, with
+    its *output-source position* pinned to the shard: the leftmost leaf
+    of every join chain (whose source column becomes the answer's
+    source column) reads the shard-local slice, while every other
+    subtree is executed globally through
     :func:`execute` — and therefore lands in the shared ``memo``, so
     the gather side of an inner scan is computed once and reused by
     all N shard executions.  Because the shard slices partition every
@@ -470,11 +435,6 @@ def execute_scattered(
     ``policy`` (a :class:`ScatterPolicy`) makes the scatter skew-aware:
     provably-empty shard slices are skipped and skewed disjuncts are
     re-planned per shard — answers are unchanged either way.
-
-    ``workers > 1`` fans the per-shard executions out over threads;
-    this requires a :class:`SharedScanMemo` (the per-shard traversals
-    populate the memo concurrently) and silently stays serial
-    otherwise.
 
     The gather is the fused kernel
     :func:`repro.relation.union_into` with ``disjoint=True``: every
@@ -490,7 +450,7 @@ def execute_scattered(
     itself is pure over already-collected slices, so a transient fault
     at its injection point is simply retried.
     """
-    parts = scattered_parts(plan, sharded, graph, memo, workers, policy, context)
+    parts = scattered_parts(plan, sharded, graph, memo, policy, context)
     deadline = context.deadline if context is not None else None
     retry = context.retry if context is not None else None
 
@@ -506,7 +466,6 @@ def scattered_parts(
     sharded,
     graph: Graph,
     memo: ScanMemo | None = None,
-    workers: int = 1,
     policy: ScatterPolicy | None = None,
     context=None,
 ) -> list[Relation]:
@@ -517,10 +476,7 @@ def scattered_parts(
     (:func:`repro.csr.partitioned_closure`), whose packed-key merge
     subsumes the union this module would otherwise perform.  Pruned
     shards contribute no slice at all (an empty list is a legal
-    closure operand).  Thread fan-out follows the same rule as
-    :func:`execute_scattered`: ``workers > 1`` requires a
-    :class:`SharedScanMemo`; policy decisions are always taken
-    serially first, so the policy counters stay unsynchronized.
+    closure operand).
 
     With a ``context``, each slice retries transient failures with
     capped backoff; a slice still failing is a *permanent* shard
@@ -544,26 +500,11 @@ def scattered_parts(
             shard_plan = policy.shard_plan(shard, plan)
             if shard_plan is not None:
                 live.append((shard, shard_plan))
-    if workers > 1 and len(live) > 1 and isinstance(memo, SharedScanMemo):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(live))) as pool:
-            parts = list(
-                pool.map(
-                    lambda pair: _guarded_slice(
-                        pair[1], sharded, pair[0], graph, memo, context
-                    ),
-                    live,
-                )
-            )
-    else:
-        parts = [
-            _guarded_slice(shard_plan, sharded, shard, graph, memo, context)
-            for shard, shard_plan in live
-        ]
+    parts = [
+        _guarded_slice(shard_plan, sharded, shard, graph, memo, context)
+        for shard, shard_plan in live
+    ]
     if context is not None and context.degraded:
-        # Dropped slices are counted serially here rather than racing
-        # increments inside the thread fan-out above.
         failed = parts.count(None)
         if failed:
             if policy is not None:

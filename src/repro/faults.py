@@ -32,8 +32,7 @@ Injection points wired through the engine:
 ==========================  ==================================================
 ``storage.read_page``       disk pager buffer-pool miss (``corrupt`` allowed)
 ``shard.scan``              one shard's slice of an index scan
-``shard.build``             per-shard payload computation (serial path) and
-                            the pool-submission stage (``stage="pool"``)
+``shard.build``             one shard's index build (each retry attempt)
 ``prepared.artifact_load``  plan-artifact store open/load (fail-open)
 ``gather.merge``            the scatter-gather merge of shard slices
 ``rpc.send``                a coordinator-to-worker request hitting the wire
@@ -88,8 +87,8 @@ INJECTION_POINTS = (
 #: Fault kinds a rule may carry.
 FAULT_KINDS = ("transient", "crash", "latency", "corrupt")
 
-#: ``crash`` simulates a process dying where one can: a pool worker (or
-#: its serial stand-in), or the writer between a log append and its
+#: ``crash`` simulates a process dying where one can: a shard worker (or
+#: its in-process stand-in), or the writer between a log append and its
 #: fsync — the torn-commit case the write path's recovery must absorb.
 CRASH_POINTS = ("shard.scan", "shard.build", "mutlog.flush")
 

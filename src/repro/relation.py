@@ -691,16 +691,13 @@ def _from_packed_unordered(keys: set[int]) -> Relation:
 
 
 def transitive_fixpoint(
-    node_ids: Iterable[int], base: Relation, low: int, workers: int = 1,
-    deadline=None,
+    node_ids: Iterable[int], base: Relation, low: int, deadline=None
 ) -> Relation:
     """``base^low ∪ base^{low+1} ∪ ...`` to fixpoint.
 
     Runs as per-source frontier expansion over a CSR adjacency
     (:func:`repro.csr.transitive_fixpoint`); falls back to packed-pair
-    delta iteration when ids are too sparse for bitsets.  ``workers``
-    partitions the closure's source schedule across threads (sequential
-    by default; see :func:`repro.csr.closure_bitsets`).  ``deadline``
+    delta iteration when ids are too sparse for bitsets.  ``deadline``
     bounds both paths cooperatively (checked per source / per round).
     """
     from repro import csr
@@ -708,7 +705,7 @@ def transitive_fixpoint(
     ids = node_ids if isinstance(node_ids, range) else list(node_ids)
     bound = csr.dense_bound(ids, base)
     if bound <= csr.MAX_DENSE_NODE:
-        return csr.transitive_fixpoint(ids, base, low, bound, workers, deadline)
+        return csr.transitive_fixpoint(ids, base, low, bound, deadline)
     return delta_transitive_fixpoint(ids, base, low, deadline)
 
 

@@ -49,9 +49,7 @@ import threading
 
 from repro.api import GraphDatabase, ServiceConfig
 from repro.errors import (
-    QueryTimeoutError,
     ReproError,
-    TransientError,
     TransientWireError,
     ValidationError,
 )
@@ -245,7 +243,6 @@ class RpcShardedGraph(ShardedGraph):
             shards=stubs,
             backend="rpc",
             index_path=None,
-            build_workers=1,
             prune_empty=prune_empty,
             shard_seed=shard_seed,
         )
@@ -275,7 +272,7 @@ class RpcShardedGraph(ShardedGraph):
         rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
         shard_seed: int = 0,
     ) -> "RpcShardedGraph":
-        """Fork ``shards`` workers (parallel build) and wrap them."""
+        """Fork ``shards`` workers (one build per process) and wrap them."""
         handles = launch_workers(
             graph, k, shards, prune_empty=prune_empty, shard_seed=shard_seed
         )
@@ -332,14 +329,14 @@ class RpcShardedGraph(ShardedGraph):
 
     # -- lifecycle --------------------------------------------------------
 
-    def rebuild_shards(self, shard_ids, workers=None) -> None:
+    def rebuild_shards(self, shard_ids, endpoints=None) -> None:
         """In-process partial rebuild does not apply over RPC."""
         raise ValidationError(
             "RpcShardedGraph shards rebuild in their worker processes; "
             "use apply_commit_group()"
         )
 
-    def patch_shards(self, changes: dict[int, dict]) -> None:
+    def patch_shards(self, changes: dict[int, dict], endpoints=None) -> None:
         """In-process patching does not apply over RPC either."""
         raise ValidationError(
             "RpcShardedGraph shards patch in their worker processes; "
@@ -441,7 +438,9 @@ class CoordinatorDatabase(GraphDatabase):
 
         The same swap-on-success contract as the base class: nothing is
         installed until the fleet is up and statistics are derived, and
-        a failure clears the triple so readers fail loudly.
+        a failure clears the triple so readers fail loudly and stops
+        both fleets it drops (the old one, and a new one whose
+        statistics could not be derived).
         """
         if self._backend != "memory":
             raise ValidationError(
@@ -450,6 +449,7 @@ class CoordinatorDatabase(GraphDatabase):
             )
         self.cache_clear()
         old_index = self._index
+        index = None
         old_knobs = (
             (old_index.scatter_pruning, old_index.replan_divergence)
             if old_index is not None
@@ -462,16 +462,13 @@ class CoordinatorDatabase(GraphDatabase):
                 shards=self._shards,
                 shard_seed=self._shard_seed,
             )
-            index.query_workers = self._shard_query_workers
             index.scatter_pruning = self.config.scatter_pruning
             index.replan_divergence = self.config.replan_divergence
             if old_knobs is not None:
                 index.scatter_pruning, index.replan_divergence = old_knobs
             exact_statistics, histogram = self._refresh_sharded_statistics(index)
         except BaseException:
-            self._index = None
-            self._exact_statistics = None
-            self._histogram = None
+            self._discard_indexes_locked(old_index, index)
             raise
         self._index = index
         self._exact_statistics = exact_statistics
@@ -521,15 +518,7 @@ class CoordinatorDatabase(GraphDatabase):
             )
             exact_statistics, histogram = self._refresh_sharded_statistics(index)
         except BaseException:
-            self._index = None
-            self._exact_statistics = None
-            self._histogram = None
-            try:
-                index.close()
-            except (QueryTimeoutError, TransientError):
-                raise
-            except Exception:
-                pass
+            self._discard_indexes_locked(index)
             raise
         self._exact_statistics = exact_statistics
         self._histogram = histogram

@@ -96,8 +96,8 @@ def launch_workers(
     """Fork one worker per shard; block until every one is serving.
 
     All processes are started before any readiness report is awaited,
-    so the N shard builds run in parallel — the multi-process analogue
-    of the in-process build pool.  Any worker failing to come up tears
+    so the N shard builds run in parallel — the one parallel build
+    there is.  Any worker failing to come up tears
     the rest down and raises (builds never degrade: an index missing a
     shard would silently under-answer every future query).
     """

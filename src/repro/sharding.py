@@ -22,7 +22,8 @@ Three properties fall out of that rule and carry the whole design:
   restricting the *first* step of the trie walk to owned vertices and
   composing against full-graph step relations
   (:func:`repro.indexes.builder.path_relations_columnar`), so shards
-  build with no communication and fan out over a process pool.
+  build with no communication — one after the other in this process,
+  one process per shard under ``repro serve``.
 * **locality** — single-source lookups (``I(p, a)`` scans, membership
   probes) route to the one shard owning ``a``; a graph mutation
   invalidates only the shards within undirected distance ``k - 1`` of
@@ -46,12 +47,10 @@ per-shard scan methods to keep join fan-in partitioned.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from pathlib import Path as FilePath
-from pickle import PicklingError
 from typing import Iterable, Iterator, Sequence
 
 from repro import relation as rel
@@ -73,11 +72,6 @@ from repro.relation import Order, Relation
 SHARD_MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _SHARD_SHIFT = 17
-
-#: Below this many edges a default-configured build stays serial: the
-#: composition work is too small to amortize process startup and graph
-#: pickling.  An explicit ``workers=`` always wins.
-PARALLEL_MIN_EDGES = 512
 
 #: Default re-planning trigger: a shard's estimate for some length-k
 #: window of a disjunct must diverge from its uniform share of the
@@ -187,29 +181,6 @@ class ShardMembership:
         ) == numpy.uint64(self.shard)
 
 
-#: Payload a build worker returns for one shard: the shard's relations
-#: in trie order, columns kept as picklable ``array('q')`` pairs.
-ShardPayload = list[tuple[str, "object", "object"]]
-
-
-def _shard_payload(
-    graph: Graph,
-    k: int,
-    shard_count: int,
-    shard: int,
-    prune_empty: bool,
-    seed: int = 0,
-) -> ShardPayload:
-    """Compute one shard's path relations (runs in a pool worker)."""
-    membership = ShardMembership(shard, shard_count, seed)
-    return [
-        (path.encode(), relation.src, relation.tgt)
-        for path, relation in path_relations_columnar(
-            graph, k, prune_empty=prune_empty, sources=membership
-        )
-    ]
-
-
 class ShardedGraph:
     """N hash-partitioned :class:`PathIndex` shards over one graph.
 
@@ -227,7 +198,6 @@ class ShardedGraph:
         shards: Sequence[PathIndex],
         backend: str,
         index_path: str | FilePath | None,
-        build_workers: int,
         prune_empty: bool = True,
         shard_seed: int = 0,
     ) -> None:
@@ -236,14 +206,11 @@ class ShardedGraph:
         self._shards = list(shards)
         self._backend = backend
         self._index_path = index_path
-        self._build_workers = build_workers
         self._prune_empty = prune_empty
         #: Hash seed of the vertex-to-shard map.  Fixed per instance:
         #: re-seeding (rebalancing) means a full rebuild into a new
         #: instance, never an in-place remap.
         self.shard_seed = shard_seed
-        #: Thread fan-out of scatter-gather plan execution (1 = serial).
-        self.query_workers = 1
         #: Skip scatter slices whose leftmost-leaf slice is *provably*
         #: empty (per-shard exact count 0).  Sound by construction —
         #: composition and union with an empty leftmost input restricted
@@ -303,19 +270,17 @@ class ShardedGraph:
         shards: int,
         backend: str = "memory",
         index_path: str | FilePath | None = None,
-        workers: int | None = None,
         prune_empty: bool = True,
         shard_seed: int = 0,
     ) -> "ShardedGraph":
         """Partition ``graph`` and build every shard's index.
 
-        ``workers`` bounds the build pool: ``None`` picks
-        ``min(shards, cpu_count)``; ``1`` builds serially (still using
-        the columnar per-shard builder).  Workers are *processes* —
-        relation composition is pure Python/numpy compute, which
-        threads cannot overlap under the GIL — and any pool failure
-        (pickling, a sandboxed platform without ``fork``) falls back to
-        the serial build, so parallelism is only ever a speedup knob.
+        Shards build one after the other on the calling thread, each
+        streamed from the columnar builder into its B+tree load
+        (:meth:`_serial_shard`).  The load is most of a build and runs
+        in this process whatever computes the relations, so in-process
+        fan-out has nothing to win; parallel builds are one process per
+        shard (:func:`repro.serve.worker.launch_workers`).
         """
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
@@ -325,15 +290,11 @@ class ShardedGraph:
             # Fail before any relation is computed (the dominant
             # build cost).
             raise ValidationError("the disk backend requires a file path")
-        if workers is None and graph.edge_count < PARALLEL_MIN_EDGES:
-            workers = 1
-        resolved = cls._resolve_workers(workers, shards)
         built = cls._build_shards(
             graph,
             k,
             shards,
             list(range(shards)),
-            resolved,
             prune_empty,
             shard_seed,
             backend,
@@ -345,16 +306,9 @@ class ShardedGraph:
             [built[shard] for shard in range(shards)],
             backend,
             index_path,
-            resolved,
             prune_empty,
             shard_seed=shard_seed,
         )
-
-    @staticmethod
-    def _resolve_workers(workers: int | None, shards: int) -> int:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        return max(1, min(workers, shards))
 
     @classmethod
     def _build_shards(
@@ -363,7 +317,6 @@ class ShardedGraph:
         k: int,
         shard_count: int,
         shard_ids: list[int],
-        workers: int,
         prune_empty: bool,
         seed: int,
         backend: str,
@@ -371,51 +324,22 @@ class ShardedGraph:
     ) -> dict[int, PathIndex]:
         """The listed shards' indexes, built from the graph as it is now.
 
-        A pool computes whole payloads and this process loads them; the
-        serial path streams each shard (:meth:`_serial_shard`).  Either
-        way nothing built is left open when a later shard fails.
+        One :meth:`_serial_shard` per shard, in order; nothing built is
+        left open when a later shard fails.
         """
-        payloads = None
-        if workers > 1 and len(shard_ids) > 1:
-            try:
-                # Injection seam for the whole-pool stage: a crash here
-                # models the pool itself dying (fork failure, OOM kill)
-                # and exercises the serial fallback below.
-                fire("shard.build", stage="pool")
-                payloads = cls._parallel_payloads(
-                    graph, k, shard_count, shard_ids, workers, prune_empty, seed
-                )
-            except (BrokenExecutor, PicklingError, TransientError):
-                # Pool infrastructure can fail on platforms without
-                # fork or with unpicklable payloads; the serial build
-                # below is the correctness path either way.  A genuine
-                # workload error raised *inside* a worker (a
-                # ValidationError, an OSError, a MemoryError)
-                # propagates instead — retrying it serially would only
-                # double time-to-fail.
-                pass
         built: dict[int, PathIndex] = {}
         try:
             for shard in shard_ids:
-                if payloads is None:
-                    built[shard] = cls._serial_shard(
-                        graph,
-                        k,
-                        shard_count,
-                        shard,
-                        prune_empty,
-                        seed,
-                        backend,
-                        index_path,
-                    )
-                else:
-                    relations = (
-                        (LabelPath.decode(encoded), Relation(src, tgt, Order.BY_SRC))
-                        for encoded, src, tgt in payloads[shard]
-                    )
-                    built[shard] = cls._shard_index(
-                        graph, k, relations, backend, index_path, shard
-                    )
+                built[shard] = cls._serial_shard(
+                    graph,
+                    k,
+                    shard_count,
+                    shard,
+                    prune_empty,
+                    seed,
+                    backend,
+                    index_path,
+                )
         except BaseException:
             for index in built.values():
                 index.close()
@@ -434,7 +358,7 @@ class ShardedGraph:
         backend: str,
         index_path: str | FilePath | None,
     ) -> PathIndex:
-        """One shard's index on the serial path, with build retry.
+        """One shard's index, with build retry.
 
         The builder's generator feeds the load directly, so only ``k``
         relations are alive at a time — a payload list would hold the
@@ -469,41 +393,6 @@ class ShardedGraph:
             raise ShardUnavailableError(
                 f"shard {shard} build worker crashed: {error}", shard=shard
             ) from error
-
-    @staticmethod
-    def _parallel_payloads(
-        graph: Graph,
-        k: int,
-        shard_count: int,
-        shard_ids: list[int],
-        workers: int,
-        prune_empty: bool,
-        seed: int = 0,
-    ) -> dict[int, ShardPayload]:
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = None
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(shard_ids)), mp_context=context
-            )
-        except OSError as error:  # pragma: no cover - resource exhaustion
-            # Pool creation failing is an infrastructure problem; report
-            # it as such so the caller's fallback fires, while an
-            # OSError raised *inside* a worker (re-raised by result()
-            # below) still propagates as the workload error it is.
-            raise BrokenExecutor(str(error)) from error
-        with pool:
-            futures = {
-                shard: pool.submit(
-                    _shard_payload, graph, k, shard_count, shard, prune_empty, seed
-                )
-                for shard in shard_ids
-            }
-            return {shard: future.result() for shard, future in futures.items()}
 
     @classmethod
     def _shard_index(
@@ -596,7 +485,6 @@ class ShardedGraph:
     def rebuild_shards(
         self,
         shard_ids: Iterable[int],
-        workers: int | None = None,
         endpoints: Iterable[int] | None = None,
     ) -> None:
         """Recompute the listed shards against the current graph.
@@ -619,10 +507,6 @@ class ShardedGraph:
         for shard in shard_ids:
             if not 0 <= shard < len(self._shards):
                 raise ValidationError(f"no such shard {shard}")
-        resolved = self._resolve_workers(
-            workers if workers is not None else self._build_workers,
-            max(len(shard_ids), 1),
-        )
         if self._backend == "disk":
             for shard in shard_ids:
                 self._shards[shard].close()
@@ -631,7 +515,6 @@ class ShardedGraph:
             self.k,
             len(self._shards),
             shard_ids,
-            resolved,
             self._prune_empty,
             self.shard_seed,
             self._backend,

@@ -1,12 +1,12 @@
 """Structured engine statistics: :class:`EngineStats`.
 
-``GraphDatabase.cache_info()`` grew one flat dictionary key per PR;
-consumers had to know which of nineteen strings belonged to which
-subsystem.  :class:`EngineStats` groups them — query-result cache,
-scatter planning, prepared statements, fault accounting — as typed
-frozen dataclasses, with :meth:`EngineStats.as_dict` reproducing the
-exact legacy flat mapping for backward compatibility (and for the JSON
-the serve layer returns verbatim at ``GET /stats``).
+The engine's counters grew one flat dictionary key per PR; consumers
+had to know which of nineteen strings belonged to which subsystem.
+:class:`EngineStats` groups them — query-result cache, scatter
+planning, prepared statements, fault accounting — as typed frozen
+dataclasses, with :meth:`EngineStats.as_dict` flattening them to the
+one mapping the CLI prints and the serve layer returns verbatim at
+``GET /stats``.
 
 >>> from repro.stats import CacheStats, EngineStats
 >>> stats = EngineStats(cache=CacheStats(hits=3, misses=1))
@@ -100,7 +100,7 @@ class EngineStats:
     write: WriteStats = WriteStats()
 
     def as_dict(self) -> dict[str, int]:
-        """The legacy flat ``cache_info()`` mapping, key for key.
+        """Every counter as one flat mapping, key for key.
 
         The prepared group's ``hits``/``misses``/``invalidations``
         carry their historical ``prepared_`` prefix; everything else

@@ -49,6 +49,7 @@ from repro.faults import (
 )
 from repro.graph.generators import advogato_like
 from repro.indexes.pathindex import PathIndex
+from repro.sharding import ShardedGraph
 
 from repro.api import GraphDatabase  # isort: skip
 
@@ -75,8 +76,8 @@ def oracle(query: str) -> frozenset:
 
 
 def build_db(shards: int) -> GraphDatabase:
-    """A sharded database over the fixed graph (serial build)."""
-    return GraphDatabase(GRAPH, k=2, shards=shards, shard_build_workers=1)
+    """A sharded database over the fixed graph."""
+    return GraphDatabase(GRAPH, k=2, shards=shards)
 
 
 # -- hypothesis strategies -----------------------------------------------------
@@ -188,26 +189,21 @@ def test_transient_faults_recover_via_retry() -> None:
     assert clock.sleeps, "recovery must have gone through backoff sleeps"
 
 
-def test_pool_build_failure_falls_back_and_recovers() -> None:
-    """A transient at the pool stage falls back to the serial build.
+def test_build_raises_shard_unavailable_when_permanent(monkeypatch) -> None:
+    """The one build path at any shard count, one shard included: the
+    error names the doomed shard and no earlier shard is left open."""
+    built: list[PathIndex] = []
+    closed: list[PathIndex] = []
+    shard_index = ShardedGraph._shard_index.__func__
 
-    ``times=1`` makes the pool submission fail once and each serial
-    per-shard attempt fail once — the retry loop absorbs the latter,
-    so the build completes and answers stay exact.
-    """
-    plan = FaultPlan(
-        [FaultRule("shard.build", "transient", times=1)], clock=FakeClock()
-    )
-    with armed(plan):
-        db = GraphDatabase(GRAPH, k=2, shards=4, shard_build_workers=2)
-        result = db.query("master/journeyer", use_cache=False)
-    assert result.pairs == oracle("master/journeyer")
-    assert plan.fired >= 2  # pool stage + at least one serial shard
+    def recording(cls, *args):
+        built.append(shard_index(cls, *args))
+        return built[-1]
 
-
-def test_build_raises_shard_unavailable_when_permanent() -> None:
-    # The streamed serial build at any shard count, one shard included.
-    for shards, doomed in ((2, 1), (1, 0)):
+    monkeypatch.setattr(ShardedGraph, "_shard_index", classmethod(recording))
+    monkeypatch.setattr(PathIndex, "close", lambda index: closed.append(index))
+    for shards, doomed in ((4, 2), (2, 1), (1, 0)):
+        del built[:], closed[:]
         plan = FaultPlan(
             [FaultRule("shard.build", "transient", shard=doomed)],
             clock=FakeClock(),
@@ -217,6 +213,7 @@ def test_build_raises_shard_unavailable_when_permanent() -> None:
                 build_db(shards)
         assert info.value.shard == doomed
         assert plan.fired > 1  # retried before giving up
+        assert len(built) == doomed and closed == built
 
 
 # -- deadlines and timeouts ----------------------------------------------------
@@ -516,7 +513,7 @@ def test_degraded_counters_surface_in_cache_info() -> None:
     with armed(plan):
         result = db.query("master/journeyer", degraded=True, use_cache=False)
     assert result.report is not None and result.report.partial
-    assert db.cache_info()["shards_failed"] > 0
+    assert db.stats().as_dict()["shards_failed"] > 0
 
 
 def test_partial_answers_are_never_cached() -> None:

@@ -3,7 +3,7 @@
 The governing property is *transparency with receipts*: for every
 binding, ``prepare(t).bind(**p).run()`` must return exactly what
 ``query()`` returns on the substituted text — across mutations, shard
-counts and both kernel paths — while the ``cache_info()`` counters
+counts and both kernel paths — while the ``stats()`` counters
 prove when planning was actually skipped.  Around that sit the
 artifact-store contracts: a restarted disk-backed service answers its
 first prepared query with zero planning calls, and every stale,
@@ -56,7 +56,7 @@ def forced_path(pure_python: bool):
 
 
 def prepared_info(database: GraphDatabase) -> dict[str, int]:
-    info = database.cache_info()
+    info = database.stats().as_dict()
     return {
         key: info[key]
         for key in (
@@ -344,7 +344,7 @@ class TestPlanArtifacts:
     def test_memory_backend_is_inert(self):
         database = GraphDatabase(figure1_graph(), k=2)
         database.prepare("supervisor{1,$n}").bind(n=2).run()
-        assert database.cache_info()["plan_artifacts"] == 0
+        assert database.stats().as_dict()["plan_artifacts"] == 0
         assert not database._plan_store.enabled
 
     def test_store_roundtrip_unit(self, tmp_path):

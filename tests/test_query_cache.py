@@ -28,7 +28,7 @@ class TestCacheHits:
         assert first.report is not None
         assert second.report is None  # reports are not retained
         hash(first.report)  # reports stay hashable (set/dict-key use)
-        info = database.cache_info()
+        info = database.stats().as_dict()
         assert info["hits"] == 1 and info["misses"] == 1
 
     def test_distinct_methods_cached_separately(self):
@@ -37,7 +37,7 @@ class TestCacheHits:
         minj = database.query("knows/worksFor", method="minjoin")
         assert not semi.cached and not minj.cached
         assert semi.pairs == minj.pairs
-        assert database.cache_info()["entries"] == 2
+        assert database.stats().as_dict()["entries"] == 2
 
     def test_baseline_methods_are_cached_too(self):
         database = _database()
@@ -47,10 +47,10 @@ class TestCacheHits:
     def test_use_cache_false_bypasses(self):
         """No lookup, no store, no counter updates — a true bypass."""
         database = _database()
-        before = database.cache_info()
+        before = database.stats().as_dict()
         fresh = database.query("knows", use_cache=False)
         assert not fresh.cached
-        info = database.cache_info()
+        info = database.stats().as_dict()
         assert info["entries"] == before["entries"] == 0
         assert info["misses"] == before["misses"] == 0
 
@@ -63,7 +63,7 @@ class TestCacheHits:
                 next(iter(database._query_cache)),
                 next(iter(database._query_cache.values())),
             )
-        info = database.cache_info()
+        info = database.stats().as_dict()
         assert info["entries"] == 1
         assert info["pairs"] == size
         # And the cache still actually hits.
@@ -74,7 +74,7 @@ class TestCacheHits:
         database.query("knows")
         database.query("worksFor")
         database.query("supervisor")  # evicts "knows"
-        assert database.cache_info()["entries"] == 2
+        assert database.stats().as_dict()["entries"] == 2
         assert not database.query("knows").cached
 
     def test_zero_capacity_disables_caching(self):
@@ -89,28 +89,28 @@ class TestCacheHits:
         assert len(big.pairs) > 8
         # Oversized answer is served but never cached.
         assert not database.query("(knows|worksFor|supervisor){1,3}").cached
-        assert database.cache_info()["pairs"] == 0
+        assert database.stats().as_dict()["pairs"] == 0
         # Small answers still cache, and evict LRU when the budget fills.
         database.query("supervisor")
         database.query("knows/worksFor")
-        info = database.cache_info()
+        info = database.stats().as_dict()
         assert 0 < info["pairs"] <= 8
         database.cache_clear()
-        assert database.cache_info()["pairs"] == 0
+        assert database.stats().as_dict()["pairs"] == 0
 
 
 class TestScanMemoCounters:
-    """cache_info() also surfaces the executor's per-execution scan memo."""
+    """stats() also surfaces the executor's per-execution scan memo."""
 
     def test_memo_fires_on_a_union_of_disjuncts_query(self):
         """knows{1,3} normalizes to a union of three disjuncts that all
         scan the knows path — the memo must serve the repeats."""
         database = _database()
-        before = database.cache_info()
+        before = database.stats().as_dict()
         assert before["scan_memo_hits"] == 0
         result = database.query("knows{1,3}", method="naive")
         assert result.report.scan_memo_hits > 0
-        info = database.cache_info()
+        info = database.stats().as_dict()
         assert info["scan_memo_hits"] == result.report.scan_memo_hits
         assert info["scan_memo_misses"] == result.report.scan_memo_misses
 
@@ -118,7 +118,7 @@ class TestScanMemoCounters:
         database = _database()
         first = database.query("knows{1,2}", method="naive")
         second = database.query("worksFor{1,2}", method="naive")
-        info = database.cache_info()
+        info = database.stats().as_dict()
         assert info["scan_memo_hits"] == (
             first.report.scan_memo_hits + second.report.scan_memo_hits
         )
@@ -129,9 +129,9 @@ class TestScanMemoCounters:
     def test_cached_answers_do_not_touch_the_memo_counters(self):
         database = _database()
         database.query("knows{1,3}", method="naive")
-        after_first = database.cache_info()
+        after_first = database.stats().as_dict()
         assert database.query("knows{1,3}", method="naive").cached
-        info = database.cache_info()
+        info = database.stats().as_dict()
         assert info["scan_memo_hits"] == after_first["scan_memo_hits"]
         assert info["scan_memo_misses"] == after_first["scan_memo_misses"]
 
@@ -168,25 +168,25 @@ class TestInvalidation:
         database = _database()
         database.query("knows")
         database.query("worksFor")
-        assert database.cache_info()["entries"] == 2
+        assert database.stats().as_dict()["entries"] == 2
         database.graph.add_edge("zz_a", "knows", "zz_b")
         database.query("supervisor")  # first query after the mutation
-        info = database.cache_info()
+        info = database.stats().as_dict()
         assert info["entries"] == 1  # only the fresh-version entry lives
         assert info["pairs"] == len(database.query("supervisor").pairs)
 
     def test_build_index_clears_cache(self):
         database = _database()
         database.query("knows")
-        assert database.cache_info()["entries"] == 1
+        assert database.stats().as_dict()["entries"] == 1
         database.build_index()
-        assert database.cache_info()["entries"] == 0
+        assert database.stats().as_dict()["entries"] == 0
 
     def test_cache_clear(self):
         database = _database()
         database.query("knows")
         database.cache_clear()
-        assert database.cache_info()["entries"] == 0
+        assert database.stats().as_dict()["entries"] == 0
         assert not database.query("knows").cached
 
     def test_mutated_answers_are_correct_for_all_strategies(self):

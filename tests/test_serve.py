@@ -253,9 +253,7 @@ class TestEngineStats:
         oracle.query("a/b")
         stats = oracle.stats()
         assert isinstance(stats, EngineStats)
-        with pytest.warns(DeprecationWarning, match=r"stats\(\)"):
-            flat = oracle.cache_info()
-        assert stats.as_dict() == flat
+        flat = stats.as_dict()
         assert flat["hits"] == stats.cache.hits
         assert flat["prepared_hits"] == stats.prepared.hits
         assert flat["shards_failed"] == stats.faults.shards_failed
@@ -354,6 +352,15 @@ class TestCoordinator:
         with pytest.raises(QueryTimeoutError):
             coordinator.query("a/b/c", timeout_ms=1e-4, use_cache=False)
 
+    def test_in_process_write_hooks_refuse_under_the_base_signature(
+        self, coordinator
+    ):
+        index = coordinator._index
+        with pytest.raises(ValidationError, match="apply_commit_group"):
+            index.patch_shards({}, {0})
+        with pytest.raises(ValidationError, match="apply_commit_group"):
+            index.rebuild_shards({0}, endpoints={0})
+
     def test_requires_memory_backend(self, tmp_path):
         with pytest.raises(ValidationError, match="memory-backed"):
             CoordinatorDatabase.from_edges(
@@ -382,6 +389,31 @@ class TestCoordinatorChaos:
         assert coordinator.ensure_workers() == [1]
         coordinator.cache_clear()
         assert coordinator.query("a/b", use_cache=False).pairs == full
+
+    def test_failed_relaunch_stops_both_fleets(self, oracle, monkeypatch):
+        """A full rebuild dying after the new fleet is up drops two
+        indexes: the old fleet and the new one are both stopped, the
+        original error surfaces, and the next query relaunches."""
+        db = CoordinatorDatabase.from_edges(
+            _edges(5), config=ServiceConfig(k=2, shards=2)
+        )
+        try:
+            dropped = list(db._index.handles)
+
+            def refuse(index):
+                dropped.extend(index.handles)
+                raise RuntimeError("statistics refresh failed")
+
+            monkeypatch.setattr(db, "_refresh_sharded_statistics", refuse)
+            with pytest.raises(RuntimeError, match="statistics refresh failed"):
+                db.build_index()
+            assert db._index is None
+            assert len(dropped) == 4
+            assert not any(handle.alive() for handle in dropped)
+            monkeypatch.undo()
+            assert db.query("a/b").pairs == oracle.query("a/b").pairs
+        finally:
+            db.close()
 
     def test_rpc_transient_is_retried_to_exact(self, coordinator, oracle):
         plan = FaultPlan(

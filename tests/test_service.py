@@ -5,8 +5,8 @@ thread-safety of :class:`repro.api.GraphDatabase` (the multi-threaded
 hammer test: N threads interleaving ``query`` / ``add_edge`` /
 ``remove_edge`` while every served answer must match the
 single-threaded oracle for the graph version it carries), the
-``query_batch`` API with its shared scan memo, the frozen-relation
-assertion, and the parallel CSR closure knob.
+``query_batch`` API with its batch-wide scan memo, and the
+frozen-relation assertion.
 
 The hammer's thread count is read from ``REPRO_STRESS_THREADS``
 (default 4) so CI can dial the stress level explicitly.
@@ -23,13 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import csr
 from repro import relation as rel
 from repro.api import GraphDatabase
-from repro.bench.workloads import closure_base_pairs
 from repro.concurrency import ReadWriteLock
 from repro.config import ServiceConfig
-from repro.engine.operators import ScanMemo, SharedScanMemo
+from repro.engine.operators import ScanMemo
 from repro.engine.plan import IdentityPlan
 from repro.errors import ExecutionError
 from repro.graph.examples import FIGURE1_EDGES, figure1_graph
@@ -151,7 +149,7 @@ class TestReadWriteLock:
         assert order == ["writer", "late_reader"]
 
 
-# -- frozen relations and the shared memo --------------------------------------
+# -- frozen relations and the scan memo ----------------------------------------
 
 
 class TestFrozenRelations:
@@ -175,80 +173,6 @@ class TestFrozenRelations:
         relation.src.append(7)
         with pytest.raises(ExecutionError):
             memo.lookup_plan(plan)
-
-    def test_shared_memo_is_a_scan_memo(self):
-        memo = SharedScanMemo()
-        node = object()
-        stored = Relation.from_pairs([(1, 1)])
-        assert memo.lookup_ast(node) is None
-        memo.store_ast(node, stored)
-        assert memo.lookup_ast(node) is stored
-        assert memo.hits == 1 and memo.misses == 1
-
-    def test_shared_memo_survives_concurrent_traffic(self):
-        memo = SharedScanMemo()
-        relations = [
-            Relation.from_pairs([(i, i)], Order.BY_SRC) for i in range(16)
-        ]
-
-        def worker(seed):
-            def run():
-                rng = random.Random(seed)
-                for _ in range(300):
-                    i = rng.randrange(16)
-                    cached = memo.lookup_plan(("plan", i))
-                    if cached is None:
-                        memo.store_plan(("plan", i), relations[i])
-                    else:
-                        assert cached is relations[i]
-            return run
-
-        assert _run_threads([worker(s) for s in range(STRESS_THREADS)]) == []
-        assert memo.hits + memo.misses == 300 * STRESS_THREADS
-
-
-# -- parallel CSR closure ------------------------------------------------------
-
-
-class TestParallelClosure:
-    @pytest.mark.parametrize("kind", ["cyclic", "chain", "scale_free"])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_workers_match_sequential_oracle(self, kind, workers):
-        nodes, pairs = closure_base_pairs(kind, 600)
-        base = Relation.from_pairs(pairs)
-        sequential = csr.transitive_fixpoint(range(nodes), base, low=1)
-        parallel = csr.transitive_fixpoint(
-            range(nodes), base, low=1, workers=workers
-        )
-        assert parallel.to_set() == sequential.to_set()
-        assert parallel.order is Order.BY_SRC
-
-    def test_workers_with_identity_seed(self):
-        nodes, pairs = closure_base_pairs("scale_free", 400)
-        base = Relation.from_pairs(pairs)
-        assert (
-            csr.transitive_fixpoint(range(nodes), base, 0, workers=3).to_set()
-            == csr.transitive_fixpoint(range(nodes), base, 0).to_set()
-        )
-
-    def test_workers_beyond_source_count(self):
-        base = Relation.from_pairs([(0, 1), (1, 2)], Order.BY_SRC)
-        closed = rel.transitive_fixpoint(range(3), base, 1, workers=64)
-        assert closed.to_set() == {(0, 1), (0, 2), (1, 2)}
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        pairs=st.lists(
-            st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=40
-        ),
-        workers=st.integers(min_value=2, max_value=5),
-        low=st.integers(min_value=0, max_value=2),
-    )
-    def test_random_graphs_property(self, pairs, workers, low):
-        base = Relation.from_pairs(sorted(set(pairs)), Order.BY_SRC)
-        sequential = csr.transitive_fixpoint(range(16), base, low)
-        parallel = csr.transitive_fixpoint(range(16), base, low, workers=workers)
-        assert parallel.to_set() == sequential.to_set()
 
 
 # -- the GraphDatabase mutation API --------------------------------------------
@@ -403,13 +327,13 @@ class TestQueryBatch:
         """Two naive plans share their leading join subtree; with the
         batch-wide memo the second query gets it for free."""
         database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
-        before = database.cache_info()
+        before = database.stats().as_dict()
         database.query_batch(
             ["knows/worksFor", "knows/worksFor/knows"],
             method="naive",
             use_cache=False,
         )
-        info = database.cache_info()
+        info = database.stats().as_dict()
         assert info["scan_memo_hits"] > before["scan_memo_hits"]
 
     def test_batch_results_land_in_the_query_cache(self):
@@ -425,19 +349,19 @@ class TestQueryBatch:
         assert batch[0].cached
         assert batch[0].pairs == primed.pairs
 
-    def test_workers_do_not_change_answers(self):
+    def test_workers_knob_is_gone_not_ignored(self):
         database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
-        serial = database.query_batch(self.QUERIES, use_cache=False)
-        threaded = database.query_batch(
-            self.QUERIES, use_cache=False, workers=4
-        )
-        for left, right in zip(serial, threaded):
-            assert left.pairs == right.pairs
+        with pytest.raises(TypeError):
+            database.query_batch(self.QUERIES, workers=2)
+        with pytest.raises(TypeError):
+            ServiceConfig(shard_build_workers=2)
+        with pytest.raises(TypeError):
+            ServiceConfig(shard_query_workers=2)
 
     def test_baseline_methods_batch_too(self):
         database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
         batch = database.query_batch(
-            ["knows", "knows/worksFor"], method="reference", workers=2
+            ["knows", "knows/worksFor"], method="reference"
         )
         for text, result in zip(["knows", "knows/worksFor"], batch):
             assert set(result.pairs) == eval_query(database.graph, text)
@@ -465,7 +389,7 @@ class TestQueryBatch:
         query mixes, on both the numpy and pure-Python kernel paths."""
         with forced_path(pure_python):
             database = GraphDatabase(figure1_graph(), k=2)
-            batch = database.query_batch(nodes, max_disjuncts=6, workers=2)
+            batch = database.query_batch(nodes, max_disjuncts=6)
             for node, result in zip(nodes, batch):
                 single = database.query(node, max_disjuncts=6, use_cache=False)
                 assert result.pairs == single.pairs, str(node)
@@ -611,8 +535,9 @@ class TestConcurrentHammer:
         database.close()
 
     def test_concurrent_batches_and_mutations(self):
-        """query_batch under concurrent mutation: every batch is served
-        against one consistent version."""
+        """query_batch from several caller threads (the only concurrency
+        a scan memo ever sees: each call owns its memo) under concurrent
+        mutation: every batch is served against one consistent version."""
         database = GraphDatabase.from_edges(
             FIGURE1_EDGES, k=2, query_cache_size=8
         )
@@ -630,7 +555,6 @@ class TestConcurrentHammer:
                 for _ in range(5):
                     batch = database.query_batch(
                         ["knows", "knows/worksFor", "knows"],
-                        workers=rng.choice((1, 2)),
                         use_cache=rng.random() < 0.5,
                     )
                     with collected_lock:

@@ -14,7 +14,7 @@ Two properties govern the subsystem:
   a shard boundary.
 
 Around those sit the observables (pruned counts on
-``ExecutionReport`` / ``cache_info``), the cache-invalidation
+``ExecutionReport`` / ``stats()``), the cache-invalidation
 contracts, and the ``REPRO_DEFAULT_SHARDS`` knob.
 """
 
@@ -209,13 +209,13 @@ class TestShardPruning:
         assert report.shards_pruned >= 1
         assert report.disjuncts_pruned >= report.shards_pruned
         assert report.shards_scanned >= 1
-        info = database.cache_info()
+        info = database.stats().as_dict()
         assert info["shards_pruned"] == report.shards_pruned
         assert info["disjuncts_pruned"] == report.disjuncts_pruned
         assert info["shards_scanned"] == report.shards_scanned
         batch = database.query_batch(["r/a", "r/a/a"], use_cache=False)
         assert all(item.pairs is not None for item in batch)
-        grown = database.cache_info()
+        grown = database.stats().as_dict()
         assert grown["shards_pruned"] >= info["shards_pruned"]
 
     def test_pruning_knob_disables_skipping(self):

@@ -247,15 +247,6 @@ def test_catalog_and_statistics_merge():
     assert {p.encode() for p in sharded.paths()} >= set(nonzero)
 
 
-def test_parallel_build_matches_serial():
-    graph = advogato_like(nodes=60, edges=300, seed=21)
-    serial = ShardedGraph.build(graph, 2, shards=3, workers=1)
-    parallel = ShardedGraph.build(graph, 2, shards=3, workers=2)
-    assert parallel.counts_by_path() == serial.counts_by_path()
-    for path in serial.paths():
-        assert parallel.scan(path) == serial.scan(path)
-
-
 def test_disk_backend_shards_and_rebuilds(tmp_path):
     graph = advogato_like(nodes=40, edges=200, seed=2)
     base = tmp_path / "index.db"
@@ -440,21 +431,6 @@ def test_sharded_star_routes_through_global_closure():
     for left in ids:
         for right in ids:
             assert (f"n{left}", f"n{right}") in answer
-
-
-def test_query_workers_fan_out_matches_serial():
-    graph = advogato_like(nodes=60, edges=300, seed=19)
-    serial = GraphDatabase(graph, k=2, shards=4)
-    threaded = GraphDatabase(graph, k=2, shards=4, shard_query_workers=4)
-    for query in ("master/journeyer", "journeyer/^master/apprentice", "master*"):
-        assert (
-            threaded.query(query, use_cache=False).pairs
-            == serial.query(query, use_cache=False).pairs
-        )
-    batch = ["master/journeyer"] * 3 + ["journeyer/apprentice"]
-    assert [r.pairs for r in threaded.query_batch(batch, use_cache=False)] == [
-        r.pairs for r in serial.query_batch(batch, use_cache=False)
-    ]
 
 
 # -- the transparency oracle --------------------------------------------------

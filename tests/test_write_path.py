@@ -22,8 +22,7 @@ The contracts under test, in the order the module covers them:
   broadcasts, restarts workers by journal replay (zero full-graph
   transfers), and the HTTP ``/apply`` route + clients + CLI speak the
   same one wire shape;
-* **deprecations** — ``cache_info()`` and legacy keyword knobs warn
-  but keep working.
+* **deprecations** — legacy keyword knobs warn but keep working.
 """
 
 from __future__ import annotations
@@ -358,7 +357,7 @@ ABSORBERS = ("patch", "fallback", "coordinator")
 def _open(absorber: str, edges, k: int, shards: int) -> GraphDatabase:
     # One dirty pair is over budget: every group overflows into the rebuild.
     overflow = {"delta_max_pairs": 1} if absorber == "fallback" else {}
-    config = ServiceConfig(k=k, shards=shards, shard_build_workers=1, **overflow)
+    config = ServiceConfig(k=k, shards=shards, **overflow)
     cls = CoordinatorDatabase if absorber == "coordinator" else GraphDatabase
     return cls.from_edges(edges, config=config)
 
@@ -384,7 +383,7 @@ def _assert_statistics_fresh(db: GraphDatabase, k: int, shards: int) -> None:
     graph = db.graph
     total = count_paths_k(graph, k)
     assert db.index.total_paths_k() == total
-    config = ServiceConfig(k=k, shards=shards, shard_build_workers=1)
+    config = ServiceConfig(k=k, shards=shards)
     fresh = GraphDatabase(copy.deepcopy(graph), config=config)
     try:
         exact, histogram = db.exact_statistics, db.histogram
@@ -489,7 +488,7 @@ class TestMaintainedPathsK:
 
         db = GraphDatabase.from_edges(
             _edges(13, nodes=200, count=600),
-            config=ServiceConfig(k=2, shards=4, shard_build_workers=1),
+            config=ServiceConfig(k=2, shards=4),
         )
         try:
             first = db.index
@@ -513,7 +512,7 @@ class TestMaintainedPathsK:
         for shards in (1, 2):
             db = GraphDatabase.from_edges(
                 _edges(21, nodes=200, count=300),
-                config=ServiceConfig(k=2, shards=shards, shard_build_workers=1),
+                config=ServiceConfig(k=2, shards=shards),
             )
             try:
                 nodes = db.graph.node_count
@@ -540,7 +539,7 @@ class TestFailedAbsorbDropsMaintainedSizes:
     def _db(self, **extra):
         return GraphDatabase.from_edges(
             _edges(17, nodes=60, count=90),
-            config=ServiceConfig(k=2, shards=4, shard_build_workers=1, **extra),
+            config=ServiceConfig(k=2, shards=4, **extra),
         )
 
     def _assert_recovers(self, db, doomed_index) -> None:
@@ -734,15 +733,6 @@ class TestWalEngine:
 
 
 class TestDeprecations:
-    def test_cache_info_warns_and_delegates(self):
-        db = GraphDatabase.from_edges(_edges(1, 10, 20), config=ServiceConfig(k=1))
-        try:
-            with pytest.warns(DeprecationWarning, match=r"stats\(\)"):
-                info = db.cache_info()
-            assert info == db.stats().as_dict()
-        finally:
-            db.close()
-
     def test_legacy_knob_warning_names_the_config_field(self):
         with pytest.warns(DeprecationWarning, match=r"ServiceConfig\.shards"):
             db = GraphDatabase.from_edges(_edges(1, 10, 20), k=1, shards=2)
