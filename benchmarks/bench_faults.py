@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.api import GraphDatabase
+from repro.api import GraphDatabase, ServiceConfig
 from repro.bench.export import write_json
 from repro.bench.workloads import fused_gather_queries, sharding_graph
 from repro.faults import FaultPlan, FaultRule, armed, disarmed
@@ -116,7 +116,7 @@ def _paired_best(
 def overhead_rows(batches: int, scale: str = SCALE) -> list[FaultRow]:
     """Per-query armed-idle vs disarmed timings plus the gated aggregate."""
     graph = sharding_graph(scale)
-    database = GraphDatabase(graph, k=K, shards=SHARDS)
+    database = GraphDatabase(graph, k=K, config=ServiceConfig(shards=SHARDS))
     plan = idle_plan()
     rows: list[FaultRow] = []
     armed_total = 0.0

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import relation as rel
-from repro.api import GraphDatabase
+from repro.api import GraphDatabase, ServiceConfig
 from repro.bench.export import write_json
 from repro.bench.workloads import (
     fused_gather_queries,
@@ -180,7 +180,7 @@ def prepared_rows(repeats: int) -> list[PreparedRow]:
 def gather_rows(repeats: int, scale: str = GATHER_SCALE) -> list[PreparedRow]:
     """Fused disjoint gather vs concatenate-and-unique, same slices."""
     graph = sharding_graph(scale)
-    database = GraphDatabase(graph, k=K, shards=SHARDS)
+    database = GraphDatabase(graph, k=K, config=ServiceConfig(shards=SHARDS))
     index, statistics = database.index, database.histogram
     rows: list[PreparedRow] = []
     fused_total = 0.0

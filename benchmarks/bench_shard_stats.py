@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.api import GraphDatabase
+from repro.api import GraphDatabase, ServiceConfig
 from repro.bench.export import write_json
 from repro.bench.workloads import skewed_shard_graph, skewed_shard_queries
 from repro.engine.executor import execute_prepared, prepare_ast
@@ -90,8 +90,8 @@ def _timed(callable_, repeats: int) -> float:
 def prune_rows(repeats: int) -> list[ShardStatsRow]:
     """Pruning on vs off per query, plus the gated aggregate row."""
     graph = skewed_shard_graph(SCALE, shards=SHARDS)
-    database = GraphDatabase(graph, k=K, shards=SHARDS)
-    oracle = GraphDatabase(graph, k=K, shards=1)
+    database = GraphDatabase(graph, k=K, config=ServiceConfig(shards=SHARDS))
+    oracle = GraphDatabase(graph, k=K, config=ServiceConfig(shards=1))
     index, statistics = database.index, database.histogram
     # Re-planning off in both arms: this phase isolates pruning.
     index.replan_divergence = None
@@ -160,8 +160,8 @@ def prune_rows(repeats: int) -> list[ShardStatsRow]:
 def replan_rows(repeats: int) -> list[ShardStatsRow]:
     """Per-shard re-planning on vs off (informational, no gate)."""
     graph = skewed_shard_graph(SCALE, shards=SHARDS)
-    database = GraphDatabase(graph, k=K, shards=SHARDS)
-    oracle = GraphDatabase(graph, k=K, shards=1)
+    database = GraphDatabase(graph, k=K, config=ServiceConfig(shards=SHARDS))
+    oracle = GraphDatabase(graph, k=K, config=ServiceConfig(shards=1))
     index, statistics = database.index, database.histogram
     rows: list[ShardStatsRow] = []
     for query in skewed_shard_queries():

@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.api import GraphDatabase
+from repro.api import GraphDatabase, ServiceConfig
 from repro.bench.export import write_json
 from repro.bench.workloads import sharding_graph, sharding_queries
 from repro.sharding import ShardedGraph
@@ -128,7 +128,7 @@ def query_rows(
     graph = sharding_graph(scale)
     queries = sharding_queries()
     databases = {
-        shards: GraphDatabase(graph, k=k, shards=shards)
+        shards: GraphDatabase(graph, k=k, config=ServiceConfig(shards=shards))
         for shards in shard_counts
     }
     baseline = databases.get(1) or GraphDatabase(graph, k=k)

@@ -80,7 +80,7 @@ def compression() -> None:
     print(f"delta+varint:     {actual / 1024:.0f} KiB "
           f"({ratio:.1%} of raw)")
 
-    db = GraphDatabase(graph, k=2, backend="compressed")
+    db = GraphDatabase(graph, k=2, config=ServiceConfig(backend="compressed"))
     result = db.query("master/journeyer")
     print(f"query through compressed index: master/journeyer -> "
           f"{len(result)} pairs in {result.seconds * 1000:.2f} ms")

@@ -129,7 +129,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         index_path = Path(scratch) / "figure1.db"
         service = GraphDatabase.from_edges(
-            FIGURE1_EDGES, k=3, backend="disk", index_path=index_path
+            FIGURE1_EDGES,
+            k=3,
+            config=ServiceConfig(backend="disk", index_path=index_path),
         )
         service.prepare(template).run(n=4)
         print("first process : planned once, artifact written next to",
@@ -137,7 +139,9 @@ def main() -> None:
         service.close()
 
         revived = GraphDatabase.from_edges(
-            FIGURE1_EDGES, k=3, backend="disk", index_path=index_path
+            FIGURE1_EDGES,
+            k=3,
+            config=ServiceConfig(backend="disk", index_path=index_path),
         )
         restarted = revived.prepare(template).run(n=4)
         info = revived.stats().as_dict()
@@ -153,7 +157,9 @@ def main() -> None:
     print("=" * 72)
     print("8. WHEN THINGS GO WRONG (deadlines & degraded answers)")
     print("=" * 72)
-    sharded = GraphDatabase.from_edges(FIGURE1_EDGES, k=3, shards=2)
+    sharded = GraphDatabase.from_edges(
+        FIGURE1_EDGES, k=3, config=ServiceConfig(shards=2)
+    )
     demo = "knows{1,3}"
     full = sharded.query(demo, use_cache=False)
     print(f"query {demo!r} on shards=2: {len(full.pairs)} pairs")

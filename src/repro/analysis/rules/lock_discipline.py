@@ -21,8 +21,9 @@ from typing import Iterator
 
 from repro.analysis.core import Finding, Module, Rule, call_name
 
-#: Classes whose state the RW-lock convention governs.
-TARGET_CLASSES = {"GraphDatabase"}
+#: Classes whose state the RW-lock convention governs: the facade and
+#: the subclass that runs it over a worker fleet.
+TARGET_CLASSES = {"GraphDatabase", "CoordinatorDatabase"}
 
 #: Attributes owned by the main RW lock (the index/statistics triple).
 LOCK_STATE = {

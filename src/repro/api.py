@@ -21,11 +21,10 @@ import hashlib
 import json
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.baselines import automaton_eval, datalog_eval, reachability_eval
 from repro.concurrency import ReadWriteLock
@@ -81,21 +80,6 @@ from repro.write.mutation import ApplyResult, Mutation, MutationBatch
 #: search, Datalog, reachability) and the reference evaluator.
 BASELINE_METHODS = ("automaton", "dfa", "datalog", "reachability", "reference")
 
-#: Sentinel distinguishing "not passed" from any real value in the
-#: deprecated keyword-argument construction path.
-_UNSET = object()
-
-#: The keyword knobs folded into :class:`~repro.config.ServiceConfig`.
-#: Passing any of them still works but warns; ``config=`` is the way.
-_LEGACY_KNOBS = (
-    "backend",
-    "index_path",
-    "histogram_buckets",
-    "query_cache_size",
-    "query_cache_max_pairs",
-    "shards",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class QueryResult:
@@ -129,64 +113,21 @@ class GraphDatabase:
         self,
         graph: Graph,
         k: int | None = None,
-        backend=_UNSET,
-        index_path=_UNSET,
-        histogram_buckets=_UNSET,
         build: bool = True,
-        query_cache_size=_UNSET,
-        query_cache_max_pairs=_UNSET,
-        shards=_UNSET,
         config: ServiceConfig | None = None,
     ):
         """Open a graph for querying.
 
         Deployment knobs live in one :class:`~repro.config.ServiceConfig`
-        passed as ``config=``; ``k`` stays a first-class argument (it is
-        the paper's index parameter, not a deployment detail) and
-        overrides ``config.k`` when both are given.  The individual
-        keyword knobs (``backend=``, ``shards=``, ...) are deprecated
-        shims: they still work, fold into a config internally, and warn
-        — they cannot be combined with an explicit ``config=``.
+        passed as ``config=`` (the defaults when omitted); ``k`` stays a
+        first-class argument (it is the paper's index parameter, not a
+        deployment detail) and overrides ``config.k`` when both are
+        given.  ``build=False`` defers the index build to first use.
         """
-        legacy = {
-            name: value
-            for name, value in zip(
-                _LEGACY_KNOBS,
-                (
-                    backend,
-                    index_path,
-                    histogram_buckets,
-                    query_cache_size,
-                    query_cache_max_pairs,
-                    shards,
-                ),
-            )
-            if value is not _UNSET
-        }
         if config is None:
-            if legacy:
-                # Knob names map one-to-one onto ServiceConfig fields;
-                # the warning names each exact field so the migration
-                # is copy-pasteable.
-                moved = ", ".join(
-                    f"{name}= is now ServiceConfig.{name}"
-                    for name in sorted(legacy)
-                )
-                warnings.warn(
-                    f"GraphDatabase keyword knobs are deprecated; pass "
-                    f"config=ServiceConfig(...) instead ({moved})",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            config = ServiceConfig(k=k if k is not None else 2, **legacy)
-        else:
-            if legacy:
-                raise ValidationError(
-                    f"pass {', '.join(sorted(legacy))} inside config=, "
-                    f"not alongside it"
-                )
-            if k is not None and k != config.k:
-                config = config.with_overrides(k=k)
+            config = ServiceConfig()
+        if k is not None and k != config.k:
+            config = config.with_overrides(k=k)
         #: The resolved deployment configuration (frozen).
         self.config = config
         # shards=None means "deployment default": the
@@ -292,20 +233,34 @@ class GraphDatabase:
             max_group=config.group_commit_max,
         )
         if build:
-            self.build_index()
+            try:
+                self.build_index()
+            except BaseException:
+                # No object reaches the caller, so nobody else can
+                # release the log handle opened above.
+                self.close()
+                raise
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def from_edges(
-        cls, edges: Iterable[tuple[str, str, str]], k: int | None = None, **kwargs
+        cls,
+        edges: Iterable[tuple[str, str, str]],
+        k: int | None = None,
+        build: bool = True,
+        config: ServiceConfig | None = None,
     ) -> "GraphDatabase":
         """Build from ``(source, label, target)`` triples."""
-        return cls(Graph.from_edges(edges), k=k, **kwargs)
+        return cls(Graph.from_edges(edges), k=k, build=build, config=config)
 
     @classmethod
     def from_file(
-        cls, path: str | Path, k: int | None = None, **kwargs
+        cls,
+        path: str | Path,
+        k: int | None = None,
+        build: bool = True,
+        config: ServiceConfig | None = None,
     ) -> "GraphDatabase":
         """Load a graph file by extension (.tsv/.txt, .json, .csv)."""
         path = Path(path)
@@ -318,7 +273,7 @@ class GraphDatabase:
             graph = load_csv(path)
         else:
             raise ValidationError(f"unrecognized graph file extension: {path}")
-        return cls(graph, k=k, **kwargs)
+        return cls(graph, k=k, build=build, config=config)
 
     # -- index & statistics ----------------------------------------------------------
 
@@ -334,64 +289,76 @@ class GraphDatabase:
             return self._build_index_locked()
 
     def _build_index_locked(self) -> ShardedGraph:
-        """Rebuild index + statistics; caller holds the write lock.
+        """Replace the index with a fresh one; caller holds the write lock.
 
-        Built into locals and swapped in only on success, so a failed
-        rebuild never leaves a half-replaced index/statistics triple.
-        The disk backend is the exception that forces destruction
-        first: its B+tree only bulk-loads into an empty file, so the
-        old backend is released before the build (which removes each
-        shard's stale file itself) — on failure every handle is cleared
-        and closed, and queries raise the clean "index unavailable"
-        error until a rebuild succeeds.
+        The disk backend forces destruction first: its B+tree only
+        bulk-loads into an empty file, so the old backend is released
+        before the build (which removes each shard's stale file
+        itself).  Every other backend keeps the old index until the new
+        one is installed.
+        """
+
+        def rebuild(old_index: ShardedGraph | None) -> ShardedGraph:
+            if self._backend == "disk" and old_index is not None:
+                # Closing is idempotent, so the close every replaced
+                # index gets after the install costs nothing here.
+                old_index.close()
+            index = self._make_index_locked()
+            # Declared knobs seed the first instance; toggles the user
+            # poked on the old one win after that, so a rebuild never
+            # silently resets a live experiment.
+            knobs = old_index if old_index is not None else self.config
+            index.scatter_pruning = knobs.scatter_pruning
+            index.replan_divergence = knobs.replan_divergence
+            return index
+
+        return self._replace_index_locked(rebuild)
+
+    def _make_index_locked(self) -> ShardedGraph:
+        """How an index comes to exist: built in this process."""
+        return ShardedGraph.build(
+            self.graph,
+            self.k,
+            shards=self._shards,
+            backend=self._backend,
+            index_path=self._index_path,
+            shard_seed=self._shard_seed,
+        )
+
+    def _replace_index_locked(self, change) -> ShardedGraph:
+        """The one writer of the (index, exact statistics, histogram) triple.
+
+        ``change(old_index)`` brings an index in line with the graph as
+        it is now and returns it: the same object after a move in place
+        (patch, shard rebuild, broadcast), a new one after a build.
+        The triple is replaced all or nothing.  Whatever raises — the
+        change, the statistics derived from its result — clears the
+        triple and closes every index involved
+        (:meth:`_discard_indexes_locked`), so :meth:`_ensure_built`
+        rebuilds and a reader already past it fails loudly instead of
+        answering from pre-mutation state.  On success the triple is
+        installed together, the statistics epoch moves (prepared plans
+        are re-planned), the plan store reopens under the new
+        fingerprint, and a replaced index is closed.  The result cache
+        is purged either way.  Caller holds the write lock.
         """
         self.cache_clear()
         old_index = self._index
         index = None
-        # Skew-planning knobs live on the ShardedGraph; a rebuild must
-        # not silently reset toggles the user set on the old instance.
-        old_knobs = (
-            (old_index.scatter_pruning, old_index.replan_divergence)
-            if old_index is not None
-            else None
-        )
         try:
-            if self._backend == "disk" and old_index is not None:
-                # Clear the handle before close: if the close itself
-                # dies, the stale pre-mutation index must not stay
-                # installed behind the mutated graph.
-                self._index = None
-                closing, old_index = old_index, None
-                closing.close()
-            index = ShardedGraph.build(
-                self.graph,
-                self.k,
-                shards=self._shards,
-                backend=self._backend,
-                index_path=self._index_path,
-                shard_seed=self._shard_seed,
-            )
-            # Declared knobs seed the fresh instance; toggles the user
-            # poked on the *old* instance still win, so a rebuild never
-            # silently resets a live experiment.
-            index.scatter_pruning = self.config.scatter_pruning
-            index.replan_divergence = self.config.replan_divergence
-            if old_knobs is not None:
-                index.scatter_pruning, index.replan_divergence = old_knobs
+            index = change(old_index)
             exact_statistics, histogram = self._refresh_sharded_statistics(index)
         except BaseException:
-            # Never leave a stale or partial triple behind a mutated
-            # graph: clear everything so _ensure_built can rebuild and
-            # in-flight readers fail loudly instead of answering from
-            # pre-mutation state.
-            self._discard_indexes_locked(old_index, index)
+            self._discard_indexes_locked(
+                old_index, None if index is old_index else index
+            )
             raise
         self._index = index
         self._exact_statistics = exact_statistics
         self._histogram = histogram
         self._statistics_epoch += 1
         self._plan_store.open(self._plan_fingerprint())
-        if old_index is not None:
+        if old_index is not None and old_index is not index:
             old_index.close()
         return index
 
@@ -612,41 +579,59 @@ class GraphDatabase:
             cached = self._cache_lookup(cache_key, version)
             if cached is not None:
                 return cached
+        else:
+            cache_key = None  # a bypass neither counts a miss nor stores
         started = time.perf_counter()
         if strategy is None:
             pairs = self._run_baseline(method, node)
             seconds = time.perf_counter() - started
-            result = QueryResult(
-                query=text,
-                method=method,
-                pairs=frozenset(self.graph.pairs_to_names(pairs)),
-                seconds=seconds,
-                version=version,
+            return self._result_locked(
+                text, method, pairs, seconds, version, cache_key=cache_key
             )
-        else:
-            index = self._require_index()
-            statistics = (
-                self._exact_statistics if use_exact_statistics else self._histogram
-            )
-            report = evaluate_ast(
-                node,
-                index,
-                self.graph,
-                statistics,
-                strategy,
-                max_disjuncts,
-                context=context,
-            )
-            seconds = time.perf_counter() - started
-            result = QueryResult(
-                query=text,
-                method=strategy.value,
-                pairs=frozenset(self.graph.pairs_to_names(report.relation)),
-                seconds=seconds,
-                report=report,
-                version=version,
-            )
-            with self._cache_lock:
+        statistics = self._statistics_locked(use_exact_statistics)
+        report = evaluate_ast(
+            node,
+            self._require_index(),
+            self.graph,
+            statistics,
+            strategy,
+            max_disjuncts,
+            context=context,
+        )
+        seconds = time.perf_counter() - started
+        return self._result_locked(
+            text, strategy.value, report.relation, seconds, version, report, cache_key
+        )
+
+    def _result_locked(
+        self,
+        text: str,
+        method: str,
+        answer,
+        seconds: float,
+        version: int,
+        report: ExecutionReport | None = None,
+        cache_key: tuple | None = None,
+    ) -> QueryResult:
+        """From an executed answer to an accounted :class:`QueryResult`.
+
+        The one path every read takes once it has id pairs — a report's
+        relation (anchored or not) or a baseline's pair set: decode to
+        names, then, under the cache mutex, fold the report's memo,
+        scatter and fault counters into :meth:`stats` and, given a
+        ``cache_key``, count the miss and offer the result to the LRU
+        (which refuses partial answers).  Caller holds the read lock.
+        """
+        result = QueryResult(
+            query=text,
+            method=method,
+            pairs=frozenset(self.graph.pairs_to_names(answer)),
+            seconds=seconds,
+            report=report,
+            version=version,
+        )
+        with self._cache_lock:
+            if report is not None:
                 self._scan_memo_hits += report.scan_memo_hits
                 self._scan_memo_misses += report.scan_memo_misses
                 self._shards_scanned += report.shards_scanned
@@ -654,11 +639,14 @@ class GraphDatabase:
                 self._disjuncts_pruned += report.disjuncts_pruned
                 self._shards_replanned += report.shards_replanned
                 self._shards_failed += report.shards_failed
-        if use_cache:
-            with self._cache_lock:
+            if cache_key is not None:
                 self._cache_misses += 1
                 self._remember_locked(cache_key, result)
         return result
+
+    def _statistics_locked(self, exact: bool) -> ExactStatistics | EquiDepthHistogram:
+        """The planner's statistics provider; caller holds the read lock."""
+        return self._exact_statistics if exact else self._histogram
 
     def _require_index(self) -> ShardedGraph:
         """The index for a read section; fails cleanly if a rebuild died."""
@@ -784,7 +772,16 @@ class GraphDatabase:
             return self._apply_group_locked(batches)
 
     def _apply_group_locked(self, batches) -> list[ApplyResult]:
-        """Apply a durable group to graph + index; caller holds the lock."""
+        """Apply a durable group to graph + index; caller holds the lock.
+
+        The graph moves first (:func:`~repro.write.delta.stage_group`),
+        then the index follows under :meth:`_replace_index_locked`: a
+        changed label vocabulary invalidates every shard's path
+        enumeration, so the index is built again; anything else the
+        index absorbs itself (``absorb_group``) — from the resolved
+        point edits when the group stayed local and the backend takes
+        them, by rebuilding the touched shards otherwise.
+        """
         index = self._index
         if index is None:
             # A failed absorb leaves no index behind the graph it
@@ -800,12 +797,22 @@ class GraphDatabase:
         staged = stage_group(
             self.graph, index, batches, paths, self.config.delta_max_pairs
         )
+        mode, patched = "rebuild", ()
         if not staged.changed:
-            mode, patched = "noop", ()
+            mode = "noop"
+        elif staged.fallback == "alphabet":
+            self._build_index_locked()
         else:
-            mode, patched = self._absorb_group_locked(
-                index, staged, batches, patchable
-            )
+            changes = None
+            if patchable and staged.fallback is None:
+                changes = resolve_patch(self.graph, index, staged.dirty)
+                mode, patched = "patch", tuple(sorted(changes))
+
+            def absorb(live: ShardedGraph) -> ShardedGraph:
+                live.absorb_group(batches, changes, staged.touched, staged.endpoints)
+                return live
+
+            self._replace_index_locked(absorb)
         with self._cache_lock:
             if mode == "patch":
                 self._write_patched += 1
@@ -822,40 +829,6 @@ class GraphDatabase:
             )
             for applied, noops in staged.batch_counts
         ]
-
-    def _absorb_group_locked(
-        self, index: ShardedGraph, staged, batches, patchable: bool
-    ) -> tuple[str, tuple[int, ...]]:
-        """How the index absorbs one applied group.
-
-        The patch path resolves every dirty pair against the (final)
-        graph and applies per-shard B+tree point edits in place; any
-        fallback — alphabet change, dirty-pair overflow, a non-patching
-        backend — takes the ball rebuild of the touched shards (or the
-        full rebuild on an alphabet change).  Overridden by the
-        coordinator to broadcast to workers instead.
-        """
-        if not patchable or staged.fallback is not None:
-            affected = (
-                None if staged.fallback == "alphabet" else set(staged.touched)
-            )
-            self._rebuild_shards_locked(affected, staged.endpoints)
-            return "rebuild", ()
-        changes = resolve_patch(self.graph, index, staged.dirty)
-        self.cache_clear()
-        try:
-            index.patch_shards(changes, staged.endpoints)
-            exact_statistics, histogram = self._refresh_sharded_statistics(index)
-        except BaseException:
-            # Same contract as a failed partial rebuild: never leave a
-            # half-patched triple behind a mutated graph.
-            self._discard_indexes_locked(index)
-            raise
-        self._exact_statistics = exact_statistics
-        self._histogram = histogram
-        self._statistics_epoch += 1
-        self._plan_store.open(self._plan_fingerprint())
-        return "patch", tuple(sorted(changes))
 
     def rebalance(self, skew_threshold: float = 2.0, candidates: int = 8) -> bool:
         """Re-seed the vertex-to-shard map if the index has gone skewed.
@@ -906,43 +879,6 @@ class GraphDatabase:
             self._shard_seed = best_seed
             self._build_index_locked()
             return True
-
-    def _rebuild_shards_locked(
-        self, affected: set[int] | None, endpoints: set[int] | None = None
-    ) -> None:
-        """Partial index rebuild after a mutation; caller holds the lock.
-
-        Falls back to :meth:`_build_index_locked` whenever the partial
-        path cannot be proven safe: no index, an unknown neighborhood,
-        a changed label vocabulary, or a ball that reached every shard
-        anyway (always, at one shard).  The query cache is always cleared
-        (the graph version moved, so every entry is dead); statistics
-        are re-derived from the merged shard catalogs, and
-        ``|paths_k(G)|`` from ``endpoints`` — the ends of the mutated
-        edges (``None``: unknown, count from scratch).
-        """
-        index = self._index
-        if (
-            affected is None
-            or index is None
-            or index.alphabet != self.graph.labels()
-            or len(affected) >= index.shard_count
-        ):
-            self._build_index_locked()
-            return
-        self.cache_clear()
-        try:
-            index.rebuild_shards(affected, endpoints=endpoints)
-            exact_statistics, histogram = self._refresh_sharded_statistics(index)
-        except BaseException:
-            # Same contract as a failed full rebuild: never leave a
-            # partially refreshed triple behind a mutated graph.
-            self._discard_indexes_locked(index)
-            raise
-        self._exact_statistics = exact_statistics
-        self._histogram = histogram
-        self._statistics_epoch += 1
-        self._plan_store.open(self._plan_fingerprint())
 
     # -- batched queries ----------------------------------------------------------
 
@@ -1010,13 +946,10 @@ class GraphDatabase:
                     use_exact_statistics,
                     max_disjuncts,
                     version,
+                    use_cache,
                 ):
                     for position in slots[key]:
                         results[position] = result
-                    if use_cache:
-                        with self._cache_lock:
-                            self._cache_misses += 1
-                            self._remember_locked(key, result)
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
 
@@ -1028,71 +961,54 @@ class GraphDatabase:
         use_exact_statistics: bool,
         max_disjuncts: int,
         version: int,
-    ) -> list[tuple[tuple, QueryResult]]:
-        """Execute the batch misses; caller holds the read lock."""
+        use_cache: bool,
+    ) -> Iterator[tuple[tuple, QueryResult]]:
+        """Execute the batch misses in order; caller holds the read lock."""
         if strategy is None:
-            def run_one(item: tuple[tuple, str, Node]):
-                key, text, node = item
+            for key, text, node in pending:
                 started = time.perf_counter()
                 pairs = self._run_baseline(method, node)
-                return key, QueryResult(
-                    query=text,
-                    method=method,
-                    pairs=frozenset(self.graph.pairs_to_names(pairs)),
-                    seconds=time.perf_counter() - started,
-                    version=version,
-                )
-
-            items: list = pending
-        else:
-            index = self._require_index()
-            statistics = (
-                self._exact_statistics if use_exact_statistics else self._histogram
-            )
-            memo = ScanMemo()
-            items = [
-                (
-                    key,
+                seconds = time.perf_counter() - started
+                yield key, self._result_locked(
                     text,
-                    prepare_ast(
-                        node,
-                        index,
-                        self.graph,
-                        statistics,
-                        strategy,
-                        max_disjuncts,
-                    ),
+                    method,
+                    pairs,
+                    seconds,
+                    version,
+                    cache_key=key if use_cache else None,
                 )
-                for key, text, node in pending
-            ]
-
-            def run_one(item):
-                key, text, prepared = item
-                report = execute_prepared(
-                    prepared, index, self.graph, statistics, memo
-                )
-                return key, QueryResult(
-                    query=text,
-                    method=strategy.value,
-                    pairs=frozenset(self.graph.pairs_to_names(report.relation)),
-                    seconds=report.total_seconds,
-                    report=report,
-                    version=version,
-                )
-
-        outcomes = [run_one(item) for item in items]
-        if strategy is not None:
-            with self._cache_lock:
-                self._scan_memo_hits += memo.hits
-                self._scan_memo_misses += memo.misses
-                for _, outcome in outcomes:
-                    if outcome.report is not None:
-                        self._shards_scanned += outcome.report.shards_scanned
-                        self._shards_pruned += outcome.report.shards_pruned
-                        self._disjuncts_pruned += outcome.report.disjuncts_pruned
-                        self._shards_replanned += outcome.report.shards_replanned
-                        self._shards_failed += outcome.report.shards_failed
-        return outcomes
+            return
+        index = self._require_index()
+        statistics = self._statistics_locked(use_exact_statistics)
+        memo = ScanMemo()
+        items = [
+            (
+                key,
+                text,
+                prepare_ast(
+                    node,
+                    index,
+                    self.graph,
+                    statistics,
+                    strategy,
+                    max_disjuncts,
+                ),
+            )
+            for key, text, node in pending
+        ]
+        for key, text, prepared in items:
+            # A report's memo counters are its own delta of the shared
+            # memo's traffic, so per-result accounting sums to the batch.
+            report = execute_prepared(prepared, index, self.graph, statistics, memo)
+            yield key, self._result_locked(
+                text,
+                strategy.value,
+                report.relation,
+                report.total_seconds,
+                version,
+                report,
+                key if use_cache else None,
+            )
 
     # -- prepared statements -------------------------------------------------------
 
@@ -1163,11 +1079,7 @@ class GraphDatabase:
             version = self.graph.version
             epoch = self._statistics_epoch
             index = self._require_index()
-            statistics = (
-                self._exact_statistics
-                if statement.use_exact_statistics
-                else self._histogram
-            )
+            statistics = self._statistics_locked(statement.use_exact_statistics)
             started = time.perf_counter()
             prepared = statement._plan_for(
                 bound, version, epoch, index, statistics
@@ -1178,23 +1090,10 @@ class GraphDatabase:
                 relation = restrict_src(
                     relation, self.graph.node_id(bound.anchor)
                 )
-            result = QueryResult(
-                query=bound.text,
-                method=statement.strategy.value,
-                pairs=frozenset(self.graph.pairs_to_names(relation)),
-                seconds=time.perf_counter() - started,
-                report=report,
-                version=version,
+            seconds = time.perf_counter() - started
+            return self._result_locked(
+                bound.text, statement.strategy.value, relation, seconds, version, report
             )
-            with self._cache_lock:
-                self._scan_memo_hits += report.scan_memo_hits
-                self._scan_memo_misses += report.scan_memo_misses
-                self._shards_scanned += report.shards_scanned
-                self._shards_pruned += report.shards_pruned
-                self._disjuncts_pruned += report.disjuncts_pruned
-                self._shards_replanned += report.shards_replanned
-                self._shards_failed += report.shards_failed
-            return result
 
     def _note_prepared(
         self,
@@ -1237,10 +1136,6 @@ class GraphDatabase:
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def _remember(self, key: tuple, result: QueryResult) -> None:
-        with self._cache_lock:
-            self._remember_locked(key, result)
 
     def _remember_locked(self, key: tuple, result: QueryResult) -> None:
         if self._query_cache_size == 0:
@@ -1466,11 +1361,13 @@ class GraphDatabase:
         return normal.paths[0]
 
     def close(self) -> None:
-        """Release index resources (needed for the disk backend)."""
-        if self._index is not None:
-            self._index.close()
-        if self._mutation_log is not None:
-            self._mutation_log.close()
+        """Release the index (file handles, or a worker fleet) and the log."""
+        try:
+            if self._index is not None:
+                self._index.close()
+        finally:
+            if self._mutation_log is not None:
+                self._mutation_log.close()
 
     def __enter__(self) -> "GraphDatabase":
         return self

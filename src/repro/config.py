@@ -1,9 +1,9 @@
 """Service configuration: every deployment knob in one frozen object.
 
-:class:`GraphDatabase` grew its knobs one keyword argument at a time —
+Everything a :class:`~repro.api.GraphDatabase` deployment can tune —
 backend selection, cache budgets, shard counts, scatter-planning
-toggles — plus environment fallbacks scattered across modules.
-:class:`ServiceConfig` consolidates all of them:
+toggles, the write path, the serve front door — is a field of
+:class:`ServiceConfig`, passed to the database as ``config=``:
 
 >>> from repro.config import ServiceConfig
 >>> config = ServiceConfig(k=3, shards=4)
@@ -19,9 +19,9 @@ The serve layer (``repro.serve``) reads the ``host`` / ``port`` /
 ``max_inflight`` / ``queue_limit`` fields; the embedded engine ignores
 them.  There is no worker-pool field: work inside one database runs
 on the calling thread, and parallelism is one process per shard
-(``repro serve``) plus the caller's own threads.  Old keyword-argument
-construction still works but warns with a :class:`DeprecationWarning`
-(see :class:`repro.api.GraphDatabase`).
+(``repro serve``) plus the caller's own threads.  ``config=`` is the
+only way to set any of this: :class:`repro.api.GraphDatabase` takes no
+per-knob keyword arguments.
 """
 
 from __future__ import annotations
@@ -61,11 +61,10 @@ def default_shard_count() -> int:
 class ServiceConfig:
     """Everything a :class:`repro.api.GraphDatabase` deployment can tune.
 
-    Engine fields map one-to-one onto the old keyword arguments;
-    ``scatter_pruning`` / ``replan_divergence`` were previously
-    post-construction attribute pokes on the sharded index and are now
-    declared up front (and survive rebuilds).  Serve fields configure
-    the ``repro-rpq serve`` front door only.
+    ``scatter_pruning`` / ``replan_divergence`` seed the attributes of
+    the same names on the sharded index; a value poked on a live index
+    afterwards survives rebuilds.  Serve fields configure the
+    ``repro-rpq serve`` front door only.
     """
 
     # -- engine -----------------------------------------------------------

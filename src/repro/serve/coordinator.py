@@ -27,11 +27,12 @@ as a ``deadline_ms`` remaining-budget header on every request.
 
 :class:`CoordinatorDatabase` is a drop-in
 :class:`~repro.api.GraphDatabase` whose index is an
-:class:`RpcShardedGraph`; it inherits the whole ``apply()`` write path
-(group commit, mutation log, delta staging) and overrides only how a
-committed group reaches the index — one ``apply`` broadcast per group,
-carrying each worker's pre-computed patch slice or rebuild flag,
-instead of patching in-process.
+:class:`RpcShardedGraph`; it inherits the whole read and write path and
+overrides only how an index is made (a worker fleet is launched).  How
+a committed group reaches the shards is the index's own
+``absorb_group``: one ``apply`` broadcast per group, carrying each
+worker's pre-computed patch slice or rebuild flag, where the in-process
+index patches or rebuilds its own shards.
 :meth:`CoordinatorDatabase.ensure_workers` is the supervision hook the
 serve front door calls to restart crashed workers; a restarted worker
 forks from the fleet's *base* graph snapshot and catches up by
@@ -47,7 +48,7 @@ import copy
 import socket
 import threading
 
-from repro.api import GraphDatabase, ServiceConfig
+from repro.api import GraphDatabase
 from repro.errors import (
     ReproError,
     TransientWireError,
@@ -59,7 +60,6 @@ from repro.relation import Order, Relation, dedup_sort, union
 from repro.serve import protocol
 from repro.serve.worker import WorkerHandle, launch_worker, launch_workers
 from repro.sharding import ShardedGraph
-from repro.write.delta import resolve_patch
 
 #: Socket timeout for a single RPC when no query deadline is in force.
 #: Generous — a worker answering slowly is not a worker that is gone —
@@ -374,6 +374,11 @@ class RpcShardedGraph(ShardedGraph):
         self.journal.append((seq, mutations))
         self.invalidate_statistics(endpoints)
 
+    def absorb_group(self, batches, changes, touched, endpoints) -> None:
+        """One broadcast: the workers patch or rebuild their own shards."""
+        mutations = [mutation.as_wire() for batch in batches for mutation in batch]
+        self.apply_commit_group(mutations, changes, touched, endpoints)
+
     def worker_alive(self, shard: int) -> bool:
         return self.handles[shard].alive()
 
@@ -417,116 +422,36 @@ class RpcShardedGraph(ShardedGraph):
 class CoordinatorDatabase(GraphDatabase):
     """A :class:`GraphDatabase` served by shard worker processes.
 
-    Construction forks one worker per shard (parallel index build) and
-    installs an :class:`RpcShardedGraph` where the in-process engine
-    would install a :class:`ShardedGraph`; everything else — queries,
-    caching, prepared statements, statistics, locking — is inherited
-    verbatim.  Only the memory backend is supported: workers rebuild
-    from the coordinator's graph, durability lives elsewhere.
+    Everything — queries, caching, prepared statements, the write path,
+    statistics, locking, the all-or-nothing index replacement — is
+    inherited; the index it runs over is an :class:`RpcShardedGraph`.
+    The class has three members of its own:
+
+    * :meth:`_make_index_locked` forks one worker per shard (parallel
+      index build) where the base class builds in process;
+    * :meth:`_build_index_locked` refuses every backend but memory
+      (workers rebuild from the coordinator's graph, durability lives
+      elsewhere) before deferring to the base class;
+    * :meth:`ensure_workers` restarts crashed workers.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        k: int | None = None,
-        config: ServiceConfig | None = None,
-    ):
-        super().__init__(graph, k=k, config=config)
-
     def _build_index_locked(self):
-        """Launch (or relaunch) the worker fleet; caller holds the lock.
-
-        The same swap-on-success contract as the base class: nothing is
-        installed until the fleet is up and statistics are derived, and
-        a failure clears the triple so readers fail loudly and stops
-        both fleets it drops (the old one, and a new one whose
-        statistics could not be derived).
-        """
+        """Launch (or relaunch) the worker fleet; caller holds the lock."""
         if self._backend != "memory":
             raise ValidationError(
                 f"CoordinatorDatabase workers are memory-backed; "
                 f"got backend={self._backend!r}"
             )
-        self.cache_clear()
-        old_index = self._index
-        index = None
-        old_knobs = (
-            (old_index.scatter_pruning, old_index.replan_divergence)
-            if old_index is not None
-            else None
+        return super()._build_index_locked()
+
+    def _make_index_locked(self) -> RpcShardedGraph:
+        """How an index comes to exist: one forked worker per shard."""
+        return RpcShardedGraph.launch(
+            self.graph,
+            self.k,
+            shards=self._shards,
+            shard_seed=self._shard_seed,
         )
-        try:
-            index = RpcShardedGraph.launch(
-                self.graph,
-                self.k,
-                shards=self._shards,
-                shard_seed=self._shard_seed,
-            )
-            index.scatter_pruning = self.config.scatter_pruning
-            index.replan_divergence = self.config.replan_divergence
-            if old_knobs is not None:
-                index.scatter_pruning, index.replan_divergence = old_knobs
-            exact_statistics, histogram = self._refresh_sharded_statistics(index)
-        except BaseException:
-            self._discard_indexes_locked(old_index, index)
-            raise
-        self._index = index
-        self._exact_statistics = exact_statistics
-        self._histogram = histogram
-        self._statistics_epoch += 1
-        self._plan_store.open(self._plan_fingerprint())
-        if old_index is not None:
-            old_index.close()
-        return index
-
-    # -- mutations (broadcast instead of in-process patch/rebuild) --------
-    #
-    # ``apply()``, ``add_edge`` and ``remove_edge`` are inherited — the
-    # unified write path (group commit, mutation log, delta staging)
-    # runs coordinator-side against the coordinator's graph; only the
-    # index-absorption step below differs.  This collapses what used to
-    # be a duplicated mutate/rebuild sequence in both classes onto one
-    # implementation.
-
-    def _absorb_group_locked(self, index, staged, batches, patchable):
-        """Broadcast one applied group to the worker fleet.
-
-        The full-relaunch fallback mirrors the base class's full-rebuild
-        fallback: a changed label vocabulary invalidates every worker's
-        path enumeration, so the fleet is rebuilt from the current
-        graph.  Otherwise one ``apply`` RPC per worker carries the
-        group's mutations plus either that worker's pre-computed patch
-        slice (delta path — the workers never run the delta algorithm)
-        or its ball-rebuild flag.  A failing broadcast discards the
-        index (half-mutated workers are unusable) under the same
-        cleanup contract as the in-process paths.
-        """
-        if staged.fallback == "alphabet":
-            self._build_index_locked()
-            return "rebuild", ()
-        patchable = patchable and staged.fallback is None
-        changes = (
-            resolve_patch(self.graph, index, staged.dirty) if patchable else None
-        )
-        mutations = [
-            mutation.as_wire() for batch in batches for mutation in batch
-        ]
-        self.cache_clear()
-        try:
-            index.apply_commit_group(
-                mutations, changes, set(staged.touched), staged.endpoints
-            )
-            exact_statistics, histogram = self._refresh_sharded_statistics(index)
-        except BaseException:
-            self._discard_indexes_locked(index)
-            raise
-        self._exact_statistics = exact_statistics
-        self._histogram = histogram
-        self._statistics_epoch += 1
-        self._plan_store.open(self._plan_fingerprint())
-        if changes is not None:
-            return "patch", tuple(sorted(changes))
-        return "rebuild", ()
 
     # -- supervision ------------------------------------------------------
 

@@ -604,6 +604,28 @@ class ShardedGraph:
                 index.patch(LabelPath.decode(encoded), adds, removes)
         self.invalidate_statistics(endpoints)
 
+    def absorb_group(
+        self,
+        batches,
+        changes: dict[int, dict] | None,
+        touched: set[int],
+        endpoints: Iterable[int] | None,
+    ) -> None:
+        """Follow one commit group the graph has already taken.
+
+        ``batches`` are the group's mutation batches, ``changes`` the
+        per-shard point edits resolved for it (``None`` when it cannot
+        be patched), ``touched`` the shards its edges can reach.  How
+        the group gets to the shards is this object's decision because
+        it knows where they live: in this process they are patched in
+        place when there are edits to apply and rebuilt otherwise; the
+        batches themselves are for shards that keep their own graph.
+        """
+        if changes is not None:
+            self.patch_shards(changes, endpoints)
+        else:
+            self.rebuild_shards(touched, endpoints=endpoints)
+
     # -- PathIndex facade (global scatter-gather) -------------------------
 
     def scan(self, path: LabelPath) -> Relation:

@@ -123,6 +123,19 @@ class TestLockDiscipline:
         """
         assert findings_for(source, "src/repro/api.py") == []
 
+    def test_the_coordinator_subclass_is_governed(self):
+        source = """
+            class CoordinatorDatabase(GraphDatabase):
+                def relaunch(self):
+                    self._histogram = None
+
+                def _relaunch_locked(self):
+                    self._histogram = None
+        """
+        (found,) = findings_for(source, "src/repro/serve/coordinator.py")
+        assert found.rule == "lock-discipline"
+        assert found.symbol == "CoordinatorDatabase.relaunch"
+
     def test_other_classes_are_not_governed(self):
         source = """
             class SomethingElse:

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from repro.api import GraphDatabase
-from repro.errors import ParseError, UnsupportedQueryError, ValidationError
+from repro.api import GraphDatabase, ServiceConfig
+from repro.errors import (
+    ParseError,
+    QueryTimeoutError,
+    StorageError,
+    TransientError,
+    UnsupportedQueryError,
+    ValidationError,
+)
 from repro.graph.examples import FIGURE1_EDGES
 from repro.graph.io import save_csv, save_edgelist, save_json
 from repro.graph.graph import Graph
 from repro.rpq.parser import parse
+from repro.rpq.semantics import eval_query
+from repro.serve import CoordinatorDatabase
+from repro.write.mutation import Mutation
 
 
 class TestConstruction:
@@ -50,8 +62,7 @@ class TestConstruction:
         with GraphDatabase(
             Graph.from_edges(FIGURE1_EDGES),
             k=1,
-            backend="disk",
-            index_path=tmp_path / "index.db",
+            config=ServiceConfig(backend="disk", index_path=tmp_path / "index.db"),
         ) as db:
             assert len(db.query("knows").pairs) == 9
 
@@ -183,7 +194,9 @@ class TestWitnessApi:
 
 class TestCompressedBackendApi:
     def test_compressed_database(self, figure1):
-        db = GraphDatabase(figure1, k=2, backend="compressed", shards=1)
+        db = GraphDatabase(
+            figure1, k=2, config=ServiceConfig(backend="compressed", shards=1)
+        )
         assert db.index.backend_name == "sharded[1xcompressed]"
         (shard,) = db.index.shard_indexes
         assert shard.backend_name == "compressed"
@@ -191,70 +204,103 @@ class TestCompressedBackendApi:
         assert db.query("knows/knows").pairs == expected
 
 
-class TestRebuildRecoveryTaxonomy:
-    """The partial-rebuild recovery path must not swallow the taxonomy.
+class TestFailedIndexChange:
+    """The failure arm of the index/statistics triple, as one table.
 
-    When ``rebuild_shards`` fails, the facade drops the index triple and
-    closes the dead index.  A resilience-taxonomy exception raised by
-    that ``close()`` (a deadline, a retryable fault) must propagate with
-    the original rebuild failure attached as ``__context__`` — never be
-    suppressed like an ordinary cleanup defect (regression for the
-    broad handler in ``_rebuild_shards_locked``, rule ``error-taxonomy``).
+    Every way the index follows the graph — a full build, a rebuild of
+    the touched shards, a delta patch — goes through
+    ``GraphDatabase._replace_index_locked``, in process and over a
+    worker fleet alike.  Whatever raises in there must leave no triple
+    behind the mutated graph, close every index it drops (stop every
+    worker), surface the original error — except that a deadline or a
+    retryable fault raised by a ``close()`` propagates with the
+    original riding along as ``__context__`` (rule ``error-taxonomy``)
+    — and the next query must rebuild to the oracle's answer.
     """
 
-    def _sharded_db(self, figure1):
-        db = GraphDatabase(figure1, k=2, shards=2)
-        index = db.index  # force the build outside the locked section
-        assert index.shard_count == 2
-        return db, index
+    EDGES = [
+        (f"n{i}", label, f"n{(i * step + 1) % 12}")
+        for i in range(12)
+        for label, step in (("a", 1), ("b", 5), ("c", 7))
+    ]
+    MUTATION = Mutation.add("n0", "a", "n7")
 
-    def test_timeout_in_cleanup_close_propagates(self, figure1, monkeypatch):
-        from repro.errors import QueryTimeoutError, StorageError
+    @pytest.mark.parametrize(
+        "close_error",
+        [
+            None,
+            OSError("close() raced the handle"),
+            QueryTimeoutError("deadline expired while closing shards"),
+            TransientError("retryable fault while closing shards"),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    @pytest.mark.parametrize(
+        "engine, shards",
+        [(GraphDatabase, 1), (GraphDatabase, 2), (CoordinatorDatabase, 2)],
+        ids=["inprocess1", "inprocess2", "coordinator2"],
+    )
+    @pytest.mark.parametrize("change", ["build", "rebuild", "patch"])
+    def test_nothing_survives(self, change, engine, shards, close_error, monkeypatch):
+        config = ServiceConfig(k=2, shards=shards, delta_patching=change == "patch")
+        db = engine.from_edges(self.EDGES, config=config)
+        old_index = db._index
+        dropped, closed = [old_index], []
 
-        db, index = self._sharded_db(figure1)
+        def watch_close(index):
+            real_close = index.close
 
-        def failing_rebuild(affected, endpoints=None):
-            raise StorageError("disk gone during partial rebuild")
+            def close():
+                closed.append(index)
+                real_close()
+                if close_error is not None:
+                    raise close_error
 
-        def timing_out_close():
-            raise QueryTimeoutError("deadline expired while closing shards")
+            monkeypatch.setattr(index, "close", close)
 
-        monkeypatch.setattr(index, "rebuild_shards", failing_rebuild)
-        monkeypatch.setattr(index, "close", timing_out_close)
-        with pytest.raises(QueryTimeoutError) as excinfo:
-            db._rebuild_shards_locked({0})
-        assert isinstance(excinfo.value.__context__, StorageError)
-        assert db._index is None  # triple dropped, next query rebuilds
+        def refuse(*args, **kwargs):
+            raise StorageError(f"disk gone during {change}")
 
-    def test_plain_cleanup_defect_keeps_original_error(
-        self, figure1, monkeypatch
-    ):
-        from repro.errors import StorageError
+        def refuse_statistics(index):
+            # The new index is up by now: two indexes to drop.
+            dropped.append(index)
+            watch_close(index)
+            refuse()
 
-        db, index = self._sharded_db(figure1)
-
-        def failing_rebuild(affected, endpoints=None):
-            raise StorageError("disk gone during partial rebuild")
-
-        def broken_close():
-            raise OSError("close() raced the handle")
-
-        monkeypatch.setattr(index, "rebuild_shards", failing_rebuild)
-        monkeypatch.setattr(index, "close", broken_close)
-        with pytest.raises(StorageError):
-            db._rebuild_shards_locked({0})
-
-    def test_recovered_database_answers_again(self, figure1, monkeypatch):
-        from repro.errors import StorageError
-
-        db, index = self._sharded_db(figure1)
-        expected = db.query("knows/knows", use_cache=False).pairs
-
-        def failing_rebuild(affected, endpoints=None):
-            raise StorageError("disk gone during partial rebuild")
-
-        monkeypatch.setattr(index, "rebuild_shards", failing_rebuild)
-        with pytest.raises(StorageError):
-            db._rebuild_shards_locked({0})
-        assert db._index is None
-        assert db.query("knows/knows", use_cache=False).pairs == expected
+        watch_close(old_index)
+        if change == "build":
+            monkeypatch.setattr(db, "_refresh_sharded_statistics", refuse_statistics)
+            trigger = db.build_index
+        else:
+            if engine is CoordinatorDatabase:
+                # Mid-broadcast: every worker but the last has applied.
+                doomed, hook = old_index.shard_indexes[-1], "apply_group"
+            else:
+                doomed, hook = old_index, f"{change}_shards"
+            monkeypatch.setattr(doomed, hook, refuse)
+            trigger = functools.partial(db.apply, self.MUTATION)
+        taxonomy = isinstance(close_error, (QueryTimeoutError, TransientError))
+        surfacing = type(close_error) if taxonomy else StorageError
+        try:
+            with pytest.raises(surfacing) as failure:
+                trigger()
+            chain = [failure.value]
+            while chain[-1].__context__ is not None:
+                chain.append(chain[-1].__context__)
+            assert any(isinstance(error, StorageError) for error in chain)
+            assert db._index is None  # triple dropped, next query rebuilds
+            assert db._exact_statistics is None and db._histogram is None
+            assert closed == dropped
+            if engine is CoordinatorDatabase:
+                handles = [handle for index in dropped for handle in index.handles]
+                assert len(handles) == shards * len(dropped)
+                assert not any(handle.alive() for handle in handles)
+            monkeypatch.undo()
+            for query in ("a/b", "a"):
+                answer = db.query(query, use_cache=False).pairs
+                assert set(answer) == eval_query(db.graph, query)
+            assert db._index not in dropped
+            assert (change == "build") != (("n0", "n7") in db.query("a").pairs)
+        finally:
+            monkeypatch.undo()
+            db.close()

@@ -135,10 +135,10 @@ class TestPathIndexIntegration:
                 )
 
     def test_queries_through_compressed_index(self):
-        from repro.api import GraphDatabase
+        from repro.api import GraphDatabase, ServiceConfig
 
         graph = figure1_graph()
-        db = GraphDatabase(graph, k=2, backend="compressed")
+        db = GraphDatabase(graph, k=2, config=ServiceConfig(backend="compressed"))
         reference = GraphDatabase(graph, k=2)
         for text in ["knows/knows/worksFor", "supervisor/^worksFor",
                      "(knows|worksFor){1,2}"]:

@@ -51,7 +51,7 @@ from repro.graph.generators import advogato_like
 from repro.indexes.pathindex import PathIndex
 from repro.sharding import ShardedGraph
 
-from repro.api import GraphDatabase  # isort: skip
+from repro.api import GraphDatabase, ServiceConfig  # isort: skip
 
 #: Small fixed graph: cheap enough to index per hypothesis example,
 #: rich enough that every shard of a 4-way split holds real paths.
@@ -71,13 +71,13 @@ QUERIES = (
 def oracle(query: str) -> frozenset:
     """The disarmed, unsharded ground-truth answer."""
     with disarmed():
-        db = GraphDatabase(GRAPH, k=2, shards=1)
+        db = GraphDatabase(GRAPH, k=2, config=ServiceConfig(shards=1))
         return db.query(query, use_cache=False).pairs
 
 
 def build_db(shards: int) -> GraphDatabase:
     """A sharded database over the fixed graph."""
-    return GraphDatabase(GRAPH, k=2, shards=shards)
+    return GraphDatabase(GRAPH, k=2, config=ServiceConfig(shards=shards))
 
 
 # -- hypothesis strategies -----------------------------------------------------
@@ -413,7 +413,9 @@ def test_disk_corruption_is_a_typed_error(tmp_path) -> None:
     """A corrupted page surfaces as StorageError, never a wrong answer."""
     with disarmed():
         db = GraphDatabase(
-            GRAPH, k=2, backend="disk", index_path=tmp_path / "g.idx"
+            GRAPH,
+            k=2,
+            config=ServiceConfig(backend="disk", index_path=tmp_path / "g.idx"),
         )
     plan = FaultPlan(
         [FaultRule("storage.read_page", "corrupt")], clock=FakeClock()
@@ -428,7 +430,9 @@ def test_disk_corruption_is_a_typed_error(tmp_path) -> None:
     # Disarmed and re-opened, the on-disk index itself is unharmed.
     with disarmed():
         healthy = GraphDatabase(
-            GRAPH, k=2, backend="disk", index_path=tmp_path / "g.idx"
+            GRAPH,
+            k=2,
+            config=ServiceConfig(backend="disk", index_path=tmp_path / "g.idx"),
         )
         result = healthy.query("master/journeyer", use_cache=False)
     assert result.pairs == oracle("master/journeyer")

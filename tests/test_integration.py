@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import GraphDatabase
+from repro.api import GraphDatabase, ServiceConfig
 from repro.graph.examples import FIGURE1_EDGES
 from repro.graph.generators import advogato_like, grid
 from repro.graph.io import save_edgelist
@@ -33,7 +33,9 @@ class TestFileToAnswerPipeline:
 
         save_json(graph, data)
         with GraphDatabase.from_file(
-            data, k=2, backend="disk", index_path=tmp_path / "people.idx"
+            data,
+            k=2,
+            config=ServiceConfig(backend="disk", index_path=tmp_path / "people.idx"),
         ) as db:
             baseline = GraphDatabase(graph, k=2)
             for text in ("knows/knows", "^worksFor/knows", "knows{1,2}"):

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import relation as rel
-from repro.api import GraphDatabase
+from repro.api import GraphDatabase, ServiceConfig
 from repro.engine import prepared as prepared_module
 from repro.engine.prepared import PlanArtifactStore, PreparedStatement
 from repro.errors import (
@@ -174,7 +174,7 @@ class TestPreparedEqualsQuery:
         template = "(supervisor|worksFor|^worksFor){1,$n}"
         with forced_path(pure_python):
             database = GraphDatabase.from_edges(
-                FIGURE1_EDGES, k=2, shards=shards
+                FIGURE1_EDGES, k=2, config=ServiceConfig(shards=shards)
             )
             statement = database.prepare(template)
 
@@ -261,14 +261,13 @@ class TestStatementPlanCache:
 # -- the persistent artifact store --------------------------------------------
 
 
-def disk_database(path: Path, shards: int = 1, **kwargs) -> GraphDatabase:
+def disk_database(path: Path, shards: int = 1) -> GraphDatabase:
     return GraphDatabase.from_edges(
         FIGURE1_EDGES,
         k=2,
-        backend="disk",
-        index_path=path / "index.db",
-        shards=shards,
-        **kwargs,
+        config=ServiceConfig(
+            backend="disk", index_path=path / "index.db", shards=shards
+        ),
     )
 
 
@@ -304,8 +303,7 @@ class TestPlanArtifacts:
         changed = GraphDatabase.from_edges(
             list(FIGURE1_EDGES) + [("zed", "knows", "kim")],
             k=2,
-            backend="disk",
-            index_path=tmp_path / "index.db",
+            config=ServiceConfig(backend="disk", index_path=tmp_path / "index.db"),
         )
         try:
             changed.prepare(self.TEMPLATE).bind(n=4).run()

@@ -8,13 +8,15 @@ clears the cache wholesale, so both routes are covered.
 
 from __future__ import annotations
 
-from repro.api import GraphDatabase
+from repro.api import GraphDatabase, ServiceConfig
 from repro.graph.examples import FIGURE1_EDGES
 from repro.rpq.semantics import eval_query
 
 
-def _database(**kwargs) -> GraphDatabase:
-    return GraphDatabase.from_edges(FIGURE1_EDGES, k=2, **kwargs)
+def _database(**knobs) -> GraphDatabase:
+    return GraphDatabase.from_edges(
+        FIGURE1_EDGES, k=2, config=ServiceConfig(**knobs)
+    )
 
 
 class TestCacheHits:
@@ -59,10 +61,11 @@ class TestCacheHits:
         database = _database()
         size = len(database.query("knows").pairs)
         for _ in range(5):
-            database._remember(
-                next(iter(database._query_cache)),
-                next(iter(database._query_cache.values())),
-            )
+            with database._cache_lock:
+                database._remember_locked(
+                    next(iter(database._query_cache)),
+                    next(iter(database._query_cache.values())),
+                )
         info = database.stats().as_dict()
         assert info["entries"] == 1
         assert info["pairs"] == size

@@ -33,6 +33,7 @@ from repro.errors import (
     WireError,
 )
 from repro.faults import FaultPlan, FaultRule, armed
+from repro.graph.graph import Graph
 from repro.relation import Order, Relation
 from repro.serve import CoordinatorDatabase, launch_workers
 from repro.serve import protocol
@@ -227,17 +228,15 @@ class TestServiceConfig:
         assert ServiceConfig().resolved_shards() == default_shard_count()
         assert ServiceConfig(shards=5).resolved_shards() == 5
 
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="ServiceConfig"):
-            db = GraphDatabase.from_edges(_edges(1, 10, 20), k=1, shards=2)
-        assert db.config.shards == 2
-        db.close()
-
-    def test_config_and_legacy_conflict(self):
-        with pytest.raises(ValidationError):
-            GraphDatabase.from_edges(
-                _edges(1, 10, 20), shards=2, config=ServiceConfig()
-            )
+    def test_keyword_knobs_are_gone_not_ignored(self):
+        edges = _edges(1, 10, 20)
+        graph = Graph.from_edges(edges)
+        with pytest.raises(TypeError, match="shards"):
+            GraphDatabase(graph, shards=2)
+        with pytest.raises(TypeError, match="backend"):
+            GraphDatabase.from_edges(edges, backend="disk")
+        with pytest.raises(TypeError, match="query_cache_size"):
+            CoordinatorDatabase(graph, query_cache_size=0)
 
     def test_k_overrides_config(self):
         db = GraphDatabase.from_edges(
@@ -389,31 +388,6 @@ class TestCoordinatorChaos:
         assert coordinator.ensure_workers() == [1]
         coordinator.cache_clear()
         assert coordinator.query("a/b", use_cache=False).pairs == full
-
-    def test_failed_relaunch_stops_both_fleets(self, oracle, monkeypatch):
-        """A full rebuild dying after the new fleet is up drops two
-        indexes: the old fleet and the new one are both stopped, the
-        original error surfaces, and the next query relaunches."""
-        db = CoordinatorDatabase.from_edges(
-            _edges(5), config=ServiceConfig(k=2, shards=2)
-        )
-        try:
-            dropped = list(db._index.handles)
-
-            def refuse(index):
-                dropped.extend(index.handles)
-                raise RuntimeError("statistics refresh failed")
-
-            monkeypatch.setattr(db, "_refresh_sharded_statistics", refuse)
-            with pytest.raises(RuntimeError, match="statistics refresh failed"):
-                db.build_index()
-            assert db._index is None
-            assert len(dropped) == 4
-            assert not any(handle.alive() for handle in dropped)
-            monkeypatch.undo()
-            assert db.query("a/b").pairs == oracle.query("a/b").pairs
-        finally:
-            db.close()
 
     def test_rpc_transient_is_retried_to_exact(self, coordinator, oracle):
         plan = FaultPlan(

@@ -255,8 +255,9 @@ class TestServiceMutations:
         from repro.storage.diskbtree import DiskBPlusTree
 
         database = GraphDatabase.from_edges(
-            FIGURE1_EDGES, k=2, backend="disk",
-            index_path=str(tmp_path / "index.db"),
+            FIGURE1_EDGES,
+            k=2,
+            config=ServiceConfig(backend="disk", index_path=str(tmp_path / "index.db")),
         )
         original = DiskBPlusTree.bulk_load
 
@@ -278,12 +279,11 @@ class TestServiceMutations:
         """Regression: rebuilding a disk-backed index reused the old
         non-empty file and bulk_load raised StorageError — the rebuild
         must release the stale backend first."""
-        kwargs = (
-            {"index_path": str(tmp_path / "index.db")}
-            if backend == "disk" else {}
-        )
+        index_path = str(tmp_path / "index.db") if backend == "disk" else None
         with GraphDatabase.from_edges(
-            FIGURE1_EDGES, k=2, backend=backend, **kwargs
+            FIGURE1_EDGES,
+            k=2,
+            config=ServiceConfig(backend=backend, index_path=index_path),
         ) as database:
             assert database.add_edge("ada", "knows", "kim") is not None
             assert set(database.query("knows").pairs) == eval_query(
@@ -308,15 +308,45 @@ class TestQueryBatch:
         "(knows|worksFor)/knows",
     ]
 
+    #: What one executed query adds to ``stats()`` besides cache traffic.
+    EXECUTION_COUNTERS = (
+        "scan_memo_hits",
+        "scan_memo_misses",
+        "shards_scanned",
+        "shards_pruned",
+        "disjuncts_pruned",
+        "shards_replanned",
+    )
+
     def test_matches_per_query_results_in_order(self):
-        database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
-        batch = database.query_batch(self.QUERIES, use_cache=False)
-        assert len(batch) == len(self.QUERIES)
-        for text, result in zip(self.QUERIES, batch):
-            single = database.query(text, use_cache=False)
-            assert result.query == text
-            assert result.pairs == single.pairs
-            assert result.version == database.graph.version
+        """A batch answers like a ``query()`` loop — and like a prepared
+        run: the three surfaces share one path from execution to an
+        accounted result, so they agree on the answer and move the
+        engine counters by the same amounts, scattered or not."""
+        for shards in (1, 4):
+            database = GraphDatabase.from_edges(
+                FIGURE1_EDGES, k=2, config=ServiceConfig(shards=shards)
+            )
+
+            def observed(run):
+                before = database.stats().as_dict()
+                result = run()
+                after = database.stats().as_dict()
+                moved = [after[key] - before[key] for key in self.EXECUTION_COUNTERS]
+                return (result.pairs, result.method, result.version), moved
+
+            batch = database.query_batch(self.QUERIES, use_cache=False)
+            assert len(batch) == len(self.QUERIES)
+            for text, result in zip(self.QUERIES, batch):
+                single = observed(lambda: database.query(text, use_cache=False))
+                assert result.query == text
+                assert result.pairs == single[0][0]
+                assert result.version == database.graph.version
+                assert single == observed(
+                    lambda: database.query_batch([text, text], use_cache=False)[0]
+                )
+                assert single == observed(database.prepare(text).bind().run)
+                assert any(single[1]), text
 
     def test_duplicates_share_one_execution(self):
         database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
@@ -426,7 +456,7 @@ class TestConcurrentHammer:
 
     def test_hammer_serves_only_oracle_answers(self):
         database = GraphDatabase.from_edges(
-            FIGURE1_EDGES, k=2, query_cache_size=8
+            FIGURE1_EDGES, k=2, config=ServiceConfig(query_cache_size=8)
         )
         initial_version = database.graph.version
         op_log: list[tuple[int, str, tuple[str, str, str]]] = []
@@ -511,8 +541,9 @@ class TestConcurrentHammer:
         seek/read and could serve torn pages.  A tiny page cache forces
         constant misses/evictions while threads query and mutate."""
         database = GraphDatabase.from_edges(
-            FIGURE1_EDGES, k=2, backend="disk",
-            index_path=str(tmp_path / "index.db"),
+            FIGURE1_EDGES,
+            k=2,
+            config=ServiceConfig(backend="disk", index_path=str(tmp_path / "index.db")),
         )
         # Shrink the pager caches so nearly every read goes to the file.
         for shard in database.index.shard_indexes:
@@ -539,7 +570,7 @@ class TestConcurrentHammer:
         a scan memo ever sees: each call owns its memo) under concurrent
         mutation: every batch is served against one consistent version."""
         database = GraphDatabase.from_edges(
-            FIGURE1_EDGES, k=2, query_cache_size=8
+            FIGURE1_EDGES, k=2, config=ServiceConfig(query_cache_size=8)
         )
         collected: list[list] = []
         collected_lock = threading.Lock()

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import GraphDatabase, default_shard_count
+from repro.api import GraphDatabase, ServiceConfig, default_shard_count
 from repro.errors import ValidationError
 from repro.graph.generators import advogato_like
 from repro.graph.graph import Graph, LabelPath
@@ -188,8 +188,8 @@ class TestShardPruning:
         one shard provably empty — the answer must survive pruning."""
         shards = 2
         graph = interleaved_chain(5, shards, first_label="r")
-        database = GraphDatabase(graph, k=2, shards=shards)
-        oracle = GraphDatabase(graph, k=2, shards=1)
+        database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
+        oracle = GraphDatabase(graph, k=2, config=ServiceConfig(shards=1))
         for query in ("r/a/a", "r/a/a/a/a", "r/a{1,3}"):
             answer = database.query(query, use_cache=False)
             expected = oracle.query(query, use_cache=False)
@@ -203,7 +203,7 @@ class TestShardPruning:
     def test_pruned_counts_surface_on_report_and_cache_info(self):
         shards = 4
         graph = interleaved_chain(4, shards, first_label="r")
-        database = GraphDatabase(graph, k=2, shards=shards)
+        database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
         result = database.query("r/a/a", use_cache=False)
         report = result.report
         assert report.shards_pruned >= 1
@@ -221,7 +221,7 @@ class TestShardPruning:
     def test_pruning_knob_disables_skipping(self):
         shards = 4
         graph = interleaved_chain(4, shards, first_label="r")
-        database = GraphDatabase(graph, k=2, shards=shards)
+        database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
         database.index.scatter_pruning = False
         database.index.replan_divergence = None
         result = database.query("r/a/a", use_cache=False)
@@ -232,7 +232,7 @@ class TestShardPruning:
 
     def test_knobs_survive_full_rebuilds(self):
         graph = interleaved_chain(4, 2, first_label="r")
-        database = GraphDatabase(graph, k=2, shards=2)
+        database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=2))
         database.index.scatter_pruning = False
         database.index.replan_divergence = None
         # An unseen label forces a full rebuild (new ShardedGraph)...
@@ -248,8 +248,8 @@ class TestShardPruning:
         """A star whose operand label does not exist: every shard slice
         prunes, and the closure must still produce the identity."""
         graph = interleaved_chain(3, 2)
-        database = GraphDatabase(graph, k=2, shards=2)
-        oracle = GraphDatabase(graph, k=2, shards=1)
+        database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=2))
+        oracle = GraphDatabase(graph, k=2, config=ServiceConfig(shards=1))
         assert (
             database.query("zz*", use_cache=False).pairs
             == oracle.query("zz*", use_cache=False).pairs
@@ -262,8 +262,8 @@ class TestShardPruning:
 class TestPerShardReplanning:
     def test_eager_replanning_keeps_answers_exact(self):
         graph = advogato_like(nodes=60, edges=300, seed=17)
-        database = GraphDatabase(graph, k=2, shards=4)
-        oracle = GraphDatabase(graph, k=2, shards=1)
+        database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=4))
+        oracle = GraphDatabase(graph, k=2, config=ServiceConfig(shards=1))
         database.index.replan_divergence = 1.0 + 1e-9  # any skew re-plans
         for query in (
             "master/journeyer/apprentice",
@@ -276,7 +276,7 @@ class TestPerShardReplanning:
 
     def test_replan_cache_reused_across_executions(self):
         graph = advogato_like(nodes=60, edges=300, seed=17)
-        database = GraphDatabase(graph, k=2, shards=4)
+        database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=4))
         database.index.replan_divergence = 1.0 + 1e-9
         query = "master/journeyer/apprentice/master"
         first = database.query(query, use_cache=False).report
@@ -298,8 +298,8 @@ class TestPerShardReplanning:
         """shards=N answers equal the shards=1 oracle with pruning on
         and re-planning forced eager — the ISSUE-5 exactness pin."""
         with forced_path(pure_python):
-            oracle = GraphDatabase(graph, k=2, shards=1)
-            sharded = GraphDatabase(graph, k=2, shards=shards)
+            oracle = GraphDatabase(graph, k=2, config=ServiceConfig(shards=1))
+            sharded = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
             sharded.index.replan_divergence = 1.0 + 1e-9
             for query in ("a/b/a", "a{1,3}", "(a|b)/a/b", "b*"):
                 assert (
@@ -324,7 +324,7 @@ class TestDefaultShardsKnob:
         assert isinstance(database.index, ShardedGraph)
         assert database.index.shard_count == 3
         # An explicit shards= always wins over the environment.
-        pinned = GraphDatabase(graph, k=2, shards=1)
+        pinned = GraphDatabase(graph, k=2, config=ServiceConfig(shards=1))
         assert isinstance(pinned.index, ShardedGraph)
         assert pinned.index.shard_count == 1
 

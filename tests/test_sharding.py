@@ -175,7 +175,7 @@ def test_empty_and_single_vertex_shards():
         if shard not in owners:
             assert len(piece) == 0
             assert sharded.shard_identity(shard) == []
-    database = GraphDatabase(graph, k=2, shards=shards)
+    database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
     for method in STRATEGIES:
         assert database.query("a/a/a", method=method, use_cache=False).pairs == {
             ("n0", "n3")
@@ -203,8 +203,8 @@ def test_every_hop_crosses_shards():
         graph.add_edge(f"n{left}", "a", f"n{right}")
     owners = [shard_of(node, shards) for node in ids]
     assert all(x != y for x, y in zip(owners, owners[1:]))
-    database = GraphDatabase(graph, k=2, shards=shards)
-    oracle = GraphDatabase(graph, k=2, shards=1)
+    database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
+    oracle = GraphDatabase(graph, k=2, config=ServiceConfig(shards=1))
     for query in ("a/a", "a/a/a", "a/a/a/a/a", "a*", "^a/a"):
         for method in STRATEGIES:
             assert (
@@ -221,7 +221,7 @@ def test_every_hop_crosses_shards():
 def test_isolated_nodes_appear_in_identity_answers():
     graph = chain_graph(2)
     graph.add_node("loner")
-    database = GraphDatabase(graph, k=2, shards=5)
+    database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=5))
     answer = database.query("a{0,1}", use_cache=False).pairs
     assert ("loner", "loner") in answer
     assert ("n0", "n0") in answer and ("n0", "n1") in answer
@@ -251,11 +251,13 @@ def test_disk_backend_shards_and_rebuilds(tmp_path):
     graph = advogato_like(nodes=40, edges=200, seed=2)
     base = tmp_path / "index.db"
     database = GraphDatabase(
-        graph, k=2, backend="disk", index_path=base, shards=3
+        graph, k=2, config=ServiceConfig(backend="disk", index_path=base, shards=3)
     )
     for shard in range(3):
         assert ShardedGraph.shard_index_path(base, shard).exists()
-    oracle = GraphDatabase(advogato_like(nodes=40, edges=200, seed=2), k=2, shards=1)
+    oracle = GraphDatabase(
+        advogato_like(nodes=40, edges=200, seed=2), k=2, config=ServiceConfig(shards=1)
+    )
     query = "master/^journeyer"
     assert (
         database.query(query, use_cache=False).pairs
@@ -276,7 +278,7 @@ def test_disk_backend_shards_and_rebuilds(tmp_path):
 def mutation_oracle(graph: Graph, database: GraphDatabase, queries):
     # shards=1 pinned: the oracle must stay the unsharded engine even
     # under the REPRO_DEFAULT_SHARDS stress knob.
-    fresh = GraphDatabase(graph, k=database.k, shards=1)
+    fresh = GraphDatabase(graph, k=database.k, config=ServiceConfig(shards=1))
     for query in queries:
         assert (
             database.query(query, use_cache=False).pairs
@@ -338,7 +340,7 @@ def test_add_edge_ball_rebuild_without_patching():
 
 def test_mutations_match_fresh_unsharded_engine():
     graph = advogato_like(nodes=40, edges=120, seed=6, labels=("a", "b"), label_weights=None)
-    database = GraphDatabase(graph, k=2, shards=3)
+    database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=3))
     assert database.add_edge("n3", "a", "n17") is not None
     mutation_oracle(graph, database, MUTATION_QUERIES)
     assert database.add_edge("n3", "a", "n17") is None  # duplicate: no-op
@@ -352,7 +354,7 @@ def test_mutations_match_fresh_unsharded_engine():
 
 def test_new_label_forces_full_rebuild_and_stays_exact():
     graph = advogato_like(nodes=30, edges=90, seed=8, labels=("a", "b"), label_weights=None)
-    database = GraphDatabase(graph, k=2, shards=3)
+    database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=3))
     sharded = database.index
     assert database.add_edge("n0", "zzz", "n1") is not None
     rebuilt = database.index
@@ -385,7 +387,7 @@ def test_shards_touching_radius():
 
 def test_query_cache_survives_sharded_mutations():
     graph = advogato_like(nodes=30, edges=90, seed=12, labels=("a", "b"), label_weights=None)
-    database = GraphDatabase(graph, k=2, shards=3)
+    database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=3))
     first = database.query("a/b")
     again = database.query("a/b")
     assert again.cached and again.pairs == first.pairs
@@ -400,7 +402,7 @@ def test_query_cache_survives_sharded_mutations():
 
 def test_scattered_execution_shares_global_subtrees():
     graph = advogato_like(nodes=60, edges=300, seed=17)
-    database = GraphDatabase(graph, k=2, shards=4)
+    database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=4))
     report = database.query(
         "master/journeyer/apprentice", use_cache=False
     ).report
@@ -426,7 +428,7 @@ def test_sharded_star_routes_through_global_closure():
     cycle = ids + [ids[0]]
     for left, right in zip(cycle, cycle[1:]):
         graph.add_edge(f"n{left}", "a", f"n{right}")
-    database = GraphDatabase(graph, k=2, shards=shards)
+    database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
     answer = database.query("a*", use_cache=False).pairs
     for left in ids:
         for right in ids:
@@ -456,8 +458,8 @@ def test_sharded_answers_equal_unsharded_oracle(
     """
     query = "/".join(str(step) for step in path)
     with forced_path(pure_python):
-        oracle = GraphDatabase(graph, k=2, shards=1)
-        sharded = GraphDatabase(graph, k=2, shards=shards)
+        oracle = GraphDatabase(graph, k=2, config=ServiceConfig(shards=1))
+        sharded = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
         expected = oracle.query(query, method=method, use_cache=False).pairs
         answer = sharded.query(query, method=method, use_cache=False).pairs
     assert answer == expected
@@ -475,8 +477,8 @@ def test_sharded_star_and_point_lookups_equal_oracle(
 ):
     """Recursive queries and the point-lookup API agree with shards=1."""
     with forced_path(pure_python):
-        oracle = GraphDatabase(graph, k=2, shards=1)
-        sharded = GraphDatabase(graph, k=2, shards=shards)
+        oracle = GraphDatabase(graph, k=2, config=ServiceConfig(shards=1))
+        sharded = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
         for query in ("(a|b)*", "a*/b", "c{0,2}"):
             assert (
                 sharded.query(query, use_cache=False).pairs

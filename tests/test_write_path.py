@@ -28,10 +28,12 @@ The contracts under test, in the order the module covers them:
 from __future__ import annotations
 
 import copy
+import gc
 import io
 import random
 import sys
 import threading
+import warnings
 
 import pytest
 from concurrent.futures import BrokenExecutor
@@ -728,15 +730,34 @@ class TestWalEngine:
         finally:
             revived.close()
 
+    @pytest.mark.parametrize(
+        "engine, backend",
+        [(GraphDatabase, "disk"), (CoordinatorDatabase, "compressed")],
+        ids=["disk-without-a-path", "fleet-not-memory-backed"],
+    )
+    def test_failed_first_build_releases_the_log(self, tmp_path, engine, backend):
+        """Regression: the log is opened before the first build, and a
+        constructor that raises hands nobody an object to ``close()``."""
+        config = self._config(tmp_path, backend=backend)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValidationError):
+                engine.from_edges(_edges(8), config=config)
+            gc.collect()
+        assert not [str(warning.message) for warning in caught]
 
-# -- deprecations --------------------------------------------------------------
+    def test_close_releases_the_log_when_the_index_close_raises(
+        self, tmp_path, monkeypatch
+    ):
+        db = GraphDatabase.from_edges(_edges(8), config=self._config(tmp_path))
 
+        def broken_close():
+            raise OSError("close() raced the handle")
 
-class TestDeprecations:
-    def test_legacy_knob_warning_names_the_config_field(self):
-        with pytest.warns(DeprecationWarning, match=r"ServiceConfig\.shards"):
-            db = GraphDatabase.from_edges(_edges(1, 10, 20), k=1, shards=2)
-        db.close()
+        monkeypatch.setattr(db.index, "close", broken_close)
+        with pytest.raises(OSError):
+            db.close()
+        assert db._mutation_log._handle.closed
 
 
 # -- the coordinator -----------------------------------------------------------
