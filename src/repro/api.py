@@ -33,6 +33,7 @@ from repro.engine.executor import (
     ExecutionReport,
     evaluate_ast,
     execute_prepared,
+    planned_operands,
     prepare_ast,
 )
 from repro.engine.operators import ScanMemo
@@ -46,6 +47,7 @@ from repro.engine.prepared import (
 from repro.errors import (
     PathIndexError,
     QueryTimeoutError,
+    RewriteError,
     TransientError,
     ValidationError,
 )
@@ -59,7 +61,12 @@ from repro.indexes.statistics import ExactStatistics
 from repro.relation import restrict_src
 from repro.rpq.ast import Node
 from repro.rpq.parser import Template, parse, parse_template
-from repro.rpq.rewrite import DEFAULT_MAX_DISJUNCTS, NormalForm, normalize
+from repro.rpq.rewrite import (
+    DEFAULT_MAX_DISJUNCTS,
+    NormalForm,
+    normalize,
+    push_inverse,
+)
 from repro.rpq.semantics import eval_ast
 from repro.sharding import ShardedGraph, shard_of
 from repro.stats import (
@@ -1246,22 +1253,41 @@ class GraphDatabase:
         method: str = "minsupport",
         use_exact_statistics: bool = False,
     ) -> str:
-        """The physical plan for a (bounded) query, as text."""
+        """The physical plan for a query, as text.
+
+        A query the rewriter refuses (unbounded recursion on a graph
+        too large to unroll it) has no single plan: the text names the
+        hybrid route and the refusal, then shows the plan of each
+        bounded operand that route evaluates through the index.
+        """
         _, node = self._parse(query)
         strategy = Strategy.parse(method)
         statistics = (
             self.exact_statistics if use_exact_statistics else self.histogram
         )
-        normal_form = self.normal_form(node)
         planner = Planner(self.k, statistics, self.graph, strategy)
-        costed = planner.plan(normal_form)
-        header = (
-            f"query: {node}\n"
-            f"strategy: {strategy.value}   k: {self.k}\n"
-            f"disjuncts: {normal_form.disjunct_count}   "
-            f"est. cost: {costed.cost:.1f}   est. rows: {costed.cardinality:.1f}\n"
-        )
-        return header + render(costed.plan)
+
+        def planned(normal_form: NormalForm) -> str:
+            costed = planner.plan(normal_form)
+            summary = (
+                f"disjuncts: {normal_form.disjunct_count}   "
+                f"est. cost: {costed.cost:.1f}   est. rows: {costed.cardinality:.1f}\n"
+            )
+            return summary + render(costed.plan)
+
+        header = f"query: {node}\nstrategy: {strategy.value}   k: {self.k}\n"
+        try:
+            normal_form = self.normal_form(node)
+        except RewriteError as refusal:
+            route = f"route: hybrid — {refusal}\n"
+        else:
+            return header + planned(normal_form)
+        operands = dict(planned_operands(push_inverse(node), self.graph))
+        plans = [
+            f"operand: {operand}\n{planned(normal_form)}"
+            for operand, normal_form in operands.items()
+        ]
+        return header + route + "\n".join(plans)
 
     def normal_form(self, query: str | Node) -> NormalForm:
         """Rewrite a query to the planner's union-of-paths normal form."""

@@ -332,6 +332,7 @@ def execute_prepared(
                 memo,
                 counters,
                 context,
+                refused=True,
             )
             used_fallback = True
     except QueryTimeoutError as error:
@@ -365,6 +366,22 @@ def _try_normalize(node: Node, graph: Graph, max_disjuncts: int):
         return None
 
 
+def planned_operands(
+    node: Node, graph: Graph, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
+):
+    """The bounded operands of a refused ``node``, each with its normal form.
+
+    The walk :func:`_hybrid` makes: an operand the rewriter accepts is
+    planned through the index, one it refuses is descended into.
+    """
+    for operand in node.children():
+        normal_form = _try_normalize(operand, graph, max_disjuncts)
+        if normal_form is not None:
+            yield operand, normal_form
+        else:
+            yield from planned_operands(operand, graph, max_disjuncts)
+
+
 def _hybrid(
     node: Node,
     index: PathIndex,
@@ -375,6 +392,7 @@ def _hybrid(
     memo: ScanMemo | None = None,
     counters: ScatterCounters | None = None,
     context: RunContext | None = None,
+    refused: bool = False,
 ) -> Relation:
     """Structural evaluation with planner acceleration on bounded parts.
 
@@ -388,6 +406,9 @@ def _hybrid(
     evaluated once.  ``counters`` likewise spans the traversal,
     summing the scatter decisions of every bounded subtree; ``context``
     threads the deadline into every structural step and closure loop.
+    ``refused`` is set by a caller that has already seen the rewriter
+    refuse ``node`` itself, so only its operands are offered to the
+    planner.
     """
     if memo is None:
         memo = ScanMemo()
@@ -396,22 +417,15 @@ def _hybrid(
     cached = memo.lookup_ast(node)
     if cached is not None:
         return cached
-    result = _hybrid_uncached(
-        node,
-        index,
-        graph,
-        statistics,
-        strategy,
-        max_disjuncts,
-        memo,
-        counters,
-        context,
-    )
+    rest = (index, graph, statistics, strategy, max_disjuncts, memo, counters, context)
+    result = None if refused else _planned(node, *rest)
+    if result is None:
+        result = _structural(node, *rest)
     memo.store_ast(node, result)
     return result
 
 
-def _hybrid_uncached(
+def _planned(
     node: Node,
     index: PathIndex,
     graph: Graph,
@@ -420,131 +434,72 @@ def _hybrid_uncached(
     max_disjuncts: int,
     memo: ScanMemo,
     counters: ScatterCounters | None,
-    context: RunContext | None = None,
-) -> Relation:
-    deadline = context.deadline if context is not None else None
+    context: RunContext | None,
+) -> Relation | None:
+    """``node`` through the planner and the index, or ``None`` if it is refused."""
     normal_form = _try_normalize(node, graph, max_disjuncts)
-    if normal_form is not None:
-        if _scatters(index):
-            plan, policy = _scatter_plan(
-                normal_form, index, graph, statistics, strategy, counters
-            )
-            return execute_scattered(
-                plan,
-                index,
-                graph,
-                memo,
-                policy=policy,
-                context=context,
-            )
-        report = evaluate_normal_form(
-            normal_form, index, graph, statistics, strategy, memo, deadline
+    if normal_form is None:
+        return None
+    if _scatters(index):
+        plan, policy = _scatter_plan(
+            normal_form, index, graph, statistics, strategy, counters
         )
-        return report.relation
+        return execute_scattered(
+            plan,
+            index,
+            graph,
+            memo,
+            policy=policy,
+            context=context,
+        )
+    deadline = context.deadline if context is not None else None
+    report = evaluate_normal_form(
+        normal_form, index, graph, statistics, strategy, memo, deadline
+    )
+    return report.relation
 
+
+def _structural(
+    node: Node,
+    index: PathIndex,
+    graph: Graph,
+    statistics,
+    strategy: Strategy,
+    max_disjuncts: int,
+    memo: ScanMemo,
+    counters: ScatterCounters | None,
+    context: RunContext | None,
+) -> Relation:
+    """One step of structural recursion; operands go back through :func:`_hybrid`."""
+    rest = (index, graph, statistics, strategy, max_disjuncts, memo, counters, context)
+    deadline = context.deadline if context is not None else None
     if isinstance(node, Epsilon):
         return rel.identity(graph.node_ids())
     if isinstance(node, Label):
         return index.scan(_single_step_path(node))
     if isinstance(node, Inverse):
-        return _hybrid(
-            push_inverse(node),
-            index,
-            graph,
-            statistics,
-            strategy,
-            max_disjuncts,
-            memo,
-            counters,
-            context,
-        )
+        return _hybrid(push_inverse(node), *rest)
     if isinstance(node, Concat):
-        result = _hybrid(
-            node.parts[0],
-            index,
-            graph,
-            statistics,
-            strategy,
-            max_disjuncts,
-            memo,
-            counters,
-            context,
-        )
+        result = _hybrid(node.parts[0], *rest)
         for part in node.parts[1:]:
             if not result:
                 return Relation.empty()
-            result = rel.compose(
-                result,
-                _hybrid(
-                    part,
-                    index,
-                    graph,
-                    statistics,
-                    strategy,
-                    max_disjuncts,
-                    memo,
-                    counters,
-                    context,
-                ),
-            )
+            result = rel.compose(result, _hybrid(part, *rest))
         return result
     if isinstance(node, Union):
-        return rel.union(
-            _hybrid(
-                part,
-                index,
-                graph,
-                statistics,
-                strategy,
-                max_disjuncts,
-                memo,
-                counters,
-                context,
-            )
-            for part in node.parts
-        )
+        return rel.union(_hybrid(part, *rest) for part in node.parts)
     if isinstance(node, Star):
-        parts = _closure_base_parts(
-            node.child,
-            index,
-            graph,
-            statistics,
-            strategy,
-            max_disjuncts,
-            memo,
-            counters,
-            context,
-        )
+        parts = _closure_base_parts(node.child, *rest)
         return csr.partitioned_closure(
             graph.node_ids(), parts, low=0, deadline=deadline
         )
     if isinstance(node, Repeat):
         if node.high is None:
-            parts = _closure_base_parts(
-                node.child,
-                index,
-                graph,
-                statistics,
-                strategy,
-                max_disjuncts,
-                memo,
-                counters,
-                context,
-            )
+            parts = _closure_base_parts(node.child, *rest)
             return csr.partitioned_closure(
                 graph.node_ids(), parts, low=node.low, deadline=deadline
             )
-        base = _hybrid(
-            node.child,
-            index,
-            graph,
-            statistics,
-            strategy,
-            max_disjuncts,
-            memo,
-            counters,
-            context,
-        )
+        base = _hybrid(node.child, *rest)
         return rel.bounded_powers(
             graph.node_ids(), base, node.low, node.high, deadline=deadline
         )

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.errors import RewriteError
-from repro.engine.executor import _hybrid
+from repro.engine.executor import _hybrid, _try_normalize
 from repro.engine.planner import Strategy
 from repro.graph.graph import Graph, LabelPath
-from repro.graph.stats import star_bound
 from repro.indexes.pathindex import PathIndex
 from repro.rpq.ast import Node
-from repro.rpq.rewrite import DEFAULT_MAX_DISJUNCTS, normalize, push_inverse
+from repro.rpq.rewrite import DEFAULT_MAX_DISJUNCTS, push_inverse
 
 
 def _chunks(path: LabelPath, k: int) -> list[LabelPath]:
@@ -80,7 +78,7 @@ def evaluate_from(
     # base relation(s) through the hybrid evaluator, then restrict.
     relation = _hybrid(
         push_inverse(node), index, graph, statistics,
-        Strategy.MIN_SUPPORT, max_disjuncts,
+        Strategy.MIN_SUPPORT, max_disjuncts, refused=True,
     )
     return {target for src, target in relation if src == source}
 
@@ -155,10 +153,3 @@ def breadth_first_targets(
     if reflexive:
         seen.add(source)
     return seen
-
-
-def _try_normalize(node: Node, graph: Graph, max_disjuncts: int):
-    try:
-        return normalize(node, star_bound(graph), max_disjuncts)
-    except RewriteError:
-        return None

@@ -140,6 +140,29 @@ class TestExplainAndStats:
         text = figure1_db.explain("(knows|worksFor)/knows")
         assert "disjuncts: 2" in text
 
+    def test_explain_bounded_query_has_no_route_line(self, figure1_db):
+        text = figure1_db.explain("knows*")  # n(G) = 8: unrolls within budget
+        assert text.splitlines()[2].startswith("disjuncts: 9")
+        assert "route:" not in text
+
+    def test_explain_names_the_hybrid_route(self):
+        from repro.graph.generators import cycle
+
+        database = GraphDatabase(cycle(80, label="a"), k=2)
+        text = database.explain("c/(a|^a)*|(a/a)+")
+        lines = text.splitlines()
+        assert lines[0] == "query: c/(a|^a)*|(a/a){1,}"
+        assert lines[2].startswith("route: hybrid — ")
+        assert "past the" in lines[2]
+        # One plan per bounded operand the closure evaluates, in order.
+        assert [line for line in lines if line.startswith("operand: ")] == [
+            "operand: c",
+            "operand: a|^a",
+            "operand: a/a",
+        ]
+        assert text.count("disjuncts: ") == 3
+        assert "IndexScan[a/a]" in text
+
     def test_selectivity_small_for_rare_path(self, figure1_db):
         rare = figure1_db.selectivity("supervisor/knows")
         common = figure1_db.selectivity("knows")

@@ -59,6 +59,19 @@ class TestExplain:
         assert "minjoin" in out
 
 
+    def test_explain_describes_a_recursive_query(self, capsys, tmp_path):
+        ring = tmp_path / "ring.tsv"
+        ring.write_text(
+            "".join(f"n{i}\ta\tn{(i + 1) % 70}\n" for i in range(70)),
+            encoding="utf-8",
+        )
+        code = main(["explain", "--graph", str(ring), "-k", "2", "a*"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "route: hybrid" in out
+        assert "operand: a" in out
+
+
 class TestExperiments:
     def test_figure2_smoke(self, capsys):
         code = main(["figure2", "--scale", "small", "--repeats", "1",

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.graph.examples import figure1_graph
 from repro.graph.generators import cycle
-from repro.engine.executor import evaluate_ast, evaluate_normal_form
+from repro.engine import executor
+from repro.engine.executor import evaluate_ast, evaluate_normal_form, prepare_ast
 from repro.engine.planner import Strategy
 from repro.indexes.pathindex import PathIndex
 from repro.indexes.statistics import ExactStatistics
@@ -107,6 +110,57 @@ class TestEvaluateAst:
             node, index, graph, stats, Strategy.SEMI_NAIVE, max_disjuncts=2
         )
         assert set(report.pairs) == reference_eval(graph, node)
+
+
+class TestRefusedRoot:
+    """A root the rewriter refuses is sized once; only its operands are planned."""
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        graph = cycle(80)  # n(G) = 79: next* would unroll to 3,160 steps
+        index = PathIndex.build(graph, k=2)
+        return graph, index, ExactStatistics.from_index(index)
+
+    @pytest.mark.parametrize(
+        "text, normalized, memo_misses",
+        [
+            ("next*", ["next*", "next"], 3),
+            ("(next/next)+", ["(next/next){1,}", "next/next"], 3),
+            ("^(next*)/next", ["^(next*)/next", "^next*", "^next", "next"], 6),
+        ],
+    )
+    def test_normalize_runs_once_per_node(
+        self, ring, monkeypatch, text, normalized, memo_misses
+    ):
+        graph, index, stats = ring
+        seen = []
+
+        def recording(node, *budgets):
+            seen.append(str(node))
+            return normalize(node, *budgets)
+
+        monkeypatch.setattr(executor, "normalize", recording)
+        node = parse(text)
+        report = evaluate_ast(node, index, graph, stats, Strategy.MIN_SUPPORT)
+        assert seen == normalized
+        assert report.used_fallback and report.plan is None
+        assert set(report.pairs) == reference_eval(graph, node)
+        # The memo's traffic is what it was when the root was sized twice.
+        assert (report.scan_memo_hits, report.scan_memo_misses) == (0, memo_misses)
+
+    def test_preparing_on_a_large_graph_allocates_under_a_mebibyte(self):
+        graph = cycle(5000, label="a")
+        index = PathIndex.build(graph, k=1)
+        stats = ExactStatistics.from_index(index)
+        node = parse("(a/b)+")
+        tracemalloc.start()
+        try:
+            prepared = prepare_ast(node, index, graph, stats, Strategy.MIN_SUPPORT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prepared.costed is None
+        assert peak < 2**20
 
 
 class _CountingIndex:

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RewriteError
 from repro.graph.graph import LabelPath, Step
 from repro.rpq import ast
 from repro.rpq.parser import parse
-from repro.rpq.rewrite import (
-    bound_star,
-    expand_recursion,
-    normalize,
-    pull_up_unions,
-    push_inverse,
-)
+from repro.rpq import rewrite
+from repro.rpq.rewrite import bound_star, normalize, push_inverse
 
+from tests import reference_rewrite
+from tests.reference_rewrite import expand_recursion, pull_up_unions
 from tests.strategies import rpq_asts
 
 
@@ -243,3 +243,100 @@ class TestNormalize:
         for path in normal.paths:
             rebuilt |= eval_label_path(graph, path)
         assert rebuilt == eval_ast(graph, node)
+
+
+def _outcome(normalizer, *arguments):
+    try:
+        normal = normalizer(*arguments)
+    except RewriteError:
+        return "refused"
+    return normal.has_epsilon, normal.paths
+
+
+#: ``(max_disjuncts, max_total_steps)``: the defaults, and budgets small
+#: enough that five-leaf expressions land on both sides of each.
+BUDGETS = [(4096, 2048), (4096, 20), (300, 100), (50, 30), (8, 40), (4, 8), (1, 1)]
+
+_OVERSIZED = parse("(a|b){13}")  # 8,192 disjuncts
+
+
+class TestAgreesWithReference:
+    """Sizing first changes what a refusal costs, never what comes back."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rpq_asts(allow_star=True),
+        st.sampled_from([0, 1, 3, 8, 64, 200]),
+        st.sampled_from(BUDGETS),
+    )
+    # R{0,0} is epsilon however large R is ...
+    @example(ast.repeat(_OVERSIZED, 0, 0), 8, (4096, 2048))
+    @example(ast.concat(ast.label("c"), ast.repeat(_OVERSIZED, 0, 0)), 8, (4096, 2048))
+    # ... unless a recursion inside R is by itself wider than the limit.
+    @example(ast.repeat(ast.star(ast.label("a")), 0, 0), 8, (4, 8))
+    # Duplicates: 2,047 disjuncts of 9,217 steps deduplicate to 11 of 55.
+    # The budget is met exactly at 55 and missed at 54.
+    @example(parse("(a|<eps>){0,10}"), 8, (4096, 2048))
+    @example(parse("(a|<eps>){0,10}"), 8, (4096, 55))
+    @example(parse("(a|<eps>){0,10}"), 8, (4096, 54))
+    # No duplicates and 3,586 steps: refused while it is built.
+    @example(parse("(a|b){1,8}"), 8, (4096, 2048))
+    def test_same_refusals_same_paths_same_order(self, node, bound, budgets):
+        arguments = (node, bound, *budgets)
+        assert _outcome(normalize, *arguments) == _outcome(
+            reference_rewrite.normalize, *arguments
+        )
+
+
+class TestRefusalCost:
+    """A refusal costs what the budgets allow, whatever ``n(G)`` is."""
+
+    RECURSIVE = ["a*", "c/a*", "(a/b)+", "(a|b)*"]
+
+    @pytest.mark.parametrize("text", RECURSIVE)
+    def test_refusing_at_a_million_nodes_allocates_under_a_mebibyte(self, text):
+        node = parse(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RewriteError):
+                normalize(node, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_tuples_built_do_not_grow_with_the_bound(self, monkeypatch):
+        built = []
+        expand = rewrite._disjuncts
+
+        def counting(node, budget):
+            disjuncts = expand(node, budget)
+            built.append(len(disjuncts))
+            return disjuncts
+
+        monkeypatch.setattr(rewrite, "_disjuncts", counting)
+        normalize(parse("a*"), 3)
+        assert sum(built) > 0  # the count does see an expansion
+        totals = []
+        for bound in (200, 1000, 10**6):
+            built.clear()
+            with pytest.raises(RewriteError):
+                normalize(parse("a*"), bound)
+            totals.append(sum(built))
+        assert totals[0] == totals[1] == totals[2]
+
+    def test_refusal_while_building_stops_at_the_budget(self, monkeypatch):
+        """``(a|b){1,8}`` is sized between the bounds: 510 disjuncts fit,
+        its 3,586 steps may or may not, so it is built until they do not."""
+        longest = []
+        within = rewrite._within
+
+        def watching(disjuncts, budget):
+            kept = within(disjuncts, budget)
+            longest.append(sum(map(len, kept)))
+            return kept
+
+        monkeypatch.setattr(rewrite, "_within", watching)
+        with pytest.raises(RewriteError):
+            normalize(parse("(a|b){1,8}"), 8)
+        assert max(longest) <= rewrite.DEFAULT_MAX_TOTAL_STEPS
