@@ -2,10 +2,11 @@
 
 A from-scratch reproduction of Fletcher, Peters, Poulovassilis,
 *Efficient regular path query evaluation using path indexes*
-(EDBT 2016): an edge-labeled graph store, a B+tree-backed k-path index
-with an equi-depth selectivity histogram, four plan-generation
-strategies (naive, semi-naive, minSupport, minJoin), and the three
-literature baselines (automaton search, Datalog, reachability index).
+(EDBT 2016): an edge-labeled graph store, a k-path index (an ordered
+dictionary: sorted columns in memory, a B+tree on disk) with an
+equi-depth selectivity histogram, four plan-generation strategies
+(naive, semi-naive, minSupport, minJoin), and the three literature
+baselines (automaton search, Datalog, reachability index).
 
 Quickstart::
 

@@ -1309,16 +1309,17 @@ class GraphDatabase:
         from repro.engine.navigation import evaluate_from
 
         _, node = self._parse(query)
-        source_id = self.graph.node_id(source)
-        targets = evaluate_from(
-            node,
-            source_id,
-            self.index,
-            self.graph,
-            self.histogram,
-            max_disjuncts,
-        )
-        return frozenset(self.graph.node_name(t) for t in targets)
+        self._ensure_built()
+        with self._lock.read_locked():
+            targets = evaluate_from(
+                node,
+                self.graph.node_id(source),
+                self._require_index(),
+                self.graph,
+                self._histogram,
+                max_disjuncts,
+            )
+            return frozenset(self.graph.node_name(t) for t in targets)
 
     def witness(self, source: str, target: str, query: str | Node):
         """A shortest concrete path justifying ``(source, target)``.
@@ -1329,9 +1330,10 @@ class GraphDatabase:
         from repro.rpq.witness import find_witness
 
         _, node = self._parse(query)
-        self.graph.node_id(source)  # validate names early
-        self.graph.node_id(target)
-        return find_witness(self.graph, node, source, target)
+        with self._lock.read_locked():
+            self.graph.node_id(source)  # validate names early
+            self.graph.node_id(target)
+            return find_witness(self.graph, node, source, target)
 
     def query_pair(
         self,
@@ -1347,15 +1349,17 @@ class GraphDatabase:
         from repro.engine.navigation import evaluate_pair
 
         _, node = self._parse(query)
-        return evaluate_pair(
-            node,
-            self.graph.node_id(source),
-            self.graph.node_id(target),
-            self.index,
-            self.graph,
-            self.histogram,
-            max_disjuncts,
-        )
+        self._ensure_built()
+        with self._lock.read_locked():
+            return evaluate_pair(
+                node,
+                self.graph.node_id(source),
+                self.graph.node_id(target),
+                self._require_index(),
+                self.graph,
+                self._histogram,
+                max_disjuncts,
+            )
 
     # -- internals ---------------------------------------------------------------------
 

@@ -4,8 +4,9 @@ The paper's minSupport/minJoin strategies "determine the cost of each
 alternative query plan and return the cheapest"; the demo text does not
 spell the formulas out, so this module uses the textbook model:
 
-* an index scan costs its output cardinality (B+tree leaf traversal is
-  linear in matching entries; the descent is negligible);
+* an index scan costs its output cardinality (reading an ordered
+  dictionary's run is linear in matching entries; finding its start is
+  negligible);
 * output cardinality of a join is estimated under the uniform-value
   independence assumption: ``|L ∘ R| ≈ |L| * |R| / |V|``;
 * a merge join reads both sorted inputs once:

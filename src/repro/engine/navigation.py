@@ -8,7 +8,7 @@ full RPQs:
 
 * :func:`evaluate_from` — all targets reachable from one source node,
   by frontier expansion over length-≤k index lookups (each hop is one
-  B+tree prefix scan per frontier node);
+  ``I(p, a)`` lookup per frontier node);
 * :func:`evaluate_pair` — a boolean check, answered by a single
   ``I(p, a, b)`` membership probe per short disjunct and a frontier
   expansion only when some disjunct is longer than k.

@@ -2,7 +2,7 @@
 
 Relations are columnar :class:`repro.relation.Relation` values — twin
 int64 arrays plus a tracked sort order.  Index scans come back
-duplicate-free and sorted by the B+tree (``BY_SRC`` direct, ``BY_TGT``
+duplicate-free and sorted by the index (``BY_SRC`` direct, ``BY_TGT``
 via an inverse scan); joins deduplicate their output through packed
 integer keys (RPQ answers are sets — a pair may have many witness
 paths, e.g. both routes through a diamond).

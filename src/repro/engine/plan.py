@@ -14,7 +14,7 @@ A plan is a tree of immutable nodes:
 
 Sort orders are first-class (:class:`Order`): a merge join is legal iff
 the left input is sorted by target and the right by source, mirroring
-the physical sort order of the B+tree index.
+the physical sort order of the index.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.errors import StorageError
 
@@ -101,27 +101,12 @@ class PostingList:
 
     # -- decoding -----------------------------------------------------------
 
-    def pairs(self) -> Iterator[Pair]:
-        """Decompress the full relation in (src, tgt) order."""
-        data = self.data
-        offset = 0
-        source = 0
-        while offset < len(data):
-            delta, offset = decode_varint(data, offset)
-            source += delta
-            count, offset = decode_varint(data, offset)
-            target = 0
-            for _ in range(count):
-                step, offset = decode_varint(data, offset)
-                target += step
-                yield source, target
-
     def columns(self) -> tuple[array, array]:
-        """Decompress straight into (src, tgt) int64 columns.
+        """Decompress the full relation into (src, tgt) int64 columns.
 
-        The columnar twin of :meth:`pairs`: no per-pair tuple objects
-        are created, and the columns come back (src, tgt)-sorted — the
-        encoding order — ready to wrap in a BY_SRC ``Relation``.
+        No per-pair tuple objects are created, and the columns come
+        back (src, tgt)-sorted — the encoding order — ready to wrap in
+        a BY_SRC ``Relation``.
         """
         sources = array("q")
         targets = array("q")
@@ -186,44 +171,12 @@ class CompressedBackend:
     def __init__(self) -> None:
         self._postings: dict[int, PostingList] = {}
 
-    def bulk_load(self, entries: Iterable[tuple[int, int, int]]) -> None:
-        current_path: int | None = None
-        buffer: list[Pair] = []
-        for path_id, source, target in entries:
-            if path_id != current_path:
-                if current_path is not None and buffer:
-                    self._postings[current_path] = PostingList.from_pairs(buffer)
-                current_path = path_id
-                buffer = []
-            buffer.append((source, target))
-        if current_path is not None and buffer:
-            self._postings[current_path] = PostingList.from_pairs(buffer)
-
-    def bulk_load_runs(
-        self, runs: Iterable[list[tuple[int, int, int]]]
-    ) -> None:
-        """Each run is one path's sorted triples: a posting list apiece."""
-        for run in runs:
-            if run:
-                self._postings[run[0][0]] = PostingList.from_pairs(
-                    [(source, target) for _, source, target in run]
-                )
-
-    def prefix(self, prefix: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
-        if not prefix:
-            raise StorageError("empty prefix")
-        path_id = prefix[0]
-        postings = self._postings.get(path_id)
-        if postings is None:
-            return
-        if len(prefix) == 1:
-            for source, target in postings.pairs():
-                yield path_id, source, target
-        elif len(prefix) == 2:
-            for target in postings.targets_of(prefix[1]):
-                yield path_id, prefix[1], target
-        else:
-            raise StorageError(f"prefix too wide: {prefix!r}")
+    def load(self, runs: Iterable[tuple[int, array, array]]) -> None:
+        """Each run is one path's sorted columns: a posting list apiece."""
+        for path_id, sources, targets in runs:
+            self._postings[path_id] = PostingList.from_pairs(
+                list(zip(sources, targets))
+            )
 
     def scan_columns(self, path_id: int) -> tuple[array, array]:
         """One path's full relation as (src, tgt)-sorted int64 columns."""
@@ -232,12 +185,12 @@ class CompressedBackend:
             return array("q"), array("q")
         return postings.columns()
 
-    def contains(self, key: tuple[int, int, int]) -> bool:
-        path_id, source, target = key
+    def targets_from(self, path_id: int, source: int) -> list[int]:
         postings = self._postings.get(path_id)
-        if postings is None:
-            return False
-        targets = postings.targets_of(source)
+        return [] if postings is None else postings.targets_of(source)
+
+    def contains(self, path_id: int, source: int, target: int) -> bool:
+        targets = self.targets_from(path_id, source)
         position = bisect.bisect_left(targets, target)
         return position < len(targets) and targets[position] == target
 

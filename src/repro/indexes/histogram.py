@@ -6,10 +6,6 @@ the index sort order), and bucket boundaries are chosen so each bucket
 holds approximately the same *total* count ("depth").  A path's
 estimate is its bucket's average count; paths outside every bucket
 (pruned empty paths) estimate to zero.
-
-The histogram can be persisted as a :class:`repro.storage.table.Table`
-(mirroring the paper's PostgreSQL-table storage) via
-:meth:`EquiDepthHistogram.to_table` / :meth:`from_table`.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from repro.errors import ValidationError
 from repro.graph.graph import Graph, LabelPath
 from repro.graph.stats import count_paths_k
 from repro.indexes.pathindex import PathIndex
-from repro.storage.table import Column, Table
 
 
 class EquiDepthHistogram:
@@ -129,43 +124,6 @@ class EquiDepthHistogram:
     def selectivity(self, path: LabelPath) -> float:
         """The paper's ``sel_{G,k}(p)``."""
         return self.estimated_count(path) / self.total_paths_k
-
-    # -- persistence -------------------------------------------------------------------
-
-    _SCHEMA = (
-        Column("bucket", "int"),
-        Column("first_path", "str"),
-        Column("paths", "int"),
-        Column("total", "int"),
-    )
-
-    def to_table(self) -> Table:
-        """Store the histogram as a relation (as the paper does)."""
-        table = Table("path_histogram", self._SCHEMA, key_width=1)
-        for bucket in range(self.bucket_count):
-            table.insert(
-                (
-                    bucket,
-                    self._boundaries[bucket],
-                    self._bucket_paths[bucket],
-                    self._bucket_totals[bucket],
-                )
-            )
-        return table
-
-    @classmethod
-    def from_table(
-        cls, table: Table, k: int, total_paths_k: int
-    ) -> "EquiDepthHistogram":
-        """Rebuild from :meth:`to_table` output."""
-        boundaries: list[str] = []
-        bucket_paths: list[int] = []
-        bucket_totals: list[int] = []
-        for _, first_path, paths, total in table.scan():
-            boundaries.append(first_path)
-            bucket_paths.append(paths)
-            bucket_totals.append(total)
-        return cls(boundaries, bucket_paths, bucket_totals, k, total_paths_k)
 
     # -- diagnostics -------------------------------------------------------------------
 

@@ -7,20 +7,29 @@ supporting exactly the lookups of Example 3.1:
 * ``scan_from(p, a)`` — all targets ``b`` with ``(a, b) ∈ p(G)``;
 * ``contains(p, a, b)`` — membership of one pair.
 
-Two backends implement the ordered dictionary: the in-memory B+tree
-(default, fastest) and the page-based disk B+tree (faithful to the
-paper's use of PostgreSQL B+trees).  A catalog maps each label path to
-a dense integer path id assigned in build (trie) order, so index keys
-are homogeneous ``(path_id, src, tgt)`` integer triples; the catalog
-also records exact per-path counts, from which the statistics layer is
-derived.
+Three backends implement the ordered dictionary.  The memory backend
+(default, fastest) keeps, per label path, the builder's ``(src, tgt)``-
+sorted ``array('q')`` column pair: a scan hands those columns out, the
+other two lookups are binary searches on them.  The disk backend is the
+page-based B+tree (faithful to the paper's use of PostgreSQL B+trees)
+and the compressed backend one posting list per path.  A catalog maps
+each label path to a dense integer path id assigned in build (trie)
+order; the catalog also records exact per-path counts, from which the
+statistics layer is derived.
+
+A patch never edits an installed column.  ``scan`` is zero-copy, so the
+columns it returned may at any moment sit inside a
+``QueryResult.report.relation``, a ``ScanMemo`` or a worker reply being
+encoded; :meth:`PathIndex.patch` therefore edits a *copy* of the path's
+columns and swaps it in (copy-on-write).  Whoever holds the old pair
+keeps the relation as of the version it was scanned at.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from itertools import repeat
+from bisect import bisect_left, bisect_right
 from pathlib import Path as FilePath
 from typing import Iterable, Iterator
 
@@ -29,50 +38,72 @@ from repro.graph.graph import Graph, LabelPath
 from repro.indexes.builder import path_relations_columnar
 from repro.relation import Order, Relation, swap
 from repro.storage.diskbtree import DiskBPlusTree
-from repro.storage.memtree import BPlusTree
 from repro.storage.records import decode_key, encode_key
 
 Pair = tuple[int, int]
 
+#: What a backend loads: one ``(path_id, src, tgt)`` run per non-empty
+#: path, ids ascending, columns (src, tgt)-sorted and duplicate-free.
+Run = tuple[int, array, array]
+
+
+def _locate(
+    sources: array, targets: array, source: int, target: int
+) -> tuple[int, bool]:
+    """Where ``(source, target)`` sits, or would, in sorted columns."""
+    low = bisect_left(sources, source)
+    high = bisect_right(sources, source, low)
+    position = bisect_left(targets, target, low, high)
+    return position, position < high and targets[position] == target
+
 
 class _MemoryBackend:
-    """Tuple-key B+tree backend."""
+    """Per-path sorted columns, adopted from the builder as they come."""
 
     name = "memory"
 
-    def __init__(self, order: int = 64):
-        self._tree = BPlusTree(order=order)
+    def __init__(self) -> None:
+        self._columns: dict[int, tuple[array, array]] = {}
 
-    def bulk_load(self, entries: Iterator[tuple[int, int, int]]) -> None:
-        self._tree = BPlusTree.bulk_load(
-            ((key, None) for key in entries), order=self._tree.order
-        )
-
-    def bulk_load_runs(self, runs: Iterator[list[tuple[int, int, int]]]) -> None:
-        """Load pre-sorted per-path key runs by leaf slicing (fast path)."""
-        self._tree = BPlusTree.bulk_load_runs(runs, order=self._tree.order)
-
-    def prefix(self, prefix: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
-        for key, _ in self._tree.prefix_scan(prefix):
-            yield key
+    def load(self, runs: Iterable[Run]) -> None:
+        self._columns = {path_id: (src, tgt) for path_id, src, tgt in runs}
 
     def scan_columns(self, path_id: int) -> tuple[array, array]:
-        """One path's relation as (src, tgt)-sorted int64 columns."""
-        return self._tree.prefix_scan_columns((path_id,))
+        """One path's installed columns themselves — not a copy."""
+        return self._columns.get(path_id) or (array("q"), array("q"))
 
-    def insert(self, key: tuple[int, int, int]) -> bool:
-        """Point-insert one entry; False if it was already present."""
-        return self._tree.insert(key)
+    def targets_from(self, path_id: int, source: int) -> list[int]:
+        sources, targets = self.scan_columns(path_id)
+        low = bisect_left(sources, source)
+        return targets[low : bisect_right(sources, source, low)].tolist()
 
-    def delete(self, key: tuple[int, int, int]) -> bool:
-        """Point-delete one entry; False if it was absent."""
-        return self._tree.delete(key)
+    def contains(self, path_id: int, source: int, target: int) -> bool:
+        return _locate(*self.scan_columns(path_id), source, target)[1]
 
-    def contains(self, key: tuple[int, int, int]) -> bool:
-        return key in self._tree
+    def patch(
+        self, path_id: int, adds: Iterable[Pair], removes: Iterable[Pair]
+    ) -> tuple[int, int]:
+        """Remove, then add, on a copy; install it if anything changed."""
+        installed = self.scan_columns(path_id)
+        sources, targets = installed[0][:], installed[1][:]
+        inserted = removed = 0
+        for source, target in removes:
+            position, present = _locate(sources, targets, source, target)
+            if present:
+                del sources[position], targets[position]
+                removed += 1
+        for source, target in adds:
+            position, present = _locate(sources, targets, source, target)
+            if not present:
+                sources.insert(position, source)
+                targets.insert(position, target)
+                inserted += 1
+        if inserted or removed:
+            self._columns[path_id] = (sources, targets)
+        return inserted, removed
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return sum(len(sources) for sources, _ in self._columns.values())
 
     def close(self) -> None:
         """Nothing to release for the in-memory backend."""
@@ -91,15 +122,14 @@ class _DiskBackend:
         self._cache_pages = cache_pages
         self._tree = DiskBPlusTree(path, page_size=page_size, cache_pages=cache_pages)
 
-    def bulk_load(self, entries: Iterator[tuple[int, int, int]]) -> None:
+    def load(self, runs: Iterable[Run]) -> None:
         """Crash-safe load: build a sibling file, atomically swap it in.
 
         The tree is written to ``<path>.build`` and renamed over the
         real path only after a successful flush, so a crash mid-build
         leaves whatever was at the path before (for a fresh build, a
         valid empty tree) instead of a torn file that fails every
-        subsequent open.  Same contract the plan-artifact store already
-        had; the index was the remaining gap.
+        subsequent open.
         """
         temp_path = self._path.with_name(self._path.name + ".build")
         temp_path.unlink(missing_ok=True)
@@ -107,7 +137,11 @@ class _DiskBackend:
             temp_path, page_size=self._page_size, cache_pages=self._cache_pages
         )
         try:
-            temp.bulk_load((encode_key(key), b"") for key in entries)
+            temp.bulk_load(
+                (encode_key((path_id, source, target)), b"")
+                for path_id, sources, targets in runs
+                for source, target in zip(sources, targets)
+            )
             temp.flush()
         except BaseException:
             temp.close()
@@ -120,30 +154,24 @@ class _DiskBackend:
             self._path, page_size=self._page_size, cache_pages=self._cache_pages
         )
 
-    def bulk_load_runs(self, runs: Iterator[list[tuple[int, int, int]]]) -> None:
-        """No columnar fast path on disk: flatten the runs."""
-        self.bulk_load(key for run in runs for key in run)
-
-    def prefix(self, prefix: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
-        encoded = encode_key(prefix)
-        for key, _ in self._tree.prefix_scan(encoded):
-            yield decode_key(key)  # type: ignore[misc]
+    def _prefix(self, *prefix: int) -> Iterator[tuple[int, ...]]:
+        for key, _ in self._tree.prefix_scan(encode_key(prefix)):
+            yield decode_key(key)
 
     def scan_columns(self, path_id: int) -> tuple[array, array]:
-        """One path's relation as (src, tgt)-sorted int64 columns.
-
-        No tuple-free fast path exists here — ``decode_key`` builds the
-        key tuple either way — so this just reshapes :meth:`prefix`.
-        """
+        """One path's relation as (src, tgt)-sorted int64 columns."""
         sources = array("q")
         targets = array("q")
-        for _, source, target in self.prefix((path_id,)):
+        for _, source, target in self._prefix(path_id):
             sources.append(source)
             targets.append(target)
         return sources, targets
 
-    def contains(self, key: tuple[int, int, int]) -> bool:
-        return encode_key(key) in self._tree
+    def targets_from(self, path_id: int, source: int) -> list[int]:
+        return [target for _, _, target in self._prefix(path_id, source)]
+
+    def contains(self, path_id: int, source: int, target: int) -> bool:
+        return encode_key((path_id, source, target)) in self._tree
 
     def __len__(self) -> int:
         return len(self._tree)
@@ -181,7 +209,6 @@ class PathIndex:
         k: int,
         backend: str = "memory",
         prune_empty: bool = True,
-        order: int = 64,
         path: str | FilePath | None = None,
         page_size: int = 4096,
         cache_pages: int = 256,
@@ -191,8 +218,9 @@ class PathIndex:
         Parameters
         ----------
         backend:
-            ``"memory"`` (in-memory B+tree) or ``"disk"`` (page-based
-            B+tree at ``path``).
+            ``"memory"`` (per-path sorted columns), ``"disk"``
+            (page-based B+tree at ``path``) or ``"compressed"``
+            (posting lists).
         prune_empty:
             Skip descendants of empty paths (their relations are
             provably empty); the empty paths themselves are still
@@ -203,7 +231,6 @@ class PathIndex:
             k,
             path_relations_columnar(graph, k, prune_empty=prune_empty),
             backend=backend,
-            order=order,
             path=path,
             page_size=page_size,
             cache_pages=cache_pages,
@@ -216,7 +243,6 @@ class PathIndex:
         k: int,
         relations: Iterable[tuple[LabelPath, "Relation | list[Pair]"]],
         backend: str = "memory",
-        order: int = 64,
         path: str | FilePath | None = None,
         page_size: int = 4096,
         cache_pages: int = 256,
@@ -227,47 +253,29 @@ class PathIndex:
         ``(src, tgt)``-sorted and duplicate-free — exactly what
         :func:`repro.indexes.builder.path_relations_columnar` yields and
         what :class:`repro.sharding.ShardedGraph` workers hand back.
-        Each path becomes one key run loaded through the backend's
-        ``bulk_load_runs`` fast path (leaf slicing on the memory B+tree,
-        one posting list per run on the compressed backend), with key
-        tuples materialized by C-speed ``zip``.  Both columns go through
-        one list of the graph's node ids first: an ``array('q')`` read
-        mints a fresh ``int`` per element, and an index holding two of
-        those per entry weighs a fifth more than one sharing them.
+        Each non-empty path reaches the backend as one ``(path_id, src,
+        tgt)`` run of the relation's own columns: the memory backend
+        keeps them, the other two encode them.
         """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         store = cls._make_backend(
-            backend,
-            order=order,
-            path=path,
-            page_size=page_size,
-            cache_pages=cache_pages,
+            backend, path=path, page_size=page_size, cache_pages=cache_pages
         )
         index = cls(graph, k, store)
-        shared_id = list(graph.node_ids()).__getitem__
 
-        def runs() -> Iterator[list[tuple[int, int, int]]]:
+        def runs() -> Iterator[Run]:
             for label_path, relation in relations:
+                relation = Relation.coerce(relation, Order.BY_SRC)
                 encoded = label_path.encode()
                 path_id = len(index._path_ids)
                 index._path_ids[encoded] = path_id
                 index._counts[encoded] = len(relation)
                 if len(relation):
-                    if isinstance(relation, Relation):
-                        sources, targets = relation.src, relation.tgt
-                    else:
-                        sources, targets = zip(*relation)
-                    yield list(
-                        zip(
-                            repeat(path_id),
-                            map(shared_id, sources),
-                            map(shared_id, targets),
-                        )
-                    )
+                    yield path_id, relation.src, relation.tgt
 
         try:
-            store.bulk_load_runs(runs())
+            store.load(runs())
         except BaseException:
             store.close()
             raise
@@ -276,13 +284,12 @@ class PathIndex:
     @staticmethod
     def _make_backend(
         backend: str,
-        order: int,
         path: str | FilePath | None,
         page_size: int,
         cache_pages: int,
     ):
         if backend == "memory":
-            return _MemoryBackend(order=order)
+            return _MemoryBackend()
         if backend == "disk":
             if path is None:
                 raise ValidationError("the disk backend requires a file path")
@@ -298,9 +305,10 @@ class PathIndex:
     def scan(self, path: LabelPath) -> Relation:
         """``I_{G,k}(p)``: the relation of ``p`` as a columnar ``Relation``.
 
-        Sorted by (src, tgt) — the B+tree's key order — so the returned
+        Sorted by (src, tgt) — the index's key order — so the returned
         relation carries ``Order.BY_SRC`` and merge joins can consume it
-        without re-sorting.
+        without re-sorting.  On the memory backend its columns *are*
+        the installed ones: read them, never write them.
         """
         path_id = self._path_id(path)
         if path_id is None:
@@ -323,26 +331,26 @@ class PathIndex:
         path_id = self._path_id(path)
         if path_id is None:
             return []
-        return [tgt for _, _, tgt in self._backend.prefix((path_id, source))]
+        return self._backend.targets_from(path_id, source)
 
     def contains(self, path: LabelPath, source: int, target: int) -> bool:
         """``I_{G,k}(p, a, b)``: is the pair in ``p(G)``?"""
         path_id = self._path_id(path)
         if path_id is None:
             return False
-        return self._backend.contains((path_id, source, target))
+        return self._backend.contains(path_id, source, target)
 
     def count(self, path: LabelPath) -> int:
         """Exact ``|p(G)|`` from the catalog (0 for pruned/empty paths)."""
         self._check_length(path)
         return self._counts.get(path.encode(), 0)
 
-    # -- point patching (the sharded write path) ----------------------------
+    # -- patching (the sharded write path) ----------------------------------
 
     @property
     def supports_patch(self) -> bool:
-        """Whether the backend takes point edits (memory B+tree only)."""
-        return hasattr(self._backend, "insert")
+        """Whether the backend takes edits (the memory backend only)."""
+        return hasattr(self._backend, "patch")
 
     def patch(
         self,
@@ -350,42 +358,32 @@ class PathIndex:
         adds: Iterable[Pair],
         removes: Iterable[Pair],
     ) -> tuple[int, int]:
-        """Point-edit one path's relation in place; returns the counts
+        """Edit one path's relation, copy-on-write; returns the counts
         of entries actually ``(inserted, removed)``.
 
-        Both edit lists are idempotent: inserting a present pair or
-        removing an absent one is a no-op, so a recheck-driven caller
+        Removes apply before adds, and both lists are idempotent:
+        inserting a present pair or removing an absent one is a no-op,
+        so a recheck-driven caller
         (:func:`repro.write.delta.resolve_patch`) can assert final
-        state without probing first.  A path the catalog pruned as
-        empty gains an id on its first insert — ids are dense and
-        append-only, and every lookup is a per-path prefix scan, so
+        state without probing first.  The edit lands on a copy of the
+        path's columns, swapped in when done, so relations scanned
+        before it are unaffected (module docstring).  A path the
+        catalog pruned as empty gains an id on its first insert — ids
+        are dense and append-only, and every lookup is per path, so
         cross-path id order never matters.  Exact per-path counts stay
         exact (they are the statistics layer's ground truth).
         """
         if not self.supports_patch:
             raise PathIndexError(
-                f"backend {self.backend_name!r} cannot patch in place; "
-                "rebuild instead"
+                f"backend {self.backend_name!r} cannot patch; rebuild instead"
             )
         self._check_length(path)
         encoded = path.encode()
-        path_id = self._path_ids.get(encoded)
-        inserted = removed = 0
-        if path_id is not None:
-            for source, target in removes:
-                if self._backend.delete((path_id, source, target)):
-                    removed += 1
-        for source, target in adds:
-            if path_id is None:
-                path_id = len(self._path_ids)
-                self._path_ids[encoded] = path_id
-                self._counts[encoded] = 0
-            if self._backend.insert((path_id, source, target)):
-                inserted += 1
+        path_id = self._path_ids.get(encoded, len(self._path_ids))
+        inserted, removed = self._backend.patch(path_id, adds, removes)
         if inserted or removed:
-            self._counts[encoded] = (
-                self._counts.get(encoded, 0) + inserted - removed
-            )
+            self._path_ids[encoded] = path_id
+            self._counts[encoded] = self._counts.get(encoded, 0) + inserted - removed
         return inserted, removed
 
     # -- inspection ------------------------------------------------------------------

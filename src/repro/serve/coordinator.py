@@ -175,8 +175,8 @@ class WorkerStub:
         reply, _ = self._call("entry_count")
         return int(reply["value"])
 
-    #: Workers are memory-backed; their shard B+trees take point edits,
-    #: so the coordinator's delta-patching path stays open over RPC.
+    #: Workers are memory-backed; their shard indexes take per-path
+    #: edits, so the coordinator's delta-patching path stays open over RPC.
     supports_patch = True
 
     def apply_group(

@@ -354,8 +354,9 @@ def _handle_apply(state: _WorkerState, header: dict) -> tuple[dict, bytes]:
 
     The coordinator runs the delta algorithm once and ships each worker
     only its slice: ``patch`` (encoded path -> ``[adds, removes]`` pair
-    lists, possibly empty) for B+tree point edits, or ``rebuild: true``
-    when this shard's ball must rebuild.  ``seq`` advances the worker's
+    lists, possibly empty) for copy-on-write column edits (a scan reply
+    still being encoded keeps its columns), or ``rebuild: true`` when
+    this shard's ball must rebuild.  ``seq`` advances the worker's
     resync cursor.
     """
     _apply_mutations(state, header.get("mutations", []))

@@ -276,10 +276,9 @@ class ShardedGraph:
         """Partition ``graph`` and build every shard's index.
 
         Shards build one after the other on the calling thread, each
-        streamed from the columnar builder into its B+tree load
-        (:meth:`_serial_shard`).  The load is most of a build and runs
-        in this process whatever computes the relations, so in-process
-        fan-out has nothing to win; parallel builds are one process per
+        streamed from the columnar builder into its backend's load
+        (:meth:`_serial_shard`).  In-process fan-out measured slower
+        than this loop (PR 19), so parallel builds are one process per
         shard (:func:`repro.serve.worker.launch_workers`).
         """
         if shards < 1:
@@ -567,11 +566,11 @@ class ShardedGraph:
 
     @property
     def supports_patch(self) -> bool:
-        """Whether every shard index takes point edits in place.
+        """Whether every shard index takes per-path edits.
 
-        True for the memory backend (its B+tree has point
-        insert/delete); the disk and compressed backends only
-        bulk-load, so mutations there fall back to the ball rebuild.
+        True for the memory backend (copy-on-write column edits); the
+        disk and compressed backends only bulk-load, so mutations
+        there fall back to the ball rebuild.
         """
         return all(
             getattr(shard, "supports_patch", False) for shard in self._shards
@@ -587,7 +586,9 @@ class ShardedGraph:
         :func:`repro.write.delta.resolve_patch` produces.  Inserts and
         deletes are idempotent at the backend, so patching is safe to
         drive from a recheck that lists a pair already in its final
-        state.  ``endpoints`` goes to :meth:`invalidate_statistics`,
+        state.  Each edited path's columns are replaced, never written
+        (:meth:`PathIndex.patch`), so relations scanned before the
+        patch stay what they were.  ``endpoints`` goes to :meth:`invalidate_statistics`,
         exactly as for :meth:`rebuild_shards`.  Must not be used across
         an alphabet change — same guard, same reason.
         """

@@ -9,7 +9,7 @@ Layering (bottom up):
 * :mod:`repro.write.commit` — :class:`GroupCommitter`, coalescing many
   writers into one flush + one patch per shard.
 * :mod:`repro.write.delta` — staging a commit group into per-shard
-  B+tree point edits via the localized ``edge_delta`` algorithm.
+  column edits via the localized ``edge_delta`` algorithm.
 
 ``GraphDatabase.apply`` (and its coordinator/client/CLI mirrors) is the
 single entry point that threads these together.

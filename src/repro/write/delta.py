@@ -7,7 +7,7 @@ and path position, at a cost proportional to the affected
 neighborhoods rather than the graph) over the sharded engine
 (:mod:`repro.sharding` — entries partitioned by path start).  Instead
 of rebuilding the touched shard *ball* per mutation, a whole commit
-group becomes one small set of B+tree point edits per touched shard.
+group becomes one small set of per-path column edits per touched shard.
 
 Two phases:
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,12 +57,12 @@ class TestPostingList:
     def test_roundtrip(self):
         pairs = [(1, 2), (1, 5), (3, 0), (3, 7), (9, 9)]
         postings = PostingList.from_pairs(pairs)
-        assert list(postings.pairs()) == pairs
+        assert list(zip(*postings.columns())) == pairs
         assert postings.count == 5
 
     def test_empty(self):
         postings = PostingList.from_pairs([])
-        assert list(postings.pairs()) == []
+        assert list(zip(*postings.columns())) == []
         assert postings.targets_of(1) == []
 
     def test_targets_of(self):
@@ -85,7 +87,7 @@ class TestPostingList:
     @given(PAIRS)
     def test_property_roundtrip(self, pairs):
         postings = PostingList.from_pairs(pairs)
-        assert list(postings.pairs()) == pairs
+        assert list(zip(*postings.columns())) == pairs
 
     @settings(max_examples=80, deadline=None)
     @given(PAIRS, st.integers(0, 200))
@@ -96,27 +98,21 @@ class TestPostingList:
 
 
 class TestBackend:
-    def test_prefix_widths(self):
-        backend = CompressedBackend()
-        backend.bulk_load([(0, 1, 2), (0, 1, 3), (1, 4, 5)])
-        assert list(backend.prefix((0,))) == [(0, 1, 2), (0, 1, 3)]
-        assert list(backend.prefix((0, 1))) == [(0, 1, 2), (0, 1, 3)]
-        assert list(backend.prefix((5,))) == []
-        with pytest.raises(StorageError):
-            list(backend.prefix((0, 1, 2)))
-        with pytest.raises(StorageError):
-            list(backend.prefix(()))
-
     def test_contains(self):
         backend = CompressedBackend()
-        backend.bulk_load([(0, 1, 2)])
-        assert backend.contains((0, 1, 2))
-        assert not backend.contains((0, 1, 3))
-        assert not backend.contains((9, 1, 2))
+        backend.load([(0, array("q", [1]), array("q", [2]))])
+        assert backend.contains(0, 1, 2)
+        assert not backend.contains(0, 1, 3)
+        assert not backend.contains(9, 1, 2)
 
     def test_len(self):
         backend = CompressedBackend()
-        backend.bulk_load([(0, 1, 2), (0, 1, 3), (2, 0, 0)])
+        backend.load(
+            [
+                (0, array("q", [1, 1]), array("q", [2, 3])),
+                (2, array("q", [0]), array("q", [0])),
+            ]
+        )
         assert len(backend) == 3
 
 

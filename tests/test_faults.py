@@ -18,6 +18,7 @@ store eviction.
 from __future__ import annotations
 
 import functools
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -447,11 +448,11 @@ def test_bulk_load_failure_preserves_previous_index(tmp_path) -> None:
         assert before > 0
 
         def exploding():
-            yield (0, 1, 2)
+            yield 0, array("q", [1]), array("q", [2])
             raise RuntimeError("power loss")
 
         with pytest.raises(RuntimeError):
-            index._backend.bulk_load(exploding())
+            index._backend.load(exploding())
         assert not path.with_name(path.name + ".build").exists()
         assert index.entry_count == before  # old tree still serves
 

@@ -123,26 +123,6 @@ class TestEstimation:
         ) + 1e-9
 
 
-class TestPersistence:
-    def test_table_roundtrip(self, fig1_setup):
-        graph, index, histogram = fig1_setup
-        table = histogram.to_table()
-        rebuilt = EquiDepthHistogram.from_table(
-            table, k=histogram.k, total_paths_k=histogram.total_paths_k
-        )
-        for encoded in index.counts_by_path():
-            path = LabelPath.decode(encoded)
-            assert rebuilt.estimated_count(path) == histogram.estimated_count(path)
-
-    def test_table_has_histogram_schema(self, fig1_setup):
-        _, _, histogram = fig1_setup
-        table = histogram.to_table()
-        assert [column.name for column in table.columns] == [
-            "bucket", "first_path", "paths", "total",
-        ]
-        assert len(table) == histogram.bucket_count
-
-
 class TestRandomized:
     @settings(max_examples=50, deadline=None)
     @given(

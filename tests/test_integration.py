@@ -9,7 +9,6 @@ from repro.graph.examples import FIGURE1_EDGES
 from repro.graph.generators import advogato_like, grid
 from repro.graph.io import save_edgelist
 from repro.graph.graph import Graph
-from repro.graph import transform
 
 
 class TestFileToAnswerPipeline:
@@ -68,32 +67,6 @@ class TestMethodsAgreeAtScale:
         reference = db.query(text, method="reference").pairs
         for method, pairs in answers.items():
             assert pairs == reference, method
-
-
-class TestPreprocessedGraphPipeline:
-    """Transform -> index -> query (the data-preparation workflow)."""
-
-    def test_neighborhood_then_query(self):
-        graph = advogato_like(nodes=120, edges=700, seed=17)
-        center = graph.node_name(0)
-        local = transform.neighborhood(graph, center, radius=2)
-        db = GraphDatabase(local, k=2)
-        result = db.query_from(center, "master{1,2}")
-        full_db = GraphDatabase(graph, k=2)
-        # targets within the (radius-covering) local view agree
-        full = full_db.query_from(center, "master{1,2}")
-        assert result <= full
-
-    def test_relabeled_graph_queries(self):
-        graph = Graph.from_edges(FIGURE1_EDGES)
-        merged = transform.relabel(
-            graph, {"knows": "link", "worksFor": "link", "supervisor": "link"}
-        )
-        db = GraphDatabase(merged, k=2)
-        # every pair connected by any 2 steps forward
-        result = db.query("link/link")
-        reference = db.query("link/link", method="reference")
-        assert result.pairs == reference.pairs
 
 
 class TestGridGroundTruth:

@@ -1,18 +1,30 @@
-"""Tests for the k-path index: Example 3.1 lookups, both backends."""
+"""Tests for the k-path index: Example 3.1 lookups on all three backends,
+and the memory backend's copy-on-write patch."""
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import GraphDatabase
+from repro.config import ServiceConfig
 from repro.errors import PathIndexError, ValidationError
 from repro.graph.examples import figure1_graph
+from repro.graph.generators import advogato_like
 from repro.graph.graph import LabelPath
 from repro.indexes.builder import cataloged_counts, path_relations
 from repro.indexes.pathindex import PathIndex
-from repro.rpq.semantics import eval_label_path
+from repro.rpq.parser import parse
+from repro.rpq.semantics import eval_ast, eval_label_path
+from repro.write import Mutation, MutationBatch
 
-from tests.strategies import graphs
+from tests.strategies import graphs, label_paths
+
+BACKENDS = ("memory", "disk", "compressed")
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +176,188 @@ class TestProperties:
         index = PathIndex.build(graph, k=2)
         for path in index.paths():
             assert set(index.scan_swapped(path)) == set(index.scan(path))
+
+
+class TestOrderedDictionaryContract:
+    """§3.1's three lookups against the tuple-set builder, per backend."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=15, deadline=None)
+    @given(graph=graphs(max_nodes=6, max_edges=12), k=st.integers(1, 3))
+    def test_lookups_match_the_builder_oracle(self, backend, graph, k):
+        oracle = dict(path_relations(graph, k, prune_empty=False))
+        # Node ids are 0..n-1: -1 and n bracket the stored sources, and
+        # on a sparse relation some id in between is absent too.
+        probes = range(-1, graph.node_count + 1)
+        with tempfile.TemporaryDirectory() as scratch:
+            index = PathIndex.build(
+                graph, k, backend=backend, path=Path(scratch) / "index.db"
+            )
+            with index:
+                # Every path: non-empty, listed-empty, and pruned away.
+                for path, pairs in oracle.items():
+                    scanned = index.scan(path)
+                    assert list(scanned) == pairs  # sorted, duplicate-free
+                    assert index.count(path) == len(pairs)
+                    for source in probes:
+                        expected = [b for a, b in pairs if a == source]
+                        assert index.scan_from(path, source) == expected
+                        for target in probes:
+                            assert index.contains(path, source, target) == (
+                                (source, target) in set(pairs)
+                            )
+                assert index.entry_count == sum(map(len, oracle.values()))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_uncatalogued_path(self, backend, tmp_path):
+        with PathIndex.build(
+            figure1_graph(), 2, backend=backend, path=tmp_path / "index.db"
+        ) as index:
+            stranger = LabelPath.of("knows", "nobody")
+            assert list(index.scan(stranger)) == []
+            assert index.scan_from(stranger, 0) == []
+            assert not index.contains(stranger, 0, 1)
+            assert index.count(stranger) == 0
+
+
+def _columns(index: PathIndex) -> dict[str, tuple[bytes, bytes]]:
+    """Encoded path -> the bytes of its non-empty scan columns."""
+    columns = {}
+    for path in index.paths():
+        relation = index.scan(path)
+        if len(relation):
+            columns[path.encode()] = relation.src.tobytes(), relation.tgt.tobytes()
+    return columns
+
+
+class TestCopyOnWritePatch:
+    """The memory backend's edit: exact, idempotent, never in place."""
+
+    PAIRS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=graphs(max_nodes=6, max_edges=10),
+        edits=st.lists(
+            st.tuples(label_paths(max_length=2), PAIRS, PAIRS), max_size=8
+        ),
+    )
+    def test_patch_sequence_equals_a_fresh_load(self, graph, edits):
+        """Random patches (re-adds, absent removes, a pair in both lists,
+        first entries of pruned paths, paths emptied) against a model."""
+        index = PathIndex.build(graph, 2)
+        model = {
+            path.encode(): set(pairs) for path, pairs in path_relations(graph, 2)
+        }
+        for path, adds, removes in edits:
+            held = index.scan(path)
+            before = held.src.tobytes(), held.tgt.tobytes()
+            pairs = model.setdefault(path.encode(), set())
+            removed = pairs & set(removes)
+            pairs -= removed
+            inserted = set(adds) - pairs  # adds win: they apply after removes
+            pairs |= inserted
+            assert index.patch(path, adds, removes) == (len(inserted), len(removed))
+            assert (held.src.tobytes(), held.tgt.tobytes()) == before
+        fresh = PathIndex.from_relations(
+            graph,
+            2,
+            [(LabelPath.decode(p), sorted(pairs)) for p, pairs in model.items()],
+        )
+        assert _columns(index) == _columns(fresh)
+        assert index.entry_count == fresh.entry_count
+        for encoded, pairs in model.items():
+            assert index.count(LabelPath.decode(encoded)) == len(pairs)
+
+    def test_apply_leaves_earlier_results_alone(self):
+        """A result read before ``apply()`` still equals the oracle at its
+        version, and only patched paths got new columns."""
+        database = GraphDatabase(
+            advogato_like(nodes=40, edges=200, seed=5),
+            config=ServiceConfig(k=2, shards=1),
+        )
+        graph = database.graph
+        shard = database.index.shard_indexes[0]
+
+        def oracle(text):
+            return graph.pairs_to_names(eval_ast(graph, parse(text)))
+
+        def installed():
+            return {
+                path: shard._backend.scan_columns(path_id)[0]
+                for path, path_id in shard._path_ids.items()
+                if shard.count(LabelPath.decode(path))
+            }
+
+        before = database.query("master", use_cache=False)
+        expected = oracle("master")
+        held = before.report.relation
+        held_bytes = held.src.tobytes(), held.tgt.tobytes()
+        columns = installed()
+        assert held.src is columns["master"]  # the scan was zero-copy
+        contents = _columns(shard)
+        present = next(iter(sorted(before.pairs)))
+        absent = next(
+            (a, b)
+            for a in graph.node_names()
+            for b in graph.node_names()
+            if a != b and (a, b) not in before.pairs
+        )
+        result = database.apply(
+            MutationBatch(
+                [
+                    Mutation.remove(present[0], "master", present[1]),
+                    Mutation.add(absent[0], "master", absent[1]),
+                ]
+            )
+        )
+        assert result.mode == "patch"
+        assert before.version < result.version
+        assert before.pairs == expected
+        assert (held.src.tobytes(), held.tgt.tobytes()) == held_bytes
+        assert graph.pairs_to_names(held) == expected
+        after = database.query("master", use_cache=False)
+        assert after.version == result.version
+        assert after.pairs == oracle("master") != expected
+        after_columns, after_contents = installed(), _columns(shard)
+        swapped = {
+            path
+            for path in {*columns, *after_columns}
+            if columns.get(path) is not after_columns.get(path)
+        }
+        edited = {
+            path
+            for path in {*contents, *after_contents}
+            if contents.get(path) != after_contents.get(path)
+        }
+        assert "master" in swapped and swapped == edited
+
+
+class TestReadsLeaveTheIndexAlone:
+    POOL = (
+        "master/journeyer",
+        "journeyer/master",
+        "master/master",
+        "journeyer/^master",
+        "^master/journeyer",
+        "master/journeyer/apprentice",
+        "master{1,2}",
+        "(master|journeyer)/apprentice",
+        "master/(journeyer|apprentice)",
+        "^journeyer/^master",
+        "apprentice{1,3}",
+        "journeyer/master/^apprentice",
+    )
+
+    def test_every_strategy_over_the_join_pool(self):
+        """Scans are zero-copy, so a kernel writing into its input would
+        corrupt the index: every installed column survives the workload."""
+        graph = advogato_like(nodes=80, edges=480, seed=31)
+        database = GraphDatabase(graph, config=ServiceConfig(k=2, shards=1))
+        for method in ("naive", "semi-naive", "minsupport", "minjoin"):
+            for text in self.POOL:
+                database.query(text, method=method, use_cache=False)
+            database.query_batch(list(self.POOL), method=method)
+        assert _columns(database.index.shard_indexes[0]) == _columns(
+            PathIndex.build(graph, 2)
+        )

@@ -250,22 +250,6 @@ class TestEndToEndAgainstOracle:
             assert result.pairs == expected, method
 
 
-def test_scan_columns_on_memory_tree():
-    """The B+tree columnar prefix scan equals the tuple prefix scan."""
-    from repro.storage.memtree import BPlusTree
-
-    tree = BPlusTree(order=4)
-    keys = [(p, s, t) for p in range(3) for s in range(5) for t in range(3)]
-    for key in keys:
-        tree.insert(key)
-    for path_id in range(3):
-        sources, targets = tree.prefix_scan_columns((path_id,))
-        expected = [key for key, _ in tree.prefix_scan((path_id,))]
-        assert list(zip(sources, targets)) == [(s, t) for _, s, t in expected]
-    empty_a, empty_b = tree.prefix_scan_columns((99,))
-    assert len(empty_a) == len(empty_b) == 0
-
-
 class TestUnionInto:
     """The fused N-way gather kernel (:func:`repro.relation.union_into`)."""
 

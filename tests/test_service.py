@@ -175,6 +175,47 @@ class TestFrozenRelations:
             memo.lookup_plan(plan)
 
 
+# -- every read entry point is a reader ----------------------------------------
+
+
+class TestNavigationReadsHoldTheReadLock:
+    """``query_from`` / ``query_pair`` / ``witness`` read the graph and
+    the index like ``query()`` does, so a writer must exclude them too."""
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (
+                lambda db: db.query_from("sue", "knows/worksFor"),
+                lambda graph: {
+                    b for a, b in eval_query(graph, "knows/worksFor") if a == "sue"
+                },
+            ),
+            (
+                lambda db: db.query_pair("kim", "sue", "supervisor/^worksFor"),
+                lambda graph: ("kim", "sue")
+                in eval_query(graph, "supervisor/^worksFor"),
+            ),
+            (
+                lambda db: db.witness("kim", "sue", "supervisor/^worksFor").length,
+                lambda graph: 2,
+            ),
+        ],
+        ids=["query_from", "query_pair", "witness"],
+    )
+    def test_blocked_by_a_writer_then_answers(self, call, expected):
+        database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
+        answers = []
+        reader = threading.Thread(target=lambda: answers.append(call(database)))
+        with database._lock.write_locked():
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive() and not answers
+        reader.join(timeout=5)
+        assert not reader.is_alive()
+        assert answers == [expected(database.graph)]
+
+
 # -- the GraphDatabase mutation API --------------------------------------------
 
 
