@@ -52,7 +52,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.faults import Deadline, RunContext, retry_call
-from repro.graph.graph import Graph, LabelPath
+from repro.graph.graph import Graph, LabelPath, NamedPairs
 from repro.graph.io import load_csv, load_edgelist, load_json
 from repro.graph.stats import GraphSummary, star_bound, summarize
 from repro.indexes.builder import enumerate_label_paths
@@ -92,15 +92,29 @@ BASELINE_METHODS = ("automaton", "dfa", "datalog", "reachability", "reference")
 class QueryResult:
     """The answer to one query plus how it was obtained.
 
+    ``pairs`` is a :class:`~repro.graph.graph.NamedPairs`: a read-only
+    set of ``(source, target)`` name tuples laid over the executor's two
+    id columns, which decodes nothing until read.  ``len`` is O(1),
+    ``pair in result`` is two dict probes and a bisect, iteration (so
+    ``sorted(result.pairs)``) streams name tuples without building a
+    set, and ``==``, ``<=``, ``&``, ``|``, ``-``, ``hash`` and ``repr``
+    are ``frozenset``'s, against ``set``, ``frozenset`` or another
+    result's pairs.  The full ``frozenset`` is built by the first
+    ``==`` against a set, ``hash``, ``repr`` or ``pairs.frozen()`` and
+    kept on the view, which cache hits share.
+
     ``version`` is the graph version the answer was computed (or
     cached) against — the consistency token of the concurrent service
     layer: a result tagged ``version=v`` is exactly the single-threaded
-    answer over the graph as of version ``v``.
+    answer over the graph as of version ``v``.  That stays true however
+    late ``pairs`` is read: node ids are never reused, the graph's name
+    list only appends, and an ``apply()`` installs edited *copies* of
+    index columns, so later writes cannot reach the columns held here.
     """
 
     query: str
     method: str
-    pairs: frozenset[tuple[str, str]]
+    pairs: NamedPairs
     seconds: float
     report: ExecutionReport | None = None
     cached: bool = False
@@ -109,7 +123,7 @@ class QueryResult:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __contains__(self, pair: tuple[str, str]) -> bool:
+    def __contains__(self, pair: object) -> bool:
         return pair in self.pairs
 
 
@@ -623,8 +637,9 @@ class GraphDatabase:
         """From an executed answer to an accounted :class:`QueryResult`.
 
         The one path every read takes once it has id pairs — a report's
-        relation (anchored or not) or a baseline's pair set: decode to
-        names, then, under the cache mutex, fold the report's memo,
+        relation (anchored or not) or a baseline's pair set: lay the
+        name view over them (nothing is decoded until the caller reads),
+        then, under the cache mutex, fold the report's memo,
         scatter and fault counters into :meth:`stats` and, given a
         ``cache_key``, count the miss and offer the result to the LRU
         (which refuses partial answers).  Caller holds the read lock.
@@ -632,7 +647,7 @@ class GraphDatabase:
         result = QueryResult(
             query=text,
             method=method,
-            pairs=frozenset(self.graph.pairs_to_names(answer)),
+            pairs=self.graph.named_pairs(answer),
             seconds=seconds,
             report=report,
             version=version,
@@ -1159,11 +1174,11 @@ class GraphDatabase:
         if replaced is not None:
             self._cached_pairs -= len(replaced.pairs)
         if result.report is not None:
-            # Drop the execution report before pinning: it holds the
-            # columnar id relation (and a memoized id-pair frozenset),
-            # which would triple the real footprint the pairs budget
-            # accounts for.  Reports are per-execution diagnostics;
-            # cache hits return report=None.
+            # Drop the execution report before pinning: it can memoize
+            # an id-pair frozenset the pairs budget does not count;
+            # cache hits return report=None.  An entry pins the view's
+            # id columns, 16 B a pair, until a reader asks for the name
+            # set — built once, served to every later hit.
             result = replace(result, report=None)
         self._query_cache[key] = result
         self._cached_pairs += size

@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.errors import TransientWireError, WireError
+from repro.graph.graph import name_probe
 from repro.serve.protocol import raise_remote
 from repro.write.mutation import ApplyResult, Mutation, MutationBatch
 
@@ -58,8 +59,8 @@ class RemoteResult:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in self.pairs
+    def __contains__(self, pair: object) -> bool:
+        return name_probe(pair) in self.pairs
 
 
 # -- the shared codec ----------------------------------------------------------

@@ -49,8 +49,9 @@ from repro.rpq.rewrite import DEFAULT_MAX_DISJUNCTS, normalize, push_inverse
 class ExecutionReport:
     """What happened while answering one query.
 
-    The answer stays columnar (:attr:`relation`); :attr:`pairs`
-    materializes tuples on demand for callers that want a set.
+    The answer stays columnar (:attr:`relation`) — the same columns
+    ``QueryResult.pairs`` views by name; :attr:`pairs` materializes
+    *id* tuples on demand for callers that want a set of them.
     """
 
     strategy: Strategy

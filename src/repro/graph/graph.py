@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import bisect
 import re
+from collections.abc import Set
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import GraphError, UnknownNodeError, ValidationError
+from repro.relation import _SHIFT, Order, Relation, locate
 
 #: Labels must look like programming-language identifiers.  This keeps
 #: the textual query syntax, the index key encoding and the Datalog
@@ -172,6 +174,93 @@ class LabelPath:
         'knows.knows-.worksFor'
         """
         return LabelPath(Step.decode(spec) for spec in specs)
+
+
+def name_probe(probe: object) -> tuple[str, str] | None:
+    """``probe`` as a ``(source, target)`` name pair, or ``None``.
+
+    The membership rule of every answer type, local or remote: any
+    two-item sequence of names is a probe (a JSON-decoded list as much
+    as a tuple); anything else is not a member, never an exception.
+    """
+    if isinstance(probe, Sequence) and not isinstance(probe, str) and len(probe) == 2:
+        source, target = probe
+        if isinstance(source, str) and isinstance(target, str):
+            return source, target
+    return None
+
+
+class NamedPairs(Set):
+    """A duplicate-free id relation read as a frozenset of name pairs.
+
+    What :attr:`repro.api.QueryResult.pairs` is (see there for what
+    each read costs): the answer's id columns plus the graph's id→name
+    list and name→id dict.  ``len`` is the column length, ``in`` a
+    bisect of the sorted columns (a memoised packed-key set under
+    ``Order.NONE``), iteration streams name tuples; comparison, algebra,
+    ``hash`` and ``repr`` are ``frozenset``'s.  Decoding late is sound:
+    ids are never reused and the name list only appends.
+    """
+
+    __slots__ = ("_relation", "_names", "_ids", "_keys", "_frozen")
+
+    def __init__(self, relation: Relation, names: list[str], ids: dict[str, int]):
+        self._relation = relation
+        self._names = names
+        self._ids = ids
+        self._keys: frozenset[int] | None = None
+        self._frozen: frozenset[tuple[str, str]] | None = None
+
+    _from_iterable = frozenset  # what ``&``, ``|``, ``-`` and ``^`` return
+
+    def __len__(self) -> int:
+        return len(self._relation.src)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        name = self._names.__getitem__
+        return zip(map(name, self._relation.src), map(name, self._relation.tgt))
+
+    def __contains__(self, probe: object) -> bool:
+        pair = name_probe(probe)
+        if pair is None:
+            return False
+        source, target = self._ids.get(pair[0]), self._ids.get(pair[1])
+        if source is None or target is None:
+            return False
+        relation = self._relation
+        if relation.order is Order.BY_SRC:
+            return locate(relation.src, relation.tgt, source, target)[1]
+        if relation.order is Order.BY_TGT:
+            return locate(relation.tgt, relation.src, target, source)[1]
+        return ((source << _SHIFT) | target) in self._packed()
+
+    def _packed(self) -> frozenset[int]:
+        if self._keys is None:
+            self._keys = frozenset(self._relation.packed())
+        return self._keys
+
+    def frozen(self) -> frozenset[tuple[str, str]]:
+        """The whole answer as a real ``frozenset``, built once."""
+        if self._frozen is None:
+            self._frozen = frozenset(self)
+        return self._frozen
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NamedPairs) and other._names is self._names:
+            # One graph: the ids decide, no name is decoded.
+            mine, theirs = self._relation, other._relation
+            if mine.order is theirs.order is not Order.NONE:
+                return mine.src == theirs.src and mine.tgt == theirs.tgt
+            return self._packed() == other._packed()
+        if not isinstance(other, Set):
+            return NotImplemented
+        return len(self) == len(other) and self.frozen() == other
+
+    def __hash__(self) -> int:
+        return hash(self.frozen())
+
+    def __repr__(self) -> str:
+        return repr(self.frozen())
 
 
 class Graph:
@@ -443,6 +532,10 @@ class Graph:
         """Translate id pairs back to name pairs."""
         names = self._id_to_name
         return {(names[a], names[b]) for a, b in pairs}
+
+    def named_pairs(self, pairs: Relation | Iterable[tuple[int, int]]) -> NamedPairs:
+        """Duplicate-free id pairs as a :class:`NamedPairs` (decodes nothing)."""
+        return NamedPairs(Relation.coerce(pairs), self._id_to_name, self._name_to_id)
 
     def __repr__(self) -> str:
         return (

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 from repro.errors import PathIndexError, ValidationError
 from repro.graph.graph import Graph, LabelPath
 from repro.indexes.builder import path_relations_columnar
-from repro.relation import Order, Relation, swap
+from repro.relation import Order, Relation, locate, swap
 from repro.storage.diskbtree import DiskBPlusTree
 from repro.storage.records import decode_key, encode_key
 
@@ -45,16 +45,6 @@ Pair = tuple[int, int]
 #: What a backend loads: one ``(path_id, src, tgt)`` run per non-empty
 #: path, ids ascending, columns (src, tgt)-sorted and duplicate-free.
 Run = tuple[int, array, array]
-
-
-def _locate(
-    sources: array, targets: array, source: int, target: int
-) -> tuple[int, bool]:
-    """Where ``(source, target)`` sits, or would, in sorted columns."""
-    low = bisect_left(sources, source)
-    high = bisect_right(sources, source, low)
-    position = bisect_left(targets, target, low, high)
-    return position, position < high and targets[position] == target
 
 
 class _MemoryBackend:
@@ -78,7 +68,7 @@ class _MemoryBackend:
         return targets[low : bisect_right(sources, source, low)].tolist()
 
     def contains(self, path_id: int, source: int, target: int) -> bool:
-        return _locate(*self.scan_columns(path_id), source, target)[1]
+        return locate(*self.scan_columns(path_id), source, target)[1]
 
     def patch(
         self, path_id: int, adds: Iterable[Pair], removes: Iterable[Pair]
@@ -88,12 +78,12 @@ class _MemoryBackend:
         sources, targets = installed[0][:], installed[1][:]
         inserted = removed = 0
         for source, target in removes:
-            position, present = _locate(sources, targets, source, target)
+            position, present = locate(sources, targets, source, target)
             if present:
                 del sources[position], targets[position]
                 removed += 1
         for source, target in adds:
-            position, present = _locate(sources, targets, source, target)
+            position, present = locate(sources, targets, source, target)
             if not present:
                 sources.insert(position, source)
                 targets.insert(position, target)

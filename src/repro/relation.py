@@ -8,8 +8,11 @@ this module replaces that with a single *columnar* representation:
 
 * :class:`Relation` — twin ``array('q')`` columns (``src``, ``tgt``)
   plus a tracked sort :class:`Order` (``BY_SRC`` / ``BY_TGT`` /
-  ``NONE``).  No per-pair tuples exist until the API boundary converts
-  ids back to names (:meth:`Relation.to_frozenset`, iteration).
+  ``NONE``).  No per-pair tuples exist until a caller reads the answer:
+  the API boundary hands the columns over as they are, under a
+  :class:`~repro.graph.graph.NamedPairs` view that decodes names on
+  demand and relies on this module's duplicate-free contract for its
+  O(1) ``len``.
 * columnar kernels — :func:`merge_join`, :func:`hash_join`,
   :func:`union`, :func:`dedup_sort`, :func:`swap`, :func:`compose` —
   that deduplicate through *packed* 64-bit ``src << 32 | tgt`` integer
@@ -257,6 +260,14 @@ class Relation:
         if order is Order.NONE or self.order is order:
             return self
         return dedup_sort(self, order)
+
+
+def locate(majors: array, minors: array, major: int, minor: int) -> tuple[int, bool]:
+    """Where ``(major, minor)`` sits, or would, in lexicographically sorted columns."""
+    low = bisect_left(majors, major)
+    high = bisect_right(majors, major, low)
+    position = bisect_left(minors, minor, low, high)
+    return position, position < high and minors[position] == minor
 
 
 def _from_packed_sorted(packed: list[int], order: Order) -> Relation:
