@@ -28,13 +28,17 @@ import json
 from dataclasses import dataclass, field
 
 from repro.errors import TransientWireError, WireError
-from repro.graph.graph import name_probe
-from repro.serve.protocol import raise_remote
+from repro.graph.graph import NamedPairs, name_probe
+from repro.serve.protocol import RESULT_FRAME_TYPE, raise_remote, unpack_result
 from repro.write.mutation import ApplyResult, Mutation, MutationBatch
 
 #: Seconds a client waits for a response before declaring the server
 #: gone (transient — the request can be retried elsewhere/later).
 DEFAULT_TIMEOUT = 60.0
+
+#: JSON up, an answer back as a result frame; a server without the frame
+#: answers JSON, and the response's ``Content-Type`` picks the decoder.
+REQUEST_HEADERS = {"Content-Type": "application/json", "Accept": RESULT_FRAME_TYPE}
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,13 +47,17 @@ class RemoteResult:
 
     The remote cousin of :class:`~repro.api.QueryResult`: same
     consistency token (``version``), same degraded-answer markers
-    (``partial`` / ``shards_failed``), pairs as a frozenset of
-    ``(source, target)`` node-name tuples.
+    (``partial`` / ``shards_failed``), same ``pairs``: a
+    :class:`~repro.graph.graph.NamedPairs` over the result frame's two
+    id columns and its name list — ``len`` O(1), ``in`` a bisect, names
+    decoded only when iterated, the ``frozenset`` built by the first
+    ``==`` with a set, ``hash`` or ``repr``.  (A JSON answer, from a
+    server without the frame, decodes to a plain ``frozenset``.)
     """
 
     query: str
     method: str
-    pairs: frozenset = field(default_factory=frozenset)
+    pairs: NamedPairs | frozenset = field(default_factory=frozenset)
     seconds: float = 0.0
     version: int = -1
     cached: bool = False
@@ -93,17 +101,24 @@ def prepared_body(template: str, params: dict | None, method: str) -> dict:
     }
 
 
-def mutate_body(kind: str, source: str, label: str, target: str) -> dict:
-    return {"kind": kind, "source": source, "label": label, "target": target}
-
-
 def apply_body(mutations) -> dict:
     """The ``POST /apply`` request body for one mutation batch."""
     return {"mutations": MutationBatch.coerce(mutations).as_wire()}
 
 
-def decode_payload(raw: bytes) -> dict:
+def encode_body(body: dict | None) -> bytes:
+    """A request's JSON body as bytes (empty for a GET)."""
+    return b"" if body is None else json.dumps(body, separators=(",", ":")).encode()
+
+
+def decode_payload(raw: bytes, content_type: str = "") -> dict:
     """Response bytes -> payload dict; garbage raises :class:`WireError`."""
+    if content_type.startswith(RESULT_FRAME_TYPE):
+        # The frame's header is the payload; its answer goes under "pairs".
+        payload, ranks = unpack_result(raw)
+        names = payload.pop("names")
+        payload["pairs"] = NamedPairs(ranks, names, dict(zip(names, range(len(names)))))
+        return payload
     try:
         payload = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -122,21 +137,22 @@ def check_payload(payload: dict) -> dict:
 
 def decode_result(payload: dict) -> RemoteResult:
     """A checked ``/query`` or ``/prepared`` payload -> RemoteResult."""
-    return RemoteResult(
-        query=payload.get("query", ""),
-        method=payload.get("method", ""),
-        pairs=frozenset(tuple(pair) for pair in payload.get("pairs", ())),
-        seconds=float(payload.get("seconds", 0.0)),
-        version=int(payload.get("version", -1)),
-        cached=bool(payload.get("cached", False)),
-        partial=bool(payload.get("partial", False)),
-        shards_failed=int(payload.get("shards_failed", 0)),
-    )
-
-
-def decode_mutation(payload: dict) -> int | None:
-    """A checked ``/mutate`` payload -> new version, or None (no-op)."""
-    return int(payload["version"]) if payload.get("changed") else None
+    pairs = payload.get("pairs", ())
+    try:
+        if not isinstance(pairs, NamedPairs):
+            pairs = frozenset(tuple(pair) for pair in pairs)
+        return RemoteResult(
+            query=payload.get("query", ""),
+            method=payload.get("method", ""),
+            pairs=pairs,
+            seconds=float(payload.get("seconds", 0.0)),
+            version=int(payload.get("version", -1)),
+            cached=bool(payload.get("cached", False)),
+            partial=bool(payload.get("partial", False)),
+            shards_failed=int(payload.get("shards_failed", 0)),
+        )
+    except (TypeError, ValueError, OverflowError) as error:
+        raise WireError(f"malformed result payload: {error}") from error
 
 
 def decode_apply(payload: dict) -> ApplyResult:
@@ -144,11 +160,8 @@ def decode_apply(payload: dict) -> ApplyResult:
     return ApplyResult.from_wire(payload.get("result", {}))
 
 
-# -- sync ----------------------------------------------------------------------
-
-
-class Client:
-    """Blocking client; safe to share across threads (connection per call)."""
+class _Endpoint:
+    """Where a client's requests go, and how long it waits for each."""
 
     def __init__(
         self,
@@ -160,24 +173,22 @@ class Client:
         self.port = port
         self.timeout = timeout
 
+
+# -- sync ----------------------------------------------------------------------
+
+
+class Client(_Endpoint):
+    """Blocking client; safe to share across threads (connection per call)."""
+
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
         try:
-            payload = (
-                json.dumps(body, separators=(",", ":")).encode("utf-8")
-                if body is not None
-                else None
-            )
-            connection.request(
-                method,
-                path,
-                body=payload,
-                headers={"Content-Type": "application/json"},
-            )
+            connection.request(method, path, encode_body(body), REQUEST_HEADERS)
             response = connection.getresponse()
             raw = response.read()
+            content_type = response.getheader("Content-Type", "")
         except (OSError, http.client.HTTPException) as error:
             # Refused, reset, timed out: all retryable — the server may
             # be restarting or shedding load.
@@ -186,7 +197,7 @@ class Client:
             ) from error
         finally:
             connection.close()
-        return check_payload(decode_payload(raw))
+        return check_payload(decode_payload(raw, content_type))
 
     def query(
         self,
@@ -232,43 +243,25 @@ class Client:
 # -- async ---------------------------------------------------------------------
 
 
-class AsyncClient:
+class AsyncClient(_Endpoint):
     """Asyncio client; same codec, hand-rolled HTTP/1.1 transport."""
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        timeout: float = DEFAULT_TIMEOUT,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-
-    async def _request(
-        self, method: str, path: str, body: dict | None = None
-    ) -> dict:
-        payload = (
-            json.dumps(body, separators=(",", ":")).encode("utf-8")
-            if body is not None
-            else b""
-        )
+    async def _request(self, method: str, path: str, body: dict | None = None) -> dict:
+        payload = encode_body(body)
+        headers = "".join(f"{k}: {v}\r\n" for k, v in REQUEST_HEADERS.items())
         request = (
             f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Type: application/json\r\n"
+            f"Host: {self.host}:{self.port}\r\n{headers}"
             f"Content-Length: {len(payload)}\r\n"
             f"Connection: close\r\n\r\n"
         ).encode("latin-1") + payload
         try:
-            raw = await asyncio.wait_for(
-                self._exchange(request), timeout=self.timeout
-            )
+            raw = await asyncio.wait_for(self._exchange(request), timeout=self.timeout)
         except (OSError, asyncio.TimeoutError, ConnectionError) as error:
             raise TransientWireError(
                 f"request to {self.host}:{self.port}{path} failed: {error}"
             ) from error
-        return check_payload(decode_payload(_http_body(raw)))
+        return check_payload(decode_payload(*_http_body(raw)))
 
     async def _exchange(self, request: bytes) -> bytes:
         reader, writer = await asyncio.open_connection(self.host, self.port)
@@ -326,13 +319,21 @@ class AsyncClient:
         return await self._request("GET", "/health")
 
 
-def _http_body(raw: bytes) -> bytes:
-    """Strip the HTTP response head off a raw ``Connection: close`` read."""
+def _http_body(raw: bytes) -> tuple[bytes, str]:
+    """A raw ``Connection: close`` read -> ``(body, Content-Type)``; a body short
+    of its ``Content-Length`` is retryable, as http.client tells :class:`Client`."""
     head, separator, body = raw.partition(b"\r\n\r\n")
     if not separator:
         raise TransientWireError("connection closed before response head")
-    status_line = head.split(b"\r\n", 1)[0]
+    status_line, *lines = head.decode("latin-1").split("\r\n")
     parts = status_line.split()
     if len(parts) < 2 or not parts[1].isdigit():
         raise WireError(f"malformed status line {status_line!r}")
-    return body
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines)
+    }
+    length = headers.get("content-length", "")
+    if length.isdigit() and len(body) < int(length):
+        raise TransientWireError(f"closed mid-body: {len(body)} of {length} bytes")
+    return body, headers.get("content-type", "")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import GraphError, UnknownNodeError, ValidationError
-from repro.relation import _SHIFT, Order, Relation, locate
+from repro.relation import _SHIFT, Order, Relation, dense_ranks, locate
 
 #: Labels must look like programming-language identifiers.  This keeps
 #: the textual query syntax, the index key encoding and the Datalog
@@ -244,6 +244,12 @@ class NamedPairs(Set):
         if self._frozen is None:
             self._frozen = frozenset(self)
         return self._frozen
+
+    def dense(self) -> tuple[list[str], Relation]:
+        """The names that occur, in id order, and the columns as ranks into
+        them: what crosses the wire, and reads as the same set over there."""
+        ids, ranks = dense_ranks(self._relation)
+        return list(map(self._names.__getitem__, ids)), ranks
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, NamedPairs) and other._names is self._names:

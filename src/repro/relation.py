@@ -173,15 +173,14 @@ class Relation:
         for a, b in pairs:
             src.append(a)
             tgt.append(b)
-        if src:
-            low = min(min(src), min(tgt))
-            high = max(max(src), max(tgt))
-            if low < 0 or high > _MASK:
-                raise ValidationError(
-                    f"node ids must be in [0, 2**32) for packed-key "
-                    f"kernels; got values in [{low}, {high}]"
-                )
-        return cls(src, tgt, order)
+        relation = cls(src, tgt, order)
+        low, high = id_range(relation)
+        if low < 0 or high > _MASK:
+            raise ValidationError(
+                f"node ids must be in [0, 2**32) for packed-key "
+                f"kernels; got values in [{low}, {high}]"
+            )
+        return relation
 
     @classmethod
     def coerce(cls, value, order: Order = Order.NONE) -> "Relation":
@@ -681,6 +680,38 @@ def restrict_src(relation: Relation, source: int) -> Relation:
             src.append(source)
             tgt.append(relation.tgt[i])
     return Relation(src, tgt, Order.NONE)
+
+
+def id_range(relation: Relation) -> tuple[int, int]:
+    """The smallest and the largest id in ``relation``; ``(0, -1)`` if empty."""
+    if not relation:
+        return 0, -1
+    src, tgt = relation.src, relation.tgt
+    if _vectorize(len(relation)):
+        src, tgt = _view(src), _view(tgt)
+        return int(min(src.min(), tgt.min())), int(max(src.max(), tgt.max()))
+    return min(min(src), min(tgt)), max(max(src), max(tgt))
+
+
+def dense_ranks(relation: Relation) -> tuple[array, Relation]:
+    """The ids occurring in ``relation``, ascending, and its columns as ranks
+    into them — an answer's wire form.  Ranking preserves order, so the tag
+    is kept; ids are graph-interned, hence dense, which bounds ``present``.
+    """
+    if _vectorize(len(relation)):
+        src, tgt = _view(relation.src), _view(relation.tgt)
+        present = _np.zeros(id_range(relation)[1] + 1, dtype=bool)
+        present[src] = present[tgt] = True
+        rank = _np.cumsum(present) - 1
+        ids = _column(_np.flatnonzero(present))
+        return ids, Relation(_column(rank[src]), _column(rank[tgt]), relation.order)
+    ids = array("q", sorted(set(relation.src).union(relation.tgt)))
+    rank = {node: position for position, node in enumerate(ids)}.__getitem__
+    return ids, Relation(
+        array("q", map(rank, relation.src)),
+        array("q", map(rank, relation.tgt)),
+        relation.order,
+    )
 
 
 def _from_packed_unordered(keys: set[int]) -> Relation:

@@ -1,6 +1,6 @@
 """The serve wire protocol: frames, the Relation codec, error codes.
 
-Three layers, shared by the worker, the coordinator stubs, and both
+Four layers, shared by the worker, the coordinator stubs, and both
 HTTP clients:
 
 * **Frames** — every RPC message is ``[header_len u32][body_len u32]
@@ -17,6 +17,12 @@ HTTP clients:
   forked from the coordinator, so both ends share one architecture —
   the magic would not decode across one anyway.
 
+* **Result frame** — ``POST /query`` / ``/prepared`` to a client whose
+  ``Accept`` names :data:`RESULT_FRAME_TYPE`: one frame, header = the
+  JSON payload minus ``pairs`` plus ``names`` (of the node ids that
+  occur, in id order) and ``byteorder`` (HTTP peers may differ; the reader
+  swaps), body = the relation codec over the columns as ranks into ``names``.
+
 * **Error codes** — every :class:`~repro.errors.ReproError` subclass
   maps to a stable string code (:func:`error_code`), so a failure on
   the far side of a socket re-raises as the *same* typed exception
@@ -32,8 +38,10 @@ socket timeouts) raise :class:`~repro.errors.TransientWireError`
 
 from __future__ import annotations
 
+import io
 import json
 import struct
+import sys
 from array import array
 
 from repro.errors import (
@@ -56,7 +64,7 @@ from repro.errors import (
     ValidationError,
     WireError,
 )
-from repro.relation import Order, Relation
+from repro.relation import Order, Relation, id_range
 
 #: First bytes of every serialized relation — a truncated or corrupted
 #: buffer is overwhelmingly unlikely to still start with it.
@@ -69,6 +77,9 @@ MAX_HEADER_BYTES = 1 << 20
 #: Body sanity cap (1 GiB) — catches corrupt length prefixes before a
 #: bad read tries to allocate the universe.
 MAX_BODY_BYTES = 1 << 30
+
+#: The media type of a result frame (``Accept`` / ``Content-Type``).
+RESULT_FRAME_TYPE = "application/x-repro-result"
 
 _FRAME = struct.Struct(">II")
 _RELATION_HEAD = struct.Struct(">4sBQ")
@@ -237,7 +248,7 @@ def send_frame(sock, header: dict, body: bytes = b"") -> None:
     sock.sendall(pack_frame(header, body))
 
 
-def read_frame(read) -> tuple[dict, bytes]:
+def read_frame(read, header_cap: int = MAX_HEADER_BYTES) -> tuple[dict, bytes]:
     """Read one frame via a ``read(n)`` callable; returns ``(header, body)``.
 
     Implausible lengths and undecodable headers are permanent
@@ -248,7 +259,7 @@ def read_frame(read) -> tuple[dict, bytes]:
     """
     prefix = recv_exact(read, _FRAME.size)
     header_len, body_len = _FRAME.unpack(prefix)
-    if header_len > MAX_HEADER_BYTES or body_len > MAX_BODY_BYTES:
+    if header_len > header_cap or body_len > MAX_BODY_BYTES:
         raise WireError(
             f"implausible frame lengths (header={header_len}, "
             f"body={body_len}): corrupt length prefix"
@@ -267,3 +278,37 @@ def read_frame(read) -> tuple[dict, bytes]:
 def recv_frame(sock) -> tuple[dict, bytes]:
     """Read one frame from a socket (see :func:`read_frame`)."""
     return read_frame(sock.recv)
+
+
+def pack_result(header: dict, names: list[str], ranks: Relation) -> bytes:
+    """One answer as a result frame (see the module docstring)."""
+    header = {**header, "names": names, "byteorder": sys.byteorder}
+    return pack_frame(header, encode_relation(ranks))
+
+
+def unpack_result(data: bytes) -> tuple[dict, Relation]:
+    """A complete HTTP body holding one result frame -> ``(header, ranks)``.
+
+    Anything inexact is a permanent :class:`WireError` — a rank outside
+    ``names`` too: caught here, not as an ``IndexError`` at read time.
+    """
+    stream = io.BytesIO(data)
+    try:  # the body is in memory, so its own length bounds the header
+        header, body = read_frame(stream.read, header_cap=len(data))
+    except TransientWireError as error:
+        raise WireError(f"result frame truncated: {error}") from error
+    if stream.read(1):
+        raise WireError("trailing bytes after the result frame")
+    names, byteorder = header.get("names"), header.get("byteorder")
+    if not isinstance(names, list) or not all(type(name) is str for name in names):
+        raise WireError("result frame names must be a list of strings")
+    if byteorder not in ("little", "big"):
+        raise WireError(f"unknown column byte order {byteorder!r}")
+    ranks = decode_relation(body)
+    if byteorder != sys.byteorder:
+        ranks.src.byteswap()
+        ranks.tgt.byteswap()
+    low, high = id_range(ranks)
+    if low < 0 or high >= len(names):
+        raise WireError(f"frame ids [{low}, {high}] outside its {len(names)} names")
+    return header, ranks

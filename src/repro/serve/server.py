@@ -52,7 +52,7 @@ from repro.errors import (
     WireError,
 )
 from repro.faults import RetryPolicy
-from repro.serve.protocol import encode_error
+from repro.serve.protocol import RESULT_FRAME_TYPE, encode_error, pack_result
 from repro.write.mutation import MutationBatch
 
 #: Seconds between supervision polls when the last poll succeeded.
@@ -98,20 +98,21 @@ def _status_for(error: Exception) -> int:
     return 500
 
 
-def _result_payload(result) -> dict:
-    """A QueryResult as its JSON wire shape (pairs sorted for determinism)."""
+def _result_payload(result, framed: bool = False) -> dict | bytes:
+    """A QueryResult as its JSON wire shape (pairs sorted for determinism), or
+    ``framed``: those keys minus ``pairs`` heading a result frame of id columns."""
     report = result.report
-    return {
-        "ok": True,
-        "query": result.query,
-        "method": result.method,
-        "pairs": sorted(result.pairs),
-        "seconds": result.seconds,
-        "cached": result.cached,
-        "version": result.version,
-        "partial": bool(report.partial) if report is not None else False,
-        "shards_failed": report.shards_failed if report is not None else 0,
-    }
+    payload = {"ok": True, "query": result.query, "method": result.method}
+    if not framed:
+        payload["pairs"] = sorted(result.pairs)
+    payload.update(
+        seconds=result.seconds,
+        cached=result.cached,
+        version=result.version,
+        partial=bool(report.partial) if report is not None else False,
+        shards_failed=report.shards_failed if report is not None else 0,
+    )
+    return pack_result(payload, *result.pairs.dense()) if framed else payload
 
 
 class QueryServer:
@@ -193,11 +194,11 @@ class QueryServer:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             try:
-                method, path, body = await _read_request(reader)
+                method, path, body, framed = await _read_request(reader)
             except WireError as error:
                 await _write_response(writer, 400, encode_wire_error(error))
                 return
-            status, payload = await self._dispatch(method, path, body)
+            status, payload = await self._dispatch(method, path, body, framed)
             headers = {}
             if status == 503:
                 headers["Retry-After"] = "1"
@@ -211,8 +212,10 @@ class QueryServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _dispatch(self, method: str, path: str, body: dict):
-        """Route one request; returns ``(status, JSON payload)``."""
+    async def _dispatch(self, method, path, body: dict, framed: bool = False):
+        """Route one request; returns ``(status, payload)``: a JSON object,
+        or an answer as a packed result frame for a caller that asked
+        (``framed``).  Errors are always JSON."""
         try:
             if method == "GET" and path == "/health":
                 return 200, {
@@ -224,34 +227,25 @@ class QueryServer:
             if method == "GET" and path == "/stats":
                 stats = await self._run_blocking(self.database.stats)
                 return 200, {"ok": True, "stats": dataclasses.asdict(stats)}
-            if method == "POST" and path == "/query":
-                return 200, await self._guarded(self._do_query, body)
-            if method == "POST" and path == "/prepared":
-                return 200, await self._guarded(self._do_prepared, body)
-            if method == "POST" and path == "/mutate":
-                return 200, await self._guarded(self._do_mutate, body)
+            if method == "POST" and path in ("/query", "/prepared"):
+                handler = self._do_query if path == "/query" else self._do_prepared
+                return 200, await self._guarded(
+                    functools.partial(handler, framed=framed), body
+                )
             if method == "POST" and path == "/apply":
                 return 200, await self._guarded(self._do_apply, body)
-            if path in (
-                "/health",
-                "/stats",
-                "/query",
-                "/prepared",
-                "/mutate",
-                "/apply",
-            ):
-                return 405, {
-                    "ok": False,
-                    "error": encode_error(
-                        ValidationError(f"{method} not allowed on {path}")
-                    ),
-                }
-            return 404, {
-                "ok": False,
-                "error": encode_error(ValidationError(f"no route {path!r}")),
-            }
+            if path in ("/health", "/stats", "/query", "/prepared", "/apply"):
+                return 405, encode_wire_error(
+                    ValidationError(f"{method} not allowed on {path}")
+                )
+            return 404, encode_wire_error(ValidationError(f"no route {path!r}"))
         except ReproError as error:
-            return _status_for(error), {"ok": False, "error": encode_error(error)}
+            return _status_for(error), encode_wire_error(error)
+        # A bug in a handler: 500 `internal`, never a dropped connection.
+        # repro: ignore[error-taxonomy] typed failures were answered above
+        except Exception as error:
+            bug = ReproError(f"{type(error).__name__}: {error}")
+            return 500, encode_wire_error(bug)
 
     async def _guarded(self, handler, body: dict) -> dict:
         """Run one mutating/query handler under the concurrency bound.
@@ -289,20 +283,20 @@ class QueryServer:
 
     # -- handlers (run in the thread pool) --------------------------------
 
-    def _do_query(self, body: dict) -> dict:
+    def _do_query(self, body: dict, framed: bool = False) -> dict | bytes:
         result = self.database.query(
             _require_text(body, "query"),
-            method=body.get("method", "minsupport"),
+            method=_optional(body, "method", str, "minsupport"),
             use_cache=bool(body.get("use_cache", True)),
-            timeout_ms=body.get("timeout_ms"),
+            timeout_ms=_optional(body, "timeout_ms", (int, float), None),
             degraded=bool(body.get("degraded", False)),
         )
-        return _result_payload(result)
+        return _result_payload(result, framed)
 
-    def _do_prepared(self, body: dict) -> dict:
+    def _do_prepared(self, body: dict, framed: bool = False) -> dict | bytes:
         """Bind and run a prepared template (planned once per server)."""
         template = _require_text(body, "template")
-        method = body.get("method", "minsupport")
+        method = _optional(body, "method", str, "minsupport")
         params = body.get("params", {})
         if not isinstance(params, dict):
             raise ValidationError("params must be an object of $name bindings")
@@ -312,25 +306,7 @@ class QueryServer:
             if statement is None:
                 statement = self.database.prepare(template, method=method)
                 self._prepared[key] = statement
-        return _result_payload(statement.run(**params))
-
-    def _do_mutate(self, body: dict) -> dict:
-        """Legacy single-edge route; rides the same ``apply()`` path."""
-        kind = body.get("kind")
-        source = _require_text(body, "source")
-        label = _require_text(body, "label")
-        target = _require_text(body, "target")
-        if kind == "add":
-            version = self.database.add_edge(source, label, target)
-        elif kind == "remove":
-            version = self.database.remove_edge(source, label, target)
-        else:
-            raise ValidationError(f"kind must be 'add' or 'remove', got {kind!r}")
-        return {
-            "ok": True,
-            "changed": version is not None,
-            "version": self.database.graph.version,
-        }
+        return _result_payload(statement.run(**params), framed)
 
     def _do_apply(self, body: dict) -> dict:
         """The unified mutation route: one batch, one commit group ride."""
@@ -350,36 +326,52 @@ def _require_text(body: dict, key: str) -> str:
     return value
 
 
+def _optional(body: dict, key: str, kinds, default):
+    """An optional request field, type-checked (a JSON bool is no number)."""
+    value = body.get(key, default)
+    if value is default or isinstance(value, kinds) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"request field {key!r} has the wrong type: {value!r}")
+
+
 # -- the HTTP layer ------------------------------------------------------------
 
 
-async def _read_request(reader) -> tuple[str, str, dict]:
-    """Parse one HTTP request; returns ``(method, path, JSON body)``.
-
-    Anything malformed raises :class:`WireError` — the connection gets
-    a 400 and is closed, never a hang or a crash.
-    """
+async def _read_line(reader) -> bytes:
     try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError) as error:
-        raise WireError(f"unreadable request line: {error}") from error
+        return await reader.readline()
+    except (ConnectionError, ValueError) as error:
+        # ValueError: the line ran past asyncio's 64 KiB stream limit.
+        raise WireError(f"unreadable request head: {error}") from error
+
+
+async def _read_request(reader) -> tuple[str, str, dict, bool]:
+    """Parse one HTTP request; returns ``(method, path, JSON body, framed)``,
+    ``framed`` when its ``Accept`` names the result frame.  Anything
+    malformed raises :class:`WireError` — the connection gets a 400 and is
+    closed, never a hang or a crash.
+    """
+    request_line = await _read_line(reader)
     parts = request_line.decode("latin-1", "replace").split()
     if len(parts) != 3:
-        raise WireError(f"malformed request line {request_line!r}")
+        raise WireError(f"malformed request line {request_line[:200]!r}")
     method, path, _version = parts
     content_length = 0
+    framed = False
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
-        name, _, value = line.decode("latin-1", "replace").partition(":")
-        if name.strip().lower() == "content-length":
+        name, _, value = line.decode("latin-1", "replace").lower().partition(":")
+        if name.strip() == "content-length":
             try:
                 content_length = int(value.strip())
             except ValueError:
                 raise WireError(f"bad Content-Length {value.strip()!r}") from None
-    if content_length > MAX_REQUEST_BYTES:
-        raise WireError(f"request body too large ({content_length} bytes)")
+        elif name.strip() == "accept":
+            framed = RESULT_FRAME_TYPE in value
+    if not 0 <= content_length <= MAX_REQUEST_BYTES:
+        raise WireError(f"request body of {content_length} bytes refused")
     body: dict = {}
     if content_length:
         raw = await reader.readexactly(content_length)
@@ -389,16 +381,17 @@ async def _read_request(reader) -> tuple[str, str, dict]:
             raise WireError(f"undecodable JSON body: {error}") from error
         if not isinstance(body, dict):
             raise WireError("request body must be a JSON object")
-    return method, path.split("?", 1)[0], body
+    return method, path.split("?", 1)[0], body, framed
 
 
 async def _write_response(
-    writer, status: int, payload: dict, headers: dict | None = None
+    writer, status: int, payload: dict | bytes, headers: dict | None = None
 ) -> None:
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    framed = isinstance(payload, bytes)  # a packed result frame
+    body = payload if framed else json.dumps(payload, separators=(",", ":")).encode()
     lines = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-        "Content-Type: application/json",
+        f"Content-Type: {RESULT_FRAME_TYPE if framed else 'application/json'}",
         f"Content-Length: {len(body)}",
         "Connection: close",
     ]

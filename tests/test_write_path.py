@@ -846,14 +846,13 @@ class TestHttpApply:
         removed = client.remove_edge("n4", "c", "n5")
         assert isinstance(removed, int) and removed > version
 
-    def test_legacy_mutate_route_still_works(self, served):
+    def test_mutate_route_is_gone(self, served):
         db, client = served
-        from repro.client import decode_mutation, mutate_body
-
-        payload = client._request(
-            "POST", "/mutate", mutate_body("add", "n6", "a", "n7")
-        )
-        assert decode_mutation(payload) == db.graph.version
+        version = db.graph.version
+        body = {"kind": "add", "source": "n6", "label": "a", "target": "n7"}
+        with pytest.raises(ValidationError, match="no route"):
+            client._request("POST", "/mutate", body)
+        assert db.graph.version == version
 
 
 class TestCliMutate:
