@@ -1,38 +1,31 @@
-"""Compressed-sparse-row adjacency and frontier-based Kleene closure.
+"""Compressed-sparse-row adjacency and condensation-based Kleene closure.
 
 The recursive operators (``Star`` / ``Repeat`` / open ``Repeat``) used to
 run as packed-pair *delta iteration* (:func:`repro.relation.delta_transitive_fixpoint`):
 every round re-joined the freshly discovered pairs against the base
 relation through hash or ``searchsorted`` probes and re-deduplicated
 against the whole accumulator.  This module replaces that hot path with
-the classic semi-naive *frontier* formulation used by Datalog and graph
-engines:
+the textbook closure over the condensed graph (Tarjan; Nuutila's
+SCC-based transitive closure):
 
 * :class:`CSR` — the base relation compiled once into ``(offsets,
   targets)`` compressed sparse row form, built in O(n + m) from a
   ``BY_SRC``-sorted :class:`~repro.relation.Relation` (plus a
   :meth:`~CSR.transpose` for target-major traversal).  One step from a
   node is an *offset-indexed slice*, not a hash lookup or binary search.
-* per-source frontiers — closure is computed source by source by
-  breadth-first expansion; a node enters the frontier at most once per
-  source, tracked by a **visited bitset** (a Python big-int per source:
-  membership is one ``&``, insertion one ``|``, both word-parallel C
-  operations instead of the delta loop's per-pair hashing).  Decoded
-  bitsets materialize as boolean vectors through ``numpy.unpackbits``
-  when the set is wide and numpy is available.
+* condensation — one iterative Tarjan pass closes each strongly
+  connected component once, in reverse topological order, as a **reach
+  bitset** (a Python big-int: union is one word-parallel ``|`` instead
+  of the delta loop's per-pair hashing) shared by all its members.
+* decode once — a reach set becomes id columns once per component, not
+  once per member: on recursive workloads nearly every source sits in
+  one giant component.  Wide sets decode through ``numpy.unpackbits``
+  when numpy is available, narrow ones through a per-byte table.
 * power iteration — :func:`relation_power` and :func:`bounded_powers`
   advance per-source *level sets* through the same CSR (adjacency
   bitsets on the scalar path, packed-key expansion on the numpy path),
   with the same early-saturation fingerprinting as the reference
   semantics.
-
-Two scheduling tricks make the closure loop near-linear in practice:
-sources are processed in **DFS postorder**, so by the time a source is
-closed most of its successors already are; and a traversal that reaches
-a *finished* source absorbs that source's whole closure in one ``|=``
-instead of re-walking its subgraph (finished closures are complete, so
-this is exact even on cycles — within a strongly connected component
-the first member closed walks the cycle and the rest absorb it).
 
 Entry points mirror :mod:`repro.relation`'s recursion kernels
 (:func:`transitive_fixpoint`, :func:`bounded_powers`,
@@ -47,6 +40,7 @@ property tests against the independent tuple-set oracle in
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from typing import Iterable, Sequence
 
 from repro import relation as rel
@@ -57,7 +51,7 @@ _SHIFT = rel._SHIFT
 _MASK = rel._MASK
 
 #: Ids must stay below this for the bitset/CSR representation to make
-#: sense (a visited bitset is O(max_id) bits *per source*).  Graph
+#: sense (a reach bitset is O(max_id) bits *per component*).  Graph
 #: interning produces dense ids, so real workloads sit far below; the
 #: :mod:`repro.relation` wrappers fall back to delta iteration above it.
 MAX_DENSE_NODE = 1 << 22
@@ -212,14 +206,15 @@ def transitive_fixpoint(
     node_ids, base: Relation, low: int, bound: int | None = None,
     deadline=None,
 ) -> Relation:
-    """``base^low ∪ base^{low+1} ∪ ...`` by frontier-based closure.
+    """``base^low ∪ base^{low+1} ∪ ...`` by condensation-based closure.
 
     Semantics match :func:`repro.rpq.semantics.transitive_fixpoint`:
     ``low == 0`` unions in the identity over ``node_ids``.  ``bound``
     is an optional precomputed :func:`dense_bound`.  ``deadline`` (a
     :class:`repro.faults.Deadline`) is checked cooperatively inside the
-    closure loops — the one place a query's running time is not bounded
-    by the plan shape.
+    closure, the ``low >= 2`` power rounds and the per-source extension
+    — the one place a query's running time is not bounded by the plan
+    shape.
     """
     ids = node_ids if isinstance(node_ids, range) else list(node_ids)
     if not len(base):
@@ -230,7 +225,9 @@ def transitive_fixpoint(
         answers = reach
     else:
         answers = {}
-        for source, bits in _py_power_bitsets(csr, low).items():
+        for source, bits in _py_power_bitsets(csr, low, deadline).items():
+            if deadline is not None:
+                deadline.check()
             total = bits
             for node in _iter_bits(bits):
                 extension = reach.get(node)
@@ -250,7 +247,7 @@ def partitioned_closure(
     a recursive path may hop between shards on every step, so the
     per-shard base slices are merged (one packed-key union — the slices
     are disjoint by the partition rule) and closed **globally** through
-    the frontier engine.  This is the "exactness over locality" point
+    the condensation.  This is the "exactness over locality" point
     of the design: recursion is the one operator that always gathers.
 
     Delegates to :func:`repro.relation.transitive_fixpoint`, so the
@@ -317,115 +314,90 @@ def _iter_bits(bits: int):
         bits ^= lowest
 
 
-def _postorder(csr: CSR) -> list[int]:
-    """DFS postorder over every node with successors.
-
-    Processing sources in this order means a source is closed only
-    after (almost) all of its successors are — exactly when the
-    finished-source absorption in :func:`closure_bitsets` pays off.
-    Only back edges of cycles escape it, and those are healed by the
-    absorption itself.
-    """
-    offsets, targets = csr.offsets, csr.targets
-    seen = bytearray(csr.n)
-    order: list[int] = []
-    for root in range(csr.n):
-        if seen[root] or offsets[root] == offsets[root + 1]:
-            continue
-        # Stack of (node, next position in its neighbor range).
-        seen[root] = 1
-        stack = [(root, offsets[root])]
-        while stack:
-            node, position = stack.pop()
-            end = offsets[node + 1]
-            advanced = False
-            while position < end:
-                successor = targets[position]
-                position += 1
-                if not seen[successor]:
-                    seen[successor] = 1
-                    if offsets[successor] != offsets[successor + 1]:
-                        stack.append((node, position))
-                        stack.append((successor, offsets[successor]))
-                        advanced = True
-                        break
-            if not advanced:
-                order.append(node)
-    return order
-
-
 def closure_bitsets(csr: CSR, deadline=None) -> dict[int, int]:
     """``reach(s)`` (targets of paths of length >= 1) for every source.
 
-    Per-source breadth-first frontier expansion with two twists:
+    One iterative Tarjan pass condenses the graph into strongly
+    connected components, which close in reverse topological order: when
+    a component closes, every component it points to already has.  Its
+    reach is the OR, over its members' out-edges ``(v, t)``, of
+    ``1 << t | reach(t)``.  A cyclic component (more than one member, or
+    a self-loop) needs nothing more: each member is the target of an
+    edge inside it, so the members' own bits arrive through the same OR.
+    Every member gets that one int object — :func:`_emit_bitsets` decodes
+    it once for all of them.
 
-    * visited sets are big-int bitsets, so membership and absorption are
-      word-parallel C operations;
-    * sources are closed in DFS postorder and a traversal that reaches
-      an already-*finished* source absorbs its whole closure with one
-      ``|=`` instead of re-walking it (finished closures are complete,
-      so this is exact even on cycles).
-
-    One schedule, closed on the calling thread: every later source can
-    absorb every earlier one, and under CPython's GIL the big-int
-    kernels would not overlap across threads anyway.
-    """
-    return _close_slice(csr, _postorder(csr), {}, deadline)
-
-
-def _close_slice(
-    csr: CSR, sources: Sequence[int], reach: dict[int, int], deadline=None
-) -> dict[int, int]:
-    """Close every source in ``sources``, absorbing through ``reach``.
-
-    The deadline is checked per source and per frontier round — the
-    granularities that bound how late a cooperative timeout can fire
-    without putting a check inside the word-parallel inner loops.
+    Nodes without successors are never entered (their reach is empty).
+    The deadline is checked per DFS root and per closed component.
     """
     offsets, targets = csr.offsets, csr.targets
-    for source in sources:
+    n = csr.n
+    closed = n + 1  # a preorder number above every real one
+    number = [0] * n  # preorder number, 0 = not entered, ``closed`` = done
+    lowlink = [0] * n
+    slot = [0] * n  # position on ``pending`` when entered
+    reach_of = [0] * n
+    reach: dict[int, int] = {}
+    pending: list[int] = []
+    counter = 0
+    for root in range(n):
+        if number[root] or offsets[root] == offsets[root + 1]:
+            continue
         if deadline is not None:
             deadline.check()
-        visited = 0
-        frontier: list[int] = []
-        for position in range(offsets[source], offsets[source + 1]):
-            node = targets[position]
-            bit = 1 << node
-            if visited & bit:
-                continue
-            visited |= bit
-            finished = reach.get(node)
-            if finished is not None:
-                visited |= finished
-            else:
-                frontier.append(node)
-        while frontier:
-            if deadline is not None:
-                deadline.check()
-            next_frontier: list[int] = []
-            for node in frontier:
-                for position in range(offsets[node], offsets[node + 1]):
-                    successor = targets[position]
-                    bit = 1 << successor
-                    if visited & bit:
+        counter += 1
+        number[root] = lowlink[root] = counter
+        slot[root] = len(pending)
+        pending.append(root)
+        frames = [(root, iter(targets[offsets[root] : offsets[root + 1]]))]
+        while frames:
+            node, successors = frames[-1]
+            for successor in successors:
+                seen = number[successor]
+                if not seen:
+                    start, end = offsets[successor], offsets[successor + 1]
+                    if start == end:
                         continue
-                    visited |= bit
-                    finished = reach.get(successor)
-                    if finished is not None:
-                        visited |= finished
-                    else:
-                        next_frontier.append(successor)
-            frontier = next_frontier
-        reach[source] = visited
+                    counter += 1
+                    number[successor] = lowlink[successor] = counter
+                    slot[successor] = len(pending)
+                    pending.append(successor)
+                    frames.append((successor, iter(targets[start:end])))
+                    break
+                if seen < lowlink[node]:
+                    lowlink[node] = seen
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
+                if lowlink[node] != number[node]:
+                    continue
+                if deadline is not None:
+                    deadline.check()
+                members = pending[slot[node] :]
+                del pending[slot[node] :]
+                heads = set()
+                for member in members:
+                    heads.update(targets[offsets[member] : offsets[member + 1]])
+                bits = 0
+                for head in heads:
+                    bits |= reach_of[head] | 1 << head
+                for member in members:
+                    number[member] = closed
+                    reach_of[member] = reach[member] = bits
     return reach
 
 
 def _advance_levels(
-    adjacency: dict[int, int], power: dict[int, int]
+    adjacency: dict[int, int], power: dict[int, int], deadline=None
 ) -> dict[int, int]:
     """One composition step: each source's level set through the edges."""
     advanced: dict[int, int] = {}
     for source, bits in power.items():
+        if deadline is not None:
+            deadline.check()
         level = 0
         for node in _iter_bits(bits):
             step = adjacency.get(node)
@@ -436,14 +408,14 @@ def _advance_levels(
     return advanced
 
 
-def _py_power_bitsets(csr: CSR, exponent: int) -> dict[int, int]:
+def _py_power_bitsets(csr: CSR, exponent: int, deadline=None) -> dict[int, int]:
     """Non-empty level sets of ``base^exponent`` (exponent >= 1)."""
     adjacency = csr.adjacency_bitsets()
     current = dict(adjacency)
     for _ in range(exponent - 1):
         if not current:
             break
-        current = _advance_levels(adjacency, current)
+        current = _advance_levels(adjacency, current, deadline)
     return current
 
 
@@ -454,7 +426,7 @@ def _py_bounded_powers(
     if low == 0:
         power = {node: 1 << node for node in ids}
     else:
-        power = _py_power_bitsets(csr, low)
+        power = _py_power_bitsets(csr, low, deadline)
     accumulated = dict(power)
     seen_powers = {frozenset(power.items())}
     for _ in range(low, high):
@@ -462,7 +434,7 @@ def _py_bounded_powers(
             deadline.check()
         if not power:
             break
-        power = _advance_levels(adjacency, power)
+        power = _advance_levels(adjacency, power, deadline)
         for source, bits in power.items():
             accumulated[source] = accumulated.get(source, 0) | bits
         fingerprint = frozenset(power.items())
@@ -478,9 +450,16 @@ def _emit_bitsets(answers: dict[int, int], identity_ids=None) -> Relation:
     Sources are emitted ascending and each bitset decodes ascending, so
     the output needs no further sort.  ``identity_ids`` additionally
     unions in ``(n, n)`` for every listed node.
+
+    Sources handed the same int *object* (the members of one strongly
+    connected component, see :func:`closure_bitsets`) share one
+    decoding: it is made at the first of them and dropped after the
+    last, so an all-singleton answer holds nothing extra.
     """
     source_column = array("q")
     target_column = array("q")
+    uses = Counter(map(id, answers.values()))
+    shared: dict[int, array] = {}
     if identity_ids is None:
         sources: Iterable[int] = sorted(
             source for source, bits in answers.items() if bits
@@ -493,39 +472,51 @@ def _emit_bitsets(answers: dict[int, int], identity_ids=None) -> Relation:
         sources = sorted(
             {source for source, bits in answers.items() if bits} | set(membership)
         )
-    byte_bits = _BYTE_BITS
-    numpy = _np()
     for source in sources:
         bits = answers.get(source, 0)
         if membership is not None and source in membership:
-            bits |= 1 << source
+            if not bits >> source & 1:
+                bits |= 1 << source  # a fresh int, decoded on its own
         if not bits:
             continue
-        # Skip leading zero bytes so narrow bitsets decode in O(range).
-        lowest = bits & -bits
-        start_byte = (lowest.bit_length() - 1) >> 3
-        if start_byte:
-            bits >>= start_byte << 3
-        base = start_byte << 3
-        data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-        before = len(target_column)
-        if numpy is not None and len(data) >= _WIDE_BITSET_BYTES:
-            # Wide set: materialize as a boolean vector in one C pass.
-            flags = numpy.unpackbits(
-                numpy.frombuffer(data, dtype=numpy.uint8), bitorder="little"
-            )
-            decoded = numpy.flatnonzero(flags)
-            if base:
-                decoded = decoded + base
-            target_column.frombytes(decoded.astype(numpy.int64).tobytes())
+        key = id(bits)
+        left = uses.get(key, 0)
+        if left > 1:
+            uses[key] = left - 1
+            decoded = shared.get(key)
+            if decoded is None:
+                decoded = shared[key] = _decode(bits)
         else:
-            for index, byte in enumerate(data):
-                if byte:
-                    origin = base + (index << 3)
-                    for offset in byte_bits[byte]:
-                        target_column.append(origin + offset)
-        source_column.extend([source] * (len(target_column) - before))
+            decoded = shared.pop(key, None) or _decode(bits)
+        target_column.extend(decoded)
+        source_column.extend(array("q", (source,)) * len(decoded))
     return Relation(source_column, target_column, Order.BY_SRC)
+
+
+def _decode(bits: int) -> array:
+    """The set-bit positions of a non-zero ``bits``, ascending."""
+    # Skip leading zero bytes so narrow bitsets decode in O(range).
+    lowest = bits & -bits
+    base = ((lowest.bit_length() - 1) >> 3) << 3
+    bits >>= base
+    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+    numpy = _np()
+    if numpy is not None and len(data) >= _WIDE_BITSET_BYTES:
+        # Wide set: materialize as a boolean vector in one C pass.
+        flags = numpy.unpackbits(
+            numpy.frombuffer(data, dtype=numpy.uint8), bitorder="little"
+        )
+        return rel._column(numpy.flatnonzero(flags) + base)
+    byte_bits = _BYTE_BITS
+    return array(
+        "q",
+        [
+            base + (index << 3) + offset
+            for index, byte in enumerate(data)
+            if byte
+            for offset in byte_bits[byte]
+        ],
+    )
 
 
 # -- numpy path: blocked boolean visited matrices ------------------------------

@@ -9,7 +9,7 @@ correct but explodes for large graphs, so when a (sub)expression's
 expansion would exceed the disjunct budget, evaluation falls back to
 structural recursion at that node — child results are still computed
 through the index/planner where possible, and recursion is closed with
-the frontier-based CSR fixpoint (:mod:`repro.csr`).  For the bounded
+the condensation-based CSR fixpoint (:mod:`repro.csr`).  For the bounded
 queries of the paper's evaluation, the fallback never triggers.
 
 Every execution carries a :class:`~repro.engine.operators.ScanMemo`:
@@ -398,7 +398,7 @@ def _hybrid(
     """Structural evaluation with planner acceleration on bounded parts.
 
     Recursion (``Star`` / open ``Repeat``) is closed with the
-    frontier-based CSR engine (:mod:`repro.csr`, reached through
+    condensation-based CSR engine (:mod:`repro.csr`, reached through
     :func:`repro.relation.transitive_fixpoint`); every intermediate is
     an array-backed :class:`~repro.relation.Relation`.  One
     :class:`ScanMemo` spans the whole traversal: repeated AST subtrees

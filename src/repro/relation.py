@@ -19,8 +19,8 @@ this module replaces that with a single *columnar* representation:
   keys (cheap int hashing, no tuple allocation) and exploit tracked
   sort orders instead of re-sorting.
 * columnar recursion — :func:`transitive_fixpoint`,
-  :func:`bounded_powers`, :func:`relation_power` — frontier-based
-  semi-naive closure over a compressed-sparse-row adjacency
+  :func:`bounded_powers`, :func:`relation_power` — strongly connected
+  component condensation over a compressed-sparse-row adjacency
   (:mod:`repro.csr`), used by the executor's hybrid fallback.  The
   PR-1 packed-pair delta iteration survives as ``delta_*`` twins so the
   closure benchmark can keep measuring the speedup against it.
@@ -725,7 +725,7 @@ def _from_packed_unordered(keys: set[int]) -> Relation:
 
 # -- recursion -----------------------------------------------------------------
 #
-# The public kernels delegate to the frontier-based CSR closure engine
+# The public kernels delegate to the condensation-based CSR closure engine
 # (:mod:`repro.csr`) whenever the id space is dense (graph-interned ids
 # always are).  The PR-1 packed-pair delta iteration below is kept both
 # as the fallback for sparse id spaces and as the stable baseline the
@@ -737,10 +737,10 @@ def transitive_fixpoint(
 ) -> Relation:
     """``base^low ∪ base^{low+1} ∪ ...`` to fixpoint.
 
-    Runs as per-source frontier expansion over a CSR adjacency
+    Runs as SCC condensation over a CSR adjacency
     (:func:`repro.csr.transitive_fixpoint`); falls back to packed-pair
     delta iteration when ids are too sparse for bitsets.  ``deadline``
-    bounds both paths cooperatively (checked per source / per round).
+    bounds both paths cooperatively (per DFS root, component or round).
     """
     from repro import csr
 

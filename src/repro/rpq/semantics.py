@@ -8,7 +8,7 @@ against :func:`eval_ast` on randomized inputs.
 
 It deliberately stays tuple-set based: the engine's hot paths use the
 columnar array-backed twins in :mod:`repro.relation` (packed-int64
-joins) and, for ``Star``/``Repeat``, the frontier-based CSR closure in
+joins) and, for ``Star``/``Repeat``, the condensation-based CSR closure in
 :mod:`repro.csr` — and those kernels are property-tested against the
 set implementations here.  That independence is the point: routing this
 module through the engine's kernels would make the oracle circular, so

@@ -186,15 +186,21 @@ def encode_error(error: Exception) -> dict:
     return payload
 
 
-def remote_error(payload: dict) -> ReproError:
+def remote_error(payload: object) -> ReproError:
     """Payload -> the typed local exception it encodes.
 
     Unknown codes decode as plain :class:`ReproError` — a newer server
     must degrade to the base class on an older client, not to an
-    untyped crash.
+    untyped crash.  A payload that is not an object, or whose ``code``
+    or ``message`` is not a string, is garbled: :class:`WireError`.
     """
-    error_type = _CODE_TYPES.get(payload.get("code", ""), ReproError)
+    if not isinstance(payload, dict):
+        return WireError(f"error payload must be an object, got {payload!r:.200}")
+    code = payload.get("code", "")
     message = payload.get("message", "remote error")
+    if not isinstance(code, str) or not isinstance(message, str):
+        return WireError(f"malformed error payload {payload!r:.200}")
+    error_type = _CODE_TYPES.get(code, ReproError)
     if error_type is ShardUnavailableError:
         return ShardUnavailableError(message, shard=payload.get("shard"))
     if error_type is ParseError:
@@ -202,7 +208,7 @@ def remote_error(payload: dict) -> ReproError:
     return error_type(message)
 
 
-def raise_remote(payload: dict) -> None:
+def raise_remote(payload: object) -> None:
     """Re-raise a remote failure as its local typed exception."""
     raise remote_error(payload)
 

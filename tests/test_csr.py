@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import csr
 from repro import relation as rel
-from repro.errors import ValidationError
+from repro.errors import QueryTimeoutError, ValidationError
 from repro.graph.graph import Graph, Step
 from repro.relation import Order, Relation
 from repro.rpq.semantics import (
@@ -93,19 +93,146 @@ class TestBuilder:
             expected = sorted(b for a, b in pairs if a == node)
             assert list(built.neighbors(node)) == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(PAIRS)
-    def test_postorder_visits_every_source_once(self, pairs):
-        built = csr.CSR.from_relation(Relation.from_pairs(pairs))
-        order = csr._postorder(built)
-        sources = {a for a, _ in pairs}
-        assert sorted(order) == sorted(sources)
 
-    def test_postorder_closes_successors_first_on_a_dag(self):
-        chain = csr.CSR.from_relation(
-            Relation.from_pairs([(0, 1), (1, 2), (2, 3)])
+@st.composite
+def condensable_pairs(draw):
+    """Pairs over 0..11 mixing cycles, self-loops and DAG tails.
+
+    Cycles run over disjoint node groups.  Tail edges point from a lower
+    to a higher id, so among themselves they close no cycle, but with
+    the cycle edges they may merge groups into larger components.
+    """
+    nodes = draw(st.permutations(range(12)))
+    sizes = draw(st.lists(st.integers(1, 4), max_size=4))
+    pairs = set()
+    start = 0
+    for size in sizes:
+        group = nodes[start : start + size]
+        start += size
+        if len(group) > 1:
+            pairs.update(zip(group, group[1:] + group[:1]))
+    loops = draw(st.sets(st.integers(0, 11), max_size=3))
+    pairs.update((node, node) for node in loops)
+    tails = draw(
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=12)
+    )
+    pairs.update((min(a, b), max(a, b)) for a, b in tails if a != b)
+    return sorted(pairs)
+
+
+def _decoded(bits: int) -> set[int]:
+    return {node for node in range(bits.bit_length()) if bits >> node & 1}
+
+
+class _ExpiresOnCheck:
+    """A deadline whose ``nth`` call to :meth:`check` raises."""
+
+    def __init__(self, nth: int) -> None:
+        self.nth = nth
+        self.checks = 0
+
+    def check(self) -> None:
+        self.checks += 1
+        if self.checks >= self.nth:
+            raise QueryTimeoutError(f"expired on check {self.checks}")
+
+
+#: Two 3-cycles (one with a self-loop), a bridge from the first to the
+#: second, a two-node DAG tail into the first and two leaves.
+MIXED = [
+    (0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 5),
+    (6, 0), (6, 9), (7, 6), (4, 8),
+]
+
+
+class TestCondensation:
+    @settings(max_examples=80, deadline=None)
+    @given(condensable_pairs())
+    def test_reach_matches_oracle_and_components_share_one_set(self, pairs):
+        built = csr.CSR.from_relation(Relation.from_pairs(pairs))
+        reach = csr.closure_bitsets(built)
+        closure = set_transitive_fixpoint(_graph_with(pairs), set(pairs), 1)
+        sources = {a for a, _ in pairs}
+        assert set(reach) == sources
+        for source in sources:
+            expected = {b for a, b in closure if a == source}
+            assert _decoded(reach[source]) == expected
+        for a, b in closure:
+            if a != b and (b, a) in closure:
+                assert reach[a] is reach[b]
+
+    def test_dag_components_are_singletons(self):
+        chain = Relation.from_pairs([(0, 1), (1, 2), (2, 3)])
+        reach = csr.closure_bitsets(csr.CSR.from_relation(chain))
+        assert {node: _decoded(bits) for node, bits in reach.items()} == {
+            0: {1, 2, 3}, 1: {2, 3}, 2: {3},
+        }
+        assert len({id(bits) for bits in reach.values()}) == 3
+
+    def test_long_chain_needs_no_recursion(self):
+        n = 20_000
+        chain = Relation.from_pairs([(i, i + 1) for i in range(n - 1)])
+        reach = csr.closure_bitsets(csr.CSR.from_relation(chain))
+        assert len(reach) == n - 1
+        assert reach[0] == (1 << n) - 2
+        assert reach[n - 2] == 1 << (n - 1)
+
+    def test_large_cycle_needs_no_recursion(self):
+        n = 50_000
+        cycle = Relation.from_pairs([(i, (i + 1) % n) for i in range(n)])
+        reach = csr.closure_bitsets(csr.CSR.from_relation(cycle))
+        assert len(reach) == n
+        assert len({id(bits) for bits in reach.values()}) == 1
+        assert reach[0] == (1 << n) - 1
+
+    @BOTH_PATHS
+    @pytest.mark.parametrize("low", [0, 1, 2, 3])
+    def test_low_seeds_match_oracle(self, pure_python, low):
+        graph = _graph_with(MIXED, extra_nodes=2)
+        with forced_path(pure_python):
+            result = csr.transitive_fixpoint(
+                graph.node_ids(), Relation.from_pairs(MIXED), low
+            )
+        assert result.to_set() == set_transitive_fixpoint(graph, set(MIXED), low)
+        assert result.pairs() == sorted(result.to_set())
+
+    @BOTH_PATHS
+    @pytest.mark.parametrize("low", [0, 1])
+    def test_emit_decodes_each_reach_set_once(
+        self, pure_python, low, monkeypatch
+    ):
+        decoded = []
+        original = csr._decode
+        monkeypatch.setattr(
+            csr, "_decode", lambda bits: decoded.append(bits) or original(bits)
         )
-        assert csr._postorder(chain) == [2, 1, 0]
+        graph = _graph_with(MIXED, extra_nodes=2)
+        with forced_path(pure_python):
+            result = csr.transitive_fixpoint(
+                graph.node_ids(), Relation.from_pairs(MIXED), low
+            )
+        rows: dict[int, set[int]] = {}
+        for a, b in result.pairs():
+            rows.setdefault(a, set()).add(b)
+        # {0,1,2} share one set and {3,4,5} another; 6 and 7 have their
+        # own, and under low == 0 so do the identity rows of 8 to 11.
+        assert len(decoded) == len({frozenset(row) for row in rows.values()})
+        assert len(decoded) == (8 if low == 0 else 4)
+
+    @pytest.mark.parametrize("low", [2, 3])
+    def test_deadline_is_checked_after_the_closure(self, low):
+        base = Relation.from_pairs(MIXED)
+        built = csr.CSR.from_relation(base)
+        in_closure = _ExpiresOnCheck(10**9)
+        csr.closure_bitsets(built, deadline=in_closure)
+        total = _ExpiresOnCheck(10**9)
+        csr.transitive_fixpoint(range(10), base, low, deadline=total)
+        assert total.checks > in_closure.checks
+        for nth in range(1, total.checks + 1):
+            with pytest.raises(QueryTimeoutError):
+                csr.transitive_fixpoint(
+                    range(10), base, low, deadline=_ExpiresOnCheck(nth)
+                )
 
 
 @BOTH_PATHS

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import GraphDatabase, QueryResult, ServiceConfig
-from repro.client import AsyncClient, Client, RemoteResult
+from repro.client import AsyncClient, Client, RemoteResult, check_payload
 from repro.config import default_shard_count
 from repro.errors import (
     ParseError,
@@ -37,7 +37,9 @@ from repro.graph.graph import Graph
 from repro.relation import Order, Relation
 from repro.serve import CoordinatorDatabase, launch_workers
 from repro.serve import protocol
+from repro.serve.coordinator import WorkerStub
 from repro.serve.server import serve_in_thread
+from repro.serve.worker import WorkerHandle, _await_ready
 from repro.stats import EngineStats
 
 QUERIES = ["a/b", "a|b", "(a|b)/c", "a", "b/c|a", "a{1,2}/b"]
@@ -206,6 +208,63 @@ class TestErrorCodes:
     def test_most_specific_code_wins(self):
         assert protocol.error_code(TransientWireError("x")) == "transient_wire"
         assert protocol.error_code(WireError("x")) == "wire"
+
+
+#: Error payloads no server sends: each must decode as a WireError.
+GARBLED_ERRORS = [
+    ["x"],
+    "boom",
+    None,
+    7,
+    {"code": ["x"]},
+    {"code": 3, "message": "x"},
+    {"code": "parse", "message": ["x"]},
+    {"message": {"nested": True}},
+]
+
+
+class TestGarbledErrorPayloads:
+    @pytest.mark.parametrize("error", GARBLED_ERRORS)
+    def test_client_path(self, error):
+        with pytest.raises(WireError):
+            check_payload({"ok": False, "error": error})
+
+    @pytest.mark.parametrize("error", GARBLED_ERRORS)
+    def test_rpc_path(self, error):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def reply_once():
+            connection, _ = listener.accept()
+            with connection:
+                protocol.recv_frame(connection)
+                protocol.send_frame(connection, {"ok": False, "error": error})
+
+        replier = threading.Thread(target=reply_once, daemon=True)
+        replier.start()
+        port = listener.getsockname()[1]
+        stub = WorkerStub(WorkerHandle(shard=0, port=port, process=None), 5.0)
+        try:
+            with pytest.raises(WireError):
+                stub._call("ping")
+        finally:
+            stub.rebind(stub.handle)
+            replier.join(5)
+            listener.close()
+
+    @pytest.mark.parametrize("error", GARBLED_ERRORS)
+    def test_worker_ready_report(self, error):
+        class Receiver:
+            def poll(self, timeout):
+                return True
+
+            def recv(self):
+                return "error", error
+
+            def close(self):
+                pass
+
+        with pytest.raises(WireError):
+            _await_ready(0, None, Receiver(), 1.0)
 
 
 # -- config and stats (API redesign satellites) --------------------------------
