@@ -1,28 +1,23 @@
-"""Per-shard statistics ablation: skew-aware scatter vs plain scatter.
+"""Shard-pruning ablation: pruned scatter vs plain scatter.
 
-The scatter-gather executor consults per-shard statistics
+The scatter-gather executor consults per-shard exact counts
 (:meth:`repro.sharding.ShardedGraph.shard_statistics`) to skip shard
-slices whose leftmost leaf is provably empty and to re-plan skewed
-disjuncts per shard.  This benchmark measures what that buys on a graph
-with Zipfian label/start-vertex skew aligned with shard ownership
-(:func:`repro.bench.workloads.skewed_shard_graph`): each rare label
-lives in one shard, so rare-led queries — and especially the
-high-fan-in unions normalization produces — prune most of their
-per-shard work.
+slices whose leftmost leaf is provably empty.  This benchmark measures
+what that buys on a graph with Zipfian label/start-vertex skew aligned
+with shard ownership (:func:`repro.bench.workloads.skewed_shard_graph`):
+each rare label lives in one shard, so rare-led queries — and
+especially the high-fan-in unions normalization produces — prune most
+of their per-shard work.
 
-Two phases, both answer-checked against the unpruned scatter *and* the
-``shards=1`` oracle:
+Pruning on vs off, per query and in aggregate, answer-checked against
+the unpruned scatter *and* the ``shards=1`` oracle.  The acceptance
+gate requires the aggregate **>= 1.5x** on the skewed 4-shard graph.
 
-* **prune** — pruning on vs off, per query and in aggregate.  The
-  acceptance gate requires the aggregate **>= 1.5x** on the skewed
-  4-shard graph.
-* **replan** — per-shard re-planning on vs off (informational, no
-  gate: re-planning pays off only when per-shard join orders actually
-  differ, which is workload-dependent).
-
-Timings wrap :func:`repro.engine.executor.execute_prepared` around a
-pre-planned query, so the ratio isolates scatter execution — planning
-and parsing are identical on both sides and excluded.
+Both arms time :func:`repro.engine.operators.execute_scattered` over
+the same pre-planned query — with a :class:`ScatterPolicy`, and with
+``policy=None`` (every shard runs) — so the ratio isolates scatter
+execution: planning and parsing are identical on both sides and
+excluded.
 
 Run directly to print a table and export ``BENCH_shard_stats.json``::
 
@@ -45,7 +40,8 @@ from pathlib import Path
 from repro.api import GraphDatabase, ServiceConfig
 from repro.bench.export import write_json
 from repro.bench.workloads import skewed_shard_graph, skewed_shard_queries
-from repro.engine.executor import execute_prepared, prepare_ast
+from repro.engine.executor import prepare_ast
+from repro.engine.operators import ScatterPolicy, execute_scattered
 from repro.engine.planner import Strategy
 from repro.rpq.parser import parse
 
@@ -59,15 +55,15 @@ GATE_SPEEDUP = 1.5
 
 @dataclass(frozen=True, slots=True)
 class ShardStatsRow:
-    """One skew-aware-vs-plain scatter timing for one query."""
+    """One pruned-vs-plain scatter timing for one query."""
 
-    phase: str  # "prune" | "replan" | "total"
+    phase: str  # "prune" | "total"
     shards: int
     scale: str
     k: int
     operation: str  # the query text, or "aggregate"
-    seconds: float  # skew-aware scatter
-    baseline_seconds: float  # plain scatter (feature off)
+    seconds: float  # pruned scatter
+    baseline_seconds: float  # plain scatter (policy=None)
     shards_pruned: int  # whole shard executions skipped per run
     disjuncts_pruned: int  # disjunct slices skipped per run
     size: int  # answer pairs
@@ -93,35 +89,32 @@ def prune_rows(repeats: int) -> list[ShardStatsRow]:
     database = GraphDatabase(graph, k=K, config=ServiceConfig(shards=SHARDS))
     oracle = GraphDatabase(graph, k=K, config=ServiceConfig(shards=1))
     index, statistics = database.index, database.histogram
-    # Re-planning off in both arms: this phase isolates pruning.
-    index.replan_divergence = None
     rows: list[ShardStatsRow] = []
     pruned_total = 0.0
     unpruned_total = 0.0
     for query in skewed_shard_queries():
-        prepared = prepare_ast(
+        plan = prepare_ast(
             parse(query), index, graph, statistics, Strategy.MIN_SUPPORT
-        )
+        ).costed.plan
 
-        def run():
-            return execute_prepared(prepared, index, graph, statistics)
+        def pruned_run():
+            return execute_scattered(plan, index, graph, policy=ScatterPolicy(index))
 
-        index.scatter_pruning = True
-        report = run()
-        index.scatter_pruning = False
-        unpruned = run()
+        def unpruned_run():
+            return execute_scattered(plan, index, graph, policy=None)
+
+        policy = ScatterPolicy(index)
+        pruned = execute_scattered(plan, index, graph, policy=policy)
+        unpruned = unpruned_run()
         expected = oracle.query(query, use_cache=False).report.relation
-        assert report.relation.to_frozenset() == expected.to_frozenset(), (
+        assert pruned.to_frozenset() == expected.to_frozenset(), (
             f"pruned scatter disagrees with the shards=1 oracle on {query!r}"
         )
-        assert unpruned.relation.to_frozenset() == expected.to_frozenset(), (
+        assert unpruned.to_frozenset() == expected.to_frozenset(), (
             f"plain scatter disagrees with the shards=1 oracle on {query!r}"
         )
-        index.scatter_pruning = True
-        pruned_seconds = _timed(run, repeats)
-        index.scatter_pruning = False
-        unpruned_seconds = _timed(run, repeats)
-        index.scatter_pruning = True
+        pruned_seconds = _timed(pruned_run, repeats)
+        unpruned_seconds = _timed(unpruned_run, repeats)
         pruned_total += pruned_seconds
         unpruned_total += unpruned_seconds
         rows.append(
@@ -133,9 +126,9 @@ def prune_rows(repeats: int) -> list[ShardStatsRow]:
                 operation=query,
                 seconds=pruned_seconds,
                 baseline_seconds=unpruned_seconds,
-                shards_pruned=report.shards_pruned,
-                disjuncts_pruned=report.disjuncts_pruned,
-                size=len(report.relation),
+                shards_pruned=policy.counters.pruned,
+                disjuncts_pruned=policy.counters.disjuncts_pruned,
+                size=len(pruned),
             )
         )
     rows.append(
@@ -157,53 +150,6 @@ def prune_rows(repeats: int) -> list[ShardStatsRow]:
     return rows
 
 
-def replan_rows(repeats: int) -> list[ShardStatsRow]:
-    """Per-shard re-planning on vs off (informational, no gate)."""
-    graph = skewed_shard_graph(SCALE, shards=SHARDS)
-    database = GraphDatabase(graph, k=K, config=ServiceConfig(shards=SHARDS))
-    oracle = GraphDatabase(graph, k=K, config=ServiceConfig(shards=1))
-    index, statistics = database.index, database.histogram
-    rows: list[ShardStatsRow] = []
-    for query in skewed_shard_queries():
-        prepared = prepare_ast(
-            parse(query), index, graph, statistics, Strategy.MIN_SUPPORT
-        )
-
-        def run():
-            return execute_prepared(prepared, index, graph, statistics)
-
-        index.replan_divergence = 1.5  # eager: re-plan on mild skew
-        report = run()
-        expected = oracle.query(query, use_cache=False).report.relation
-        assert report.relation.to_frozenset() == expected.to_frozenset(), (
-            f"re-planned scatter disagrees with the oracle on {query!r}"
-        )
-        replan_seconds = _timed(run, repeats)
-        index.replan_divergence = None
-        plain_seconds = _timed(run, repeats)
-        rows.append(
-            ShardStatsRow(
-                phase="replan",
-                shards=SHARDS,
-                scale=SCALE,
-                k=K,
-                operation=query,
-                seconds=replan_seconds,
-                baseline_seconds=plain_seconds,
-                shards_pruned=report.shards_pruned,
-                disjuncts_pruned=report.disjuncts_pruned,
-                size=len(report.relation),
-            )
-        )
-    database.close()
-    oracle.close()
-    return rows
-
-
-def compare_shard_stats(repeats: int) -> list[ShardStatsRow]:
-    return prune_rows(repeats) + replan_rows(repeats)
-
-
 def export_rows(
     rows: list[ShardStatsRow], path: str | Path = "BENCH_shard_stats.json"
 ) -> Path:
@@ -216,7 +162,7 @@ def export_rows(
 
 def test_smoke_rows_agree_and_export(tmp_path):
     """Smoke sweep: answers pinned to the oracle, export round-trips."""
-    rows = compare_shard_stats(SMOKE_REPEATS)
+    rows = prune_rows(SMOKE_REPEATS)
     path = export_rows(rows, tmp_path / "BENCH_shard_stats.json")
     from repro.bench.export import read_json
 
@@ -241,7 +187,7 @@ def test_pruned_scatter_at_least_1_5x(tmp_path):
 
 def main() -> None:
     smoke = "--smoke" in sys.argv[1:]
-    rows = compare_shard_stats(SMOKE_REPEATS if smoke else FULL_REPEATS)
+    rows = prune_rows(SMOKE_REPEATS if smoke else FULL_REPEATS)
     print(
         f"{'phase':<8}{'shards':>7}{'k':>3}  {'operation':<30}"
         f"{'on(s)':>9}{'off(s)':>9}{'x':>7}{'pruned':>8}{'size':>7}"

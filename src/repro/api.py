@@ -198,13 +198,12 @@ class GraphDatabase:
         # actually executed through the engine.
         self._scan_memo_hits = 0
         self._scan_memo_misses = 0
-        # Aggregated scatter-planning decisions (shards > 1):
-        # shard slices executed / skipped as provably empty / disjuncts
-        # re-planned per shard, summed over every executed query.
+        # Aggregated scatter decisions (shards > 1): shard slices
+        # executed / shard slices and disjunct slices skipped as
+        # provably empty, summed over every executed query.
         self._shards_scanned = 0
         self._shards_pruned = 0
         self._disjuncts_pruned = 0
-        self._shards_replanned = 0
         # Shard slices dropped by degraded-mode queries (see
         # ``query(degraded=True)``): every increment corresponds to one
         # answer that was served partial instead of failing.
@@ -324,14 +323,7 @@ class GraphDatabase:
                 # Closing is idempotent, so the close every replaced
                 # index gets after the install costs nothing here.
                 old_index.close()
-            index = self._make_index_locked()
-            # Declared knobs seed the first instance; toggles the user
-            # poked on the old one win after that, so a rebuild never
-            # silently resets a live experiment.
-            knobs = old_index if old_index is not None else self.config
-            index.scatter_pruning = knobs.scatter_pruning
-            index.replan_divergence = knobs.replan_divergence
-            return index
+            return self._make_index_locked()
 
         return self._replace_index_locked(rebuild)
 
@@ -413,10 +405,11 @@ class GraphDatabase:
     ) -> tuple[ExactStatistics, EquiDepthHistogram]:
         """Derive the statistics pair from a built, rebuilt or patched index.
 
-        One extra pass over each shard's catalog builds the per-shard
-        statistics alongside the index, and the merged view doubles as
-        the global exact statistics — ``|paths_k(G)|`` and the catalog
-        merge are computed once and shared by everything downstream.
+        Each shard's catalog is read once: the merged view doubles as
+        the global exact statistics, and the per-shard exact counts
+        shard pruning reads are built from the same reads here, off the
+        query path — ``|paths_k(G)|`` and the catalog merge are
+        computed once and shared by everything downstream.
         The one recipe serves every shard count and every way the
         index absorbs a change, so none of them can drift.
         """
@@ -659,7 +652,6 @@ class GraphDatabase:
                 self._shards_scanned += report.shards_scanned
                 self._shards_pruned += report.shards_pruned
                 self._disjuncts_pruned += report.disjuncts_pruned
-                self._shards_replanned += report.shards_replanned
                 self._shards_failed += report.shards_failed
             if cache_key is not None:
                 self._cache_misses += 1
@@ -1141,7 +1133,7 @@ class GraphDatabase:
         per-path catalog counts — any change to any of them yields a
         different fingerprint, and the artifact store drops entries
         saved under the old one.  Deliberately *excludes* the shard
-        count: plans are shard-layout independent (scatter planning
+        count: plans are shard-layout independent (shard pruning
         happens at execution time), so re-sharding keeps the artifacts.
         """
         statistics = self._exact_statistics
@@ -1196,11 +1188,10 @@ class GraphDatabase:
         executor's per-execution scan memo (index scans and shared
         subplans reused across union disjuncts and batches), aggregated
         over every executed query.  ``stats().scatter`` aggregates the
-        engine's scatter-planning decisions — shard executions run,
-        shard executions skipped whole, individual disjunct slices
-        skipped as provably empty, and disjunct spines re-planned
-        against per-shard statistics (all zero at ``shards=1``, which
-        does not scatter).  ``stats().faults.shards_failed`` counts
+        engine's shard-pruning decisions — shard executions run, shard
+        executions skipped whole, and individual disjunct slices
+        skipped as provably empty (all zero at ``shards=1``, which does
+        not scatter).  ``stats().faults.shards_failed`` counts
         shard slices dropped by ``query(degraded=True)`` — nonzero
         means some answers were served partial.  ``stats().prepared`` counts
         per-binding plan-cache traffic across every :meth:`prepare`\\ d
@@ -1227,7 +1218,6 @@ class GraphDatabase:
                     shards_scanned=self._shards_scanned,
                     shards_pruned=self._shards_pruned,
                     disjuncts_pruned=self._disjuncts_pruned,
-                    shards_replanned=self._shards_replanned,
                 ),
                 prepared=PreparedStats(
                     hits=self._prepared_hits,

@@ -1,8 +1,8 @@
 """Service configuration: every deployment knob in one frozen object.
 
 Everything a :class:`~repro.api.GraphDatabase` deployment can tune —
-backend selection, cache budgets, shard counts, scatter-planning
-toggles, the write path, the serve front door — is a field of
+backend selection, cache budgets, shard counts, the write path, the
+serve front door — is a field of
 :class:`ServiceConfig`, passed to the database as ``config=``:
 
 >>> from repro.config import ServiceConfig
@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.errors import ValidationError
-from repro.sharding import REPLAN_DIVERGENCE
 
 
 def default_shard_count() -> int:
@@ -61,10 +60,8 @@ def default_shard_count() -> int:
 class ServiceConfig:
     """Everything a :class:`repro.api.GraphDatabase` deployment can tune.
 
-    ``scatter_pruning`` / ``replan_divergence`` seed the attributes of
-    the same names on the sharded index; a value poked on a live index
-    afterwards survives rebuilds.  Serve fields configure the
-    ``repro-rpq serve`` front door only.
+    Scatter-gather has no field: shard pruning is sound, so it is always
+    on.  Serve fields configure the ``repro-rpq serve`` front door only.
     """
 
     # -- engine -----------------------------------------------------------
@@ -76,8 +73,6 @@ class ServiceConfig:
     query_cache_max_pairs: int = 1_000_000
     #: ``None`` defers to ``REPRO_DEFAULT_SHARDS`` (default 1).
     shards: int | None = None
-    scatter_pruning: bool = True
-    replan_divergence: float | None = REPLAN_DIVERGENCE
     #: Hash seed of the vertex-to-shard map; ``rebalance()`` re-seeds
     #: it when a skewed mutation stream unbalances the shards.
     shard_seed: int = 0

@@ -68,15 +68,14 @@ class ExecutionReport:
     #: subtrees, and AST subtrees in the hybrid fallback).
     scan_memo_hits: int = 0
     scan_memo_misses: int = 0
-    #: Scatter-planning decisions (all zero at one shard, which does
-    #: not scatter): shard slices executed, slices skipped as
-    #: provably empty, and disjunct spines re-planned against a
-    #: shard's own statistics.  Aggregated across every scatter this
-    #: execution performed (the hybrid fallback can perform several).
+    #: Scatter decisions (all zero at one shard, which does not
+    #: scatter): shard slices executed, shard slices skipped as
+    #: provably empty, and disjunct slices skipped.  Aggregated across
+    #: every scatter this execution performed (the hybrid fallback can
+    #: perform several).
     shards_scanned: int = 0
     shards_pruned: int = 0
     disjuncts_pruned: int = 0
-    shards_replanned: int = 0
     #: Shard slices dropped after exhausting retries (degraded runs
     #: only — strict runs raise instead of dropping).
     shards_failed: int = 0
@@ -173,9 +172,6 @@ class PreparedQuery:
     max_disjuncts: int
     costed: CostedPlan | None
     planning_seconds: float
-    #: Disjunct plan subtree -> source label path (epsilon omitted);
-    #: what the scatter policy needs to re-plan one disjunct per shard.
-    disjunct_paths: dict | None = None
 
 
 def prepare_ast(
@@ -190,25 +186,15 @@ def prepare_ast(
     started = time.perf_counter()
     normal_form = _try_normalize(node, graph, max_disjuncts)
     costed = None
-    disjunct_paths = None
     if normal_form is not None:
-        planner = Planner(index.k, statistics, graph, strategy)
-        parts = planner.disjunct_plans(normal_form)
-        costed = planner.assemble(parts)
-        disjunct_paths = _disjunct_map(parts)
+        costed = Planner(index.k, statistics, graph, strategy).plan(normal_form)
     return PreparedQuery(
         node=node,
         strategy=strategy,
         max_disjuncts=max_disjuncts,
         costed=costed,
         planning_seconds=time.perf_counter() - started,
-        disjunct_paths=disjunct_paths,
     )
-
-
-def _disjunct_map(parts) -> dict:
-    """Tagged disjunct plans -> {plan subtree: source label path}."""
-    return {costed.plan: path for path, costed in parts if path is not None}
 
 
 def _scatters(index) -> bool:
@@ -217,59 +203,10 @@ def _scatters(index) -> bool:
     More than one shard runs :func:`execute_scattered` /
     :func:`scattered_parts` under a :class:`ScatterPolicy`.  One shard
     runs :func:`execute` over the index facade: there is nothing to
-    prune, re-plan or gather, and a facade ``scan_swapped`` is the
-    zero-copy inverse-path scan where a shard slice has to re-sort.
+    prune or gather, and a facade ``scan_swapped`` is the zero-copy
+    inverse-path scan where a shard slice has to re-sort.
     """
     return index.shard_count > 1
-
-
-def _scatter_policy(
-    index,
-    graph: Graph,
-    statistics,
-    strategy: Strategy,
-    disjunct_paths: dict | None,
-    counters: ScatterCounters | None,
-) -> ScatterPolicy:
-    """The skew-aware scatter policy for one scattered execution.
-
-    With both skew features switched off the policy still runs — it
-    decides nothing, but it keeps the ``shards_scanned`` counter
-    truthful (one count per shard execution), so an A/B of the knobs
-    reads consistently.
-    """
-    planner = Planner(index.k, statistics, graph, strategy)
-
-    def replan(shard, path, provider):
-        # A shard's statistics only change on rebuild, so its re-plans
-        # are cached on the index (dropped with the statistics caches).
-        # Concurrent readers may race to fill a key; the values are
-        # equal plans, so last-store-wins is harmless.
-        key = (shard, path.encode(), strategy.value, type(provider).__name__)
-        cached = index.replan_cache.get(key)
-        if cached is None:
-            cached = planner.with_statistics(provider).plan_path(path).plan
-            index.replan_cache[key] = cached
-        return cached
-
-    return ScatterPolicy(
-        index,
-        statistics,
-        disjunct_paths=disjunct_paths,
-        replan=replan,
-        counters=counters,
-        cache_tag=(strategy.value, type(statistics).__name__),
-    )
-
-
-def _scatter_plan(normal_form, index, graph, statistics, strategy, counters):
-    """Plan a normal form for scattered execution: ``(plan, policy)``."""
-    planner = Planner(index.k, statistics, graph, strategy)
-    parts = planner.disjunct_plans(normal_form)
-    policy = _scatter_policy(
-        index, graph, statistics, strategy, _disjunct_map(parts), counters
-    )
-    return planner.assemble(parts).plan, policy
 
 
 def execute_prepared(
@@ -301,20 +238,12 @@ def execute_prepared(
     try:
         if prepared.costed is not None:
             if sharded:
-                policy = _scatter_policy(
-                    index,
-                    graph,
-                    statistics,
-                    prepared.strategy,
-                    prepared.disjunct_paths,
-                    counters,
-                )
                 relation = execute_scattered(
                     prepared.costed.plan,
                     index,
                     graph,
                     memo,
-                    policy=policy,
+                    policy=ScatterPolicy(index, counters),
                     context=context,
                 )
             else:
@@ -354,7 +283,6 @@ def execute_prepared(
         shards_scanned=counters.scanned if counters else 0,
         shards_pruned=counters.pruned if counters else 0,
         disjuncts_pruned=counters.disjuncts_pruned if counters else 0,
-        shards_replanned=counters.replanned if counters else 0,
         shards_failed=failed,
         partial=failed > 0,
     )
@@ -442,15 +370,12 @@ def _planned(
     if normal_form is None:
         return None
     if _scatters(index):
-        plan, policy = _scatter_plan(
-            normal_form, index, graph, statistics, strategy, counters
-        )
         return execute_scattered(
-            plan,
+            Planner(index.k, statistics, graph, strategy).plan(normal_form).plan,
             index,
             graph,
             memo,
-            policy=policy,
+            policy=ScatterPolicy(index, counters),
             context=context,
         )
     deadline = context.deadline if context is not None else None
@@ -531,15 +456,12 @@ def _closure_base_parts(
     if _scatters(index):
         normal_form = _try_normalize(node, graph, max_disjuncts)
         if normal_form is not None:
-            plan, policy = _scatter_plan(
-                normal_form, index, graph, statistics, strategy, counters
-            )
             return scattered_parts(
-                plan,
+                Planner(index.k, statistics, graph, strategy).plan(normal_form).plan,
                 index,
                 graph,
                 memo,
-                policy=policy,
+                policy=ScatterPolicy(index, counters),
                 context=context,
             )
     return [

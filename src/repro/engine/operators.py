@@ -22,6 +22,12 @@ routinely share work between union disjuncts (``R{1,3}`` plans the
 subtrees), and plan nodes are immutable, hashable value objects, so
 each distinct subtree is scanned/joined once per execution and every
 repeat is a dictionary hit.
+
+The same interpreter runs a plan *pinned to one shard*
+(``execute(..., shard=s)``), which is what scatter-gather is made of:
+:func:`execute_scattered` runs the plan once per shard under a
+:class:`ScatterPolicy` that skips provably empty shard slices, and
+merges the slices.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from repro.engine.plan import (
 from repro.graph.graph import Graph
 from repro.indexes.pathindex import PathIndex
 from repro.relation import Relation
-from repro.sharding import DECISION_CACHE_MAX  # noqa: F401  (re-export)
 
 #: The resilience contract applied when the caller sets nothing up:
 #: default retries, no deadline, strict (non-degraded) answers.
@@ -147,6 +152,7 @@ def execute(
     graph: Graph,
     memo: ScanMemo | None = None,
     deadline=None,
+    shard: int | None = None,
 ) -> Relation:
     """Run a plan tree, returning the (deduplicated) result relation.
 
@@ -156,16 +162,28 @@ def execute(
 
     ``deadline`` (a :class:`repro.faults.Deadline`) is checked once per
     plan node — operator granularity, the cooperative-timeout contract.
+
+    ``shard`` pins the plan to one shard of a
+    :class:`repro.sharding.ShardedGraph` ``index``: the result is the
+    shard's slice, the pairs whose source the shard owns.  A
+    composition's output sources come from its left input, so only the
+    leftmost spine reads shard slices; every right input runs globally
+    (cross-shard joins must not be dropped), and a union pins every
+    part.  Pinned subtrees are memoized under ``(plan, shard)``, global
+    ones under the plan itself, so the gather side of an inner scan is
+    computed once and reused by every shard, and a left-spine prefix
+    shared by several disjuncts runs once per shard.
     """
     if deadline is not None:
         deadline.check()
+    key = plan if shard is None else (plan, shard)
     if memo is not None:
-        cached = memo.lookup_plan(plan)
+        cached = memo.lookup_plan(key)
         if cached is not None:
             return cached
-    result = _run(plan, index, graph, memo, deadline)
+    result = _run(plan, index, graph, memo, deadline, shard)
     if memo is not None:
-        memo.store_plan(plan, result)
+        memo.store_plan(key, result)
     return result
 
 
@@ -174,16 +192,25 @@ def _run(
     index: PathIndex,
     graph: Graph,
     memo: ScanMemo | None,
-    deadline=None,
+    deadline,
+    shard: int | None,
 ) -> Relation:
     if isinstance(plan, IndexScanPlan):
-        if plan.via_inverse:
-            return _checked(plan, index.scan_swapped(plan.path))
-        return _checked(plan, index.scan(plan.path))
+        if shard is None:
+            scan = index.scan_swapped if plan.via_inverse else index.scan
+            return _checked(plan, scan(plan.path))
+        # The deadline travels into a shard scan itself: the in-process
+        # engine clips its retry backoff with it, and the RPC-backed
+        # coordinator forwards it in every request header so a worker
+        # stops computing a slice nobody will wait for.
+        scan = index.shard_scan_swapped if plan.via_inverse else index.shard_scan
+        return _checked(plan, scan(shard, plan.path, deadline=deadline))
     if isinstance(plan, IdentityPlan):
-        return _checked(plan, rel.identity(graph.node_ids()))
+        if shard is None:
+            return _checked(plan, rel.identity(graph.node_ids()))
+        return _checked(plan, index.shard_identity(shard))
     if isinstance(plan, JoinPlan):
-        left = execute(plan.left, index, graph, memo, deadline)
+        left = execute(plan.left, index, graph, memo, deadline, shard)
         right = execute(plan.right, index, graph, memo, deadline)
         if plan.algorithm == "merge":
             _check_merge_inputs(plan)
@@ -191,13 +218,13 @@ def _run(
         return rel.hash_join(left, right)
     if isinstance(plan, UnionPlan):
         return rel.union(
-            execute(part, index, graph, memo, deadline) for part in plan.parts
+            execute(part, index, graph, memo, deadline, shard) for part in plan.parts
         )
     raise ExecutionError(f"unknown plan node {type(plan).__name__}")
 
 
 class ScatterCounters:
-    """Mutable tally of scatter-planning decisions for one execution.
+    """Mutable tally of scatter decisions for one execution.
 
     One instance spans a whole query execution (every
     :func:`execute_scattered` call the hybrid fallback makes shares
@@ -206,7 +233,7 @@ class ScatterCounters:
     that makes shard pruning auditable instead of silent.
     """
 
-    __slots__ = ("scanned", "pruned", "disjuncts_pruned", "replanned", "failed")
+    __slots__ = ("scanned", "pruned", "disjuncts_pruned", "failed")
 
     def __init__(self) -> None:
         #: Shard executions that actually ran.
@@ -218,8 +245,6 @@ class ScatterCounters:
         #: query can prune most of its work in every shard without any
         #: shard being skipped whole.
         self.disjuncts_pruned = 0
-        #: Disjunct join spines re-planned against a shard's statistics.
-        self.replanned = 0
         #: Shard slices dropped because the shard stayed down through
         #: retries and the execution ran ``degraded`` — nonzero exactly
         #: when the answer is partial.
@@ -230,122 +255,73 @@ class ScatterCounters:
             f"ScatterCounters(scanned={self.scanned}, "
             f"pruned={self.pruned}, "
             f"disjuncts_pruned={self.disjuncts_pruned}, "
-            f"replanned={self.replanned}, "
             f"failed={self.failed})"
         )
 
 
-
-
 class ScatterPolicy:
-    """Per-shard planning decisions for scatter-gather execution.
+    """Shard pruning for scatter-gather execution.
 
-    Built by the executor from the sharded engine's per-shard
-    statistics (:meth:`repro.sharding.ShardedGraph.shard_statistics`)
-    and consulted once per (plan, shard) before the slice runs:
+    Consulted once per (plan, shard) before the slice runs: a slice
+    whose leftmost leaf has per-shard exact count zero
+    (:meth:`repro.sharding.ShardedGraph.shard_statistics`) is skipped.
+    Sound, not heuristic: the leftmost leaf pinned to the shard is
+    exactly the shard's slice of that path, and composition/union with
+    an empty leftmost input restricted to the shard produces nothing.
+    Union plans prune per disjunct; a shard with no live disjunct is
+    skipped entirely.
 
-    * **shard pruning** — a slice whose leftmost leaf has per-shard
-      *exact* count zero is skipped.  Sound, not heuristic: the
-      leftmost leaf pinned to the shard is exactly the shard's slice
-      of that path, and composition/union with an empty leftmost
-      input restricted to the shard produces nothing.  Union plans
-      prune per disjunct; a shard with no live disjunct is skipped
-      entirely.
-    * **per-shard re-planning** — when a shard's *estimate* for some
-      length-k window of a disjunct diverges from its uniform share
-      of the global estimate beyond
-      :attr:`~repro.sharding.ShardedGraph.replan_divergence`, the
-      disjunct's join spine is re-costed against the shard's own
-      statistics (``replan`` callback, supplied by the executor so
-      this module stays planner-agnostic).  Any plan for the disjunct
-      executes to the same shard slice, so re-planning is a pure
-      performance decision — the shards=1 oracle pins that.
-
-    Per-shard statistics only change on rebuild, so the whole
+    A shard's catalog only changes with its contents, so the whole
     (plan, shard) decision — result plan plus counter deltas — is
-    cached on the index (:attr:`ShardedGraph.replan_cache`, dropped by
-    ``rebuild_shards``): repeated queries pay one dictionary hit per
-    shard instead of re-walking every disjunct.  ``cache_tag`` carries
-    everything else the decision depends on (strategy, statistics
-    flavor, the pruning/divergence knobs).  Decisions are made
-    serially (before any thread fan-out), so the counters need no
-    lock; concurrent readers racing to fill a cache key store equal
-    values.
+    cached on the index (:attr:`ShardedGraph.decision_cache`, dropped
+    with the statistics caches): repeated queries pay one dictionary
+    hit per shard instead of re-walking every disjunct.  Decisions are
+    made serially on the calling thread, so the counters need no lock;
+    concurrent readers racing to fill a cache key store equal values.
     """
 
-    __slots__ = (
-        "_sharded",
-        "_statistics",
-        "_disjunct_paths",
-        "_replan",
-        "_tag",
-        "counters",
-    )
+    __slots__ = ("_sharded", "counters")
 
-    def __init__(
-        self,
-        sharded,
-        statistics,
-        disjunct_paths: dict[PlanNode, object] | None = None,
-        replan=None,
-        counters: ScatterCounters | None = None,
-        cache_tag: tuple = (),
-    ) -> None:
+    def __init__(self, sharded, counters: ScatterCounters | None = None) -> None:
         self._sharded = sharded
-        self._statistics = statistics
-        self._disjunct_paths = disjunct_paths or {}
-        self._replan = replan
-        self._tag = cache_tag + (
-            sharded.scatter_pruning,
-            sharded.replan_divergence,
-        )
         self.counters = counters if counters is not None else ScatterCounters()
 
     def shard_plan(self, shard: int, plan: PlanNode) -> PlanNode | None:
         """The plan this shard should execute, or ``None`` to skip it."""
-        cache = self._sharded.replan_cache
-        key = (shard, self._tag, plan)
+        cache = self._sharded.decision_cache
+        key = (shard, plan)
         decided = cache.get(key)
         if decided is None:
             decided = self._decide(shard, plan)
             # The cache bounds itself (BoundedCache evicts FIFO), so a
             # template-heavy workload cannot grow it without limit.
             cache[key] = decided
-        result, scanned, pruned, disjuncts_pruned, replanned = decided
+        result, scanned, pruned, disjuncts_pruned = decided
         self.counters.scanned += scanned
         self.counters.pruned += pruned
         self.counters.disjuncts_pruned += disjuncts_pruned
-        self.counters.replanned += replanned
         return result
 
     def _decide(
         self, shard: int, plan: PlanNode
-    ) -> tuple[PlanNode | None, int, int, int, int]:
+    ) -> tuple[PlanNode | None, int, int, int]:
         """Uncached decision: (plan or None, counter deltas)."""
         statistics = self._sharded.shard_statistics(shard)
-        pruning = self._sharded.scatter_pruning
-        if isinstance(plan, UnionPlan):
-            kept: list[PlanNode] = []
-            disjuncts_pruned = 0
-            replanned = 0
-            for part in plan.parts:
-                if pruning and self._slice_empty(part, shard, statistics):
-                    disjuncts_pruned += 1
-                    continue
-                replacement, changed = self._maybe_replan(part, shard, statistics)
-                replanned += changed
-                kept.append(replacement)
-            if not kept:
-                return None, 0, 1, disjuncts_pruned, replanned
-            if tuple(kept) == plan.parts:
-                return plan, 1, 0, disjuncts_pruned, replanned
-            return UnionPlan(tuple(kept)), 1, 0, disjuncts_pruned, replanned
-        if pruning and self._slice_empty(plan, shard, statistics):
-            return None, 0, 1, 1, 0
-        replacement, changed = self._maybe_replan(plan, shard, statistics)
-        return replacement, 1, 0, 0, changed
-
-    # -- pruning ---------------------------------------------------------
+        if not isinstance(plan, UnionPlan):
+            if self._slice_empty(plan, shard, statistics):
+                return None, 0, 1, 1
+            return plan, 1, 0, 0
+        kept = tuple(
+            part
+            for part in plan.parts
+            if not self._slice_empty(part, shard, statistics)
+        )
+        disjuncts_pruned = len(plan.parts) - len(kept)
+        if not kept:
+            return None, 0, 1, disjuncts_pruned
+        if not disjuncts_pruned:
+            return plan, 1, 0, 0
+        return UnionPlan(kept), 1, 0, disjuncts_pruned
 
     def _slice_empty(self, plan: PlanNode, shard: int, statistics) -> bool:
         """Is this shard's slice of ``plan`` provably empty?
@@ -364,50 +340,10 @@ class ScatterPolicy:
             # Direct and inverse scans both read the shard's slice of
             # plan.path itself (the inverse trick re-sorts, it does not
             # change which pairs the slice holds).
-            return statistics.exact_count(plan.path) == 0
+            return statistics.estimated_count(plan.path) == 0
         if isinstance(plan, IdentityPlan):
             return not self._sharded.owned_ids(shard)
         return False  # unknown node: never prune what we cannot prove
-
-    # -- re-planning -----------------------------------------------------
-
-    def _maybe_replan(
-        self, plan: PlanNode, shard: int, statistics
-    ) -> tuple[PlanNode, int]:
-        """``(plan to run, 1 if it was re-planned else 0)``."""
-        divergence = self._sharded.replan_divergence
-        if divergence is None or self._replan is None:
-            return plan, 0
-        path = self._disjunct_paths.get(plan)
-        if path is None or len(path) <= self._sharded.k:
-            # Unknown provenance, or a single-scan disjunct: there is
-            # no join spine to reorder.
-            return plan, 0
-        if not self._diverges(path, statistics, divergence):
-            return plan, 0
-        replanned = self._replan(shard, path, statistics.provider(self._statistics))
-        if replanned == plan:
-            return plan, 0
-        return replanned, 1
-
-    def _diverges(self, path, statistics, divergence: float) -> bool:
-        """Does the shard's distribution of ``path`` defy uniform 1/N?
-
-        Compares, window by length-k window (the units every strategy
-        costs with), the shard estimate against the global estimate's
-        uniform share.  Additive-one smoothing keeps empty windows from
-        dividing by zero and tiny counts from screaming skew.
-        """
-        k = self._sharded.k
-        share = 1.0 / self._sharded.shard_count
-        for offset in range(len(path) - k + 1):
-            window = path.subpath(offset, offset + k)
-            expected = self._statistics.estimated_count(window) * share
-            observed = statistics.estimated_count(window)
-            ratio = (observed + 1.0) / (expected + 1.0)
-            if ratio > divergence or ratio < 1.0 / divergence:
-                return True
-        return False
 
 
 def execute_scattered(
@@ -421,20 +357,17 @@ def execute_scattered(
     """Run a plan against every shard and merge the slices.
 
     ``sharded`` is a :class:`repro.sharding.ShardedGraph`.  The plan is
-    executed once per shard, in shard order on the calling thread, with
-    its *output-source position* pinned to the shard: the leftmost leaf
-    of every join chain (whose source column becomes the answer's
-    source column) reads the shard-local slice, while every other
-    subtree is executed globally through
-    :func:`execute` — and therefore lands in the shared ``memo``, so
+    executed once per shard, in shard order on the calling thread,
+    pinned to the shard (:func:`execute` with ``shard=``): the leftmost
+    leaf of every join chain reads the shard-local slice, while every
+    other subtree runs globally and lands in the shared ``memo``, so
     the gather side of an inner scan is computed once and reused by
     all N shard executions.  Because the shard slices partition every
     relation by start owner, the final union is exact: it equals the
     unsharded execution of the same plan.
 
-    ``policy`` (a :class:`ScatterPolicy`) makes the scatter skew-aware:
-    provably-empty shard slices are skipped and skewed disjuncts are
-    re-planned per shard — answers are unchanged either way.
+    ``policy`` (a :class:`ScatterPolicy`) skips provably empty shard
+    slices; ``None`` runs every shard.  Answers are the same either way.
 
     The gather is the fused kernel
     :func:`repro.relation.union_into` with ``disjoint=True``: every
@@ -538,9 +471,7 @@ def _guarded_slice(
         context = _DEFAULT_CONTEXT
     try:
         return retry_call(
-            lambda: _run_on_shard(
-                plan, sharded, shard, graph, memo, context.deadline
-            ),
+            lambda: execute(plan, sharded, graph, memo, context.deadline, shard),
             policy=context.retry,
             deadline=context.deadline,
         )
@@ -558,73 +489,6 @@ def _guarded_slice(
         if context.degraded:
             return None
         raise
-
-
-def _run_on_shard(
-    plan: PlanNode,
-    sharded,
-    shard: int,
-    graph: Graph,
-    memo: ScanMemo,
-    deadline=None,
-) -> Relation:
-    """One shard's slice of a plan: restrict along the leftmost spine.
-
-    A composition's output sources come from its left input, so
-    restricting the leftmost leaf to the shard's owned start vertices
-    restricts the whole subtree's result to pairs the shard owns —
-    every other input must stay global or cross-shard joins would be
-    dropped.  Union nodes restrict every disjunct (a union's output
-    sources come from all parts).
-
-    Shard-restricted subtrees are memoized under ``(plan, shard)`` keys
-    (global subtrees under the plan itself, via :func:`execute`), so a
-    left-spine prefix shared by several disjuncts — ``R{1,3}`` repeats
-    the ``R`` slice and the ``R·R`` join under every power — runs once
-    per shard, exactly as the unsharded path runs it once.
-    """
-    if deadline is not None:
-        deadline.check()
-    cached = memo.lookup_plan((plan, shard))
-    if cached is not None:
-        return cached
-    return memo.store_plan(
-        (plan, shard),
-        _run_on_shard_uncached(plan, sharded, shard, graph, memo, deadline),
-    )
-
-
-def _run_on_shard_uncached(
-    plan: PlanNode,
-    sharded,
-    shard: int,
-    graph: Graph,
-    memo: ScanMemo,
-    deadline=None,
-) -> Relation:
-    if isinstance(plan, IndexScanPlan):
-        # The deadline travels into the scan call itself: the in-process
-        # engine clips its retry backoff with it, and the RPC-backed
-        # coordinator forwards it in every request header so a worker
-        # stops computing a slice nobody will wait for.
-        if plan.via_inverse:
-            return sharded.shard_scan_swapped(shard, plan.path, deadline=deadline)
-        return sharded.shard_scan(shard, plan.path, deadline=deadline)
-    if isinstance(plan, IdentityPlan):
-        return sharded.shard_identity(shard)
-    if isinstance(plan, JoinPlan):
-        left = _run_on_shard(plan.left, sharded, shard, graph, memo, deadline)
-        right = execute(plan.right, sharded, graph, memo, deadline)
-        if plan.algorithm == "merge":
-            _check_merge_inputs(plan)
-            return rel.merge_join(left.sorted_by(Order.BY_TGT), right)
-        return rel.hash_join(left, right)
-    if isinstance(plan, UnionPlan):
-        return rel.union(
-            _run_on_shard(part, sharded, shard, graph, memo, deadline)
-            for part in plan.parts
-        )
-    raise ExecutionError(f"unknown plan node {type(plan).__name__}")
 
 
 def _checked(plan: PlanNode, produced: Relation) -> Relation:

@@ -75,57 +75,25 @@ class Planner:
             raise PlanningError(f"k must be >= 1, got {k}")
         self.k = k
         self.strategy = strategy
-        self._graph = graph
         self._cost_model = CostModel(statistics, graph)
         self._statistics = statistics
-
-    def with_statistics(self, statistics) -> "Planner":
-        """This planner re-anchored on another statistics provider.
-
-        The scatter executor re-plans a disjunct against one shard's
-        statistics slice this way: same k, same strategy, same graph —
-        only the estimates change.
-        """
-        return Planner(self.k, statistics, self._graph, self.strategy)
 
     # -- entry points ----------------------------------------------------------
 
     def plan(self, normal_form: NormalForm) -> CostedPlan:
         """Plan a whole query: a union over per-disjunct plans."""
-        return self.assemble(self.disjunct_plans(normal_form))
-
-    def disjunct_plans(
-        self, normal_form: NormalForm
-    ) -> list[tuple[LabelPath | None, CostedPlan]]:
-        """Per-disjunct plans, each tagged with its source label path.
-
-        The epsilon disjunct carries ``None``.  The tagging is what the
-        scatter executor needs to re-plan one disjunct against a
-        shard's statistics without re-deriving which path a plan
-        subtree came from.
-        """
-        parts: list[tuple[LabelPath | None, CostedPlan]] = []
+        parts: list[CostedPlan] = []
         if normal_form.has_epsilon:
-            parts.append((None, self._cost_model.identity()))
-        for path in normal_form.paths:
-            parts.append((path, self.plan_path(path)))
+            parts.append(self._cost_model.identity())
+        parts.extend(self.plan_path(path) for path in normal_form.paths)
         if not parts:
             raise PlanningError("cannot plan an empty query")
-        return parts
-
-    @staticmethod
-    def assemble(
-        parts: list[tuple[LabelPath | None, CostedPlan]],
-    ) -> CostedPlan:
-        """Fold tagged disjunct plans into the whole-query plan."""
-        costed = [part for _, part in parts]
-        if len(costed) == 1:
-            return costed[0]
-        union = UnionPlan(tuple(part.plan for part in costed))
+        if len(parts) == 1:
+            return parts[0]
         return CostedPlan(
-            plan=union,
-            cardinality=sum(part.cardinality for part in costed),
-            cost=sum(part.cost for part in costed),
+            plan=UnionPlan(tuple(part.plan for part in parts)),
+            cardinality=sum(part.cardinality for part in parts),
+            cost=sum(part.cost for part in parts),
         )
 
     def plan_path(self, path: LabelPath) -> CostedPlan:

@@ -135,10 +135,6 @@ def artifact_from_prepared(prepared: PreparedQuery) -> dict | None:
         "plan": _plan_to_obj(prepared.costed.plan),
         "cost": prepared.costed.cost,
         "cardinality": prepared.costed.cardinality,
-        "disjuncts": [
-            [path.encode(), _plan_to_obj(plan)]
-            for plan, path in (prepared.disjunct_paths or {}).items()
-        ],
     }
 
 
@@ -164,10 +160,6 @@ def prepared_from_artifact(obj: dict) -> PreparedQuery | None:
             max_disjuncts=int(obj["max_disjuncts"]),
             costed=costed,
             planning_seconds=0.0,
-            disjunct_paths={
-                _plan_from_obj(plan_obj): LabelPath.decode(path_text)
-                for path_text, plan_obj in obj.get("disjuncts", [])
-            },
         )
     except (QueryTimeoutError, TransientError):
         # Fail-open covers *defects* (stale schema, corrupt JSON), not

@@ -56,6 +56,7 @@ silently testing the wrong failure mode is worse than not testing.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import threading
@@ -174,8 +175,12 @@ class Deadline:
     __slots__ = ("timeout_ms", "clock", "_expires")
 
     def __init__(self, timeout_ms: float, clock: Clock | None = None) -> None:
-        if timeout_ms <= 0:
-            raise ValidationError(f"timeout_ms must be > 0, got {timeout_ms}")
+        # NaN and infinity would pass a plain ``<= 0`` test and leave a
+        # deadline that never expires.
+        if not 0 < timeout_ms < math.inf:
+            raise ValidationError(
+                f"timeout_ms must be finite and > 0, got {timeout_ms}"
+            )
         self.timeout_ms = timeout_ms
         self.clock = clock if clock is not None else current_clock()
         self._expires = self.clock.now() + timeout_ms / 1000.0

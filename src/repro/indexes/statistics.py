@@ -12,16 +12,14 @@ Both expose ``estimated_count`` (absolute cardinality estimate) and
 ``selectivity`` (the paper's ``sel_{G,k}``: the fraction of
 ``paths_k(G)`` satisfying ``p``).
 
-:class:`ShardStatistics` lifts the pair to one shard of a
-:class:`~repro.sharding.ShardedGraph`: the exact counts and the
-histogram of *that shard's slice* of every path relation, which is
-what skew-aware scatter planning consumes — the exact counts prove a
-shard's slice empty (shard pruning), the histogram re-costs join
-orders against the shard's own distribution (per-shard re-planning).
-Summing the per-shard exact counts over all shards reproduces the
-global catalog exactly (the partition rule makes slices disjoint), so
-the merged view agrees with :meth:`ExactStatistics.from_index` — the
-property the hypothesis suite pins.
+One shard of a :class:`~repro.sharding.ShardedGraph` is described by
+an :class:`ExactStatistics` over *that shard's* catalog
+(:meth:`~repro.sharding.ShardedGraph.shard_statistics`): a count of
+zero proves the shard's slice of a path empty, which is all shard
+pruning asks.  Summing the per-shard counts over all shards reproduces
+the global catalog exactly (the partition rule makes slices disjoint),
+so the merged view agrees with :meth:`ExactStatistics.from_index` —
+the property the hypothesis suite pins.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import Protocol
 from repro.errors import ValidationError
 from repro.graph.graph import Graph, LabelPath
 from repro.graph.stats import count_paths_k
-from repro.indexes.histogram import EquiDepthHistogram
 from repro.indexes.pathindex import PathIndex
 
 
@@ -99,77 +96,6 @@ class ExactStatistics:
     def __repr__(self) -> str:
         return (
             f"ExactStatistics(k={self.k}, paths={len(self._counts)}, "
-            f"total_paths_k={self.total_paths_k})"
-        )
-
-
-class ShardStatistics:
-    """One shard's statistics slice: exact counts plus a histogram.
-
-    ``counts`` is the shard index's own catalog (each path's count is
-    the number of pairs whose start vertex the shard owns), so the
-    exact side is the ground truth of the shard's slice — a count of
-    zero *proves* the slice empty, which is what makes shard pruning
-    safe.  The histogram compresses the same counts the paper's way
-    and is what per-shard re-planning costs join orders against.
-
-    ``total_paths_k`` is the **global** denominator: selectivities
-    from different shards (and from the global provider) must divide
-    by the same ``|paths_k(G)|`` to be comparable, so the per-shard
-    view deliberately does not recompute a shard-local one.
-
-    The class satisfies the :class:`Statistics` protocol with the
-    histogram flavor; callers that need the catalog truth use
-    :meth:`exact_count`, and :meth:`provider` picks the side matching
-    whatever flavor the global planner runs with.
-    """
-
-    __slots__ = ("shard", "exact", "histogram", "k", "total_paths_k")
-
-    def __init__(
-        self,
-        shard: int,
-        counts: dict[str, int],
-        k: int,
-        total_paths_k: int,
-        buckets: int = 64,
-    ):
-        self.shard = shard
-        self.exact = ExactStatistics(counts, k, total_paths_k)
-        self.histogram = EquiDepthHistogram.from_counts(
-            counts, k=k, total_paths_k=total_paths_k, buckets=buckets
-        )
-        self.k = k
-        # Already validated > 0 by the ExactStatistics constructor above.
-        self.total_paths_k = total_paths_k
-
-    def estimated_count(self, path: LabelPath) -> float:
-        return self.histogram.estimated_count(path)
-
-    def selectivity(self, path: LabelPath) -> float:
-        return self.histogram.selectivity(path)
-
-    def exact_count(self, path: LabelPath) -> int:
-        """The shard slice's true ``|p(G) restricted to owned starts|``."""
-        return int(self.exact.estimated_count(path))
-
-    def provider(self, like: object):
-        """The per-shard provider matching a global provider's flavor.
-
-        A planner costing against the global histogram should re-plan
-        against the shard histogram; one running the exact-statistics
-        ablation should see the shard's exact counts.  Anything else
-        (e.g. the information-free baseline) gets the exact side —
-        per-shard statistics exist precisely to be informative.
-        """
-        if isinstance(like, EquiDepthHistogram):
-            return self.histogram
-        return self.exact
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardStatistics(shard={self.shard}, k={self.k}, "
-            f"paths={len(self.exact._counts)}, "
             f"total_paths_k={self.total_paths_k})"
         )
 

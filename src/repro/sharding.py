@@ -60,11 +60,7 @@ from repro.graph.graph import Graph, LabelPath
 from repro.graph.stats import paths_k_sizes
 from repro.indexes.builder import cataloged_counts, path_relations_columnar
 from repro.indexes.pathindex import PathIndex
-from repro.indexes.statistics import (
-    ExactStatistics,
-    ShardStatistics,
-    merge_shard_counts,
-)
+from repro.indexes.statistics import ExactStatistics, merge_shard_counts
 from repro.relation import Order, Relation
 
 #: Fibonacci-style multiplicative mixer: consecutive dense ids spread
@@ -73,30 +69,18 @@ SHARD_MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _SHARD_SHIFT = 17
 
-#: Default re-planning trigger: a shard's estimate for some length-k
-#: window of a disjunct must diverge from its uniform share of the
-#: global estimate by more than this factor (either direction) before
-#: the join spine is re-costed against the shard's own statistics.
-#: Loose by design — per-shard and global histograms bucket
-#: differently, so small disagreements are synopsis noise, not skew.
-REPLAN_DIVERGENCE = 4.0
-
-#: Bucket count of the per-shard equi-depth histograms.  A shard holds
-#: ~1/N of every relation, so the global default of 64 stays plenty.
-SHARD_STATISTICS_BUCKETS = 64
-
-#: Size bound on the per-index scatter-decision / re-plan cache:
-#: decisions and re-planned spines are tiny, but a template-heavy
-#: workload of distinct queries would otherwise pin plan trees forever.
+#: Size bound on the per-index scatter-decision cache: decisions are
+#: tiny, but a template-heavy workload of distinct queries would
+#: otherwise pin plan trees forever.
 DECISION_CACHE_MAX = 4096
 
 
 class BoundedCache:
     """A size-capped mapping with FIFO eviction.
 
-    Holds the sharded engine's scatter-planning decisions and
-    re-planned disjunct spines.  Both are pure functions of state that
-    only changes on rebuild, so eviction merely costs a re-derivation —
+    Holds the sharded engine's scatter-pruning decisions.  They are
+    pure functions of state that only changes when a shard's contents
+    do, so eviction merely costs a re-derivation —
     insertion order is as good an eviction policy as any, and it keeps
     every operation O(1).  Writes can race between reader threads
     (queries are readers); each mutation is guarded by a lock so the
@@ -211,15 +195,6 @@ class ShardedGraph:
         #: re-seeding (rebalancing) means a full rebuild into a new
         #: instance, never an in-place remap.
         self.shard_seed = shard_seed
-        #: Skip scatter slices whose leftmost-leaf slice is *provably*
-        #: empty (per-shard exact count 0).  Sound by construction —
-        #: composition and union with an empty leftmost input restricted
-        #: to the shard contribute nothing — and surfaced per query on
-        #: :class:`repro.engine.executor.ExecutionReport`.
-        self.scatter_pruning = True
-        #: Divergence factor that triggers per-shard re-planning of a
-        #: disjunct's join spine (``None`` disables re-planning).
-        self.replan_divergence: float | None = REPLAN_DIVERGENCE
         #: The step vocabulary the shards were enumerated over.  A
         #: mutation that changes it invalidates every shard's path set
         #: at once — the API layer then forces a full rebuild.
@@ -230,14 +205,12 @@ class ShardedGraph:
         self._owned_version = -1
         self._owned_lists: list[list[int]] = []
         # Statistics caches (see invalidate_statistics for what drops
-        # them).  The merged catalog is shared by every planner costing
-        # pass, so it is computed once.  Per-shard ShardStatistics are
-        # built lazily per shard — the catalogs they read already
-        # exist, so construction is one pass over each shard's counts,
-        # exactly the "one extra pass" the build pays for skew-aware
-        # planning.
+        # them).  Each shard's catalog is read once — one ``counts`` RPC
+        # per worker on the coordinator — and both the merged catalog
+        # and the per-shard statistics derive from that read.
+        self._catalogs: list[dict[str, int] | None] = [None for _ in self._shards]
         self._merged_counts: dict[str, int] | None = None
-        self._shard_statistics: list[ShardStatistics | None] = [
+        self._shard_statistics: list[ExactStatistics | None] = [
             None for _ in self._shards
         ]
         # |paths_k(G)| is maintained, not cached: one ball size
@@ -248,17 +221,14 @@ class ShardedGraph:
         self._total_paths_k = 0
         #: Sources sized since the last :meth:`take_recounted_sources`.
         self._recounted_sources = 0
-        #: Scatter decisions and re-planned disjunct spines, keyed on
-        #: ``(shard, tag, plan)`` and
-        #: ``(shard, encoded path, strategy, statistics flavor)``
-        #: respectively.  A shard's statistics are immutable between
-        #: rebuilds, so the decisions are too — caching them keeps
-        #: skew-aware planning a per-*rebuild* cost instead of a
-        #: per-execution one.  Bounded (FIFO eviction) so a
-        #: template-heavy workload of distinct queries cannot grow it
-        #: without limit; dropped wholesale with the other statistics
-        #: caches in :meth:`invalidate_statistics`.
-        self.replan_cache = BoundedCache(DECISION_CACHE_MAX)
+        #: Scatter-pruning decisions, keyed on ``(shard, plan)``.  A
+        #: shard's catalog only changes with its contents, so its
+        #: decisions are a per-*change* cost instead of a per-execution
+        #: one.  Bounded (FIFO eviction) so a template-heavy workload of
+        #: distinct queries cannot grow it without limit; dropped
+        #: wholesale with the other statistics caches in
+        #: :meth:`invalidate_statistics`.
+        self.decision_cache = BoundedCache(DECISION_CACHE_MAX)
 
     # -- construction ----------------------------------------------------
 
@@ -530,8 +500,8 @@ class ShardedGraph:
 
         Called by everything that changes shard contents under one
         instance: :meth:`rebuild_shards`, :meth:`patch_shards`, and the
-        RPC engine's ``apply_commit_group``.  The merged counts, the
-        per-shard statistics slices and :attr:`replan_cache` are
+        RPC engine's ``apply_commit_group``.  The shard catalogs, their
+        merge, the per-shard statistics and :attr:`decision_cache` are
         dropped and rebuilt on next use — touched shards changed their
         catalogs, and the graph change behind that moved
         ``|paths_k(G)|`` under *every* shard's selectivities.
@@ -546,9 +516,10 @@ class ShardedGraph:
         between leaves the old, consistent sizes (and a caller that
         discards the index, as the API layer does).
         """
+        self._catalogs = [None for _ in self._shards]
         self._merged_counts = None
         self._shard_statistics = [None for _ in self._shards]
-        self.replan_cache.clear()
+        self.decision_cache.clear()
         sizes = self._ball_sizes
         if endpoints is None or sizes is None:
             self._ball_sizes = None
@@ -659,21 +630,26 @@ class ShardedGraph:
         return sum(shard.count(path) for shard in self._shards)
 
     def _shard_catalog(self, shard: int) -> dict[str, int]:
-        """What one shard reports to the statistics layer.
+        """What one shard reports to the statistics layer (cached).
 
         :func:`~repro.indexes.builder.cataloged_counts` over the
         shard's exact counts, whether the shard was just built or has
         been patched since: a patch gives a path an id on its first
         pair and never retires one, so the shard's own catalog lists
         *empty* paths by history, and histogram bucket averages would
-        see that.
+        see that.  Read once per shard until
+        :meth:`invalidate_statistics`.
         """
-        return cataloged_counts(
-            self._shards[shard].counts_by_path(),
-            self.alphabet,
-            self.k,
-            self._prune_empty,
-        )
+        catalog = self._catalogs[shard]
+        if catalog is None:
+            catalog = cataloged_counts(
+                self._shards[shard].counts_by_path(),
+                self.alphabet,
+                self.k,
+                self._prune_empty,
+            )
+            self._catalogs[shard] = catalog
+        return catalog
 
     def counts_by_path(self) -> dict[str, int]:
         """Merged exact counts (the statistics layer's input).
@@ -763,25 +739,24 @@ class ShardedGraph:
             total_paths_k=self.total_paths_k(),
         )
 
-    def shard_statistics(self, shard: int) -> ShardStatistics:
-        """One shard's statistics slice (exact counts + histogram).
+    def shard_statistics(self, shard: int) -> ExactStatistics:
+        """Exact counts of one shard's slice of every path relation.
 
-        Built on first use from the shard's already-materialized
-        catalog — one pass over its counts — and cached until
-        :meth:`invalidate_statistics`.  The scatter planner
-        reads this per slice: exact zeros drive shard pruning,
-        histogram estimates drive per-shard join-order re-planning.
+        Built from the shard's cached catalog (no second read of the
+        shard) and cached until :meth:`invalidate_statistics`.  Shard
+        pruning reads it per slice: a count of zero proves the slice
+        empty.  ``total_paths_k`` is the *global* ``|paths_k(G)|``, so
+        a shard's selectivities divide by the same denominator as the
+        global provider's.
         """
         if not 0 <= shard < len(self._shards):
             raise ValidationError(f"no such shard {shard}")
         cached = self._shard_statistics[shard]
         if cached is None:
-            cached = ShardStatistics(
-                shard=shard,
+            cached = ExactStatistics(
                 counts=self._shard_catalog(shard),
                 k=self.k,
                 total_paths_k=self.total_paths_k(),
-                buckets=SHARD_STATISTICS_BUCKETS,
             )
             self._shard_statistics[shard] = cached
         return cached

@@ -2,8 +2,8 @@
 
 The engine's counters grew one flat dictionary key per PR; consumers
 had to know which of nineteen strings belonged to which subsystem.
-:class:`EngineStats` groups them — query-result cache, scatter
-planning, prepared statements, fault accounting — as typed frozen
+:class:`EngineStats` groups them — query-result cache, shard
+pruning, prepared statements, fault accounting — as typed frozen
 dataclasses, with :meth:`EngineStats.as_dict` flattening them to the
 one mapping the CLI prints and the serve layer returns verbatim at
 ``GET /stats``.
@@ -37,12 +37,11 @@ class CacheStats:
 
 @dataclass(frozen=True, slots=True)
 class ScatterStats:
-    """Scatter-planning decisions of the sharded engine."""
+    """Shard-pruning decisions of the sharded engine."""
 
     shards_scanned: int = 0
     shards_pruned: int = 0
     disjuncts_pruned: int = 0
-    shards_replanned: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +117,6 @@ class EngineStats:
             "shards_scanned": self.scatter.shards_scanned,
             "shards_pruned": self.scatter.shards_pruned,
             "disjuncts_pruned": self.scatter.disjuncts_pruned,
-            "shards_replanned": self.scatter.shards_replanned,
             "shards_failed": self.faults.shards_failed,
             "prepared_hits": self.prepared.hits,
             "prepared_misses": self.prepared.misses,

@@ -48,6 +48,7 @@ from repro.faults import (
     plan_from_env,
     retry_call,
 )
+from repro.graph.examples import FIGURE1_EDGES
 from repro.graph.generators import advogato_like
 from repro.indexes.pathindex import PathIndex
 from repro.sharding import ShardedGraph
@@ -252,6 +253,21 @@ def test_latency_faults_trip_the_deadline() -> None:
     with armed(plan):
         with pytest.raises(QueryTimeoutError):
             db.query("master/journeyer", timeout_ms=10.0, use_cache=False)
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize(
+    "timeout_ms", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+)
+def test_only_a_finite_positive_timeout_is_a_deadline(shards, timeout_ms) -> None:
+    """NaN passes a ``<= 0`` test and infinity never expires: both
+    would answer with no bound at all, so both are refused up front."""
+    db = GraphDatabase.from_edges(
+        FIGURE1_EDGES, k=2, config=ServiceConfig(shards=shards)
+    )
+    with pytest.raises(ValidationError, match="finite"):
+        db.query("supervisor/^worksFor", timeout_ms=timeout_ms, use_cache=False)
+    db.close()
 
 
 def test_timeout_rejected_for_baselines() -> None:

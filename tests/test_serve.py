@@ -9,6 +9,8 @@ contract is "same pairs as the embedded engine, or a typed error".
 
 from __future__ import annotations
 
+import http.client
+import json
 import random
 import socket
 import struct
@@ -296,6 +298,11 @@ class TestServiceConfig:
             GraphDatabase.from_edges(edges, backend="disk")
         with pytest.raises(TypeError, match="query_cache_size"):
             CoordinatorDatabase(graph, query_cache_size=0)
+        # Scatter-gather has no knobs: pruning is always on.
+        with pytest.raises(TypeError, match="replan_divergence"):
+            ServiceConfig(replan_divergence=4.0)
+        with pytest.raises(TypeError, match="scatter_pruning"):
+            ServiceConfig(scatter_pruning=False)
 
     def test_k_overrides_config(self):
         db = GraphDatabase.from_edges(
@@ -320,7 +327,7 @@ class TestEngineStats:
         expected = {
             "hits", "misses", "entries", "capacity", "pairs", "max_pairs",
             "scan_memo_hits", "scan_memo_misses", "shards_scanned",
-            "shards_pruned", "disjuncts_pruned", "shards_replanned",
+            "shards_pruned", "disjuncts_pruned",
             "prepared_hits", "prepared_misses", "prepared_invalidations",
             "artifact_loads", "plans_computed", "plan_artifacts",
             "shards_failed",
@@ -524,6 +531,22 @@ class TestHttpService:
     def test_timeout_crosses_wire(self, client):
         with pytest.raises(QueryTimeoutError):
             client.query("a/b/c/a", timeout_ms=1e-4, use_cache=False)
+
+    def test_non_finite_timeout_is_a_validation_error(self, served):
+        # json.loads accepts the NaN literal, and a NaN deadline would
+        # never expire: the request is refused instead of unbounded.
+        body = b'{"query": "a/b", "timeout_ms": NaN}'
+        connection = http.client.HTTPConnection("127.0.0.1", served.port, timeout=30)
+        try:
+            connection.request(
+                "POST", "/query", body, {"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            status, payload = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert status == 400
+        assert payload["error"]["code"] == "validation"
 
     def test_stats_endpoint_groups(self, client):
         stats = client.stats()

@@ -356,7 +356,6 @@ class TestQueryBatch:
         "shards_scanned",
         "shards_pruned",
         "disjuncts_pruned",
-        "shards_replanned",
     )
 
     def test_matches_per_query_results_in_order(self):

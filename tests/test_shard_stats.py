@@ -1,4 +1,4 @@
-"""Per-shard statistics and skew-aware scatter planning.
+"""Per-shard statistics and shard pruning.
 
 Two properties govern the subsystem:
 
@@ -7,11 +7,10 @@ Two properties govern the subsystem:
   kernel paths at shards 1/2/4), so the merged view can replace a
   global recount and the statistics "wire format" (per-shard count
   dictionaries) loses nothing.
-* **answer transparency** — shard pruning and per-shard re-planning
-  are pure performance decisions: ``shards=N`` answers stay identical
-  to the ``shards=1`` oracle with both features forced on (eager
-  divergence threshold), including on chains whose every hop crosses
-  a shard boundary.
+* **answer transparency** — shard pruning is a pure performance
+  decision: ``shards=N`` answers stay identical to the ``shards=1``
+  oracle, including on chains whose every hop crosses a shard
+  boundary.
 
 Around those sit the observables (pruned counts on
 ``ExecutionReport`` / ``stats()``), the cache-invalidation
@@ -27,15 +26,11 @@ from hypothesis import strategies as st
 from repro.api import GraphDatabase, ServiceConfig, default_shard_count
 from repro.errors import ValidationError
 from repro.graph.generators import advogato_like
-from repro.graph.graph import Graph, LabelPath
+from repro.engine.operators import ScatterPolicy
+from repro.graph.graph import Graph
 from repro.graph.stats import count_paths_k
-from repro.indexes.histogram import EquiDepthHistogram
 from repro.indexes.pathindex import PathIndex
-from repro.indexes.statistics import (
-    ExactStatistics,
-    ShardStatistics,
-    merge_shard_counts,
-)
+from repro.indexes.statistics import ExactStatistics, merge_shard_counts
 from repro.rpq.semantics import eval_query
 from repro.sharding import ShardedGraph, shard_of
 
@@ -86,18 +81,8 @@ class TestShardStatistics:
         sharded = ShardedGraph.build(graph, 2, shards=3)
         per_shard = [sharded.shard_statistics(shard) for shard in range(3)]
         for path in sharded.paths():
-            total = sum(stats.exact_count(path) for stats in per_shard)
+            total = sum(stats.estimated_count(path) for stats in per_shard)
             assert total == sharded.count(path)
-
-    def test_provider_matches_global_flavor(self):
-        stats = ShardStatistics(0, {"a": 4}, k=1, total_paths_k=10)
-        histogram = EquiDepthHistogram.from_counts({"a": 4}, 1, 10)
-        exact = ExactStatistics({"a": 4}, 1, 10)
-        assert stats.provider(histogram) is stats.histogram
-        assert stats.provider(exact) is stats.exact
-        path = LabelPath.of("a")
-        assert stats.exact_count(path) == 4
-        assert stats.estimated_count(path) == stats.histogram.estimated_count(path)
 
     def test_merge_shard_counts(self):
         merged = merge_shard_counts([{"a": 1, "b": 2}, {"b": 3}, {}])
@@ -128,7 +113,8 @@ class TestShardStatistics:
             for path in plain.paths():
                 expected = reference.estimated_count(path)
                 assert merged.estimated_count(path) == expected
-                assert sum(stats.exact_count(path) for stats in per_shard) == expected
+                shard_total = sum(stats.estimated_count(path) for stats in per_shard)
+                assert shard_total == expected
 
 
 class TestStatisticsCaches:
@@ -148,14 +134,14 @@ class TestStatisticsCaches:
         sharded = ShardedGraph.build(graph, 2, shards=3)
         sharded.counts_by_path()  # warm the merge cache
         stats_before = sharded.shard_statistics(0)
-        sharded.replan_cache["sentinel"] = object()
+        sharded.decision_cache["sentinel"] = object()
         graph.add_edge("n0", "a", "n1") or graph.remove_edge("n0", "a", "n1")
         sharded.rebuild_shards(range(3))
         after = sharded.counts_by_path()
         assert after == merge_shard_counts(
             [index.counts_by_path() for index in sharded.shard_indexes]
         )
-        assert "sentinel" not in sharded.replan_cache
+        assert "sentinel" not in sharded.decision_cache
         # Shard statistics are rebuilt lazily against the new catalogs.
         assert sharded.shard_statistics(0) is not stats_before
 
@@ -218,32 +204,6 @@ class TestShardPruning:
         grown = database.stats().as_dict()
         assert grown["shards_pruned"] >= info["shards_pruned"]
 
-    def test_pruning_knob_disables_skipping(self):
-        shards = 4
-        graph = interleaved_chain(4, shards, first_label="r")
-        database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
-        database.index.scatter_pruning = False
-        database.index.replan_divergence = None
-        result = database.query("r/a/a", use_cache=False)
-        assert result.report.shards_pruned == 0
-        # Every shard execution is still counted with the features off.
-        assert result.report.shards_scanned == shards
-        assert result.pairs == frozenset(eval_query(graph, "r/a/a"))
-
-    def test_knobs_survive_full_rebuilds(self):
-        graph = interleaved_chain(4, 2, first_label="r")
-        database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=2))
-        database.index.scatter_pruning = False
-        database.index.replan_divergence = None
-        # An unseen label forces a full rebuild (new ShardedGraph)...
-        assert database.add_edge("n0", "brandnew", "n1") is not None
-        assert database.index.scatter_pruning is False
-        assert database.index.replan_divergence is None
-        # ...and an explicit rebuild preserves them too.
-        database.build_index()
-        assert database.index.scatter_pruning is False
-        assert database.index.replan_divergence is None
-
     def test_empty_star_operand_survives_all_shard_pruning(self):
         """A star whose operand label does not exist: every shard slice
         prunes, and the closure must still produce the identity."""
@@ -255,35 +215,29 @@ class TestShardPruning:
             == oracle.query("zz*", use_cache=False).pairs
         )
 
+    def test_decision_cache_reused_across_executions(self, monkeypatch):
+        """A repeated query decides nothing again: every (shard, plan)
+        decision is a cache hit, and the counters it replays match."""
+        decided = []
+        original = ScatterPolicy._decide
 
-# -- re-planning --------------------------------------------------------------
+        def counting(policy, shard, plan):
+            decided.append(shard)
+            return original(policy, shard, plan)
 
-
-class TestPerShardReplanning:
-    def test_eager_replanning_keeps_answers_exact(self):
-        graph = advogato_like(nodes=60, edges=300, seed=17)
+        monkeypatch.setattr(ScatterPolicy, "_decide", counting)
+        graph = interleaved_chain(4, 4, first_label="r")
         database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=4))
-        oracle = GraphDatabase(graph, k=2, config=ServiceConfig(shards=1))
-        database.index.replan_divergence = 1.0 + 1e-9  # any skew re-plans
-        for query in (
-            "master/journeyer/apprentice",
-            "journeyer/master/journeyer/master",
-        ):
-            for method in ("minsupport", "minjoin"):
-                answer = database.query(query, method=method, use_cache=False)
-                expected = oracle.query(query, method=method, use_cache=False)
-                assert answer.pairs == expected.pairs, (query, method)
-
-    def test_replan_cache_reused_across_executions(self):
-        graph = advogato_like(nodes=60, edges=300, seed=17)
-        database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=4))
-        database.index.replan_divergence = 1.0 + 1e-9
-        query = "master/journeyer/apprentice/master"
-        first = database.query(query, use_cache=False).report
-        cached_entries = len(database.index.replan_cache)
-        again = database.query(query, use_cache=False).report
-        assert len(database.index.replan_cache) == cached_entries
-        assert again.shards_replanned == first.shards_replanned
+        first = database.query("r/a/a|r/a", use_cache=False).report
+        cached_entries = len(database.index.decision_cache)
+        assert sorted(decided) == [0, 1, 2, 3] and cached_entries == 4
+        decided.clear()
+        again = database.query("r/a/a|r/a", use_cache=False).report
+        assert decided == []
+        assert len(database.index.decision_cache) == cached_entries
+        for counter in ("shards_scanned", "shards_pruned", "disjuncts_pruned"):
+            assert getattr(again, counter) == getattr(first, counter), counter
+        assert first.shards_pruned >= 1
 
     @BOTH_PATHS
     @settings(max_examples=25, deadline=None)
@@ -292,15 +246,12 @@ class TestPerShardReplanning:
         shards=st.sampled_from((2, 4)),
         method=st.sampled_from(STRATEGIES),
     )
-    def test_pruning_and_replanning_match_oracle(
-        self, pure_python, graph, shards, method
-    ):
-        """shards=N answers equal the shards=1 oracle with pruning on
-        and re-planning forced eager — the ISSUE-5 exactness pin."""
+    def test_pruning_matches_oracle(self, pure_python, graph, shards, method):
+        """shards=N answers equal the shards=1 oracle with pruning on,
+        under every strategy and both kernel paths."""
         with forced_path(pure_python):
             oracle = GraphDatabase(graph, k=2, config=ServiceConfig(shards=1))
             sharded = GraphDatabase(graph, k=2, config=ServiceConfig(shards=shards))
-            sharded.index.replan_divergence = 1.0 + 1e-9
             for query in ("a/b/a", "a{1,3}", "(a|b)/a/b", "b*"):
                 assert (
                     sharded.query(query, method=method, use_cache=False).pairs
@@ -360,12 +311,12 @@ class TestBoundedCache:
         with pytest.raises(ValidationError):
             BoundedCache(maxsize=0)
 
-    def test_replan_cache_is_bounded(self):
+    def test_decision_cache_is_bounded(self):
         from repro.sharding import DECISION_CACHE_MAX
 
         graph = interleaved_chain(2, 4)
         sharded = ShardedGraph.build(graph, k=2, shards=2)
-        assert sharded.replan_cache.maxsize == DECISION_CACHE_MAX
+        assert sharded.decision_cache.maxsize == DECISION_CACHE_MAX
         for i in range(DECISION_CACHE_MAX + 50):
-            sharded.replan_cache[("synthetic", i)] = object()
-        assert len(sharded.replan_cache) == DECISION_CACHE_MAX
+            sharded.decision_cache[("synthetic", i)] = object()
+        assert len(sharded.decision_cache) == DECISION_CACHE_MAX

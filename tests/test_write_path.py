@@ -53,6 +53,7 @@ from repro.indexes.builder import enumerate_label_paths
 from repro.indexes.pathindex import PathIndex
 from repro.rpq.semantics import eval_query
 from repro.serve import CoordinatorDatabase
+from repro.serve.coordinator import WorkerStub
 from repro.serve.server import serve_in_thread
 from repro.write import ApplyResult, Mutation, MutationBatch, MutationLog
 
@@ -396,10 +397,10 @@ def _assert_statistics_fresh(db: GraphDatabase, k: int, shards: int) -> None:
             assert exact.selectivity(path) == want
             assert histogram.selectivity(path) == fresh.histogram.selectivity(path)
         for shard in range(shards):
-            mine = db.index.shard_statistics(shard).histogram
-            theirs = fresh.index.shard_statistics(shard).histogram
-            for path in enumerate_label_paths(graph.labels(), k):
-                assert mine.selectivity(path) == theirs.selectivity(path)
+            mine = db.index.shard_statistics(shard)
+            theirs = fresh.index.shard_statistics(shard)
+            assert mine.counts == theirs.counts
+            assert mine.total_paths_k == theirs.total_paths_k == total
     finally:
         fresh.close()
 
@@ -815,6 +816,29 @@ class TestCoordinatorWritePath:
         write_oracle.apply(Mutation.add("n3", "c", "n4"))
         want = write_oracle.answer("a/c")
         assert write_coordinator.query("a/c", use_cache=False).pairs == want
+
+    def test_statistics_refresh_reads_each_catalog_once(
+        self, write_coordinator, write_oracle, monkeypatch
+    ):
+        """The merged catalog and the per-shard statistics of one
+        refresh share one ``counts`` call per worker."""
+        asked: list[int] = []
+        original = WorkerStub._call
+
+        def counting(stub, op, *args, **params):
+            if op == "counts":
+                asked.append(stub.handle.shard)
+            return original(stub, op, *args, **params)
+
+        monkeypatch.setattr(WorkerStub, "_call", counting)
+        shards = list(range(write_coordinator.index.shard_count))
+        write_coordinator.build_index()
+        assert sorted(asked) == shards
+        asked.clear()
+        mutation = Mutation.add("n0", "a", "n4")
+        assert write_coordinator.apply(mutation).changed
+        write_oracle.apply(mutation)
+        assert sorted(asked) == shards
 
 
 # -- HTTP, clients, CLI --------------------------------------------------------
