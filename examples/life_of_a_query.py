@@ -212,6 +212,9 @@ def main() -> None:
         # plan, but the contract is the same: typed error or labelled
         # subset, never a silently wrong answer.
         database._index.handles[0].kill()
+        # The coordinator's kept slices would still answer exactly;
+        # drop them so the next read has to ask the dead worker.
+        database.cache_clear()
         partial = client.query(demo, degraded=True, use_cache=False)
         if partial.partial:
             print(f"worker killed    -> degraded answer "

@@ -36,11 +36,6 @@ BOUNDARIES = (
     ("repro/serve/coordinator.py", r"WorkerStub\._call$", "rpc.send"),
     ("repro/serve/coordinator.py", r"WorkerStub\._call$", "rpc.recv"),
     ("repro/serve/coordinator.py", r"RpcShardedGraph\.shard_scan$", "shard.scan"),
-    (
-        "repro/serve/coordinator.py",
-        r"RpcShardedGraph\.shard_scan_swapped$",
-        "shard.scan",
-    ),
     ("repro/write/log.py", r"MutationLog\.append$", "mutlog.append"),
     ("repro/write/log.py", r"MutationLog\.flush$", "mutlog.flush"),
 )

@@ -231,7 +231,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.api import ServiceConfig
     from repro.serve import CoordinatorDatabase
-    from repro.serve.server import QueryServer
+    from repro.serve.server import serve_forever
 
     config = ServiceConfig(
         k=args.k,
@@ -248,21 +248,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         graph = advogato_like(nodes=nodes, edges=edges, seed=args.seed)
         database = CoordinatorDatabase(graph, config=config)
 
-    async def _run() -> None:
-        server = QueryServer(database, config)
-        await server.start()
-        print(
-            f"serving {args.workers} shard workers on "
-            f"http://{args.host}:{server.port}  (Ctrl-C to stop)",
-            file=sys.stderr,
-        )
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await server.stop()
-
     try:
-        asyncio.run(_run())
+        asyncio.run(serve_forever(database, config))
     except KeyboardInterrupt:
         pass
     finally:

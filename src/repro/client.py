@@ -1,18 +1,23 @@
-"""Clients for the serve front door: one codec, sync and async.
+"""Clients for the serve front door: one codec, one exchange, sync and async.
 
-:class:`Client` (blocking, :mod:`http.client`) and
-:class:`AsyncClient` (:mod:`asyncio`) share every byte of request
-building and response decoding — the transport is the only
-difference, so the two cannot drift apart.
+:class:`Client` (blocking sockets) and :class:`AsyncClient`
+(:mod:`asyncio` streams) share every byte of request building and
+response decoding, and one hand-rolled HTTP/1.1 exchange: the request
+bytes (:func:`encode_request`), the response head (:func:`parse_head`)
+and a ``Content-Length`` body.  Each keeps a stack of idle keep-alive
+connections: a call pops one (a non-blocking peek first drops one the
+server has closed) or dials, and pushes it back after a complete
+response the server did not mark ``Connection: close``.
 
 The error taxonomy crosses the wire intact: a server-side
 :class:`~repro.errors.QueryTimeoutError` re-raises here as exactly
-that type (via the :mod:`repro.serve.protocol` code table), a refused
-or reset connection raises the retryable
-:class:`~repro.errors.TransientWireError`, and a response that does
-not parse raises the permanent :class:`~repro.errors.WireError`.
-Backpressure (HTTP 503) therefore surfaces as a transient the
-caller's own :func:`~repro.faults.retry_call` can spin on.
+that type (via the :mod:`repro.serve.protocol` code table), a refused,
+reset or cut-off connection is dropped and raises the retryable
+:class:`~repro.errors.TransientWireError` (never resent here), and a
+response that does not parse raises the permanent
+:class:`~repro.errors.WireError`.  Backpressure (HTTP 503) therefore
+surfaces as a transient the caller's own
+:func:`~repro.faults.retry_call` can spin on.
 
     >>> from repro.client import query_body
     >>> body = query_body("a/b", degraded=True)
@@ -23,9 +28,10 @@ caller's own :func:`~repro.faults.retry_call` can spin on.
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
+import socket
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.errors import TransientWireError, WireError
 from repro.graph.graph import NamedPairs, name_probe
@@ -35,6 +41,9 @@ from repro.write.mutation import ApplyResult, Mutation, MutationBatch
 #: Seconds a client waits for a response before declaring the server
 #: gone (transient — the request can be retried elsewhere/later).
 DEFAULT_TIMEOUT = 60.0
+
+#: Longest response head a client reads (asyncio's stream limit).
+MAX_HEAD_BYTES = 1 << 16
 
 #: JSON up, an answer back as a result frame; a server without the frame
 #: answers JSON, and the response's ``Content-Type`` picks the decoder.
@@ -82,23 +91,14 @@ def query_body(
     degraded: bool = False,
 ) -> dict:
     """The ``POST /query`` request body for one RPQ."""
-    body: dict = {
-        "query": query,
-        "method": method,
-        "use_cache": use_cache,
-        "degraded": degraded,
-    }
+    body = dict(query=query, method=method, use_cache=use_cache, degraded=degraded)
     if timeout_ms is not None:
         body["timeout_ms"] = timeout_ms
     return body
 
 
 def prepared_body(template: str, params: dict | None, method: str) -> dict:
-    return {
-        "template": template,
-        "params": dict(params or {}),
-        "method": method,
-    }
+    return {"template": template, "params": dict(params or {}), "method": method}
 
 
 def apply_body(mutations) -> dict:
@@ -160,8 +160,58 @@ def decode_apply(payload: dict) -> ApplyResult:
     return ApplyResult.from_wire(payload.get("result", {}))
 
 
-class _Endpoint:
-    """Where a client's requests go, and how long it waits for each."""
+def encode_request(
+    method: str, path: str, body: dict | None, host: str, port: int
+) -> bytes:
+    """One HTTP/1.1 request; no ``Connection: close``, so it persists."""
+    payload = encode_body(body)
+    headers = "".join(f"{k}: {v}\r\n" for k, v in REQUEST_HEADERS.items())
+    return (
+        f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n{headers}"
+        f"Content-Length: {len(payload)}\r\n\r\n"
+    ).encode("latin-1") + payload
+
+
+def parse_head(head: bytes) -> tuple[int, str, bool]:
+    """A response head -> ``(Content-Length, Content-Type, keep-alive)``."""
+    status_line, *lines = head.decode("latin-1").rstrip().split("\r\n")
+    parts = status_line.split()
+    if len(parts) < 2 or not parts[1].isdigit():
+        raise WireError(f"malformed status line {status_line!r}")
+    headers = {
+        name.strip().lower(): value.strip().lower()
+        for name, _, value in (line.partition(":") for line in lines)
+    }
+    length = headers.get("content-length", "")
+    if not length.isdecimal():
+        raise WireError(f"response without a Content-Length ({length!r})")
+    close = parts[0] != "HTTP/1.1" or headers.get("connection") == "close"
+    return int(length), headers.get("content-type", ""), not close
+
+
+def _receive(sock: socket.socket) -> tuple[bytes, str, bool]:
+    """One response off a blocking socket: ``(body, Content-Type, keep-alive)``."""
+    data, end = bytearray(), None
+    while end is None or len(data) < end:
+        chunk = sock.recv(1 << 16)
+        if not chunk:
+            raise ConnectionResetError("connection closed mid-response")
+        data += chunk
+        if end is None and (start := data.find(b"\r\n\r\n") + 4) >= 4:
+            length, content_type, keep_alive = parse_head(data[:start])
+            end = start + length
+        elif end is None and len(data) > MAX_HEAD_BYTES:
+            raise WireError(f"response head over {MAX_HEAD_BYTES} bytes")
+    return bytes(data[start:end]), content_type, keep_alive
+
+
+class Client:
+    """Blocking client; safe to share across threads.
+
+    Each call in flight holds one connection; a complete keep-alive
+    response returns it to a stack of idle ones the next call pops
+    (``append`` and ``pop`` are atomic, so the stack needs no lock).
+    """
 
     def __init__(
         self,
@@ -172,32 +222,54 @@ class _Endpoint:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._idle: list = []
 
-
-# -- sync ----------------------------------------------------------------------
-
-
-class Client(_Endpoint):
-    """Blocking client; safe to share across threads (connection per call)."""
+    def _failed(self, path: str, error: Exception) -> TransientWireError:
+        # Refused, reset, timed out, cut mid-response: retryable by the
+        # caller, never resent here (``POST /apply`` is not idempotent).
+        return TransientWireError(f"{self.host}:{self.port}{path} failed: {error}")
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        request = encode_request(method, path, body, self.host, self.port)
+        sock, reusable = None, False
         try:
-            connection.request(method, path, encode_body(body), REQUEST_HEADERS)
-            response = connection.getresponse()
-            raw = response.read()
-            content_type = response.getheader("Content-Type", "")
-        except (OSError, http.client.HTTPException) as error:
-            # Refused, reset, timed out: all retryable — the server may
-            # be restarting or shedding load.
-            raise TransientWireError(
-                f"request to {self.host}:{self.port}{path} failed: {error}"
-            ) from error
+            sock = self._checkout()
+            sock.sendall(request)
+            raw, content_type, reusable = _receive(sock)
+        except OSError as error:
+            raise self._failed(path, error) from error
         finally:
-            connection.close()
+            if reusable:
+                self._idle.append(sock)
+            elif sock is not None:
+                sock.close()
         return check_payload(decode_payload(raw, content_type))
+
+    def _checkout(self) -> socket.socket:
+        """An idle connection the server has not closed, or a new one."""
+        while self._idle:
+            try:
+                sock = self._idle.pop()
+            except IndexError:  # another thread took the last one
+                break
+            sock.setblocking(False)
+            try:  # an open idle connection has nothing to read
+                sock.recv(1, socket.MSG_PEEK)
+            except BlockingIOError:
+                sock.settimeout(self.timeout)
+                return sock
+            except OSError:
+                pass
+            sock.close()  # at EOF (the server closed it), or stray bytes
+        return socket.create_connection((self.host, self.port), self.timeout)
+
+    def _call(self, method: str, path: str, body: dict | None, decode):
+        return decode(self._request(method, path, body))
+
+    def close(self) -> None:
+        """Close the idle connections; a later call dials a new one."""
+        while self._idle:
+            self._idle.pop().close()
 
     def query(
         self,
@@ -208,7 +280,7 @@ class Client(_Endpoint):
         degraded: bool = False,
     ) -> RemoteResult:
         body = query_body(query, method, use_cache, timeout_ms, degraded)
-        return decode_result(self._request("POST", "/query", body))
+        return self._call("POST", "/query", body, decode_result)
 
     def prepared(
         self,
@@ -217,123 +289,78 @@ class Client(_Endpoint):
         method: str = "minsupport",
     ) -> RemoteResult:
         body = prepared_body(template, params, method)
-        return decode_result(self._request("POST", "/prepared", body))
+        return self._call("POST", "/prepared", body, decode_result)
 
     def apply(self, mutations) -> ApplyResult:
         """Apply a batch (a Mutation, an iterable, or a MutationBatch)."""
-        return decode_apply(
-            self._request("POST", "/apply", apply_body(mutations))
-        )
+        return self._call("POST", "/apply", apply_body(mutations), decode_apply)
 
     def add_edge(self, source: str, label: str, target: str) -> int | None:
-        result = self.apply(Mutation.add(source, label, target))
-        return result.version if result.changed else None
+        body = apply_body(Mutation.add(source, label, target))
+        return self._call("POST", "/apply", body, _changed_version)
 
     def remove_edge(self, source: str, label: str, target: str) -> int | None:
-        result = self.apply(Mutation.remove(source, label, target))
-        return result.version if result.changed else None
+        body = apply_body(Mutation.remove(source, label, target))
+        return self._call("POST", "/apply", body, _changed_version)
 
     def stats(self) -> dict:
-        return self._request("GET", "/stats")["stats"]
+        return self._call("GET", "/stats", None, itemgetter("stats"))
 
     def health(self) -> dict:
-        return self._request("GET", "/health")
+        return self._call("GET", "/health", None, dict)
 
 
-# -- async ---------------------------------------------------------------------
+def _changed_version(payload: dict) -> int | None:
+    result = decode_apply(payload)
+    return result.version if result.changed else None
 
 
-class AsyncClient(_Endpoint):
-    """Asyncio client; same codec, hand-rolled HTTP/1.1 transport."""
+class AsyncClient(Client):
+    """Asyncio client: every :class:`Client` call, as an awaitable, over
+    asyncio streams.  A pooled connection serves only the event loop
+    that opened it."""
 
     async def _request(self, method: str, path: str, body: dict | None = None) -> dict:
-        payload = encode_body(body)
-        headers = "".join(f"{k}: {v}\r\n" for k, v in REQUEST_HEADERS.items())
-        request = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n{headers}"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("latin-1") + payload
+        request = encode_request(method, path, body, self.host, self.port)
+        connection, reusable = None, False
         try:
-            raw = await asyncio.wait_for(self._exchange(request), timeout=self.timeout)
-        except (OSError, asyncio.TimeoutError, ConnectionError) as error:
-            raise TransientWireError(
-                f"request to {self.host}:{self.port}{path} failed: {error}"
-            ) from error
-        return check_payload(decode_payload(*_http_body(raw)))
-
-    async def _exchange(self, request: bytes) -> bytes:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            writer.write(request)
-            await writer.drain()
-            return await reader.read()
+            async with asyncio.timeout(self.timeout):
+                connection = await self._checkout()
+                _, reader, writer = connection
+                writer.write(request)
+                await writer.drain()
+                head = await reader.readuntil(b"\r\n\r\n")
+                length, content_type, keep_alive = parse_head(head)
+                raw = await reader.readexactly(length)
+                reusable = keep_alive
+        except (OSError, EOFError, asyncio.LimitOverrunError) as error:
+            raise self._failed(path, error) from error
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            if reusable:
+                self._idle.append(connection)
+            elif connection is not None:
+                connection[2].close()
+        return check_payload(decode_payload(raw, content_type))
 
-    async def query(
-        self,
-        query: str,
-        method: str = "minsupport",
-        use_cache: bool = True,
-        timeout_ms: float | None = None,
-        degraded: bool = False,
-    ) -> RemoteResult:
-        body = query_body(query, method, use_cache, timeout_ms, degraded)
-        return decode_result(await self._request("POST", "/query", body))
+    async def _checkout(self) -> tuple:
+        """``(loop, reader, writer)``: an idle connection of this loop the
+        server has not closed, or a new one."""
+        loop = asyncio.get_running_loop()
+        while self._idle:
+            connection = self._idle.pop()
+            if connection[0] is loop and not connection[1].at_eof():
+                return connection
+            if connection[0] is loop:
+                connection[2].close()
+        return (loop, *await asyncio.open_connection(self.host, self.port))
 
-    async def prepared(
-        self,
-        template: str,
-        params: dict | None = None,
-        method: str = "minsupport",
-    ) -> RemoteResult:
-        body = prepared_body(template, params, method)
-        return decode_result(await self._request("POST", "/prepared", body))
+    async def _call(self, method: str, path: str, body: dict | None, decode):
+        return decode(await self._request(method, path, body))
 
-    async def apply(self, mutations) -> ApplyResult:
-        """Apply a batch (a Mutation, an iterable, or a MutationBatch)."""
-        return decode_apply(
-            await self._request("POST", "/apply", apply_body(mutations))
-        )
-
-    async def add_edge(self, source: str, label: str, target: str) -> int | None:
-        result = await self.apply(Mutation.add(source, label, target))
-        return result.version if result.changed else None
-
-    async def remove_edge(
-        self, source: str, label: str, target: str
-    ) -> int | None:
-        result = await self.apply(Mutation.remove(source, label, target))
-        return result.version if result.changed else None
-
-    async def stats(self) -> dict:
-        return (await self._request("GET", "/stats"))["stats"]
-
-    async def health(self) -> dict:
-        return await self._request("GET", "/health")
-
-
-def _http_body(raw: bytes) -> tuple[bytes, str]:
-    """A raw ``Connection: close`` read -> ``(body, Content-Type)``; a body short
-    of its ``Content-Length`` is retryable, as http.client tells :class:`Client`."""
-    head, separator, body = raw.partition(b"\r\n\r\n")
-    if not separator:
-        raise TransientWireError("connection closed before response head")
-    status_line, *lines = head.decode("latin-1").split("\r\n")
-    parts = status_line.split()
-    if len(parts) < 2 or not parts[1].isdigit():
-        raise WireError(f"malformed status line {status_line!r}")
-    headers = {
-        name.strip().lower(): value.strip()
-        for name, _, value in (line.partition(":") for line in lines)
-    }
-    length = headers.get("content-length", "")
-    if length.isdigit() and len(body) < int(length):
-        raise TransientWireError(f"closed mid-body: {len(body)} of {length} bytes")
-    return body, headers.get("content-type", "")
+    async def close(self) -> None:
+        """Close the idle connections this loop opened."""
+        loop = asyncio.get_running_loop()
+        while self._idle:
+            owner, _, writer = self._idle.pop()
+            if owner is loop:
+                writer.close()

@@ -16,6 +16,12 @@ Two classes:
   — runs unmodified: the facade contract is the whole point of the
   PR-4 design, and this module is where it pays off.
 
+A warm scan makes no RPC: a worker's columns change only when a commit
+group patches them, so each fetched slice is kept (:class:`SliceCache`)
+until ``apply_commit_group`` empties the cache before its broadcast.  A
+relaunched fleet starts empty; a restarted worker replays to the same
+columns, so a restart keeps it.
+
 Failure semantics reuse PR 7 verbatim.  Transport failures raise
 :class:`~repro.errors.TransientWireError`, which ``retry_call``
 retries with deadline-clipped backoff (reconnecting each time); what
@@ -26,20 +32,11 @@ dropped (counted) slice under ``degraded=True``.  Deadlines propagate
 as a ``deadline_ms`` remaining-budget header on every request.
 
 :class:`CoordinatorDatabase` is a drop-in
-:class:`~repro.api.GraphDatabase` whose index is an
-:class:`RpcShardedGraph`; it inherits the whole read and write path and
-overrides only how an index is made (a worker fleet is launched).  How
-a committed group reaches the shards is the index's own
-``absorb_group``: one ``apply`` broadcast per group, carrying each
-worker's pre-computed patch slice or rebuild flag, where the in-process
-index patches or rebuilds its own shards.
-:meth:`CoordinatorDatabase.ensure_workers` is the supervision hook the
-serve front door calls to restart crashed workers; a restarted worker
-forks from the fleet's *base* graph snapshot and catches up by
-replaying the coordinator's in-memory journal — the mutation stream —
-rather than re-receiving the full current graph
-(:attr:`RpcShardedGraph.full_graph_transfers` stays 0, the chaos tests
-assert it).
+:class:`~repro.api.GraphDatabase` over an :class:`RpcShardedGraph`: a
+committed group reaches the workers as one ``apply`` broadcast, and a
+restarted worker forks from the fleet's *base* graph and replays the
+coordinator's journal (:attr:`RpcShardedGraph.full_graph_transfers`
+stays 0, the chaos tests assert it).
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ from __future__ import annotations
 import copy
 import socket
 import threading
+from dataclasses import replace
 
 from repro.api import GraphDatabase
 from repro.errors import (
@@ -58,8 +56,9 @@ from repro.faults import fire, retry_call
 from repro.graph.graph import Graph, LabelPath
 from repro.relation import Order, Relation, dedup_sort, union
 from repro.serve import protocol
-from repro.serve.worker import WorkerHandle, launch_worker, launch_workers
+from repro.serve.worker import WorkerHandle, launch_workers
 from repro.sharding import ShardedGraph
+from repro.stats import EngineStats
 
 #: Socket timeout for a single RPC when no query deadline is in force.
 #: Generous — a worker answering slowly is not a worker that is gone —
@@ -192,15 +191,6 @@ class WorkerStub:
         )
         return int(reply["version"])
 
-    def replay(self, seq: int, mutations: list[dict]) -> int:
-        """Catch a restarted worker up from the journal suffix."""
-        reply, _ = self._call("replay", seq=seq, mutations=mutations)
-        return int(reply["version"])
-
-    def ping(self) -> bool:
-        reply, _ = self._call("ping")
-        return bool(reply.get("ok"))
-
     def close(self) -> None:
         """Best-effort clean shutdown of the worker, then of the socket."""
         try:
@@ -215,6 +205,39 @@ class WorkerStub:
             self._drop()
 
 
+class SliceCache:
+    """Fetched worker slices, frozen, keyed ``(shard, path, order)``;
+    thread-safe, at most ``max_pairs`` pairs, oldest slice out first."""
+
+    def __init__(self, max_pairs: int) -> None:
+        self.max_pairs = max(0, max_pairs)
+        self.hits = self.misses = self.pairs = 0
+        self._slices: dict[tuple, Relation] = {}
+        self._lock = threading.Lock()
+
+    def fetch(self, key: tuple, load) -> Relation:
+        """The slice kept under ``key``; on a miss, ``load()`` and keep it."""
+        with self._lock:
+            kept = self._slices.get(key)
+            if kept is not None:
+                self.hits += 1
+                return kept
+            self.misses += 1
+        relation = load().freeze()
+        with self._lock:
+            if key not in self._slices and len(relation) <= self.max_pairs:
+                self._slices[key] = relation
+                self.pairs += len(relation)
+                while self.pairs > self.max_pairs:
+                    self.pairs -= len(self._slices.pop(next(iter(self._slices))))
+        return relation
+
+    def clear(self) -> None:
+        with self._lock:
+            self._slices.clear()
+            self.pairs = 0
+
+
 class RpcShardedGraph(ShardedGraph):
     """A :class:`ShardedGraph` whose shard "indexes" are RPC stubs.
 
@@ -222,9 +245,9 @@ class RpcShardedGraph(ShardedGraph):
     them.  The base class provides the whole facade (global scans,
     routed lookups, merged statistics, scatter topology) by calling the
     stubs' PathIndex interface; only the per-shard scatter calls are
-    overridden, to forward the deadline and to keep the ``shard.scan``
+    overridden, to forward the deadline, to keep the ``shard.scan``
     injection point firing coordinator-side exactly as it does
-    in-process.
+    in-process, and to answer a warm scan from :attr:`slices`.
     """
 
     def __init__(
@@ -235,6 +258,7 @@ class RpcShardedGraph(ShardedGraph):
         prune_empty: bool = True,
         rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
         shard_seed: int = 0,
+        max_cached_pairs: int = 0,
     ) -> None:
         stubs = [WorkerStub(handle, rpc_timeout) for handle in handles]
         super().__init__(
@@ -261,6 +285,8 @@ class RpcShardedGraph(ShardedGraph):
         #: Restarts that had to re-ship the full current graph (the
         #: pre-journal behavior).  The replay path keeps this at 0.
         self.full_graph_transfers = 0
+        #: Every slice fetched since the last commit group.
+        self.slices = SliceCache(max_cached_pairs)
 
     @classmethod
     def launch(
@@ -271,6 +297,7 @@ class RpcShardedGraph(ShardedGraph):
         prune_empty: bool = True,
         rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
         shard_seed: int = 0,
+        max_cached_pairs: int = 0,
     ) -> "RpcShardedGraph":
         """Fork ``shards`` workers (one build per process) and wrap them."""
         handles = launch_workers(
@@ -283,14 +310,16 @@ class RpcShardedGraph(ShardedGraph):
             prune_empty=prune_empty,
             rpc_timeout=rpc_timeout,
             shard_seed=shard_seed,
+            max_cached_pairs=max_cached_pairs,
         )
 
     def scan(self, path: LabelPath) -> Relation:
         """Facade scan: every worker's slice through :meth:`shard_scan`.
 
         A one-worker fleet answers through the plain executor, which
-        reads the facade; routing it here keeps the per-scan retry and
-        the ``shard.scan`` injection point between it and the wire.
+        reads the facade; routing it here keeps the slice cache, the
+        per-scan retry and the ``shard.scan`` injection point between it
+        and the wire.
         """
         return union(
             self.shard_scan(shard, path) for shard in range(len(self._shards))
@@ -299,9 +328,9 @@ class RpcShardedGraph(ShardedGraph):
     # -- scatter calls (deadline-forwarding overrides) --------------------
 
     def shard_scan(self, shard: int, path: LabelPath, deadline=None) -> Relation:
-        """One worker's slice of ``p(G)`` over RPC.
+        """One worker's slice of ``p(G)``: kept, or fetched over RPC.
 
-        Same contract as the in-process version: retried at scan
+        A miss has the in-process contract: retried at scan
         granularity, ``shard.scan`` fired per attempt (chaos plans see
         no difference between engines), deadline clipping the backoff
         *and* riding to the worker in the request header.
@@ -311,21 +340,19 @@ class RpcShardedGraph(ShardedGraph):
             fire("shard.scan", shard=shard, path=path.encode())
             return self._shards[shard].scan(path, deadline=deadline)
 
-        return retry_call(attempt, deadline=deadline)
+        return self.slices.fetch(
+            (shard, path, Order.BY_SRC), lambda: retry_call(attempt, deadline=deadline)
+        )
 
     def shard_scan_swapped(
         self, shard: int, path: LabelPath, deadline=None
     ) -> Relation:
-        """One worker's slice re-sorted BY_TGT (sort is coordinator-side:
-        the worker ships the canonical BY_SRC slice either way)."""
-
-        def attempt() -> Relation:
-            fire("shard.scan", shard=shard, path=path.encode())
-            return dedup_sort(
-                self._shards[shard].scan(path, deadline=deadline), Order.BY_TGT
-            )
-
-        return retry_call(attempt, deadline=deadline)
+        """One worker's slice re-sorted BY_TGT: the worker ships the
+        canonical :meth:`shard_scan` slice either way, the sort is here."""
+        return self.slices.fetch(
+            (shard, path, Order.BY_TGT),
+            lambda: dedup_sort(self.shard_scan(shard, path, deadline), Order.BY_TGT),
+        )
 
     # -- lifecycle --------------------------------------------------------
 
@@ -360,10 +387,10 @@ class RpcShardedGraph(ShardedGraph):
         ``touched`` rebuild their ball instead.  Any worker failing
         mid-broadcast propagates — the caller discards the whole index
         and relaunches, because half-mutated workers are unusable.  The
-        journaled group is what restarted workers replay.  ``endpoints``
-        goes to :meth:`invalidate_statistics`, as for the in-process
-        ``patch_shards`` / ``rebuild_shards``.
+        journaled group is what restarted workers replay; ``endpoints``
+        goes to :meth:`invalidate_statistics`.  The kept slices go first.
         """
+        self.slices.clear()
         seq = self.journal_seq + 1
         for shard, stub in enumerate(self._shards):
             if patch is not None:
@@ -386,30 +413,29 @@ class RpcShardedGraph(ShardedGraph):
         """Fork a replacement for a dead worker and catch it up by replay.
 
         The replacement builds from the fleet's *base* graph snapshot,
-        then one ``replay`` request ships the journal — the mutation
-        stream since launch — and rebuilds its shard once at the end.
-        Its contents end up exactly what the dead worker's should have
-        been (the journal is the same ordered stream every live worker
-        applied), so no statistics cache needs invalidating, and the
-        current graph never crosses the process boundary.
+        then one ``apply`` ships the journal — the mutation stream since
+        launch — and rebuilds its shard once at the end.  Its contents
+        end up exactly what the dead worker's should have been (the
+        journal is the same ordered stream every live worker applied),
+        so neither the statistics nor the kept slices need
+        invalidating, and the current graph never crosses the process
+        boundary.
         """
-        replacement = launch_worker(
+        (replacement,) = launch_workers(
             self.base_graph,
             self.k,
-            shard,
             len(self._shards),
             self._prune_empty,
             shard_seed=self.shard_seed,
+            only=[shard],
         )
         old = self.handles[shard]
         self.handles[shard] = replacement
         self._shards[shard].rebind(replacement)
         old.stop()
-        if self.journal:
-            mutations = [
-                wire for _seq, group in self.journal for wire in group
-            ]
-            self._shards[shard].replay(self.journal_seq, mutations)
+        mutations = [wire for _seq, group in self.journal for wire in group]
+        if mutations:
+            self._shards[shard].apply_group(self.journal_seq, mutations, rebuild=True)
             self.replayed_mutations += len(mutations)
 
     def close(self) -> None:
@@ -425,14 +451,16 @@ class CoordinatorDatabase(GraphDatabase):
     Everything — queries, caching, prepared statements, the write path,
     statistics, locking, the all-or-nothing index replacement — is
     inherited; the index it runs over is an :class:`RpcShardedGraph`.
-    The class has three members of its own:
+    The class has five members of its own:
 
     * :meth:`_make_index_locked` forks one worker per shard (parallel
       index build) where the base class builds in process;
     * :meth:`_build_index_locked` refuses every backend but memory
       (workers rebuild from the coordinator's graph, durability lives
       elsewhere) before deferring to the base class;
-    * :meth:`ensure_workers` restarts crashed workers.
+    * :meth:`ensure_workers` restarts crashed workers;
+    * :meth:`cache_clear` and :meth:`stats` cover the index's
+      :class:`SliceCache` beside the result cache.
     """
 
     def _build_index_locked(self):
@@ -451,7 +479,26 @@ class CoordinatorDatabase(GraphDatabase):
             self.k,
             shards=self._shards,
             shard_seed=self._shard_seed,
+            max_cached_pairs=self.config.query_cache_max_pairs,
         )
+
+    def cache_clear(self) -> None:
+        """Drop every cached answer and every kept worker slice."""
+        super().cache_clear()
+        if (index := self._index) is not None:
+            index.slices.clear()
+
+    def stats(self) -> EngineStats:
+        """The engine's counters, the slice cache's in ``scatter``."""
+        stats = super().stats()
+        slices = getattr(self._index, "slices", SliceCache(0))
+        scatter = replace(
+            stats.scatter,
+            scan_cache_hits=slices.hits,
+            scan_cache_misses=slices.misses,
+            scan_cache_pairs=slices.pairs,
+        )
+        return replace(stats, scatter=scatter)
 
     # -- supervision ------------------------------------------------------
 

@@ -1,10 +1,15 @@
 """The asyncio front door: HTTP/JSON queries over a coordinator.
 
-One small hand-rolled HTTP/1.1 server (stdlib only, one request per
-connection) in front of a :class:`~repro.api.GraphDatabase` — usually
-a :class:`~repro.serve.coordinator.CoordinatorDatabase`, so each
-request scatters to the shard worker processes.  Three properties the
-ROADMAP's service story asks for live here:
+One small hand-rolled HTTP/1.1 server (stdlib only, keep-alive) in
+front of a :class:`~repro.api.GraphDatabase` — usually a
+:class:`~repro.serve.coordinator.CoordinatorDatabase`, so each request
+scatters to the shard worker processes.  A connection serves request
+after request until the client asks ``Connection: close`` or speaks
+HTTP/1.0, its head is malformed (a 400), or it idles past
+:data:`IDLE_TIMEOUT`.  A body is framed by exactly one
+``Content-Length``: on a reused connection an ambiguous frame would
+desynchronise every later request.  Three properties the ROADMAP's
+service story asks for live here:
 
 * **Bounded concurrency** — at most ``config.max_inflight`` queries
   execute at once (a semaphore in front of the thread-pool handoff;
@@ -32,11 +37,14 @@ in-process engine would have raised.
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import dataclasses
 import functools
 import json
+import sys
 import threading
 from dataclasses import dataclass
+from http import HTTPStatus
 
 from repro.api import GraphDatabase, ServiceConfig
 from repro.errors import (
@@ -58,6 +66,12 @@ from repro.write.mutation import MutationBatch
 #: Seconds between supervision polls when the last poll succeeded.
 SUPERVISE_INTERVAL = 0.25
 
+#: Seconds a kept-alive connection may wait for its next request.
+IDLE_TIMEOUT = 30.0
+
+#: glibc's ``mallopt`` parameter number for the malloc arena cap.
+M_ARENA_MAX = -8
+
 #: Largest request body the front door will read (16 MiB) — a query is
 #: text plus a few knobs; anything bigger is a broken client.
 MAX_REQUEST_BYTES = 16 << 20
@@ -70,16 +84,6 @@ _CALLER_ERRORS = (
     UnknownNodeError,
     UnsupportedQueryError,
 )
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
 
 
 def _status_for(error: Exception) -> int:
@@ -140,6 +144,7 @@ class QueryServer:
         self._prepared_lock = threading.Lock()
         self._server: asyncio.AbstractServer | None = None
         self._supervisor: asyncio.Task | None = None
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle --------------------------------------------------------
 
@@ -156,6 +161,8 @@ class QueryServer:
             )
 
     async def stop(self) -> None:
+        """Stop supervising and accepting, close every connection (3.12's
+        ``wait_closed()`` waits for open ones) and await its handler."""
         if self._supervisor is not None:
             self._supervisor.cancel()
             try:
@@ -165,6 +172,9 @@ class QueryServer:
             self._supervisor = None
         if self._server is not None:
             self._server.close()
+            for writer in self._connections.values():
+                writer.close()  # an idle handler reads EOF and returns
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -192,20 +202,28 @@ class QueryServer:
     # -- request handling -------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        """Answer requests on one connection until either side closes it."""
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
-            try:
-                method, path, body, framed = await _read_request(reader)
-            except WireError as error:
-                await _write_response(writer, 400, encode_wire_error(error))
-                return
-            status, payload = await self._dispatch(method, path, body, framed)
-            headers = {}
-            if status == 503:
-                headers["Retry-After"] = "1"
-            await _write_response(writer, status, payload, headers)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
+            keep_alive = True
+            while keep_alive:
+                try:
+                    async with asyncio.timeout(IDLE_TIMEOUT):
+                        request = await _read_request(reader)
+                except WireError as error:
+                    refusal = encode_wire_error(error)
+                    await _write_response(writer, 400, refusal, keep_alive=False)
+                    return
+                if request is None:  # closed by the client, or by stop()
+                    return
+                method, path, body, framed, keep_alive = request
+                status, payload = await self._dispatch(method, path, body, framed)
+                await _write_response(writer, status, payload, keep_alive)
+        except (ConnectionError, asyncio.IncompleteReadError, TimeoutError):
+            pass  # a TimeoutError: idle past IDLE_TIMEOUT
         finally:
+            del self._connections[handler]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -345,32 +363,42 @@ async def _read_line(reader) -> bytes:
         raise WireError(f"unreadable request head: {error}") from error
 
 
-async def _read_request(reader) -> tuple[str, str, dict, bool]:
-    """Parse one HTTP request; returns ``(method, path, JSON body, framed)``,
-    ``framed`` when its ``Accept`` names the result frame.  Anything
-    malformed raises :class:`WireError` — the connection gets a 400 and is
-    closed, never a hang or a crash.
+async def _read_request(reader) -> tuple[str, str, dict, bool, bool] | None:
+    """Parse one HTTP request: ``(method, path, JSON body, framed,
+    keep_alive)``, or None when the client closed the connection first.
+    ``framed`` when its ``Accept`` names the result frame; ``keep_alive``
+    unless it is HTTP/1.0 or sends ``Connection: close``.  Anything
+    malformed or ambiguously framed raises :class:`WireError` — the
+    connection gets a 400 and is closed, never a hang or a crash.
     """
     request_line = await _read_line(reader)
+    if not request_line:
+        return None
     parts = request_line.decode("latin-1", "replace").split()
     if len(parts) != 3:
         raise WireError(f"malformed request line {request_line[:200]!r}")
-    method, path, _version = parts
-    content_length = 0
+    method, path, version = parts
+    content_length = None
     framed = False
+    keep_alive = version == "HTTP/1.1"
     while True:
         line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1", "replace").lower().partition(":")
-        if name.strip() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                raise WireError(f"bad Content-Length {value.strip()!r}") from None
-        elif name.strip() == "accept":
+        name, value = name.strip(), value.strip()
+        if name == "content-length":
+            if content_length is not None or not value.isdecimal():
+                raise WireError(f"bad or second Content-Length {value!r}")
+            content_length = int(value)
+        elif name == "transfer-encoding":
+            raise WireError(f"Transfer-Encoding {value!r} refused: send a length")
+        elif name == "accept":
             framed = RESULT_FRAME_TYPE in value
-    if not 0 <= content_length <= MAX_REQUEST_BYTES:
+        elif name == "connection":
+            keep_alive = keep_alive and "close" not in value
+    content_length = content_length or 0
+    if content_length > MAX_REQUEST_BYTES:
         raise WireError(f"request body of {content_length} bytes refused")
     body: dict = {}
     if content_length:
@@ -381,22 +409,23 @@ async def _read_request(reader) -> tuple[str, str, dict, bool]:
             raise WireError(f"undecodable JSON body: {error}") from error
         if not isinstance(body, dict):
             raise WireError("request body must be a JSON object")
-    return method, path.split("?", 1)[0], body, framed
+    return method, path.split("?", 1)[0], body, framed, keep_alive
 
 
 async def _write_response(
-    writer, status: int, payload: dict | bytes, headers: dict | None = None
+    writer, status: int, payload: dict | bytes, keep_alive: bool
 ) -> None:
     framed = isinstance(payload, bytes)  # a packed result frame
     body = payload if framed else json.dumps(payload, separators=(",", ":")).encode()
     lines = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
         f"Content-Type: {RESULT_FRAME_TYPE if framed else 'application/json'}",
         f"Content-Length: {len(body)}",
-        "Connection: close",
     ]
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
+    if status == 503:
+        lines.append("Retry-After: 1")
+    if not keep_alive:
+        lines.append("Connection: close")
     writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
     await writer.drain()
 
@@ -407,9 +436,26 @@ async def _write_response(
 async def serve_forever(
     database: GraphDatabase, config: ServiceConfig | None = None
 ) -> None:
-    """Run the front door until cancelled (the CLI entry point)."""
+    """Run the front door until cancelled: what ``repro serve`` runs.
+
+    Malloc gets one arena (glibc's ``mallopt``; elsewhere nothing) before
+    any handler thread exists: the threads take turns on the GIL, so more
+    arenas only hold freed temporaries.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        pass  # not glibc: no arenas to cap
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_ARENA_MAX, 1)
     server = QueryServer(database, config)
     await server.start()
+    print(
+        f"serving {server.config.resolved_shards()} shard workers on "
+        f"http://{server.config.host}:{server.port}  (Ctrl-C to stop)",
+        file=sys.stderr,
+    )
     try:
         await asyncio.Event().wait()
     finally:

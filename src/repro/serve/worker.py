@@ -12,8 +12,8 @@ mutations arrive as ``apply`` requests — one per commit group, carrying
 the group's mutations plus either this worker's pre-computed shard
 patch slice or a rebuild flag — that the worker applies to its own
 forked copy of the graph.  A restarted worker catches up with one
-``replay`` request (the journal suffix past its acked sequence number)
-instead of re-receiving the whole graph.
+more ``apply`` (the journal suffix past its acked sequence number, and
+a rebuild) instead of re-receiving the whole graph.
 
 Failure behavior is deliberately blunt: a request the worker can
 classify (an unknown path, an expired budget, a corrupt frame it
@@ -76,15 +76,6 @@ class WorkerHandle:
             self.process.join(timeout)
 
 
-def _fork_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        raise ValidationError(
-            "repro.serve requires the fork start method (POSIX only)"
-        ) from None
-
-
 def launch_workers(
     graph: Graph,
     k: int,
@@ -92,8 +83,10 @@ def launch_workers(
     prune_empty: bool = True,
     ready_timeout: float = READY_TIMEOUT,
     shard_seed: int = 0,
+    only: list[int] | None = None,
 ) -> list[WorkerHandle]:
-    """Fork one worker per shard; block until every one is serving.
+    """Fork one worker per shard (or per shard in ``only``, the
+    supervision restart path); block until every one is serving.
 
     All processes are started before any readiness report is awaited,
     so the N shard builds run in parallel — the one parallel build
@@ -101,11 +94,16 @@ def launch_workers(
     the rest down and raises (builds never degrade: an index missing a
     shard would silently under-answer every future query).
     """
-    context = _fork_context()
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        raise ValidationError(
+            "repro.serve requires the fork start method (POSIX only)"
+        ) from None
     started: list[tuple[int, multiprocessing.process.BaseProcess, object]] = []
     handles: list[WorkerHandle] = []
     try:
-        for shard in range(shards):
+        for shard in range(shards) if only is None else only:
             receiver, sender = context.Pipe(duplex=False)
             process = context.Process(
                 target=_worker_main,
@@ -126,34 +124,6 @@ def launch_workers(
                 process.kill()
         raise
     return handles
-
-
-def launch_worker(
-    graph: Graph,
-    k: int,
-    shard: int,
-    shard_count: int,
-    prune_empty: bool = True,
-    ready_timeout: float = READY_TIMEOUT,
-    shard_seed: int = 0,
-) -> WorkerHandle:
-    """Fork a single replacement worker (the supervision restart path)."""
-    context = _fork_context()
-    receiver, sender = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_worker_main,
-        args=(sender, graph, k, shard, shard_count, prune_empty, shard_seed),
-        daemon=True,
-        name=f"repro-shard-{shard}",
-    )
-    process.start()
-    sender.close()
-    try:
-        return _await_ready(shard, process, receiver, ready_timeout)
-    except BaseException:
-        if process.is_alive():
-            process.kill()
-        raise
 
 
 def _await_ready(shard, process, receiver, ready_timeout) -> WorkerHandle:
@@ -282,13 +252,8 @@ def _serve_connection(sock, state: _WorkerState) -> bool:
 
 
 def _check_budget(header: dict) -> None:
-    """Honor the coordinator's propagated deadline budget.
-
-    ``deadline_ms`` is the *remaining* budget at send time; a request
-    arriving with none left is refused with the same typed timeout the
-    in-process engine raises — computing a slice nobody will wait for
-    helps no one.
-    """
+    """Refuse a request whose ``deadline_ms`` (the remaining budget at
+    send time) is spent: nobody will wait for its slice."""
     budget = header.get("deadline_ms")
     if budget is not None and budget <= 0:
         raise QueryTimeoutError(
@@ -324,20 +289,14 @@ def _handle(state: _WorkerState, header: dict) -> tuple[dict, bytes]:
         return {"ok": True, "value": state.index.entry_count}, b""
     if op == "apply":
         return _handle_apply(state, header)
-    if op == "replay":
-        return _handle_replay(state, header)
     if op == "shutdown":
         return {"ok": True}, b""
     raise ValidationError(f"unknown worker op {op!r}")
 
 
 def _apply_mutations(state: _WorkerState, mutations: list) -> None:
-    """Apply a group's mutations to the worker's graph copy, in order.
-
-    Every worker receives every mutation — the graphs must stay in
-    lockstep, path relations compose against the *full* graph.
-    Application is idempotent (batch-replay safe).
-    """
+    """Apply a group's mutations, in order and idempotently, to the worker's
+    graph copy (every worker gets every one: paths compose over the full graph)."""
     for wire in mutations:
         kind = wire.get("kind")
         source, label, target = wire["source"], wire["label"], wire["target"]
@@ -356,7 +315,8 @@ def _handle_apply(state: _WorkerState, header: dict) -> tuple[dict, bytes]:
     only its slice: ``patch`` (encoded path -> ``[adds, removes]`` pair
     lists, possibly empty) for copy-on-write column edits (a scan reply
     still being encoded keeps its columns), or ``rebuild: true`` when
-    this shard's ball must rebuild.  ``seq`` advances the worker's
+    this shard's ball must rebuild — as a restarted worker does after
+    the journal suffix it replays.  ``seq`` advances the worker's
     resync cursor.
     """
     _apply_mutations(state, header.get("mutations", []))
@@ -375,25 +335,4 @@ def _handle_apply(state: _WorkerState, header: dict) -> tuple[dict, bytes]:
         "ok": True,
         "version": state.graph.version,
         "applied_seq": state.applied_seq,
-    }, b""
-
-
-def _handle_replay(state: _WorkerState, header: dict) -> tuple[dict, bytes]:
-    """Catch a restarted worker up from the coordinator's journal.
-
-    Carries every journaled mutation past the worker's acked sequence
-    number (for a fresh fork from the base graph, all of them) and
-    rebuilds the shard index once at the end — the log-suffix resync
-    that replaces re-shipping the whole current graph.
-    """
-    mutations = header.get("mutations", [])
-    _apply_mutations(state, mutations)
-    if mutations:
-        state.rebuild()
-    state.applied_seq = int(header.get("seq", state.applied_seq))
-    return {
-        "ok": True,
-        "version": state.graph.version,
-        "applied_seq": state.applied_seq,
-        "replayed": len(mutations),
     }, b""

@@ -37,11 +37,15 @@ class CacheStats:
 
 @dataclass(frozen=True, slots=True)
 class ScatterStats:
-    """Shard-pruning decisions of the sharded engine."""
+    """Shard-pruning decisions of the sharded engine, and the worker
+    slices a coordinator kept (served from memory, fetched, held)."""
 
     shards_scanned: int = 0
     shards_pruned: int = 0
     disjuncts_pruned: int = 0
+    scan_cache_hits: int = 0
+    scan_cache_misses: int = 0
+    scan_cache_pairs: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,6 +121,9 @@ class EngineStats:
             "shards_scanned": self.scatter.shards_scanned,
             "shards_pruned": self.scatter.shards_pruned,
             "disjuncts_pruned": self.scatter.disjuncts_pruned,
+            "scan_cache_hits": self.scatter.scan_cache_hits,
+            "scan_cache_misses": self.scatter.scan_cache_misses,
+            "scan_cache_pairs": self.scatter.scan_cache_pairs,
             "shards_failed": self.faults.shards_failed,
             "prepared_hits": self.prepared.hits,
             "prepared_misses": self.prepared.misses,

@@ -38,10 +38,10 @@ from repro.client import (
     AsyncClient,
     Client,
     RemoteResult,
-    _http_body,
     check_payload,
     decode_payload,
     decode_result,
+    parse_head,
 )
 from repro.errors import (
     ParseError,
@@ -389,11 +389,25 @@ def spy(monkeypatch):
 def call(transport: str, port: int, route: str, text: str, **options) -> RemoteResult:
     """One read through either client, on either answer route."""
     remote = (Client if transport == "sync" else AsyncClient)(port=port)
-    if route == "/query":
-        pending = remote.query(text, **options)
-    else:
-        pending = remote.prepared(text, **options)
-    return pending if transport == "sync" else asyncio.run(pending)
+    read = remote.query if route == "/query" else remote.prepared
+    if transport == "sync":
+        with contextlib.closing(remote):
+            return read(text, **options)
+
+    async def read_and_close():
+        try:
+            return await read(text, **options)
+        finally:
+            await remote.close()
+
+    return asyncio.run(read_and_close())
+
+
+@pytest.fixture
+def remote(service):
+    """A sync client of the live server, closed after the test."""
+    with contextlib.closing(Client(port=service[1])) as client:
+        yield client
 
 
 #: route -> (a query with an answer, an empty one, one that does not parse)
@@ -575,11 +589,11 @@ class TestFrontDoorAnswersInsteadOfDropping:
         ],
         ids=["negative-content-length", "long-request-line", "long-header-line"],
     )
-    def test_malformed_head_is_a_400(self, service, request_bytes):
+    def test_malformed_head_is_a_400(self, service, remote, request_bytes):
         _, port = service
         status_line, code = error_of(exchange(port, request_bytes))
         assert status_line.startswith(b"HTTP/1.1 400") and code == "wire"
-        assert Client(port=port).health()["ok"]
+        assert remote.health()["ok"]
 
     @pytest.mark.parametrize(
         "body",
@@ -591,42 +605,43 @@ class TestFrontDoorAnswersInsteadOfDropping:
             {"query": "a", "method": None},
         ],
     )
-    def test_mistyped_fields_are_validation_errors(self, service, body):
-        _, port = service
+    def test_mistyped_fields_are_validation_errors(self, remote, body):
         with pytest.raises(ValidationError, match="wrong type"):
-            Client(port=port)._request("POST", "/query", body)
+            remote._request("POST", "/query", body)
 
     @pytest.mark.parametrize("method", [5, None, ["minjoin"]])
-    def test_mistyped_method_on_the_prepared_route(self, service, method):
-        _, port = service
+    def test_mistyped_method_on_the_prepared_route(self, remote, method):
         body = {"template": "a{1,$n}", "params": {"n": 1}, "method": method}
         with pytest.raises(ValidationError, match="wrong type"):
-            Client(port=port)._request("POST", "/prepared", body)
+            remote._request("POST", "/prepared", body)
 
-    def test_well_typed_optional_fields_still_pass(self, service):
-        database, port = service
+    def test_well_typed_optional_fields_still_pass(self, service, remote):
+        database, _ = service
         body = {"query": "a/b", "timeout_ms": None, "method": "minjoin"}
-        payload = Client(port=port)._request("POST", "/query", body)
+        payload = remote._request("POST", "/query", body)
         assert payload["pairs"] == database.query("a/b").pairs
         for budget in (5000, 2500.5):
-            timed = Client(port=port).query("a/b", timeout_ms=budget)
+            timed = remote.query("a/b", timeout_ms=budget)
             assert timed.pairs == payload["pairs"]
 
-    def test_a_handler_bug_is_a_500_internal(self, service, monkeypatch):
+    def test_a_handler_bug_is_a_500_internal(self, service, remote, monkeypatch):
         database, port = service
 
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(database, "query", broken)
-        request = b'POST /query HTTP/1.1\r\nContent-Length: 13\r\n\r\n{"query":"a"}'
+        request = (
+            b"POST /query HTTP/1.1\r\nContent-Length: 13\r\nConnection: close\r\n"
+            b'\r\n{"query":"a"}'
+        )
         status_line, code = error_of(exchange(port, request))
         assert status_line.startswith(b"HTTP/1.1 500") and code == "internal"
         with pytest.raises(ReproError, match="RuntimeError: boom") as caught:
-            Client(port=port).query("a")
+            remote.query("a")
         assert type(caught.value) is ReproError
         monkeypatch.undo()
-        assert Client(port=port).query("a").pairs == database.query("a").pairs
+        assert remote.query("a").pairs == database.query("a").pairs
 
 
 @contextlib.contextmanager
@@ -677,13 +692,19 @@ class TestACutResponseIsTransientOnBothTransports:
                 with pytest.raises(TransientWireError):
                     call(transport, port, "/query", "q")
 
-    def test_http_body_reads_the_head_once(self):
-        body, content_type = _http_body(head(RESULT_FRAME_TYPE, 3) + b"abc")
-        assert (body, content_type) == (b"abc", RESULT_FRAME_TYPE)
-        assert _http_body(b"HTTP/1.1 200 OK\r\n\r\nabc") == (b"abc", "")
-        with pytest.raises(TransientWireError, match="mid-body"):
-            _http_body(head(JSON_TYPE, 4) + b"abc")
-        with pytest.raises(TransientWireError, match="before response head"):
-            _http_body(b"HTTP/1.1 200 OK\r\nContent-Le")
+    def test_parse_head_reads_the_head(self):
+        assert parse_head(head(RESULT_FRAME_TYPE, 3)) == (3, RESULT_FRAME_TYPE, False)
+        persistent = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"
+        assert parse_head(persistent) == (0, "", True)
+        assert parse_head(b"HTTP/1.0 200 OK\r\nContent-Length: 2") == (2, "", False)
+        with pytest.raises(WireError, match="Content-Length"):
+            parse_head(b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n")
         with pytest.raises(WireError, match="status line"):
-            _http_body(b"garbage\r\n\r\n{}")
+            parse_head(b"garbage\r\n\r\n")
+
+    @pytest.mark.parametrize("transport", ["sync", "async"])
+    def test_a_head_without_a_length_is_a_wire_error(self, transport):
+        with canned_server(b"HTTP/1.1 200 OK\r\n\r\n{}") as port:
+            with pytest.raises(WireError) as caught:
+                call(transport, port, "/query", "q")
+        assert not isinstance(caught.value, TransientWireError)

@@ -9,8 +9,12 @@ contract is "same pairs as the embedded engine, or a typed error".
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import gc
 import http.client
 import json
+import logging
 import random
 import socket
 import struct
@@ -39,10 +43,12 @@ from repro.graph.graph import Graph
 from repro.relation import Order, Relation
 from repro.serve import CoordinatorDatabase, launch_workers
 from repro.serve import protocol
-from repro.serve.coordinator import WorkerStub
-from repro.serve.server import serve_in_thread
+from repro.serve import server as server_module
+from repro.serve.coordinator import SliceCache, WorkerStub
+from repro.serve.server import QueryServer, serve_in_thread
 from repro.serve.worker import WorkerHandle, _await_ready
 from repro.stats import EngineStats
+from repro.write.mutation import Mutation, MutationBatch
 
 QUERIES = ["a/b", "a|b", "(a|b)/c", "a", "b/c|a", "a{1,2}/b"]
 
@@ -328,6 +334,7 @@ class TestEngineStats:
             "hits", "misses", "entries", "capacity", "pairs", "max_pairs",
             "scan_memo_hits", "scan_memo_misses", "shards_scanned",
             "shards_pruned", "disjuncts_pruned",
+            "scan_cache_hits", "scan_cache_misses", "scan_cache_pairs",
             "prepared_hits", "prepared_misses", "prepared_invalidations",
             "artifact_loads", "plans_computed", "plan_artifacts",
             "shards_failed",
@@ -456,6 +463,7 @@ class TestCoordinatorChaos:
         assert coordinator.query("a/b", use_cache=False).pairs == full
 
     def test_rpc_transient_is_retried_to_exact(self, coordinator, oracle):
+        coordinator.cache_clear()  # a kept slice makes no RPC to fault
         plan = FaultPlan(
             [FaultRule("rpc.send", "transient", times=1, shard=0)], seed=3
         )
@@ -465,17 +473,90 @@ class TestCoordinatorChaos:
         assert plan.fired >= 1
 
     def test_rpc_corrupt_is_typed_strict(self, coordinator):
+        coordinator.cache_clear()
         plan = FaultPlan([FaultRule("rpc.recv", "corrupt", shard=0)], seed=3)
         with armed(plan):
             with pytest.raises(WireError):
                 coordinator.query("a/b", use_cache=False)
 
     def test_rpc_corrupt_drops_slice_degraded(self, coordinator, oracle):
+        coordinator.cache_clear()
         plan = FaultPlan([FaultRule("rpc.recv", "corrupt", shard=0)], seed=3)
         with armed(plan):
             result = coordinator.query("a/b", degraded=True, use_cache=False)
         assert result.pairs <= oracle.query("a/b").pairs
         assert result.report.partial
+
+
+# -- the coordinator's slice cache -------------------------------------------------
+
+
+class TestSliceCache:
+    """Before the HTTP fixture starts supervising: a killed worker stays dead."""
+
+    def test_a_repeated_query_makes_no_worker_call(
+        self, coordinator, oracle, monkeypatch
+    ):
+        coordinator.cache_clear()
+        first = coordinator.query("(a|b)/c", use_cache=False)
+        calls: list[str] = []
+        original = WorkerStub._call
+
+        def counting(stub, op, *args, **params):
+            calls.append(op)
+            return original(stub, op, *args, **params)
+
+        monkeypatch.setattr(WorkerStub, "_call", counting)
+        hits = coordinator.stats().scatter.scan_cache_hits
+        again = coordinator.query("(a|b)/c", use_cache=False)
+        assert calls == [] and again.pairs == first.pairs
+        assert again.pairs == oracle.query("(a|b)/c").pairs
+        scatter = coordinator.stats().scatter
+        assert scatter.scan_cache_hits > hits and scatter.scan_cache_pairs > 0
+
+    def test_kept_slices_outlive_their_worker(self, coordinator, oracle):
+        coordinator.cache_clear()
+        full = oracle.query("a/b").pairs
+        assert coordinator.query("a/b", use_cache=False).pairs == full
+        coordinator._index.handles[0].kill()
+        coordinator._index.handles[0].process.join(5)
+        try:
+            # Every slice of a/b is kept: no worker is asked.
+            assert coordinator.query("a/b", use_cache=False).pairs == full
+            # c was never fetched: strict fails typed, degraded is labelled.
+            with pytest.raises(ShardUnavailableError):
+                coordinator.query("c", use_cache=False)
+            partial = coordinator.query("c", degraded=True, use_cache=False)
+            assert partial.report.partial and partial.pairs <= oracle.query("c").pairs
+        finally:
+            assert coordinator.ensure_workers() == [0]
+        # A restarted worker replays to the same columns: the slices stay.
+        assert coordinator.stats().scatter.scan_cache_pairs > 0
+        assert coordinator.query("c", use_cache=False).pairs == oracle.query("c").pairs
+
+    def test_the_pair_budget_evicts_oldest_first(self, coordinator):
+        def relation(size: int) -> Relation:
+            column = array("q", range(size))
+            return Relation(column, array("q", column), Order.BY_SRC)
+
+        loads: list[str] = []
+        cache = SliceCache(max_pairs=5)
+
+        def fetch(key: str, size: int) -> Relation:
+            return cache.fetch(key, lambda: loads.append(key) or relation(size))
+
+        fetch("old", 3)
+        fetch("new", 2)
+        assert cache.pairs == 5 and cache.misses == 2
+        fetch("newest", 1)  # 6 > 5: "old" goes
+        assert cache.pairs == 3
+        assert fetch("new", 2).frozen and loads == ["old", "new", "newest"]
+        fetch("old", 3)
+        assert loads[-1] == "old" and cache.pairs <= 5
+        fetch("huge", 6)  # over the whole budget: served, never kept
+        assert cache.pairs <= 5 and cache.hits == 1
+        budget = coordinator.config.query_cache_max_pairs
+        assert coordinator._index.slices.max_pairs == budget
 
 
 # -- the HTTP front door -------------------------------------------------------
@@ -490,7 +571,9 @@ def served(coordinator):
 
 @pytest.fixture(scope="module")
 def client(served):
-    return Client(port=served.port)
+    client = Client(port=served.port)
+    yield client
+    client.close()
 
 
 class TestHttpService:
@@ -553,22 +636,21 @@ class TestHttpService:
         assert set(stats) == {"cache", "scatter", "prepared", "faults", "write"}
         assert "shards_failed" in stats["faults"]
 
-    def test_unknown_route_is_typed(self, served):
+    def test_unknown_route_is_typed(self, client):
         with pytest.raises(ValidationError):
-            Client(port=served.port)._request("GET", "/nope")
+            client._request("GET", "/nope")
 
     def test_refused_connection_is_transient(self):
         with pytest.raises(TransientWireError):
             Client(port=1, timeout=2).health()
 
     def test_async_client(self, served, oracle):
-        import asyncio
-
         async def exercise():
             remote = AsyncClient(port=served.port)
             result = await remote.query("a|b")
             health = await remote.health()
             stats = await remote.stats()
+            await remote.close()
             return result, health, stats
 
         result, health, stats = asyncio.run(exercise())
@@ -614,20 +696,299 @@ class TestBackpressure:
 
         db.query = slow_query
         handle = serve_in_thread(db)
+        client = Client(port=handle.port)
         try:
-            blocker = threading.Thread(
-                target=lambda: Client(port=handle.port).query("a"), daemon=True
-            )
+            blocker = threading.Thread(target=lambda: client.query("a"), daemon=True)
             blocker.start()
             assert entered.wait(timeout=10)
             with pytest.raises(TransientWireError, match="capacity"):
-                Client(port=handle.port).query("a")
+                client.query("a")
         finally:
             release.set()
             blocker.join(timeout=10)
+            client.close()
             handle.stop()
             db.query = original
             db.close()
+
+
+# -- keep-alive: one connection, many requests ---------------------------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """An in-process front door that counts the connections it accepts."""
+    accepted: list[object] = []
+    original = QueryServer._handle_connection
+
+    async def counting(self, reader, writer):
+        accepted.append(writer.get_extra_info("peername"))
+        await original(self, reader, writer)
+
+    monkeypatch.setattr(QueryServer, "_handle_connection", counting)
+    db = GraphDatabase.from_edges(
+        _edges(3, 20, 80), config=ServiceConfig(k=2, shards=1)
+    )
+    handle = serve_in_thread(db)
+    yield db, handle, accepted
+    handle.stop()
+    db.close()
+
+
+def _raw(port: int, request: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection."""
+    received = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+class TestKeepAlive:
+    @pytest.mark.parametrize("transport", ["sync", "async"])
+    def test_queries_through_one_client_make_one_accept(self, counted, transport):
+        db, handle, accepted = counted
+        texts = ["a/b", "a|b", "b/c", "a"] * 3
+        if transport == "sync":
+            client = Client(port=handle.port)
+            answers = [client.query(text).pairs for text in texts]
+            client.close()
+        else:
+            remote = AsyncClient(port=handle.port)
+
+            async def run():
+                answers = [(await remote.query(text)).pairs for text in texts]
+                await remote.close()
+                return answers
+
+            answers = asyncio.run(run())
+        assert answers == [db.query(text).pairs for text in texts]
+        assert len(accepted) == 1
+        deadline = time.monotonic() + 5  # close() ends the server's handler
+        while handle.server._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not handle.server._connections
+
+    def test_two_threads_share_one_client(self, counted):
+        db, handle, accepted = counted
+        client = Client(port=handle.port)
+        expected = {text: db.query(text).pairs for text in QUERIES}
+        wrong: list[str] = []
+
+        def hammer(texts):
+            for text in texts * 5:
+                if client.query(text, use_cache=False).pairs != expected[text]:
+                    wrong.append(text)
+
+        threads = [
+            threading.Thread(target=hammer, args=(QUERIES[start::2],))
+            for start in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        client.close()
+        assert not wrong and 1 <= len(accepted) <= 2
+
+    def test_a_connection_the_server_closed_is_replaced(self, counted, monkeypatch):
+        db, handle, accepted = counted
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.2)
+        client = Client(port=handle.port)
+        assert client.health()["ok"]
+        time.sleep(0.6)  # the server closes the idle connection
+        assert client.query("a/b").pairs == db.query("a/b").pairs
+        client.close()
+        assert len(accepted) == 2
+
+    def test_an_apply_whose_connection_dies_is_transient_and_applied_once(
+        self, counted, monkeypatch
+    ):
+        db, handle, _ = counted
+        original = server_module._write_response
+
+        async def dropping(writer, status, payload, keep_alive):
+            if isinstance(payload, dict) and "result" in payload:
+                writer.transport.abort()  # the answer to /apply never leaves
+                raise ConnectionResetError("dropped")
+            await original(writer, status, payload, keep_alive)
+
+        monkeypatch.setattr(server_module, "_write_response", dropping)
+        client = Client(port=handle.port)
+        version = client.health()["version"]
+        with pytest.raises(TransientWireError):
+            client.add_edge("n1", "c", "n2")
+        monkeypatch.undo()
+        assert client.health()["version"] == db.graph.version == version + 1
+        assert client.add_edge("n1", "c", "n2") is None  # it is there, once
+        client.close()
+
+    def test_stop_with_an_idle_pooled_connection(self, caplog):
+        db = GraphDatabase.from_edges(
+            _edges(4, 10, 30), config=ServiceConfig(k=1, shards=1)
+        )
+        try:
+            handle = serve_in_thread(db)
+            client = Client(port=handle.port, timeout=5)
+            assert client.health()["ok"]
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                started = time.perf_counter()
+                handle.stop()
+                assert time.perf_counter() - started < 2.0
+                del handle  # the loop, and any handler task left pending
+                gc.collect()
+            assert not [record for record in caplog.records if record.name == "asyncio"]
+            # The server closed the pooled connection: the next call
+            # fails at once instead of waiting out its timeout.
+            started = time.perf_counter()
+            with pytest.raises(TransientWireError):
+                client.health()
+            assert time.perf_counter() - started < 2.0
+        finally:
+            db.close()
+
+
+class TestRequestFraming:
+    def test_a_chunked_body_is_a_400_and_closes(self, counted):
+        _, handle, _ = counted
+        response = _raw(
+            handle.port,
+            b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b'd\r\n{"query":"a"}\r\n0\r\n\r\n',
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400") and b"Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "wire"
+
+    def test_two_conflicting_lengths_are_a_400_and_close(self, counted):
+        _, handle, _ = counted
+        response = _raw(
+            handle.port,
+            b"POST /query HTTP/1.1\r\nContent-Length: 13\r\n"
+            b'Content-Length: 3\r\n\r\n{"query":"a"}',
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400") and b"Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "wire"
+
+    def test_http10_gets_connection_close(self, counted):
+        _, handle, _ = counted
+        response = _raw(handle.port, b"GET /health HTTP/1.0\r\n\r\n")
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200") and b"Connection: close" in head
+        assert json.loads(body)["ok"]
+
+    def test_three_requests_on_one_socket_get_three_answers(self, counted):
+        db, handle, accepted = counted
+        query = b'{"query":"a/b"}'
+        request = b"POST /query HTTP/1.1\r\nContent-Length: 15\r\n\r\n" + query
+        last = b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n"
+        response = _raw(handle.port, request * 2 + last)
+        answers = []
+        while response:
+            head, _, rest = response.partition(b"\r\n\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            answers.append(json.loads(rest[:length]))
+            response = rest[length:]
+        want = [list(pair) for pair in sorted(db.query("a/b").pairs)]
+        assert [answer.get("pairs") for answer in answers[:2]] == [want, want]
+        assert answers[2]["ok"] and len(answers) == 3 and len(accepted) == 1
+
+
+@st.composite
+def group_sequences(draw):
+    names = [f"n{i}" for i in range(8)]
+    edge = st.tuples(
+        st.sampled_from(names), st.sampled_from("abc"), st.sampled_from(names)
+    )
+    mutation = st.builds(
+        lambda add, triple: (Mutation.add if add else Mutation.remove)(*triple),
+        st.booleans(),
+        edge,
+    )
+    return draw(st.lists(st.lists(mutation, min_size=1, max_size=3), max_size=4))
+
+
+class TestSliceCacheAcrossWrites:
+    @pytest.fixture(scope="class")
+    def pair(self):
+        edges = _edges(8, 8, 30)
+        coordinator = CoordinatorDatabase.from_edges(
+            edges, config=ServiceConfig(k=2, shards=2)
+        )
+        oracle = GraphDatabase.from_edges(edges, config=ServiceConfig(k=2, shards=1))
+        yield coordinator, oracle
+        coordinator.close()
+        oracle.close()
+
+    @settings(max_examples=15, deadline=None)
+    @given(groups=group_sequences())
+    def test_every_apply_answers_as_the_oracle(self, pair, groups):
+        coordinator, oracle = pair
+        for group in groups:
+            for db in (coordinator, oracle):
+                db.query("a/b|c", use_cache=False)  # warm every slice
+            batch = MutationBatch.of(*group)
+            assert coordinator.apply(batch).version == oracle.apply(batch).version
+            for text in ("a/b|c", "a/b", "b/c|a"):
+                result = coordinator.query(text, use_cache=False)
+                assert result.version == oracle.graph.version
+                assert result.pairs == oracle.query(text, use_cache=False).pairs
+
+    def test_a_broadcast_drops_the_kept_slices(self, pair):
+        coordinator, _ = pair
+        index = coordinator.index
+        coordinator.query("a|b|c", use_cache=False)
+        assert index.slices.pairs > 0
+        index.apply_commit_group([], {}, set())  # an empty group, to the index itself
+        assert index.slices.pairs == 0
+
+
+def test_kill_worker_mid_hammer_stays_typed_or_exact():
+    """Killing a shard worker during a client hammer yields only typed
+    errors or exact degraded subsets — never a wrong answer."""
+    edges = _edges(6)
+    oracle = GraphDatabase.from_edges(edges, config=ServiceConfig(k=2, shards=1))
+    database = CoordinatorDatabase.from_edges(
+        edges, config=ServiceConfig(k=2, shards=2)
+    )
+    expected = {text: oracle.query(text).pairs for text in QUERIES}
+    handle = serve_in_thread(database, supervise_interval=0.1)
+    outcomes: list[str] = []
+
+    def run_client() -> None:
+        with contextlib.closing(Client(port=handle.port)) as client:
+            for text in QUERIES * 4:
+                try:
+                    result = client.query(text, degraded=True, use_cache=False)
+                except ReproError:
+                    outcomes.append("typed-error")
+                    continue
+                if result.partial:
+                    assert result.pairs <= expected[text], text
+                    assert result.shards_failed >= 1
+                    outcomes.append("degraded-subset")
+                else:
+                    assert result.pairs == expected[text], text
+                    outcomes.append("exact")
+
+    try:
+        threads = [threading.Thread(target=run_client, daemon=True) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        # Murder one worker while the hammer is running; supervision
+        # restarts it, so late requests go back to exact.
+        time.sleep(0.05)
+        database._index.handles[0].kill()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        handle.stop()
+        database.close()
+        oracle.close()
+    # Every read of every thread finished: a wrong answer stops its thread.
+    assert len(outcomes) == 4 * 4 * len(QUERIES) and "exact" in outcomes
 
 
 class TestCliServe:
@@ -639,3 +1000,19 @@ class TestCliServe:
         )
         assert args.workers == 2 and args.queue_limit == 4
         assert args.handler is not None
+
+    def test_serve_runs_serve_forever(self, monkeypatch):
+        """``repro serve`` is :func:`serve_forever`, not a copy of it."""
+        import repro.serve
+        from repro import cli
+
+        served = []
+
+        async def fake(database, config):
+            served.append((database.config.shards, config.port))
+
+        monkeypatch.setattr(server_module, "serve_forever", fake)
+        monkeypatch.setattr(repro.serve, "CoordinatorDatabase", GraphDatabase)
+        argv = ["serve", "--synthetic", "small", "--workers", "1", "--port", "0"]
+        assert cli.main(argv) == 0
+        assert served == [(1, 0)]

@@ -294,7 +294,9 @@ class TestOneShardAbsorbs:
                 # One shard does not scatter: no slice was ever counted.
                 assert result.report.shards_scanned == 0
             assert db.stats().scatter.shards_scanned == 0
-            # ...and still retries a scan the wire dropped.
+            # ...and still retries a scan the wire dropped (a kept slice
+            # makes no RPC, so the slices go first).
+            db.cache_clear()
             plan = FaultPlan([FaultRule("rpc.send", "transient", times=1)])
             with armed(plan):
                 result = db.query("a/b", use_cache=False)
@@ -850,7 +852,9 @@ class TestHttpApply:
         config = ServiceConfig(k=2, shards=2, port=0)
         db = GraphDatabase.from_edges(_edges(12), config=config)
         handle = serve_in_thread(db, config)
-        yield db, Client(port=handle.port)
+        client = Client(port=handle.port)
+        yield db, client
+        client.close()
         handle.stop()
         db.close()
 
