@@ -1,30 +1,24 @@
-"""Single-source / boolean lookups vs all-pairs evaluation.
+"""Anchored (single-source / boolean) reads vs all-pairs evaluation.
 
 Example 3.1 shows the index's prefix-lookup shapes; this bench shows
-why they matter: answering "whom does *this node* reach" via
-``I(p, a)`` frontier expansion touches one neighborhood, while the
-all-pairs engine materializes the full relation.
+why they matter: an anchored query ``from(a): ...`` pins the leftmost
+scan of every join chain to ``I(p, a)``, so the joins see one node's
+pairs, while the all-pairs read materializes the full relation.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.navigation import evaluate_from, evaluate_pair
-from repro.rpq.parser import parse
-
 QUERY = "master/journeyer/apprentice/journeyer"
 
 
 @pytest.fixture(scope="module")
-def setup(prepared_bench):
-    database = prepared_bench.database(2)
-    node = parse(QUERY)
-    return database, node
+def database(prepared_bench):
+    return prepared_bench.database(2)
 
 
-def test_all_pairs(benchmark, setup):
-    database, _ = setup
+def test_all_pairs(benchmark, database):
     benchmark.group = "navigation"
     result = benchmark.pedantic(
         lambda: database.query(QUERY, method="minsupport", use_cache=False),
@@ -33,39 +27,36 @@ def test_all_pairs(benchmark, setup):
     benchmark.extra_info["answer_size"] = len(result.pairs)
 
 
-def test_single_source(benchmark, setup):
-    database, node = setup
+def test_single_source(benchmark, database):
     benchmark.group = "navigation"
-    source = database.graph.node_id("n3")
-    targets = benchmark.pedantic(
-        lambda: evaluate_from(
-            node, source, database.index, database.graph, database.histogram
-        ),
+    result = benchmark.pedantic(
+        lambda: database.query(f"from(n3): {QUERY}", use_cache=False),
         rounds=5, iterations=1, warmup_rounds=1,
     )
-    benchmark.extra_info["targets"] = len(targets)
+    benchmark.extra_info["targets"] = len(result.pairs)
 
 
-def test_boolean_probe(benchmark, setup):
-    database, node = setup
+def test_prepared_single_source(benchmark, database):
     benchmark.group = "navigation"
-    graph = database.graph
-    source, target = graph.node_id("n3"), graph.node_id("n5")
+    statement = database.prepare(f"from($v): {QUERY}")
+    result = benchmark.pedantic(
+        lambda: statement.run(v="n3"), rounds=5, iterations=1, warmup_rounds=1,
+    )
+    benchmark.extra_info["targets"] = len(result.pairs)
+
+
+def test_boolean_probe(benchmark, database):
+    benchmark.group = "navigation"
+    database.cache_clear()
     benchmark.pedantic(
-        lambda: evaluate_pair(
-            node, source, target, database.index, graph, database.histogram
-        ),
+        lambda: database.query_pair("n3", "n5", QUERY),
+        setup=database.cache_clear,
         rounds=5, iterations=1, warmup_rounds=1,
     )
 
 
-def test_single_source_consistent_with_all_pairs(setup):
-    database, node = setup
+def test_single_source_consistent_with_all_pairs(database):
     relation = database.query(QUERY, method="reference").pairs
-    graph = database.graph
-    for name in list(graph.node_names())[:10]:
+    for name in list(database.graph.node_names())[:10]:
         expected = {b for a, b in relation if a == name}
-        targets = evaluate_from(
-            node, graph.node_id(name), database.index, graph, database.histogram
-        )
-        assert {graph.node_name(t) for t in targets} == expected
+        assert database.query_from(name, QUERY) == expected

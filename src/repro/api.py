@@ -58,9 +58,8 @@ from repro.graph.stats import GraphSummary, star_bound, summarize
 from repro.indexes.builder import enumerate_label_paths
 from repro.indexes.histogram import EquiDepthHistogram
 from repro.indexes.statistics import ExactStatistics
-from repro.relation import restrict_src
 from repro.rpq.ast import Node
-from repro.rpq.parser import Template, parse, parse_template
+from repro.rpq.parser import Template, parse, parse_query, parse_template
 from repro.rpq.rewrite import (
     DEFAULT_MAX_DISJUNCTS,
     NormalForm,
@@ -491,7 +490,7 @@ class GraphDatabase:
 
     def query(
         self,
-        query: str | Node,
+        query: str | Node | Template,
         method: str = "minsupport",
         use_exact_statistics: bool = False,
         max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
@@ -504,6 +503,13 @@ class GraphDatabase:
         ``method`` is one of the paper's strategies (``naive``,
         ``semi-naive``, ``minsupport``, ``minjoin``) or a baseline
         (``automaton``, ``datalog``, ``reachability``, ``reference``).
+
+        Text may open with a source anchor, ``from(kim): knows/worksFor``
+        (or come as a placeholder-free :class:`~repro.rpq.parser.Template`
+        carrying one): the answer is the pairs starting at that node.
+        The plan is the unanchored query's; execution pins its leftmost
+        scans to ``I(p, kim)`` on the shard owning ``kim``, the way a
+        scatter slice pins them to a shard.
 
         ``timeout_ms`` puts a deadline on the whole execution: the
         engine checks it cooperatively at operator, scatter, and
@@ -538,7 +544,7 @@ class GraphDatabase:
         always exactly the single-threaded answer for the
         :attr:`QueryResult.version` it carries.
         """
-        text, node = self._parse(query)
+        text, node, anchor = self._parse(query)
         # Validate the method before touching any shared state, so a
         # raising method name never skews the cache counters.
         strategy = None if method in BASELINE_METHODS else Strategy.parse(method)
@@ -566,6 +572,7 @@ class GraphDatabase:
                 max_disjuncts,
                 use_cache,
                 context,
+                anchor,
             )
 
     def _query_locked(
@@ -578,6 +585,7 @@ class GraphDatabase:
         max_disjuncts: int,
         use_cache: bool,
         context: RunContext | None = None,
+        anchor: str | None = None,
     ) -> QueryResult:
         """Answer one parsed query; caller holds the read lock."""
         version = self.graph.version
@@ -595,9 +603,10 @@ class GraphDatabase:
                 return cached
         else:
             cache_key = None  # a bypass neither counts a miss nor stores
+        source = self._anchor_id(anchor)
         started = time.perf_counter()
         if strategy is None:
-            pairs = self._run_baseline(method, node)
+            pairs = self._run_baseline(method, node, source)
             seconds = time.perf_counter() - started
             return self._result_locked(
                 text, method, pairs, seconds, version, cache_key=cache_key
@@ -611,6 +620,7 @@ class GraphDatabase:
             strategy,
             max_disjuncts,
             context=context,
+            source=source,
         )
         seconds = time.perf_counter() - started
         return self._result_locked(
@@ -898,7 +908,7 @@ class GraphDatabase:
 
     def query_batch(
         self,
-        queries: Sequence[str | Node],
+        queries: Sequence[str | Node | Template],
         method: str = "minsupport",
         use_exact_statistics: bool = False,
         max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
@@ -933,7 +943,7 @@ class GraphDatabase:
             version = self.graph.version
             results: list[QueryResult | None] = [None] * len(parsed)
             slots: dict[tuple, list[int]] = {}
-            for position, (text, _) in enumerate(parsed):
+            for position, (text, _, _) in enumerate(parsed):
                 key = self._cache_key(
                     text,
                     method,
@@ -943,15 +953,14 @@ class GraphDatabase:
                     version,
                 )
                 slots.setdefault(key, []).append(position)
-            pending: list[tuple[tuple, str, Node]] = []
+            pending: list[tuple[tuple, str, Node, str | None]] = []
             for key, positions in slots.items():
-                text, node = parsed[positions[0]]
                 cached = self._cache_lookup(key, version) if use_cache else None
                 if cached is not None:
                     for position in positions:
                         results[position] = cached
                 else:
-                    pending.append((key, text, node))
+                    pending.append((key, *parsed[positions[0]]))
             if pending:
                 for key, result in self._run_batch(
                     pending,
@@ -969,7 +978,7 @@ class GraphDatabase:
 
     def _run_batch(
         self,
-        pending: list[tuple[tuple, str, Node]],
+        pending: list[tuple[tuple, str, Node, str | None]],
         method: str,
         strategy: Strategy | None,
         use_exact_statistics: bool,
@@ -979,9 +988,9 @@ class GraphDatabase:
     ) -> Iterator[tuple[tuple, QueryResult]]:
         """Execute the batch misses in order; caller holds the read lock."""
         if strategy is None:
-            for key, text, node in pending:
+            for key, text, node, anchor in pending:
                 started = time.perf_counter()
-                pairs = self._run_baseline(method, node)
+                pairs = self._run_baseline(method, node, self._anchor_id(anchor))
                 seconds = time.perf_counter() - started
                 yield key, self._result_locked(
                     text,
@@ -1007,13 +1016,16 @@ class GraphDatabase:
                     strategy,
                     max_disjuncts,
                 ),
+                self._anchor_id(anchor),
             )
-            for key, text, node in pending
+            for key, text, node, anchor in pending
         ]
-        for key, text, prepared in items:
+        for key, text, prepared, source in items:
             # A report's memo counters are its own delta of the shared
             # memo's traffic, so per-result accounting sums to the batch.
-            report = execute_prepared(prepared, index, self.graph, statistics, memo)
+            report = execute_prepared(
+                prepared, index, self.graph, statistics, memo, source=source
+            )
             yield key, self._result_locked(
                 text,
                 strategy.value,
@@ -1046,9 +1058,10 @@ class GraphDatabase:
         and planned exactly once per ``(graph version, statistics
         epoch)`` — subsequent ``run()`` calls skip parse/rewrite/plan
         entirely, and any mutation or rebuild soundly invalidates the
-        cached plans.  The anchor never reaches the planner: it
-        restricts the answer after execution, so every anchor value
-        shares one plan.  On the disk backend, plans also persist to a
+        cached plans.  The anchor never reaches the planner: it pins
+        the execution's leftmost scans to ``I(p, v)``, as an anchored
+        :meth:`query` does, so every anchor value shares one plan.  On
+        the disk backend, plans also persist to a
         fingerprinted artifact file next to the index, so a restarted
         service answers its first prepared query with zero planning
         calls (see ``artifact_loads`` in :meth:`stats`).
@@ -1098,15 +1111,21 @@ class GraphDatabase:
             prepared = statement._plan_for(
                 bound, version, epoch, index, statistics
             )
-            report = execute_prepared(prepared, index, self.graph, statistics)
-            relation = report.relation
-            if bound.anchor is not None:
-                relation = restrict_src(
-                    relation, self.graph.node_id(bound.anchor)
-                )
+            report = execute_prepared(
+                prepared,
+                index,
+                self.graph,
+                statistics,
+                source=self._anchor_id(bound.anchor),
+            )
             seconds = time.perf_counter() - started
             return self._result_locked(
-                bound.text, statement.strategy.value, relation, seconds, version, report
+                bound.text,
+                statement.strategy.value,
+                report.relation,
+                seconds,
+                version,
+                report,
             )
 
     def _note_prepared(
@@ -1263,9 +1282,11 @@ class GraphDatabase:
         A query the rewriter refuses (unbounded recursion on a graph
         too large to unroll it) has no single plan: the text names the
         hybrid route and the refusal, then shows the plan of each
-        bounded operand that route evaluates through the index.
+        bounded operand that route evaluates through the index.  An
+        anchored query runs the same plan, pinned: the text names the
+        anchor.
         """
-        _, node = self._parse(query)
+        _, node, anchor = self._parse(query)
         strategy = Strategy.parse(method)
         statistics = (
             self.exact_statistics if use_exact_statistics else self.histogram
@@ -1281,6 +1302,8 @@ class GraphDatabase:
             return summary + render(costed.plan)
 
         header = f"query: {node}\nstrategy: {strategy.value}   k: {self.k}\n"
+        if anchor is not None:
+            header += f"anchor: {anchor} (leftmost scans read I(p, {anchor}))\n"
         try:
             normal_form = self.normal_form(node)
         except RewriteError as refusal:
@@ -1296,7 +1319,7 @@ class GraphDatabase:
 
     def normal_form(self, query: str | Node) -> NormalForm:
         """Rewrite a query to the planner's union-of-paths normal form."""
-        _, node = self._parse(query)
+        _, node, _ = self._parse(query)
         return normalize(node, star_bound(self.graph))
 
     def query_from(
@@ -1307,24 +1330,13 @@ class GraphDatabase:
     ) -> frozenset[str]:
         """All nodes reachable from ``source`` by the query.
 
-        Answered with single-source index lookups (``I(p, a)`` prefix
-        scans, Example 3.1), so only the source's neighborhood is
-        touched rather than the full relation.
+        The targets of the anchored query ``from(source): query`` — its
+        leftmost scans are single-source index lookups (``I(p, a)``
+        prefix scans, Example 3.1) on the shard owning ``source`` — and
+        cached like any query.
         """
-        from repro.engine.navigation import evaluate_from
-
-        _, node = self._parse(query)
-        self._ensure_built()
-        with self._lock.read_locked():
-            targets = evaluate_from(
-                node,
-                self.graph.node_id(source),
-                self._require_index(),
-                self.graph,
-                self._histogram,
-                max_disjuncts,
-            )
-            return frozenset(self.graph.node_name(t) for t in targets)
+        result = self._query_anchored(source, query, max_disjuncts)
+        return frozenset(target for _, target in result.pairs)
 
     def witness(self, source: str, target: str, query: str | Node):
         """A shortest concrete path justifying ``(source, target)``.
@@ -1334,7 +1346,7 @@ class GraphDatabase:
         """
         from repro.rpq.witness import find_witness
 
-        _, node = self._parse(query)
+        _, node, _ = self._parse(query)
         with self._lock.read_locked():
             self.graph.node_id(source)  # validate names early
             self.graph.node_id(target)
@@ -1349,44 +1361,59 @@ class GraphDatabase:
     ) -> bool:
         """Boolean check: does (source, target) answer the query?
 
-        Short disjuncts are single ``I(p, a, b)`` membership probes.
+        A probe of the anchored answer ``from(source): query``.
         """
-        from repro.engine.navigation import evaluate_pair
+        result = self._query_anchored(source, query, max_disjuncts)
+        self.graph.node_id(target)  # an unknown target raises, as a source does
+        return (source, target) in result.pairs
 
-        _, node = self._parse(query)
-        self._ensure_built()
-        with self._lock.read_locked():
-            return evaluate_pair(
-                node,
-                self.graph.node_id(source),
-                self.graph.node_id(target),
-                self._require_index(),
-                self.graph,
-                self._histogram,
-                max_disjuncts,
-            )
+    def _query_anchored(
+        self, source: str, query: str | Node, max_disjuncts: int
+    ) -> QueryResult:
+        text, node, anchor = self._parse(query)
+        if anchor is not None:
+            raise ValidationError(f"{text!r} is already anchored")
+        anchored = Template(f"from({source}): {text}", node, anchor_name=source)
+        return self.query(anchored, max_disjuncts=max_disjuncts)
 
     # -- internals ---------------------------------------------------------------------
 
-    def _run_baseline(self, method: str, node: Node) -> set[tuple[int, int]]:
+    def _run_baseline(
+        self, method: str, node: Node, source: int | None = None
+    ) -> set[tuple[int, int]]:
         if method == "automaton":
-            return automaton_eval.evaluate(self.graph, node)
-        if method == "dfa":
+            pairs = automaton_eval.evaluate(self.graph, node)
+        elif method == "dfa":
             from repro.rpq.dfa import evaluate as dfa_evaluate
 
-            return dfa_evaluate(self.graph, node)
-        if method == "datalog":
-            return datalog_eval.evaluate(self.graph, node)
-        if method == "reachability":
-            return reachability_eval.evaluate(self.graph, node)
-        return eval_ast(self.graph, node)
+            pairs = dfa_evaluate(self.graph, node)
+        elif method == "datalog":
+            pairs = datalog_eval.evaluate(self.graph, node)
+        elif method == "reachability":
+            pairs = reachability_eval.evaluate(self.graph, node)
+        else:
+            pairs = eval_ast(self.graph, node)
+        if source is None:
+            return pairs
+        return {pair for pair in pairs if pair[0] == source}
 
-    def _parse(self, query: str | Node) -> tuple[str, Node]:
+    def _anchor_id(self, anchor: str | None) -> int | None:
+        """The anchor's node id; caller holds the read lock."""
+        return None if anchor is None else self.graph.node_id(anchor)
+
+    def _parse(self, query: str | Node | Template) -> tuple[str, Node, str | None]:
+        """``(text, AST, anchor name or None)`` of a query."""
         if isinstance(query, str):
-            return query, parse(query)
+            node, anchor = parse_query(query)
+            return query, node, anchor
         if isinstance(query, Node):
-            return str(query), query
-        raise ValidationError(f"query must be text or an AST, got {type(query)}")
+            return str(query), query, None
+        if isinstance(query, Template) and not query.params:
+            return query.text, query.node, query.anchor_name
+        raise ValidationError(
+            f"query must be text, an AST or a template without "
+            f"placeholders, got {query!r}"
+        )
 
     def _parse_label_path(self, text: str) -> LabelPath:
         node = parse(text)

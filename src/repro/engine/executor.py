@@ -12,6 +12,12 @@ through the index/planner where possible, and recursion is closed with
 the condensation-based CSR fixpoint (:mod:`repro.csr`).  For the bounded
 queries of the paper's evaluation, the fallback never triggers.
 
+A ``from(v):`` anchor (``source=``) is not a second evaluator: the plan
+runs with its leftmost scan pinned to ``I(p, v)`` on the shard owning
+``v`` (:func:`~repro.engine.operators.execute`), exactly as a shard
+slice pins it to the shard.  The hybrid fallback computes the whole
+answer and keeps the anchored pairs.
+
 Every execution carries a :class:`~repro.engine.operators.ScanMemo`:
 repeated index scans and shared subplans across union disjuncts (and
 repeated AST subtrees in the fallback) are evaluated once, with
@@ -144,6 +150,7 @@ def evaluate_ast(
     strategy: Strategy,
     max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
     context: RunContext | None = None,
+    source: int | None = None,
 ) -> ExecutionReport:
     """Evaluate an arbitrary RPQ AST through the index where possible.
 
@@ -152,7 +159,9 @@ def evaluate_ast(
     query, so single and batched execution can never drift.
     """
     prepared = prepare_ast(node, index, graph, statistics, strategy, max_disjuncts)
-    return execute_prepared(prepared, index, graph, statistics, context=context)
+    return execute_prepared(
+        prepared, index, graph, statistics, context=context, source=source
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,6 +225,7 @@ def execute_prepared(
     statistics,
     memo: ScanMemo | None = None,
     context: RunContext | None = None,
+    source: int | None = None,
 ) -> ExecutionReport:
     """Execute a :class:`PreparedQuery`, optionally under a shared memo.
 
@@ -227,6 +237,10 @@ def execute_prepared(
     execution's partial :class:`ScatterCounters` attached to the
     :class:`QueryTimeoutError` — the caller sees how far the scatter
     got before time ran out.
+
+    ``source`` anchors the execution: the answer is the pairs starting
+    at that node id.  The plan is the unanchored one — an anchor is an
+    execution-time pin, so every anchor value shares a plan.
     """
     sharded = _scatters(index)
     if memo is None:
@@ -245,10 +259,11 @@ def execute_prepared(
                     memo,
                     policy=ScatterPolicy(index, counters),
                     context=context,
+                    source=source,
                 )
             else:
                 relation = execute(
-                    prepared.costed.plan, index, graph, memo, deadline
+                    prepared.costed.plan, index, graph, memo, deadline, source=source
                 )
             used_fallback = False
         else:
@@ -264,6 +279,8 @@ def execute_prepared(
                 context,
                 refused=True,
             )
+            if source is not None:
+                relation = rel.restrict_src(relation, source)
             used_fallback = True
     except QueryTimeoutError as error:
         if error.counters is None:

@@ -27,11 +27,14 @@ The same interpreter runs a plan *pinned to one shard*
 (``execute(..., shard=s)``), which is what scatter-gather is made of:
 :func:`execute_scattered` runs the plan once per shard under a
 :class:`ScatterPolicy` that skips provably empty shard slices, and
-merges the slices.
+merges the slices.  A ``from(v):`` anchor pins the same leftmost scan
+to one source (``execute(..., source=v)``): an anchored read is the
+owner shard's slice with its leftmost leaf narrowed to ``I(p, v)``.
 """
 
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import BrokenExecutor
 
 from repro import relation as rel
@@ -101,9 +104,9 @@ class ScanMemo:
     __slots__ = ("plans", "asts", "hits", "misses")
 
     def __init__(self) -> None:
-        # Keys are PlanNodes for global executions and (PlanNode, shard)
-        # tuples for shard-restricted slices (scatter-gather execution);
-        # both are immutable hashable value objects.
+        # Keys are PlanNodes for global executions and (PlanNode, shard,
+        # source) tuples for pinned ones (a shard slice, an anchored
+        # read); both are immutable hashable value objects.
         self.plans: dict = {}
         self.asts: dict = {}
         self.hits = 0
@@ -153,6 +156,7 @@ def execute(
     memo: ScanMemo | None = None,
     deadline=None,
     shard: int | None = None,
+    source: int | None = None,
 ) -> Relation:
     """Run a plan tree, returning the (deduplicated) result relation.
 
@@ -173,15 +177,23 @@ def execute(
     ones under the plan itself, so the gather side of an inner scan is
     computed once and reused by every shard, and a left-spine prefix
     shared by several disjuncts runs once per shard.
+
+    ``source`` pins the same left spine to one source node — a
+    ``from(v):`` anchor.  The leftmost leaf reads ``I(p, v)``
+    (``index.scan_from``, which a sharded index answers on the shard
+    owning ``v``) and the epsilon disjunct is ``{(v, v)}``; everything
+    else is exactly as above, so the result is the pairs of the whole
+    answer whose source is ``v``.  A pinned shard adds nothing to a
+    pinned source beyond naming the slice it belongs to.
     """
     if deadline is not None:
         deadline.check()
-    key = plan if shard is None else (plan, shard)
+    key = plan if shard is None and source is None else (plan, shard, source)
     if memo is not None:
         cached = memo.lookup_plan(key)
         if cached is not None:
             return cached
-    result = _run(plan, index, graph, memo, deadline, shard)
+    result = _run(plan, index, graph, memo, deadline, shard, source)
     if memo is not None:
         memo.store_plan(key, result)
     return result
@@ -194,8 +206,15 @@ def _run(
     memo: ScanMemo | None,
     deadline,
     shard: int | None,
+    source: int | None,
 ) -> Relation:
     if isinstance(plan, IndexScanPlan):
+        if source is not None:
+            # One source is sorted by target as well as by source, so
+            # the slice satisfies whichever order the plan declared.
+            targets = array("q", index.scan_from(plan.path, source))
+            sources = array("q", [source]) * len(targets)
+            return Relation(sources, targets, plan.order)
         if shard is None:
             scan = index.scan_swapped if plan.via_inverse else index.scan
             return _checked(plan, scan(plan.path))
@@ -206,11 +225,13 @@ def _run(
         scan = index.shard_scan_swapped if plan.via_inverse else index.shard_scan
         return _checked(plan, scan(shard, plan.path, deadline=deadline))
     if isinstance(plan, IdentityPlan):
+        if source is not None:
+            return rel.identity((source,))
         if shard is None:
             return _checked(plan, rel.identity(graph.node_ids()))
         return _checked(plan, index.shard_identity(shard))
     if isinstance(plan, JoinPlan):
-        left = execute(plan.left, index, graph, memo, deadline, shard)
+        left = execute(plan.left, index, graph, memo, deadline, shard, source)
         right = execute(plan.right, index, graph, memo, deadline)
         if plan.algorithm == "merge":
             _check_merge_inputs(plan)
@@ -218,7 +239,8 @@ def _run(
         return rel.hash_join(left, right)
     if isinstance(plan, UnionPlan):
         return rel.union(
-            execute(part, index, graph, memo, deadline, shard) for part in plan.parts
+            execute(part, index, graph, memo, deadline, shard, source)
+            for part in plan.parts
         )
     raise ExecutionError(f"unknown plan node {type(plan).__name__}")
 
@@ -353,6 +375,7 @@ def execute_scattered(
     memo: ScanMemo | None = None,
     policy: ScatterPolicy | None = None,
     context=None,
+    source: int | None = None,
 ) -> Relation:
     """Run a plan against every shard and merge the slices.
 
@@ -382,8 +405,11 @@ def execute_scattered(
     (partial) answers, and cooperative deadline checks.  The gather
     itself is pure over already-collected slices, so a transient fault
     at its injection point is simply retried.
+
+    ``source`` anchors the run: only the shard owning ``source`` runs,
+    pinned to it (see :func:`scattered_parts`).
     """
-    parts = scattered_parts(plan, sharded, graph, memo, policy, context)
+    parts = scattered_parts(plan, sharded, graph, memo, policy, context, source)
     deadline = context.deadline if context is not None else None
     retry = context.retry if context is not None else None
 
@@ -401,6 +427,7 @@ def scattered_parts(
     memo: ScanMemo | None = None,
     policy: ScatterPolicy | None = None,
     context=None,
+    source: int | None = None,
 ) -> list[Relation]:
     """The per-shard slices of a plan's result, unmerged.
 
@@ -419,22 +446,31 @@ def scattered_parts(
     operator downstream (join, union, closure) is monotone: an answer
     computed from fewer slices is always a subset of the full answer,
     never a wrong pair.
+
+    ``source`` narrows the scatter to one slice: the anchored pairs all
+    start at ``source``, so only its owner shard can hold any, and that
+    shard runs with its leftmost leaf pinned to ``source`` — pruned,
+    retried and degraded exactly like any other slice.
     """
     if memo is None:
         memo = ScanMemo()
     deadline = context.deadline if context is not None else None
     if deadline is not None:
         deadline.check()
+    if source is None:
+        shards = range(sharded.shard_count)
+    else:
+        shards = (sharded.owner(source),)
     if policy is None:
-        live = [(shard, plan) for shard in range(sharded.shard_count)]
+        live = [(shard, plan) for shard in shards]
     else:
         live = []
-        for shard in range(sharded.shard_count):
+        for shard in shards:
             shard_plan = policy.shard_plan(shard, plan)
             if shard_plan is not None:
                 live.append((shard, shard_plan))
     parts = [
-        _guarded_slice(shard_plan, sharded, shard, graph, memo, context)
+        _guarded_slice(shard_plan, sharded, shard, graph, memo, context, source)
         for shard, shard_plan in live
     ]
     if context is not None and context.degraded:
@@ -453,6 +489,7 @@ def _guarded_slice(
     graph: Graph,
     memo: ScanMemo,
     context,
+    source: int | None = None,
 ) -> Relation | None:
     """One shard slice under the execution's resilience contract.
 
@@ -471,7 +508,9 @@ def _guarded_slice(
         context = _DEFAULT_CONTEXT
     try:
         return retry_call(
-            lambda: execute(plan, sharded, graph, memo, context.deadline, shard),
+            lambda: execute(
+                plan, sharded, graph, memo, context.deadline, shard, source
+            ),
             policy=context.retry,
             deadline=context.deadline,
         )

@@ -663,9 +663,9 @@ def restrict_src(relation: Relation, source: int) -> Relation:
     """The pairs of ``relation`` whose source is exactly ``source``.
 
     A ``BY_SRC`` relation answers with two binary searches and a
-    zero-copy-ish column slice; any other order pays one scan.  Used by
-    the prepared-statement layer to apply a ``from($v):`` anchor to an
-    already-executed full relation.
+    zero-copy-ish column slice; any other order pays one scan.  Used
+    where an anchor cannot pin a scan: the hybrid route's whole answer,
+    and a coordinator's kept slice cut at one source.
     """
     if relation.order is Order.BY_SRC:
         low = bisect_left(relation.src, source)

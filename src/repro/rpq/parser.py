@@ -31,7 +31,8 @@ source anchor::
 
 Placeholders are resolved at *bind* time by the prepared-statement
 layer (:meth:`repro.api.GraphDatabase.prepare`); :func:`parse` rejects
-them with a pointed error.
+them with a pointed error.  Query text may carry a literal anchor
+(``from(kim): knows/worksFor``); :func:`parse_query` reads it.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ class Template:
         return str(self.node)
 
 
-def parse_template(text: str) -> Template:
+def parse_template(text: str, allow_params: bool = True) -> Template:
     """Parse template text: ``$name`` bounds and a ``from(...):`` anchor.
 
     >>> template = parse_template("from($v): knows{1,$n}/worksFor")
@@ -314,11 +315,12 @@ def parse_template(text: str) -> Template:
     'knows{1,$n}'
 
     A template with no placeholders is legal (preparing a fixed query
-    still skips re-planning on every run).
+    still skips re-planning on every run).  ``allow_params=False``
+    reads query text: a literal ``from(name):`` anchor, no placeholders.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty template text")
-    parser = _Parser(text, allow_params=True)
+    parser = _Parser(text, allow_params=allow_params)
     anchor_param: str | None = None
     anchor_name: str | None = None
     head = parser._peek()
@@ -332,13 +334,14 @@ def parse_template(text: str) -> Template:
         parser._next()  # 'from'
         parser._next()  # '('
         subject = parser._next()
-        if subject.kind == "param":
+        if subject.kind == "param" and allow_params:
             anchor_param = subject.text[1:]
         elif subject.kind == "ident":
             anchor_name = subject.text
         else:
+            expected = "a node name or $parameter" if allow_params else "a node name"
             raise ParseError(
-                f"expected a node name or $parameter inside from(...), "
+                f"expected {expected} inside from(...), "
                 f"found {subject.text!r} at offset {subject.position}",
                 position=subject.position,
             )
@@ -351,3 +354,21 @@ def parse_template(text: str) -> Template:
         anchor_param=anchor_param,
         anchor_name=anchor_name,
     )
+
+
+def parse_query(text: str) -> tuple[Node, str | None]:
+    """Parse query text, returning its AST and its anchor (or ``None``).
+
+    >>> node, anchor = parse_query("from(kim): knows/worksFor")
+    >>> anchor, str(node)
+    ('kim', 'knows/worksFor')
+
+    Text :func:`parse` accepts has no anchor (a label is never followed
+    by ``(``), so only what it rejects is re-read as an anchored
+    template — which raises the same error for anything else.
+    """
+    try:
+        return parse(text), None
+    except ParseError:
+        template = parse_template(text, allow_params=False)
+        return template.node, template.anchor_name

@@ -3,11 +3,10 @@
 Two classes:
 
 * :class:`WorkerStub` — the client half of one worker's socket.  It
-  implements the read interface of a
-  :class:`~repro.indexes.pathindex.PathIndex` (``scan`` /
-  ``scan_from`` / ``contains`` / ``count`` / ``counts_by_path`` /
-  ``entry_count``), so a list of stubs can stand wherever a list of
-  in-process shard indexes does.
+  implements the bulk read interface of a
+  :class:`~repro.indexes.pathindex.PathIndex` (``scan`` / ``count`` /
+  ``counts_by_path`` / ``entry_count``), so a list of stubs can stand
+  wherever a list of in-process shard indexes does.
 
 * :class:`RpcShardedGraph` — a :class:`~repro.sharding.ShardedGraph`
   whose shards *are* stubs.  Everything layered on the sharded engine
@@ -20,7 +19,9 @@ A warm scan makes no RPC: a worker's columns change only when a commit
 group patches them, so each fetched slice is kept (:class:`SliceCache`)
 until ``apply_commit_group`` empties the cache before its broadcast.  A
 relaunched fleet starts empty; a restarted worker replays to the same
-columns, so a restart keeps it.
+columns, so a restart keeps it.  Point lookups (``scan_from``, the
+leftmost scan of an anchored read, and ``contains``) cut the owner's
+kept slice rather than asking the worker, so they share it.
 
 Failure semantics reuse PR 7 verbatim.  Transport failures raise
 :class:`~repro.errors.TransientWireError`, which ``retry_call``
@@ -54,7 +55,7 @@ from repro.errors import (
 )
 from repro.faults import fire, retry_call
 from repro.graph.graph import Graph, LabelPath
-from repro.relation import Order, Relation, dedup_sort, union
+from repro.relation import Order, Relation, dedup_sort, locate, restrict_src, union
 from repro.serve import protocol
 from repro.serve.worker import WorkerHandle, launch_workers
 from repro.sharding import ShardedGraph
@@ -150,16 +151,6 @@ class WorkerStub:
     def scan(self, path: LabelPath, deadline=None) -> Relation:
         _, payload = self._call("scan", deadline=deadline, path=path.encode())
         return protocol.decode_relation(payload)
-
-    def scan_from(self, path: LabelPath, source: int) -> list[int]:
-        reply, _ = self._call("scan_from", path=path.encode(), source=source)
-        return list(reply["targets"])
-
-    def contains(self, path: LabelPath, source: int, target: int) -> bool:
-        reply, _ = self._call(
-            "contains", path=path.encode(), source=source, target=target
-        )
-        return bool(reply["value"])
 
     def count(self, path: LabelPath) -> int:
         reply, _ = self._call("count", path=path.encode())
@@ -324,6 +315,15 @@ class RpcShardedGraph(ShardedGraph):
         return union(
             self.shard_scan(shard, path) for shard in range(len(self._shards))
         )
+
+    def scan_from(self, path: LabelPath, source: int) -> list[int]:
+        """``I(p, a)``: the owner's slice of ``p``, kept or fetched, cut at ``a``."""
+        owned = self.shard_scan(self.owner(source), path)
+        return list(restrict_src(owned, source).tgt)
+
+    def contains(self, path: LabelPath, source: int, target: int) -> bool:
+        owned = self.shard_scan(self.owner(source), path)
+        return locate(owned.src, owned.tgt, source, target)[1]
 
     # -- scatter calls (deadline-forwarding overrides) --------------------
 

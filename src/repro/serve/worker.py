@@ -270,16 +270,6 @@ def _handle(state: _WorkerState, header: dict) -> tuple[dict, bytes]:
     if op == "scan":
         path = LabelPath.decode(header["path"])
         return {"ok": True}, encode_relation(state.index.scan(path))
-    if op == "scan_from":
-        path = LabelPath.decode(header["path"])
-        targets = state.index.scan_from(path, int(header["source"]))
-        return {"ok": True, "targets": list(targets)}, b""
-    if op == "contains":
-        path = LabelPath.decode(header["path"])
-        value = state.index.contains(
-            path, int(header["source"]), int(header["target"])
-        )
-        return {"ok": True, "value": bool(value)}, b""
     if op == "count":
         path = LabelPath.decode(header["path"])
         return {"ok": True, "value": state.index.count(path)}, b""

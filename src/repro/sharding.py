@@ -39,7 +39,8 @@ through a single global CSR closure over the merged base relation
 
 :class:`ShardedGraph` presents the full :class:`~repro.indexes.pathindex.PathIndex`
 interface (scan / scan_swapped / scan_from / contains / counts), so the
-executor, navigation and statistics layers run unmodified against it;
+executor (anchored reads included) and the statistics layer run
+unmodified against it;
 the scatter-gather plan executor
 (:func:`repro.engine.operators.execute_scattered`) additionally uses the
 per-shard scan methods to keep join fan-in partitioned.
@@ -619,8 +620,18 @@ class ShardedGraph:
         return rel.swap(self.scan(path.inverted()))
 
     def scan_from(self, path: LabelPath, source: int) -> list[int]:
-        """``I(p, a)`` routed to the one shard owning ``a``."""
-        return self._shards[self.owner(source)].scan_from(path, source)
+        """``I(p, a)`` routed to the one shard owning ``a``.
+
+        The leftmost scan of an anchored read, so it is a shard scan
+        like :meth:`shard_scan`: retried, ``shard.scan`` fired per attempt.
+        """
+        shard = self.owner(source)
+
+        def attempt() -> list[int]:
+            fire("shard.scan", shard=shard, path=path.encode())
+            return self._shards[shard].scan_from(path, source)
+
+        return retry_call(attempt)
 
     def contains(self, path: LabelPath, source: int, target: int) -> bool:
         """``I(p, a, b)`` routed to the one shard owning ``a``."""

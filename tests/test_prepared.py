@@ -217,6 +217,20 @@ class TestPreparedEqualsQuery:
             assert {target for _, target in result.pairs} == expected
             assert all(found == source for found, _ in result.pairs)
 
+    def test_anchored_run_reads_only_the_owner_shard(self):
+        database = GraphDatabase(
+            figure1_graph(), k=2, config=ServiceConfig(shards=3)
+        )
+        statement = database.prepare("from($v): (supervisor|worksFor){1,$n}")
+        for source in database.graph.node_names():
+            result = statement.bind(v=source, n=2).run()
+            expected = database.query(
+                f"from({source}): (supervisor|worksFor){{1,2}}", use_cache=False
+            )
+            assert result.pairs == expected.pairs
+            report = result.report
+            assert report.shards_scanned + report.shards_pruned == 1
+
     def test_anchor_values_share_one_plan(self):
         database = GraphDatabase(figure1_graph(), k=2)
         statement = database.prepare("from($v): supervisor/^worksFor")

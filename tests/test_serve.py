@@ -514,6 +514,28 @@ class TestSliceCache:
         scatter = coordinator.stats().scatter
         assert scatter.scan_cache_hits > hits and scatter.scan_cache_pairs > 0
 
+    def test_an_anchored_read_cuts_the_kept_slice(
+        self, coordinator, oracle, monkeypatch
+    ):
+        coordinator.cache_clear()
+        coordinator.query("a{1,2}/b", use_cache=False)  # keeps every slice
+        calls: list[str] = []
+        original = WorkerStub._call
+
+        def counting(stub, op, *args, **params):
+            calls.append(op)
+            return original(stub, op, *args, **params)
+
+        monkeypatch.setattr(WorkerStub, "_call", counting)
+        for name in coordinator.graph.node_names()[:12]:
+            query = f"from({name}): a{{1,2}}/b"
+            result = coordinator.query(query, use_cache=False)
+            assert result.pairs == oracle.query(query).pairs
+            assert coordinator.query_pair(name, "n0", "a{1,2}/b") == (
+                (name, "n0") in oracle.query("a{1,2}/b").pairs
+            )
+        assert calls == []
+
     def test_kept_slices_outlive_their_worker(self, coordinator, oracle):
         coordinator.cache_clear()
         full = oracle.query("a/b").pairs
@@ -586,6 +608,12 @@ class TestHttpService:
         result = client.query(query)
         assert isinstance(result, RemoteResult)
         assert result.pairs == oracle.query(query).pairs
+
+    def test_anchored_query_crosses_the_wire(self, client, oracle):
+        query = "from(n1): (a|b)/c"
+        assert client.query(query).pairs == oracle.query(query).pairs
+        with pytest.raises(ParseError, match="a node name"):
+            client.query("from($v): a")
 
     def test_result_carries_version(self, client, coordinator):
         assert client.query("a/b").version == coordinator.graph.version
