@@ -3,9 +3,10 @@
 Two phases, both answer-checked before timing:
 
 * **prepared** — ``prepare(t)`` once, then ``bind(**p).run()`` per
-  binding, against the cold path (``query(use_cache=False)`` on the
-  substituted text, the full parse/rewrite/plan/execute toll every
-  time).  The workload is :func:`repro.bench.workloads.prepared_template_workload`:
+  binding, against the cold path (``cache_clear()`` then
+  ``query(use_cache=False)`` on the substituted text: the database's
+  plan cache is emptied first, so every call pays the full
+  parse/rewrite/plan/execute toll).  The workload is :func:`repro.bench.workloads.prepared_template_workload`:
   selective recursion-heavy templates whose normalization explodes
   into hundreds of mostly-empty disjuncts — planning-dominated, the
   regime prepared statements exist for.  The acceptance gate requires
@@ -141,6 +142,7 @@ def prepared_rows(repeats: int) -> list[PreparedRow]:
 
         def run_cold():
             for text in texts:
+                database.cache_clear()  # query() would reuse the warm plan
                 database.query(text, use_cache=False)
 
         prepared_seconds = _timed(run_prepared, repeats)

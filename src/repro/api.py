@@ -31,7 +31,7 @@ from repro.concurrency import ReadWriteLock
 from repro.config import ServiceConfig, default_shard_count  # noqa: F401
 from repro.engine.executor import (
     ExecutionReport,
-    evaluate_ast,
+    PreparedQuery,
     execute_prepared,
     planned_operands,
     prepare_ast,
@@ -42,6 +42,7 @@ from repro.engine.planner import Planner, Strategy
 from repro.engine.prepared import (
     BoundStatement,
     PlanArtifactStore,
+    PlanCache,
     PreparedStatement,
 )
 from repro.errors import (
@@ -59,7 +60,7 @@ from repro.indexes.builder import enumerate_label_paths
 from repro.indexes.histogram import EquiDepthHistogram
 from repro.indexes.statistics import ExactStatistics
 from repro.rpq.ast import Node
-from repro.rpq.parser import Template, parse, parse_query, parse_template
+from repro.rpq.parser import Template, parse, parse_template
 from repro.rpq.rewrite import (
     DEFAULT_MAX_DISJUNCTS,
     NormalForm,
@@ -72,7 +73,6 @@ from repro.stats import (
     CacheStats,
     EngineStats,
     FaultStats,
-    PreparedStats,
     ScatterStats,
     WriteStats,
 )
@@ -207,28 +207,23 @@ class GraphDatabase:
         # ``query(degraded=True)``): every increment corresponds to one
         # answer that was served partial instead of failing.
         self._shards_failed = 0
-        # Prepared-statement traffic (repro.engine.prepared): per-binding
-        # plan-cache hits/misses/invalidations, plans revived from the
-        # persistent artifact store, and plans actually computed.  The
-        # statistics epoch counts statistics refreshes; prepared plans
-        # are valid only for the exact (graph version, epoch) pair they
-        # were planned under, so a build_index() on an unchanged graph
-        # still invalidates them.
+        # The statistics epoch counts index builds, the refreshes the
+        # graph version does not witness (build_index() on an unchanged
+        # graph, rebalance()).  A plan is reused only under the (graph
+        # version, epoch) stamp it was made under.
         self._statistics_epoch = 0
-        self._prepared_hits = 0
-        self._prepared_misses = 0
-        self._prepared_invalidations = 0
-        self._artifact_loads = 0
-        self._plans_computed = 0
-        # Plans persist only where the index does: the disk backend's
-        # artifact file sits next to the index file, so a restarted
-        # service revives both together.  Memory backends get an inert
-        # store (every probe misses).
+        # Prepared plans persist only where the index does: the disk
+        # backend's artifact file sits next to the index file, so a
+        # restarted service revives both together.  Memory backends get
+        # an inert store (every probe misses).
         self._plan_store = PlanArtifactStore(
             str(config.index_path) + ".plans.json"
             if config.backend == "disk" and config.index_path is not None
             else None
         )
+        # The one plan cache every read path resolves its plan through;
+        # its counters are stats().prepared.
+        self._plan_cache = PlanCache(self._plan_store)
         # The write path: every mutation flows through apply() -> the
         # group committer -> (optionally) the durable mutation log ->
         # delta patching or the rebuild fallback.  Opening an existing
@@ -314,8 +309,10 @@ class GraphDatabase:
         bulk-loads into an empty file, so the old backend is released
         before the build (which removes each shard's stale file
         itself).  Every other backend keeps the old index until the new
-        one is installed.
+        one is installed.  The statistics epoch moves, so plans made
+        before the build are re-planned even on an unchanged graph.
         """
+        self._statistics_epoch += 1
 
         def rebuild(old_index: ShardedGraph | None) -> ShardedGraph:
             if self._backend == "disk" and old_index is not None:
@@ -349,12 +346,13 @@ class GraphDatabase:
         (:meth:`_discard_indexes_locked`), so :meth:`_ensure_built`
         rebuilds and a reader already past it fails loudly instead of
         answering from pre-mutation state.  On success the triple is
-        installed together, the statistics epoch moves (prepared plans
-        are re-planned), the plan store reopens under the new
+        installed together, the plan store reopens under the new
         fingerprint, and a replaced index is closed.  The result cache
-        is purged either way.  Caller holds the write lock.
+        is purged either way; cached plans are not, their stamps retire
+        them.  Caller holds the write lock.
         """
-        self.cache_clear()
+        with self._cache_lock:
+            self._cache_clear_locked()
         old_index = self._index
         index = None
         try:
@@ -368,7 +366,6 @@ class GraphDatabase:
         self._index = index
         self._exact_statistics = exact_statistics
         self._histogram = histogram
-        self._statistics_epoch += 1
         self._plan_store.open(self._plan_fingerprint())
         if old_index is not None and old_index is not index:
             old_index.close()
@@ -525,17 +522,22 @@ class GraphDatabase:
         the query cache.  Both knobs apply to the index strategies
         only; baselines run outside the resilient engine.
 
-        Repeated queries are answered from an LRU cache keyed on
-        ``(query, method, graph version)`` — heavy-traffic workloads
-        skip the rewrite/plan/execute pipeline entirely.  The cache is
-        invalidated by :meth:`build_index` and bypassed automatically
-        after any graph mutation (the graph's version is part of the
-        key), so stale answers are never served.  Cache hits carry
-        ``cached=True``, ``seconds=0.0`` and ``report=None`` (reports
-        are per-execution diagnostics and are not retained).
-        ``use_cache=False`` bypasses the cache entirely — no lookup,
-        no store, no counter updates — which is what the benchmark
-        harness wants.
+        Repeated queries are answered from an LRU cache of *answers*
+        keyed on ``(query, method, graph version)`` — heavy-traffic
+        workloads skip the rewrite/plan/execute pipeline entirely.  The
+        cache is invalidated by :meth:`build_index` and bypassed
+        automatically after any graph mutation (the graph's version is
+        part of the key), so stale answers are never served.  Cache
+        hits carry ``cached=True``, ``seconds=0.0`` and ``report=None``
+        (reports are per-execution diagnostics and are not retained).
+        ``use_cache=False`` bypasses the answer cache entirely — no
+        lookup, no store, no counter updates — which is what the
+        benchmark harness wants.
+
+        Plans are reused whatever ``use_cache`` says: a text is parsed
+        once, and a plan made once per ``(graph version, statistics
+        epoch)`` serves every read of the same AST, anchored or not,
+        with ``planning_seconds == 0.0`` (``stats().prepared``).
 
         Safe to call from any number of threads concurrently with
         :meth:`add_edge` / :meth:`remove_edge` / :meth:`build_index`:
@@ -611,14 +613,14 @@ class GraphDatabase:
             return self._result_locked(
                 text, method, pairs, seconds, version, cache_key=cache_key
             )
-        statistics = self._statistics_locked(use_exact_statistics)
-        report = evaluate_ast(
-            node,
+        prepared = self._plan_locked(
+            node, strategy, use_exact_statistics, max_disjuncts
+        )
+        report = execute_prepared(
+            prepared,
             self._require_index(),
             self.graph,
-            statistics,
-            strategy,
-            max_disjuncts,
+            self._statistics_locked(use_exact_statistics),
             context=context,
             source=source,
         )
@@ -667,6 +669,29 @@ class GraphDatabase:
                 self._cache_misses += 1
                 self._remember_locked(cache_key, result)
         return result
+
+    def _plan_locked(
+        self,
+        node: Node,
+        strategy: Strategy,
+        exact: bool,
+        max_disjuncts: int,
+        artifact_key=None,
+    ) -> PreparedQuery:
+        """``node``'s plan through the plan cache; caller holds the read lock."""
+        return self._plan_cache.plan(
+            (node, strategy, exact, max_disjuncts),
+            (self.graph.version, self._statistics_epoch),
+            lambda: prepare_ast(
+                node,
+                self._require_index(),
+                self.graph,
+                self._statistics_locked(exact),
+                strategy,
+                max_disjuncts,
+            ),
+            artifact_key,
+        )
 
     def _statistics_locked(self, exact: bool) -> ExactStatistics | EquiDepthHistogram:
         """The planner's statistics provider; caller holds the read lock."""
@@ -921,8 +946,9 @@ class GraphDatabase:
         are either fully before or fully after the batch.  Three
         mechanisms make this faster than a ``query()`` loop:
 
-        * **plan-up-front** — every miss is rewritten and planned
-          first, then executed in input order on the calling thread;
+        * **plan-up-front** — every miss takes its plan from the plan
+          cache (planning it there if need be) first, then executes in
+          input order on the calling thread;
         * **one scan memo** — a
           :class:`~repro.engine.operators.ScanMemo` spans the batch, so
           a subplan (an index scan, a join subtree) appearing under any
@@ -1008,14 +1034,7 @@ class GraphDatabase:
             (
                 key,
                 text,
-                prepare_ast(
-                    node,
-                    index,
-                    self.graph,
-                    statistics,
-                    strategy,
-                    max_disjuncts,
-                ),
+                self._plan_locked(node, strategy, use_exact_statistics, max_disjuncts),
                 self._anchor_id(anchor),
             )
             for key, text, node, anchor in pending
@@ -1054,11 +1073,11 @@ class GraphDatabase:
             statement = db.prepare("from($v): knows{1,$n}/worksFor")
             result = statement.bind(v="alice", n=3).run()
 
-        Each distinct binding of the *bound* parameters is rewritten
-        and planned exactly once per ``(graph version, statistics
-        epoch)`` — subsequent ``run()`` calls skip parse/rewrite/plan
-        entirely, and any mutation or rebuild soundly invalidates the
-        cached plans.  The anchor never reaches the planner: it pins
+        Each distinct binding of the *bound* parameters is planned once
+        per ``(graph version, statistics epoch)`` in the plan cache
+        :meth:`query` uses too (the statement holds no plan) — later
+        ``run()`` calls skip parse/rewrite/plan, and any mutation or
+        rebuild soundly re-plans.  The anchor never reaches the planner: it pins
         the execution's leftmost scans to ``I(p, v)``, as an anchored
         :meth:`query` does, so every anchor value shares one plan.  On
         the disk backend, plans also persist to a
@@ -1104,18 +1123,20 @@ class GraphDatabase:
         self._ensure_built()
         with self._lock.read_locked():
             version = self.graph.version
-            epoch = self._statistics_epoch
-            index = self._require_index()
-            statistics = self._statistics_locked(statement.use_exact_statistics)
+            exact = statement.use_exact_statistics
             started = time.perf_counter()
-            prepared = statement._plan_for(
-                bound, version, epoch, index, statistics
+            prepared = self._plan_locked(
+                bound.node,
+                statement.strategy,
+                exact,
+                statement.max_disjuncts,
+                lambda: statement._artifact_key(bound),
             )
             report = execute_prepared(
                 prepared,
-                index,
+                self._require_index(),
                 self.graph,
-                statistics,
+                self._statistics_locked(exact),
                 source=self._anchor_id(bound.anchor),
             )
             seconds = time.perf_counter() - started
@@ -1127,22 +1148,6 @@ class GraphDatabase:
                 version,
                 report,
             )
-
-    def _note_prepared(
-        self,
-        hits: int = 0,
-        misses: int = 0,
-        invalidations: int = 0,
-        artifact_loads: int = 0,
-        plans_computed: int = 0,
-    ) -> None:
-        """Bump prepared-statement counters under the cache mutex."""
-        with self._cache_lock:
-            self._prepared_hits += hits
-            self._prepared_misses += misses
-            self._prepared_invalidations += invalidations
-            self._artifact_loads += artifact_loads
-            self._plans_computed += plans_computed
 
     def _plan_fingerprint(self) -> str:
         """Content fingerprint of everything a cached plan depends on.
@@ -1213,11 +1218,11 @@ class GraphDatabase:
         not scatter).  ``stats().faults.shards_failed`` counts
         shard slices dropped by ``query(degraded=True)`` — nonzero
         means some answers were served partial.  ``stats().prepared`` counts
-        per-binding plan-cache traffic across every :meth:`prepare`\\ d
-        statement, plans revived from the persistent artifact store,
-        and actual planner invocations — a freshly restarted
-        disk-backed service that answers prepared queries purely from
-        artifacts shows ``plans_computed == 0``.
+        the plan cache's traffic across every read path (:meth:`query`,
+        :meth:`query_batch` and prepared runs), plans revived from the
+        persistent artifact store, and actual planner invocations — a
+        freshly restarted disk-backed service that answers prepared
+        queries purely from artifacts shows ``plans_computed == 0``.
 
         The serve layer returns this verbatim at ``GET /stats``.
         """
@@ -1238,14 +1243,7 @@ class GraphDatabase:
                     shards_pruned=self._shards_pruned,
                     disjuncts_pruned=self._disjuncts_pruned,
                 ),
-                prepared=PreparedStats(
-                    hits=self._prepared_hits,
-                    misses=self._prepared_misses,
-                    invalidations=self._prepared_invalidations,
-                    artifact_loads=self._artifact_loads,
-                    plans_computed=self._plans_computed,
-                    plan_artifacts=self._plan_store.entry_count(),
-                ),
+                prepared=self._plan_cache.stats(),
                 faults=FaultStats(shards_failed=self._shards_failed),
                 write=WriteStats(
                     groups=self._committer.groups,
@@ -1263,7 +1261,8 @@ class GraphDatabase:
             )
 
     def cache_clear(self) -> None:
-        """Drop every cached query answer (counters are kept)."""
+        """Drop every cached answer, plan and parsed text (counters are kept)."""
+        self._plan_cache.clear()
         with self._cache_lock:
             self._cache_clear_locked()
 
@@ -1404,7 +1403,7 @@ class GraphDatabase:
     def _parse(self, query: str | Node | Template) -> tuple[str, Node, str | None]:
         """``(text, AST, anchor name or None)`` of a query."""
         if isinstance(query, str):
-            node, anchor = parse_query(query)
+            node, anchor = self._plan_cache.parse(query)
             return query, node, anchor
         if isinstance(query, Node):
             return str(query), query, None

@@ -41,8 +41,9 @@ def _time_query(
     timings: list[float] = []
     answer_size = 0
     for _ in range(repeats):
-        # Bypass the API's query cache: the point is to measure the
-        # rewrite/plan/execute pipeline, not the cache lookup.
+        # Bypass the answer cache.  Plans are still reused: the first
+        # repeat plans and executes, the later ones (so the median)
+        # execute the plan the first one made.
         result = database.query(query.text, method=method, use_cache=False)
         timings.append(result.seconds)
         answer_size = len(result.pairs)

@@ -1,17 +1,13 @@
-"""Prepared statements: plan a template once, bind and run it many times.
+"""Plan reuse: one plan cache per database, prepared statements over it.
 
-Production RPQ traffic is overwhelmingly the *same* query shapes with
-different constants, yet every :meth:`repro.api.GraphDatabase.query`
-call pays the full parse → rewrite → plan toll before touching the
-index.  This module splits that toll out:
+A plan depends only on the query and the index's statistics, so a
+repeated read need not pay the parse → rewrite → plan toll again:
 
-* :class:`PreparedStatement` — wraps a parsed
-  :class:`~repro.rpq.parser.Template` and caches one
-  :class:`~repro.engine.executor.PreparedQuery` per distinct parameter
-  binding, keyed on ``(graph version, statistics epoch)`` so any
-  mutation or rebuild invalidates soundly.  ``bind(**params).run()``
-  after the first run of a binding skips straight to execution.
-* :class:`PlanArtifactStore` — persists those plans as a versioned
+* :class:`PlanCache` — the database's one plan cache, shared by
+  ``query()``, ``query_batch()`` and prepared runs.
+* :class:`PreparedStatement` — a parsed
+  :class:`~repro.rpq.parser.Template` plus its plan settings.
+* :class:`PlanArtifactStore` — persists prepared plans as a versioned
   JSON artifact next to the disk backend's index file, keyed on a
   *content fingerprint* of everything a plan depends on (``k``,
   alphabet, node count, the exact path catalog).  A restarted service
@@ -19,10 +15,9 @@ index.  This module splits that toll out:
   query with zero planning calls; any mismatch — format version,
   fingerprint, or a corrupt file — fails open to re-planning.
 
-The execution seam is deliberately the one
-:meth:`~repro.api.GraphDatabase.query_batch` already uses
-(:func:`~repro.engine.executor.prepare_ast` +
-:func:`~repro.engine.executor.execute_prepared`), so prepared and
+Every read path plans with :func:`~repro.engine.executor.prepare_ast`
+through the one cache and runs with
+:func:`~repro.engine.executor.execute_prepared`, so prepared and
 ad-hoc execution can never drift.
 """
 
@@ -31,9 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.engine.cost import CostedPlan
 from repro.engine.executor import PreparedQuery
@@ -49,7 +45,8 @@ from repro.errors import QueryTimeoutError, TransientError, ValidationError
 from repro.faults import fire
 from repro.graph.graph import LabelPath
 from repro.rpq.ast import Node, substitute_params
-from repro.rpq.parser import MAX_REPEAT_BOUND, Template, parse
+from repro.rpq.parser import MAX_REPEAT_BOUND, Template, parse, parse_query
+from repro.stats import PreparedStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports us)
     from repro.api import GraphDatabase, QueryResult
@@ -58,9 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports us)
 #: the whole file (fail open: the plans are re-derived, never trusted).
 ARTIFACT_FORMAT = 1
 
-#: Per-statement cap on cached per-binding plans (LRU eviction).  A
-#: statement swept over an unbounded parameter domain keeps its
-#: hottest bindings planned and re-derives the rest.
+#: Cap on each of the plan cache's two maps (LRU eviction): parsed
+#: texts, and plans.  Traffic over an unbounded set of texts keeps its
+#: hottest queries planned and re-derives the rest.
 PLAN_CACHE_MAX = 256
 
 #: Cap on persisted artifacts per fingerprint file.  Stores evict the
@@ -269,6 +266,111 @@ class PlanArtifactStore:
                 pass
 
 
+# -- the plan cache ------------------------------------------------------------
+
+
+def _lru_get(lru: OrderedDict, key):
+    found = lru.get(key)
+    if found is not None:
+        lru.move_to_end(key)
+    return found
+
+
+def _lru_put(lru: OrderedDict, key, value) -> None:
+    lru[key] = value
+    lru.move_to_end(key)
+    while len(lru) > PLAN_CACHE_MAX:
+        lru.popitem(last=False)
+
+
+class PlanCache:
+    """A database's one plan cache: text → AST, and AST → plan.
+
+    Two LRUs of ``PLAN_CACHE_MAX`` entries behind one lock.
+    :meth:`parse` memoises :func:`~repro.rpq.parser.parse_query`, which
+    is pure, so an entry never goes stale (a text that raises is never
+    stored).  :meth:`plan` keys on ``(AST, strategy,
+    use_exact_statistics, max_disjuncts)`` — not the anchor, which pins
+    execution, so ``q`` and ``from(x): q`` share a plan — and a lookup
+    under another ``(graph version, statistics epoch)`` stamp re-plans.
+    A miss given an ``artifact_key`` (prepared runs) tries the
+    :class:`PlanArtifactStore` first and writes a computed plan back.
+    A reused plan reports ``planning_seconds == 0.0``.
+    """
+
+    def __init__(self, store: PlanArtifactStore) -> None:
+        self.store = store
+        self._texts: OrderedDict[str, tuple[Node, str | None]] = OrderedDict()
+        # key -> ((graph version, statistics epoch), plan)
+        self._plans: OrderedDict[tuple, tuple[tuple[int, int], PreparedQuery]] = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+        self._counts: Counter[str] = Counter()  # PreparedStats field -> count
+
+    def parse(self, text: str) -> tuple[Node, str | None]:
+        """``parse_query(text)``, memoised."""
+        with self._lock:
+            parsed = _lru_get(self._texts, text)
+        if parsed is None:
+            parsed = parse_query(text)
+            with self._lock:
+                _lru_put(self._texts, text, parsed)
+        return parsed
+
+    def plan(
+        self,
+        key: tuple,
+        stamp: tuple[int, int],
+        compute: Callable[[], PreparedQuery],
+        artifact_key: Callable[[], str] | None = None,
+    ) -> PreparedQuery:
+        """The plan for ``key`` under ``stamp``: cache → artifact → ``compute()``."""
+        with self._lock:
+            entry = _lru_get(self._plans, key)
+            if entry is not None and entry[0] == stamp:
+                self._counts["hits"] += 1
+                return entry[1]
+            self._counts["misses"] += 1
+            self._counts["invalidations"] += entry is not None
+        artifact = artifact_key() if artifact_key and self.store.enabled else None
+        payload = self.store.load(artifact) if artifact else None
+        prepared = prepared_from_artifact(payload) if payload else None
+        node, strategy, _, max_disjuncts = key
+        if prepared is not None and (
+            prepared.strategy is not strategy
+            or prepared.max_disjuncts != max_disjuncts
+            or str(prepared.node) != str(node)
+        ):
+            prepared = None  # hash collision or tampered file: re-plan
+        revived = prepared is not None
+        if not revived:
+            prepared = compute()
+            payload = artifact_from_prepared(prepared) if artifact else None
+            if payload is not None:
+                self.store.store(artifact, payload)
+        with self._lock:
+            self._counts["artifact_loads" if revived else "plans_computed"] += 1
+            _lru_put(self._plans, key, (stamp, replace(prepared, planning_seconds=0.0)))
+        return prepared
+
+    def stats(self) -> PreparedStats:
+        """The counters, and the artifacts the store holds."""
+        with self._lock:
+            return PreparedStats(**self._counts, plan_artifacts=self.store.entry_count())
+
+    def held(self) -> tuple[int, int]:
+        """``(parsed texts, plans)`` the cache holds now."""
+        with self._lock:
+            return len(self._texts), len(self._plans)
+
+    def clear(self) -> None:
+        """Drop every parsed text and plan (the counters are kept)."""
+        with self._lock:
+            self._texts.clear()
+            self._plans.clear()
+
+
 # -- statements ----------------------------------------------------------------
 
 
@@ -301,9 +403,9 @@ class BoundStatement:
             self.anchor: str | None = anchor
         else:
             self.anchor = template.anchor_name
-        #: The plan-cache key: bound-parameter values only.  The anchor
-        #: restricts the *answer*, not the plan, so every anchor value
-        #: shares one plan.
+        #: The binding part of the artifact key: bound-parameter values
+        #: only.  The anchor restricts the *answer*, not the plan, so
+        #: every anchor value shares one plan.
         self.binding_key = tuple(sorted(bound_values.items()))
         self.text = (
             f"from({self.anchor}): {self.node}"
@@ -314,9 +416,9 @@ class BoundStatement:
     def run(self) -> "QueryResult":
         """Execute against the current graph snapshot.
 
-        Planning is skipped whenever this binding's plan is cached (on
-        the statement or in the persistent artifact store) and still
-        valid for the snapshot's ``(version, statistics epoch)``.
+        Planning is skipped whenever the database's plan cache holds
+        this binding's plan for the snapshot's ``(version, statistics
+        epoch)``, or the persistent artifact store does.
         """
         return self.statement.database._run_prepared(self)
 
@@ -327,10 +429,10 @@ class BoundStatement:
 class PreparedStatement:
     """A template prepared against one :class:`~repro.api.GraphDatabase`.
 
-    Holds the per-binding plan cache (LRU, ``PLAN_CACHE_MAX`` entries).
-    Thread-safe: concurrent ``bind(...).run()`` calls race only to
-    plan the same binding twice, and last-store-wins is harmless
-    because the plans are equal.
+    Holds the template and its plan settings only: a run resolves its
+    plan through the database's :class:`PlanCache`, with the artifact
+    store as the second tier, so statements are cheap to make and to
+    drop.
     """
 
     def __init__(
@@ -346,11 +448,6 @@ class PreparedStatement:
         self.strategy = strategy
         self.use_exact_statistics = use_exact_statistics
         self.max_disjuncts = max_disjuncts
-        # binding key -> (graph version, statistics epoch, PreparedQuery)
-        self._plans: OrderedDict[tuple, tuple[int, int, PreparedQuery]] = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
 
     # -- binding ---------------------------------------------------------
 
@@ -376,63 +473,6 @@ class PreparedStatement:
         """Shorthand for ``bind(**params).run()``."""
         return self.bind(**params).run()
 
-    # -- plan resolution (called by the database, under its read lock) ---
-
-    def _plan_for(
-        self,
-        bound: BoundStatement,
-        version: int,
-        epoch: int,
-        index,
-        statistics,
-    ) -> PreparedQuery:
-        """The binding's plan: statement cache → artifact store → plan."""
-        from repro.engine.executor import prepare_ast
-
-        database = self.database
-        with self._lock:
-            entry = self._plans.get(bound.binding_key)
-            if entry is not None:
-                cached_version, cached_epoch, prepared = entry
-                if cached_version == version and cached_epoch == epoch:
-                    self._plans.move_to_end(bound.binding_key)
-                    database._note_prepared(hits=1)
-                    return prepared
-                del self._plans[bound.binding_key]
-                database._note_prepared(invalidations=1)
-        database._note_prepared(misses=1)
-        artifact_key = self._artifact_key(bound)
-        payload = database._plan_store.load(artifact_key)
-        prepared = (
-            prepared_from_artifact(payload) if payload is not None else None
-        )
-        if prepared is not None and (
-            prepared.strategy is not self.strategy
-            or prepared.max_disjuncts != self.max_disjuncts
-            or str(prepared.node) != str(bound.node)
-        ):
-            prepared = None  # hash collision or tampered file: re-plan
-        if prepared is not None:
-            database._note_prepared(artifact_loads=1)
-        else:
-            prepared = prepare_ast(
-                bound.node,
-                index,
-                database.graph,
-                statistics,
-                self.strategy,
-                self.max_disjuncts,
-            )
-            database._note_prepared(plans_computed=1)
-            artifact = artifact_from_prepared(prepared)
-            if artifact is not None:
-                database._plan_store.store(artifact_key, artifact)
-        with self._lock:
-            self._plans[bound.binding_key] = (version, epoch, prepared)
-            while len(self._plans) > PLAN_CACHE_MAX:
-                self._plans.popitem(last=False)
-        return prepared
-
     def _artifact_key(self, bound: BoundStatement) -> str:
         """Stable content key: template shape + binding + plan knobs.
 
@@ -453,13 +493,8 @@ class PreparedStatement:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def cached_plan_count(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
     def __repr__(self) -> str:
         return (
             f"PreparedStatement({self.template.text!r}, "
-            f"strategy={self.strategy.value}, "
-            f"plans={self.cached_plan_count()})"
+            f"strategy={self.strategy.value})"
         )

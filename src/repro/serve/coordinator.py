@@ -483,7 +483,7 @@ class CoordinatorDatabase(GraphDatabase):
         )
 
     def cache_clear(self) -> None:
-        """Drop every cached answer and every kept worker slice."""
+        """Drop every cached answer, plan and kept worker slice."""
         super().cache_clear()
         if (index := self._index) is not None:
             index.slices.clear()

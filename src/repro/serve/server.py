@@ -140,8 +140,6 @@ class QueryServer:
         self._retry = RetryPolicy()
         self._semaphore: asyncio.Semaphore | None = None
         self._waiting = 0
-        self._prepared: dict[tuple[str, str], object] = {}
-        self._prepared_lock = threading.Lock()
         self._server: asyncio.AbstractServer | None = None
         self._supervisor: asyncio.Task | None = None
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
@@ -312,18 +310,14 @@ class QueryServer:
         return _result_payload(result, framed)
 
     def _do_prepared(self, body: dict, framed: bool = False) -> dict | bytes:
-        """Bind and run a prepared template (planned once per server)."""
+        """Bind and run a prepared template; the database's bounded plan
+        cache keeps its plan, so the front door keeps no statement."""
         template = _require_text(body, "template")
         method = _optional(body, "method", str, "minsupport")
         params = body.get("params", {})
         if not isinstance(params, dict):
             raise ValidationError("params must be an object of $name bindings")
-        key = (template, method)
-        with self._prepared_lock:
-            statement = self._prepared.get(key)
-            if statement is None:
-                statement = self.database.prepare(template, method=method)
-                self._prepared[key] = statement
+        statement = self.database.prepare(template, method=method)
         return _result_payload(statement.run(**params), framed)
 
     def _do_apply(self, body: dict) -> dict:

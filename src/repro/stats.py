@@ -50,7 +50,7 @@ class ScatterStats:
 
 @dataclass(frozen=True, slots=True)
 class PreparedStats:
-    """Prepared-statement plan-cache and artifact-store traffic."""
+    """Plan-cache traffic of every read path, and the artifact store's."""
 
     hits: int = 0
     misses: int = 0

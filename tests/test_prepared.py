@@ -161,7 +161,9 @@ class TestPrepareBind:
         second = statement.run()
         expected = database.query("supervisor/^worksFor", use_cache=False)
         assert first.pairs == second.pairs == expected.pairs
-        assert prepared_info(database)["prepared_hits"] == 1
+        # One plan: the second run and the query() both reuse it.
+        assert prepared_info(database)["plans_computed"] == 1
+        assert prepared_info(database)["prepared_hits"] == 2
 
 
 # -- equivalence with query() -------------------------------------------------
@@ -249,7 +251,7 @@ class TestPreparedEqualsQuery:
         assert second.report is not None  # really executed, not replayed
 
 
-# -- the per-statement plan cache ---------------------------------------------
+# -- bindings in the database's plan cache ------------------------------------
 
 
 class TestStatementPlanCache:
@@ -259,7 +261,7 @@ class TestStatementPlanCache:
         statement = database.prepare("supervisor{1,$n}")
         for n in (1, 2, 3, 4):
             statement.bind(n=n).run()
-        assert statement.cached_plan_count() == 2
+        assert database._plan_cache.held()[1] == 2
         statement.bind(n=4).run()  # newest binding survived
         assert prepared_info(database)["prepared_hits"] == 1
 
@@ -268,8 +270,14 @@ class TestStatementPlanCache:
         statement = database.prepare("supervisor{1,$n}")
         statement.bind(n=1).run()
         statement.bind(n=2).run()
-        assert statement.cached_plan_count() == 2
+        assert database._plan_cache.held()[1] == 2
         assert prepared_info(database)["plans_computed"] == 2
+
+    def test_statements_of_one_template_share_plans(self):
+        database = GraphDatabase(figure1_graph(), k=2)
+        database.prepare("supervisor{1,$n}").run(n=2)
+        database.prepare("supervisor{1,$n}").run(n=2)
+        assert prepared_info(database)["plans_computed"] == 1
 
 
 # -- the persistent artifact store --------------------------------------------
