@@ -1,8 +1,8 @@
 """Fault-harness overhead: armed-but-idle vs disarmed hot path.
 
 The fault-injection harness (:mod:`repro.faults`) threads ``fire()``
-calls through the disk pager, every shard scan, the per-shard build,
-the artifact store, and the gather merge.  Disarmed, each call is one
+calls through the disk pager, every shard scan, the per-shard build
+and the gather merge.  Disarmed, each call is one
 global load and an ``is None`` test; armed with rules that never fire
 (``rate=0.0`` at the real injection points), each call adds a
 dictionary probe and an RNG draw under the plan lock — the worst case

@@ -7,11 +7,9 @@ Section 4 worked example  R = knows . (knows . worksFor){2,4} . worksFor.
 
 The final stages show the same query as a *prepared template*
 (`prepare` / `bind` / `run`: plan once, sweep the repetition bound),
-the persisted plan artifact that lets a restarted disk-backed database
-answer its first prepared query with zero planning, and what happens
-when things go wrong: a deadline that expires mid-query, a shard that
-keeps failing, and the degraded (subset) answer the engine can still
-give.
+and what happens when things go wrong: a deadline that expires
+mid-query, a shard that keeps failing, and the degraded (subset)
+answer the engine can still give.
 
 The later stages serve the same engine as a multi-process service:
 forked shard workers behind an HTTP front door, queried through the
@@ -122,38 +120,7 @@ def main() -> None:
     print()
 
     print("=" * 72)
-    print("7. THE RESTART STORY (persisted plan artifacts)")
-    print("=" * 72)
-    with tempfile.TemporaryDirectory() as scratch:
-        index_path = Path(scratch) / "figure1.db"
-        service = GraphDatabase.from_edges(
-            FIGURE1_EDGES,
-            k=3,
-            config=ServiceConfig(backend="disk", index_path=index_path),
-        )
-        service.prepare(template).run(n=4)
-        print("first process : planned once, artifact written next to",
-              index_path.name)
-        service.close()
-
-        revived = GraphDatabase.from_edges(
-            FIGURE1_EDGES,
-            k=3,
-            config=ServiceConfig(backend="disk", index_path=index_path),
-        )
-        restarted = revived.prepare(template).run(n=4)
-        info = revived.stats().as_dict()
-        print(f"after restart : plans computed {info['plans_computed']}, "
-              f"artifacts loaded {info['artifact_loads']}")
-        assert info["plans_computed"] == 0, "restart should not re-plan"
-        assert restarted.pairs == answer.pairs
-        print("the revived service answered its first prepared query "
-              "with ZERO planning")
-        revived.close()
-    print()
-
-    print("=" * 72)
-    print("8. WHEN THINGS GO WRONG (deadlines & degraded answers)")
+    print("7. WHEN THINGS GO WRONG (deadlines & degraded answers)")
     print("=" * 72)
     sharded = GraphDatabase.from_edges(
         FIGURE1_EDGES, k=3, config=ServiceConfig(shards=2)
@@ -189,7 +156,7 @@ def main() -> None:
     print()
 
     print("=" * 72)
-    print("9. SERVING (worker processes behind an HTTP front door)")
+    print("8. SERVING (worker processes behind an HTTP front door)")
     print("=" * 72)
     from repro.serve import CoordinatorDatabase
     from repro.serve.server import serve_in_thread
@@ -237,7 +204,7 @@ def main() -> None:
     print()
 
     print("=" * 72)
-    print("10. THE WRITE PATH (one apply(), a WAL, delta patches)")
+    print("9. THE WRITE PATH (one apply(), a WAL, delta patches)")
     print("=" * 72)
     from repro import Mutation, MutationBatch
 

@@ -1,10 +1,10 @@
 """Rule ``fault-point``: I/O boundaries must route through the chaos seams.
 
 The deterministic fault harness (:mod:`repro.faults`) only proves what
-it can reach.  Nine injection points cover the engine's I/O
-boundaries — pager reads, shard scans, shard builds, plan-artifact
-loads, the gather merge, the serve layer's RPC send/receive, and the
-mutation log's append/flush — and the chaos CI job arms all of them.
+it can reach.  Eight injection points cover the engine's I/O
+boundaries — pager reads, shard scans, shard builds, the gather merge,
+the serve layer's RPC send/receive, and the mutation log's
+append/flush — and the chaos CI job arms most of them.
 New I/O that bypasses ``fire()``/``retry_call`` silently shrinks that
 coverage, so this rule pins it down twice over:
 
@@ -30,8 +30,6 @@ BOUNDARIES = (
     ("repro/sharding.py", r"\.shard_scan$", "shard.scan"),
     ("repro/sharding.py", r"\.shard_scan_swapped$", "shard.scan"),
     ("repro/sharding.py", r"\._serial_shard$", "shard.build"),
-    ("repro/engine/prepared.py", r"PlanArtifactStore\.open$", "prepared.artifact_load"),
-    ("repro/engine/prepared.py", r"PlanArtifactStore\.load$", "prepared.artifact_load"),
     ("repro/engine/operators.py", r"^execute_scattered$", "gather.merge"),
     ("repro/serve/coordinator.py", r"WorkerStub\._call$", "rpc.send"),
     ("repro/serve/coordinator.py", r"WorkerStub\._call$", "rpc.recv"),

@@ -3,7 +3,7 @@
 A facade tying the substrates together in the life-of-a-query order the
 paper demonstrates: load a graph, build the k-path index and its
 histogram, then parse / rewrite / plan / execute queries with any of
-the four strategies — or with one of the three literature baselines.
+the four strategies — or with one of the four literature baselines.
 
 Example
 -------
@@ -17,14 +17,12 @@ Example
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.baselines import automaton_eval, datalog_eval, reachability_eval
 from repro.concurrency import ReadWriteLock
@@ -39,12 +37,7 @@ from repro.engine.executor import (
 from repro.engine.operators import ScanMemo
 from repro.engine.plan import render
 from repro.engine.planner import Planner, Strategy
-from repro.engine.prepared import (
-    BoundStatement,
-    PlanArtifactStore,
-    PlanCache,
-    PreparedStatement,
-)
+from repro.engine.prepared import PlanCache, PreparedStatement
 from repro.errors import (
     PathIndexError,
     QueryTimeoutError,
@@ -212,18 +205,9 @@ class GraphDatabase:
         # graph, rebalance()).  A plan is reused only under the (graph
         # version, epoch) stamp it was made under.
         self._statistics_epoch = 0
-        # Prepared plans persist only where the index does: the disk
-        # backend's artifact file sits next to the index file, so a
-        # restarted service revives both together.  Memory backends get
-        # an inert store (every probe misses).
-        self._plan_store = PlanArtifactStore(
-            str(config.index_path) + ".plans.json"
-            if config.backend == "disk" and config.index_path is not None
-            else None
-        )
         # The one plan cache every read path resolves its plan through;
         # its counters are stats().prepared.
-        self._plan_cache = PlanCache(self._plan_store)
+        self._plan_cache = PlanCache()
         # The write path: every mutation flows through apply() -> the
         # group committer -> (optionally) the durable mutation log ->
         # delta patching or the rebuild fallback.  Opening an existing
@@ -346,10 +330,9 @@ class GraphDatabase:
         (:meth:`_discard_indexes_locked`), so :meth:`_ensure_built`
         rebuilds and a reader already past it fails loudly instead of
         answering from pre-mutation state.  On success the triple is
-        installed together, the plan store reopens under the new
-        fingerprint, and a replaced index is closed.  The result cache
-        is purged either way; cached plans are not, their stamps retire
-        them.  Caller holds the write lock.
+        installed together and a replaced index is closed.  The result
+        cache is purged either way; cached plans are not, their stamps
+        retire them.  Caller holds the write lock.
         """
         with self._cache_lock:
             self._cache_clear_locked()
@@ -366,7 +349,6 @@ class GraphDatabase:
         self._index = index
         self._exact_statistics = exact_statistics
         self._histogram = histogram
-        self._plan_store.open(self._plan_fingerprint())
         if old_index is not None and old_index is not index:
             old_index.close()
         return index
@@ -499,7 +481,8 @@ class GraphDatabase:
 
         ``method`` is one of the paper's strategies (``naive``,
         ``semi-naive``, ``minsupport``, ``minjoin``) or a baseline
-        (``automaton``, ``datalog``, ``reachability``, ``reference``).
+        (``automaton``, ``dfa``, ``datalog``, ``reachability``,
+        ``reference``).
 
         Text may open with a source anchor, ``from(kim): knows/worksFor``
         (or come as a placeholder-free :class:`~repro.rpq.parser.Template`
@@ -588,8 +571,14 @@ class GraphDatabase:
         use_cache: bool,
         context: RunContext | None = None,
         anchor: str | None = None,
+        memo: ScanMemo | None = None,
     ) -> QueryResult:
-        """Answer one parsed query; caller holds the read lock."""
+        """Answer one parsed query; caller holds the read lock.
+
+        The one read body that executes a plan: :meth:`query`, each
+        distinct text of :meth:`query_batch` (sharing the batch's
+        ``memo``) and prepared runs all end here.
+        """
         version = self.graph.version
         cache_key = self._cache_key(
             text,
@@ -621,6 +610,7 @@ class GraphDatabase:
             self._require_index(),
             self.graph,
             self._statistics_locked(use_exact_statistics),
+            memo,
             context=context,
             source=source,
         )
@@ -676,7 +666,6 @@ class GraphDatabase:
         strategy: Strategy,
         exact: bool,
         max_disjuncts: int,
-        artifact_key=None,
     ) -> PreparedQuery:
         """``node``'s plan through the plan cache; caller holds the read lock."""
         return self._plan_cache.plan(
@@ -690,7 +679,6 @@ class GraphDatabase:
                 strategy,
                 max_disjuncts,
             ),
-            artifact_key,
         )
 
     def _statistics_locked(self, exact: bool) -> ExactStatistics | EquiDepthHistogram:
@@ -943,117 +931,45 @@ class GraphDatabase:
 
         The whole batch runs inside a single reader section, so every
         result carries the same :attr:`QueryResult.version` — mutations
-        are either fully before or fully after the batch.  Three
+        are either fully before or fully after the batch.  Two
         mechanisms make this faster than a ``query()`` loop:
 
-        * **plan-up-front** — every miss takes its plan from the plan
-          cache (planning it there if need be) first, then executes in
-          input order on the calling thread;
         * **one scan memo** — a
           :class:`~repro.engine.operators.ScanMemo` spans the batch, so
           a subplan (an index scan, a join subtree) appearing under any
           number of queries is computed exactly once;
-        * **key-level dedup** — queries with identical cache keys share
-          one execution and one :class:`QueryResult` object.
+        * **key-level dedup** — queries with identical text share one
+          execution and one :class:`QueryResult` object.
 
-        Results come back in input order.  To overlap batches, call
-        this from several threads: each call has its own memo.
+        Each distinct text is one :meth:`_query_locked` call, so it
+        takes its plan from the plan cache and its answer from (and
+        into) the result cache exactly as :meth:`query` would.  Results
+        come back in input order.  To overlap batches, call this from
+        several threads: each call has its own memo.
         """
         parsed = [self._parse(query) for query in queries]
+        strategy = None if method in BASELINE_METHODS else Strategy.parse(method)
         if not parsed:
             return []
-        strategy = None if method in BASELINE_METHODS else Strategy.parse(method)
         if strategy is not None:
             self._ensure_built()
-        with self._lock.read_locked():
-            version = self.graph.version
-            results: list[QueryResult | None] = [None] * len(parsed)
-            slots: dict[tuple, list[int]] = {}
-            for position, (text, _, _) in enumerate(parsed):
-                key = self._cache_key(
-                    text,
-                    method,
-                    strategy,
-                    use_exact_statistics,
-                    max_disjuncts,
-                    version,
-                )
-                slots.setdefault(key, []).append(position)
-            pending: list[tuple[tuple, str, Node, str | None]] = []
-            for key, positions in slots.items():
-                cached = self._cache_lookup(key, version) if use_cache else None
-                if cached is not None:
-                    for position in positions:
-                        results[position] = cached
-                else:
-                    pending.append((key, *parsed[positions[0]]))
-            if pending:
-                for key, result in self._run_batch(
-                    pending,
-                    method,
-                    strategy,
-                    use_exact_statistics,
-                    max_disjuncts,
-                    version,
-                    use_cache,
-                ):
-                    for position in slots[key]:
-                        results[position] = result
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
-
-    def _run_batch(
-        self,
-        pending: list[tuple[tuple, str, Node, str | None]],
-        method: str,
-        strategy: Strategy | None,
-        use_exact_statistics: bool,
-        max_disjuncts: int,
-        version: int,
-        use_cache: bool,
-    ) -> Iterator[tuple[tuple, QueryResult]]:
-        """Execute the batch misses in order; caller holds the read lock."""
-        if strategy is None:
-            for key, text, node, anchor in pending:
-                started = time.perf_counter()
-                pairs = self._run_baseline(method, node, self._anchor_id(anchor))
-                seconds = time.perf_counter() - started
-                yield key, self._result_locked(
-                    text,
-                    method,
-                    pairs,
-                    seconds,
-                    version,
-                    cache_key=key if use_cache else None,
-                )
-            return
-        index = self._require_index()
-        statistics = self._statistics_locked(use_exact_statistics)
         memo = ScanMemo()
-        items = [
-            (
-                key,
-                text,
-                self._plan_locked(node, strategy, use_exact_statistics, max_disjuncts),
-                self._anchor_id(anchor),
-            )
-            for key, text, node, anchor in pending
-        ]
-        for key, text, prepared, source in items:
-            # A report's memo counters are its own delta of the shared
-            # memo's traffic, so per-result accounting sums to the batch.
-            report = execute_prepared(
-                prepared, index, self.graph, statistics, memo, source=source
-            )
-            yield key, self._result_locked(
-                text,
-                strategy.value,
-                report.relation,
-                report.total_seconds,
-                version,
-                report,
-                key if use_cache else None,
-            )
+        answered: dict[str, QueryResult] = {}
+        with self._lock.read_locked():
+            for text, node, anchor in parsed:
+                if text not in answered:
+                    answered[text] = self._query_locked(
+                        text,
+                        node,
+                        method,
+                        strategy,
+                        use_exact_statistics,
+                        max_disjuncts,
+                        use_cache,
+                        anchor=anchor,
+                        memo=memo,
+                    )
+        return [answered[text] for text, _, _ in parsed]
 
     # -- prepared statements -------------------------------------------------------
 
@@ -1079,11 +995,8 @@ class GraphDatabase:
         ``run()`` calls skip parse/rewrite/plan, and any mutation or
         rebuild soundly re-plans.  The anchor never reaches the planner: it pins
         the execution's leftmost scans to ``I(p, v)``, as an anchored
-        :meth:`query` does, so every anchor value shares one plan.  On
-        the disk backend, plans also persist to a
-        fingerprinted artifact file next to the index, so a restarted
-        service answers its first prepared query with zero planning
-        calls (see ``artifact_loads`` in :meth:`stats`).
+        :meth:`query` does, so every anchor value shares one plan.  A
+        run is that :meth:`query` with the answer cache bypassed.
 
         Only the index strategies can be prepared — baselines have no
         plan to cache.
@@ -1107,73 +1020,6 @@ class GraphDatabase:
             use_exact_statistics=use_exact_statistics,
             max_disjuncts=max_disjuncts,
         )
-
-    def _run_prepared(self, bound: BoundStatement) -> QueryResult:
-        """Execute one bound statement (the seam behind ``bound.run()``).
-
-        Mirrors :meth:`_query_locked`'s read-section discipline: the
-        (plan resolution, execution, answer naming) sequence runs as one
-        reader section against one graph snapshot.  Prepared runs
-        deliberately bypass the whole-answer LRU — the point of a
-        prepared statement is that *execution* is the only repeated
-        cost, and benchmarks comparing the two paths must not measure
-        the result cache instead.
-        """
-        statement = bound.statement
-        self._ensure_built()
-        with self._lock.read_locked():
-            version = self.graph.version
-            exact = statement.use_exact_statistics
-            started = time.perf_counter()
-            prepared = self._plan_locked(
-                bound.node,
-                statement.strategy,
-                exact,
-                statement.max_disjuncts,
-                lambda: statement._artifact_key(bound),
-            )
-            report = execute_prepared(
-                prepared,
-                self._require_index(),
-                self.graph,
-                self._statistics_locked(exact),
-                source=self._anchor_id(bound.anchor),
-            )
-            seconds = time.perf_counter() - started
-            return self._result_locked(
-                bound.text,
-                statement.strategy.value,
-                report.relation,
-                seconds,
-                version,
-                report,
-            )
-
-    def _plan_fingerprint(self) -> str:
-        """Content fingerprint of everything a cached plan depends on.
-
-        Hashes ``k``, the histogram resolution, the alphabet, the node
-        count (it bounds star rewrites), ``|paths_k(G)|`` and the exact
-        per-path catalog counts — any change to any of them yields a
-        different fingerprint, and the artifact store drops entries
-        saved under the old one.  Deliberately *excludes* the shard
-        count: plans are shard-layout independent (shard pruning
-        happens at execution time), so re-sharding keeps the artifacts.
-        """
-        statistics = self._exact_statistics
-        assert statistics is not None  # caller just installed it
-        payload = json.dumps(
-            [
-                self.k,
-                self._histogram_buckets,
-                sorted(self.graph.labels()),
-                self.graph.node_count,
-                statistics.total_paths_k,
-                sorted(statistics.counts.items()),
-            ],
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _remember_locked(self, key: tuple, result: QueryResult) -> None:
         if self._query_cache_size == 0:
@@ -1219,10 +1065,8 @@ class GraphDatabase:
         shard slices dropped by ``query(degraded=True)`` — nonzero
         means some answers were served partial.  ``stats().prepared`` counts
         the plan cache's traffic across every read path (:meth:`query`,
-        :meth:`query_batch` and prepared runs), plans revived from the
-        persistent artifact store, and actual planner invocations — a
-        freshly restarted disk-backed service that answers prepared
-        queries purely from artifacts shows ``plans_computed == 0``.
+        :meth:`query_batch` and prepared runs) and actual planner
+        invocations (``plans_computed``).
 
         The serve layer returns this verbatim at ``GET /stats``.
         """

@@ -110,7 +110,7 @@ def _cmd_prepared(args: argparse.Namespace) -> int:
     info = database.stats().as_dict()
     print(
         f"# plans computed {info['plans_computed']}, cache hits "
-        f"{info['prepared_hits']}, artifact loads {info['artifact_loads']}",
+        f"{info['prepared_hits']}",
         file=sys.stderr,
     )
     return 0

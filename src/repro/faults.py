@@ -33,7 +33,6 @@ Injection points wired through the engine:
 ``storage.read_page``       disk pager buffer-pool miss (``corrupt`` allowed)
 ``shard.scan``              one shard's slice of an index scan
 ``shard.build``             one shard's index build (each retry attempt)
-``prepared.artifact_load``  plan-artifact store open/load (fail-open)
 ``gather.merge``            the scatter-gather merge of shard slices
 ``rpc.send``                a coordinator-to-worker request hitting the wire
 ``rpc.recv``                a worker reply frame arriving (``corrupt`` allowed)
@@ -77,7 +76,6 @@ INJECTION_POINTS = (
     "storage.read_page",
     "shard.scan",
     "shard.build",
-    "prepared.artifact_load",
     "gather.merge",
     "rpc.send",
     "rpc.recv",

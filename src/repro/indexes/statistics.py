@@ -73,11 +73,7 @@ class ExactStatistics:
 
     @property
     def counts(self) -> dict[str, int]:
-        """Per-path counts keyed by encoded label path (defensive copy).
-
-        The full catalog view backs content fingerprints (the persisted
-        plan-artifact cache keys its validity on exactly these counts).
-        """
+        """Per-path counts keyed by encoded label path (defensive copy)."""
         return dict(self._counts)
 
     def estimated_count(self, path: LabelPath) -> float:

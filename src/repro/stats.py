@@ -50,14 +50,12 @@ class ScatterStats:
 
 @dataclass(frozen=True, slots=True)
 class PreparedStats:
-    """Plan-cache traffic of every read path, and the artifact store's."""
+    """Plan-cache traffic of every read path."""
 
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
-    artifact_loads: int = 0
     plans_computed: int = 0
-    plan_artifacts: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,9 +126,7 @@ class EngineStats:
             "prepared_hits": self.prepared.hits,
             "prepared_misses": self.prepared.misses,
             "prepared_invalidations": self.prepared.invalidations,
-            "artifact_loads": self.prepared.artifact_loads,
             "plans_computed": self.prepared.plans_computed,
-            "plan_artifacts": self.prepared.plan_artifacts,
             "write_groups": self.write.groups,
             "write_coalesced": self.write.coalesced,
             "write_patched": self.write.patched,

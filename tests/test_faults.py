@@ -10,22 +10,22 @@ The headline properties (hypothesis):
   lost pairs is always flagged ``partial``.
 
 Around them, unit tests pin the deterministic pieces: the
-``REPRO_FAULTS`` grammar, backoff arithmetic, deadline behavior,
-times-capped replayability, crash-safe index writes, and artifact
-store eviction.
+``REPRO_FAULTS`` grammar (and the plans CI arms), backoff arithmetic,
+deadline behavior, times-capped replayability, and crash-safe index
+writes.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import prepared as prepared_module
-from repro.engine.prepared import PlanArtifactStore
 from repro.errors import (
     QueryTimeoutError,
     ReproError,
@@ -423,6 +423,16 @@ def test_plan_from_env_rejects_garbage(spec: str) -> None:
         plan_from_env(spec)
 
 
+def test_ci_fault_plans_parse() -> None:
+    """Every plan the CI workflow arms names live injection points, so
+    deleting a point fails here and not only in the chaos job."""
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+    specs = re.findall(r'REPRO_FAULTS="([^"]*)"', workflow.read_text("utf-8"))
+    assert specs
+    for spec in specs:
+        assert plan_from_env(spec) is not None, spec
+
+
 # -- disk backend: corruption and crash-safe writes ----------------------------
 
 
@@ -483,43 +493,6 @@ def test_save_catalog_is_atomic(tmp_path) -> None:
         assert not catalog.with_name(catalog.name + ".tmp").exists()
         reopened = PathIndex.open_disk(GRAPH, index_path, catalog)
         assert reopened.counts_by_path() == index.counts_by_path()
-
-
-# -- plan-artifact store: fail-open loads and bounded growth -------------------
-
-
-def test_artifact_store_fails_open_under_faults(tmp_path) -> None:
-    store = PlanArtifactStore(tmp_path / "plans.json")
-    with disarmed():
-        store.open("fp")
-        store.store("key", {"plan": 1})
-    plan = FaultPlan(
-        [FaultRule("prepared.artifact_load", "transient")], clock=FakeClock()
-    )
-    with armed(plan):
-        assert store.load("key") is None  # degrade to re-planning
-        assert store.open("fp") == 0  # unreadable file adopts nothing
-    assert plan.fired == 2
-
-
-def test_artifact_store_evicts_oldest(tmp_path, monkeypatch) -> None:
-    monkeypatch.setattr(prepared_module, "ARTIFACT_STORE_MAX", 3)
-    store = PlanArtifactStore(tmp_path / "plans.json")
-    with disarmed():
-        store.open("fp")
-        for number in range(5):
-            store.store(f"key{number}", {"plan": number})
-        assert store.entry_count() == 3
-        assert store.load("key0") is None and store.load("key1") is None
-        assert store.load("key4") == {"plan": 4}
-        # Re-storing refreshes age: key2 survives the next insertion.
-        store.store("key2", {"plan": 22})
-        store.store("key5", {"plan": 5})
-        assert store.load("key2") == {"plan": 22}
-        assert store.load("key3") is None
-        # A reopen adopts at most the cap from disk.
-        fresh = PlanArtifactStore(tmp_path / "plans.json")
-        assert fresh.open("fp") <= 3
 
 
 # -- degraded answers through the service layer --------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tomllib
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -34,6 +37,16 @@ class TestPublicExports:
         for module in (bench, datalog, engine, graph, indexes, rpq, storage):
             for name in module.__all__:
                 assert getattr(module, name) is not None, (module, name)
+
+
+class TestToolConfig:
+    def test_format_excludes_name_existing_files(self):
+        """The ``ruff format`` exclude list only shrinks honestly: an
+        entry for a deleted file would hide nothing and count as left."""
+        root = Path(__file__).parents[1]
+        config = tomllib.loads((root / "pyproject.toml").read_text("utf-8"))
+        excluded = config["tool"]["ruff"]["format"]["exclude"]
+        assert [entry for entry in excluded if not (root / entry).is_file()] == []
 
 
 class TestErrorHierarchy:

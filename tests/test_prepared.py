@@ -1,18 +1,17 @@
-"""Prepared-query templates and the persistent plan-artifact cache.
+"""Prepared-query templates over the database's one plan cache.
 
 The governing property is *transparency with receipts*: for every
 binding, ``prepare(t).bind(**p).run()`` must return exactly what
 ``query()`` returns on the substituted text — across mutations, shard
 counts and both kernel paths — while the ``stats()`` counters
-prove when planning was actually skipped.  Around that sit the
-artifact-store contracts: a restarted disk-backed service answers its
-first prepared query with zero planning calls, and every stale,
-corrupt or tampered artifact fails open to re-planning, never to a
-wrong answer.
+prove when planning was actually skipped.  Plans live in memory only:
+a reopened disk-backed database plans afresh, whatever plan file an
+older build left beside its index.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,13 +23,10 @@ from hypothesis import strategies as st
 from repro import relation as rel
 from repro.api import GraphDatabase, ServiceConfig
 from repro.engine import prepared as prepared_module
-from repro.engine.prepared import PlanArtifactStore, PreparedStatement
-from repro.errors import (
-    ParseError,
-    QueryTimeoutError,
-    TransientStorageError,
-    ValidationError,
-)
+from repro.engine.executor import prepare_ast
+from repro.engine.plan import IdentityPlan, IndexScanPlan, JoinPlan, PlanNode
+from repro.engine.prepared import PreparedStatement
+from repro.errors import ParseError, ValidationError
 from repro.graph.examples import FIGURE1_EDGES, figure1_graph
 from repro.rpq import ast
 from repro.rpq.parser import parse, parse_template
@@ -63,7 +59,6 @@ def prepared_info(database: GraphDatabase) -> dict[str, int]:
             "prepared_hits",
             "prepared_misses",
             "prepared_invalidations",
-            "artifact_loads",
             "plans_computed",
         )
     }
@@ -153,6 +148,12 @@ class TestPrepareBind:
         statement = database.prepare("from($v): supervisor")
         with pytest.raises(ValidationError, match="must be a node name"):
             statement.bind(v=3)
+
+    def test_statement_repr_mentions_strategy(self):
+        database = GraphDatabase(figure1_graph(), k=2)
+        statement = database.prepare("supervisor{1,$n}", method="minjoin")
+        assert isinstance(statement, PreparedStatement)
+        assert "minjoin" in repr(statement)
 
     def test_template_with_no_parameters_is_legal(self):
         database = GraphDatabase(figure1_graph(), k=2)
@@ -280,228 +281,101 @@ class TestStatementPlanCache:
         assert prepared_info(database)["plans_computed"] == 1
 
 
-# -- the persistent artifact store --------------------------------------------
+# -- plans are not persisted ---------------------------------------------------
 
 
-def disk_database(path: Path, shards: int = 1) -> GraphDatabase:
+def disk_database(path: Path) -> GraphDatabase:
     return GraphDatabase.from_edges(
         FIGURE1_EDGES,
         k=2,
-        config=ServiceConfig(
-            backend="disk", index_path=path / "index.db", shards=shards
-        ),
+        config=ServiceConfig(backend="disk", index_path=path / "index.db"),
     )
 
 
-class TestPlanArtifacts:
+def _digest(payload: list) -> str:
+    text = json.dumps(payload, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _plan_obj(plan: PlanNode) -> dict:
+    if isinstance(plan, IndexScanPlan):
+        return {"op": "scan", "path": plan.path.encode(), "inverse": plan.via_inverse}
+    if isinstance(plan, JoinPlan):
+        return {
+            "op": "join",
+            "algorithm": plan.algorithm,
+            "left": _plan_obj(plan.left),
+            "right": _plan_obj(plan.right),
+        }
+    if isinstance(plan, IdentityPlan):
+        return {"op": "identity"}
+    return {"op": "union", "parts": [_plan_obj(part) for part in plan.parts]}
+
+
+def older_build_plan_file(database: GraphDatabase, template: str, ns) -> dict:
+    """The ``<index>.plans.json`` a plan-persisting build wrote.
+
+    Format 1: a content fingerprint of the statistics, and one entry
+    per binding of ``template``'s ``$n``, keyed by a hash of the
+    template body, the binding and the plan settings.  A build that
+    read this file answered the bindings with zero planner calls.
+    """
+    statement = database.prepare(template)
+    statistics = database.exact_statistics
+    fingerprint = _digest(
+        [
+            database.k,
+            database.config.histogram_buckets,
+            sorted(database.graph.labels()),
+            database.graph.node_count,
+            statistics.total_paths_k,
+            sorted(statistics.counts.items()),
+        ]
+    )
+    entries = {}
+    for n in ns:
+        bound = statement.bind(n=n)
+        prepared = prepare_ast(
+            bound.node,
+            database.index,
+            database.graph,
+            database.histogram,
+            statement.strategy,
+            statement.max_disjuncts,
+        )
+        key = _digest(
+            [
+                str(statement.template.node),
+                [["n", n]],
+                statement.strategy.value,
+                statement.use_exact_statistics,
+                statement.max_disjuncts,
+            ]
+        )
+        entries[key] = {
+            "query": str(prepared.node),
+            "strategy": prepared.strategy.value,
+            "max_disjuncts": prepared.max_disjuncts,
+            "plan": _plan_obj(prepared.costed.plan),
+            "cost": prepared.costed.cost,
+            "cardinality": prepared.costed.cardinality,
+        }
+    return {"format": 1, "fingerprint": fingerprint, "entries": entries}
+
+
+class TestPlansAreNotPersisted:
     TEMPLATE = "(supervisor|worksFor|^worksFor){2,$n}"
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_restart_answers_with_zero_planning(self, tmp_path, shards):
-        with disk_database(tmp_path, shards=shards) as database:
-            baseline = database.prepare(self.TEMPLATE).bind(n=4).run()
-            assert prepared_info(database)["plans_computed"] == 1
-        artifact = tmp_path / "index.db.plans.json"
-        assert artifact.exists()
-        with disk_database(tmp_path, shards=shards) as restarted:
-            result = restarted.prepare(self.TEMPLATE).bind(n=4).run()
-            info = prepared_info(restarted)
-        assert result.pairs == baseline.pairs
-        assert info["plans_computed"] == 0, "restart must not plan"
-        assert info["artifact_loads"] == 1
-
-    def test_artifact_with_disjuncts_key_still_revives(self, tmp_path):
-        # Artifacts once carried a per-disjunct path map beside the
-        # plan; a file written that way is still a valid plan.
-        with disk_database(tmp_path, shards=2) as database:
-            baseline = database.prepare(self.TEMPLATE).bind(n=4).run()
-        artifact = tmp_path / "index.db.plans.json"
-        document = json.loads(artifact.read_text(encoding="utf-8"))
-        for entry in document["entries"].values():
-            entry["disjuncts"] = [["supervisor", entry["plan"]]]
-        artifact.write_text(json.dumps(document), encoding="utf-8")
-        with disk_database(tmp_path, shards=2) as restarted:
-            result = restarted.prepare(self.TEMPLATE).bind(n=4).run()
-            info = prepared_info(restarted)
-        assert result.pairs == baseline.pairs
-        assert info["plans_computed"] == 0
-        assert info["artifact_loads"] == 1
-
-    def test_artifact_survives_resharding(self, tmp_path):
-        # Plans are shard-layout independent: shard pruning happens at
-        # execution time, so re-sharding keeps the artifacts.
-        with disk_database(tmp_path, shards=1) as database:
-            database.prepare(self.TEMPLATE).bind(n=4).run()
-        with disk_database(tmp_path, shards=2) as restarted:
-            restarted.prepare(self.TEMPLATE).bind(n=4).run()
-            assert prepared_info(restarted)["plans_computed"] == 0
-
-    def test_stale_artifact_rejected_after_graph_change(self, tmp_path):
+    def test_reopen_ignores_an_older_builds_plan_file(self, tmp_path):
         with disk_database(tmp_path) as database:
-            database.prepare(self.TEMPLATE).bind(n=4).run()
-        changed = GraphDatabase.from_edges(
-            list(FIGURE1_EDGES) + [("zed", "knows", "kim")],
-            k=2,
-            config=ServiceConfig(backend="disk", index_path=tmp_path / "index.db"),
-        )
-        try:
-            changed.prepare(self.TEMPLATE).bind(n=4).run()
-            info = prepared_info(changed)
-        finally:
-            changed.close()
-        assert info["artifact_loads"] == 0
-        assert info["plans_computed"] == 1
-
-    def test_corrupt_artifact_fails_open(self, tmp_path):
-        with disk_database(tmp_path) as database:
-            expected = database.prepare(self.TEMPLATE).bind(n=4).run()
-        artifact = tmp_path / "index.db.plans.json"
-        artifact.write_text("{ this is not json", encoding="utf-8")
-        with disk_database(tmp_path) as restarted:
-            result = restarted.prepare(self.TEMPLATE).bind(n=4).run()
-            info = prepared_info(restarted)
-        assert result.pairs == expected.pairs
-        assert info["plans_computed"] == 1
-
-    def test_tampered_entry_fails_open(self, tmp_path):
-        with disk_database(tmp_path) as database:
-            expected = database.prepare(self.TEMPLATE).bind(n=4).run()
-        artifact = tmp_path / "index.db.plans.json"
-        document = json.loads(artifact.read_text(encoding="utf-8"))
-        for entry in document["entries"].values():
-            entry["query"] = "supervisor"  # plan no longer matches
-        artifact.write_text(json.dumps(document), encoding="utf-8")
-        with disk_database(tmp_path) as restarted:
-            result = restarted.prepare(self.TEMPLATE).bind(n=4).run()
-            info = prepared_info(restarted)
-        assert result.pairs == expected.pairs
-        assert info["artifact_loads"] == 0
-        assert info["plans_computed"] == 1
-
-    def test_memory_backend_is_inert(self):
-        database = GraphDatabase(figure1_graph(), k=2)
-        database.prepare("supervisor{1,$n}").bind(n=2).run()
-        assert database.stats().as_dict()["plan_artifacts"] == 0
-        assert not database._plan_store.enabled
-
-    def test_store_roundtrip_unit(self, tmp_path):
-        path = tmp_path / "plans.json"
-        store = PlanArtifactStore(path)
-        store.open("fp")
-        store.store("key", {"hello": 1})
-        fresh = PlanArtifactStore(path)
-        assert fresh.open("fp") == 1
-        assert fresh.load("key") == {"hello": 1}
-        assert fresh.load("other") is None
-        # A different fingerprint drops everything.
-        assert fresh.open("other-fp") == 0
-        assert fresh.load("key") is None
-
-
-# -- serialization round-trip -------------------------------------------------
-
-
-class TestArtifactRoundTrip:
-    @pytest.mark.parametrize(
-        "query",
-        [
-            "supervisor",
-            "supervisor/^worksFor",
-            "(supervisor|worksFor){1,2}",
-            "<eps>|supervisor{2,3}",
-        ],
-    )
-    def test_prepared_round_trips_through_json(self, query):
-        from repro.engine.executor import prepare_ast
-        from repro.engine.prepared import (
-            artifact_from_prepared,
-            prepared_from_artifact,
-        )
-
-        database = GraphDatabase(figure1_graph(), k=2)
-        prepared = prepare_ast(
-            parse(query),
-            database.index,
-            database.graph,
-            database.histogram,
-            database.prepare(query).strategy,
-            4096,
-        )
-        payload = json.loads(json.dumps(artifact_from_prepared(prepared)))
-        revived = prepared_from_artifact(payload)
-        assert revived is not None
-        assert revived.costed is not None and prepared.costed is not None
-        assert revived.costed.plan == prepared.costed.plan
-        assert revived.costed.cost == prepared.costed.cost
-        assert str(revived.node) == str(prepared.node)
-
-    def test_statement_repr_mentions_strategy(self):
-        database = GraphDatabase(figure1_graph(), k=2)
-        statement = database.prepare("supervisor{1,$n}", method="minjoin")
-        assert isinstance(statement, PreparedStatement)
-        assert "minjoin" in repr(statement)
-
-
-# -- resilience taxonomy vs fail-open -----------------------------------------
-
-
-class TestArtifactTaxonomyPropagation:
-    """``prepared_from_artifact`` fails open for *defects* only.
-
-    A deadline or retryable-fault exception raised while decoding an
-    artifact belongs to the resilience taxonomy and must reach the
-    caller — degrading it into silent re-planning would erase the very
-    signal the timeout/chaos machinery exists to deliver (regression
-    for the broad handler at engine/prepared.py, rule
-    ``error-taxonomy``).
-    """
-
-    def _payload(self) -> dict:
-        from repro.engine.executor import prepare_ast
-        from repro.engine.prepared import artifact_from_prepared
-
-        database = GraphDatabase(figure1_graph(), k=2)
-        query = "supervisor/^worksFor"
-        prepared = prepare_ast(
-            parse(query),
-            database.index,
-            database.graph,
-            database.histogram,
-            database.prepare(query).strategy,
-            4096,
-        )
-        payload = artifact_from_prepared(prepared)
-        assert payload is not None
-        return json.loads(json.dumps(payload))
-
-    def test_timeout_during_decode_propagates(self, monkeypatch):
-        from repro.engine.prepared import prepared_from_artifact
-
-        payload = self._payload()
-
-        def expired(obj):
-            raise QueryTimeoutError("deadline expired during plan decode")
-
-        monkeypatch.setattr(prepared_module, "_plan_from_obj", expired)
-        with pytest.raises(QueryTimeoutError):
-            prepared_from_artifact(payload)
-
-    def test_transient_fault_during_decode_propagates(self, monkeypatch):
-        from repro.engine.prepared import prepared_from_artifact
-
-        payload = self._payload()
-
-        def flaky(obj):
-            raise TransientStorageError("injected retryable fault")
-
-        monkeypatch.setattr(prepared_module, "_plan_from_obj", flaky)
-        with pytest.raises(TransientStorageError):
-            prepared_from_artifact(payload)
-
-    def test_defects_still_fail_open(self):
-        from repro.engine.prepared import prepared_from_artifact
-
-        assert prepared_from_artifact({}) is None
-        payload = self._payload()
-        payload["strategy"] = "no-such-strategy"
-        assert prepared_from_artifact(payload) is None
+            document = older_build_plan_file(database, self.TEMPLATE, (2, 3, 4))
+        leftover = tmp_path / "index.db.plans.json"
+        leftover.write_text(json.dumps(document), encoding="utf-8")
+        with disk_database(tmp_path) as reopened:
+            statement = reopened.prepare(self.TEMPLATE)
+            results = {n: statement.bind(n=n).run() for n in (2, 3, 4)}
+            assert prepared_info(reopened)["plans_computed"] == 3
+            for n, result in results.items():
+                text = f"(supervisor|worksFor|^worksFor){{2,{n}}}"
+                assert result.pairs == reopened.query(text, use_cache=False).pairs
+        assert json.loads(leftover.read_text(encoding="utf-8")) == document

@@ -336,7 +336,7 @@ class TestEngineStats:
             "shards_pruned", "disjuncts_pruned",
             "scan_cache_hits", "scan_cache_misses", "scan_cache_pairs",
             "prepared_hits", "prepared_misses", "prepared_invalidations",
-            "artifact_loads", "plans_computed", "plan_artifacts",
+            "plans_computed",
             "shards_failed",
             "write_groups", "write_coalesced", "write_patched",
             "write_rebuilt", "log_records", "replayed", "recounted_sources",

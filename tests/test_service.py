@@ -29,7 +29,7 @@ from repro.concurrency import ReadWriteLock
 from repro.config import ServiceConfig
 from repro.engine.operators import ScanMemo
 from repro.engine.plan import IdentityPlan
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReproError
 from repro.graph.examples import FIGURE1_EDGES, figure1_graph
 from repro.relation import Order, Relation
 from repro.rpq.semantics import eval_query
@@ -450,6 +450,13 @@ class TestQueryBatch:
     def test_empty_batch(self):
         database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
         assert database.query_batch([]) == []
+
+    def test_empty_batch_still_validates_the_method(self):
+        database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
+        with pytest.raises(ReproError) as single:
+            database.query("knows", method="nope")
+        with pytest.raises(type(single.value)):
+            database.query_batch([], method="nope")
 
     @BOTH_PATHS
     @settings(max_examples=15, deadline=None)
