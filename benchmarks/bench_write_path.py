@@ -1,12 +1,14 @@
 """Write-path ablation: delta shard patching vs ball rebuilds.
 
-Measures the tentpole claim of the write path: absorbing a stream of
-point mutations through per-shard delta patches
-(``delta_patching=True``, the default) against the same stream where
-every changed group takes the ball rebuild of its touched shards
-(``delta_patching=False``).  The stream interleaves reads the way an
-online store would, and answers between the two engines are pinned
-equal at the end — the speedup is never bought with wrongness.
+Measures the central claim of the write path: absorbing a stream of
+point mutations through per-shard delta patches (the default) against
+the same stream where every changed group takes the ball rebuild of
+its touched shards.  The rebuild arm sets the dirty-pair budget
+``repro.write.delta.MAX_DIRTY_PAIRS`` to 0, so every group overflows
+into the product's own rebuild fallback; the budget is restored
+afterwards.  The stream interleaves reads the way an online store
+would, and answers between the two engines are pinned equal at the
+end — the speedup is never bought with wrongness.
 
 The ratio column ``speedup_vs_rebuild`` is gated twice: the pytest
 acceptance below requires >= 3x at 4 shards, and the committed
@@ -34,7 +36,7 @@ from pathlib import Path
 from repro.api import GraphDatabase, ServiceConfig
 from repro.bench.export import write_json
 from repro.bench.workloads import SCALES
-from repro.write import Mutation
+from repro.write import Mutation, delta
 
 #: (scale, shards, mutations in the stream).
 FULL_CONFIG = ("bench", 4, 120)
@@ -89,18 +91,23 @@ def _stream(names, count: int, seed: int = 2):
 
 def _run(scale: str, shards: int, count: int, patching: bool):
     names, edges = _graph_edges(scale)
-    database = GraphDatabase.from_edges(
-        edges,
-        config=ServiceConfig(k=2, shards=shards, delta_patching=patching),
-    )
+    database = GraphDatabase.from_edges(edges, config=ServiceConfig(k=2, shards=shards))
     database.query(READ_QUERY)  # build outside the timed window
     stream = _stream(names, count)
-    started = time.perf_counter()
-    for position, mutation in enumerate(stream):
-        database.apply(mutation)
-        if position % READ_EVERY == 0:
-            database.query(READ_QUERY, use_cache=False)
-    elapsed = time.perf_counter() - started
+    budget = delta.MAX_DIRTY_PAIRS
+    if not patching:
+        # No dirty pair fits the budget: every group overflows into the
+        # ball rebuild.
+        delta.MAX_DIRTY_PAIRS = 0
+    try:
+        started = time.perf_counter()
+        for position, mutation in enumerate(stream):
+            database.apply(mutation)
+            if position % READ_EVERY == 0:
+                database.query(READ_QUERY, use_cache=False)
+        elapsed = time.perf_counter() - started
+    finally:
+        delta.MAX_DIRTY_PAIRS = budget
     stats = database.stats().write
     answers = {
         query: database.query(query, use_cache=False).pairs

@@ -72,7 +72,7 @@ from repro.stats import (
 from repro.write.commit import GroupCommitter
 from repro.write.delta import resolve_patch, stage_group
 from repro.write.log import MutationLog
-from repro.write.mutation import ApplyResult, Mutation, MutationBatch
+from repro.write.mutation import ApplyResult, MutationBatch
 
 #: Methods accepted by :meth:`GraphDatabase.query`: the paper's four
 #: index strategies plus the literature baselines (NFA and DFA product
@@ -151,14 +151,14 @@ class GraphDatabase:
         self.k = config.k
         self._backend = config.backend
         self._index_path = config.index_path
-        self._histogram_buckets = config.histogram_buckets
         # Sharding knob (fully transparent): the index is hash-partitioned
         # by path start (repro.sharding) into shards >= 1 parts with
         # identical answers at every count.
         self._shards = resolved_shards
-        # Hash seed of the vertex-to-shard map.  Mutable on purpose:
-        # rebalance() re-seeds it and triggers one full rebuild.
-        self._shard_seed = config.shard_seed
+        # Hash seed of the vertex-to-shard map.  Starts at 0 and is
+        # mutable on purpose: rebalance() re-seeds it and triggers one
+        # full rebuild.
+        self._shard_seed = 0
         self._index: ShardedGraph | None = None
         self._histogram: EquiDepthHistogram | None = None
         self._exact_statistics: ExactStatistics | None = None
@@ -179,8 +179,8 @@ class GraphDatabase:
         # by entry count and by total cached answer pairs, so a run of
         # huge answers cannot pin unbounded memory.
         self._query_cache: OrderedDict[tuple, QueryResult] = OrderedDict()
-        self._query_cache_size = max(0, config.query_cache_size)
-        self._query_cache_max_pairs = max(0, config.query_cache_max_pairs)
+        self._query_cache_size = config.query_cache_size
+        self._query_cache_max_pairs = config.query_cache_max_pairs
         self._cached_pairs = 0
         self._cache_version = graph.version
         self._cache_hits = 0
@@ -225,11 +225,7 @@ class GraphDatabase:
                 for mutation in batch:
                     mutation.apply_to(graph)
                 self._replayed_batches += 1
-        self._committer = GroupCommitter(
-            self._commit_group,
-            window_s=config.group_commit_ms / 1000.0,
-            max_group=config.group_commit_max,
-        )
+        self._committer = GroupCommitter(self._commit_group)
         if build:
             try:
                 self.build_index()
@@ -402,7 +398,6 @@ class GraphDatabase:
             counts,
             k=self.k,
             total_paths_k=exact_statistics.total_paths_k,
-            buckets=self._histogram_buckets,
         )
         return exact_statistics, histogram
 
@@ -523,7 +518,7 @@ class GraphDatabase:
         with ``planning_seconds == 0.0`` (``stats().prepared``).
 
         Safe to call from any number of threads concurrently with
-        :meth:`add_edge` / :meth:`remove_edge` / :meth:`build_index`:
+        :meth:`apply` / :meth:`build_index`:
         the whole (version snapshot, cache probe, execution, cache
         store) sequence runs as one reader section, so the answer is
         always exactly the single-threaded answer for the
@@ -747,38 +742,16 @@ class GraphDatabase:
         behind one leader into one write-lock acquisition, one mutation
         log append run + ``fsync`` (when ``mutation_log_path`` is set),
         and one index update — per-shard delta patching when the group
-        is local (``delta_patching``, memory-backed shards, any shard
-        count), a ball or full rebuild otherwise.  By the time this
-        returns the batch is durable (if logging) and visible to
-        queries; the result says how many mutations changed the graph,
-        the version they landed on, and how the index absorbed the
-        group.
-
-        ``add_edge`` / ``remove_edge`` are one-element shims over this.
+        is local (memory-backed shards, any shard count, at most
+        ``repro.write.delta.MAX_DIRTY_PAIRS`` dirty pairs), a ball or
+        full rebuild otherwise.  By the time this returns the batch is
+        durable (if logging) and visible to queries; the result says
+        how many mutations changed the graph, the version they landed
+        on, and how the index absorbed the group.
         """
         batch = MutationBatch.coerce(mutations)
         self._ensure_built()
         return self._committer.submit(batch)
-
-    def add_edge(self, source: str, label: str, target: str) -> int | None:
-        """Insert an edge; returns the new version, or ``None`` (no-op).
-
-        A shim over :meth:`apply` with a one-mutation batch — same
-        durability, group commit, and delta-patching path.  The
-        returned version is the group's landing version (under
-        concurrent writers it can be later than this edge's own
-        insertion, but never earlier).
-        """
-        result = self.apply(Mutation.add(source, label, target))
-        return result.version if result.changed else None
-
-    def remove_edge(self, source: str, label: str, target: str) -> int | None:
-        """Delete an edge; returns the new version, or ``None`` (no-op).
-
-        See :meth:`add_edge` — the same one-element :meth:`apply` shim.
-        """
-        result = self.apply(Mutation.remove(source, label, target))
-        return result.version if result.changed else None
 
     def _commit_group(self, batches) -> list[ApplyResult]:
         """The committer's commit callable: one whole group, durably.
@@ -824,16 +797,14 @@ class GraphDatabase:
             # A failed absorb leaves no index behind the graph it
             # mutated; this group lands on one built from that graph.
             index = self._build_index_locked()
-        patchable = self.config.delta_patching and index.supports_patch
+        patchable = index.supports_patch
         # Delta staging needs the full path enumeration over the
         # pre-group alphabet (an alphabet change falls back anyway);
         # the rebuild path skips collecting deltas entirely.
         paths = (
             enumerate_label_paths(self.graph.labels(), self.k) if patchable else []
         )
-        staged = stage_group(
-            self.graph, index, batches, paths, self.config.delta_max_pairs
-        )
+        staged = stage_group(self.graph, index, batches, paths)
         mode, patched = "rebuild", ()
         if not staged.changed:
             mode = "noop"

@@ -8,7 +8,10 @@ restriction concrete: it recognizes the supported shapes —
 * ``l+`` / ``l{1,}``          (irreflexive closure of one step)
 * ``^l*``, ``^l+``            (closures of an inverse step)
 
-— answers them from a :class:`LabelReachabilityIndex`, and raises
+— answers them by closing the one step relation
+(:func:`repro.relation.transitive_fixpoint`: the Tarjan condensation
+with per-component reach bitsets a reachability index is built from,
+the same pass every Kleene closure runs), and raises
 :class:`~repro.errors.UnsupportedQueryError` for every other query.
 The path-index engine, by contrast, evaluates arbitrary RPQs; the
 contrast is asserted by tests and showcased in an example.
@@ -16,9 +19,9 @@ contrast is asserted by tests and showcased in an example.
 
 from __future__ import annotations
 
+from repro import relation as rel
 from repro.errors import UnsupportedQueryError
 from repro.graph.graph import Graph, Step
-from repro.indexes.reachability import LabelReachabilityIndex
 from repro.rpq.ast import Label, Node, Repeat, Star
 from repro.rpq.rewrite import push_inverse
 
@@ -41,7 +44,7 @@ def supported_shape(query: Node) -> tuple[Step, bool] | None:
 
 
 def evaluate(graph: Graph, query: Node) -> set[Pair]:
-    """Answer a restricted-star query from a reachability index."""
+    """Answer a restricted-star query by closing its one step relation."""
     shape = supported_shape(query)
     if shape is None:
         raise UnsupportedQueryError(
@@ -49,5 +52,6 @@ def evaluate(graph: Graph, query: Node) -> set[Pair]:
             f"closures (l* / l+ / ^l* / ^l+); got: {query}"
         )
     step, reflexive = shape
-    index = LabelReachabilityIndex(graph, step)
-    return set(index.all_pairs(reflexive=reflexive))
+    base = rel.Relation.from_pairs(graph.step_pairs(step))
+    low = 0 if reflexive else 1
+    return rel.transitive_fixpoint(graph.node_ids(), base, low).to_set()

@@ -36,7 +36,7 @@ from operator import itemgetter
 from repro.errors import TransientWireError, WireError
 from repro.graph.graph import NamedPairs, name_probe
 from repro.serve.protocol import RESULT_FRAME_TYPE, raise_remote, unpack_result
-from repro.write.mutation import ApplyResult, Mutation, MutationBatch
+from repro.write.mutation import ApplyResult, MutationBatch
 
 #: Seconds a client waits for a response before declaring the server
 #: gone (transient — the request can be retried elsewhere/later).
@@ -295,24 +295,11 @@ class Client:
         """Apply a batch (a Mutation, an iterable, or a MutationBatch)."""
         return self._call("POST", "/apply", apply_body(mutations), decode_apply)
 
-    def add_edge(self, source: str, label: str, target: str) -> int | None:
-        body = apply_body(Mutation.add(source, label, target))
-        return self._call("POST", "/apply", body, _changed_version)
-
-    def remove_edge(self, source: str, label: str, target: str) -> int | None:
-        body = apply_body(Mutation.remove(source, label, target))
-        return self._call("POST", "/apply", body, _changed_version)
-
     def stats(self) -> dict:
         return self._call("GET", "/stats", None, itemgetter("stats"))
 
     def health(self) -> dict:
         return self._call("GET", "/health", None, dict)
-
-
-def _changed_version(payload: dict) -> int | None:
-    result = decode_apply(payload)
-    return result.version if result.changed else None
 
 
 class AsyncClient(Client):

@@ -1,8 +1,8 @@
 """Service configuration: every deployment knob in one frozen object.
 
 Everything a :class:`~repro.api.GraphDatabase` deployment can tune —
-backend selection, cache budgets, shard counts, the write path, the
-serve front door — is a field of
+backend selection, cache budgets, shard counts, the write-ahead log,
+the serve front door — is a field of
 :class:`ServiceConfig`, passed to the database as ``config=``:
 
 >>> from repro.config import ServiceConfig
@@ -22,6 +22,14 @@ on the calling thread, and parallelism is one process per shard
 (``repro serve``) plus the caller's own threads.  ``config=`` is the
 only way to set any of this: :class:`repro.api.GraphDatabase` takes no
 per-knob keyword arguments.
+
+A value no deployment changes is a constant, not a field: the
+histogram has 64 buckets (``EquiDepthHistogram.from_counts``), the
+vertex-to-shard map starts at seed 0 (``rebalance()`` re-seeds it), a
+commit group drains at most ``repro.write.commit.MAX_GROUP`` batches
+with no coalescing window, and a group past
+``repro.write.delta.MAX_DIRTY_PAIRS`` dirty pairs takes the ball
+rebuild instead of a patch.
 """
 
 from __future__ import annotations
@@ -68,30 +76,14 @@ class ServiceConfig:
     k: int = 2
     backend: str = "memory"
     index_path: str | Path | None = None
-    histogram_buckets: int = 64
     query_cache_size: int = 128
     query_cache_max_pairs: int = 1_000_000
     #: ``None`` defers to ``REPRO_DEFAULT_SHARDS`` (default 1).
     shards: int | None = None
-    #: Hash seed of the vertex-to-shard map; ``rebalance()`` re-seeds
-    #: it when a skewed mutation stream unbalances the shards.
-    shard_seed: int = 0
     # -- write path --------------------------------------------------------
     #: Append-only WAL backing ``apply()``; ``None`` disables logging
     #: (mutations are then non-durable, the pre-PR-10 behavior).
     mutation_log_path: str | Path | None = None
-    #: Group-commit coalescing window: the commit leader waits this
-    #: long for concurrent writers before flushing.  0 commits
-    #: immediately (a lone writer pays no added latency).
-    group_commit_ms: float = 0.0
-    #: Batches one commit group may coalesce (arrival cap per flush).
-    group_commit_max: int = 64
-    #: Patch touched shards with index deltas instead of rebuilding the
-    #: shard ball (memory backend only; rebuild is the fallback).
-    delta_patching: bool = True
-    #: Dirty-pair budget per commit group; past it the delta is deemed
-    #: non-local and the group falls back to the ball rebuild.
-    delta_max_pairs: int = 20_000
     # -- serve front door -------------------------------------------------
     host: str = "127.0.0.1"
     #: 0 lets the OS pick (the bound port is reported by the server).
@@ -106,21 +98,14 @@ class ServiceConfig:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.shards is not None and self.shards < 1:
             raise ValidationError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_seed < 0:
+        if self.query_cache_size < 0:
             raise ValidationError(
-                f"shard_seed must be >= 0, got {self.shard_seed}"
+                f"query_cache_size must be >= 0, got {self.query_cache_size}"
             )
-        if self.group_commit_ms < 0:
+        if self.query_cache_max_pairs < 0:
             raise ValidationError(
-                f"group_commit_ms must be >= 0, got {self.group_commit_ms}"
-            )
-        if self.group_commit_max < 1:
-            raise ValidationError(
-                f"group_commit_max must be >= 1, got {self.group_commit_max}"
-            )
-        if self.delta_max_pairs < 1:
-            raise ValidationError(
-                f"delta_max_pairs must be >= 1, got {self.delta_max_pairs}"
+                "query_cache_max_pairs must be >= 0, "
+                f"got {self.query_cache_max_pairs}"
             )
         if self.max_inflight < 1:
             raise ValidationError(

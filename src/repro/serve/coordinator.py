@@ -201,7 +201,7 @@ class SliceCache:
     thread-safe, at most ``max_pairs`` pairs, oldest slice out first."""
 
     def __init__(self, max_pairs: int) -> None:
-        self.max_pairs = max(0, max_pairs)
+        self.max_pairs = max_pairs
         self.hits = self.misses = self.pairs = 0
         self._slices: dict[tuple, Relation] = {}
         self._lock = threading.Lock()
@@ -246,19 +246,15 @@ class RpcShardedGraph(ShardedGraph):
         graph: Graph,
         k: int,
         handles: list[WorkerHandle],
-        prune_empty: bool = True,
-        rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
         shard_seed: int = 0,
         max_cached_pairs: int = 0,
     ) -> None:
-        stubs = [WorkerStub(handle, rpc_timeout) for handle in handles]
         super().__init__(
             graph,
             k,
-            shards=stubs,
+            shards=[WorkerStub(handle) for handle in handles],
             backend="rpc",
             index_path=None,
-            prune_empty=prune_empty,
             shard_seed=shard_seed,
         )
         self.handles = list(handles)
@@ -285,21 +281,15 @@ class RpcShardedGraph(ShardedGraph):
         graph: Graph,
         k: int,
         shards: int,
-        prune_empty: bool = True,
-        rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
         shard_seed: int = 0,
         max_cached_pairs: int = 0,
     ) -> "RpcShardedGraph":
         """Fork ``shards`` workers (one build per process) and wrap them."""
-        handles = launch_workers(
-            graph, k, shards, prune_empty=prune_empty, shard_seed=shard_seed
-        )
+        handles = launch_workers(graph, k, shards, shard_seed=shard_seed)
         return cls(
             graph,
             k,
             handles,
-            prune_empty=prune_empty,
-            rpc_timeout=rpc_timeout,
             shard_seed=shard_seed,
             max_cached_pairs=max_cached_pairs,
         )
@@ -425,7 +415,6 @@ class RpcShardedGraph(ShardedGraph):
             self.base_graph,
             self.k,
             len(self._shards),
-            self._prune_empty,
             shard_seed=self.shard_seed,
             only=[shard],
         )

@@ -80,8 +80,6 @@ def launch_workers(
     graph: Graph,
     k: int,
     shards: int,
-    prune_empty: bool = True,
-    ready_timeout: float = READY_TIMEOUT,
     shard_seed: int = 0,
     only: list[int] | None = None,
 ) -> list[WorkerHandle]:
@@ -107,7 +105,7 @@ def launch_workers(
             receiver, sender = context.Pipe(duplex=False)
             process = context.Process(
                 target=_worker_main,
-                args=(sender, graph, k, shard, shards, prune_empty, shard_seed),
+                args=(sender, graph, k, shard, shards, shard_seed),
                 daemon=True,
                 name=f"repro-shard-{shard}",
             )
@@ -115,9 +113,7 @@ def launch_workers(
             sender.close()
             started.append((shard, process, receiver))
         for shard, process, receiver in started:
-            handles.append(
-                _await_ready(shard, process, receiver, ready_timeout)
-            )
+            handles.append(_await_ready(shard, process, receiver))
     except BaseException:
         for _, process, _ in started:
             if process.is_alive():
@@ -126,13 +122,13 @@ def launch_workers(
     return handles
 
 
-def _await_ready(shard, process, receiver, ready_timeout) -> WorkerHandle:
+def _await_ready(shard, process, receiver) -> WorkerHandle:
     """Collect one worker's readiness report (port or typed error)."""
     try:
-        if not receiver.poll(ready_timeout):
+        if not receiver.poll(READY_TIMEOUT):
             raise ShardUnavailableError(
                 f"shard {shard} worker did not report ready within "
-                f"{ready_timeout:g}s",
+                f"{READY_TIMEOUT:g}s",
                 shard=shard,
             )
         try:
@@ -160,8 +156,7 @@ class _WorkerState:
     k: int
     shard: int
     shard_count: int
-    prune_empty: bool
-    shard_seed: int = 0
+    shard_seed: int
     #: Sequence number of the last applied commit group — the resync
     #: cursor: a replacement worker replays the journal suffix past it.
     applied_seq: int = 0
@@ -183,7 +178,6 @@ class _WorkerState:
             self.k,
             self.shard_count,
             self.shard,
-            self.prune_empty,
             self.shard_seed,
             "memory",
             None,
@@ -195,12 +189,10 @@ class _WorkerState:
         old.close()
 
 
-def _worker_main(
-    channel, graph, k, shard, shard_count, prune_empty, shard_seed=0
-) -> None:
+def _worker_main(channel, graph, k, shard, shard_count, shard_seed) -> None:
     """Worker entry point: build, report the port, serve until shutdown."""
     try:
-        state = _WorkerState(graph, k, shard, shard_count, prune_empty, shard_seed)
+        state = _WorkerState(graph, k, shard, shard_count, shard_seed)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(("127.0.0.1", 0))

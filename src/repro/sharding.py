@@ -27,9 +27,9 @@ Three properties fall out of that rule and carry the whole design:
 * **locality** — single-source lookups (``I(p, a)`` scans, membership
   probes) route to the one shard owning ``a``; a graph mutation
   invalidates only the shards within undirected distance ``k - 1`` of
-  the touched edge (:meth:`ShardedGraph.shards_touching`), so
-  :meth:`repro.api.GraphDatabase.add_edge` rebuilds a neighborhood,
-  not the world.
+  the touched edge (:meth:`ShardedGraph.shards_touching`), so a
+  commit group through :meth:`repro.api.GraphDatabase.apply` patches
+  or rebuilds a neighborhood, not the world.
 
 What does *not* shard is Kleene recursion: a ``Star`` path may hop
 between shards arbitrarily often, so cross-shard closure cannot be
@@ -183,7 +183,6 @@ class ShardedGraph:
         shards: Sequence[PathIndex],
         backend: str,
         index_path: str | FilePath | None,
-        prune_empty: bool = True,
         shard_seed: int = 0,
     ) -> None:
         self.graph = graph
@@ -191,7 +190,6 @@ class ShardedGraph:
         self._shards = list(shards)
         self._backend = backend
         self._index_path = index_path
-        self._prune_empty = prune_empty
         #: Hash seed of the vertex-to-shard map.  Fixed per instance:
         #: re-seeding (rebalancing) means a full rebuild into a new
         #: instance, never an in-place remap.
@@ -241,7 +239,6 @@ class ShardedGraph:
         shards: int,
         backend: str = "memory",
         index_path: str | FilePath | None = None,
-        prune_empty: bool = True,
         shard_seed: int = 0,
     ) -> "ShardedGraph":
         """Partition ``graph`` and build every shard's index.
@@ -265,7 +262,6 @@ class ShardedGraph:
             k,
             shards,
             list(range(shards)),
-            prune_empty,
             shard_seed,
             backend,
             index_path,
@@ -276,7 +272,6 @@ class ShardedGraph:
             [built[shard] for shard in range(shards)],
             backend,
             index_path,
-            prune_empty,
             shard_seed=shard_seed,
         )
 
@@ -287,7 +282,6 @@ class ShardedGraph:
         k: int,
         shard_count: int,
         shard_ids: list[int],
-        prune_empty: bool,
         seed: int,
         backend: str,
         index_path: str | FilePath | None,
@@ -305,7 +299,6 @@ class ShardedGraph:
                     k,
                     shard_count,
                     shard,
-                    prune_empty,
                     seed,
                     backend,
                     index_path,
@@ -323,7 +316,6 @@ class ShardedGraph:
         k: int,
         shard_count: int,
         shard: int,
-        prune_empty: bool,
         seed: int,
         backend: str,
         index_path: str | FilePath | None,
@@ -347,7 +339,6 @@ class ShardedGraph:
             relations = path_relations_columnar(
                 graph,
                 k,
-                prune_empty=prune_empty,
                 sources=ShardMembership(shard, shard_count, seed),
             )
             return cls._shard_index(graph, k, relations, backend, index_path, shard)
@@ -485,7 +476,6 @@ class ShardedGraph:
             self.k,
             len(self._shards),
             shard_ids,
-            self._prune_empty,
             self.shard_seed,
             self._backend,
             self._index_path,
@@ -657,7 +647,6 @@ class ShardedGraph:
                 self._shards[shard].counts_by_path(),
                 self.alphabet,
                 self.k,
-                self._prune_empty,
             )
             self._catalogs[shard] = catalog
         return catalog

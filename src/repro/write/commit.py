@@ -2,19 +2,20 @@
 
 Writers from many client threads call
 :meth:`GroupCommitter.submit` concurrently.  The first arrival becomes
-the *leader*: it optionally waits a short coalescing window
-(``group_commit_ms``) for followers to queue up, drains the queue, and
+the *leader*: it drains the queue (up to :data:`MAX_GROUP` batches) and
 runs the commit callable once for the whole group — one write-lock
 acquisition, one log append run + one ``fsync``, one index delta per
 touched shard — then hands each follower its own
 :class:`~repro.write.mutation.ApplyResult`.  Followers just park on the
 condition variable; a follower whose batch was not drained becomes the
-next leader when the current one finishes.
+next leader when the current one finishes.  There is no coalescing
+window: a leader never waits for company.  Batches that queue while a
+leader commits go out together as the next group.
 
 The payoff is the classic WAL group commit: under a write storm of N
 concurrent clients the per-batch cost collapses from "one fsync + one
 shard patch each" to "1/N of one fsync + 1/N of a merged patch", while
-a lone writer with ``group_commit_ms=0`` pays no added latency at all.
+a lone writer pays no added latency at all.
 
 Failure is all-or-nothing per group: if the commit callable raises
 (a failed flush, a poisoned rebuild), every batch in the group gets
@@ -25,15 +26,18 @@ so re-submitting is safe.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Sequence
 
-from repro.errors import ReproError, ValidationError
+from repro.errors import ReproError
 from repro.write.mutation import ApplyResult, MutationBatch
 
 #: Commit callable: all batches of one group, in arrival order, to
 #: their per-batch results (same length, same order).
 CommitFn = Callable[[Sequence[MutationBatch]], Sequence[ApplyResult]]
+
+#: Batches one leader drains: arrivals beyond it form the next group,
+#: so one flush never grows unboundedly large.
+MAX_GROUP = 64
 
 
 class _Ticket:
@@ -47,24 +51,10 @@ class _Ticket:
 
 
 class GroupCommitter:
-    """Serialize batches into leader-flushed commit groups.
+    """Serialize batches into leader-flushed commit groups."""
 
-    ``window_s`` is the coalescing window (0 commits immediately);
-    ``max_group`` caps how many batches one leader drains — arrivals
-    beyond the cap form the next group, so one flush never grows
-    unboundedly large.
-    """
-
-    def __init__(
-        self, commit: CommitFn, window_s: float = 0.0, max_group: int = 64
-    ) -> None:
-        if window_s < 0:
-            raise ValidationError(f"window must be >= 0, got {window_s}")
-        if max_group < 1:
-            raise ValidationError(f"max_group must be >= 1, got {max_group}")
+    def __init__(self, commit: CommitFn) -> None:
         self._commit = commit
-        self._window = window_s
-        self._max_group = max_group
         self._cond = threading.Condition()
         self._queue: list[_Ticket] = []
         self._leader_active = False
@@ -83,9 +73,8 @@ class GroupCommitter:
             while not ticket.done:
                 if not self._leader_active and self._queue[0] is ticket:
                     self._leader_active = True
-                    self._await_followers()
-                    group = self._queue[: self._max_group]
-                    del self._queue[: self._max_group]
+                    group = self._queue[:MAX_GROUP]
+                    del self._queue[:MAX_GROUP]
                     break
                 self._cond.wait()
         if group is not None:
@@ -99,17 +88,6 @@ class GroupCommitter:
             raise ticket.error
         assert ticket.result is not None
         return ticket.result
-
-    def _await_followers(self) -> None:
-        """Leader-side coalescing wait (holding the condition)."""
-        if self._window <= 0:
-            return
-        deadline = time.monotonic() + self._window
-        while len(self._queue) < self._max_group:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            self._cond.wait(timeout=remaining)
 
     def _run_group(self, group: list[_Ticket]) -> None:
         """Run the commit callable; never raises (errors go to tickets)."""

@@ -40,8 +40,10 @@ Two phases:
 Staging falls back (returns a non-``None`` ``fallback``) when a delta
 is non-local: the label alphabet changed (the per-shard path sets
 themselves are stale — full rebuild), or the dirty-pair count passed
-``max_pairs`` (the k-radius ball blew up — ball rebuild is cheaper
-than pair-at-a-time patching).
+:data:`MAX_DIRTY_PAIRS` (the k-radius ball blew up — ball rebuild is
+cheaper than pair-at-a-time patching).  There is no switch that turns
+patching off: a group is patched when the backend takes point edits
+and staging did not fall back, and takes the rebuild otherwise.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ Pair = tuple[int, int]
 
 #: Per-shard patch: encoded path -> (pairs to insert, pairs to delete).
 ShardPatch = dict[str, tuple[list[Pair], list[Pair]]]
+
+#: Dirty-pair budget per commit group; past it the delta is deemed
+#: non-local and the group falls back to the ball rebuild.  Read at
+#: every :func:`stage_group` call, so 0 forces the fallback.
+MAX_DIRTY_PAIRS = 20_000
 
 
 def path_targets(graph: Graph, source: int, path: LabelPath) -> set[int]:
@@ -140,7 +147,6 @@ def stage_group(
     index,
     batches: list[MutationBatch],
     paths: list[LabelPath],
-    max_pairs: int,
 ) -> StagedGroup:
     """Apply ``batches`` to ``graph`` in order; collect the group delta.
 
@@ -151,7 +157,7 @@ def stage_group(
     it; there is no path that leaves the group half-applied.
     """
     staged = StagedGroup()
-    budget = max_pairs
+    budget = MAX_DIRTY_PAIRS
     for batch in batches:
         applied = 0
         noops = 0

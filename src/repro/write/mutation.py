@@ -1,6 +1,6 @@
 """Mutation value types: the unit of the unified write API.
 
-Every write — a single ``add_edge`` call, a CLI-streamed edge-list
+Every write — a single-edge ``apply``, a CLI-streamed edge-list
 delta, a client ``POST /apply`` — is expressed as a
 :class:`MutationBatch` of :class:`Mutation` records and handed to one
 entry point, ``GraphDatabase.apply(batch)``.  The types here are the

@@ -21,6 +21,7 @@ from repro.graph.graph import Graph
 from repro.rpq.parser import parse
 from repro.rpq.semantics import eval_query
 from repro.serve import CoordinatorDatabase
+from repro.write import delta
 from repro.write.mutation import Mutation
 
 
@@ -267,7 +268,10 @@ class TestFailedIndexChange:
     )
     @pytest.mark.parametrize("change", ["build", "rebuild", "patch"])
     def test_nothing_survives(self, change, engine, shards, close_error, monkeypatch):
-        config = ServiceConfig(k=2, shards=shards, delta_patching=change == "patch")
+        if change == "rebuild":
+            # A zero dirty-pair budget: the group takes the rebuild.
+            monkeypatch.setattr(delta, "MAX_DIRTY_PAIRS", 0)
+        config = ServiceConfig(k=2, shards=shards)
         db = engine.from_edges(self.EDGES, config=config)
         old_index = db._index
         dropped, closed = [old_index], []

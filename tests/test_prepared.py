@@ -30,6 +30,7 @@ from repro.errors import ParseError, ValidationError
 from repro.graph.examples import FIGURE1_EDGES, figure1_graph
 from repro.rpq import ast
 from repro.rpq.parser import parse, parse_template
+from repro.write import Mutation
 
 from tests.strategies import graphs
 
@@ -189,9 +190,9 @@ class TestPreparedEqualsQuery:
             check(1)
             check(2)
             check(2)  # second run of the same binding: plan-cache hit
-            assert database.add_edge("kim", "supervisor", "ann") is not None
+            assert database.apply(Mutation.add("kim", "supervisor", "ann")).changed
             check(2)
-            assert database.remove_edge("kim", "supervisor", "ann") is not None
+            assert database.apply(Mutation.remove("kim", "supervisor", "ann")).changed
             check(2)
             database.build_index()  # same graph, fresh statistics epoch
             check(2)
@@ -325,7 +326,7 @@ def older_build_plan_file(database: GraphDatabase, template: str, ns) -> dict:
     fingerprint = _digest(
         [
             database.k,
-            database.config.histogram_buckets,
+            64,  # histogram buckets
             sorted(database.graph.labels()),
             database.graph.node_count,
             statistics.total_paths_k,

@@ -8,7 +8,10 @@ clears the cache wholesale, so both routes are covered.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api import GraphDatabase, ServiceConfig
+from repro.errors import ValidationError
 from repro.graph.examples import FIGURE1_EDGES
 from repro.rpq.semantics import eval_query
 
@@ -84,6 +87,14 @@ class TestCacheHits:
         database = _database(query_cache_size=0)
         database.query("knows")
         assert not database.query("knows").cached
+
+    @pytest.mark.parametrize(
+        "budget", [{"query_cache_size": -1}, {"query_cache_max_pairs": -5}]
+    )
+    def test_negative_budgets_are_rejected(self, budget):
+        """A negative budget is a mistake, not a request for capacity 0."""
+        with pytest.raises(ValidationError, match=next(iter(budget))):
+            ServiceConfig(**budget)
 
     def test_pairs_budget_bounds_memory(self):
         """The cache is bounded by total answer pairs, not just entries."""

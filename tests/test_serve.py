@@ -272,7 +272,7 @@ class TestGarbledErrorPayloads:
                 pass
 
         with pytest.raises(WireError):
-            _await_ready(0, None, Receiver(), 1.0)
+            _await_ready(0, None, Receiver())
 
 
 # -- config and stats (API redesign satellites) --------------------------------
@@ -309,6 +309,21 @@ class TestServiceConfig:
             ServiceConfig(replan_divergence=4.0)
         with pytest.raises(TypeError, match="scatter_pruning"):
             ServiceConfig(scatter_pruning=False)
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "shard_seed",
+            "histogram_buckets",
+            "group_commit_ms",
+            "group_commit_max",
+            "delta_patching",
+            "delta_max_pairs",
+        ],
+    )
+    def test_one_value_knobs_are_constants(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            ServiceConfig(**{knob: 1})
 
     def test_k_overrides_config(self):
         db = GraphDatabase.from_edges(
@@ -404,21 +419,22 @@ class TestCoordinator:
         assert coordinator.query_from(node, "a/b") == want
 
     def test_mutation_parity(self, coordinator, oracle):
-        assert coordinator.add_edge("n0", "a", "n39") is not None
-        oracle.add_edge("n0", "a", "n39")
+        edge = ("n0", "a", "n39")
+        assert coordinator.apply(Mutation.add(*edge)).changed
+        oracle.apply(Mutation.add(*edge))
         try:
             for query in QUERIES:
                 assert (
                     coordinator.query(query).pairs == oracle.query(query).pairs
                 )
         finally:
-            coordinator.remove_edge("n0", "a", "n39")
-            oracle.remove_edge("n0", "a", "n39")
+            coordinator.apply(Mutation.remove(*edge))
+            oracle.apply(Mutation.remove(*edge))
         assert coordinator.query("a/b").pairs == oracle.query("a/b").pairs
 
     def test_duplicate_add_is_noop_everywhere(self, coordinator):
         first = next(iter(coordinator.graph.edges()))
-        assert coordinator.add_edge(*first) is None
+        assert not coordinator.apply(Mutation.add(*first)).changed
 
     def test_deadline_propagates(self, coordinator):
         with pytest.raises(QueryTimeoutError):
@@ -625,15 +641,15 @@ class TestHttpService:
         assert again.pairs == result.pairs
 
     def test_mutation_round_trip(self, client, oracle, coordinator):
-        version = client.add_edge("n1", "b", "n38")
-        assert version is not None
-        assert client.add_edge("n1", "b", "n38") is None
-        oracle.add_edge("n1", "b", "n38")
+        edge = ("n1", "b", "n38")
+        assert client.apply(Mutation.add(*edge)).changed
+        assert not client.apply(Mutation.add(*edge)).changed
+        oracle.apply(Mutation.add(*edge))
         try:
             assert client.query("a/b").pairs == oracle.query("a/b").pairs
         finally:
-            assert client.remove_edge("n1", "b", "n38") is not None
-            oracle.remove_edge("n1", "b", "n38")
+            assert client.apply(Mutation.remove(*edge)).changed
+            oracle.apply(Mutation.remove(*edge))
 
     def test_parse_error_crosses_wire(self, client):
         with pytest.raises(ParseError):
@@ -846,10 +862,11 @@ class TestKeepAlive:
         client = Client(port=handle.port)
         version = client.health()["version"]
         with pytest.raises(TransientWireError):
-            client.add_edge("n1", "c", "n2")
+            client.apply(Mutation.add("n1", "c", "n2"))
         monkeypatch.undo()
         assert client.health()["version"] == db.graph.version == version + 1
-        assert client.add_edge("n1", "c", "n2") is None  # it is there, once
+        # It is there, once.
+        assert not client.apply(Mutation.add("n1", "c", "n2")).changed
         client.close()
 
     def test_stop_with_an_idle_pooled_connection(self, caplog):

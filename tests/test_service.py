@@ -2,8 +2,8 @@
 
 Covers the :class:`repro.concurrency.ReadWriteLock` primitive, the
 thread-safety of :class:`repro.api.GraphDatabase` (the multi-threaded
-hammer test: N threads interleaving ``query`` / ``add_edge`` /
-``remove_edge`` while every served answer must match the
+hammer test: N threads interleaving ``query`` with single-edge
+``apply`` adds and removes while every served answer must match the
 single-threaded oracle for the graph version it carries), the
 ``query_batch`` API with its batch-wide scan memo, and the
 frozen-relation assertion.
@@ -33,6 +33,7 @@ from repro.errors import ExecutionError, ReproError
 from repro.graph.examples import FIGURE1_EDGES, figure1_graph
 from repro.relation import Order, Relation
 from repro.rpq.semantics import eval_query
+from repro.write import Mutation, delta
 
 from tests.strategies import rpq_asts
 
@@ -223,8 +224,9 @@ class TestServiceMutations:
     def test_add_edge_returns_version_and_serves_fresh_answers(self):
         database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
         before = database.query("knows")
-        version = database.add_edge("ada", "knows", "kim")
-        assert version is not None and version > before.version
+        result = database.apply(Mutation.add("ada", "knows", "kim"))
+        version = result.version
+        assert result.changed and version > before.version
         after = database.query("knows")
         assert after.version == version
         assert ("ada", "kim") in after.pairs
@@ -233,23 +235,24 @@ class TestServiceMutations:
     def test_duplicate_add_is_a_noop(self):
         database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
         version = database.graph.version
-        assert database.add_edge("ada", "knows", "zoe") is None  # exists
+        # The edge exists.
+        assert not database.apply(Mutation.add("ada", "knows", "zoe")).changed
         assert database.graph.version == version
 
     def test_remove_edge_round_trip(self):
         database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
         baseline = database.query("knows/worksFor").pairs
-        assert database.remove_edge("zoe", "worksFor", "ada") is not None
+        assert database.apply(Mutation.remove("zoe", "worksFor", "ada")).changed
         mutated = database.query("knows/worksFor")
         assert set(mutated.pairs) == eval_query(
             database.graph, "knows/worksFor"
         )
-        assert database.add_edge("zoe", "worksFor", "ada") is not None
+        assert database.apply(Mutation.add("zoe", "worksFor", "ada")).changed
         assert database.query("knows/worksFor").pairs == baseline
 
     def test_remove_missing_edge_is_a_noop(self):
         database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
-        assert database.remove_edge("ada", "knows", "ada") is None
+        assert not database.apply(Mutation.remove("ada", "knows", "ada")).changed
 
     def test_failed_rebuild_fails_queries_cleanly_until_healed(
         self, monkeypatch
@@ -261,11 +264,11 @@ class TestServiceMutations:
         from repro.errors import PathIndexError
         from repro.indexes.pathindex import PathIndex
 
-        # Patching off, so the mutation rebuilds; the failure is
-        # injected into the one loader every shard is built through.
-        database = GraphDatabase.from_edges(
-            FIGURE1_EDGES, config=ServiceConfig(k=2, delta_patching=False)
-        )
+        # A zero dirty-pair budget, so the mutation rebuilds; the
+        # failure is injected into the one loader every shard is built
+        # through.
+        monkeypatch.setattr(delta, "MAX_DIRTY_PAIRS", 0)
+        database = GraphDatabase.from_edges(FIGURE1_EDGES, config=ServiceConfig(k=2))
         original_build = PathIndex.from_relations
 
         def exploding_build(*args, **kwargs):
@@ -273,7 +276,7 @@ class TestServiceMutations:
 
         monkeypatch.setattr(PathIndex, "from_relations", exploding_build)
         with pytest.raises(OSError):
-            database.add_edge("ada", "knows", "kim")
+            database.apply(Mutation.add("ada", "knows", "kim"))
         # The graph is mutated and the index cleared: queries retry the
         # rebuild (and fail loudly) rather than serving stale answers.
         with pytest.raises(OSError):
@@ -307,7 +310,7 @@ class TestServiceMutations:
 
         monkeypatch.setattr(DiskBPlusTree, "bulk_load", exploding)
         with pytest.raises(OSError):
-            database.add_edge("ada", "knows", "kim")
+            database.apply(Mutation.add("ada", "knows", "kim"))
         monkeypatch.setattr(DiskBPlusTree, "bulk_load", original)
         database.build_index()  # must not be wedged by the partial file
         assert set(database.query("knows").pairs) == eval_query(
@@ -326,11 +329,11 @@ class TestServiceMutations:
             k=2,
             config=ServiceConfig(backend=backend, index_path=index_path),
         ) as database:
-            assert database.add_edge("ada", "knows", "kim") is not None
+            assert database.apply(Mutation.add("ada", "knows", "kim")).changed
             assert set(database.query("knows").pairs) == eval_query(
                 database.graph, "knows"
             )
-            assert database.remove_edge("ada", "knows", "kim") is not None
+            assert database.apply(Mutation.remove("ada", "knows", "kim")).changed
             assert set(database.query("knows").pairs) == eval_query(
                 database.graph, "knows"
             )
@@ -476,7 +479,7 @@ class TestQueryBatch:
 
 
 class TestConcurrentHammer:
-    """N threads interleave query / add_edge / remove_edge.
+    """N threads interleave queries with single-edge ``apply`` writes.
 
     Every answer must match the single-threaded oracle for the graph
     version it was served under — no torn LRU entries, no answers
@@ -518,14 +521,15 @@ class TestConcurrentHammer:
                 for _ in range(10):
                     edge = rng.choice(slice_edges)
                     if edge in present:
-                        version = database.remove_edge(*edge)
+                        result = database.apply(Mutation.remove(*edge))
                         operation = "remove"
                         present.discard(edge)
                     else:
-                        version = database.add_edge(*edge)
+                        result = database.apply(Mutation.add(*edge))
                         operation = "add"
                         present.add(edge)
-                    assert version is not None
+                    assert result.changed
+                    version = result.version
                     with log_lock:
                         op_log.append((version, operation, edge))
             return run
@@ -624,8 +628,8 @@ class TestConcurrentHammer:
 
         def mutator():
             for _ in range(6):
-                assert database.add_edge("ada", "knows", "kim") is not None
-                assert database.remove_edge("ada", "knows", "kim") is not None
+                assert database.apply(Mutation.add("ada", "knows", "kim")).changed
+                assert database.apply(Mutation.remove("ada", "knows", "kim")).changed
 
         def batcher(seed):
             def run():

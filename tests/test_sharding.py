@@ -28,7 +28,7 @@ from repro.indexes.builder import path_relations, path_relations_columnar
 from repro.indexes.pathindex import PathIndex
 from repro.rpq.semantics import eval_query
 from repro.sharding import ShardedGraph, ShardMembership, shard_of
-from repro.write import Mutation
+from repro.write import Mutation, delta
 
 from tests.strategies import graphs, label_paths
 
@@ -263,8 +263,8 @@ def test_disk_backend_shards_and_rebuilds(tmp_path):
         database.query(query, use_cache=False).pairs
         == oracle.query(query, use_cache=False).pairs
     )
-    database.add_edge("extra", "master", "n0")
-    oracle.add_edge("extra", "master", "n0")
+    database.apply(Mutation.add("extra", "master", "n0"))
+    oracle.apply(Mutation.add("extra", "master", "n0"))
     assert (
         database.query(query, use_cache=False).pairs
         == oracle.query(query, use_cache=False).pairs
@@ -314,12 +314,15 @@ def test_add_edge_patches_shards_in_place():
     mutation_oracle(graph, database, MUTATION_QUERIES)
 
 
-def test_add_edge_ball_rebuild_without_patching():
+def test_add_edge_ball_rebuild_without_patching(monkeypatch):
     graph = advogato_like(
         nodes=50, edges=150, seed=4, labels=("a", "b", "c")
     )
+    # A zero dirty-pair budget: every changed group overflows into the
+    # ball rebuild.
+    monkeypatch.setattr(delta, "MAX_DIRTY_PAIRS", 0)
     database = GraphDatabase(
-        graph, config=ServiceConfig(k=2, shards=4, delta_patching=False)
+        graph, config=ServiceConfig(k=2, shards=4)
     )
     sharded = database.index
     before = sharded.shard_indexes
@@ -341,14 +344,16 @@ def test_add_edge_ball_rebuild_without_patching():
 def test_mutations_match_fresh_unsharded_engine():
     graph = advogato_like(nodes=40, edges=120, seed=6, labels=("a", "b"), label_weights=None)
     database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=3))
-    assert database.add_edge("n3", "a", "n17") is not None
+    assert database.apply(Mutation.add("n3", "a", "n17")).changed
     mutation_oracle(graph, database, MUTATION_QUERIES)
-    assert database.add_edge("n3", "a", "n17") is None  # duplicate: no-op
-    assert database.remove_edge("n3", "a", "n17") is not None
+    # Duplicate: no-op.
+    assert not database.apply(Mutation.add("n3", "a", "n17")).changed
+    assert database.apply(Mutation.remove("n3", "a", "n17")).changed
     mutation_oracle(graph, database, MUTATION_QUERIES)
-    assert database.remove_edge("n3", "a", "n17") is None  # absent: no-op
+    # Absent: no-op.
+    assert not database.apply(Mutation.remove("n3", "a", "n17")).changed
     # New node: still answered exactly, identity included.
-    assert database.add_edge("brand-new", "b", "n0") is not None
+    assert database.apply(Mutation.add("brand-new", "b", "n0")).changed
     mutation_oracle(graph, database, MUTATION_QUERIES)
 
 
@@ -356,13 +361,13 @@ def test_new_label_forces_full_rebuild_and_stays_exact():
     graph = advogato_like(nodes=30, edges=90, seed=8, labels=("a", "b"), label_weights=None)
     database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=3))
     sharded = database.index
-    assert database.add_edge("n0", "zzz", "n1") is not None
+    assert database.apply(Mutation.add("n0", "zzz", "n1")).changed
     rebuilt = database.index
     assert rebuilt is not sharded  # vocabulary change: whole new index
     assert rebuilt.alphabet == graph.labels()
     mutation_oracle(graph, database, MUTATION_QUERIES + ("zzz/a", "zzz*"))
     # Removing the label's only edge shrinks the vocabulary again.
-    assert database.remove_edge("n0", "zzz", "n1") is not None
+    assert database.apply(Mutation.remove("n0", "zzz", "n1")).changed
     assert database.index.alphabet == graph.labels()
     mutation_oracle(graph, database, MUTATION_QUERIES)
 
@@ -391,7 +396,8 @@ def test_query_cache_survives_sharded_mutations():
     first = database.query("a/b")
     again = database.query("a/b")
     assert again.cached and again.pairs == first.pairs
-    database.add_edge("n0", "a", "n1") or database.remove_edge("n0", "a", "n1")
+    if not database.apply(Mutation.add("n0", "a", "n1")).changed:
+        database.apply(Mutation.remove("n0", "a", "n1"))
     refreshed = database.query("a/b")
     assert not refreshed.cached
     mutation_oracle(graph, database, ("a/b",))

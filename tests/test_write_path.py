@@ -4,6 +4,8 @@ The contracts under test, in the order the module covers them:
 
 * **value types** — ``Mutation`` / ``MutationBatch`` / ``ApplyResult``
   validate eagerly and round-trip their wire forms;
+* **group commit** — with no coalescing window, the batches that queue
+  while a leader commits go out together as the next group;
 * **exactness** — any interleaving of ``apply()`` batches against the
   delta-patching engine, at one shard or many, answers exactly like
   the ``rpq/semantics`` reference evaluator over a graph kept in step
@@ -21,8 +23,7 @@ The contracts under test, in the order the module covers them:
 * **the serve stack** — the coordinator absorbs commit groups as patch
   broadcasts, restarts workers by journal replay (zero full-graph
   transfers), and the HTTP ``/apply`` route + clients + CLI speak the
-  same one wire shape;
-* **deprecations** — legacy keyword knobs warn but keep working.
+  same one wire shape.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import random
 import sys
 import threading
 import warnings
+from contextlib import contextmanager
 
 import pytest
 from concurrent.futures import BrokenExecutor
@@ -55,7 +57,8 @@ from repro.rpq.semantics import eval_query
 from repro.serve import CoordinatorDatabase
 from repro.serve.coordinator import WorkerStub
 from repro.serve.server import serve_in_thread
-from repro.write import ApplyResult, Mutation, MutationBatch, MutationLog
+from repro.write import ApplyResult, Mutation, MutationBatch, MutationLog, delta
+from repro.write.commit import GroupCommitter
 
 QUERIES = ("a/b", "b/a", "a/b/c", "(a|b)/c")
 
@@ -114,6 +117,57 @@ class TestMutationTypes:
         assert ApplyResult.from_wire(result.as_wire()) == result
         assert result.changed
         assert not ApplyResult(0, 3, 9, "noop").changed
+
+
+# -- group commit --------------------------------------------------------------
+
+
+class TestGroupCommitter:
+    def test_batches_queued_behind_a_leader_commit_as_one_group(self):
+        """No window: the first batch commits alone, and every batch that
+        queued while it committed goes out together as the next group."""
+        submitters = 6
+        started, release = threading.Event(), threading.Event()
+        groups: list[list[str]] = []
+
+        def commit(batches):
+            groups.append([batch.mutations[0].source for batch in batches])
+            if len(groups) == 1:
+                started.set()
+                assert release.wait(10)
+            return [
+                ApplyResult(applied=1, noops=0, version=int(name[1:]), mode="noop")
+                for name in groups[-1]
+            ]
+
+        committer = GroupCommitter(commit)
+        results: dict[int, ApplyResult] = {}
+
+        def submit(number: int) -> None:
+            batch = MutationBatch.of(Mutation.add(f"n{number}", "a", "m"))
+            results[number] = committer.submit(batch)
+
+        threads = [threading.Thread(target=submit, args=(0,))]
+        threads[0].start()
+        assert started.wait(10)
+        threads += [
+            threading.Thread(target=submit, args=(number,))
+            for number in range(1, submitters)
+        ]
+        for thread in threads[1:]:
+            thread.start()
+        with committer._cond:
+            assert committer._cond.wait_for(
+                lambda: len(committer._queue) == submitters - 1, timeout=10
+            )
+        release.set()
+        for thread in threads:
+            thread.join(10)
+        assert [len(group) for group in groups] == [1, submitters - 1]
+        assert committer.groups == 2
+        assert committer.coalesced == submitters - 2
+        versions = {number: result.version for number, result in results.items()}
+        assert versions == {number: number for number in range(submitters)}
 
 
 # -- engine exactness ----------------------------------------------------------
@@ -179,23 +233,9 @@ class TestApplyEngine:
         finally:
             db.close()
 
-    def test_shims_ride_apply(self):
-        db = GraphDatabase.from_edges(_edges(5), config=ServiceConfig(k=2, shards=2))
-        try:
-            version = db.add_edge("n0", "a", "n39")
-            assert version == db.graph.version
-            assert db.add_edge("n0", "a", "n39") is None
-            assert db.remove_edge("n0", "a", "n39") == db.graph.version
-            assert db.remove_edge("n0", "a", "n39") is None
-        finally:
-            db.close()
-
     def test_concurrent_writers_coalesce_and_stay_exact(self):
         edges = _edges(6)
-        config = ServiceConfig(
-            k=2, shards=4, group_commit_ms=2.0, group_commit_max=16
-        )
-        db = GraphDatabase.from_edges(edges, config=config)
+        db = GraphDatabase.from_edges(edges, config=ServiceConfig(k=2, shards=4))
         oracle = _Oracle(edges)
         # Adds only: insertions commute and are idempotent, so the
         # final graph is interleaving-independent.
@@ -359,12 +399,19 @@ class TestInterleavingProperty:
 ABSORBERS = ("patch", "fallback", "coordinator")
 
 
-def _open(absorber: str, edges, k: int, shards: int) -> GraphDatabase:
-    # One dirty pair is over budget: every group overflows into the rebuild.
-    overflow = {"delta_max_pairs": 1} if absorber == "fallback" else {}
-    config = ServiceConfig(k=k, shards=shards, **overflow)
+@contextmanager
+def _opened(absorber: str, edges, k: int, shards: int):
+    """A database over ``edges`` absorbing groups ``absorber``'s way."""
     cls = CoordinatorDatabase if absorber == "coordinator" else GraphDatabase
-    return cls.from_edges(edges, config=config)
+    with pytest.MonkeyPatch.context() as patch:
+        if absorber == "fallback":
+            # A zero dirty-pair budget: every group overflows into the rebuild.
+            patch.setattr(delta, "MAX_DIRTY_PAIRS", 0)
+        db = cls.from_edges(edges, config=ServiceConfig(k=k, shards=shards))
+        try:
+            yield db
+        finally:
+            db.close()
 
 
 def _commit(db: GraphDatabase, group) -> None:
@@ -437,13 +484,10 @@ class TestMaintainedPathsK:
     @given(plan=group_plans(), shards=st.sampled_from([1, 2, 4]))
     def test_total_stays_exact_after_every_group(self, absorber, k, plan, shards):
         start, groups = plan
-        db = _open(absorber, start, k, shards)
-        try:
+        with _opened(absorber, start, k, shards) as db:
             for group in groups:
                 _commit(db, group)
                 _assert_statistics_fresh(db, k, shards)
-        finally:
-            db.close()
 
     @pytest.mark.parametrize("absorber", ABSORBERS)
     def test_named_corner_cases_in_one_group(self, absorber):
@@ -464,12 +508,9 @@ class TestMaintainedPathsK:
         ]
         for k in (1, 2, 3):
             for shards in (1, 4):
-                db = _open(absorber, start, k, shards)
-                try:
+                with _opened(absorber, start, k, shards) as db:
                     _commit(db, group)
                     _assert_statistics_fresh(db, k, shards)
-                finally:
-                    db.close()
 
     def test_full_count_runs_once_per_index_instance(self, monkeypatch):
         """Local groups never recount the graph; only a new instance does."""
@@ -541,10 +582,10 @@ class TestFailedAbsorbDropsMaintainedSizes:
     index, and let the next build count from scratch.
     """
 
-    def _db(self, **extra):
+    def _db(self):
         return GraphDatabase.from_edges(
             _edges(17, nodes=60, count=90),
-            config=ServiceConfig(k=2, shards=4, **extra),
+            config=ServiceConfig(k=2, shards=4),
         )
 
     def _assert_recovers(self, db, doomed_index) -> None:
@@ -559,9 +600,11 @@ class TestFailedAbsorbDropsMaintainedSizes:
         assert rebuilt.total_paths_k() == count_paths_k(db.graph, 2)
         assert db.exact_statistics.total_paths_k == rebuilt.total_paths_k()
 
-    def test_fault_at_shard_build_during_ball_rebuild(self):
+    def test_fault_at_shard_build_during_ball_rebuild(self, monkeypatch):
+        # A zero dirty-pair budget: the group takes the ball rebuild.
+        monkeypatch.setattr(delta, "MAX_DIRTY_PAIRS", 0)
         with disarmed():
-            db = self._db(delta_max_pairs=1)
+            db = self._db()
             doomed = db.index
         try:
             # A ball that leaves at least one shard out, so the group
@@ -865,14 +908,6 @@ class TestHttpApply:
         )
         assert isinstance(result, ApplyResult)
         assert result.version == db.graph.version
-
-    def test_client_shims_ride_apply(self, served):
-        _, client = served
-        version = client.add_edge("n4", "c", "n5")
-        assert isinstance(version, int)
-        assert client.add_edge("n4", "c", "n5") is None
-        removed = client.remove_edge("n4", "c", "n5")
-        assert isinstance(removed, int) and removed > version
 
     def test_mutate_route_is_gone(self, served):
         db, client = served
