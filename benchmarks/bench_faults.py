@@ -1,7 +1,7 @@
 """Fault-harness overhead: armed-but-idle vs disarmed hot path.
 
 The fault-injection harness (:mod:`repro.faults`) threads ``fire()``
-calls through the disk pager, every shard scan, the per-shard build
+calls through the disk image reader, every shard scan, the per-shard build
 and the gather merge.  Disarmed, each call is one
 global load and an ``is None`` test; armed with rules that never fire
 (``rate=0.0`` at the real injection points), each call adds a
@@ -58,7 +58,7 @@ def idle_plan() -> FaultPlan:
         [
             FaultRule("shard.scan", "transient", rate=0.0),
             FaultRule("gather.merge", "transient", rate=0.0),
-            FaultRule("storage.read_page", "corrupt", rate=0.0),
+            FaultRule("storage.read_image", "corrupt", rate=0.0),
         ],
         seed=7,
     )

@@ -1,9 +1,11 @@
-"""Storage ablation: in-memory vs disk B+tree index scans.
+"""Storage ablation: sorted-column vs compressed index scans.
 
-The paper builds on PostgreSQL's B+trees; this repo has both an
-in-memory tree (default) and a page-based disk tree.  The bench
-measures full-path prefix scans of varying result size on each backend
-— the access pattern that dominates query evaluation.
+The memory backend hands out its per-path sorted columns; the disk
+backend serves the same columns (its image file is only read on
+reopen), so it has no scan arm of its own.  The bench measures
+full-path scans of varying result size on the memory and compressed
+backends — the access pattern that dominates query evaluation — and
+checks that a reopened disk image answers like both.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ def memory_index(prepared_small):
 
 @pytest.fixture(scope="module")
 def disk_index(prepared_small, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("diskindex")
-    return PathIndex.build(
-        prepared_small.graph, 2, backend="disk", path=directory / "index.db"
-    )
+    """A disk index written, then reopened from its image."""
+    path = tmp_path_factory.mktemp("diskindex") / "index.db"
+    PathIndex.build(prepared_small.graph, 2, backend="disk", path=path)
+    return PathIndex.open_disk(prepared_small.graph, path)
 
 
 @pytest.mark.parametrize("position", (0, 1, 2), ids=("small", "medium", "large"))
@@ -51,17 +53,6 @@ def test_memory_scan(benchmark, memory_index, position):
     benchmark.group = f"storage-scan-{position}"
     pairs = benchmark.pedantic(
         lambda: memory_index.scan(path), rounds=5, iterations=1
-    )
-    benchmark.extra_info["rows"] = len(pairs)
-
-
-@pytest.mark.parametrize("position", (0, 1, 2), ids=("small", "medium", "large"))
-def test_disk_scan(benchmark, disk_index, position):
-    paths = _paths_by_size(disk_index)
-    path = paths[position]
-    benchmark.group = f"storage-scan-{position}"
-    pairs = benchmark.pedantic(
-        lambda: disk_index.scan(path), rounds=5, iterations=1
     )
     benchmark.extra_info["rows"] = len(pairs)
 
@@ -90,6 +81,7 @@ def test_compression_ratio_reported(compressed_index):
 
 
 def test_backends_agree(memory_index, disk_index, compressed_index):
+    assert disk_index.counts_by_path() == compressed_index.counts_by_path()
     for path in _paths_by_size(memory_index):
         assert memory_index.scan(path) == disk_index.scan(path)
         assert memory_index.scan(path) == compressed_index.scan(path)

@@ -1,13 +1,12 @@
 """Building, persisting and re-opening a disk-backed k-path index.
 
 The paper's prototype stores ``I_{G,k}`` in PostgreSQL tables backed by
-B+trees.  This repo ships an equivalent page-based disk B+tree; this
-example shows the full persistence cycle:
+B+trees.  Here the disk backend is the memory backend's per-path sorted
+columns plus one image file (magic number, version, catalog, columns,
+CRC32); this example shows the full persistence cycle:
 
-1. build the index on disk (4 KiB pages, LRU buffer pool),
-2. persist the path catalog next to it,
-3. re-open both in a fresh session and answer queries,
-4. inspect buffer-pool behaviour (hits / misses / evictions).
+1. build the index and write its image,
+2. re-open the image in a fresh session and answer queries.
 
 Run:  python examples/disk_index_persistence.py
 """
@@ -24,21 +23,18 @@ def main() -> None:
     graph = advogato_like(nodes=250, edges=1500, seed=13)
     workdir = Path(tempfile.mkdtemp(prefix="rpq_index_"))
     index_path = workdir / "advogato_k2.db"
-    catalog_path = workdir / "advogato_k2.catalog.json"
 
     print(f"building disk index at {index_path} ...")
     index = PathIndex.build(graph, k=2, backend="disk", path=index_path)
-    index.save_catalog(catalog_path)
     entries = index.entry_count
     paths = index.path_count
-    index.close()
-    size_kib = index_path.stat().st_size / 1024
-    print(f"  {entries} entries over {paths} label paths, "
-          f"{size_kib:.0f} KiB on disk")
+    size = index_path.stat().st_size
+    print(f"  {entries} entries over {paths} label paths")
+    print(f"  image: {size / 1024:.0f} KiB, {size / entries:.1f} bytes per entry")
     print()
 
     print("re-opening in a fresh session ...")
-    with PathIndex.open_disk(graph, index_path, catalog_path) as reopened:
+    with PathIndex.open_disk(graph, index_path) as reopened:
         sample = LabelPath.of("master", "journeyer")
         pairs = reopened.scan(sample)
         print(f"  scan({sample}) -> {len(pairs)} pairs")
@@ -51,13 +47,6 @@ def main() -> None:
         swapped = reopened.scan_swapped(sample)
         print(f"  scan_swapped({sample}) -> {len(swapped)} pairs "
               f"(target-sorted, for merge joins)")
-
-        stats = reopened._backend._tree.pager_stats
-        print()
-        print("buffer pool after the scans:")
-        print(f"  hits={stats.hits} misses={stats.misses} "
-              f"evictions={stats.evictions} "
-              f"hit-ratio={stats.hit_ratio():.2%}")
 
 
 if __name__ == "__main__":

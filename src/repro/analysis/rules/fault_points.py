@@ -2,7 +2,7 @@
 
 The deterministic fault harness (:mod:`repro.faults`) only proves what
 it can reach.  Eight injection points cover the engine's I/O
-boundaries — pager reads, shard scans, shard builds, the gather merge,
+boundaries — image reads, shard scans, shard builds, the gather merge,
 the serve layer's RPC send/receive, and the mutation log's
 append/flush — and the chaos CI job arms most of them.
 New I/O that bypasses ``fire()``/``retry_call`` silently shrinks that
@@ -26,7 +26,7 @@ from repro.faults import INJECTION_POINTS
 
 #: ``(file suffix, qualname pattern, required injection point)``.
 BOUNDARIES = (
-    ("repro/storage/pager.py", r"Pager\.read_page$", "storage.read_page"),
+    ("repro/indexes/pathindex.py", r"^_read_image$", "storage.read_image"),
     ("repro/sharding.py", r"\.shard_scan$", "shard.scan"),
     ("repro/sharding.py", r"\.shard_scan_swapped$", "shard.scan"),
     ("repro/sharding.py", r"\._serial_shard$", "shard.build"),

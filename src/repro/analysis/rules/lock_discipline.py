@@ -39,7 +39,7 @@ CACHE_STATE = {"_query_cache", "_cached_pairs", "_cache_version"}
 
 #: Calls that mutate shared state and therefore must never appear
 #: lexically inside a shared (read) section.
-MUTATION_CALLS = {"add_edge", "remove_edge", "rebuild_shards", "bulk_load"}
+MUTATION_CALLS = {"add_edge", "remove_edge", "rebuild_shards"}
 
 
 def _self_attribute(node: ast.AST) -> str | None:

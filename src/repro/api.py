@@ -285,23 +285,13 @@ class GraphDatabase:
     def _build_index_locked(self) -> ShardedGraph:
         """Replace the index with a fresh one; caller holds the write lock.
 
-        The disk backend forces destruction first: its B+tree only
-        bulk-loads into an empty file, so the old backend is released
-        before the build (which removes each shard's stale file
-        itself).  Every other backend keeps the old index until the new
-        one is installed.  The statistics epoch moves, so plans made
-        before the build are re-planned even on an unchanged graph.
+        The old index keeps serving until the new one is installed (a
+        disk build writes each shard's image by atomic rename).  The
+        statistics epoch moves, so plans made before the build are
+        re-planned even on an unchanged graph.
         """
         self._statistics_epoch += 1
-
-        def rebuild(old_index: ShardedGraph | None) -> ShardedGraph:
-            if self._backend == "disk" and old_index is not None:
-                # Closing is idempotent, so the close every replaced
-                # index gets after the install costs nothing here.
-                old_index.close()
-            return self._make_index_locked()
-
-        return self._replace_index_locked(rebuild)
+        return self._replace_index_locked(lambda _old: self._make_index_locked())
 
     def _make_index_locked(self) -> ShardedGraph:
         """How an index comes to exist: built in this process."""
@@ -353,12 +343,12 @@ class GraphDatabase:
         """Clear the index/statistics triple and close what it dropped.
 
         The failure arm of every rebuild and patch path: a dropped
-        index holds file handles (disk backend) or a whole worker fleet
-        (the coordinator), so it is closed here, without masking the
-        failure being handled.  The resilience taxonomy is the one
-        exception — a deadline or retryable fault inside ``close()``
-        propagates, the original failure riding along as
-        ``__context__`` — once every index has had its close.
+        index may hold a whole worker fleet (the coordinator), so it is
+        closed here, without masking the failure being handled.  The
+        resilience taxonomy is the one exception — a deadline or
+        retryable fault inside ``close()`` propagates, the original
+        failure riding along as ``__context__`` — once every index has
+        had its close.
         """
         self._index = None
         self._exact_statistics = None

@@ -186,11 +186,7 @@ def run_index_build(
     rows: list[IndexBuildRow] = []
     for backend in backends:
         for k in ks:
-            path = None
-            if backend == "disk":
-                if tmp_dir is None:
-                    raise ValueError("disk backend requires tmp_dir")
-                path = f"{tmp_dir}/pathindex_k{k}.db"
+            path = None if tmp_dir is None else f"{tmp_dir}/pathindex_k{k}.db"
             started = time.perf_counter()
             index = PathIndex.build(graph, k, backend=backend, path=path)
             build_seconds = time.perf_counter() - started

@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.errors import ValidationError
+from repro.indexes.pathindex import BACKENDS
 
 
 def default_shard_count() -> int:
@@ -98,6 +99,12 @@ class ServiceConfig:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.shards is not None and self.shards < 1:
             raise ValidationError(f"shards must be >= 1, got {self.shards}")
+        if self.backend not in BACKENDS:
+            raise ValidationError(
+                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+            )
+        if self.backend == "disk" and self.index_path is None:
+            raise ValidationError("the disk backend requires an index_path")
         if self.query_cache_size < 0:
             raise ValidationError(
                 f"query_cache_size must be >= 0, got {self.query_cache_size}"

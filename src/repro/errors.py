@@ -52,11 +52,7 @@ class PathIndexError(ReproError):
 
 
 class StorageError(ReproError):
-    """Low-level storage failure (page corruption, codec error, ...)."""
-
-
-class KeyOrderError(StorageError):
-    """Keys supplied to a bulk-load were not in strictly ascending order."""
+    """Low-level storage failure (corrupt index image, codec error, ...)."""
 
 
 class TransientError(Exception):
@@ -74,7 +70,7 @@ class TransientError(Exception):
 class TransientStorageError(TransientError, StorageError):
     """A storage failure expected to succeed on retry (I/O hiccup,
     injected fault, contended handle) — as opposed to a permanent
-    :class:`StorageError` like a corrupt page or a bad magic number."""
+    :class:`StorageError` like a corrupt image or a bad magic number."""
 
 
 class WireError(StorageError):

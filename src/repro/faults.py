@@ -30,7 +30,7 @@ The resilience substrate of the sharded engine.  Three pieces:
 Injection points wired through the engine:
 
 ==========================  ==================================================
-``storage.read_page``       disk pager buffer-pool miss (``corrupt`` allowed)
+``storage.read_image``      reading a disk index image (``corrupt`` allowed)
 ``shard.scan``              one shard's slice of an index scan
 ``shard.build``             one shard's index build (each retry attempt)
 ``gather.merge``            the scatter-gather merge of shard slices
@@ -73,7 +73,7 @@ from repro.errors import (
 
 #: The injection points production code actually calls :func:`fire` at.
 INJECTION_POINTS = (
-    "storage.read_page",
+    "storage.read_image",
     "shard.scan",
     "shard.build",
     "gather.merge",
@@ -91,9 +91,9 @@ FAULT_KINDS = ("transient", "crash", "latency", "corrupt")
 #: fsync — the torn-commit case the write path's recovery must absorb.
 CRASH_POINTS = ("shard.scan", "shard.build", "mutlog.flush")
 
-#: ``corrupt`` mutates bytes in flight: the page reader and the RPC
+#: ``corrupt`` mutates bytes in flight: the image reader and the RPC
 #: reply path are the two places raw buffers cross a trust boundary.
-CORRUPT_POINTS = ("storage.read_page", "rpc.recv")
+CORRUPT_POINTS = ("storage.read_image", "rpc.recv")
 
 
 # -- clocks --------------------------------------------------------------------
@@ -391,11 +391,11 @@ class FaultPlan:
         if rule.kind == "latency":
             self.clock.sleep(rule.delay_ms / 1000.0)
             return data
-        # corrupt: simulate a torn page — scramble a tail slice and flip
-        # the type byte's high bit, so the result can never decode as a
-        # valid node (types are tiny positive integers).  Detectability
-        # is the contract: a corrupt fault must surface as a typed
-        # StorageError, never as a silently wrong answer.
+        # corrupt: simulate a torn write — scramble a tail slice and flip
+        # the first byte's high bit, so a leading magic number or type
+        # tag can never decode as valid.  Detectability is the contract:
+        # a corrupt fault must surface as a typed StorageError, never as
+        # a silently wrong answer.
         if data is None:
             return data
         page = bytearray(data)

@@ -201,9 +201,6 @@ class CompressedBackend:
         """Total compressed bytes (postings + skip lists)."""
         return sum(postings.byte_size() for postings in self._postings.values())
 
-    def close(self) -> None:
-        """Nothing to release."""
-
 
 def compression_ratio(backend: CompressedBackend) -> float:
     """Compressed bytes per entry vs a raw 24-byte (3×int64) triple."""

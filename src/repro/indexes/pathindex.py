@@ -11,36 +11,64 @@ Three backends implement the ordered dictionary.  The memory backend
 (default, fastest) keeps, per label path, the builder's ``(src, tgt)``-
 sorted ``array('q')`` column pair: a scan hands those columns out, the
 other two lookups are binary searches on them.  The disk backend is the
-page-based B+tree (faithful to the paper's use of PostgreSQL B+trees)
-and the compressed backend one posting list per path.  A catalog maps
-each label path to a dense integer path id assigned in build (trie)
-order; the catalog also records exact per-path counts, from which the
-statistics layer is derived.
+same columns plus one *image* file holding them, and the compressed
+backend one posting list per path.  A catalog maps each label path to a
+dense integer path id assigned in build (trie) order; the catalog also
+records exact per-path counts, from which the statistics layer is
+derived.
+
+The image is the whole index in one file, little-endian::
+
+    magic "RPQIMAGE" | version u32 | catalog bytes u32 | catalog JSON
+    | per non-empty path in id order: src int64 x count, tgt int64 x count
+    | CRC32 u32 of everything before it
+
+The catalog JSON is ``{"k": k, "paths": [[encoded path, count], ...]}``
+in id order.  An image is written to ``<path>.build``, fsynced and
+renamed over ``<path>``, so a crash leaves the previous image whole;
+:meth:`PathIndex.open_disk` reads it back and raises
+:class:`~repro.errors.StorageError` on a missing, truncated, foreign,
+unknown-version or corrupt file.  Nothing outside this module knows the
+format.
 
 A patch never edits an installed column.  ``scan`` is zero-copy, so the
 columns it returned may at any moment sit inside a
 ``QueryResult.report.relation``, a ``ScanMemo`` or a worker reply being
 encoded; :meth:`PathIndex.patch` therefore edits a *copy* of the path's
 columns and swaps it in (copy-on-write).  Whoever holds the old pair
-keeps the relation as of the version it was scanned at.
+keeps the relation as of the version it was scanned at.  A patched disk
+index reaches its image on :meth:`PathIndex.flush`.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import struct
+import sys
+import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from pathlib import Path as FilePath
 from typing import Iterable, Iterator
 
-from repro.errors import PathIndexError, ValidationError
+from repro.errors import PathIndexError, StorageError, ValidationError
+from repro.faults import fire
 from repro.graph.graph import Graph, LabelPath
 from repro.indexes.builder import path_relations_columnar
 from repro.relation import Order, Relation, locate, swap
-from repro.storage.diskbtree import DiskBPlusTree
-from repro.storage.records import decode_key, encode_key
 
 Pair = tuple[int, int]
+
+#: The backend names :meth:`PathIndex.build` accepts.
+BACKENDS = ("memory", "disk", "compressed")
+
+IMAGE_MAGIC = b"RPQIMAGE"
+IMAGE_VERSION = 1
+_HEADER = struct.Struct("<8sII")  # magic, version, catalog bytes
+_CRC = struct.Struct("<I")
+#: Images are little-endian; a big-endian host swaps each column.
+_SWAP = sys.byteorder != "little"
 
 #: What a backend loads: one ``(path_id, src, tgt)`` run per non-empty
 #: path, ids ascending, columns (src, tgt)-sorted and duplicate-free.
@@ -95,79 +123,103 @@ class _MemoryBackend:
     def __len__(self) -> int:
         return sum(len(sources) for sources, _ in self._columns.values())
 
-    def close(self) -> None:
-        """Nothing to release for the in-memory backend."""
 
-
-class _DiskBackend:
-    """Page-based disk B+tree backend with memcomparable keys."""
+class _DiskBackend(_MemoryBackend):
+    """The memory backend's columns, mirrored to an image file at ``path``."""
 
     name = "disk"
 
-    def __init__(
-        self, path: str | FilePath, page_size: int = 4096, cache_pages: int = 256
-    ):
-        self._path = FilePath(path)
-        self._page_size = page_size
-        self._cache_pages = cache_pages
-        self._tree = DiskBPlusTree(path, page_size=page_size, cache_pages=cache_pages)
+    def __init__(self, path: str | FilePath) -> None:
+        super().__init__()
+        self.path = FilePath(path)
 
-    def load(self, runs: Iterable[Run]) -> None:
-        """Crash-safe load: build a sibling file, atomically swap it in.
 
-        The tree is written to ``<path>.build`` and renamed over the
-        real path only after a successful flush, so a crash mid-build
-        leaves whatever was at the path before (for a fresh build, a
-        valid empty tree) instead of a torn file that fails every
-        subsequent open.
-        """
-        temp_path = self._path.with_name(self._path.name + ".build")
-        temp_path.unlink(missing_ok=True)
-        temp = DiskBPlusTree(
-            temp_path, page_size=self._page_size, cache_pages=self._cache_pages
-        )
-        try:
-            temp.bulk_load(
-                (encode_key((path_id, source, target)), b"")
-                for path_id, sources, targets in runs
-                for source, target in zip(sources, targets)
-            )
-            temp.flush()
-        except BaseException:
-            temp.close()
-            temp_path.unlink(missing_ok=True)
-            raise
-        temp.close()
-        self._tree.close()
-        temp_path.replace(self._path)
-        self._tree = DiskBPlusTree(
-            self._path, page_size=self._page_size, cache_pages=self._cache_pages
-        )
+def _write_image(
+    target: FilePath,
+    k: int,
+    counts: dict[str, int],
+    columns: dict[int, tuple[array, array]],
+) -> None:
+    """Write an index image to ``target`` atomically (module docstring).
 
-    def _prefix(self, *prefix: int) -> Iterator[tuple[int, ...]]:
-        for key, _ in self._tree.prefix_scan(encode_key(prefix)):
-            yield decode_key(key)
+    ``counts`` is the catalog in path-id order, ``columns`` the
+    non-empty paths' columns by id.  The bytes go to ``<target>.build``,
+    are fsynced, and only then replace ``target``; a failure on the way
+    removes the ``.build`` file and leaves ``target`` as it was.
+    """
+    catalog = json.dumps({"k": k, "paths": list(counts.items())}).encode()
+    temp = target.with_name(target.name + ".build")
+    try:
+        with open(temp, "wb") as handle:
+            header = _HEADER.pack(IMAGE_MAGIC, IMAGE_VERSION, len(catalog))
+            checksum = 0
+            for chunk in (header, catalog):
+                handle.write(chunk)
+                checksum = zlib.crc32(chunk, checksum)
+            for path_id, count in enumerate(counts.values()):
+                if not count:
+                    continue
+                for column in columns[path_id]:
+                    if _SWAP:
+                        column = array("q", column)
+                        column.byteswap()
+                    chunk = column.tobytes()
+                    handle.write(chunk)
+                    checksum = zlib.crc32(chunk, checksum)
+            handle.write(_CRC.pack(checksum))
+            handle.flush()
+            os.fsync(handle.fileno())
+        temp.replace(target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
-    def scan_columns(self, path_id: int) -> tuple[array, array]:
-        """One path's relation as (src, tgt)-sorted int64 columns."""
-        sources = array("q")
-        targets = array("q")
-        for _, source, target in self._prefix(path_id):
-            sources.append(source)
-            targets.append(target)
-        return sources, targets
 
-    def targets_from(self, path_id: int, source: int) -> list[int]:
-        return [target for _, _, target in self._prefix(path_id, source)]
+def _read_image(
+    source: FilePath,
+) -> tuple[int, dict[str, int], dict[int, tuple[array, array]]]:
+    """``(k, catalog counts in id order, columns by id)`` from an image.
 
-    def contains(self, path_id: int, source: int, target: int) -> bool:
-        return encode_key((path_id, source, target)) in self._tree
-
-    def __len__(self) -> int:
-        return len(self._tree)
-
-    def close(self) -> None:
-        self._tree.close()
+    Every way the file can be wrong is a :class:`StorageError`; the
+    checksum covers the whole file, so no corrupt byte reaches a scan.
+    """
+    try:
+        raw = source.read_bytes()
+    except OSError as error:
+        raise StorageError(f"cannot read index image {source}: {error}") from error
+    raw = fire("storage.read_image", raw, path=source.name)
+    if len(raw) < _HEADER.size + _CRC.size:
+        raise StorageError(f"index image {source} is truncated")
+    magic, version, catalog_size = _HEADER.unpack_from(raw)
+    if magic != IMAGE_MAGIC:
+        raise StorageError(f"{source} is not an index image (bad magic number)")
+    if version != IMAGE_VERSION:
+        raise StorageError(f"index image {source} has unknown version {version}")
+    body = memoryview(raw)[: -_CRC.size]
+    if zlib.crc32(body) != _CRC.unpack_from(raw, len(body))[0]:
+        raise StorageError(f"index image {source} fails its checksum")
+    offset = _HEADER.size + catalog_size
+    try:
+        catalog = json.loads(bytes(body[_HEADER.size : offset]))
+        k = int(catalog["k"])
+        counts = {str(encoded): int(count) for encoded, count in catalog["paths"]}
+    except (ValueError, KeyError, TypeError) as error:
+        raise StorageError(f"index image {source} has a bad catalog") from error
+    sizes = counts.values()
+    if min(sizes, default=0) < 0 or offset + 16 * sum(sizes) != len(body):
+        raise StorageError(f"index image {source} does not match its catalog")
+    columns: dict[int, tuple[array, array]] = {}
+    for path_id, count in enumerate(sizes):
+        if not count:
+            continue
+        pair = (array("q"), array("q"))
+        for column in pair:
+            column.frombytes(body[offset : offset + 8 * count])
+            offset += 8 * count
+            if _SWAP:
+                column.byteswap()
+        columns[path_id] = pair
+    return k, counts, columns
 
 
 class PathIndex:
@@ -200,17 +252,15 @@ class PathIndex:
         backend: str = "memory",
         prune_empty: bool = True,
         path: str | FilePath | None = None,
-        page_size: int = 4096,
-        cache_pages: int = 256,
     ) -> "PathIndex":
         """Materialize ``I_{G,k}`` over ``graph``.
 
         Parameters
         ----------
         backend:
-            ``"memory"`` (per-path sorted columns), ``"disk"``
-            (page-based B+tree at ``path``) or ``"compressed"``
-            (posting lists).
+            ``"memory"`` (per-path sorted columns), ``"disk"`` (the
+            same columns plus an image file at ``path``) or
+            ``"compressed"`` (posting lists).
         prune_empty:
             Skip descendants of empty paths (their relations are
             provably empty); the empty paths themselves are still
@@ -222,8 +272,6 @@ class PathIndex:
             path_relations_columnar(graph, k, prune_empty=prune_empty),
             backend=backend,
             path=path,
-            page_size=page_size,
-            cache_pages=cache_pages,
         )
 
     @classmethod
@@ -234,8 +282,6 @@ class PathIndex:
         relations: Iterable[tuple[LabelPath, "Relation | list[Pair]"]],
         backend: str = "memory",
         path: str | FilePath | None = None,
-        page_size: int = 4096,
-        cache_pages: int = 256,
     ) -> "PathIndex":
         """Materialize an index from precomputed ``(path, relation)`` pairs.
 
@@ -244,14 +290,13 @@ class PathIndex:
         :func:`repro.indexes.builder.path_relations_columnar` yields and
         what :class:`repro.sharding.ShardedGraph` workers hand back.
         Each non-empty path reaches the backend as one ``(path_id, src,
-        tgt)`` run of the relation's own columns: the memory backend
-        keeps them, the other two encode them.
+        tgt)`` run of the relation's own columns: the memory and disk
+        backends keep them, the compressed one encodes them.  A disk
+        index writes its image before it is returned.
         """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        store = cls._make_backend(
-            backend, path=path, page_size=page_size, cache_pages=cache_pages
-        )
+        store = cls._make_backend(backend, path)
         index = cls(graph, k, store)
 
         def runs() -> Iterator[Run]:
@@ -264,26 +309,18 @@ class PathIndex:
                 if len(relation):
                     yield path_id, relation.src, relation.tgt
 
-        try:
-            store.load(runs())
-        except BaseException:
-            store.close()
-            raise
+        store.load(runs())
+        index.flush()
         return index
 
     @staticmethod
-    def _make_backend(
-        backend: str,
-        path: str | FilePath | None,
-        page_size: int,
-        cache_pages: int,
-    ):
+    def _make_backend(backend: str, path: str | FilePath | None):
         if backend == "memory":
             return _MemoryBackend()
         if backend == "disk":
             if path is None:
                 raise ValidationError("the disk backend requires a file path")
-            return _DiskBackend(path, page_size=page_size, cache_pages=cache_pages)
+            return _DiskBackend(path)
         if backend == "compressed":
             from repro.indexes.compressed import CompressedBackend
 
@@ -298,7 +335,8 @@ class PathIndex:
         Sorted by (src, tgt) — the index's key order — so the returned
         relation carries ``Order.BY_SRC`` and merge joins can consume it
         without re-sorting.  On the memory backend its columns *are*
-        the installed ones: read them, never write them.
+        the installed ones (so on the disk backend): read them, never
+        write them.
         """
         path_id = self._path_id(path)
         if path_id is None:
@@ -339,7 +377,7 @@ class PathIndex:
 
     @property
     def supports_patch(self) -> bool:
-        """Whether the backend takes edits (the memory backend only)."""
+        """Whether the backend takes edits (memory and disk do)."""
         return hasattr(self._backend, "patch")
 
     def patch(
@@ -361,7 +399,8 @@ class PathIndex:
         catalog pruned as empty gains an id on its first insert — ids
         are dense and append-only, and every lookup is per path, so
         cross-path id order never matters.  Exact per-path counts stay
-        exact (they are the statistics layer's ground truth).
+        exact (they are the statistics layer's ground truth).  A disk
+        index's image lags until :meth:`flush`.
         """
         if not self.supports_patch:
             raise PathIndexError(
@@ -402,8 +441,7 @@ class PathIndex:
         return dict(self._counts)
 
     def close(self) -> None:
-        """Release backend resources (a no-op for the memory backend)."""
-        self._backend.close()
+        """Nothing to release: every backend serves from memory."""
 
     def __enter__(self) -> "PathIndex":
         return self
@@ -411,42 +449,35 @@ class PathIndex:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- catalog persistence (disk backend) --------------------------------------------
+    # -- the disk image -------------------------------------------------------------
 
-    def save_catalog(self, path: str | FilePath) -> None:
-        """Persist the path-id catalog and counts next to a disk index.
+    def flush(self) -> None:
+        """Rewrite the disk backend's image from the index as it is now.
 
-        Written via temp file + atomic rename: a crash mid-write must
-        not leave a torn catalog that poisons every future open of an
-        otherwise healthy index file.
+        A no-op on the other backends.  Atomic: a failure leaves the
+        previous image whole (module docstring), and the index itself
+        keeps serving either way.  ``_counts`` lists the paths in id
+        order: ids are dense and given on first entry to both maps.
         """
-        payload = {
-            "k": self.k,
-            "path_ids": self._path_ids,
-            "counts": self._counts,
-        }
-        target = FilePath(path)
-        temp = target.with_name(target.name + ".tmp")
-        temp.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-        temp.replace(target)
+        if isinstance(self._backend, _DiskBackend):
+            _write_image(
+                self._backend.path, self.k, self._counts, self._backend._columns
+            )
 
     @classmethod
-    def open_disk(
-        cls,
-        graph: Graph,
-        index_path: str | FilePath,
-        catalog_path: str | FilePath,
-        page_size: int = 4096,
-        cache_pages: int = 256,
-    ) -> "PathIndex":
-        """Re-open a previously built disk index and its catalog."""
-        payload = json.loads(FilePath(catalog_path).read_text(encoding="utf-8"))
-        store = _DiskBackend(index_path, page_size=page_size, cache_pages=cache_pages)
-        index = cls(graph, int(payload["k"]), store)
-        index._path_ids = {
-            key: int(value) for key, value in payload["path_ids"].items()
-        }
-        index._counts = {key: int(value) for key, value in payload["counts"].items()}
+    def open_disk(cls, graph: Graph, path: str | FilePath) -> "PathIndex":
+        """Re-open a disk index from the image at ``path``.
+
+        Raises :class:`~repro.errors.StorageError` when the file is
+        missing, truncated, not an image, of an unknown version or
+        fails its checksum.
+        """
+        k, counts, columns = _read_image(FilePath(path))
+        store = _DiskBackend(path)
+        store._columns = columns
+        index = cls(graph, k, store)
+        index._counts = counts
+        index._path_ids = {encoded: path_id for path_id, encoded in enumerate(counts)}
         return index
 
     # -- internals ---------------------------------------------------------------------

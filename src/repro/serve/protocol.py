@@ -48,7 +48,6 @@ from repro.errors import (
     DatalogError,
     ExecutionError,
     GraphError,
-    KeyOrderError,
     ParseError,
     PathIndexError,
     PlanningError,
@@ -149,7 +148,6 @@ ERROR_CODES: tuple[tuple[str, type[Exception]], ...] = (
     ("planning", PlanningError),
     ("execution", ExecutionError),
     ("path_index", PathIndexError),
-    ("key_order", KeyOrderError),
     ("transient_wire", TransientWireError),
     ("wire", WireError),
     ("transient_storage", TransientStorageError),

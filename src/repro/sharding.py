@@ -253,10 +253,6 @@ class ShardedGraph:
             raise ValidationError(f"shards must be >= 1, got {shards}")
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        if backend == "disk" and index_path is None:
-            # Fail before any relation is computed (the dominant
-            # build cost).
-            raise ValidationError("the disk backend requires a file path")
         built = cls._build_shards(
             graph,
             k,
@@ -365,20 +361,19 @@ class ShardedGraph:
         index_path: str | FilePath | None,
         shard: int,
     ) -> PathIndex:
-        path = cls.shard_index_path(index_path, shard)
-        if backend == "disk" and path is not None:
-            # The disk B+tree only bulk-loads into an empty file; a
-            # stale or partial shard file must go first.
-            FilePath(path).unlink(missing_ok=True)
         return PathIndex.from_relations(
-            graph, k, relations, backend=backend, path=path
+            graph,
+            k,
+            relations,
+            backend=backend,
+            path=cls.shard_index_path(index_path, shard),
         )
 
     @staticmethod
     def shard_index_path(
         index_path: str | FilePath | None, shard: int
     ) -> FilePath | None:
-        """Per-shard backing file for the disk backend."""
+        """Per-shard image file of the disk backend."""
         if index_path is None:
             return None
         return FilePath(f"{index_path}.shard{shard}")
@@ -451,14 +446,12 @@ class ShardedGraph:
         """Recompute the listed shards against the current graph.
 
         Every replacement is built before any shard is swapped, so a
-        failing computation leaves every shard intact — except on the
-        disk backend, whose stale files must be released before their
-        replacements can be written.  Any failure propagates and the
-        API layer discards the whole index (the same all-or-nothing
-        contract as a full rebuild).  Must not be used across an
-        alphabet change — the unlisted shards' path sets would silently
-        be stale (:attr:`alphabet` is the guard).  ``endpoints`` goes
-        to :meth:`invalidate_statistics`.
+        failing computation leaves every shard intact and serving.  Any
+        failure propagates and the API layer discards the whole index
+        (the same all-or-nothing contract as a full rebuild).  Must not
+        be used across an alphabet change — the unlisted shards' path
+        sets would silently be stale (:attr:`alphabet` is the guard).
+        ``endpoints`` goes to :meth:`invalidate_statistics`.
         """
         if self.alphabet != self.graph.labels():
             raise ValidationError(
@@ -468,9 +461,6 @@ class ShardedGraph:
         for shard in shard_ids:
             if not 0 <= shard < len(self._shards):
                 raise ValidationError(f"no such shard {shard}")
-        if self._backend == "disk":
-            for shard in shard_ids:
-                self._shards[shard].close()
         built = self._build_shards(
             self.graph,
             self.k,
@@ -482,8 +472,7 @@ class ShardedGraph:
         )
         for shard, replacement in built.items():
             old, self._shards[shard] = self._shards[shard], replacement
-            if self._backend != "disk":
-                old.close()
+            old.close()
         self.invalidate_statistics(endpoints)
 
     def invalidate_statistics(self, endpoints: Iterable[int] | None = None) -> None:
@@ -530,8 +519,8 @@ class ShardedGraph:
     def supports_patch(self) -> bool:
         """Whether every shard index takes per-path edits.
 
-        True for the memory backend (copy-on-write column edits); the
-        disk and compressed backends only bulk-load, so mutations
+        True for the memory and disk backends (copy-on-write column
+        edits); the compressed backend only bulk-loads, so mutations
         there fall back to the ball rebuild.
         """
         return all(
@@ -550,9 +539,11 @@ class ShardedGraph:
         drive from a recheck that lists a pair already in its final
         state.  Each edited path's columns are replaced, never written
         (:meth:`PathIndex.patch`), so relations scanned before the
-        patch stay what they were.  ``endpoints`` goes to :meth:`invalidate_statistics`,
-        exactly as for :meth:`rebuild_shards`.  Must not be used across
-        an alphabet change — same guard, same reason.
+        patch stay what they were.  Each changed shard is then flushed
+        once, which rewrites its image on the disk backend.
+        ``endpoints`` goes to :meth:`invalidate_statistics`, exactly as
+        for :meth:`rebuild_shards`.  Must not be used across an
+        alphabet change — same guard, same reason.
         """
         if self.alphabet != self.graph.labels():
             raise ValidationError(
@@ -565,6 +556,7 @@ class ShardedGraph:
             index = self._shards[shard]
             for encoded, (adds, removes) in patches.items():
                 index.patch(LabelPath.decode(encoded), adds, removes)
+            index.flush()
         self.invalidate_statistics(endpoints)
 
     def absorb_group(

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import functools
 import re
-from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import relation as rel
 from repro.errors import (
     QueryTimeoutError,
     ReproError,
@@ -50,6 +50,8 @@ from repro.faults import (
 )
 from repro.graph.examples import FIGURE1_EDGES
 from repro.graph.generators import advogato_like
+from repro.graph.graph import LabelPath
+from repro.indexes import pathindex
 from repro.indexes.pathindex import PathIndex
 from repro.sharding import ShardedGraph
 
@@ -436,63 +438,71 @@ def test_ci_fault_plans_parse() -> None:
 # -- disk backend: corruption and crash-safe writes ----------------------------
 
 
+def _reopen_shards(graph, base: Path) -> list[PathIndex]:
+    """Every shard image a database wrote under ``base``, reopened."""
+    return [
+        PathIndex.open_disk(graph, image)
+        for image in sorted(base.parent.glob(base.name + ".shard*"))
+    ]
+
+
 def test_disk_corruption_is_a_typed_error(tmp_path) -> None:
-    """A corrupted page surfaces as StorageError, never a wrong answer."""
+    """A corrupted image surfaces as StorageError, never a wrong answer."""
+    base = tmp_path / "g.idx"
     with disarmed():
-        db = GraphDatabase(
-            GRAPH,
-            k=2,
-            config=ServiceConfig(backend="disk", index_path=tmp_path / "g.idx"),
-        )
+        GraphDatabase(
+            GRAPH, k=2, config=ServiceConfig(backend="disk", index_path=base)
+        ).close()
     plan = FaultPlan(
-        [FaultRule("storage.read_page", "corrupt")], clock=FakeClock()
+        [FaultRule("storage.read_image", "corrupt")], clock=FakeClock()
     )
-    # The first query faults in index pages from disk; every one comes
-    # back torn.  The guaranteed-detectable corruption (the node type
-    # byte's high bit) must surface as a typed StorageError.
+    # Every image read comes back torn (the magic number's first byte
+    # among others), which must surface as a typed StorageError.
     with armed(plan):
         with pytest.raises(StorageError):
-            db.query("master/journeyer", use_cache=False)
+            _reopen_shards(GRAPH, base)
     assert plan.fired > 0
-    # Disarmed and re-opened, the on-disk index itself is unharmed.
+    # Disarmed and re-opened, the images themselves are unharmed.
     with disarmed():
-        healthy = GraphDatabase(
-            GRAPH,
-            k=2,
-            config=ServiceConfig(backend="disk", index_path=tmp_path / "g.idx"),
-        )
-        result = healthy.query("master/journeyer", use_cache=False)
-    assert result.pairs == oracle("master/journeyer")
+        shards = _reopen_shards(GRAPH, base)
+    path = LabelPath.of("master", "journeyer")
+    pairs = rel.union(shard.scan(path) for shard in shards)
+    assert GRAPH.named_pairs(pairs) == oracle("master/journeyer")
 
 
-def test_bulk_load_failure_preserves_previous_index(tmp_path) -> None:
-    """A build that dies mid-write leaves the old index fully readable."""
+def test_bulk_load_failure_preserves_previous_index(tmp_path, monkeypatch) -> None:
+    """A writer that dies mid-image leaves the old image and no .build file."""
     with disarmed():
         path = tmp_path / "index.db"
         index = PathIndex.build(GRAPH, k=1, backend="disk", path=path)
-        before = index.entry_count
-        assert before > 0
+        before = path.read_bytes()
+        entries = index.entry_count
+        assert entries > 0
+        for label_path in list(index.paths()):
+            index.patch(label_path, [], list(index.scan(label_path)))
 
-        def exploding():
-            yield 0, array("q", [1]), array("q", [2])
-            raise RuntimeError("power loss")
+        def power_loss(descriptor):
+            raise OSError("power loss")
 
-        with pytest.raises(RuntimeError):
-            index._backend.load(exploding())
+        monkeypatch.setattr(pathindex.os, "fsync", power_loss)
+        with pytest.raises(OSError, match="power loss"):
+            index.flush()
         assert not path.with_name(path.name + ".build").exists()
-        assert index.entry_count == before  # old tree still serves
+        assert path.read_bytes() == before
+        assert PathIndex.open_disk(GRAPH, path).entry_count == entries
 
 
-def test_save_catalog_is_atomic(tmp_path) -> None:
+def test_image_write_is_atomic(tmp_path) -> None:
+    """The image replaces its file whole, with the catalog inside it."""
     with disarmed():
-        index_path = tmp_path / "index.db"
-        catalog = tmp_path / "catalog.json"
-        index = PathIndex.build(GRAPH, k=1, backend="disk", path=index_path)
-        index.save_catalog(catalog)
-        assert catalog.exists()
-        assert not catalog.with_name(catalog.name + ".tmp").exists()
-        reopened = PathIndex.open_disk(GRAPH, index_path, catalog)
-        assert reopened.counts_by_path() == index.counts_by_path()
+        path = tmp_path / "index.db"
+        index = PathIndex.build(GRAPH, k=1, backend="disk", path=path)
+        rebuilt = PathIndex.build(GRAPH, k=2, backend="disk", path=path)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["index.db"]
+        reopened = PathIndex.open_disk(GRAPH, path)
+        assert reopened.k == 2
+        assert reopened.counts_by_path() == rebuilt.counts_by_path()
+        assert reopened.counts_by_path() != index.counts_by_path()
 
 
 # -- degraded answers through the service layer --------------------------------

@@ -206,7 +206,7 @@ class TestLenRestsOnDuplicateFreeAnswers:
         config = ServiceConfig(
             backend=backend,
             shards=shards,
-            index_path=tmp_path / "index" if backend == "disk" else None,
+            index_path=tmp_path / "index",  # read by disk only
         )
         database = GraphDatabase(graph, k=2, config=config)
         try:

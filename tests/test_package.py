@@ -32,9 +32,8 @@ class TestPublicExports:
         import repro.graph as graph
         import repro.indexes as indexes
         import repro.rpq as rpq
-        import repro.storage as storage
 
-        for module in (bench, datalog, engine, graph, indexes, rpq, storage):
+        for module in (bench, datalog, engine, graph, indexes, rpq):
             for name in module.__all__:
                 assert getattr(module, name) is not None, (module, name)
 
@@ -59,7 +58,6 @@ class TestErrorHierarchy:
         errors.ExecutionError,
         errors.PathIndexError,
         errors.StorageError,
-        errors.KeyOrderError,
         errors.DatalogError,
         errors.UnsupportedQueryError,
         errors.ValidationError,
@@ -71,9 +69,6 @@ class TestErrorHierarchy:
 
     def test_unknown_node_is_graph_error(self):
         assert issubclass(errors.UnknownNodeError, errors.GraphError)
-
-    def test_key_order_is_storage_error(self):
-        assert issubclass(errors.KeyOrderError, errors.StorageError)
 
     def test_parse_error_position(self):
         error = errors.ParseError("bad", position=7)

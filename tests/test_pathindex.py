@@ -1,5 +1,5 @@
 """Tests for the k-path index: Example 3.1 lookups on all three backends,
-and the memory backend's copy-on-write patch."""
+the disk backend's image, and the copy-on-write patch."""
 
 from __future__ import annotations
 
@@ -141,15 +141,18 @@ class TestDiskBackend:
                 assert disk.scan_swapped(path) == memory.scan_swapped(path)
 
     def test_disk_reopen_via_catalog(self, tmp_path):
+        """The image carries the catalog: one file reopens the index."""
         graph = figure1_graph()
         index_path = tmp_path / "i.db"
-        catalog_path = tmp_path / "i.catalog.json"
         with PathIndex.build(graph, k=2, backend="disk", path=index_path) as index:
-            index.save_catalog(catalog_path)
-            expected = index.scan(LabelPath.of("knows", "worksFor"))
-        with PathIndex.open_disk(graph, index_path, catalog_path) as reopened:
+            expected = {path: index.scan(path) for path in index.paths()}
+            counts = index.counts_by_path()
+        assert [entry.name for entry in tmp_path.iterdir()] == ["i.db"]
+        with PathIndex.open_disk(graph, index_path) as reopened:
             assert reopened.k == 2
-            assert reopened.scan(LabelPath.of("knows", "worksFor")) == expected
+            assert reopened.backend_name == "disk"
+            assert reopened.counts_by_path() == counts
+            assert {path: reopened.scan(path) for path in reopened.paths()} == expected
 
     def test_disk_scan_from(self, tmp_path):
         graph = figure1_graph()
@@ -231,7 +234,9 @@ def _columns(index: PathIndex) -> dict[str, tuple[bytes, bytes]]:
 
 
 class TestCopyOnWritePatch:
-    """The memory backend's edit: exact, idempotent, never in place."""
+    """The memory and disk backends' edit: exact, idempotent, never in
+    place — and on disk, flushed to an image that reopens to the same
+    index."""
 
     PAIRS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6)
 
@@ -245,29 +250,40 @@ class TestCopyOnWritePatch:
     def test_patch_sequence_equals_a_fresh_load(self, graph, edits):
         """Random patches (re-adds, absent removes, a pair in both lists,
         first entries of pruned paths, paths emptied) against a model."""
-        index = PathIndex.build(graph, 2)
-        model = {
-            path.encode(): set(pairs) for path, pairs in path_relations(graph, 2)
-        }
-        for path, adds, removes in edits:
-            held = index.scan(path)
-            before = held.src.tobytes(), held.tgt.tobytes()
-            pairs = model.setdefault(path.encode(), set())
-            removed = pairs & set(removes)
-            pairs -= removed
-            inserted = set(adds) - pairs  # adds win: they apply after removes
-            pairs |= inserted
-            assert index.patch(path, adds, removes) == (len(inserted), len(removed))
-            assert (held.src.tobytes(), held.tgt.tobytes()) == before
+        with tempfile.TemporaryDirectory() as scratch:
+            image = Path(scratch) / "index.db"
+            indexes = [
+                PathIndex.build(graph, 2),
+                PathIndex.build(graph, 2, backend="disk", path=image),
+            ]
+            model = {
+                path.encode(): set(pairs) for path, pairs in path_relations(graph, 2)
+            }
+            for path, adds, removes in edits:
+                held = [index.scan(path) for index in indexes]
+                before = [(h.src.tobytes(), h.tgt.tobytes()) for h in held]
+                pairs = model.setdefault(path.encode(), set())
+                removed = pairs & set(removes)
+                pairs -= removed
+                inserted = set(adds) - pairs  # adds win: they apply after removes
+                pairs |= inserted
+                for index in indexes:
+                    counts = index.patch(path, adds, removes)
+                    assert counts == (len(inserted), len(removed))
+                assert [(h.src.tobytes(), h.tgt.tobytes()) for h in held] == before
+            for index in indexes:
+                index.flush()
+            indexes.append(PathIndex.open_disk(graph, image))
         fresh = PathIndex.from_relations(
             graph,
             2,
             [(LabelPath.decode(p), sorted(pairs)) for p, pairs in model.items()],
         )
-        assert _columns(index) == _columns(fresh)
-        assert index.entry_count == fresh.entry_count
-        for encoded, pairs in model.items():
-            assert index.count(LabelPath.decode(encoded)) == len(pairs)
+        for index in indexes:
+            assert _columns(index) == _columns(fresh)
+            assert index.entry_count == fresh.entry_count
+            for encoded, pairs in model.items():
+                assert index.count(LabelPath.decode(encoded)) == len(pairs)
 
     def test_apply_leaves_earlier_results_alone(self):
         """A result read before ``apply()`` still equals the oracle at its

@@ -287,6 +287,20 @@ class TestServiceConfig:
         with pytest.raises(ValidationError):
             ServiceConfig(max_inflight=0)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"backend": "bogus"}, "backend must be one of"),
+            ({"backend": "disk"}, "requires an index_path"),
+        ],
+        ids=["unknown-backend", "disk-without-index-path"],
+    )
+    def test_backend_settings_fail_at_construction(self, settings, message):
+        """Bad backend settings fail when the config is made, not when a
+        database first builds its index."""
+        with pytest.raises(ValidationError, match=message):
+            ServiceConfig(**settings)
+
     def test_with_overrides(self):
         config = ServiceConfig(k=3).with_overrides(shards=4)
         assert (config.k, config.shards) == (3, 4)

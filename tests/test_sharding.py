@@ -263,12 +263,19 @@ def test_disk_backend_shards_and_rebuilds(tmp_path):
         database.query(query, use_cache=False).pairs
         == oracle.query(query, use_cache=False).pairs
     )
-    database.apply(Mutation.add("extra", "master", "n0"))
+    assert database.apply(Mutation.add("extra", "master", "n0")).mode == "patch"
     oracle.apply(Mutation.add("extra", "master", "n0"))
     assert (
         database.query(query, use_cache=False).pairs
         == oracle.query(query, use_cache=False).pairs
     )
+    # Every shard image, reopened, equals a fresh build after the group.
+    fresh = ShardedGraph.build(database.graph, 2, shards=3)
+    for shard, expected in enumerate(fresh.shard_indexes):
+        image = ShardedGraph.shard_index_path(base, shard)
+        reopened = PathIndex.open_disk(database.graph, image)
+        for path in {*expected.paths(), *reopened.paths()}:
+            assert reopened.scan(path) == expected.scan(path)
     database.close()
 
 

@@ -288,13 +288,14 @@ class TestOneShardAbsorbs:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize(
         ("backend", "mode"),
-        [("memory", "patch"), ("disk", "rebuild"), ("compressed", "rebuild")],
+        [("memory", "patch"), ("disk", "patch"), ("compressed", "rebuild")],
     )
     def test_mode_and_answers_by_backend(self, backend, mode, k, tmp_path):
         index_path = tmp_path / "index.db"
-        extra = {"index_path": str(index_path)} if backend == "disk" else {}
         edges = _edges(31, nodes=20, count=60)
-        config = ServiceConfig(k=k, shards=1, backend=backend, **extra)
+        config = ServiceConfig(
+            k=k, shards=1, backend=backend, index_path=str(index_path)
+        )
         db = GraphDatabase.from_edges(edges, config=config)
         oracle = _Oracle(edges)
         try:
@@ -311,9 +312,14 @@ class TestOneShardAbsorbs:
             assert (write.patched > 0) == (mode == "patch")
             assert (write.rebuilt > 0) == (mode == "rebuild")
             if backend == "disk":
-                # One shard is still a shard: its file carries the suffix.
+                # One shard is still a shard: its file carries the suffix,
+                # and the patched image reopens to a fresh build's index.
                 assert not index_path.exists()
-                assert index_path.with_name("index.db.shard0").exists()
+                image = index_path.with_name("index.db.shard0")
+                reopened = PathIndex.open_disk(db.graph, image)
+                fresh = PathIndex.build(db.graph, k)
+                for path in {*fresh.paths(), *reopened.paths()}:
+                    assert reopened.scan(path) == fresh.scan(path)
         finally:
             db.close()
 
@@ -777,17 +783,23 @@ class TestWalEngine:
             revived.close()
 
     @pytest.mark.parametrize(
-        "engine, backend",
-        [(GraphDatabase, "disk"), (CoordinatorDatabase, "compressed")],
-        ids=["disk-without-a-path", "fleet-not-memory-backed"],
+        "engine, backend, error",
+        [
+            (GraphDatabase, "disk", FileNotFoundError),
+            (CoordinatorDatabase, "compressed", ValidationError),
+        ],
+        ids=["disk-in-a-missing-directory", "fleet-not-memory-backed"],
     )
-    def test_failed_first_build_releases_the_log(self, tmp_path, engine, backend):
+    def test_failed_first_build_releases_the_log(
+        self, tmp_path, engine, backend, error
+    ):
         """Regression: the log is opened before the first build, and a
         constructor that raises hands nobody an object to ``close()``."""
-        config = self._config(tmp_path, backend=backend)
+        index_path = str(tmp_path / "missing" / "index.db")
+        config = self._config(tmp_path, backend=backend, index_path=index_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            with pytest.raises(ValidationError):
+            with pytest.raises(error):
                 engine.from_edges(_edges(8), config=config)
             gc.collect()
         assert not [str(warning.message) for warning in caught]
