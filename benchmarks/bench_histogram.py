@@ -12,7 +12,6 @@ import pytest
 
 from repro.bench.harness import run_histogram_ablation
 from repro.indexes.histogram import EquiDepthHistogram
-from repro.indexes.statistics import ExactStatistics
 
 BUCKETS = (4, 16, 64, 256)
 
@@ -21,12 +20,9 @@ BUCKETS = (4, 16, 64, 256)
 def test_histogram_build(benchmark, prepared_bench, buckets):
     database = prepared_bench.database(2)
     counts = database.index.counts_by_path()
-    total = ExactStatistics.from_index(database.index).total_paths_k
     benchmark.group = "histogram-build"
     histogram = benchmark.pedantic(
-        lambda: EquiDepthHistogram.from_counts(
-            counts, k=2, total_paths_k=total, buckets=buckets
-        ),
+        lambda: EquiDepthHistogram.from_counts(counts, k=2, buckets=buckets),
         rounds=3,
         iterations=1,
     )
@@ -49,9 +45,8 @@ def test_minsupport_under_histogram(benchmark, prepared_bench, buckets):
     """End-to-end workload time with a coarse vs fine histogram."""
     database = prepared_bench.database(2)
     counts = database.index.counts_by_path()
-    total = ExactStatistics.from_index(database.index).total_paths_k
     database._histogram = EquiDepthHistogram.from_counts(
-        counts, k=2, total_paths_k=total, buckets=buckets
+        counts, k=2, buckets=buckets
     )
     benchmark.group = "histogram-plan-quality"
     from repro.bench.queries import workload

@@ -372,29 +372,18 @@ class GraphDatabase:
         Each shard's catalog is read once: the merged view doubles as
         the global exact statistics, and the per-shard exact counts
         shard pruning reads are built from the same reads here, off the
-        query path — ``|paths_k(G)|`` and the catalog merge are
-        computed once and shared by everything downstream.
+        query path — the catalog merge is computed once and shared by
+        everything downstream.  ``|paths_k(G)|`` is not: only
+        :meth:`selectivity` reads it, so the index sizes it then.
         The one recipe serves every shard count and every way the
         index absorbs a change, so none of them can drift.
         """
         counts = index.counts_by_path()
-        exact_statistics = ExactStatistics(
-            counts=counts, k=self.k, total_paths_k=index.total_paths_k()
-        )
-        self._note_recounted(index.take_recounted_sources())
+        exact_statistics = ExactStatistics(counts=counts, k=self.k)
         for shard in range(index.shard_count):
             index.shard_statistics(shard)
-        histogram = EquiDepthHistogram.from_counts(
-            counts,
-            k=self.k,
-            total_paths_k=exact_statistics.total_paths_k,
-        )
+        histogram = EquiDepthHistogram.from_counts(counts, k=self.k)
         return exact_statistics, histogram
-
-    def _note_recounted(self, sources: int) -> None:
-        """Add to ``stats().write.recounted_sources``."""
-        with self._cache_lock:
-            self._recounted_sources += sources
 
     def _ensure_built(self) -> None:
         """Resolve lazy build *before* entering a read section.
@@ -441,10 +430,22 @@ class GraphDatabase:
         """Histogram estimate of ``sel_{G,k}`` for a label path.
 
         ``path_text`` uses step syntax: ``knows/knows/worksFor`` or
-        ``knows/^worksFor``.
+        ``knows/^worksFor``.  The histogram's estimate of ``|p(G)|``
+        over ``|paths_k(G)|``, which the index sizes here, on read
+        (:meth:`~repro.sharding.ShardedGraph.total_paths_k`); the
+        sources it sized go to ``stats().write.recounted_sources``.
         """
         path = self._parse_label_path(path_text)
-        return self.histogram.selectivity(path)
+        self._ensure_built()
+        with self._lock.read_locked():
+            index = self._require_index()
+            assert self._histogram is not None
+            estimate = self._histogram.estimated_count(path)
+            total = index.total_paths_k()
+            sized = index.take_recounted_sources()
+        with self._cache_lock:
+            self._recounted_sources += sized
+        return estimate / max(total, 1)
 
     def summary(self) -> GraphSummary:
         """Graph-level statistics (size, labels, degrees)."""

@@ -18,7 +18,6 @@ from repro.bench.workloads import PreparedWorkload, advogato_workload
 from repro.graph.graph import Graph
 from repro.indexes.histogram import EquiDepthHistogram
 from repro.indexes.pathindex import PathIndex
-from repro.indexes.statistics import ExactStatistics
 from repro.rpq.parser import parse
 
 STRATEGIES: tuple[str, ...] = ("naive", "semi-naive", "minsupport", "minjoin")
@@ -224,12 +223,9 @@ def run_histogram_ablation(
         prepared = advogato_workload(scale=scale, ks=(1, k))
     database = prepared.database(k)
     exact = database.index.counts_by_path()
-    total = ExactStatistics.from_index(database.index).total_paths_k
     rows: list[HistogramRow] = []
     for buckets in bucket_counts:
-        histogram = EquiDepthHistogram.from_counts(
-            exact, k=k, total_paths_k=total, buckets=buckets
-        )
+        histogram = EquiDepthHistogram.from_counts(exact, k=k, buckets=buckets)
         error = histogram.mean_absolute_error(exact)
         database._histogram = histogram  # ablation: swap the synopsis
         timings = [

@@ -13,8 +13,7 @@ from __future__ import annotations
 import bisect
 
 from repro.errors import ValidationError
-from repro.graph.graph import Graph, LabelPath
-from repro.graph.stats import count_paths_k
+from repro.graph.graph import LabelPath
 from repro.indexes.pathindex import PathIndex
 
 
@@ -27,7 +26,6 @@ class EquiDepthHistogram:
         bucket_paths: list[int],
         bucket_totals: list[int],
         k: int,
-        total_paths_k: int,
     ):
         if not (len(boundaries) == len(bucket_paths) == len(bucket_totals)):
             raise ValidationError("histogram arrays must be parallel")
@@ -37,7 +35,6 @@ class EquiDepthHistogram:
         self._bucket_paths = bucket_paths  # number of paths per bucket
         self._bucket_totals = bucket_totals  # total count per bucket
         self.k = k
-        self.total_paths_k = max(total_paths_k, 1)
 
     # -- construction -----------------------------------------------------------
 
@@ -46,7 +43,6 @@ class EquiDepthHistogram:
         cls,
         counts: dict[str, int],
         k: int,
-        total_paths_k: int,
         buckets: int = 64,
     ) -> "EquiDepthHistogram":
         """Build from encoded-path -> count with ~equal depth per bucket."""
@@ -54,7 +50,7 @@ class EquiDepthHistogram:
             raise ValidationError(f"buckets must be >= 1, got {buckets}")
         ordered = sorted(counts.items())
         if not ordered:
-            return cls([], [], [], k, total_paths_k)
+            return cls([], [], [], k)
         grand_total = sum(count for _, count in ordered)
         target_depth = max(grand_total / buckets, 1.0)
 
@@ -80,23 +76,12 @@ class EquiDepthHistogram:
             boundaries.append(current_first)
             bucket_paths.append(current_paths)
             bucket_totals.append(current_total)
-        return cls(boundaries, bucket_paths, bucket_totals, k, total_paths_k)
+        return cls(boundaries, bucket_paths, bucket_totals, k)
 
     @classmethod
-    def from_index(
-        cls,
-        index: PathIndex,
-        graph: Graph | None = None,
-        buckets: int = 64,
-    ) -> "EquiDepthHistogram":
+    def from_index(cls, index: PathIndex, buckets: int = 64) -> "EquiDepthHistogram":
         """Build from a :class:`PathIndex` catalog."""
-        graph = graph if graph is not None else index.graph
-        return cls.from_counts(
-            index.counts_by_path(),
-            k=index.k,
-            total_paths_k=count_paths_k(graph, index.k),
-            buckets=buckets,
-        )
+        return cls.from_counts(index.counts_by_path(), k=index.k, buckets=buckets)
 
     # -- estimation ----------------------------------------------------------------
 
@@ -121,10 +106,6 @@ class EquiDepthHistogram:
             return 0.0
         return self._bucket_totals[bucket] / paths_in_bucket
 
-    def selectivity(self, path: LabelPath) -> float:
-        """The paper's ``sel_{G,k}(p)``."""
-        return self.estimated_count(path) / self.total_paths_k
-
     # -- diagnostics -------------------------------------------------------------------
 
     def mean_absolute_error(self, counts: dict[str, int]) -> float:
@@ -138,7 +119,4 @@ class EquiDepthHistogram:
         return error / len(counts)
 
     def __repr__(self) -> str:
-        return (
-            f"EquiDepthHistogram(k={self.k}, buckets={self.bucket_count}, "
-            f"total_paths_k={self.total_paths_k})"
-        )
+        return f"EquiDepthHistogram(k={self.k}, buckets={self.bucket_count})"

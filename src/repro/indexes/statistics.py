@@ -8,9 +8,12 @@ have?*  Two implementations answer it:
 * :class:`~repro.indexes.histogram.EquiDepthHistogram` — the paper's
   lightweight equi-depth histogram.
 
-Both expose ``estimated_count`` (absolute cardinality estimate) and
-``selectivity`` (the paper's ``sel_{G,k}``: the fraction of
-``paths_k(G)`` satisfying ``p``).
+Both expose ``estimated_count``, the absolute cardinality estimate the
+planner and the cost model rank on.  The paper's ``sel_{G,k}(p)`` is
+that estimate over ``|paths_k(G)|``; the denominator belongs to the
+index (:meth:`~repro.sharding.ShardedGraph.total_paths_k`, sized when
+it is read), and :meth:`repro.api.GraphDatabase.selectivity` is the
+one place that divides.
 
 One shard of a :class:`~repro.sharding.ShardedGraph` is described by
 an :class:`ExactStatistics` over *that shard's* catalog
@@ -28,7 +31,6 @@ from typing import Protocol
 
 from repro.errors import ValidationError
 from repro.graph.graph import Graph, LabelPath
-from repro.graph.stats import count_paths_k
 from repro.indexes.pathindex import PathIndex
 
 
@@ -36,40 +38,25 @@ class Statistics(Protocol):
     """What the cost model needs from a statistics provider."""
 
     k: int
-    total_paths_k: int
 
     def estimated_count(self, path: LabelPath) -> float:
         """Estimated ``|p(G)|`` for a path of length <= k."""
-        ...
-
-    def selectivity(self, path: LabelPath) -> float:
-        """Estimated ``sel_{G,k}(p) = |p(G)| / |paths_k(G)|``."""
         ...
 
 
 class ExactStatistics:
     """Exact per-path counts taken from the index catalog."""
 
-    def __init__(self, counts: dict[str, int], k: int, total_paths_k: int):
+    def __init__(self, counts: dict[str, int], k: int):
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        if total_paths_k < 1:
-            raise ValidationError("total_paths_k must be positive")
         self._counts = dict(counts)
         self.k = k
-        self.total_paths_k = total_paths_k
 
     @classmethod
-    def from_index(
-        cls, index: PathIndex, graph: Graph | None = None
-    ) -> "ExactStatistics":
-        """Build from a :class:`PathIndex` (computes ``|paths_k(G)|``)."""
-        graph = graph if graph is not None else index.graph
-        return cls(
-            counts=index.counts_by_path(),
-            k=index.k,
-            total_paths_k=count_paths_k(graph, index.k),
-        )
+    def from_index(cls, index: PathIndex) -> "ExactStatistics":
+        """Build from a :class:`PathIndex` catalog."""
+        return cls(counts=index.counts_by_path(), k=index.k)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -80,9 +67,6 @@ class ExactStatistics:
         self._check(path)
         return float(self._counts.get(path.encode(), 0))
 
-    def selectivity(self, path: LabelPath) -> float:
-        return self.estimated_count(path) / self.total_paths_k
-
     def _check(self, path: LabelPath) -> None:
         if len(path) > self.k:
             raise ValidationError(
@@ -90,10 +74,7 @@ class ExactStatistics:
             )
 
     def __repr__(self) -> str:
-        return (
-            f"ExactStatistics(k={self.k}, paths={len(self._counts)}, "
-            f"total_paths_k={self.total_paths_k})"
-        )
+        return f"ExactStatistics(k={self.k}, paths={len(self._counts)})"
 
 
 def merge_shard_counts(per_shard: list[dict[str, int]]) -> dict[str, int]:
@@ -125,7 +106,6 @@ class UniformStatistics:
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         self.k = k
-        self.total_paths_k = max(count_paths_k(graph, k), 1)
         labels = graph.labels()
         edges = sum(graph.label_edge_count(label) for label in labels)
         self._avg_step_count = edges / max(len(labels), 1)
@@ -140,6 +120,3 @@ class UniformStatistics:
         for _ in range(len(path) - 1):
             estimate = estimate * self._avg_step_count / self._nodes
         return estimate
-
-    def selectivity(self, path: LabelPath) -> float:
-        return self.estimated_count(path) / self.total_paths_k

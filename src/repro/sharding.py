@@ -212,12 +212,16 @@ class ShardedGraph:
         self._shard_statistics: list[ExactStatistics | None] = [
             None for _ in self._shards
         ]
-        # |paths_k(G)| is maintained, not cached: one ball size
-        # |paths_k_from(G, s, k)| per node id and their running sum.
-        # ``None`` until first read, and again whenever the graph
-        # changed at endpoints nobody named.
+        # |paths_k(G)| is sized on read: one ball size
+        # |paths_k_from(G, s, k)| per node id, their running sum, and
+        # the endpoints changed since (see total_paths_k).  ``None``
+        # until first read, and again whenever the graph changed at
+        # endpoints nobody named.  The lock keeps two readers from
+        # resolving at once; writers are kept out by the caller's lock.
         self._ball_sizes: list[int] | None = None
         self._total_paths_k = 0
+        self._pending: set[int] = set()
+        self._sizes_lock = threading.Lock()
         #: Sources sized since the last :meth:`take_recounted_sources`.
         self._recounted_sources = 0
         #: Scatter-pruning decisions, keyed on ``(shard, plan)``.  A
@@ -483,35 +487,25 @@ class ShardedGraph:
         RPC engine's ``apply_commit_group``.  The shard catalogs, their
         merge, the per-shard statistics and :attr:`decision_cache` are
         dropped and rebuilt on next use — touched shards changed their
-        catalogs, and the graph change behind that moved
-        ``|paths_k(G)|`` under *every* shard's selectivities.
+        catalogs.
 
-        The per-source ball sizes behind :meth:`total_paths_k` survive:
-        ``endpoints`` names the endpoints of every edge the graph
-        gained or lost since the last call, and only the sources near
-        them are sized again (:func:`repro.graph.stats.paths_k_sizes`
-        has the argument).  ``None`` means the endpoints are unknown,
-        which drops the sizes for a count from scratch on next read.
-        New sizes are computed before any is stored, so a failure in
-        between leaves the old, consistent sizes (and a caller that
-        discards the index, as the API layer does).
+        ``|paths_k(G)|`` is not sized here: ``endpoints`` names the
+        endpoints of every edge the graph gained or lost since the last
+        call, and they are only recorded for :meth:`total_paths_k` to
+        size around when it is read.  ``None`` means the endpoints are
+        unknown, which drops the sizes for a count from scratch on next
+        read.
         """
         self._catalogs = [None for _ in self._shards]
         self._merged_counts = None
         self._shard_statistics = [None for _ in self._shards]
         self.decision_cache.clear()
-        sizes = self._ball_sizes
-        if endpoints is None or sizes is None:
-            self._ball_sizes = None
-            return
-        # Nodes the graph grew by are sized whether or not an endpoint.
-        grown = range(len(sizes), self.graph.node_count)
-        fresh = paths_k_sizes(self.graph, self.k, around={*endpoints, *grown})
-        sizes.extend([0] * len(grown))
-        for source, size in fresh.items():
-            self._total_paths_k += size - sizes[source]
-            sizes[source] = size
-        self._recounted_sources += len(fresh)
+        with self._sizes_lock:
+            if endpoints is None:
+                self._ball_sizes = None
+                self._pending = set()
+            elif self._ball_sizes is not None:
+                self._pending.update(endpoints)
 
     # -- delta patching (the sharded write path) --------------------------
 
@@ -695,26 +689,51 @@ class ShardedGraph:
     # -- statistics (global merge + per-shard slices) ---------------------
 
     def total_paths_k(self) -> int:
-        """``|paths_k(G)|`` — the shared selectivity denominator.
+        """``|paths_k(G)|`` — the selectivity denominator, sized on read.
 
-        Counted from scratch once per instance, then kept current by
-        :meth:`invalidate_statistics` from the endpoints it is given.
+        The first read counts every node's ball.  A later read sizes
+        only the sources within ``k - 1`` undirected hops of the
+        endpoints :meth:`invalidate_statistics` recorded since, and of
+        the nodes the graph grew by (:func:`repro.graph.stats.paths_k_sizes`
+        has the argument).  That is exact across any number of groups:
+        a path of at most ``k`` hops that differs between two graphs
+        reaches an edge of their symmetric difference over a prefix of
+        at most ``k - 1`` hops the two graphs share.  New sizes are
+        computed before any is stored, so a failure leaves the sizes
+        and the recorded endpoints as they were.  The caller keeps
+        writers out (the API layer reads it in a read section).
         """
-        if self._ball_sizes is None:
-            sizes = paths_k_sizes(self.graph, self.k)
-            self._ball_sizes = [sizes[node] for node in self.graph.node_ids()]
-            self._total_paths_k = sum(self._ball_sizes)
-            self._recounted_sources += len(sizes)
-        return self._total_paths_k
+        with self._sizes_lock:
+            sizes = self._ball_sizes
+            if sizes is None:
+                fresh = paths_k_sizes(self.graph, self.k)
+                self._ball_sizes = [fresh[node] for node in self.graph.node_ids()]
+                self._total_paths_k = sum(self._ball_sizes)
+            elif self._pending or len(sizes) < self.graph.node_count:
+                grown = range(len(sizes), self.graph.node_count)
+                fresh = paths_k_sizes(
+                    self.graph, self.k, around={*self._pending, *grown}
+                )
+                sizes.extend([0] * len(grown))
+                for source, size in fresh.items():
+                    self._total_paths_k += size - sizes[source]
+                    sizes[source] = size
+            else:
+                return self._total_paths_k
+            self._pending = set()
+            self._recounted_sources += len(fresh)
+            return self._total_paths_k
 
     def take_recounted_sources(self) -> int:
-        """Sources sized for :meth:`total_paths_k` since the last call.
+        """Sources sized by :meth:`total_paths_k` since the last call.
 
         The API layer adds this to ``stats().write.recounted_sources``
-        after every refresh; taking (not reading) keeps that sum right
-        across the index instances a database goes through.
+        after every read of the denominator; taking (not reading) keeps
+        that sum right across the index instances a database goes
+        through.
         """
-        taken, self._recounted_sources = self._recounted_sources, 0
+        with self._sizes_lock:
+            taken, self._recounted_sources = self._recounted_sources, 0
         return taken
 
     def merged_statistics(self) -> ExactStatistics:
@@ -725,11 +744,7 @@ class ShardedGraph:
         per-shard slices partition each relation, so their counts sum
         to the global catalog.  Both caches are reused.
         """
-        return ExactStatistics(
-            counts=self.counts_by_path(),
-            k=self.k,
-            total_paths_k=self.total_paths_k(),
-        )
+        return ExactStatistics(counts=self.counts_by_path(), k=self.k)
 
     def shard_statistics(self, shard: int) -> ExactStatistics:
         """Exact counts of one shard's slice of every path relation.
@@ -737,19 +752,13 @@ class ShardedGraph:
         Built from the shard's cached catalog (no second read of the
         shard) and cached until :meth:`invalidate_statistics`.  Shard
         pruning reads it per slice: a count of zero proves the slice
-        empty.  ``total_paths_k`` is the *global* ``|paths_k(G)|``, so
-        a shard's selectivities divide by the same denominator as the
-        global provider's.
+        empty.
         """
         if not 0 <= shard < len(self._shards):
             raise ValidationError(f"no such shard {shard}")
         cached = self._shard_statistics[shard]
         if cached is None:
-            cached = ExactStatistics(
-                counts=self._shard_catalog(shard),
-                k=self.k,
-                total_paths_k=self.total_paths_k(),
-            )
+            cached = ExactStatistics(counts=self._shard_catalog(shard), k=self.k)
             self._shard_statistics[shard] = cached
         return cached
 

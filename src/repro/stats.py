@@ -83,10 +83,11 @@ class WriteStats:
     log_records: int = 0
     #: Batches replayed from the log when the database opened.
     replayed: int = 0
-    #: Sources whose ``paths_k`` ball was re-counted to keep
-    #: ``|paths_k(G)|`` current (every node on an index build; only
-    #: those near the mutated edges when a sharded index absorbs a
-    #: group).  Divided by ``groups`` it says how local the writes are.
+    #: Sources whose ``paths_k`` ball was sized on demand, when
+    #: ``selectivity()`` read ``|paths_k(G)|``: every node on the first
+    #: read of an index, then only those near the edges changed since
+    #: the last read.  Writes size nothing, so it stays 0 until a read
+    #: asks for the denominator.
     recounted_sources: int = 0
 
 

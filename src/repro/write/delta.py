@@ -16,11 +16,11 @@ Two phases:
   graph-changing mutation's :func:`edge_delta`,
   evaluated post-insert for additions and pre-delete for removals —
   plus the union of touched-shard balls and the endpoints of those
-  mutations (all the index needs to keep ``|paths_k(G)|`` current
-  without recounting the graph).  Why the union of deltas is a
-  superset of every membership change across the group: take any pair
-  whose membership of path ``p`` differs between the group's initial
-  and final graph.  If it became *present*, its final witness exists;
+  mutations (all the index needs to size ``|paths_k(G)|`` locally
+  when it is next read, without recounting the graph).  Why the union
+  of deltas is a superset of every membership change across the group:
+  take any pair whose membership of path ``p`` differs between the
+  group's initial and final graph.  If it became *present*, its final witness exists;
   let ``e`` be the witness edge whose last graph-changing touch is
   latest — at that touch (an add) every other witness edge already has
   its final, present state, so the witness is intact and the pair is
@@ -133,8 +133,8 @@ class StagedGroup:
     #: ``None`` (patchable), ``"alphabet"`` or ``"overflow"``.
     fallback: str | None = None
     #: Node ids at either end of every graph-changing mutation: what
-    #: the index needs to bring ``|paths_k(G)|`` up to date locally
-    #: (:meth:`repro.sharding.ShardedGraph.invalidate_statistics`).
+    #: the index records to size ``|paths_k(G)|`` locally on its next
+    #: read (:meth:`repro.sharding.ShardedGraph.invalidate_statistics`).
     endpoints: set[int] = field(default_factory=set)
 
     @property

@@ -37,6 +37,12 @@ class TestConstruction:
         _ = db.index  # triggers the build
         assert db._index is not None
 
+    def test_empty_graph_opens(self):
+        with GraphDatabase.from_edges([]) as db:
+            assert len(db.query("a/b").pairs) == 0
+            assert db.selectivity("a") == 0.0
+            assert db.index.total_paths_k() == 0
+
     def test_k_validated(self):
         with pytest.raises(ValidationError):
             GraphDatabase(Graph(), k=0)
@@ -188,7 +194,8 @@ class TestExplainAndStats:
 
     def test_histogram_and_exact_stats_available(self, figure1_db):
         assert figure1_db.histogram.k == 2
-        assert figure1_db.exact_statistics.total_paths_k > 0
+        assert figure1_db.exact_statistics.counts == figure1_db.index.counts_by_path()
+        assert figure1_db.index.total_paths_k() > 0
 
     def test_repr(self, figure1_db):
         assert "GraphDatabase(nodes=9" in repr(figure1_db)

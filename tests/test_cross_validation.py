@@ -53,8 +53,8 @@ class TestRandomized:
         index = PathIndex.build(graph, k=2)
         for statistics in (
             ExactStatistics.from_index(index),
-            EquiDepthHistogram.from_index(index, graph, buckets=2),
-            EquiDepthHistogram.from_index(index, graph, buckets=64),
+            EquiDepthHistogram.from_index(index, buckets=2),
+            EquiDepthHistogram.from_index(index, buckets=64),
             UniformStatistics(graph, k=2),
         ):
             report = evaluate_ast(

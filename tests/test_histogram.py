@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import GraphDatabase
 from repro.errors import ValidationError
 from repro.graph.examples import figure1_graph
 from repro.graph.graph import LabelPath
@@ -18,7 +19,7 @@ from repro.indexes.pathindex import PathIndex
 def fig1_setup():
     graph = figure1_graph()
     index = PathIndex.build(graph, k=2)
-    histogram = EquiDepthHistogram.from_index(index, graph, buckets=8)
+    histogram = EquiDepthHistogram.from_index(index, buckets=8)
     return graph, index, histogram
 
 
@@ -29,28 +30,26 @@ class TestConstruction:
 
     def test_single_bucket(self, fig1_setup):
         graph, index, _ = fig1_setup
-        histogram = EquiDepthHistogram.from_index(index, graph, buckets=1)
+        histogram = EquiDepthHistogram.from_index(index, buckets=1)
         assert histogram.bucket_count == 1
 
     def test_empty_counts(self):
-        histogram = EquiDepthHistogram.from_counts({}, k=2, total_paths_k=10)
+        histogram = EquiDepthHistogram.from_counts({}, k=2)
         assert histogram.bucket_count == 0
         assert histogram.estimated_count(LabelPath.of("a")) == 0.0
 
     def test_bucket_validation(self):
         with pytest.raises(ValidationError):
-            EquiDepthHistogram.from_counts({"a": 1}, k=2, total_paths_k=5, buckets=0)
+            EquiDepthHistogram.from_counts({"a": 1}, k=2, buckets=0)
 
     def test_parallel_arrays_validated(self):
         with pytest.raises(ValidationError):
-            EquiDepthHistogram(["a"], [1, 2], [3], k=1, total_paths_k=1)
+            EquiDepthHistogram(["a"], [1, 2], [3], k=1)
 
     def test_equi_depth_property(self):
         """With many buckets available, bucket depths are balanced."""
         counts = {f"p{i:02d}": 10 for i in range(16)}
-        histogram = EquiDepthHistogram.from_counts(
-            counts, k=1, total_paths_k=160, buckets=4
-        )
+        histogram = EquiDepthHistogram.from_counts(counts, k=1, buckets=4)
         totals = histogram._bucket_totals
         assert all(total == pytest.approx(40, rel=0.5) for total in totals)
 
@@ -70,10 +69,7 @@ class TestEstimation:
         graph, index, _ = fig1_setup
         counts = index.counts_by_path()
         histogram = EquiDepthHistogram.from_counts(
-            counts,
-            k=2,
-            total_paths_k=count_paths_k(graph, 2),
-            buckets=10 * len(counts),
+            counts, k=2, buckets=10 * len(counts)
         )
         # one path per bucket -> estimates are nearly exact except where
         # zero-count paths share a bucket with the next path
@@ -93,10 +89,12 @@ class TestEstimation:
             histogram.estimated_count(LabelPath.of("a", "a", "a"))
 
     def test_selectivity_is_normalized_count(self, fig1_setup):
-        graph, _, histogram = fig1_setup
-        path = LabelPath.of("knows")
-        expected = histogram.estimated_count(path) / count_paths_k(graph, 2)
-        assert histogram.selectivity(path) == pytest.approx(expected)
+        graph, _, _ = fig1_setup
+        with GraphDatabase(graph, k=2) as database:
+            path = LabelPath.of("knows")
+            estimate = database.histogram.estimated_count(path)
+            expected = estimate / count_paths_k(graph, 2)
+            assert database.selectivity("knows") == pytest.approx(expected)
 
     def test_paper_selectivity_example_shape(self, fig1_setup):
         """sel(supervisor ∘ knows) is |...|/|paths_2| — tiny but positive."""
@@ -107,17 +105,14 @@ class TestEstimation:
 
     def test_mean_absolute_error_zero_for_uniform_counts(self):
         counts = {f"p{i}": 7 for i in range(8)}
-        histogram = EquiDepthHistogram.from_counts(
-            counts, k=1, total_paths_k=56, buckets=4
-        )
+        histogram = EquiDepthHistogram.from_counts(counts, k=1, buckets=4)
         assert histogram.mean_absolute_error(counts) == pytest.approx(0.0)
 
     def test_more_buckets_do_not_hurt_accuracy(self, fig1_setup):
         graph, index, _ = fig1_setup
         counts = index.counts_by_path()
-        total = count_paths_k(graph, 2)
-        coarse = EquiDepthHistogram.from_counts(counts, 2, total, buckets=2)
-        fine = EquiDepthHistogram.from_counts(counts, 2, total, buckets=64)
+        coarse = EquiDepthHistogram.from_counts(counts, 2, buckets=2)
+        fine = EquiDepthHistogram.from_counts(counts, 2, buckets=64)
         assert fine.mean_absolute_error(counts) <= coarse.mean_absolute_error(
             counts
         ) + 1e-9
@@ -135,10 +130,7 @@ class TestRandomized:
         st.integers(min_value=1, max_value=32),
     )
     def test_total_depth_preserved(self, counts, buckets):
-        histogram = EquiDepthHistogram.from_counts(
-            counts, k=2, total_paths_k=max(sum(counts.values()), 1),
-            buckets=buckets,
-        )
+        histogram = EquiDepthHistogram.from_counts(counts, k=2, buckets=buckets)
         assert sum(histogram._bucket_totals) == sum(counts.values())
         assert sum(histogram._bucket_paths) == len(counts)
 
@@ -151,8 +143,6 @@ class TestRandomized:
         )
     )
     def test_estimates_nonnegative(self, counts):
-        histogram = EquiDepthHistogram.from_counts(
-            counts, k=1, total_paths_k=max(sum(counts.values()), 1), buckets=4
-        )
+        histogram = EquiDepthHistogram.from_counts(counts, k=1, buckets=4)
         for encoded in counts:
             assert histogram.estimated_count(LabelPath.decode(encoded)) >= 0.0

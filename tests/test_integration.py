@@ -103,8 +103,9 @@ class TestStatisticsConsistency:
 
     def test_selectivity_sums_sanely(self):
         db = GraphDatabase(Graph.from_edges(FIGURE1_EDGES), k=2)
+        denominator = db.index.total_paths_k()
         total = sum(
-            db.exact_statistics.selectivity(path)
+            db.exact_statistics.estimated_count(path) / denominator
             for path in db.index.paths()
             if len(path) <= 2
         )

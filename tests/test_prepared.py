@@ -329,7 +329,7 @@ def older_build_plan_file(database: GraphDatabase, template: str, ns) -> dict:
             64,  # histogram buckets
             sorted(database.graph.labels()),
             database.graph.node_count,
-            statistics.total_paths_k,
+            database.index.total_paths_k(),
             sorted(statistics.counts.items()),
         ]
     )

@@ -70,11 +70,10 @@ class TestShardStatistics:
         plain = PathIndex.build(graph, 2)
         sharded = ShardedGraph.build(graph, 2, shards=4)
         merged = sharded.merged_statistics()
-        reference = ExactStatistics.from_index(plain, graph)
-        assert merged.total_paths_k == reference.total_paths_k
+        reference = ExactStatistics.from_index(plain)
+        assert sharded.total_paths_k() == count_paths_k(graph, 2)
         for path in plain.paths():
             assert merged.estimated_count(path) == reference.estimated_count(path)
-            assert merged.selectivity(path) == reference.selectivity(path)
 
     def test_shard_statistics_sum_to_catalog(self):
         graph = advogato_like(nodes=60, edges=300, seed=9)
@@ -107,7 +106,7 @@ class TestShardStatistics:
         with forced_path(pure_python):
             plain = PathIndex.build(graph, 2)
             sharded = ShardedGraph.build(graph, 2, shards=shards)
-            reference = ExactStatistics.from_index(plain, graph)
+            reference = ExactStatistics.from_index(plain)
             merged = sharded.merged_statistics()
             per_shard = [sharded.shard_statistics(shard) for shard in range(shards)]
             for path in plain.paths():

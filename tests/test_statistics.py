@@ -10,6 +10,7 @@ from repro.graph.graph import LabelPath
 from repro.graph.stats import count_paths_k
 from repro.indexes.pathindex import PathIndex
 from repro.indexes.statistics import ExactStatistics, UniformStatistics
+from repro.sharding import ShardedGraph
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,11 @@ class TestExactStatistics:
         graph, index = setup
         stats = ExactStatistics.from_index(index)
         assert stats.k == 2
-        assert stats.total_paths_k == count_paths_k(graph, 2)
+        assert stats.counts == index.counts_by_path()
+        # The denominator is the index's, sized when it is read.
+        assert not hasattr(stats, "total_paths_k")
+        sharded = ShardedGraph.build(graph, 2, shards=1)
+        assert sharded.total_paths_k() == count_paths_k(graph, 2)
 
     def test_counts_are_exact(self, setup):
         _, index = setup
@@ -41,7 +46,8 @@ class TestExactStatistics:
         graph, index = setup
         stats = ExactStatistics.from_index(index)
         knows = LabelPath.of("knows")
-        assert stats.selectivity(knows) == pytest.approx(
+        total = ShardedGraph.build(graph, 2, shards=1).total_paths_k()
+        assert stats.estimated_count(knows) / total == pytest.approx(
             9 / count_paths_k(graph, 2)
         )
 
@@ -53,9 +59,10 @@ class TestExactStatistics:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            ExactStatistics({}, k=0, total_paths_k=1)
-        with pytest.raises(ValidationError):
-            ExactStatistics({}, k=1, total_paths_k=0)
+            ExactStatistics({}, k=0)
+        # An empty catalog (an empty graph) is valid: every count is 0.
+        empty = ExactStatistics({}, k=1)
+        assert empty.estimated_count(LabelPath.of("knows")) == 0.0
 
 
 class TestUniformStatistics:
@@ -82,4 +89,5 @@ class TestUniformStatistics:
     def test_selectivity_positive(self, setup):
         graph, _ = setup
         stats = UniformStatistics(graph, k=2)
-        assert stats.selectivity(LabelPath.of("knows")) > 0.0
+        total = ShardedGraph.build(graph, 2, shards=1).total_paths_k()
+        assert stats.estimated_count(LabelPath.of("knows")) / total > 0.0

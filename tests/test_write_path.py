@@ -10,12 +10,13 @@ The contracts under test, in the order the module covers them:
   delta-patching engine, at one shard or many, answers exactly like
   the ``rpq/semantics`` reference evaluator over a graph kept in step
   (the hypothesis property), including under concurrent writers;
-* **the selectivity denominator** — ``|paths_k(G)|`` is maintained
-  from each group's endpoints, never recounted per group, and stays
+* **the selectivity denominator** — ``|paths_k(G)|`` is sized on
+  read: a build and a group size nothing, a read after groups sizes
+  only the neighbourhood of their endpoints, and the value read is
   exactly what a count from scratch gives, and the histogram exactly
-  a freshly built database's (hypothesis property over in-process
+  a freshly built database's (hypothesis properties over in-process
   patching, the ball-rebuild fallback and the coordinator); a failed
-  absorb discards the maintained sizes with the index;
+  absorb discards the sizes with the index, a failed read keeps them;
 * **durability** — the mutation log survives torn tails, a crash
   injected at the ``mutlog.flush`` seam fails the group with nothing
   applied, and reopening the log replays exactly the acknowledged
@@ -34,6 +35,7 @@ import io
 import random
 import sys
 import threading
+import time
 import warnings
 from contextlib import contextmanager
 
@@ -49,7 +51,7 @@ from repro.config import ServiceConfig
 from repro.errors import ShardUnavailableError, ValidationError
 from repro.faults import FaultPlan, FaultRule, armed, disarmed
 from repro.graph import stats as graph_stats
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, LabelPath
 from repro.graph.stats import count_paths_k
 from repro.indexes.builder import enumerate_label_paths
 from repro.indexes.pathindex import PathIndex
@@ -445,17 +447,18 @@ def _assert_statistics_fresh(db: GraphDatabase, k: int, shards: int) -> None:
     fresh = GraphDatabase(copy.deepcopy(graph), config=config)
     try:
         exact, histogram = db.exact_statistics, db.histogram
-        assert exact.total_paths_k == fresh.exact_statistics.total_paths_k == total
+        assert fresh.index.total_paths_k() == total
         assert db.index.counts_by_path() == fresh.index.counts_by_path()
         for path in enumerate_label_paths(graph.labels(), k):
-            want = fresh.exact_statistics.selectivity(path)
-            assert exact.selectivity(path) == want
-            assert histogram.selectivity(path) == fresh.histogram.selectivity(path)
+            want = fresh.exact_statistics.estimated_count(path)
+            assert exact.estimated_count(path) == want
+            assert histogram.estimated_count(path) == (
+                fresh.histogram.estimated_count(path)
+            )
         for shard in range(shards):
             mine = db.index.shard_statistics(shard)
             theirs = fresh.index.shard_statistics(shard)
             assert mine.counts == theirs.counts
-            assert mine.total_paths_k == theirs.total_paths_k == total
     finally:
         fresh.close()
 
@@ -518,25 +521,41 @@ class TestMaintainedPathsK:
                     _commit(db, group)
                     _assert_statistics_fresh(db, k, shards)
 
+    @pytest.mark.parametrize("absorber", ABSORBERS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @settings(max_examples=10, deadline=None)
+    @given(plan=group_plans(), shards=st.sampled_from([1, 2, 4]))
+    def test_total_read_once_after_many_groups(self, absorber, k, plan, shards):
+        """Endpoints pile up over many groups — node growth, edges added
+        and removed again — and the one read at the end is exact."""
+        start, groups = plan
+        with _opened(absorber, start, k, shards) as db:
+            db.index.total_paths_k()  # sizes exist, so the read below is local
+            for group in groups:
+                _commit(db, group)
+            assert db.index.total_paths_k() == count_paths_k(db.graph, k)
+
     def test_full_count_runs_once_per_index_instance(self, monkeypatch):
-        """Local groups never recount the graph; only a new instance does."""
+        """A build sizes nothing; the first read sizes every node once,
+        a read after groups only a neighbourhood; only a new instance
+        counts the whole graph again, and only when it is read."""
         from repro import sharding
         from repro.indexes import histogram, statistics
 
-        full_counts: list[int] = []
+        calls: list[int | None] = []  # None: a full count
         real_sizes = graph_stats.paths_k_sizes
 
         def counting_sizes(graph, k, around=None):
-            if around is None:
-                full_counts.append(graph.version)
-            return real_sizes(graph, k, around)
+            sized = real_sizes(graph, k, around)
+            calls.append(None if around is None else len(sized))
+            return sized
 
         def no_count(graph, k):
             raise AssertionError("count_paths_k called by the sharded engine")
 
         monkeypatch.setattr(sharding, "paths_k_sizes", counting_sizes)
         for module in (statistics, histogram):
-            monkeypatch.setattr(module, "count_paths_k", no_count)
+            monkeypatch.setattr(module, "count_paths_k", no_count, raising=False)
 
         db = GraphDatabase.from_edges(
             _edges(13, nodes=200, count=600),
@@ -544,23 +563,43 @@ class TestMaintainedPathsK:
         )
         try:
             first = db.index
-            assert len(full_counts) == 1
+            assert calls == []  # the build sized nothing
+            db.selectivity("a")
+            assert calls == [None]
+            nodes = db.graph.node_count
+            assert db.stats().write.recounted_sources == nodes
             for mutation in _mutations(14, 12, nodes=200):
                 db.apply(mutation)
             assert db.index is first
-            assert len(full_counts) == 1  # twelve groups, no recount
             assert db.stats().write.patched > 0
+            assert calls == [None]  # twelve groups, nothing sized
+            db.selectivity("a")
+            assert len(calls) == 2 and 0 < calls[1] < nodes
+            assert db.stats().write.recounted_sources == nodes + calls[1]
 
             db.apply(Mutation.add("n0", "brand_new_label", "n1"))
             assert db.index is not first  # alphabet change: new instance
-            assert len(full_counts) == 2
+            assert len(calls) == 2
             assert db.index.total_paths_k() == sum(
                 real_sizes(db.graph, 2).values()
             )
+            assert calls[2] is None
         finally:
             db.close()
 
-    def test_one_edge_apply_recounts_a_neighbourhood(self):
+    def test_one_edge_apply_recounts_a_neighbourhood(self, monkeypatch):
+        """A patched apply() sizes no ball; the next read sizes the
+        neighbourhood of the edge's endpoints, not the graph."""
+        from repro import sharding
+
+        sized: list[object] = []
+        real_sizes = graph_stats.paths_k_sizes
+
+        def spy(graph, k, around=None):
+            sized.append(around)
+            return real_sizes(graph, k, around)
+
+        monkeypatch.setattr(sharding, "paths_k_sizes", spy)
         for shards in (1, 2):
             db = GraphDatabase.from_edges(
                 _edges(21, nodes=200, count=300),
@@ -568,10 +607,17 @@ class TestMaintainedPathsK:
             )
             try:
                 nodes = db.graph.node_count
-                assert db.stats().write.recounted_sources == nodes  # the build
+                assert db.stats().write.recounted_sources == 0  # the build
+                db.selectivity("a")
+                assert db.stats().write.recounted_sources == nodes
+                sized.clear()
                 result = db.apply(Mutation.add("n0", "a", "n1"))
                 assert result.mode == "patch"
                 assert db.stats().write.patched == 1
+                assert sized == []  # the apply sized nothing
+                assert db.stats().write.recounted_sources == nodes
+                db.selectivity("a")
+                assert len(sized) == 1 and sized[0] is not None
                 recounted = db.stats().write.recounted_sources - nodes
                 assert 2 <= recounted < nodes
                 assert db.stats().as_dict()["recounted_sources"] == nodes + recounted
@@ -579,32 +625,129 @@ class TestMaintainedPathsK:
             finally:
                 db.close()
 
+    def test_failed_read_keeps_the_sizes_and_the_retry_is_exact(
+        self, monkeypatch
+    ):
+        from repro import sharding
+
+        db = GraphDatabase.from_edges(
+            _edges(23, nodes=80, count=200),
+            config=ServiceConfig(k=2, shards=2),
+        )
+        try:
+            before = db.selectivity("a")
+            for mutation in _mutations(24, 6, nodes=80):
+                db.apply(mutation)
+            real_sizes = graph_stats.paths_k_sizes
+            failures = []
+
+            def fails_once(graph, k, around=None):
+                if not failures:
+                    failures.append(around)
+                    raise OSError("sizing interrupted")
+                return real_sizes(graph, k, around)
+
+            monkeypatch.setattr(sharding, "paths_k_sizes", fails_once)
+            with pytest.raises(OSError):
+                db.selectivity("a")
+            assert failures and failures[0] is not None  # a local resize
+            total = count_paths_k(db.graph, 2)
+            assert db.index.total_paths_k() == total
+            assert db.selectivity("a") == (
+                db.histogram.estimated_count(LabelPath.of("a")) / total
+            )
+            assert before > 0.0
+        finally:
+            db.close()
+
+    def test_readers_and_a_writer_agree_on_the_denominator(self, monkeypatch):
+        """selectivity() and query() race apply(); nothing raises, no two
+        readers size at once, and the denominator read last is exact."""
+        from repro import sharding
+
+        real_sizes = graph_stats.paths_k_sizes
+        guard = threading.Lock()
+        inside = [0, 0]  # sizing now, most at once
+
+        def spy(graph, k, around=None):
+            with guard:
+                inside[0] += 1
+                inside[1] = max(inside)
+            try:
+                time.sleep(0.001)  # widen the window for a second reader
+                return real_sizes(graph, k, around)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(sharding, "paths_k_sizes", spy)
+        db = GraphDatabase.from_edges(
+            _edges(25, nodes=80, count=240),
+            config=ServiceConfig(k=2, shards=2),
+        )
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    assert 0.0 <= db.selectivity("a/b")
+                    db.query("a/b", use_cache=False)
+            except BaseException as error:  # reported by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        try:
+            for thread in readers:
+                thread.start()
+            for mutation in _mutations(26, 30, nodes=90):
+                db.apply(mutation)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in readers)
+            assert errors == []
+            assert inside[1] == 1
+            assert db.index.total_paths_k() == count_paths_k(db.graph, 2)
+        finally:
+            db.close()
+
 
 class TestFailedAbsorbDropsMaintainedSizes:
     """A failure between graph mutation and refresh: sizes go with the index.
 
-    The graph has moved but the per-source sizes have not; the only
-    safe continuation is the one the API layer takes — discard the
-    index, and let the next build count from scratch.
+    The graph has moved and the sizes the doomed index took belong to
+    the graph before; the only safe continuation is the one the API
+    layer takes — discard the index with its sizes, and let the next
+    build's first read count from scratch.
     """
 
     def _db(self):
-        return GraphDatabase.from_edges(
+        db = GraphDatabase.from_edges(
             _edges(17, nodes=60, count=90),
             config=ServiceConfig(k=2, shards=4),
         )
+        db.selectivity("a")  # the doomed index holds sizes
+        return db
 
     def _assert_recovers(self, db, doomed_index) -> None:
         assert db._index is None and db._exact_statistics is None
         built_before = db.stats().write.recounted_sources
         rebuilt = db.index  # lazy rebuild
         assert rebuilt is not doomed_index
+        assert db.stats().write.recounted_sources == built_before  # sized nothing
+        db.selectivity("a")
         assert (
             db.stats().write.recounted_sources - built_before
             == db.graph.node_count
         )
         assert rebuilt.total_paths_k() == count_paths_k(db.graph, 2)
-        assert db.exact_statistics.total_paths_k == rebuilt.total_paths_k()
+        assert db.exact_statistics.counts == rebuilt.counts_by_path()
 
     def test_fault_at_shard_build_during_ball_rebuild(self, monkeypatch):
         # A zero dirty-pair budget: the group takes the ball rebuild.
