@@ -1,12 +1,12 @@
-"""Write-path ablation: delta shard patching vs ball rebuilds.
+"""Write-path ablation: delta shard patching vs rebuilding every shard.
 
-Measures the central claim of the write path: absorbing a stream of
-point mutations through per-shard delta patches (the default) against
-the same stream where every changed group takes the ball rebuild of
-its touched shards.  The rebuild arm sets the dirty-pair budget
-``repro.write.delta.MAX_DIRTY_PAIRS`` to 0, so every group overflows
-into the product's own rebuild fallback; the budget is restored
-afterwards.  The stream interleaves reads the way an online store
+Measures the central claim of the write path, which is "patch, or
+rebuild every shard in place": absorbing a stream of point mutations
+through per-shard delta patches (the default) against the same stream
+where every changed group rebuilds every shard in place.  The rebuild
+arm sets the dirty-pair budget ``repro.write.delta.MAX_DIRTY_PAIRS`` to
+0, so every group overflows into the product's own rebuild fallback;
+the budget is restored afterwards.  The stream interleaves reads the way an online store
 would, and answers between the two engines are pinned equal at the
 end — the speedup is never bought with wrongness.
 
@@ -75,7 +75,7 @@ def _graph_edges(scale: str, seed: int = 1):
 
 def _stream(names, count: int, seed: int = 2):
     """Point adds and removes; removes target previously added edges,
-    so the label alphabet never changes (no forced full rebuilds)."""
+    so the label alphabet never changes (no forced rebuilds)."""
     rng = random.Random(seed)
     live: list[tuple[str, str, str]] = []
     out: list[Mutation] = []
@@ -97,7 +97,7 @@ def _run(scale: str, shards: int, count: int, patching: bool):
     budget = delta.MAX_DIRTY_PAIRS
     if not patching:
         # No dirty pair fits the budget: every group overflows into the
-        # ball rebuild.
+        # rebuild of every shard.
         delta.MAX_DIRTY_PAIRS = 0
     try:
         started = time.perf_counter()

@@ -9,7 +9,7 @@ block, or inside a method whose name ends in ``_locked`` — the
 caller-already-holds-the-lock marker.  This rule enforces both halves:
 
 * an assignment to guarded state outside any such section is flagged;
-* a mutation call (``add_edge``, ``rebuild_shards``, ...) lexically
+* a mutation call (``add_edge``, ``absorb_group``, ...) lexically
   inside a ``read_locked()`` section is flagged — readers share the
   lock, so mutating under one races every other reader.
 """
@@ -39,7 +39,13 @@ CACHE_STATE = {"_query_cache", "_cached_pairs", "_cache_version"}
 
 #: Calls that mutate shared state and therefore must never appear
 #: lexically inside a shared (read) section.
-MUTATION_CALLS = {"add_edge", "remove_edge", "rebuild_shards"}
+MUTATION_CALLS = {
+    "add_edge",
+    "remove_edge",
+    "rebuild_shards",
+    "patch_shards",
+    "absorb_group",
+}
 
 
 def _self_attribute(node: ast.AST) -> str | None:

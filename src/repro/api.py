@@ -733,12 +733,13 @@ class GraphDatabase:
         behind one leader into one write-lock acquisition, one mutation
         log append run + ``fsync`` (when ``mutation_log_path`` is set),
         and one index update — per-shard delta patching when the group
-        is local (memory-backed shards, any shard count, at most
-        ``repro.write.delta.MAX_DIRTY_PAIRS`` dirty pairs), a ball or
-        full rebuild otherwise.  By the time this returns the batch is
-        durable (if logging) and visible to queries; the result says
-        how many mutations changed the graph, the version they landed
-        on, and how the index absorbed the group.
+        is local (any backend, any shard count, the same label
+        vocabulary, at most ``repro.write.delta.MAX_DIRTY_PAIRS`` dirty
+        pairs), a rebuild of every shard in place otherwise.  By the
+        time this returns the batch is durable (if logging) and
+        visible to queries; the result says how many mutations changed
+        the graph, the version they landed on, and how the index
+        absorbed the group.
         """
         batch = MutationBatch.coerce(mutations)
         self._ensure_built()
@@ -776,39 +777,30 @@ class GraphDatabase:
         """Apply a durable group to graph + index; caller holds the lock.
 
         The graph moves first (:func:`~repro.write.delta.stage_group`),
-        then the index follows under :meth:`_replace_index_locked`: a
-        changed label vocabulary invalidates every shard's path
-        enumeration, so the index is built again; anything else the
-        index absorbs itself (``absorb_group``) — from the resolved
-        point edits when the group stayed local and the backend takes
-        them, by rebuilding the touched shards otherwise.
+        then the index absorbs the group itself (``absorb_group``) under
+        :meth:`_replace_index_locked`: from the resolved point edits
+        when the group stayed local, by rebuilding every shard in place
+        when it did not (a changed label vocabulary, a dirty-pair
+        overflow).  Either way the index instance is kept.
         """
         index = self._index
         if index is None:
             # A failed absorb leaves no index behind the graph it
             # mutated; this group lands on one built from that graph.
             index = self._build_index_locked()
-        patchable = index.supports_patch
-        # Delta staging needs the full path enumeration over the
-        # pre-group alphabet (an alphabet change falls back anyway);
-        # the rebuild path skips collecting deltas entirely.
-        paths = (
-            enumerate_label_paths(self.graph.labels(), self.k) if patchable else []
-        )
-        staged = stage_group(self.graph, index, batches, paths)
-        mode, patched = "rebuild", ()
-        if not staged.changed:
-            mode = "noop"
-        elif staged.fallback == "alphabet":
-            self._build_index_locked()
-        else:
-            changes = None
-            if patchable and staged.fallback is None:
+        # Delta staging enumerates the paths over the pre-group
+        # alphabet; a group that changes it falls back to the rebuild.
+        paths = enumerate_label_paths(self.graph.labels(), self.k)
+        staged = stage_group(self.graph, batches, paths)
+        mode, patched, changes = "noop", (), None
+        if staged.changed:
+            mode = "rebuild"
+            if staged.fallback is None:
                 changes = resolve_patch(self.graph, index, staged.dirty)
                 mode, patched = "patch", tuple(sorted(changes))
 
             def absorb(live: ShardedGraph) -> ShardedGraph:
-                live.absorb_group(batches, changes, staged.touched, staged.endpoints)
+                live.absorb_group(batches, changes, staged.endpoints)
                 return live
 
             self._replace_index_locked(absorb)

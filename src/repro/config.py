@@ -28,8 +28,9 @@ histogram has 64 buckets (``EquiDepthHistogram.from_counts``), the
 vertex-to-shard map starts at seed 0 (``rebalance()`` re-seeds it), a
 commit group drains at most ``repro.write.commit.MAX_GROUP`` batches
 with no coalescing window, and a group past
-``repro.write.delta.MAX_DIRTY_PAIRS`` dirty pairs takes the ball
-rebuild instead of a patch.
+``repro.write.delta.MAX_DIRTY_PAIRS`` dirty pairs rebuilds every
+shard in place instead of patching: the write path is "patch, or
+rebuild every shard in place", on every backend.
 """
 
 from __future__ import annotations

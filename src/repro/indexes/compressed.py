@@ -10,6 +10,11 @@ each label path's relation as a postings byte-string:
 * a sparse skip list of ``(source, byte_offset)`` entries (one per
   ``SKIP_EVERY`` groups) makes ``scan_from`` sub-linear.
 
+A patch decodes the path's columns, edits them the way the memory
+backend does (:func:`repro.indexes.pathindex.edit_columns`) and
+re-encodes the posting list, so this backend takes the same write
+path as the others.
+
 Varints are unsigned LEB128.  Typical k-path relations (clustered ids,
 runs of shared sources) compress to a fraction of the raw
 3-integer-tuple representation; the exact ratio is reported by
@@ -23,6 +28,7 @@ from array import array
 from typing import Iterable
 
 from repro.errors import StorageError
+from repro.indexes.pathindex import edit_columns
 
 Pair = tuple[int, int]
 
@@ -184,6 +190,18 @@ class CompressedBackend:
         if postings is None:
             return array("q"), array("q")
         return postings.columns()
+
+    def patch(
+        self, path_id: int, adds: Iterable[Pair], removes: Iterable[Pair]
+    ) -> tuple[int, int]:
+        """Edit a fresh decode; re-encode the path if anything changed."""
+        sources, targets = self.scan_columns(path_id)
+        inserted, removed = edit_columns(sources, targets, adds, removes)
+        if inserted or removed:
+            self._postings[path_id] = PostingList.from_pairs(
+                list(zip(sources, targets))
+            )
+        return inserted, removed
 
     def targets_from(self, path_id: int, source: int) -> list[int]:
         postings = self._postings.get(path_id)

@@ -75,6 +75,27 @@ _SWAP = sys.byteorder != "little"
 Run = tuple[int, array, array]
 
 
+def edit_columns(
+    sources: array, targets: array, adds: Iterable[Pair], removes: Iterable[Pair]
+) -> tuple[int, int]:
+    """Remove, then add, in place on (src, tgt)-sorted columns; returns
+    the counts of pairs actually ``(inserted, removed)``.  Every backend's
+    ``patch`` runs its edit through here, each on columns it owns."""
+    inserted = removed = 0
+    for source, target in removes:
+        position, present = locate(sources, targets, source, target)
+        if present:
+            del sources[position], targets[position]
+            removed += 1
+    for source, target in adds:
+        position, present = locate(sources, targets, source, target)
+        if not present:
+            sources.insert(position, source)
+            targets.insert(position, target)
+            inserted += 1
+    return inserted, removed
+
+
 class _MemoryBackend:
     """Per-path sorted columns, adopted from the builder as they come."""
 
@@ -101,21 +122,10 @@ class _MemoryBackend:
     def patch(
         self, path_id: int, adds: Iterable[Pair], removes: Iterable[Pair]
     ) -> tuple[int, int]:
-        """Remove, then add, on a copy; install it if anything changed."""
+        """Edit a copy of the columns; install it if anything changed."""
         installed = self.scan_columns(path_id)
         sources, targets = installed[0][:], installed[1][:]
-        inserted = removed = 0
-        for source, target in removes:
-            position, present = locate(sources, targets, source, target)
-            if present:
-                del sources[position], targets[position]
-                removed += 1
-        for source, target in adds:
-            position, present = locate(sources, targets, source, target)
-            if not present:
-                sources.insert(position, source)
-                targets.insert(position, target)
-                inserted += 1
+        inserted, removed = edit_columns(sources, targets, adds, removes)
         if inserted or removed:
             self._columns[path_id] = (sources, targets)
         return inserted, removed
@@ -375,11 +385,6 @@ class PathIndex:
 
     # -- patching (the sharded write path) ----------------------------------
 
-    @property
-    def supports_patch(self) -> bool:
-        """Whether the backend takes edits (memory and disk do)."""
-        return hasattr(self._backend, "patch")
-
     def patch(
         self,
         path: LabelPath,
@@ -400,12 +405,9 @@ class PathIndex:
         are dense and append-only, and every lookup is per path, so
         cross-path id order never matters.  Exact per-path counts stay
         exact (they are the statistics layer's ground truth).  A disk
-        index's image lags until :meth:`flush`.
+        index's image lags until :meth:`flush`; a compressed index
+        re-encodes the path's posting list.
         """
-        if not self.supports_patch:
-            raise PathIndexError(
-                f"backend {self.backend_name!r} cannot patch; rebuild instead"
-            )
         self._check_length(path)
         encoded = path.encode()
         path_id = self._path_ids.get(encoded, len(self._path_ids))

@@ -165,21 +165,12 @@ class WorkerStub:
         reply, _ = self._call("entry_count")
         return int(reply["value"])
 
-    #: Workers are memory-backed; their shard indexes take per-path
-    #: edits, so the coordinator's delta-patching path stays open over RPC.
-    supports_patch = True
-
     def apply_group(
-        self,
-        seq: int,
-        mutations: list[dict],
-        patch: dict | None = None,
-        rebuild: bool = False,
+        self, seq: int, mutations: list[dict], patch: dict | None = None
     ) -> int:
-        """Ship one commit group: mutations + this shard's index move."""
-        reply, _ = self._call(
-            "apply", seq=seq, mutations=mutations, patch=patch, rebuild=rebuild
-        )
+        """Ship one commit group: mutations + this shard's index move
+        (its point edits, or ``None`` for a rebuild of the shard)."""
+        reply, _ = self._call("apply", seq=seq, mutations=mutations, patch=patch)
         return int(reply["version"])
 
     def close(self) -> None:
@@ -346,8 +337,8 @@ class RpcShardedGraph(ShardedGraph):
 
     # -- lifecycle --------------------------------------------------------
 
-    def rebuild_shards(self, shard_ids, endpoints=None) -> None:
-        """In-process partial rebuild does not apply over RPC."""
+    def rebuild_shards(self, endpoints=None) -> None:
+        """In-process rebuild does not apply over RPC."""
         raise ValidationError(
             "RpcShardedGraph shards rebuild in their worker processes; "
             "use apply_commit_group()"
@@ -364,7 +355,6 @@ class RpcShardedGraph(ShardedGraph):
         self,
         mutations: list[dict],
         patch: dict[int, dict] | None,
-        touched: set[int],
         endpoints: set[int] | None = None,
     ) -> None:
         """Broadcast one commit group to every worker, then journal it.
@@ -373,28 +363,28 @@ class RpcShardedGraph(ShardedGraph):
         (relations compose against the full graph, so all copies must
         move in lockstep); each worker's *index* move is pre-computed
         coordinator-side — ``patch`` maps shard -> that shard's point
-        edits (delta path), ``patch=None`` means the workers in
-        ``touched`` rebuild their ball instead.  Any worker failing
-        mid-broadcast propagates — the caller discards the whole index
-        and relaunches, because half-mutated workers are unusable.  The
-        journaled group is what restarted workers replay; ``endpoints``
-        goes to :meth:`invalidate_statistics`.  The kept slices go first.
+        edits (delta path), ``patch=None`` means every worker rebuilds
+        its shard instead, and the graph's labels become
+        :attr:`alphabet`.  Any worker failing mid-broadcast propagates —
+        the caller discards the whole index and relaunches, because
+        half-mutated workers are unusable.  The journaled group is what
+        restarted workers replay; ``endpoints`` goes to
+        :meth:`invalidate_statistics`.  The kept slices go first.
         """
         self.slices.clear()
         seq = self.journal_seq + 1
         for shard, stub in enumerate(self._shards):
-            if patch is not None:
-                stub.apply_group(seq, mutations, patch=patch.get(shard, {}))
-            else:
-                stub.apply_group(seq, mutations, rebuild=shard in touched)
+            edits = None if patch is None else patch.get(shard, {})
+            stub.apply_group(seq, mutations, edits)
         self.journal_seq = seq
         self.journal.append((seq, mutations))
+        self.alphabet = self.graph.labels()
         self.invalidate_statistics(endpoints)
 
-    def absorb_group(self, batches, changes, touched, endpoints) -> None:
+    def absorb_group(self, batches, changes, endpoints) -> None:
         """One broadcast: the workers patch or rebuild their own shards."""
         mutations = [mutation.as_wire() for batch in batches for mutation in batch]
-        self.apply_commit_group(mutations, changes, touched, endpoints)
+        self.apply_commit_group(mutations, changes, endpoints)
 
     def worker_alive(self, shard: int) -> bool:
         return self.handles[shard].alive()
@@ -424,7 +414,7 @@ class RpcShardedGraph(ShardedGraph):
         old.stop()
         mutations = [wire for _seq, group in self.journal for wire in group]
         if mutations:
-            self._shards[shard].apply_group(self.journal_seq, mutations, rebuild=True)
+            self._shards[shard].apply_group(self.journal_seq, mutations)
             self.replayed_mutations += len(mutations)
 
     def close(self) -> None:

@@ -9,11 +9,13 @@ serves requests over a length-prefixed socket protocol
 
 Workers communicate *only* by message passing: the coordinator's graph
 mutations arrive as ``apply`` requests — one per commit group, carrying
-the group's mutations plus either this worker's pre-computed shard
-patch slice or a rebuild flag — that the worker applies to its own
-forked copy of the graph.  A restarted worker catches up with one
-more ``apply`` (the journal suffix past its acked sequence number, and
-a rebuild) instead of re-receiving the whole graph.
+the group's mutations plus this worker's pre-computed shard patch
+slice, or no slice for a rebuild — that the worker applies to its own
+forked copy of the graph.  A group is patched, or every worker
+rebuilds its shard in place; there is no third way.  A restarted
+worker catches up with one more ``apply`` (the journal suffix past
+its acked sequence number, and a rebuild) instead of re-receiving the
+whole graph.
 
 Failure behavior is deliberately blunt: a request the worker can
 classify (an unknown path, an expired budget, a corrupt frame it
@@ -296,10 +298,10 @@ def _handle_apply(state: _WorkerState, header: dict) -> tuple[dict, bytes]:
     The coordinator runs the delta algorithm once and ships each worker
     only its slice: ``patch`` (encoded path -> ``[adds, removes]`` pair
     lists, possibly empty) for copy-on-write column edits (a scan reply
-    still being encoded keeps its columns), or ``rebuild: true`` when
-    this shard's ball must rebuild — as a restarted worker does after
-    the journal suffix it replays.  ``seq`` advances the worker's
-    resync cursor.
+    still being encoded keeps its columns), or no ``patch`` when the
+    group cannot be patched and every shard rebuilds — as a restarted
+    worker does after the journal suffix it replays.  ``seq`` advances
+    the worker's resync cursor.
     """
     _apply_mutations(state, header.get("mutations", []))
     patch = header.get("patch")
@@ -310,7 +312,7 @@ def _handle_apply(state: _WorkerState, header: dict) -> tuple[dict, bytes]:
                 [(int(src), int(tgt)) for src, tgt in adds],
                 [(int(src), int(tgt)) for src, tgt in removes],
             )
-    elif header.get("rebuild"):
+    else:
         state.rebuild()
     state.applied_seq = int(header.get("seq", state.applied_seq))
     return {

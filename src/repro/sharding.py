@@ -25,11 +25,9 @@ Three properties fall out of that rule and carry the whole design:
   build with no communication — one after the other in this process,
   one process per shard under ``repro serve``.
 * **locality** — single-source lookups (``I(p, a)`` scans, membership
-  probes) route to the one shard owning ``a``; a graph mutation
-  invalidates only the shards within undirected distance ``k - 1`` of
-  the touched edge (:meth:`ShardedGraph.shards_touching`), so a
-  commit group through :meth:`repro.api.GraphDatabase.apply` patches
-  or rebuilds a neighborhood, not the world.
+  probes) route to the one shard owning ``a``, and a commit group
+  through :meth:`repro.api.GraphDatabase.apply` edits only the shards
+  owning the start of a changed pair (:meth:`ShardedGraph.patch_shards`).
 
 What does *not* shard is Kleene recursion: a ``Star`` path may hop
 between shards arbitrarily often, so cross-shard closure cannot be
@@ -196,7 +194,7 @@ class ShardedGraph:
         self.shard_seed = shard_seed
         #: The step vocabulary the shards were enumerated over.  A
         #: mutation that changes it invalidates every shard's path set
-        #: at once — the API layer then forces a full rebuild.
+        #: at once, so such a group takes :meth:`rebuild_shards`.
         self.alphabet = graph.labels()
         # Per-shard owned-vertex lists, computed in one pass over the
         # node ids and cached against the graph version (the id->shard
@@ -257,23 +255,8 @@ class ShardedGraph:
             raise ValidationError(f"shards must be >= 1, got {shards}")
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        built = cls._build_shards(
-            graph,
-            k,
-            shards,
-            list(range(shards)),
-            shard_seed,
-            backend,
-            index_path,
-        )
-        return cls(
-            graph,
-            k,
-            [built[shard] for shard in range(shards)],
-            backend,
-            index_path,
-            shard_seed=shard_seed,
-        )
+        built = cls._build_shards(graph, k, shards, shard_seed, backend, index_path)
+        return cls(graph, k, built, backend, index_path, shard_seed=shard_seed)
 
     @classmethod
     def _build_shards(
@@ -281,30 +264,24 @@ class ShardedGraph:
         graph: Graph,
         k: int,
         shard_count: int,
-        shard_ids: list[int],
         seed: int,
         backend: str,
         index_path: str | FilePath | None,
-    ) -> dict[int, PathIndex]:
-        """The listed shards' indexes, built from the graph as it is now.
+    ) -> list[PathIndex]:
+        """Every shard's index, built from the graph as it is now.
 
         One :meth:`_serial_shard` per shard, in order; nothing built is
         left open when a later shard fails.
         """
-        built: dict[int, PathIndex] = {}
+        built: list[PathIndex] = []
         try:
-            for shard in shard_ids:
-                built[shard] = cls._serial_shard(
-                    graph,
-                    k,
-                    shard_count,
-                    shard,
-                    seed,
-                    backend,
-                    index_path,
+            for shard in range(shard_count):
+                index = cls._serial_shard(
+                    graph, k, shard_count, shard, seed, backend, index_path
                 )
+                built.append(index)
         except BaseException:
-            for index in built.values():
+            for index in built:
                 index.close()
             raise
         return built
@@ -413,70 +390,28 @@ class ShardedGraph:
             self._owned_version = self.graph.version
         return self._owned_lists[shard]
 
-    def shards_touching(self, vertices: Iterable[int]) -> set[int]:
-        """Shards whose relations can change when edges at ``vertices`` do.
-
-        A length-``<= k`` path using an edge at ``vertices`` on hop
-        ``i`` starts within ``i - 1 <= k - 1`` undirected hops of an
-        endpoint, so the owners of the radius-``k - 1`` undirected ball
-        around ``vertices`` are exactly the shards whose index entries
-        a mutation there can create or destroy.  Callers must evaluate
-        the ball on the graph that *contains* the edge: post-insert for
-        additions, pre-delete for removals.
-        """
-        count = len(self._shards)
-        seed = self.shard_seed
-        frontier = set(vertices)
-        seen = set(frontier)
-        touched = {shard_of(node, count, seed) for node in frontier}
-        for _ in range(self.k - 1):
-            if not frontier or len(touched) == count:
-                break
-            next_frontier: set[int] = set()
-            for node in frontier:
-                for neighbor in self.graph.undirected_neighbors(node):
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        next_frontier.add(neighbor)
-                        touched.add(shard_of(neighbor, count, seed))
-            frontier = next_frontier
-        return touched
-
-    def rebuild_shards(
-        self,
-        shard_ids: Iterable[int],
-        endpoints: Iterable[int] | None = None,
-    ) -> None:
-        """Recompute the listed shards against the current graph.
+    def rebuild_shards(self, endpoints: Iterable[int] | None = None) -> None:
+        """Rebuild every shard against the current graph, in place.
 
         Every replacement is built before any shard is swapped, so a
         failing computation leaves every shard intact and serving.  Any
-        failure propagates and the API layer discards the whole index
-        (the same all-or-nothing contract as a full rebuild).  Must not
-        be used across an alphabet change — the unlisted shards' path
-        sets would silently be stale (:attr:`alphabet` is the guard).
+        failure propagates and the API layer discards the whole index.
+        The graph's labels then become :attr:`alphabet`: this is how a
+        group that changed the label vocabulary reaches the shards.
         ``endpoints`` goes to :meth:`invalidate_statistics`.
         """
-        if self.alphabet != self.graph.labels():
-            raise ValidationError(
-                "edge-label vocabulary changed; rebuild the whole index"
-            )
-        shard_ids = sorted(set(shard_ids))
-        for shard in shard_ids:
-            if not 0 <= shard < len(self._shards):
-                raise ValidationError(f"no such shard {shard}")
         built = self._build_shards(
             self.graph,
             self.k,
             len(self._shards),
-            shard_ids,
             self.shard_seed,
             self._backend,
             self._index_path,
         )
-        for shard, replacement in built.items():
+        for shard, replacement in enumerate(built):
             old, self._shards[shard] = self._shards[shard], replacement
             old.close()
+        self.alphabet = self.graph.labels()
         self.invalidate_statistics(endpoints)
 
     def invalidate_statistics(self, endpoints: Iterable[int] | None = None) -> None:
@@ -486,8 +421,8 @@ class ShardedGraph:
         instance: :meth:`rebuild_shards`, :meth:`patch_shards`, and the
         RPC engine's ``apply_commit_group``.  The shard catalogs, their
         merge, the per-shard statistics and :attr:`decision_cache` are
-        dropped and rebuilt on next use — touched shards changed their
-        catalogs.
+        dropped and rebuilt on next use, because the shards' catalogs
+        moved.
 
         ``|paths_k(G)|`` is not sized here: ``endpoints`` names the
         endpoints of every edge the graph gained or lost since the last
@@ -509,22 +444,10 @@ class ShardedGraph:
 
     # -- delta patching (the sharded write path) --------------------------
 
-    @property
-    def supports_patch(self) -> bool:
-        """Whether every shard index takes per-path edits.
-
-        True for the memory and disk backends (copy-on-write column
-        edits); the compressed backend only bulk-loads, so mutations
-        there fall back to the ball rebuild.
-        """
-        return all(
-            getattr(shard, "supports_patch", False) for shard in self._shards
-        )
-
     def patch_shards(
         self, changes: dict[int, dict], endpoints: Iterable[int] | None = None
     ) -> None:
-        """Apply per-shard index deltas in place of a ball rebuild.
+        """Apply per-shard index deltas in place of a rebuild.
 
         ``changes`` maps shard id -> (encoded path -> ``(adds,
         removes)`` pair lists), the shape
@@ -537,7 +460,8 @@ class ShardedGraph:
         once, which rewrites its image on the disk backend.
         ``endpoints`` goes to :meth:`invalidate_statistics`, exactly as
         for :meth:`rebuild_shards`.  Must not be used across an
-        alphabet change — same guard, same reason.
+        alphabet change: the shards' path sets would silently be stale
+        (:attr:`alphabet` is the guard).
         """
         if self.alphabet != self.graph.labels():
             raise ValidationError(
@@ -557,23 +481,19 @@ class ShardedGraph:
         self,
         batches,
         changes: dict[int, dict] | None,
-        touched: set[int],
         endpoints: Iterable[int] | None,
     ) -> None:
         """Follow one commit group the graph has already taken.
 
-        ``batches`` are the group's mutation batches, ``changes`` the
-        per-shard point edits resolved for it (``None`` when it cannot
-        be patched), ``touched`` the shards its edges can reach.  How
-        the group gets to the shards is this object's decision because
-        it knows where they live: in this process they are patched in
-        place when there are edits to apply and rebuilt otherwise; the
-        batches themselves are for shards that keep their own graph.
+        ``changes`` are the per-shard point edits resolved for the
+        group's ``batches``, or ``None`` when it cannot be patched; in
+        this process every shard is then rebuilt in place.  The batches
+        are for shards that keep their own graph (the RPC engine).
         """
         if changes is not None:
             self.patch_shards(changes, endpoints)
         else:
-            self.rebuild_shards(touched, endpoints=endpoints)
+            self.rebuild_shards(endpoints)
 
     # -- PathIndex facade (global scatter-gather) -------------------------
 

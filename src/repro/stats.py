@@ -77,7 +77,7 @@ class WriteStats:
     coalesced: int = 0
     #: Groups absorbed by per-shard delta patching.
     patched: int = 0
-    #: Groups that fell back to a ball or full index rebuild.
+    #: Groups that fell back to rebuilding every shard in place.
     rebuilt: int = 0
     #: Durable mutation-log records (0 when logging is disabled).
     log_records: int = 0

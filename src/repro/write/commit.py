@@ -5,7 +5,7 @@ Writers from many client threads call
 the *leader*: it drains the queue (up to :data:`MAX_GROUP` batches) and
 runs the commit callable once for the whole group — one write-lock
 acquisition, one log append run + one ``fsync``, one index delta per
-touched shard — then hands each follower its own
+shard it reaches — then hands each follower its own
 :class:`~repro.write.mutation.ApplyResult`.  Followers just park on the
 condition variable; a follower whose batch was not drained becomes the
 next leader when the current one finishes.  There is no coalescing

@@ -5,9 +5,9 @@ it under edge insertions and deletions open.  This module maintains it
 with a localized delta (:func:`edge_delta` — ``A x B`` pairs per edge
 and path position, at a cost proportional to the affected
 neighborhoods rather than the graph) over the sharded engine
-(:mod:`repro.sharding` — entries partitioned by path start).  Instead
-of rebuilding the touched shard *ball* per mutation, a whole commit
-group becomes one small set of per-path column edits per touched shard.
+(:mod:`repro.sharding` — entries partitioned by path start): a whole
+commit group becomes one small set of per-path column edits per shard
+it reaches.
 
 Two phases:
 
@@ -15,9 +15,9 @@ Two phases:
   (in order), collecting per-path *dirty pairs* — the union of each
   graph-changing mutation's :func:`edge_delta`,
   evaluated post-insert for additions and pre-delete for removals —
-  plus the union of touched-shard balls and the endpoints of those
-  mutations (all the index needs to size ``|paths_k(G)|`` locally
-  when it is next read, without recounting the graph).  Why the union
+  plus the endpoints of those mutations (all the index needs to size
+  ``|paths_k(G)|`` locally when it is next read, without recounting
+  the graph).  Why the union
   of deltas is a superset of every membership change across the group:
   take any pair whose membership of path ``p`` differs between the
   group's initial and final graph.  If it became *present*, its final witness exists;
@@ -37,13 +37,13 @@ Two phases:
   exactly equivalent to a rebuild — the property tests pin this
   against the shards=1 oracle.
 
-Staging falls back (returns a non-``None`` ``fallback``) when a delta
-is non-local: the label alphabet changed (the per-shard path sets
-themselves are stale — full rebuild), or the dirty-pair count passed
-:data:`MAX_DIRTY_PAIRS` (the k-radius ball blew up — ball rebuild is
-cheaper than pair-at-a-time patching).  There is no switch that turns
-patching off: a group is patched when the backend takes point edits
-and staging did not fall back, and takes the rebuild otherwise.
+A group reaches the index one of two ways: it is patched, or every
+shard is rebuilt in place.  Staging falls back to the rebuild (returns
+a non-``None`` ``fallback``) when the label alphabet changed (the
+per-shard path sets themselves are stale), or when the dirty-pair
+count passed :data:`MAX_DIRTY_PAIRS` (pair-at-a-time patching would
+cost more than the rebuild).  Every backend takes the patch; there is
+no switch that turns it off.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ Pair = tuple[int, int]
 ShardPatch = dict[str, tuple[list[Pair], list[Pair]]]
 
 #: Dirty-pair budget per commit group; past it the delta is deemed
-#: non-local and the group falls back to the ball rebuild.  Read at
+#: non-local and the group falls back to the rebuild of every shard.  Read at
 #: every :func:`stage_group` call, so 0 forces the fallback.
 MAX_DIRTY_PAIRS = 20_000
 
@@ -124,9 +124,6 @@ class StagedGroup:
 
     #: Per-batch ``(applied, noops)`` counts, in group order.
     batch_counts: list[tuple[int, int]] = field(default_factory=list)
-    #: Union of touched-shard balls (valid unless ``fallback`` is
-    #: ``"alphabet"``, which forces a full rebuild anyway).
-    touched: set[int] = field(default_factory=set)
     #: Encoded path -> dirty pairs (meaningful only when ``fallback``
     #: is ``None``).
     dirty: dict[str, set[Pair]] = field(default_factory=dict)
@@ -144,17 +141,15 @@ class StagedGroup:
 
 def stage_group(
     graph: Graph,
-    index,
     batches: list[MutationBatch],
     paths: list[LabelPath],
 ) -> StagedGroup:
     """Apply ``batches`` to ``graph`` in order; collect the group delta.
 
-    ``index`` supplies the shard topology (``shards_touching``) and
-    must be the sharded index built over ``graph``; ``paths`` is the
-    indexed path enumeration over the *pre-group* alphabet.  The graph
-    is mutated unconditionally — on fallback the caller rebuilds from
-    it; there is no path that leaves the group half-applied.
+    ``paths`` is the indexed path enumeration over the *pre-group*
+    alphabet.  The graph is mutated unconditionally — on fallback the
+    caller rebuilds from it; there is no path that leaves the group
+    half-applied.
     """
     staged = StagedGroup()
     budget = MAX_DIRTY_PAIRS
@@ -162,48 +157,34 @@ def stage_group(
         applied = 0
         noops = 0
         for mutation in batch:
-            if mutation.kind == "add":
-                new_label = mutation.label not in graph.labels()
-                if not mutation.apply_to(graph):
-                    noops += 1
-                    continue
-                applied += 1
-                source = graph.node_id(mutation.source)
-                target = graph.node_id(mutation.target)
-                staged.endpoints.update((source, target))
-                if new_label:
-                    staged.fallback = "alphabet"
-                    staged.dirty.clear()
-                if staged.fallback == "alphabet":
-                    continue
-                # Ball and delta both on the post-insert graph.
-                staged.touched |= index.shards_touching((source, target))
-                if staged.fallback is None:
-                    budget = _collect(
-                        graph, paths, mutation, source, target, staged, budget
-                    )
+            adding = mutation.kind == "add"
+            new_label = adding and mutation.label not in graph.labels()
+            if adding:
+                changed = mutation.apply_to(graph)
             else:
-                if not graph.has_edge(
+                changed = graph.has_edge(
                     mutation.source, mutation.label, mutation.target
-                ):
-                    noops += 1
-                    continue
-                source = graph.node_id(mutation.source)
-                target = graph.node_id(mutation.target)
-                staged.endpoints.update((source, target))
-                if staged.fallback != "alphabet":
-                    # Ball and candidates on the pre-delete graph: the
-                    # witnesses being retracted run through the edge.
-                    staged.touched |= index.shards_touching((source, target))
-                    if staged.fallback is None:
-                        budget = _collect(
-                            graph, paths, mutation, source, target, staged, budget
-                        )
+                )
+            if not changed:
+                noops += 1
+                continue
+            applied += 1
+            source = graph.node_id(mutation.source)
+            target = graph.node_id(mutation.target)
+            staged.endpoints.update((source, target))
+            if new_label:
+                staged.fallback = "alphabet"
+            if staged.fallback is None:
+                # An addition's delta on the post-insert graph; a
+                # removal's candidates on the pre-delete graph, where the
+                # witnesses being retracted still run through the edge.
+                budget = _collect(
+                    graph, paths, mutation, source, target, staged, budget
+                )
+            if not adding:
                 mutation.apply_to(graph)
-                applied += 1
                 if mutation.label not in graph.labels():
                     staged.fallback = "alphabet"
-                    staged.dirty.clear()
         staged.batch_counts.append((applied, noops))
     return staged
 
@@ -228,7 +209,6 @@ def _collect(
         budget -= len(bucket) - before
         if budget < 0:
             staged.fallback = "overflow"
-            staged.dirty.clear()
             return budget
     return budget
 

@@ -187,11 +187,11 @@ class ApplyResult:
 
     ``mode`` records how the index absorbed the group the batch rode
     in, the same at every shard count (``shards=1`` included):
-    ``"patch"`` (per-shard delta patching — memory- and disk-backed
-    shards), ``"rebuild"`` (ball or full rebuild: compressed shards,
-    an alphabet change, a dirty-pair overflow), or ``"noop"`` (nothing
-    changed).  ``patched_shards`` lists the shards the group's delta
-    touched (empty for rebuilds and no-ops).
+    ``"patch"`` (per-shard delta patching, on every backend),
+    ``"rebuild"`` (every shard rebuilt in place: an alphabet change or
+    a dirty-pair overflow), or ``"noop"`` (nothing changed).  Either
+    way the index instance is kept.  ``patched_shards`` lists the
+    shards the group's delta touched (empty for rebuilds and no-ops).
     """
 
     applied: int

@@ -103,6 +103,18 @@ class TestLockDiscipline:
         assert rule_ids(findings) == ["lock-discipline"]
         assert "read_locked" in findings[0].message
 
+    @pytest.mark.parametrize("call", ["absorb_group", "patch_shards"])
+    def test_index_write_under_read_lock_fires(self, call):
+        source = f"""
+            class GraphDatabase:
+                def snapshot(self, batches, changes, endpoints):
+                    with self._lock.read_locked():
+                        self._index.{call}(batches, changes, endpoints)
+        """
+        findings = findings_for(source, "src/repro/api.py")
+        assert rule_ids(findings) == ["lock-discipline"]
+        assert f"{call}()" in findings[0].message
+
     def test_locked_sections_and_locked_methods_are_clean(self):
         source = """
             class GraphDatabase:

@@ -241,7 +241,7 @@ class TestFailedIndexChange:
     """The failure arm of the index/statistics triple, as one table.
 
     Every way the index follows the graph — a full build, a rebuild of
-    the touched shards, a delta patch — goes through
+    every shard in place, a delta patch — goes through
     ``GraphDatabase._replace_index_locked``, in process and over a
     worker fleet alike.  Whatever raises in there must leave no triple
     behind the mutated graph, close every index it drops (stop every

@@ -116,6 +116,49 @@ class TestBackend:
         assert len(backend) == 3
 
 
+MANY = [(src, tgt) for src in range(0, 500, 2) for tgt in (src, src + 3)]
+
+
+class TestBackendPatch:
+    """A patch re-encodes the path byte for byte as a fresh load would."""
+
+    @staticmethod
+    def check(start, adds, removes):
+        backend = CompressedBackend()
+        columns = array("q", [s for s, _ in start]), array("q", [t for _, t in start])
+        backend.load([(0, *columns)] if start else [])  # a new path if empty
+        kept = set(start) - set(removes)
+        final = sorted(kept | set(adds))
+        counts = backend.patch(0, adds, removes)
+        assert counts == (len(final) - len(kept), len(start) - len(kept))
+        want = PostingList.from_pairs(final)
+        got = backend._postings.get(0, want)  # absent only if nothing changed
+        assert (got.data, got.skips, got.count) == (want.data, want.skips, want.count)
+        for source in range(-1, 503):
+            assert got.targets_of(source) == want.targets_of(source)
+        assert list(zip(*backend.scan_columns(0))) == final
+        assert len(backend) == len(final)
+
+    @pytest.mark.parametrize(
+        "start, adds, removes",
+        [
+            ([], [(7, 1), (3, 4), (3, 2)], []),
+            (MANY, [], MANY),
+            # (1, 1) is absent until added; MANY[3] is present throughout.
+            (MANY, [(1, 1), (501, 0), (0, 1), MANY[3]], MANY[::7] + [(1, 1)]),
+        ],
+        ids=["adds-a-new-path", "empties-a-path", "adds-and-removes"],
+    )
+    def test_patch_equals_a_fresh_encoding(self, start, adds, removes):
+        assert len(PostingList.from_pairs(MANY).skips) > 1
+        self.check(start, adds, removes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(PAIRS, PAIRS, PAIRS)
+    def test_property_patch_equals_a_fresh_encoding(self, start, adds, removes):
+        self.check(start, adds, removes)
+
+
 class TestPathIndexIntegration:
     def test_compressed_equals_memory(self):
         graph = figure1_graph()

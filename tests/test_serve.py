@@ -461,7 +461,7 @@ class TestCoordinator:
         with pytest.raises(ValidationError, match="apply_commit_group"):
             index.patch_shards({}, {0})
         with pytest.raises(ValidationError, match="apply_commit_group"):
-            index.rebuild_shards({0}, endpoints={0})
+            index.rebuild_shards(endpoints={0})
 
     def test_requires_memory_backend(self, tmp_path):
         with pytest.raises(ValidationError, match="memory-backed"):

@@ -135,7 +135,7 @@ class TestStatisticsCaches:
         stats_before = sharded.shard_statistics(0)
         sharded.decision_cache["sentinel"] = object()
         graph.add_edge("n0", "a", "n1") or graph.remove_edge("n0", "a", "n1")
-        sharded.rebuild_shards(range(3))
+        sharded.rebuild_shards()
         after = sharded.counts_by_path()
         assert after == merge_shard_counts(
             [index.counts_by_path() for index in sharded.shard_indexes]
@@ -154,12 +154,12 @@ class TestStatisticsCaches:
         # Endpoints named: the sizes survive and a neighbourhood is resized.
         graph.add_edge("n0", "a", "fresh")
         ends = {graph.node_id("n0"), graph.node_id("fresh")}
-        sharded.rebuild_shards(range(3), endpoints=ends)
+        sharded.rebuild_shards(endpoints=ends)
         assert sharded.total_paths_k() == count_paths_k(graph, 2)
         assert 2 <= sharded.take_recounted_sources() < graph.node_count
         # Endpoints unknown: everything is counted again on next read.
         graph.remove_edge("n0", "a", "fresh")
-        sharded.rebuild_shards(range(3))
+        sharded.rebuild_shards()
         assert sharded.total_paths_k() == count_paths_k(graph, 2)
         assert sharded.take_recounted_sources() == graph.node_count
 

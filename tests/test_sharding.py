@@ -27,6 +27,7 @@ from repro.graph.graph import Graph, LabelPath
 from repro.indexes.builder import path_relations, path_relations_columnar
 from repro.indexes.pathindex import PathIndex
 from repro.rpq.semantics import eval_query
+from repro.serve.coordinator import CoordinatorDatabase
 from repro.sharding import ShardedGraph, ShardMembership, shard_of
 from repro.write import Mutation, delta
 
@@ -296,6 +297,15 @@ def mutation_oracle(graph: Graph, database: GraphDatabase, queries):
 MUTATION_QUERIES = ("a/a", "a/^a", "b/a", "a*", "(a|b){1,3}")
 
 
+def ball_owners(sharded: ShardedGraph, vertices) -> set[int]:
+    """Owners of the radius-``k - 1`` undirected ball around ``vertices``:
+    the only shards whose entries an edge there can change."""
+    ball = set(vertices)
+    for _ in range(sharded.k - 1):
+        ball |= {n for node in ball for n in sharded.graph.undirected_neighbors(node)}
+    return {sharded.owner(node) for node in ball}
+
+
 def test_add_edge_patches_shards_in_place():
     graph = advogato_like(
         nodes=50, edges=150, seed=4, labels=("a", "b", "c")
@@ -308,16 +318,13 @@ def test_add_edge_patches_shards_in_place():
     before = sharded.shard_indexes
     result = database.apply(Mutation.add("n1", "a", "n2"))
     assert result.changed and result.mode == "patch"
-    # Delta patching edits the touched shards' B+trees in place: no
+    # Delta patching edits the patched shards' columns in place: no
     # shard index object is replaced, and the patched shards are a
     # subset of the mutation ball.
     after = database.index.shard_indexes
-    touched = sharded.shards_touching(
-        (graph.node_id("n1"), graph.node_id("n2"))
-    )
-    assert touched, "the mutated endpoints must touch some shard"
+    ball = ball_owners(sharded, (graph.node_id("n1"), graph.node_id("n2")))
     assert all(old is new for old, new in zip(before, after))
-    assert set(result.patched_shards) <= set(touched)
+    assert result.patched_shards and set(result.patched_shards) <= ball
     mutation_oracle(graph, database, MUTATION_QUERIES)
 
 
@@ -326,7 +333,7 @@ def test_add_edge_ball_rebuild_without_patching(monkeypatch):
         nodes=50, edges=150, seed=4, labels=("a", "b", "c")
     )
     # A zero dirty-pair budget: every changed group overflows into the
-    # ball rebuild.
+    # rebuild of every shard.
     monkeypatch.setattr(delta, "MAX_DIRTY_PAIRS", 0)
     database = GraphDatabase(
         graph, config=ServiceConfig(k=2, shards=4)
@@ -335,16 +342,9 @@ def test_add_edge_ball_rebuild_without_patching(monkeypatch):
     before = sharded.shard_indexes
     result = database.apply(Mutation.add("n1", "a", "n2"))
     assert result.changed and result.mode == "rebuild"
-    after = database.index.shard_indexes
-    touched = sharded.shards_touching(
-        (graph.node_id("n1"), graph.node_id("n2"))
-    )
-    replaced = {
-        shard
-        for shard, (old, new) in enumerate(zip(before, after))
-        if old is not new
-    }
-    assert replaced == set(touched)
+    assert database.index is sharded  # rebuilt in place
+    after = sharded.shard_indexes
+    assert all(old is not new for old, new in zip(before, after))
     mutation_oracle(graph, database, MUTATION_QUERIES)
 
 
@@ -365,36 +365,51 @@ def test_mutations_match_fresh_unsharded_engine():
 
 
 def test_new_label_forces_full_rebuild_and_stays_exact():
-    graph = advogato_like(nodes=30, edges=90, seed=8, labels=("a", "b"), label_weights=None)
-    database = GraphDatabase(graph, k=2, config=ServiceConfig(shards=3))
-    sharded = database.index
-    assert database.apply(Mutation.add("n0", "zzz", "n1")).changed
-    rebuilt = database.index
-    assert rebuilt is not sharded  # vocabulary change: whole new index
-    assert rebuilt.alphabet == graph.labels()
-    mutation_oracle(graph, database, MUTATION_QUERIES + ("zzz/a", "zzz*"))
-    # Removing the label's only edge shrinks the vocabulary again.
-    assert database.apply(Mutation.remove("n0", "zzz", "n1")).changed
-    assert database.index.alphabet == graph.labels()
-    mutation_oracle(graph, database, MUTATION_QUERIES)
+    """A vocabulary change rebuilds every shard inside the index it has:
+    the instance (and a coordinator's worker fleet) is kept, and the
+    catalog and answers are a fresh build's."""
+    for engine, shards in ((GraphDatabase, 3), (CoordinatorDatabase, 2)):
+        graph = advogato_like(
+            nodes=30, edges=90, seed=8, labels=("a", "b"), label_weights=None
+        )
+        database = engine(graph, k=2, config=ServiceConfig(shards=shards))
+        try:
+            sharded = database.index
+            handles = list(getattr(sharded, "handles", []))  # a coordinator's
+            for mutation, queries in (
+                (Mutation.add("n0", "zzz", "n1"), ("zzz/a", "zzz*")),
+                # Removing the label's only edge shrinks the vocabulary again.
+                (Mutation.remove("n0", "zzz", "n1"), ()),
+            ):
+                result = database.apply(mutation)
+                assert result.changed and result.mode == "rebuild"
+                assert database.index is sharded
+                assert sharded.alphabet == graph.labels()
+                fresh = ShardedGraph.build(graph, 2, shards=shards)
+                assert sharded.counts_by_path() == fresh.counts_by_path()
+                mutation_oracle(graph, database, MUTATION_QUERIES + queries)
+            assert getattr(sharded, "handles", []) == handles  # no relaunch
+            assert all(handle.alive() for handle in handles)
+        finally:
+            database.close()
 
 
 def test_rebuild_shards_guards_against_alphabet_drift():
+    """Only a rebuild crosses a vocabulary change; it adopts the new
+    alphabet, and a patch across the drift is still refused."""
     graph = advogato_like(nodes=20, edges=60, seed=1, labels=("a", "b"), label_weights=None)
     sharded = ShardedGraph.build(graph, 2, shards=2)
     graph.add_edge("n0", "fresh", "n1")
     with pytest.raises(ValidationError):
-        sharded.rebuild_shards([0])
-
-
-def test_shards_touching_radius():
-    graph = chain_graph(6)
-    sharded = ShardedGraph.build(graph, 1, shards=3)
-    # k=1: only the endpoints' own shards are affected.
-    assert sharded.shards_touching((2, 3)) == {shard_of(2, 3), shard_of(3, 3)}
-    wide = ShardedGraph.build(graph, 3, shards=3)
-    ball = wide.shards_touching((3,))
-    assert ball == {shard_of(node, 3) for node in (1, 2, 3, 4, 5)}
+        sharded.patch_shards({})
+    sharded.rebuild_shards()
+    assert sharded.alphabet == graph.labels()
+    fresh = ShardedGraph.build(graph, 2, shards=2)
+    assert sharded.counts_by_path() == fresh.counts_by_path()
+    sharded.patch_shards({})  # in step again
+    graph.remove_edge("n0", "fresh", "n1")
+    with pytest.raises(ValidationError):
+        sharded.patch_shards({})
 
 
 def test_query_cache_survives_sharded_mutations():

@@ -15,7 +15,8 @@ The contracts under test, in the order the module covers them:
   only the neighbourhood of their endpoints, and the value read is
   exactly what a count from scratch gives, and the histogram exactly
   a freshly built database's (hypothesis properties over in-process
-  patching, the ball-rebuild fallback and the coordinator); a failed
+  patching, the rebuild fallback, the coordinator and the compressed
+  backend); a failed
   absorb discards the sizes with the index, a failed read keeps them;
 * **durability** — the mutation log survives torn tails, a crash
   injected at the ``mutlog.flush`` seam fails the group with nothing
@@ -285,12 +286,13 @@ class TestApplyEngine:
 
 
 class TestOneShardAbsorbs:
-    """``shards=1`` takes the same write path as any other count."""
+    """``shards=1`` takes the same write path as any other count, and
+    every backend patches."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize(
         ("backend", "mode"),
-        [("memory", "patch"), ("disk", "patch"), ("compressed", "rebuild")],
+        [("memory", "patch"), ("disk", "patch"), ("compressed", "patch")],
     )
     def test_mode_and_answers_by_backend(self, backend, mode, k, tmp_path):
         index_path = tmp_path / "index.db"
@@ -403,19 +405,22 @@ class TestInterleavingProperty:
 # -- |paths_k(G)| maintained across commit groups ------------------------------
 
 #: How the sharded index absorbs a group: delta patches in process, the
-#: ball rebuild every group overflows into, or the worker broadcast.
-ABSORBERS = ("patch", "fallback", "coordinator")
+#: rebuild every group overflows into, the worker broadcast, or delta
+#: patches re-encoding the compressed backend's posting lists.
+ABSORBERS = ("patch", "fallback", "coordinator", "compressed")
 
 
 @contextmanager
 def _opened(absorber: str, edges, k: int, shards: int):
     """A database over ``edges`` absorbing groups ``absorber``'s way."""
     cls = CoordinatorDatabase if absorber == "coordinator" else GraphDatabase
+    backend = "compressed" if absorber == "compressed" else "memory"
+    config = ServiceConfig(k=k, shards=shards, backend=backend)
     with pytest.MonkeyPatch.context() as patch:
         if absorber == "fallback":
             # A zero dirty-pair budget: every group overflows into the rebuild.
             patch.setattr(delta, "MAX_DIRTY_PAIRS", 0)
-        db = cls.from_edges(edges, config=ServiceConfig(k=k, shards=shards))
+        db = cls.from_edges(edges, config=config)
         try:
             yield db
         finally:
@@ -537,8 +542,9 @@ class TestMaintainedPathsK:
 
     def test_full_count_runs_once_per_index_instance(self, monkeypatch):
         """A build sizes nothing; the first read sizes every node once,
-        a read after groups only a neighbourhood; only a new instance
-        counts the whole graph again, and only when it is read."""
+        a read after groups only a neighbourhood, an alphabet change
+        included (it keeps the instance); only a new instance counts
+        the whole graph again, and only when it is read."""
         from repro import sharding
         from repro.indexes import histogram, statistics
 
@@ -577,13 +583,17 @@ class TestMaintainedPathsK:
             assert len(calls) == 2 and 0 < calls[1] < nodes
             assert db.stats().write.recounted_sources == nodes + calls[1]
 
-            db.apply(Mutation.add("n0", "brand_new_label", "n1"))
-            assert db.index is not first  # alphabet change: new instance
+            assert db.apply(Mutation.add("n0", "new_label", "n1")).mode == "rebuild"
+            assert db.index is first  # alphabet change: rebuilt in place
             assert len(calls) == 2
-            assert db.index.total_paths_k() == sum(
-                real_sizes(db.graph, 2).values()
-            )
-            assert calls[2] is None
+            total = sum(real_sizes(db.graph, 2).values())
+            assert db.index.total_paths_k() == total
+            assert len(calls) == 3 and 0 < calls[2] < nodes
+
+            assert db.build_index() is not first
+            assert len(calls) == 3
+            assert db.index.total_paths_k() == total
+            assert calls[3] is None
         finally:
             db.close()
 
@@ -750,40 +760,23 @@ class TestFailedAbsorbDropsMaintainedSizes:
         assert db.exact_statistics.counts == rebuilt.counts_by_path()
 
     def test_fault_at_shard_build_during_ball_rebuild(self, monkeypatch):
-        # A zero dirty-pair budget: the group takes the ball rebuild.
+        # A zero dirty-pair budget: the group rebuilds every shard.
         monkeypatch.setattr(delta, "MAX_DIRTY_PAIRS", 0)
         with disarmed():
             db = self._db()
             doomed = db.index
         try:
-            # A ball that leaves at least one shard out, so the group
-            # takes rebuild_shards rather than a whole new index.
-            mutation = next(
-                candidate
-                for candidate in _mutations(18, 200, nodes=60)
-                if candidate.kind == "add"
-                and db.graph.has_node(candidate.source)
-                and db.graph.has_node(candidate.target)
-                and not db.graph.has_edge(
-                    candidate.source, candidate.label, candidate.target
-                )
-                and len(
-                    doomed.shards_touching(
-                        (
-                            db.graph.node_id(candidate.source),
-                            db.graph.node_id(candidate.target),
-                        )
-                    )
-                )
-                < 4
-            )
+            mutation = Mutation.add("n0", "a", "n1")
+            assert not db.graph.has_edge("n0", "a", "n1")
             version = db.graph.version
+            shards = doomed.shard_indexes
             plan = FaultPlan([FaultRule("shard.build", "transient")])
             with armed(plan):
                 with pytest.raises(ShardUnavailableError):
                     db.apply(mutation)
             assert plan.fired > 0
             assert db.graph.version > version  # the graph did move
+            assert doomed.shard_indexes == shards  # nothing swapped in
             with disarmed():
                 self._assert_recovers(db, doomed)
         finally:
@@ -1016,6 +1009,31 @@ class TestCoordinatorWritePath:
         write_oracle.apply(Mutation.add("n3", "c", "n4"))
         want = write_oracle.answer("a/c")
         assert write_coordinator.query("a/c", use_cache=False).pairs == want
+
+    def test_restart_after_an_alphabet_change_replays_to_the_oracle(
+        self, write_coordinator, write_oracle
+    ):
+        """A replacement forks from the base graph, which predates the
+        label a group added in place; the journal replay and its
+        rebuild still land it on the oracle."""
+        index = write_coordinator.index
+        group = (
+            Mutation.add("n1", "d", "n2"),  # a new label: every shard rebuilds
+            Mutation.add("n2", "a", "n3"),
+        )
+        for mutation in group:
+            write_coordinator.apply(mutation)
+            write_oracle.apply(mutation)
+        assert write_coordinator.index is index
+        assert index.alphabet == write_coordinator.graph.labels()
+        index.handles[0].kill()
+        index.handles[0].process.join(5)
+        assert write_coordinator.ensure_workers() == [0]
+        write_coordinator.cache_clear()
+        assert index.full_graph_transfers == 0
+        for query in (*QUERIES, "d/a", "a/^d"):
+            want = write_oracle.answer(query)
+            assert write_coordinator.query(query, use_cache=False).pairs == want
 
     def test_statistics_refresh_reads_each_catalog_once(
         self, write_coordinator, write_oracle, monkeypatch
