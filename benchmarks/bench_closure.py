@@ -6,8 +6,10 @@ three generations of the engine:
 * **seed** — the v1.0 tuple-set delta iteration, frozen in
   :mod:`repro.bench.legacy`;
 * **delta** — the PR-1 packed-pair delta iteration over columnar
-  relations (``repro.relation.delta_*``), which re-deduplicates against
-  the whole accumulator every round;
+  relations (:func:`delta_transitive_fixpoint`,
+  :func:`delta_bounded_powers`, kept in this file as the frozen
+  baseline), which re-deduplicates against the whole accumulator every
+  round;
 * **csr** — the frontier-based closure over compressed sparse rows with
   per-source visited bitsets (:mod:`repro.csr`), the path the executor
   routes through now.
@@ -44,7 +46,7 @@ from repro.bench.legacy import (
     tuple_transitive_fixpoint,
 )
 from repro.bench.workloads import closure_base_pairs
-from repro.relation import Relation
+from repro.relation import Order, Relation
 
 #: (workload kind, operation, edge count) per exported row.  The
 #: operation is the closure shape that makes sense on the graph shape:
@@ -95,6 +97,189 @@ class ClosureRow:
         return self.delta_seconds / self.csr_seconds
 
 
+# -- the PR-1 delta engine (frozen baseline) ----------------------------------
+#
+# Packed-pair delta iteration over columnar relations, exactly as the
+# engine ran it before the CSR closure, on the relation module's packing
+# and numpy-bridge helpers.  The package no longer ships it: this file is
+# its only user.
+
+_SHIFT = rel._SHIFT
+_MASK = rel._MASK
+_np = rel._np
+
+
+def _np_membership(sorted_keys, candidates):
+    """Boolean mask of which ``candidates`` occur in ``sorted_keys``."""
+    if len(sorted_keys) == 0:
+        return _np.zeros(len(candidates), dtype=bool)
+    positions = _np.searchsorted(sorted_keys, candidates)
+    positions[positions == len(sorted_keys)] = len(sorted_keys) - 1
+    return sorted_keys[positions] == candidates
+
+
+def _np_expand(delta_packed, base_src, base_tgt):
+    """One delta step: packed pairs composed with the sorted base columns."""
+    mids = (delta_packed & _MASK).astype(_np.int64)
+    starts = _np.searchsorted(base_src, mids, side="left")
+    ends = _np.searchsorted(base_src, mids, side="right")
+    counts = ends - starts
+    total = int(counts.sum())
+    if total == 0:
+        return delta_packed[:0]
+    heads = _np.repeat(delta_packed & ~_np.uint64(_MASK), counts)
+    offsets = _np.cumsum(counts) - counts
+    positions = (
+        _np.arange(total, dtype=_np.int64)
+        - _np.repeat(offsets, counts)
+        + _np.repeat(starts, counts)
+    )
+    produced = heads | base_tgt[positions].astype(_np.uint64)
+    return rel._np_sorted_unique(produced)
+
+
+def _np_base_columns(base: Relation):
+    """(src-sorted packed base as column views) for delta iteration."""
+    sorted_base = base if base.order is Order.BY_SRC else rel.dedup_sort(base)
+    return rel._view(sorted_base.src), rel._view(sorted_base.tgt)
+
+
+def _adjacency(base: Relation) -> dict[int, list[int]]:
+    by_source: dict[int, list[int]] = {}
+    base_src, base_tgt = base.src, base.tgt
+    for i, source in enumerate(base_src):
+        by_source.setdefault(source, []).append(base_tgt[i])
+    return by_source
+
+
+def _expand(delta, by_source: dict[int, list[int]], seen: set[int]) -> list[int]:
+    """One delta step: compose packed ``delta`` with ``by_source``, minus ``seen``."""
+    fresh: list[int] = []
+    get = by_source.get
+    add = seen.add
+    for key in delta:
+        targets = get(key & _MASK)
+        if targets:
+            base = key & ~_MASK
+            for target in targets:
+                packed = base | target
+                if packed not in seen:
+                    add(packed)
+                    fresh.append(packed)
+    return fresh
+
+
+def delta_transitive_fixpoint(node_ids, base: Relation, low: int) -> Relation:
+    """``base^low ∪ base^{low+1} ∪ ...`` by packed delta iteration.
+
+    Only newly discovered pairs are re-expanded, so cyclic graphs
+    terminate; ``low == 0`` seeds the accumulator with the identity.
+    """
+    if rel._vectorize(len(base)):
+        return _np_transitive_fixpoint(node_ids, base, low)
+    by_source = _adjacency(base)
+    if low <= 1:
+        delta = list(base.packed())
+        if low == 0:
+            accumulated = {(n << _SHIFT) | n for n in node_ids}
+            accumulated.update(delta)
+        else:
+            accumulated = set(delta)
+    else:
+        power = delta_relation_power(node_ids, base, low)
+        accumulated = set(power.packed())
+        delta = list(accumulated)
+    while delta:
+        delta = _expand(delta, by_source, accumulated)
+    return rel._from_packed_sorted(sorted(accumulated), Order.BY_SRC)
+
+
+def delta_relation_power(node_ids, base: Relation, exponent: int) -> Relation:
+    """``base^exponent`` under composition (power 0 is the identity)."""
+    if exponent == 0:
+        return rel.identity(node_ids)
+    result = base
+    for _ in range(exponent - 1):
+        result = rel.hash_join(result, base)
+        if not result:
+            break
+    return result
+
+
+def delta_bounded_powers(node_ids, base: Relation, low: int, high: int) -> Relation:
+    """``base^low ∪ ... ∪ base^high`` with early saturation.
+
+    Powers of a relation over a finite node set are eventually periodic;
+    once a power repeats, the remaining union is already accumulated.
+    """
+    if rel._vectorize(len(base)):
+        return _np_bounded_powers(node_ids, base, low, high)
+    by_source = _adjacency(base)
+    power = set(delta_relation_power(node_ids, base, low).packed())
+    accumulated = set(power)
+    seen_powers: set[frozenset] = {frozenset(power)}
+    for _ in range(low, high):
+        if not power:
+            break
+        next_power: set[int] = set()
+        get = by_source.get
+        for key in power:
+            targets = get(key & _MASK)
+            if targets:
+                head = key & ~_MASK
+                for target in targets:
+                    next_power.add(head | target)
+        power = next_power
+        accumulated |= power
+        fingerprint = frozenset(power)
+        if fingerprint in seen_powers:
+            break
+        seen_powers.add(fingerprint)
+    return rel._from_packed_sorted(sorted(accumulated), Order.BY_SRC)
+
+
+def _np_transitive_fixpoint(node_ids, base: Relation, low: int) -> Relation:
+    base_src, base_tgt = _np_base_columns(base)
+    base_packed = rel._pack_np(base_src, base_tgt)
+    if low == 0:
+        ids = _np.fromiter(node_ids, dtype=_np.int64)
+        accumulated = _np.union1d(rel._pack_np(ids, ids), base_packed)
+        delta = base_packed
+    elif low == 1:
+        accumulated = base_packed
+        delta = base_packed
+    else:
+        power = delta_relation_power(node_ids, base, low).sorted_by(Order.BY_SRC)
+        accumulated = rel._pack_np(rel._view(power.src), rel._view(power.tgt))
+        delta = accumulated
+    while len(delta):
+        produced = _np_expand(delta, base_src, base_tgt)
+        fresh = produced[~_np_membership(accumulated, produced)]
+        if not len(fresh):
+            break
+        accumulated = _np.union1d(accumulated, fresh)
+        delta = fresh
+    return rel._unpack_np(accumulated, Order.BY_SRC)
+
+
+def _np_bounded_powers(node_ids, base: Relation, low: int, high: int) -> Relation:
+    base_src, base_tgt = _np_base_columns(base)
+    start = delta_relation_power(node_ids, base, low).sorted_by(Order.BY_SRC)
+    power = rel._pack_np(rel._view(start.src), rel._view(start.tgt))
+    accumulated = power
+    seen_powers = {power.tobytes()}
+    for _ in range(low, high):
+        if not len(power):
+            break
+        power = _np_expand(power, base_src, base_tgt)
+        accumulated = _np.union1d(accumulated, power)
+        fingerprint = power.tobytes()
+        if fingerprint in seen_powers:
+            break
+        seen_powers.add(fingerprint)
+    return rel._unpack_np(accumulated, Order.BY_SRC)
+
+
 def _timed(callable_):
     gc.collect()
     started = time.perf_counter()
@@ -117,7 +302,7 @@ def compare_closure(
                 lambda: tuple_transitive_fixpoint(node_ids, set(pairs), low)
             )
             delta_s, delta_out = _timed(
-                lambda: rel.delta_transitive_fixpoint(node_ids, base, low)
+                lambda: delta_transitive_fixpoint(node_ids, base, low)
             )
             csr_s, csr_out = _timed(
                 lambda: csr.transitive_fixpoint(node_ids, base, low)
@@ -128,7 +313,7 @@ def compare_closure(
                 lambda: tuple_bounded_powers(node_ids, set(pairs), low, high)
             )
             delta_s, delta_out = _timed(
-                lambda: rel.delta_bounded_powers(node_ids, base, low, high)
+                lambda: delta_bounded_powers(node_ids, base, low, high)
             )
             csr_s, csr_out = _timed(
                 lambda: csr.bounded_powers(node_ids, base, low, high)

@@ -75,9 +75,9 @@ from repro.write.log import MutationLog
 from repro.write.mutation import ApplyResult, MutationBatch
 
 #: Methods accepted by :meth:`GraphDatabase.query`: the paper's four
-#: index strategies plus the literature baselines (NFA and DFA product
-#: search, Datalog, reachability) and the reference evaluator.
-BASELINE_METHODS = ("automaton", "dfa", "datalog", "reachability", "reference")
+#: index strategies plus the literature baselines (NFA product search,
+#: Datalog, reachability) and the reference evaluator.
+BASELINE_METHODS = ("automaton", "datalog", "reachability", "reference")
 
 
 @dataclass(frozen=True, slots=True)
@@ -467,8 +467,9 @@ class GraphDatabase:
 
         ``method`` is one of the paper's strategies (``naive``,
         ``semi-naive``, ``minsupport``, ``minjoin``) or a baseline
-        (``automaton``, ``dfa``, ``datalog``, ``reachability``,
-        ``reference``).
+        (``automaton``, the graph × NFA product search; ``datalog``;
+        ``reachability``; ``reference``, the set-semantics oracle).  Any
+        other name raises :class:`~repro.errors.PlanningError`.
 
         Text may open with a source anchor, ``from(kim): knows/worksFor``
         (or come as a placeholder-free :class:`~repro.rpq.parser.Template`
@@ -1138,15 +1139,21 @@ class GraphDatabase:
     def witness(self, source: str, target: str, query: str | Node):
         """A shortest concrete path justifying ``(source, target)``.
 
-        Returns a :class:`repro.rpq.witness.Witness` or ``None`` when
-        the pair is not in the answer.
+        Returns a :class:`repro.rpq.witness.Witness` (the automaton
+        baseline's product walk run to the pair, with its parents read
+        back as hops) or ``None`` when the pair is not in the answer.  A
+        ``from(v):`` anchor is part of the query: a ``source`` other
+        than ``v`` has no witness.  Unknown names, the anchor's
+        included, raise :class:`~repro.errors.UnknownNodeError`.
         """
         from repro.rpq.witness import find_witness
 
-        _, node, _ = self._parse(query)
+        _, node, anchor = self._parse(query)
         with self._lock.read_locked():
-            self.graph.node_id(source)  # validate names early
+            source_id = self.graph.node_id(source)
             self.graph.node_id(target)
+            if self._anchor_id(anchor) not in (None, source_id):
+                return None
             return find_witness(self.graph, node, source, target)
 
     def query_pair(
@@ -1180,10 +1187,6 @@ class GraphDatabase:
     ) -> set[tuple[int, int]]:
         if method == "automaton":
             pairs = automaton_eval.evaluate(self.graph, node)
-        elif method == "dfa":
-            from repro.rpq.dfa import evaluate as dfa_evaluate
-
-            pairs = dfa_evaluate(self.graph, node)
         elif method == "datalog":
             pairs = datalog_eval.evaluate(self.graph, node)
         elif method == "reachability":

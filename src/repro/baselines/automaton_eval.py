@@ -12,27 +12,35 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, Step
 from repro.rpq.ast import Node
 from repro.rpq.automaton import NFA, compile_ast
 
 Pair = tuple[int, int]
+#: A product state: ``(graph node, NFA state)``.
+State = tuple[int, int]
+#: How the walk first reached a state: ``(node, NFA state, step)`` one
+#: edge earlier, or ``None`` for a start state.
+Parent = tuple[int, int, Step] | None
 
 
-def evaluate_from(graph: Graph, nfa: NFA, source: int) -> set[int]:
-    """All targets ``t`` such that ``(source, t)`` satisfies the NFA."""
-    start_states = nfa.eps_closure(nfa.start)
-    accept = nfa.accept
-    targets: set[int] = set()
-    visited: set[tuple[int, int]] = set()
-    queue: deque[tuple[int, int]] = deque()
-    for state in start_states:
-        pair = (source, state)
-        if pair not in visited:
-            visited.add(pair)
-            queue.append(pair)
-            if state == accept:
-                targets.add(source)
+def walk(
+    graph: Graph, nfa: NFA, source: int, goal: State | None = None
+) -> dict[State, Parent]:
+    """Breadth-first search of the graph × NFA product from ``source``.
+
+    Maps every product state reached to the state and step that first
+    reached it, so the parents read back from a state spell a shortest
+    path to it (fewest edge traversals).  Given a ``goal`` state, the
+    search stops as soon as it reaches the goal.
+    """
+    parents: dict[State, Parent] = {}
+    queue: deque[State] = deque()
+    for state in nfa.eps_closure(nfa.start):
+        parents[(source, state)] = None
+        queue.append((source, state))
+    if goal in parents:
+        return parents
     while queue:
         node, state = queue.popleft()
         for step in nfa.out_steps(state):
@@ -43,12 +51,18 @@ def evaluate_from(graph: Graph, nfa: NFA, source: int) -> set[int]:
                 for raw_state in successors:
                     for next_state in nfa.eps_closure(raw_state):
                         pair = (neighbor, next_state)
-                        if pair not in visited:
-                            visited.add(pair)
+                        if pair not in parents:
+                            parents[pair] = (node, state, step)
+                            if pair == goal:
+                                return parents
                             queue.append(pair)
-                            if next_state == accept:
-                                targets.add(neighbor)
-    return targets
+    return parents
+
+
+def evaluate_from(graph: Graph, nfa: NFA, source: int) -> set[int]:
+    """All targets ``t`` such that ``(source, t)`` satisfies the NFA."""
+    accept = nfa.accept
+    return {node for node, state in walk(graph, nfa, source) if state == accept}
 
 
 def evaluate(graph: Graph, query: Node) -> set[Pair]:
@@ -59,9 +73,3 @@ def evaluate(graph: Graph, query: Node) -> set[Pair]:
         for target in evaluate_from(graph, nfa, source):
             result.add((source, target))
     return result
-
-
-def evaluate_pair(graph: Graph, query: Node, source: int, target: int) -> bool:
-    """Boolean evaluation of one pair (early-exits the BFS)."""
-    nfa = compile_ast(query)
-    return target in evaluate_from(graph, nfa, source)

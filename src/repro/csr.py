@@ -1,12 +1,12 @@
 """Compressed-sparse-row adjacency and condensation-based Kleene closure.
 
-The recursive operators (``Star`` / ``Repeat`` / open ``Repeat``) used to
-run as packed-pair *delta iteration* (:func:`repro.relation.delta_transitive_fixpoint`):
-every round re-joined the freshly discovered pairs against the base
-relation through hash or ``searchsorted`` probes and re-deduplicated
-against the whole accumulator.  This module replaces that hot path with
+The engine's one Kleene closure: every recursive operator (``Star`` /
+``Repeat`` / open ``Repeat``) the rewriter cannot expand runs here, as
 the textbook closure over the condensed graph (Tarjan; Nuutila's
-SCC-based transitive closure):
+SCC-based transitive closure).  ``benchmarks/bench_closure.py`` measures
+it against packed-pair delta iteration, which re-joins each round's
+fresh pairs against the base and re-deduplicates against the whole
+accumulator:
 
 * :class:`CSR` — the base relation compiled once into ``(offsets,
   targets)`` compressed sparse row form, built in O(n + m) from a
@@ -21,19 +21,18 @@ SCC-based transitive closure):
   once per member: on recursive workloads nearly every source sits in
   one giant component.  Wide sets decode through ``numpy.unpackbits``
   when numpy is available, narrow ones through a per-byte table.
-* power iteration — :func:`relation_power` and :func:`bounded_powers`
-  advance per-source *level sets* through the same CSR (adjacency
-  bitsets on the scalar path, packed-key expansion on the numpy path),
-  with the same early-saturation fingerprinting as the reference
-  semantics.
+* power iteration — :func:`bounded_powers` (and the ``low >= 2`` seed
+  of :func:`transitive_fixpoint`) advance per-source *level sets*
+  through the same CSR (adjacency bitsets on the scalar path,
+  packed-key expansion on the numpy path), with the same
+  early-saturation fingerprinting as the reference semantics.
 
-Entry points mirror :mod:`repro.relation`'s recursion kernels
-(:func:`transitive_fixpoint`, :func:`bounded_powers`,
-:func:`relation_power`) and those kernels now delegate here whenever the
-id space is dense (:func:`supports`).  Node ids must be small enough to
-index bitsets and CSR offsets — the dense interned ids produced by
-:class:`repro.graph.graph.Graph` always are.  Correctness is pinned by
-property tests against the independent tuple-set oracle in
+:mod:`repro.relation`'s recursion kernels (:func:`transitive_fixpoint`,
+:func:`bounded_powers`) call these entry points unconditionally.  Node
+ids index bitsets and CSR offsets directly, so the id space is sized by
+the graph: :class:`repro.graph.graph.Graph` interns ids densely
+(``node_ids()`` is a ``range``).  Correctness is pinned by property
+tests against the independent tuple-set oracle in
 :mod:`repro.rpq.semantics`.
 """
 
@@ -44,17 +43,10 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from repro import relation as rel
-from repro.errors import ValidationError
 from repro.relation import Order, Relation
 
 _SHIFT = rel._SHIFT
 _MASK = rel._MASK
-
-#: Ids must stay below this for the bitset/CSR representation to make
-#: sense (a reach bitset is O(max_id) bits *per component*).  Graph
-#: interning produces dense ids, so real workloads sit far below; the
-#: :mod:`repro.relation` wrappers fall back to delta iteration above it.
-MAX_DENSE_NODE = 1 << 22
 
 #: Bitsets at least this many bytes wide decode through numpy
 #: (``unpackbits`` + ``flatnonzero``); narrower ones through the byte
@@ -105,19 +97,14 @@ class CSR:
         order already is ``BY_SRC`` (index scans and union outputs are,
         so the common engine path pays no extra sort).  A declared
         ``n`` is trusted — it must bound every id in the relation (the
-        kernels pass the precomputed :func:`dense_bound`, so the hot
-        path scans the columns once; an id at or past a too-small ``n``
-        fails loudly in the offsets fill).  It may also widen the id
-        space beyond the relation's own ids, e.g. to cover every graph
-        node for identity seeding.
+        kernels pass :func:`dense_bound`; an id at or past a too-small
+        ``n`` fails loudly in the offsets fill).  It may also widen the
+        id space beyond the relation's own ids, e.g. to cover every
+        graph node for identity seeding.
         """
         sorted_rel = relation.sorted_by(Order.BY_SRC)
         if n is None:
             n = _relation_bound(sorted_rel)
-        if n > MAX_DENSE_NODE:
-            raise ValidationError(
-                f"CSR needs dense node ids; got id space {n} > {MAX_DENSE_NODE}"
-            )
         numpy = _np()
         if numpy is not None and len(sorted_rel) >= rel._VECTOR_MIN:
             counts = numpy.bincount(rel._view(sorted_rel.src), minlength=n)
@@ -185,32 +172,21 @@ def _ids_bound(node_ids) -> int:
 
 
 def dense_bound(node_ids, base: Relation) -> int:
-    """``max id + 1`` over ``node_ids`` and both relation columns.
-
-    Callers (the :mod:`repro.relation` wrappers) compute this once and
-    pass it to the kernels as ``bound``, so the hot path scans the
-    columns a single time.
-    """
+    """``max id + 1`` over ``node_ids`` and both relation columns: the
+    CSR's id space."""
     return max(_ids_bound(node_ids), _relation_bound(base))
-
-
-def supports(node_ids, base: Relation) -> bool:
-    """Whether the id space is dense enough for bitset/CSR closure."""
-    return dense_bound(node_ids, base) <= MAX_DENSE_NODE
 
 
 # -- public kernels ------------------------------------------------------------
 
 
 def transitive_fixpoint(
-    node_ids, base: Relation, low: int, bound: int | None = None,
-    deadline=None,
+    node_ids, base: Relation, low: int, deadline=None
 ) -> Relation:
     """``base^low ∪ base^{low+1} ∪ ...`` by condensation-based closure.
 
     Semantics match :func:`repro.rpq.semantics.transitive_fixpoint`:
-    ``low == 0`` unions in the identity over ``node_ids``.  ``bound``
-    is an optional precomputed :func:`dense_bound`.  ``deadline`` (a
+    ``low == 0`` unions in the identity over ``node_ids``.  ``deadline`` (a
     :class:`repro.faults.Deadline`) is checked cooperatively inside the
     closure, the ``low >= 2`` power rounds and the per-source extension
     — the one place a query's running time is not bounded by the plan
@@ -219,7 +195,7 @@ def transitive_fixpoint(
     ids = node_ids if isinstance(node_ids, range) else list(node_ids)
     if not len(base):
         return rel.identity(ids) if low == 0 else Relation.empty()
-    csr = CSR.from_relation(base, bound if bound is not None else dense_bound(ids, base))
+    csr = CSR.from_relation(base, dense_bound(ids, base))
     reach = closure_bitsets(csr, deadline=deadline)
     if low <= 1:
         answers = reach
@@ -250,9 +226,8 @@ def partitioned_closure(
     the condensation.  This is the "exactness over locality" point
     of the design: recursion is the one operator that always gathers.
 
-    Delegates to :func:`repro.relation.transitive_fixpoint`, so the
-    sparse-id delta fallback applies unchanged; with a single part this
-    *is* the unsharded closure.
+    Delegates to :func:`repro.relation.transitive_fixpoint`; with a
+    single part this *is* the unsharded closure.
     """
     parts = [part for part in parts if len(part)]
     if not parts:
@@ -262,29 +237,8 @@ def partitioned_closure(
     return rel.transitive_fixpoint(node_ids, base, low, deadline=deadline)
 
 
-def relation_power(
-    node_ids, base: Relation, exponent: int, bound: int | None = None
-) -> Relation:
-    """``base^exponent`` under composition (power 0 is the identity)."""
-    ids = node_ids if isinstance(node_ids, range) else list(node_ids)
-    if exponent == 0:
-        return rel.identity(ids)
-    if not len(base):
-        return Relation.empty()
-    csr = CSR.from_relation(base, bound)
-    if _vectorize(len(base)):
-        power = _np_base_packed(csr)
-        for _ in range(exponent - 1):
-            if not len(power):
-                break
-            power = _np_step(csr, power)
-        return rel._unpack_np(power, Order.BY_SRC)
-    return _emit_bitsets(_py_power_bitsets(csr, exponent))
-
-
 def bounded_powers(
-    node_ids, base: Relation, low: int, high: int, bound: int | None = None,
-    deadline=None,
+    node_ids, base: Relation, low: int, high: int, deadline=None
 ) -> Relation:
     """``base^low ∪ ... ∪ base^high`` with early saturation.
 
@@ -296,7 +250,7 @@ def bounded_powers(
     ids = node_ids if isinstance(node_ids, range) else list(node_ids)
     if not len(base):
         return rel.identity(ids) if low == 0 else Relation.empty()
-    csr = CSR.from_relation(base, bound if bound is not None else dense_bound(ids, base))
+    csr = CSR.from_relation(base, dense_bound(ids, base))
     if _vectorize(len(base)):
         return _np_bounded_powers(csr, ids, low, high, deadline)
     return _py_bounded_powers(csr, ids, low, high, deadline)

@@ -18,12 +18,11 @@ this module replaces that with a single *columnar* representation:
   that deduplicate through *packed* 64-bit ``src << 32 | tgt`` integer
   keys (cheap int hashing, no tuple allocation) and exploit tracked
   sort orders instead of re-sorting.
-* columnar recursion — :func:`transitive_fixpoint`,
-  :func:`bounded_powers`, :func:`relation_power` — strongly connected
+* columnar recursion — :func:`transitive_fixpoint` and
+  :func:`bounded_powers` — the names the executor's hybrid fallback
+  calls; both run the one Kleene closure engine, strongly connected
   component condensation over a compressed-sparse-row adjacency
-  (:mod:`repro.csr`), used by the executor's hybrid fallback.  The
-  PR-1 packed-pair delta iteration survives as ``delta_*`` twins so the
-  closure benchmark can keep measuring the speedup against it.
+  (:mod:`repro.csr`).
 
 Representation contract
 -----------------------
@@ -393,41 +392,6 @@ def _np_compose(left: Relation, right: Relation) -> Relation:
     return _unpack_np(_np_sorted_unique(packed), Order.BY_SRC)
 
 
-def _np_membership(sorted_keys, candidates):
-    """Boolean mask of which ``candidates`` occur in ``sorted_keys``."""
-    if len(sorted_keys) == 0:
-        return _np.zeros(len(candidates), dtype=bool)
-    positions = _np.searchsorted(sorted_keys, candidates)
-    positions[positions == len(sorted_keys)] = len(sorted_keys) - 1
-    return sorted_keys[positions] == candidates
-
-
-def _np_expand(delta_packed, base_src, base_tgt):
-    """One delta step: packed pairs composed with the sorted base columns."""
-    mids = (delta_packed & _MASK).astype(_np.int64)
-    starts = _np.searchsorted(base_src, mids, side="left")
-    ends = _np.searchsorted(base_src, mids, side="right")
-    counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
-        return delta_packed[:0]
-    heads = _np.repeat(delta_packed & ~_np.uint64(_MASK), counts)
-    offsets = _np.cumsum(counts) - counts
-    positions = (
-        _np.arange(total, dtype=_np.int64)
-        - _np.repeat(offsets, counts)
-        + _np.repeat(starts, counts)
-    )
-    produced = heads | base_tgt[positions].astype(_np.uint64)
-    return _np_sorted_unique(produced)
-
-
-def _np_base_columns(base: Relation):
-    """(src-sorted packed base as column views) for delta iteration."""
-    sorted_base = base if base.order is Order.BY_SRC else dedup_sort(base)
-    return _view(sorted_base.src), _view(sorted_base.tgt)
-
-
 # -- kernels -------------------------------------------------------------------
 
 
@@ -725,11 +689,9 @@ def _from_packed_unordered(keys: set[int]) -> Relation:
 
 # -- recursion -----------------------------------------------------------------
 #
-# The public kernels delegate to the condensation-based CSR closure engine
-# (:mod:`repro.csr`) whenever the id space is dense (graph-interned ids
-# always are).  The PR-1 packed-pair delta iteration below is kept both
-# as the fallback for sparse id spaces and as the stable baseline the
-# closure benchmark (``benchmarks/bench_closure.py``) measures against.
+# One Kleene closure: both kernels are the condensation-based CSR engine
+# (:mod:`repro.csr`).  They keep their names here because the executor
+# calls them through this module.
 
 
 def transitive_fixpoint(
@@ -737,198 +699,21 @@ def transitive_fixpoint(
 ) -> Relation:
     """``base^low ∪ base^{low+1} ∪ ...`` to fixpoint.
 
-    Runs as SCC condensation over a CSR adjacency
-    (:func:`repro.csr.transitive_fixpoint`); falls back to packed-pair
-    delta iteration when ids are too sparse for bitsets.  ``deadline``
-    bounds both paths cooperatively (per DFS root, component or round).
+    SCC condensation over a CSR adjacency
+    (:func:`repro.csr.transitive_fixpoint`); ``deadline`` is checked
+    cooperatively per DFS root, component and power round.
     """
     from repro import csr
 
-    ids = node_ids if isinstance(node_ids, range) else list(node_ids)
-    bound = csr.dense_bound(ids, base)
-    if bound <= csr.MAX_DENSE_NODE:
-        return csr.transitive_fixpoint(ids, base, low, bound, deadline)
-    return delta_transitive_fixpoint(ids, base, low, deadline)
-
-
-def relation_power(
-    node_ids: Iterable[int], base: Relation, exponent: int
-) -> Relation:
-    """``base^exponent`` under composition (power 0 is the identity)."""
-    from repro import csr
-
-    ids = node_ids if isinstance(node_ids, range) else list(node_ids)
-    bound = csr.dense_bound(ids, base)
-    if bound <= csr.MAX_DENSE_NODE:
-        return csr.relation_power(ids, base, exponent, bound)
-    return delta_relation_power(ids, base, exponent)
+    return csr.transitive_fixpoint(node_ids, base, low, deadline)
 
 
 def bounded_powers(
     node_ids: Iterable[int], base: Relation, low: int, high: int,
     deadline=None,
 ) -> Relation:
-    """``base^low ∪ ... ∪ base^high`` with early saturation."""
+    """``base^low ∪ ... ∪ base^high`` with early saturation
+    (:func:`repro.csr.bounded_powers`)."""
     from repro import csr
 
-    ids = node_ids if isinstance(node_ids, range) else list(node_ids)
-    bound = csr.dense_bound(ids, base)
-    if bound <= csr.MAX_DENSE_NODE:
-        return csr.bounded_powers(ids, base, low, high, bound, deadline)
-    return delta_bounded_powers(ids, base, low, high)
-
-
-# -- delta iteration over packed pair sets (pre-CSR baseline) ------------------
-
-
-def _adjacency(base: Relation) -> dict[int, list[int]]:
-    by_source: dict[int, list[int]] = {}
-    base_src, base_tgt = base.src, base.tgt
-    for i, source in enumerate(base_src):
-        by_source.setdefault(source, []).append(base_tgt[i])
-    return by_source
-
-
-def _expand(
-    delta: Iterable[int], by_source: dict[int, list[int]], seen: set[int]
-) -> list[int]:
-    """One delta step: compose packed ``delta`` with ``by_source``, minus ``seen``."""
-    fresh: list[int] = []
-    get = by_source.get
-    add = seen.add
-    for key in delta:
-        targets = get(key & _MASK)
-        if targets:
-            base = key & ~_MASK
-            for target in targets:
-                packed = base | target
-                if packed not in seen:
-                    add(packed)
-                    fresh.append(packed)
-    return fresh
-
-
-def delta_transitive_fixpoint(
-    node_ids: Iterable[int], base: Relation, low: int, deadline=None
-) -> Relation:
-    """``base^low ∪ base^{low+1} ∪ ...`` by packed delta iteration.
-
-    Only newly discovered pairs are re-expanded, so cyclic graphs
-    terminate; ``low == 0`` seeds the accumulator with the identity.
-    The deadline is checked once per delta round.
-    """
-    if _vectorize(len(base)):
-        return _np_transitive_fixpoint(node_ids, base, low, deadline)
-    by_source = _adjacency(base)
-    if low <= 1:
-        delta = list(base.packed())
-        if low == 0:
-            accumulated = {(n << _SHIFT) | n for n in node_ids}
-            accumulated.update(delta)
-        else:
-            accumulated = set(delta)
-    else:
-        power = delta_relation_power(node_ids, base, low)
-        accumulated = set(power.packed())
-        delta = list(accumulated)
-    while delta:
-        if deadline is not None:
-            deadline.check()
-        delta = _expand(delta, by_source, accumulated)
-    return _from_packed_sorted(sorted(accumulated), Order.BY_SRC)
-
-
-def delta_relation_power(
-    node_ids: Iterable[int], base: Relation, exponent: int
-) -> Relation:
-    """``base^exponent`` under composition (power 0 is the identity)."""
-    if exponent == 0:
-        return identity(node_ids)
-    result = base
-    for _ in range(exponent - 1):
-        result = hash_join(result, base)
-        if not result:
-            break
-    return result
-
-
-def delta_bounded_powers(
-    node_ids: Iterable[int], base: Relation, low: int, high: int
-) -> Relation:
-    """``base^low ∪ ... ∪ base^high`` with early saturation.
-
-    Powers of a relation over a finite node set are eventually periodic;
-    once a power repeats, the remaining union is already accumulated.
-    """
-    if _vectorize(len(base)):
-        return _np_bounded_powers(node_ids, base, low, high)
-    by_source = _adjacency(base)
-    power = set(delta_relation_power(node_ids, base, low).packed())
-    accumulated = set(power)
-    seen_powers: set[frozenset] = {frozenset(power)}
-    for _ in range(low, high):
-        if not power:
-            break
-        next_power: set[int] = set()
-        get = by_source.get
-        for key in power:
-            targets = get(key & _MASK)
-            if targets:
-                head = key & ~_MASK
-                for target in targets:
-                    next_power.add(head | target)
-        power = next_power
-        accumulated |= power
-        fingerprint = frozenset(power)
-        if fingerprint in seen_powers:
-            break
-        seen_powers.add(fingerprint)
-    return _from_packed_sorted(sorted(accumulated), Order.BY_SRC)
-
-
-def _np_transitive_fixpoint(
-    node_ids: Iterable[int], base: Relation, low: int, deadline=None
-) -> Relation:
-    base_src, base_tgt = _np_base_columns(base)
-    base_packed = _pack_np(base_src, base_tgt)
-    if low == 0:
-        ids = _np.fromiter(node_ids, dtype=_np.int64)
-        accumulated = _np.union1d(_pack_np(ids, ids), base_packed)
-        delta = base_packed
-    elif low == 1:
-        accumulated = base_packed
-        delta = base_packed
-    else:
-        power = delta_relation_power(node_ids, base, low).sorted_by(Order.BY_SRC)
-        accumulated = _pack_np(_view(power.src), _view(power.tgt))
-        delta = accumulated
-    while len(delta):
-        if deadline is not None:
-            deadline.check()
-        produced = _np_expand(delta, base_src, base_tgt)
-        fresh = produced[~_np_membership(accumulated, produced)]
-        if not len(fresh):
-            break
-        accumulated = _np.union1d(accumulated, fresh)
-        delta = fresh
-    return _unpack_np(accumulated, Order.BY_SRC)
-
-
-def _np_bounded_powers(
-    node_ids: Iterable[int], base: Relation, low: int, high: int
-) -> Relation:
-    base_src, base_tgt = _np_base_columns(base)
-    start = delta_relation_power(node_ids, base, low).sorted_by(Order.BY_SRC)
-    power = _pack_np(_view(start.src), _view(start.tgt))
-    accumulated = power
-    seen_powers = {power.tobytes()}
-    for _ in range(low, high):
-        if not len(power):
-            break
-        power = _np_expand(power, base_src, base_tgt)
-        accumulated = _np.union1d(accumulated, power)
-        fingerprint = power.tobytes()
-        if fingerprint in seen_powers:
-            break
-        seen_powers.add(fingerprint)
-    return _unpack_np(accumulated, Order.BY_SRC)
+    return csr.bounded_powers(node_ids, base, low, high, deadline)

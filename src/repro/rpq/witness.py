@@ -3,8 +3,10 @@
 RPQ semantics returns node pairs, but users (and the paper's demo
 audience) routinely ask for an actual path — the sequence of nodes and
 steps whose label word is in the query's language.  This module
-extracts a shortest such witness by running the NFA-product BFS with
-parent pointers.
+extracts a shortest such witness from the automaton baseline's
+graph × NFA product walk (:func:`repro.baselines.automaton_eval.walk`):
+the walk records how it first reached each product state, so the
+witness is those parents read back from the goal.
 
 A witness is a list of ``(node, step, node)`` hops (empty for pairs
 justified by the empty word, e.g. epsilon or ``R*`` identity pairs).
@@ -12,9 +14,9 @@ justified by the empty word, e.g. epsilon or ``R*`` identity pairs).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+from repro.baselines.automaton_eval import walk
 from repro.graph.graph import Graph, Step
 from repro.rpq.ast import Node
 from repro.rpq.automaton import compile_ast
@@ -51,66 +53,24 @@ def find_witness(
 ) -> Witness | None:
     """A shortest witness path for ``(source, target)``, or ``None``.
 
-    BFS over the product of the graph and the query NFA guarantees the
-    returned witness has the minimum number of edge traversals among
-    all witnesses.
+    The automaton baseline's product walk
+    (:func:`repro.baselines.automaton_eval.walk`) run to the goal
+    ``(target, accept)``: breadth-first order makes the parents read
+    back from the goal a witness with the minimum number of edge
+    traversals.
     """
     nfa = compile_ast(query)
-    source_id = graph.node_id(source)
-    target_id = graph.node_id(target)
-
-    # parent[(node, state)] = (previous node, previous state, step)
-    parent: dict[tuple[int, int], tuple[int, int, Step] | None] = {}
-    queue: deque[tuple[int, int]] = deque()
-    for state in nfa.eps_closure(nfa.start):
-        pair = (source_id, state)
-        if pair not in parent:
-            parent[pair] = None
-            queue.append(pair)
-
-    goal: tuple[int, int] | None = None
-    for pair in list(parent):
-        if pair == (target_id, nfa.accept):
-            goal = pair
-            break
-    while queue and goal is None:
-        node, state = queue.popleft()
-        for step in nfa.out_steps(state):
-            successors = nfa.step_targets(state, step)
-            if not successors:
-                continue
-            for neighbor in graph.step_neighbors(node, step):
-                for raw_state in successors:
-                    for next_state in nfa.eps_closure(raw_state):
-                        pair = (neighbor, next_state)
-                        if pair in parent:
-                            continue
-                        parent[pair] = (node, state, step)
-                        if pair == (target_id, nfa.accept):
-                            goal = pair
-                            queue.clear()
-                            break
-                        queue.append(pair)
-                    if goal is not None:
-                        break
-                if goal is not None:
-                    break
-            if goal is not None:
-                break
-
-    if goal is None:
+    goal = (graph.node_id(target), nfa.accept)
+    parents = walk(graph, nfa, graph.node_id(source), goal)
+    if goal not in parents:
         return None
     hops: list[tuple[str, Step, str]] = []
-    cursor: tuple[int, int] | None = goal
-    while cursor is not None:
-        entry = parent[cursor]
-        if entry is None:
-            break
-        previous_node, previous_state, step = entry
-        hops.append(
-            (graph.node_name(previous_node), step, graph.node_name(cursor[0]))
-        )
-        cursor = (previous_node, previous_state)
+    cursor, entry = goal, parents[goal]
+    while entry is not None:
+        node, state, step = entry
+        hops.append((graph.node_name(node), step, graph.node_name(cursor[0])))
+        cursor = (node, state)
+        entry = parents[cursor]
     hops.reverse()
     return Witness(source=source, target=target, hops=tuple(hops))
 

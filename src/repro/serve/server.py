@@ -49,6 +49,7 @@ from http import HTTPStatus
 from repro.api import GraphDatabase, ServiceConfig
 from repro.errors import (
     ParseError,
+    PlanningError,
     QueryTimeoutError,
     ReproError,
     RewriteError,
@@ -76,11 +77,13 @@ M_ARENA_MAX = -8
 #: text plus a few knobs; anything bigger is a broken client.
 MAX_REQUEST_BYTES = 16 << 20
 
-#: Request failures that are the caller's fault (HTTP 400).
+#: Request failures that are the caller's fault (HTTP 400), an unknown
+#: ``method`` (``PlanningError``) among them.
 _CALLER_ERRORS = (
     ValidationError,
     ParseError,
     RewriteError,
+    PlanningError,
     UnknownNodeError,
     UnsupportedQueryError,
 )

@@ -115,8 +115,9 @@ class TestQueries:
     def test_unknown_method_rejected(self, figure1_db):
         from repro.errors import PlanningError
 
-        with pytest.raises(PlanningError):
-            figure1_db.query("knows", method="alchemy")
+        for method in ("alchemy", "dfa"):
+            with pytest.raises(PlanningError):
+                figure1_db.query("knows", method=method)
 
     def test_exact_statistics_option(self, figure1_db):
         result = figure1_db.query(
@@ -216,6 +217,15 @@ class TestWitnessApi:
 
         with pytest.raises(UnknownNodeError):
             figure1_db.witness("ghost", "kim", "knows")
+        with pytest.raises(UnknownNodeError):
+            figure1_db.witness("kim", "liz", "from(ghost): supervisor")
+
+    def test_witness_keeps_the_anchor(self):
+        db = GraphDatabase.from_edges([("x", "a", "y"), ("z", "a", "w")], k=2)
+        assert ("x", "y") not in db.query("from(z): a").pairs
+        assert db.witness("x", "y", "from(z): a") is None
+        assert str(db.witness("z", "w", "from(z): a")) == "z -a-> w"
+        assert str(db.witness("x", "y", "a")) == "x -a-> y"
 
     def test_every_answer_pair_has_a_witness(self, figure1_db):
         result = figure1_db.query("knows/worksFor")

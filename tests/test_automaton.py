@@ -84,9 +84,17 @@ class TestEvaluation:
         assert automaton_eval.evaluate_from(graph, nfa, 0) == {1, 2}
 
     def test_evaluate_pair(self):
+        """A walk given a goal state stops on reaching it."""
         graph = chain(3)
-        assert automaton_eval.evaluate_pair(graph, parse("next{3}"), 0, 3)
-        assert not automaton_eval.evaluate_pair(graph, parse("next{3}"), 1, 3)
+        nfa = compile_ast(parse("next{3}"))
+        goal = (3, nfa.accept)
+        assert goal in automaton_eval.walk(graph, nfa, 0, goal)
+        assert goal not in automaton_eval.walk(graph, nfa, 1, goal)
+        star = compile_ast(parse("next*"))
+        early = automaton_eval.walk(graph, star, 0, (1, star.accept))
+        assert (1, star.accept) in early
+        assert (3, star.accept) in automaton_eval.walk(graph, star, 0)
+        assert (3, star.accept) not in early
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_nodes=6, max_edges=12), rpq_asts(max_leaves=4))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import csr
 from repro import relation as rel
-from repro.errors import QueryTimeoutError, ValidationError
+from repro.errors import QueryTimeoutError
 from repro.graph.graph import Graph, Step
 from repro.relation import Order, Relation
 from repro.rpq.semantics import (
@@ -78,12 +78,6 @@ class TestBuilder:
     def test_adjacency_bitsets(self):
         built = csr.CSR.from_relation(Relation.from_pairs([(0, 1), (0, 3), (2, 0)]))
         assert built.adjacency_bitsets() == {0: 0b1010, 2: 0b1}
-
-    def test_sparse_ids_rejected(self):
-        huge = Relation.from_pairs([(csr.MAX_DENSE_NODE + 1, 0)])
-        with pytest.raises(ValidationError):
-            csr.CSR.from_relation(huge)
-        assert not csr.supports(range(0), huge)
 
     @settings(max_examples=40, deadline=None)
     @given(PAIRS)
@@ -266,10 +260,11 @@ class TestClosureMatchesOracle:
     @settings(max_examples=50, deadline=None)
     @given(PAIRS, st.integers(0, 4))
     def test_relation_power(self, pure_python, pairs, exponent):
+        """One power alone: ``bounded_powers`` with ``low == high``."""
         graph = _graph_with(pairs)
         with forced_path(pure_python):
-            result = csr.relation_power(
-                graph.node_ids(), Relation.from_pairs(pairs), exponent
+            result = csr.bounded_powers(
+                graph.node_ids(), Relation.from_pairs(pairs), exponent, exponent
             )
         assert result.to_set() == set_relation_power(
             graph, set(pairs), exponent
@@ -306,7 +301,7 @@ class TestClosureMatchesOracle:
 
 
 class TestRelationDelegation:
-    """The public :mod:`repro.relation` kernels route through CSR."""
+    """The public :mod:`repro.relation` kernels are the CSR engine."""
 
     def test_dense_ids_route_to_csr(self, monkeypatch):
         calls = []
@@ -317,26 +312,3 @@ class TestRelationDelegation:
         )
         rel.transitive_fixpoint(range(3), Relation.from_pairs([(0, 1)]), 1)
         assert len(calls) == 1
-
-    def test_sparse_ids_fall_back_to_delta(self):
-        """Ids beyond the dense bound still evaluate (via delta)."""
-        huge = csr.MAX_DENSE_NODE + 17
-        base = Relation.from_pairs([(huge, huge + 1), (huge + 1, huge + 2)])
-        result = rel.transitive_fixpoint([], base, 1)
-        assert result.to_set() == {
-            (huge, huge + 1), (huge + 1, huge + 2), (huge, huge + 2),
-        }
-
-    def test_delta_twins_still_agree(self):
-        """The benchmark baseline stays semantically equivalent."""
-        pairs = [(0, 1), (1, 2), (2, 0), (3, 3)]
-        base = Relation.from_pairs(pairs)
-        for low in (0, 1, 2):
-            assert (
-                rel.delta_transitive_fixpoint(range(5), base, low).to_set()
-                == csr.transitive_fixpoint(range(5), base, low).to_set()
-            )
-        assert (
-            rel.delta_bounded_powers(range(5), base, 1, 4).to_set()
-            == csr.bounded_powers(range(5), base, 1, 4).to_set()
-        )

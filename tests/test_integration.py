@@ -43,7 +43,7 @@ class TestFileToAnswerPipeline:
 
 class TestMethodsAgreeAtScale:
     METHODS = ("naive", "semi-naive", "minsupport", "minjoin",
-               "automaton", "dfa", "datalog")
+               "automaton", "datalog")
 
     @pytest.fixture(scope="class")
     def db(self):

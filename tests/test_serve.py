@@ -31,6 +31,7 @@ from repro.client import AsyncClient, Client, RemoteResult, check_payload
 from repro.config import default_shard_count
 from repro.errors import (
     ParseError,
+    PlanningError,
     QueryTimeoutError,
     ReproError,
     ShardUnavailableError,
@@ -688,6 +689,23 @@ class TestHttpService:
             connection.close()
         assert status == 400
         assert payload["error"]["code"] == "validation"
+
+    @pytest.mark.parametrize("method", ["alchemy", "dfa"])
+    def test_unknown_method_is_a_400(self, served, client, method):
+        body = json.dumps({"query": "a/b", "method": method}).encode()
+        connection = http.client.HTTPConnection("127.0.0.1", served.port, timeout=30)
+        try:
+            connection.request(
+                "POST", "/query", body, {"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            status, payload = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert status == 400
+        assert payload["error"]["code"] == "planning"
+        with pytest.raises(PlanningError):
+            client.query("a/b", method=method)
 
     def test_stats_endpoint_groups(self, client):
         stats = client.stats()
