@@ -83,7 +83,7 @@ def main() -> None:
             f"{row.operation:<16}{row.seconds:>10.3f}"
             f"{row.files:>8}{row.findings:>10}"
         )
-    from repro.bench.export import write_json
+    from repro_bench.export import write_json
 
     path = Path("BENCH_analysis.json")
     write_json(rows, path, experiment="invariant-analysis")

@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import automaton_eval
-from repro.bench.harness import run_automaton_comparison
-from repro.bench.queries import workload
+from repro_bench.harness import run_comparison
+from repro_bench.queries import workload
 from repro.rpq.parser import parse
 
 QUERIES = workload()
@@ -42,7 +42,7 @@ def test_automaton_baseline(benchmark, prepared_bench, query):
 
 
 def test_aggregate_shape(prepared_bench):
-    rows = run_automaton_comparison(prepared_bench, k=2)
+    rows = run_comparison(prepared_bench, "automaton", k=2)
     total_index = sum(row.index_seconds for row in rows)
     total_automaton = sum(row.baseline_seconds for row in rows)
     assert total_index < total_automaton

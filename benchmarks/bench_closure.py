@@ -4,7 +4,7 @@ Measures the recursion kernels behind ``Star`` / ``Repeat`` in all
 three generations of the engine:
 
 * **seed** — the v1.0 tuple-set delta iteration, frozen in
-  :mod:`repro.bench.legacy`;
+  :mod:`repro_bench.legacy`;
 * **delta** — the PR-1 packed-pair delta iteration over columnar
   relations (:func:`delta_transitive_fixpoint`,
   :func:`delta_bounded_powers`, kept in this file as the frozen
@@ -14,7 +14,7 @@ three generations of the engine:
   per-source visited bitsets (:mod:`repro.csr`), the path the executor
   routes through now.
 
-Workloads come from :func:`repro.bench.workloads.closure_base_pairs`:
+Workloads come from :func:`repro_bench.workloads.closure_base_pairs`:
 disjoint cycles (the delta worst case), a chain (bounded powers), and a
 scale-free graph (deep overlapping ancestor sets).
 
@@ -40,12 +40,12 @@ import pytest
 
 from repro import csr
 from repro import relation as rel
-from repro.bench.export import write_json
-from repro.bench.legacy import (
+from repro_bench.export import write_json
+from repro_bench.legacy import (
     tuple_bounded_powers,
     tuple_transitive_fixpoint,
 )
-from repro.bench.workloads import closure_base_pairs
+from repro_bench.workloads import closure_base_pairs
 from repro.relation import Order, Relation
 
 #: (workload kind, operation, edge count) per exported row.  The
@@ -348,7 +348,7 @@ def test_smoke_rows_agree_and_export(tmp_path):
     """Smoke mode: the three engines agree on every small workload."""
     rows = compare_closure(SMOKE_SPECS)
     path = export_rows(rows, tmp_path / "BENCH_closure.json")
-    from repro.bench.export import read_json
+    from repro_bench.export import read_json
 
     payload = read_json(path)
     assert payload["experiment"] == "kleene-closure-ablation"

@@ -13,9 +13,10 @@ from statistics import geometric_mean
 
 import pytest
 
-from repro.baselines import datalog_eval
-from repro.bench.harness import run_datalog_comparison
-from repro.bench.queries import workload
+from repro_bench import datalog_eval
+from repro_bench.harness import run_comparison
+from repro_bench.queries import workload
+from repro_bench.reporting import format_comparison
 from repro.rpq.parser import parse
 
 QUERIES = workload()
@@ -48,8 +49,10 @@ def test_datalog_baseline(benchmark, prepared_small, query):
 
 def test_speedup_shape(prepared_small):
     """Index beats Datalog on every query; large geomean speedup."""
-    rows = run_datalog_comparison(prepared_small, k=3)
+    rows = run_comparison(prepared_small, "Datalog", k=3)
+    assert [row.query for row in rows] == [query.name for query in QUERIES]
     for row in rows:
         assert row.baseline_seconds > row.index_seconds, row.query
     speedups = [row.speedup for row in rows]
     assert geometric_mean(speedups) > 10.0
+    assert "geomean" in format_comparison(rows, "Datalog")

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.api import GraphDatabase, ServiceConfig
-from repro.bench.export import write_json
-from repro.bench.workloads import fused_gather_queries, sharding_graph
+from repro_bench.export import write_json
+from repro_bench.workloads import fused_gather_queries, sharding_graph
 from repro.faults import FaultPlan, FaultRule, armed, disarmed
 
 SHARDS = 4
@@ -179,7 +179,7 @@ def test_smoke_rows_agree_and_export(tmp_path):
     """Smoke sweep: answers pinned inline, export round-trips."""
     rows = overhead_rows(SMOKE_BATCHES)
     path = export_rows(rows, tmp_path / "BENCH_faults.json")
-    from repro.bench.export import read_json
+    from repro_bench.export import read_json
 
     payload = read_json(path)
     assert payload["experiment"] == "fault-harness-overhead"

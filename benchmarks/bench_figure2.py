@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import STRATEGIES, run_figure2
-from repro.bench.queries import workload
-from repro.bench.reporting import figure2_trends
+from repro_bench.harness import STRATEGIES, run_figure2
+from repro_bench.queries import workload
+from repro_bench.reporting import figure2_trends
 
 QUERIES = workload()
 KS = (1, 2, 3)

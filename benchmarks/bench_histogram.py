@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import run_histogram_ablation
+from repro_bench.harness import run_histogram_ablation
 from repro.indexes.histogram import EquiDepthHistogram
 
 BUCKETS = (4, 16, 64, 256)
@@ -49,7 +49,7 @@ def test_minsupport_under_histogram(benchmark, prepared_bench, buckets):
         counts, k=2, buckets=buckets
     )
     benchmark.group = "histogram-plan-quality"
-    from repro.bench.queries import workload
+    from repro_bench.queries import workload
 
     queries = workload(prepared_bench.labels)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import run_index_build
+from repro_bench.harness import run_index_build
 from repro.indexes.builder import count_label_paths
 from repro.indexes.pathindex import PathIndex
 

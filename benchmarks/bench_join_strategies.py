@@ -4,7 +4,7 @@ The paper's planner prefers merge joins "to make the best use of the
 physical sort order of the index".  This bench isolates that design
 choice: the same composition executed by (a) a merge join over the
 sorted index streams and (b) a hash join, across input sizes — plus
-the frozen v1.0 tuple-set merge join (``repro.bench.legacy``) in the
+the frozen v1.0 tuple-set merge join (``repro_bench.legacy``) in the
 same groups, so the columnar speedup is visible in one report.
 """
 
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.legacy import tuple_merge_join
-from repro.bench.workloads import synthetic_join_inputs as _relations
+from repro_bench.legacy import tuple_merge_join
+from repro_bench.workloads import synthetic_join_inputs as _relations
 from repro.engine.operators import hash_join, merge_join
 
 SIZES = (1_000, 10_000, 50_000)
@@ -60,7 +60,7 @@ def test_joins_agree():
 def test_plan_level_ablation(prepared_bench):
     """Workload answers are identical whether merge joins are used or not."""
     database = prepared_bench.database(2)
-    from repro.bench.queries import workload
+    from repro_bench.queries import workload
 
     for query in workload(prepared_bench.labels):
         semi = database.query(query.text, method="semi-naive")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.rpq.semantics import eval_query
+
 QUERY = "master/journeyer/apprentice/journeyer"
 
 
@@ -56,7 +58,7 @@ def test_boolean_probe(benchmark, database):
 
 
 def test_single_source_consistent_with_all_pairs(database):
-    relation = database.query(QUERY, method="reference").pairs
+    relation = eval_query(database.graph, QUERY)
     for name in list(database.graph.node_names())[:10]:
         expected = {b for a, b in relation if a == name}
         assert database.query_from(name, QUERY) == expected

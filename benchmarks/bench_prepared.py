@@ -6,7 +6,7 @@ Two phases, both answer-checked before timing:
   binding, against the cold path (``cache_clear()`` then
   ``query(use_cache=False)`` on the substituted text: the database's
   plan cache is emptied first, so every call pays the full
-  parse/rewrite/plan/execute toll).  The workload is :func:`repro.bench.workloads.prepared_template_workload`:
+  parse/rewrite/plan/execute toll).  The workload is :func:`repro_bench.workloads.prepared_template_workload`:
   selective recursion-heavy templates whose normalization explodes
   into hundreds of mostly-empty disjuncts — planning-dominated, the
   regime prepared statements exist for.  The acceptance gate requires
@@ -39,8 +39,8 @@ from pathlib import Path
 
 from repro import relation as rel
 from repro.api import GraphDatabase, ServiceConfig
-from repro.bench.export import write_json
-from repro.bench.workloads import (
+from repro_bench.export import write_json
+from repro_bench.workloads import (
     fused_gather_queries,
     prepared_template_workload,
     sharding_graph,
@@ -252,7 +252,7 @@ def test_smoke_rows_agree_and_export(tmp_path):
     """Smoke sweep: answers pinned inline, export round-trips."""
     rows = compare_prepared(SMOKE_REPEATS)
     path = export_rows(rows, tmp_path / "BENCH_prepared.json")
-    from repro.bench.export import read_json
+    from repro_bench.export import read_json
 
     payload = read_json(path)
     assert payload["experiment"] == "prepared-statement-ablation"

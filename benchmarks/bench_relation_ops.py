@@ -4,7 +4,7 @@ Measures the exact kernels the executor runs — merge join, hash join,
 union, dedup-sort — in both representations:
 
 * **seed** — the v1.0 tuple-set implementations, frozen in
-  :mod:`repro.bench.legacy`;
+  :mod:`repro_bench.legacy`;
 * **columnar** — the array-backed kernels of :mod:`repro.relation`
   (vectorized when numpy is importable, packed-int scalar otherwise).
 
@@ -26,14 +26,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.export import write_json
-from repro.bench.legacy import (
+from repro_bench.export import write_json
+from repro_bench.legacy import (
     tuple_dedup_sort,
     tuple_hash_join,
     tuple_merge_join,
     tuple_union,
 )
-from repro.bench.workloads import synthetic_join_inputs
+from repro_bench.workloads import synthetic_join_inputs
 from repro.relation import Order, Relation
 from repro import relation as rel
 
@@ -209,7 +209,7 @@ def test_columnar_union_at_least_1x_at_small_size():
 
 
 def test_rows_export_roundtrip(tmp_path):
-    from repro.bench.export import read_json
+    from repro_bench.export import read_json
 
     rows = compare_kernels(sizes=(1_000,))
     path = export_rows(rows, tmp_path / "BENCH_relation.json")

@@ -7,7 +7,7 @@ under any number of queries is computed once).  A third, fan-out over
 a thread pool, was deleted after this benchmark read 8.7x at 2 and 4
 threads against 9.7x at 1.  This benchmark measures the two on the
 shared-subplan workload from
-:func:`repro.bench.workloads.service_batch_queries` — a skewed draw of
+:func:`repro_bench.workloads.service_batch_queries` — a skewed draw of
 2-/3-step label paths over the Advogato-like graph, the shape of heavy
 repeated traffic.
 
@@ -33,8 +33,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.export import write_json
-from repro.bench.workloads import advogato_workload, service_batch_queries
+from repro_bench.export import write_json
+from repro_bench.workloads import advogato_workload, service_batch_queries
 
 #: (scale, batch size) of the full and smoke sweeps.  The acceptance
 #: gate runs on the smoke configuration so CI stays fast.
@@ -119,7 +119,7 @@ def test_smoke_rows_agree_and_export(tmp_path):
     """Smoke mode: batch answers equal the loop's, export round-trips."""
     rows = compare_service()
     path = export_rows(rows, tmp_path / "BENCH_service.json")
-    from repro.bench.export import read_json
+    from repro_bench.export import read_json
 
     payload = read_json(path)
     assert payload["experiment"] == "service-batch-ablation"

@@ -4,7 +4,7 @@ The scatter-gather executor consults per-shard exact counts
 (:meth:`repro.sharding.ShardedGraph.shard_statistics`) to skip shard
 slices whose leftmost leaf is provably empty.  This benchmark measures
 what that buys on a graph with Zipfian label/start-vertex skew aligned
-with shard ownership (:func:`repro.bench.workloads.skewed_shard_graph`):
+with shard ownership (:func:`repro_bench.workloads.skewed_shard_graph`):
 each rare label lives in one shard, so rare-led queries — and
 especially the high-fan-in unions normalization produces — prune most
 of their per-shard work.
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.api import GraphDatabase, ServiceConfig
-from repro.bench.export import write_json
-from repro.bench.workloads import skewed_shard_graph, skewed_shard_queries
+from repro_bench.export import write_json
+from repro_bench.workloads import skewed_shard_graph, skewed_shard_queries
 from repro.engine.executor import prepare_ast
 from repro.engine.operators import ScatterPolicy, execute_scattered
 from repro.engine.planner import Strategy
@@ -164,7 +164,7 @@ def test_smoke_rows_agree_and_export(tmp_path):
     """Smoke sweep: answers pinned to the oracle, export round-trips."""
     rows = prune_rows(SMOKE_REPEATS)
     path = export_rows(rows, tmp_path / "BENCH_shard_stats.json")
-    from repro.bench.export import read_json
+    from repro_bench.export import read_json
 
     payload = read_json(path)
     assert payload["experiment"] == "shard-statistics-ablation"

@@ -19,7 +19,7 @@ Two sweeps over the Advogato-like bench graph, both against the
   real one pays fork + pickling instead.  Parallel builds are one
   process per shard (``repro serve``).
 * **query** — scatter-gather execution of the
-  :func:`repro.bench.workloads.sharding_queries` set at each shard
+  :func:`repro_bench.workloads.sharding_queries` set at each shard
   count, answers asserted identical to the one-shard engine (which
   runs the plain executor).  Reported without a gate: per-shard
   execution is an architecture property (partitioned fan-in, per-shard
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.api import GraphDatabase, ServiceConfig
-from repro.bench.export import write_json
-from repro.bench.workloads import sharding_graph, sharding_queries
+from repro_bench.export import write_json
+from repro_bench.workloads import sharding_graph, sharding_queries
 from repro.sharding import ShardedGraph
 
 #: (scale, k, shard counts) of the two sweeps.  The build workload is
@@ -194,7 +194,7 @@ def test_smoke_rows_agree_and_export(tmp_path):
     scale, k, shard_counts = SMOKE_CONFIG
     rows = compare_sharding(scale, k, shard_counts)
     path = export_rows(rows, tmp_path / "BENCH_sharding.json")
-    from repro.bench.export import read_json
+    from repro_bench.export import read_json
 
     payload = read_json(path)
     assert payload["experiment"] == "sharding-ablation"

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.api import GraphDatabase, ServiceConfig
-from repro.bench.export import write_json
-from repro.bench.workloads import SCALES
+from repro.graph.generators import SCALES
 from repro.write import Mutation, delta
+from repro_bench.export import write_json
 
 #: (scale, shards, mutations in the stream).
 FULL_CONFIG = ("bench", 4, 120)
@@ -181,7 +181,7 @@ def test_delta_patching_beats_rebuild_3x():
 def test_export_round_trips(tmp_path):
     rows = run_ablation(count=10)
     path = export_rows(rows, tmp_path / "BENCH_write.json")
-    from repro.bench.export import read_json
+    from repro_bench.export import read_json
 
     payload = read_json(path)
     assert payload["experiment"] == "write-path-ablation"

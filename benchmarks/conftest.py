@@ -1,17 +1,17 @@
 """Shared fixtures for the pytest-benchmark suite.
 
-The benchmarks reproduce the paper's experiments (see DESIGN.md's
-experiment index).  Graphs default to the "small" synthetic Advogato
-scale so the whole suite runs in minutes of pure-Python time; the
-harness functions in :mod:`repro.bench` accept larger scales for
-paper-sized runs (see ``examples/figure2_experiment.py``).
+The benchmarks reproduce the paper's experiments; ``paper_experiments.py``
+beside this file prints every table in one run.  Graphs default to the
+"small" synthetic Advogato scale so the whole suite runs in minutes of
+pure-Python time; the harness functions in :mod:`repro_bench` accept
+larger scales for paper-sized runs (``paper_experiments.py --scale full``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.workloads import PreparedWorkload, advogato_workload
+from repro_bench.workloads import PreparedWorkload, advogato_workload
 
 
 @pytest.fixture(scope="session")

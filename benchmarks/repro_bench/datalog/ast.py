@@ -11,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import DatalogError
+from repro.errors import ReproError
+
+
+class DatalogError(ReproError):
+    """Invalid Datalog program or evaluation failure."""
 
 
 @dataclass(frozen=True, slots=True)

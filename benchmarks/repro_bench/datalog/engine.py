@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import DatalogError
-from repro.datalog.ast import Atom, Const, Program, Rule, Var
+from repro_bench.datalog.ast import Atom, Const, DatalogError, Program, Rule, Var
 
 Fact = tuple
 Relation = set[Fact]

@@ -19,9 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import DatalogError
-from repro.datalog.ast import Atom, Program, Rule, Var, atom, rule, var
-from repro.datalog.engine import Database
 from repro.graph.graph import Graph, Step
 from repro.rpq.ast import (
     Concat,
@@ -34,6 +31,10 @@ from repro.rpq.ast import (
     Union,
 )
 from repro.rpq.rewrite import push_inverse
+from repro_bench.datalog.ast import (
+    Atom, DatalogError, Program, Rule, Var, atom, rule, var,
+)
+from repro_bench.datalog.engine import Database
 
 NODE_PRED = "node"
 

@@ -8,8 +8,10 @@ reports the path-index approach ~1200x faster on the Advogato queries).
 
 from __future__ import annotations
 
-from repro.datalog.engine import EvaluationStats, naive_evaluate, seminaive_evaluate
-from repro.datalog.translate import graph_to_edb, translate
+from repro_bench.datalog.engine import (
+    EvaluationStats, naive_evaluate, seminaive_evaluate,
+)
+from repro_bench.datalog.translate import graph_to_edb, translate
 from repro.errors import ValidationError
 from repro.graph.graph import Graph
 from repro.rpq.ast import Node

@@ -1,8 +1,9 @@
 """Experiment drivers: the code behind every figure and table.
 
-Each function reproduces one empirical artifact of the paper (see
-DESIGN.md's experiment index) and returns plain data rows, so the same
-drivers back the pytest benchmarks, the example scripts and the CLI.
+Each function reproduces one empirical artifact of the paper and
+returns plain data rows, so the same functions back the pytest
+benchmarks and ``benchmarks/paper_experiments.py``, which prints every
+table.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from dataclasses import dataclass
 from statistics import median
 
 from repro.api import GraphDatabase
-from repro.baselines import automaton_eval, datalog_eval
-from repro.bench.queries import WorkloadQuery, workload
-from repro.bench.workloads import PreparedWorkload, advogato_workload
+from repro.baselines import automaton_eval
 from repro.graph.graph import Graph
 from repro.indexes.histogram import EquiDepthHistogram
 from repro.indexes.pathindex import PathIndex
 from repro.rpq.parser import parse
+from repro_bench import datalog_eval
+from repro_bench.queries import WorkloadQuery, workload
+from repro_bench.workloads import PreparedWorkload
 
 STRATEGIES: tuple[str, ...] = ("naive", "semi-naive", "minsupport", "minjoin")
 
@@ -56,11 +58,10 @@ def _time_query(
 
 
 def run_figure2(
-    prepared: PreparedWorkload | None = None,
+    prepared: PreparedWorkload,
     ks: tuple[int, ...] = (1, 2, 3),
     methods: tuple[str, ...] = STRATEGIES,
     repeats: int = 3,
-    scale: str = "bench",
 ) -> list[Measurement]:
     """Figure 2: 8 queries x 4 methods x k in {1,2,3}.
 
@@ -68,8 +69,6 @@ def run_figure2(
     edge labels only); it is still *measured* under each panel, as in
     the paper's figure, using the k=1 index.
     """
-    if prepared is None:
-        prepared = advogato_workload(scale=scale, ks=ks)
     queries = workload(prepared.labels)
     measurements: list[Measurement] = []
     for k in ks:
@@ -108,56 +107,39 @@ class ComparisonRow:
         return self.baseline_seconds / self.index_seconds
 
 
-def run_datalog_comparison(
-    prepared: PreparedWorkload | None = None,
+#: The baselines a comparison times: name -> ``(graph, AST) -> id pairs``.
+BASELINES = {
+    "Datalog": datalog_eval.evaluate,
+    "automaton": automaton_eval.evaluate,
+}
+
+
+def run_comparison(
+    prepared: PreparedWorkload,
+    baseline: str,
     k: int = 3,
-    scale: str = "small",
     repeats: int = 1,
 ) -> list[ComparisonRow]:
-    """Section 6: minSupport over I_{G,k} vs semi-naive Datalog."""
-    if prepared is None:
-        prepared = advogato_workload(scale=scale, ks=(1, k))
+    """minSupport over I_{G,k} vs one baseline of :data:`BASELINES`.
+
+    ``"Datalog"`` is Section 6's semi-naive bottom-up evaluation;
+    ``"automaton"`` is the traversal comparison's graph x NFA product
+    search from every node.  The baseline runs once per query.
+    """
+    evaluate = BASELINES[baseline]
     database = prepared.database(k)
     rows: list[ComparisonRow] = []
     for query in workload(prepared.labels):
         index_measure = _time_query(database, query, "minsupport", repeats)
         node = parse(query.text)
         started = time.perf_counter()
-        answer = datalog_eval.evaluate(prepared.graph, node)
-        datalog_seconds = time.perf_counter() - started
+        answer = evaluate(prepared.graph, node)
+        baseline_seconds = time.perf_counter() - started
         rows.append(
             ComparisonRow(
                 query=query.name,
                 index_seconds=index_measure.seconds,
-                baseline_seconds=datalog_seconds,
-                answer_size=len(answer),
-            )
-        )
-    return rows
-
-
-def run_automaton_comparison(
-    prepared: PreparedWorkload | None = None,
-    k: int = 3,
-    scale: str = "bench",
-    repeats: int = 1,
-) -> list[ComparisonRow]:
-    """Section 3.1's traversal comparison: minSupport vs product-BFS."""
-    if prepared is None:
-        prepared = advogato_workload(scale=scale, ks=(1, k))
-    database = prepared.database(k)
-    rows: list[ComparisonRow] = []
-    for query in workload(prepared.labels):
-        index_measure = _time_query(database, query, "minsupport", repeats)
-        node = parse(query.text)
-        started = time.perf_counter()
-        answer = automaton_eval.evaluate(prepared.graph, node)
-        automaton_seconds = time.perf_counter() - started
-        rows.append(
-            ComparisonRow(
-                query=query.name,
-                index_seconds=index_measure.seconds,
-                baseline_seconds=automaton_seconds,
+                baseline_seconds=baseline_seconds,
                 answer_size=len(answer),
             )
         )
@@ -212,15 +194,12 @@ class HistogramRow:
 
 
 def run_histogram_ablation(
-    prepared: PreparedWorkload | None = None,
+    prepared: PreparedWorkload,
     k: int = 2,
     bucket_counts: tuple[int, ...] = (4, 16, 64, 256),
-    scale: str = "bench",
     repeats: int = 3,
 ) -> list[HistogramRow]:
     """How bucket count affects estimates and minSupport run-times."""
-    if prepared is None:
-        prepared = advogato_workload(scale=scale, ks=(1, k))
     database = prepared.database(k)
     exact = database.index.counts_by_path()
     rows: list[HistogramRow] = []

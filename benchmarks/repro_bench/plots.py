@@ -7,7 +7,7 @@ bar charts.  Used by ``examples/figure2_experiment.py`` and the CLI.
 
 from __future__ import annotations
 
-from repro.bench.harness import Measurement
+from repro_bench.harness import Measurement
 from repro.errors import ValidationError
 
 _BLOCKS = " ▏▎▍▌▋▊▉█"

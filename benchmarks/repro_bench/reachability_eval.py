@@ -12,7 +12,7 @@ restriction concrete: it recognizes the supported shapes —
 (:func:`repro.relation.transitive_fixpoint`: the Tarjan condensation
 with per-component reach bitsets a reachability index is built from,
 the same pass every Kleene closure runs), and raises
-:class:`~repro.errors.UnsupportedQueryError` for every other query.
+:class:`UnsupportedQueryError` for every other query.
 The path-index engine, by contrast, evaluates arbitrary RPQs; the
 contrast is asserted by tests and showcased in an example.
 """
@@ -20,12 +20,16 @@ contrast is asserted by tests and showcased in an example.
 from __future__ import annotations
 
 from repro import relation as rel
-from repro.errors import UnsupportedQueryError
+from repro.errors import ReproError
 from repro.graph.graph import Graph, Step
 from repro.rpq.ast import Label, Node, Repeat, Star
 from repro.rpq.rewrite import push_inverse
 
 Pair = tuple[int, int]
+
+
+class UnsupportedQueryError(ReproError):
+    """The query is not of the single-step closure shape this baseline answers."""
 
 
 def supported_shape(query: Node) -> tuple[Step, bool] | None:

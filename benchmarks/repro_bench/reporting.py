@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from statistics import geometric_mean
 
-from repro.bench.harness import ComparisonRow, HistogramRow, IndexBuildRow, Measurement
+from repro_bench.harness import ComparisonRow, HistogramRow, IndexBuildRow, Measurement
 
 
 def _format_ms(seconds: float) -> str:

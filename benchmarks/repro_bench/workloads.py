@@ -15,23 +15,8 @@ from dataclasses import dataclass, field
 
 from repro.api import GraphDatabase
 from repro.errors import ValidationError
-from repro.graph.generators import (
-    ADVOGATO_EDGES,
-    ADVOGATO_LABELS,
-    ADVOGATO_NODES,
-    advogato_like,
-)
+from repro.graph.generators import ADVOGATO_LABELS, SCALES, advogato_like
 from repro.graph.graph import Graph
-
-#: Benchmark scales: name -> (nodes, edges).  "bench" keeps a full
-#: Figure-2 sweep (8 queries x 4 methods x k=1..3) within minutes of
-#: pure-Python time; "small" is for CI smoke runs.
-SCALES: dict[str, tuple[int, int]] = {
-    "small": (120, 600),
-    "bench": (300, 1800),
-    "medium": (1000, 8000),
-    "full": (ADVOGATO_NODES, ADVOGATO_EDGES),
-}
 
 
 @dataclass

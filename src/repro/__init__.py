@@ -4,10 +4,11 @@ A from-scratch reproduction of Fletcher, Peters, Poulovassilis,
 *Efficient regular path query evaluation using path indexes*
 (EDBT 2016): an edge-labeled graph store, a k-path index (an ordered
 dictionary: sorted columns in memory, optionally mirrored to an image
-file on disk) with an equi-depth selectivity histogram, four
-plan-generation strategies (naive, semi-naive, minSupport, minJoin),
-and the three literature baselines (automaton search, Datalog,
-reachability index).
+file on disk) with an equi-depth selectivity histogram, and four
+plan-generation strategies (naive, semi-naive, minSupport, minJoin).
+The literature baselines the paper compares against (Datalog, a
+reachability index) are measurement code under ``benchmarks/``; the
+automaton search stays here as the walk behind ``witness()``.
 
 Quickstart::
 

@@ -3,7 +3,8 @@
 A facade tying the substrates together in the life-of-a-query order the
 paper demonstrates: load a graph, build the k-path index and its
 histogram, then parse / rewrite / plan / execute queries with any of
-the four strategies — or with one of the four literature baselines.
+the four strategies.  The literature baselines the paper compares
+against are not query methods: they live with the benchmarks.
 
 Example
 -------
@@ -24,7 +25,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.baselines import automaton_eval, datalog_eval, reachability_eval
 from repro.concurrency import ReadWriteLock
 from repro.config import ServiceConfig, default_shard_count  # noqa: F401
 from repro.engine.executor import (
@@ -60,7 +60,6 @@ from repro.rpq.rewrite import (
     normalize,
     push_inverse,
 )
-from repro.rpq.semantics import eval_ast
 from repro.sharding import ShardedGraph, shard_of
 from repro.stats import (
     CacheStats,
@@ -73,12 +72,6 @@ from repro.write.commit import GroupCommitter
 from repro.write.delta import resolve_patch, stage_group
 from repro.write.log import MutationLog
 from repro.write.mutation import ApplyResult, MutationBatch
-
-#: Methods accepted by :meth:`GraphDatabase.query`: the paper's four
-#: index strategies plus the literature baselines (NFA product search,
-#: Datalog, reachability) and the reference evaluator.
-BASELINE_METHODS = ("automaton", "datalog", "reachability", "reference")
-
 
 @dataclass(frozen=True, slots=True)
 class QueryResult:
@@ -466,10 +459,8 @@ class GraphDatabase:
         """Answer an RPQ.
 
         ``method`` is one of the paper's strategies (``naive``,
-        ``semi-naive``, ``minsupport``, ``minjoin``) or a baseline
-        (``automaton``, the graph × NFA product search; ``datalog``;
-        ``reachability``; ``reference``, the set-semantics oracle).  Any
-        other name raises :class:`~repro.errors.PlanningError`.
+        ``semi-naive``, ``minsupport``, ``minjoin``); any other name
+        raises :class:`~repro.errors.PlanningError`.
 
         Text may open with a source anchor, ``from(kim): knows/worksFor``
         (or come as a placeholder-free :class:`~repro.rpq.parser.Template`
@@ -489,8 +480,7 @@ class GraphDatabase:
         counting the dropped slices — every returned pair is still a
         true answer pair (the operators are monotone), the answer is
         just possibly incomplete.  Partial answers are never stored in
-        the query cache.  Both knobs apply to the index strategies
-        only; baselines run outside the resilient engine.
+        the query cache.
 
         Repeated queries are answered from an LRU cache of *answers*
         keyed on ``(query, method, graph version)`` — heavy-traffic
@@ -519,26 +509,19 @@ class GraphDatabase:
         text, node, anchor = self._parse(query)
         # Validate the method before touching any shared state, so a
         # raising method name never skews the cache counters.
-        strategy = None if method in BASELINE_METHODS else Strategy.parse(method)
+        strategy = Strategy.parse(method)
         context = None
         if timeout_ms is not None or degraded:
-            if strategy is None:
-                raise ValidationError(
-                    f"timeout_ms/degraded apply to the index strategies; "
-                    f"baseline {method!r} runs outside the resilient engine"
-                )
             # The deadline clock starts at submission, before the build
             # check and lock wait — a caller's timeout bounds the whole
             # call, not just the execution core.
             deadline = Deadline(timeout_ms) if timeout_ms is not None else None
             context = RunContext(deadline=deadline, degraded=degraded)
-        if strategy is not None:
-            self._ensure_built()
+        self._ensure_built()
         with self._lock.read_locked():
             return self._query_locked(
                 text,
                 node,
-                method,
                 strategy,
                 use_exact_statistics,
                 max_disjuncts,
@@ -551,8 +534,7 @@ class GraphDatabase:
         self,
         text: str,
         node: Node,
-        method: str,
-        strategy: Strategy | None,
+        strategy: Strategy,
         use_exact_statistics: bool,
         max_disjuncts: int,
         use_cache: bool,
@@ -567,10 +549,13 @@ class GraphDatabase:
         ``memo``) and prepared runs all end here.
         """
         version = self.graph.version
-        cache_key = self._cache_key(
+        # Key on the canonical strategy value, not the raw method
+        # string, so spelling aliases ("minsupport" / "min-support" /
+        # "MIN_SUPPORT") share one entry — and match the method the
+        # stored result reports.
+        cache_key = (
             text,
-            method,
-            strategy,
+            strategy.value,
             use_exact_statistics,
             max_disjuncts,
             version,
@@ -583,12 +568,6 @@ class GraphDatabase:
             cache_key = None  # a bypass neither counts a miss nor stores
         source = self._anchor_id(anchor)
         started = time.perf_counter()
-        if strategy is None:
-            pairs = self._run_baseline(method, node, source)
-            seconds = time.perf_counter() - started
-            return self._result_locked(
-                text, method, pairs, seconds, version, cache_key=cache_key
-            )
         prepared = self._plan_locked(
             node, strategy, use_exact_statistics, max_disjuncts
         )
@@ -603,45 +582,42 @@ class GraphDatabase:
         )
         seconds = time.perf_counter() - started
         return self._result_locked(
-            text, strategy.value, report.relation, seconds, version, report, cache_key
+            text, strategy.value, seconds, version, report, cache_key
         )
 
     def _result_locked(
         self,
         text: str,
         method: str,
-        answer,
         seconds: float,
         version: int,
-        report: ExecutionReport | None = None,
-        cache_key: tuple | None = None,
+        report: ExecutionReport,
+        cache_key: tuple | None,
     ) -> QueryResult:
-        """From an executed answer to an accounted :class:`QueryResult`.
+        """From an executed plan to an accounted :class:`QueryResult`.
 
-        The one path every read takes once it has id pairs — a report's
-        relation (anchored or not) or a baseline's pair set: lay the
-        name view over them (nothing is decoded until the caller reads),
-        then, under the cache mutex, fold the report's memo,
-        scatter and fault counters into :meth:`stats` and, given a
-        ``cache_key``, count the miss and offer the result to the LRU
-        (which refuses partial answers).  Caller holds the read lock.
+        Lay the name view over the report's relation, anchored or not
+        (nothing is decoded until the caller reads), then, under the
+        cache mutex, fold the report's memo, scatter and fault counters
+        into :meth:`stats` and, given a ``cache_key``, count the miss
+        and offer the result to the LRU (which refuses partial
+        answers).  Caller holds the read lock.
         """
         result = QueryResult(
             query=text,
             method=method,
-            pairs=self.graph.named_pairs(answer),
+            pairs=self.graph.named_pairs(report.relation),
             seconds=seconds,
             report=report,
             version=version,
         )
         with self._cache_lock:
-            if report is not None:
-                self._scan_memo_hits += report.scan_memo_hits
-                self._scan_memo_misses += report.scan_memo_misses
-                self._shards_scanned += report.shards_scanned
-                self._shards_pruned += report.shards_pruned
-                self._disjuncts_pruned += report.disjuncts_pruned
-                self._shards_failed += report.shards_failed
+            self._scan_memo_hits += report.scan_memo_hits
+            self._scan_memo_misses += report.scan_memo_misses
+            self._shards_scanned += report.shards_scanned
+            self._shards_pruned += report.shards_pruned
+            self._disjuncts_pruned += report.disjuncts_pruned
+            self._shards_failed += report.shards_failed
             if cache_key is not None:
                 self._cache_misses += 1
                 self._remember_locked(cache_key, result)
@@ -680,32 +656,6 @@ class GraphDatabase:
                 "index unavailable: a previous rebuild failed; call build_index()"
             )
         return index
-
-    def _cache_key(
-        self,
-        text: str,
-        method: str,
-        strategy: Strategy | None,
-        use_exact_statistics: bool,
-        max_disjuncts: int,
-        version: int,
-    ) -> tuple:
-        if strategy is None:
-            # Baselines ignore statistics flavor and disjunct budget;
-            # keep them out of the key so identical answers share one
-            # entry (and one slot of the pairs budget).
-            return (text, method, version)
-        # Key on the canonical strategy value, not the raw method
-        # string, so spelling aliases ("minsupport" / "min-support" /
-        # "MIN_SUPPORT") share one entry — and match the method the
-        # stored result reports.
-        return (
-            text,
-            strategy.value,
-            use_exact_statistics,
-            max_disjuncts,
-            version,
-        )
 
     def _cache_lookup(self, key: tuple, version: int) -> QueryResult | None:
         """Probe the LRU under the cache mutex (a hit reorders it)."""
@@ -903,11 +853,10 @@ class GraphDatabase:
         several threads: each call has its own memo.
         """
         parsed = [self._parse(query) for query in queries]
-        strategy = None if method in BASELINE_METHODS else Strategy.parse(method)
+        strategy = Strategy.parse(method)
         if not parsed:
             return []
-        if strategy is not None:
-            self._ensure_built()
+        self._ensure_built()
         memo = ScanMemo()
         answered: dict[str, QueryResult] = {}
         with self._lock.read_locked():
@@ -916,7 +865,6 @@ class GraphDatabase:
                     answered[text] = self._query_locked(
                         text,
                         node,
-                        method,
                         strategy,
                         use_exact_statistics,
                         max_disjuncts,
@@ -952,9 +900,6 @@ class GraphDatabase:
         the execution's leftmost scans to ``I(p, v)``, as an anchored
         :meth:`query` does, so every anchor value shares one plan.  A
         run is that :meth:`query` with the answer cache bypassed.
-
-        Only the index strategies can be prepared — baselines have no
-        plan to cache.
         """
         if isinstance(template, str):
             template = parse_template(template)
@@ -962,11 +907,6 @@ class GraphDatabase:
             raise ValidationError(
                 f"template must be text or a parsed Template, "
                 f"got {type(template)}"
-            )
-        if method in BASELINE_METHODS:
-            raise ValidationError(
-                f"prepare() plans through the index strategies; baseline "
-                f"{method!r} has no plan to cache — use query() instead"
             )
         return PreparedStatement(
             database=self,
@@ -1181,21 +1121,6 @@ class GraphDatabase:
         return self.query(anchored, max_disjuncts=max_disjuncts)
 
     # -- internals ---------------------------------------------------------------------
-
-    def _run_baseline(
-        self, method: str, node: Node, source: int | None = None
-    ) -> set[tuple[int, int]]:
-        if method == "automaton":
-            pairs = automaton_eval.evaluate(self.graph, node)
-        elif method == "datalog":
-            pairs = datalog_eval.evaluate(self.graph, node)
-        elif method == "reachability":
-            pairs = reachability_eval.evaluate(self.graph, node)
-        else:
-            pairs = eval_ast(self.graph, node)
-        if source is None:
-            return pairs
-        return {pair for pair in pairs if pair[0] == source}
 
     def _anchor_id(self, anchor: str | None) -> int | None:
         """The anchor's node id; caller holds the read lock."""

@@ -1,5 +1,5 @@
-"""Baseline evaluators: the three literature approaches of Section 1."""
+"""The automaton baseline (approach 1 of Section 1), whose walk ``witness()`` runs."""
 
-from repro.baselines import automaton_eval, datalog_eval, reachability_eval
+from repro.baselines import automaton_eval
 
-__all__ = ["automaton_eval", "datalog_eval", "reachability_eval"]
+__all__ = ["automaton_eval"]

@@ -1,16 +1,19 @@
 """Command-line interface: ``repro-rpq`` / ``python -m repro``.
 
-Subcommands cover the life of a query the demo walks through (load,
-inspect, explain, run) plus every experiment driver:
+Subcommands serve a database: the life of a query the demo walks
+through (load, inspect, explain, run), writes, the HTTP service and
+the invariant checker:
 
     repro-rpq stats --synthetic bench
     repro-rpq query --synthetic bench -k 2 "master/journeyer"
-    repro-rpq explain --synthetic bench -k 3 --method minjoin "master/journeyer/apprentice"
-    repro-rpq figure2 --scale small
-    repro-rpq compare-datalog --scale small
-    repro-rpq index-build --scale small
+    repro-rpq explain --synthetic bench -k 3 --method minjoin "master/journeyer"
+    repro-rpq prepared --synthetic small 'master{1,$n}' n=1 n=2
     repro-rpq mutate --synthetic bench < delta.txt
+    repro-rpq serve --synthetic bench --workers 2
     repro-rpq lint src/
+
+The paper's tables (Figure 2, the Section 6 comparisons, index build,
+histogram ablation) are printed by ``benchmarks/paper_experiments.py``.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ import argparse
 import sys
 
 from repro.api import GraphDatabase
-from repro.bench import harness, reporting
-from repro.bench.workloads import SCALES, advogato_workload
 from repro.errors import ReproError
-from repro.graph.generators import advogato_like
+from repro.graph.generators import SCALES, advogato_like
 from repro.graph.stats import summarize
 
 
@@ -165,43 +166,6 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure2(args: argparse.Namespace) -> int:
-    prepared = advogato_workload(scale=args.scale, ks=tuple(args.ks))
-    measurements = harness.run_figure2(
-        prepared, ks=tuple(args.ks), repeats=args.repeats
-    )
-    if args.chart:
-        from repro.bench.plots import figure2_charts
-
-        print(figure2_charts(measurements))
-    else:
-        print(reporting.format_figure2(measurements))
-    trends = reporting.figure2_trends(measurements)
-    for claim, holds in trends.items():
-        print(f"trend {claim}: {'holds' if holds else 'VIOLATED'}")
-    return 0
-
-
-def _cmd_compare_datalog(args: argparse.Namespace) -> int:
-    rows = harness.run_datalog_comparison(scale=args.scale, k=args.k)
-    print(reporting.format_comparison(rows, "Datalog"))
-    return 0
-
-
-def _cmd_compare_automaton(args: argparse.Namespace) -> int:
-    rows = harness.run_automaton_comparison(scale=args.scale, k=args.k)
-    print(reporting.format_comparison(rows, "automaton"))
-    return 0
-
-
-def _cmd_index_build(args: argparse.Namespace) -> int:
-    nodes, edges = SCALES[args.scale]
-    graph = advogato_like(nodes=nodes, edges=edges, seed=args.seed)
-    rows = harness.run_index_build(graph, ks=tuple(args.ks))
-    print(reporting.format_index_build(rows))
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the repo's own invariant analyzer (see repro.analysis).
 
@@ -217,12 +181,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.report is not None:
         argv += ["--report", args.report]
     return analysis_main(argv)
-
-
-def _cmd_histogram(args: argparse.Namespace) -> int:
-    rows = harness.run_histogram_ablation(scale=args.scale, k=args.k)
-    print(reporting.format_histogram(rows))
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -322,35 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mutate.set_defaults(handler=_cmd_mutate)
 
-    figure2 = commands.add_parser("figure2", help="reproduce Figure 2")
-    figure2.add_argument("--scale", choices=sorted(SCALES), default="bench")
-    figure2.add_argument("--ks", type=int, nargs="+", default=[1, 2, 3])
-    figure2.add_argument("--repeats", type=int, default=3)
-    figure2.add_argument(
-        "--chart", action="store_true", help="render bar charts instead of tables"
-    )
-    figure2.set_defaults(handler=_cmd_figure2)
-
-    datalog = commands.add_parser(
-        "compare-datalog", help="Section 6 Datalog comparison"
-    )
-    datalog.add_argument("--scale", choices=sorted(SCALES), default="small")
-    datalog.add_argument("-k", type=int, default=2)
-    datalog.set_defaults(handler=_cmd_compare_datalog)
-
-    automaton = commands.add_parser(
-        "compare-automaton", help="traversal-baseline comparison"
-    )
-    automaton.add_argument("--scale", choices=sorted(SCALES), default="bench")
-    automaton.add_argument("-k", type=int, default=2)
-    automaton.set_defaults(handler=_cmd_compare_automaton)
-
-    build = commands.add_parser("index-build", help="index size/time vs k")
-    build.add_argument("--scale", choices=sorted(SCALES), default="small")
-    build.add_argument("--seed", type=int, default=7)
-    build.add_argument("--ks", type=int, nargs="+", default=[1, 2, 3])
-    build.set_defaults(handler=_cmd_index_build)
-
     lint = commands.add_parser(
         "lint", help="check the engine's concurrency/resilience invariants"
     )
@@ -374,11 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", default=None, help="write the JSON findings report here"
     )
     lint.set_defaults(handler=_cmd_lint)
-
-    histogram = commands.add_parser("histogram", help="histogram ablation")
-    histogram.add_argument("--scale", choices=sorted(SCALES), default="bench")
-    histogram.add_argument("-k", type=int, default=2)
-    histogram.set_defaults(handler=_cmd_histogram)
 
     serve = commands.add_parser(
         "serve", help="run the multi-process HTTP query service"

@@ -120,18 +120,5 @@ class ShardUnavailableError(ReproError):
         self.shard = shard
 
 
-class DatalogError(ReproError):
-    """Invalid Datalog program or evaluation failure."""
-
-
-class UnsupportedQueryError(ReproError):
-    """The chosen evaluation method cannot answer this query shape.
-
-    Raised, for example, by the reachability-index baseline (approach 3
-    in the paper) for queries that are not of the restricted
-    single-label-star form it supports.
-    """
-
-
 class ValidationError(ReproError):
     """An argument failed validation at an API boundary."""

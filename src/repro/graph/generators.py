@@ -107,6 +107,17 @@ def advogato_like(
     return graph
 
 
+#: Named :func:`advogato_like` sizes: name -> (nodes, edges).  "bench"
+#: keeps a full Figure-2 sweep (8 queries x 4 methods x k=1..3) within
+#: minutes of pure-Python time; "small" is for CI smoke runs.
+SCALES: dict[str, tuple[int, int]] = {
+    "small": (120, 600),
+    "bench": (300, 1800),
+    "medium": (1000, 8000),
+    "full": (ADVOGATO_NODES, ADVOGATO_EDGES),
+}
+
+
 def erdos_renyi(
     nodes: int,
     edges: int,

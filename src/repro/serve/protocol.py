@@ -45,7 +45,6 @@ import sys
 from array import array
 
 from repro.errors import (
-    DatalogError,
     ExecutionError,
     GraphError,
     ParseError,
@@ -59,7 +58,6 @@ from repro.errors import (
     TransientStorageError,
     TransientWireError,
     UnknownNodeError,
-    UnsupportedQueryError,
     ValidationError,
     WireError,
 )
@@ -154,8 +152,6 @@ ERROR_CODES: tuple[tuple[str, type[Exception]], ...] = (
     ("storage", StorageError),
     ("query_timeout", QueryTimeoutError),
     ("shard_unavailable", ShardUnavailableError),
-    ("datalog", DatalogError),
-    ("unsupported_query", UnsupportedQueryError),
     ("validation", ValidationError),
     ("graph", GraphError),
     ("internal", ReproError),

@@ -56,7 +56,6 @@ from repro.errors import (
     TransientError,
     TransientWireError,
     UnknownNodeError,
-    UnsupportedQueryError,
     ValidationError,
     WireError,
 )
@@ -85,7 +84,6 @@ _CALLER_ERRORS = (
     RewriteError,
     PlanningError,
     UnknownNodeError,
-    UnsupportedQueryError,
 )
 
 

@@ -13,6 +13,8 @@ site; oracles in transparency tests do the same.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,11 @@ from repro.api import GraphDatabase, default_shard_count
 from repro.graph.examples import diamond, figure1_graph, two_triangles
 from repro.graph.generators import advogato_like, erdos_renyi
 from repro.graph.graph import Graph
+
+# The comparison baselines and the experiment harness are the
+# measurement package under benchmarks/ (``repro_bench``), which the
+# tests of that code import from there.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 
 def pytest_report_header(config) -> str:

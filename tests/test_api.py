@@ -12,7 +12,6 @@ from repro.errors import (
     QueryTimeoutError,
     StorageError,
     TransientError,
-    UnsupportedQueryError,
     ValidationError,
 )
 from repro.graph.examples import FIGURE1_EDGES
@@ -23,6 +22,9 @@ from repro.rpq.semantics import eval_query
 from repro.serve import CoordinatorDatabase
 from repro.write import delta
 from repro.write.mutation import Mutation
+from repro_bench.reachability_eval import UnsupportedQueryError
+
+from tests.evaluators import answer, evaluate
 
 
 class TestConstruction:
@@ -99,32 +101,33 @@ class TestQueries:
          "automaton", "datalog", "reference"],
     )
     def test_all_methods_agree(self, figure1_db, method):
-        expected = figure1_db.query("knows/knows/worksFor", method="reference")
-        result = figure1_db.query("knows/knows/worksFor", method=method)
-        assert result.pairs == expected.pairs
+        expected = evaluate(figure1_db.graph, "knows/knows/worksFor")
+        assert answer(figure1_db, "knows/knows/worksFor", method) == expected
 
     def test_reachability_method_on_supported_query(self, figure1_db):
-        result = figure1_db.query("knows*", method="reachability")
-        expected = figure1_db.query("knows*", method="reference")
-        assert result.pairs == expected.pairs
+        result = evaluate(figure1_db.graph, "knows*", "reachability")
+        assert result == evaluate(figure1_db.graph, "knows*")
 
     def test_reachability_method_rejects_general_query(self, figure1_db):
         with pytest.raises(UnsupportedQueryError):
-            figure1_db.query("knows/worksFor", method="reachability")
+            evaluate(figure1_db.graph, "knows/worksFor", "reachability")
 
     def test_unknown_method_rejected(self, figure1_db):
+        """Only Figure 2's strategies are methods; a baseline name is unknown."""
         from repro.errors import PlanningError
 
-        for method in ("alchemy", "dfa"):
+        for method in ("alchemy", "dfa", "automaton", "datalog", "reachability",
+                       "reference"):
             with pytest.raises(PlanningError):
                 figure1_db.query("knows", method=method)
+            with pytest.raises(PlanningError):
+                figure1_db.query_batch(["knows"], method=method)
 
     def test_exact_statistics_option(self, figure1_db):
         result = figure1_db.query(
             "knows/knows/worksFor", use_exact_statistics=True
         )
-        expected = figure1_db.query("knows/knows/worksFor", method="reference")
-        assert result.pairs == expected.pairs
+        assert result.pairs == evaluate(figure1_db.graph, "knows/knows/worksFor")
 
     def test_report_attached_for_index_methods(self, figure1_db):
         # The fixture is shared: another test may have cached this query,
@@ -135,8 +138,7 @@ class TestQueries:
 
     def test_star_query_via_fallback(self, figure1_db):
         result = figure1_db.query("(knows|worksFor)*", max_disjuncts=10)
-        expected = figure1_db.query("(knows|worksFor)*", method="reference")
-        assert result.pairs == expected.pairs
+        assert result.pairs == evaluate(figure1_db.graph, "(knows|worksFor)*")
 
 
 class TestExplainAndStats:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import harness, reporting
-from repro.bench.queries import query_by_name, workload
-from repro.bench.workloads import SCALES, PreparedWorkload, advogato_workload
+from repro_bench import harness, reporting
+from repro_bench.queries import query_by_name, workload
+from repro_bench.workloads import PreparedWorkload, advogato_workload
 from repro.errors import ValidationError
-from repro.graph.generators import advogato_like
+from repro.graph.generators import SCALES, advogato_like
 from repro.rpq.parser import parse
 
 
@@ -102,28 +102,13 @@ class TestFigure2Harness:
 
 
 class TestComparisons:
-    def test_datalog_comparison_rows(self, prepared):
-        rows = harness.run_datalog_comparison(prepared, k=2)
-        assert len(rows) == 8
-        for row in rows:
-            assert row.index_seconds >= 0.0
-            assert row.baseline_seconds >= 0.0
-            assert row.speedup >= 0.0
-
-    def test_datalog_report(self, prepared):
-        rows = harness.run_datalog_comparison(prepared, k=2)
-        text = reporting.format_comparison(rows, "Datalog")
-        assert "geomean" in text
+    """The Datalog comparison is a timing run: it is
+    ``benchmarks/bench_datalog_comparison.py::test_speedup_shape``, a CI
+    benchmark step, not a tier-1 test."""
 
     def test_automaton_comparison_rows(self, prepared):
-        rows = harness.run_automaton_comparison(prepared, k=2)
+        rows = harness.run_comparison(prepared, "automaton", k=2)
         assert len(rows) == 8
-
-    def test_index_is_faster_than_datalog_in_aggregate(self, prepared):
-        rows = harness.run_datalog_comparison(prepared, k=2)
-        total_index = sum(row.index_seconds for row in rows)
-        total_datalog = sum(row.baseline_seconds for row in rows)
-        assert total_index < total_datalog
 
 
 class TestIndexBuildAndHistogram:

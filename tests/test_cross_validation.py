@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines import automaton_eval, datalog_eval
+from repro.baselines import automaton_eval
+from repro_bench import datalog_eval
 from repro.engine.executor import evaluate_ast
 from repro.engine.planner import Strategy
 from repro.graph.examples import figure1_graph

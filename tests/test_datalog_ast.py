@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DatalogError
-from repro.datalog.ast import Atom, Const, Program, atom, rule, var
+from repro_bench.datalog.ast import Atom, Const, DatalogError, Program, atom, rule, var
 
 
 class TestAtoms:

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DatalogError
-from repro.datalog.ast import Const, Program, atom, rule, var
-from repro.datalog.engine import Database, naive_evaluate, seminaive_evaluate
+from repro_bench.datalog.ast import Const, DatalogError, Program, atom, rule, var
+from repro_bench.datalog.engine import Database, naive_evaluate, seminaive_evaluate
 
 X, Y, Z = var("X"), var("Y"), var("Z")
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.baselines import datalog_eval
-from repro.datalog.engine import seminaive_evaluate
-from repro.datalog.translate import graph_to_edb, translate
+from repro_bench import datalog_eval
+from repro_bench.datalog.engine import seminaive_evaluate
+from repro_bench.datalog.translate import graph_to_edb, translate
 from repro.graph.examples import figure1_graph
 from repro.graph.generators import chain, cycle
 from repro.rpq.parser import parse

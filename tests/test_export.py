@@ -6,8 +6,8 @@ import csv
 
 import pytest
 
-from repro.bench.export import read_json, rows_to_dicts, write_csv, write_json
-from repro.bench.harness import ComparisonRow, Measurement
+from repro_bench.export import read_json, rows_to_dicts, write_csv, write_json
+from repro_bench.harness import ComparisonRow, Measurement
 from repro.errors import ValidationError
 
 
@@ -72,7 +72,7 @@ class TestJson:
             read_json(path)
 
     def test_export_real_harness_rows(self, tmp_path):
-        from repro.bench.harness import run_index_build
+        from repro_bench.harness import run_index_build
         from repro.graph.generators import advogato_like
 
         rows = run_index_build(advogato_like(60, 240, seed=5), ks=(1,))

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro import relation as rel
 from repro.errors import (
+    PlanningError,
     QueryTimeoutError,
     ReproError,
     ShardUnavailableError,
@@ -273,11 +274,12 @@ def test_only_a_finite_positive_timeout_is_a_deadline(shards, timeout_ms) -> Non
 
 
 def test_timeout_rejected_for_baselines() -> None:
+    """A baseline is no query method, so a deadline on one is refused."""
     with disarmed():
         db = build_db(1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(PlanningError):
             db.query("master", method="reference", timeout_ms=100.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(PlanningError):
             db.query("master", method="automaton", degraded=True)
 
 

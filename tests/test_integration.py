@@ -10,6 +10,8 @@ from repro.graph.generators import advogato_like, grid
 from repro.graph.io import save_edgelist
 from repro.graph.graph import Graph
 
+from tests.evaluators import answer, evaluate
+
 
 class TestFileToAnswerPipeline:
     """Load from disk -> index -> query -> witness, like a real user."""
@@ -60,13 +62,9 @@ class TestMethodsAgreeAtScale:
         ],
     )
     def test_seven_way_agreement(self, db, text):
-        answers = {
-            method: db.query(text, method=method).pairs
-            for method in self.METHODS
-        }
-        reference = db.query(text, method="reference").pairs
-        for method, pairs in answers.items():
-            assert pairs == reference, method
+        reference = evaluate(db.graph, text)
+        for method in self.METHODS:
+            assert answer(db, text, method) == reference, method
 
 
 class TestGridGroundTruth:
@@ -84,8 +82,7 @@ class TestGridGroundTruth:
     def test_bounded_recursion_on_grid(self):
         db = GraphDatabase(grid(3, 3), k=2)
         result = db.query("(right|down){2}")
-        reference = db.query("(right|down){2}", method="reference")
-        assert result.pairs == reference.pairs
+        assert result.pairs == evaluate(db.graph, "(right|down){2}")
 
     def test_single_source_on_grid(self):
         db = GraphDatabase(grid(3, 3), k=2)

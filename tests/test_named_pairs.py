@@ -17,10 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import BASELINE_METHODS, GraphDatabase
+from repro.api import GraphDatabase
 from repro.client import RemoteResult
 from repro.config import ServiceConfig
-from repro.errors import UnsupportedQueryError
 from repro.graph.examples import figure1_graph
 from repro.graph.generators import advogato_like
 from repro.graph.graph import Graph, NamedPairs
@@ -210,13 +209,9 @@ class TestLenRestsOnDuplicateFreeAnswers:
         )
         database = GraphDatabase(graph, k=2, config=config)
         try:
-            for method in STRATEGIES + BASELINE_METHODS:
+            for method in STRATEGIES:
                 for query in QUERIES:
-                    try:
-                        result = database.query(query, method=method, use_cache=False)
-                    except UnsupportedQueryError:
-                        assert method == "reachability"
-                        continue
+                    result = database.query(query, method=method, use_cache=False)
                     pairs = result.pairs
                     assert len(pairs) == len(set(pairs)), (method, query)
                     assert pairs == oracle(graph, query), (method, query)

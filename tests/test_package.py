@@ -9,6 +9,8 @@ import pytest
 
 import repro
 from repro import errors
+from repro_bench.datalog import DatalogError
+from repro_bench.reachability_eval import UnsupportedQueryError
 
 
 class TestPublicExports:
@@ -26,14 +28,14 @@ class TestPublicExports:
         assert {Graph, LabelPath, Step, Strategy} is not None
 
     def test_subpackage_all_exports(self):
-        import repro.bench as bench
-        import repro.datalog as datalog
+        import repro.baselines as baselines
         import repro.engine as engine
         import repro.graph as graph
         import repro.indexes as indexes
         import repro.rpq as rpq
+        import repro_bench.datalog as datalog
 
-        for module in (bench, datalog, engine, graph, indexes, rpq):
+        for module in (baselines, datalog, engine, graph, indexes, rpq):
             for name in module.__all__:
                 assert getattr(module, name) is not None, (module, name)
 
@@ -58,8 +60,8 @@ class TestErrorHierarchy:
         errors.ExecutionError,
         errors.PathIndexError,
         errors.StorageError,
-        errors.DatalogError,
-        errors.UnsupportedQueryError,
+        DatalogError,
+        UnsupportedQueryError,
         errors.ValidationError,
     ]
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import Measurement
-from repro.bench.plots import (
+from repro_bench.harness import Measurement
+from repro_bench.plots import (
     bar_chart,
     figure2_charts,
     figure2_panel_chart,

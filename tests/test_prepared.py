@@ -26,7 +26,7 @@ from repro.engine import prepared as prepared_module
 from repro.engine.executor import prepare_ast
 from repro.engine.plan import IdentityPlan, IndexScanPlan, JoinPlan, PlanNode
 from repro.engine.prepared import PreparedStatement
-from repro.errors import ParseError, ValidationError
+from repro.errors import ParseError, PlanningError, ValidationError
 from repro.graph.examples import FIGURE1_EDGES, figure1_graph
 from repro.rpq import ast
 from repro.rpq.parser import parse, parse_template
@@ -133,8 +133,9 @@ class TestTemplateParsing:
 class TestPrepareBind:
     def test_baselines_cannot_be_prepared(self):
         database = GraphDatabase(figure1_graph(), k=2)
-        with pytest.raises(ValidationError, match="no plan to cache"):
-            database.prepare("supervisor/^worksFor", method="automaton")
+        for method in ("automaton", "datalog", "reachability", "reference"):
+            with pytest.raises(PlanningError, match="unknown strategy"):
+                database.prepare("supervisor/^worksFor", method=method)
 
     def test_binding_must_match_parameters_exactly(self):
         database = GraphDatabase(figure1_graph(), k=2)

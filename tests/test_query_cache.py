@@ -44,11 +44,6 @@ class TestCacheHits:
         assert semi.pairs == minj.pairs
         assert database.stats().as_dict()["entries"] == 2
 
-    def test_baseline_methods_are_cached_too(self):
-        database = _database()
-        database.query("knows", method="reference")
-        assert database.query("knows", method="reference").cached
-
     def test_use_cache_false_bypasses(self):
         """No lookup, no store, no counter updates — a true bypass."""
         database = _database()

@@ -12,8 +12,8 @@ from collections import deque
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines import reachability_eval
-from repro.errors import UnsupportedQueryError
+from repro_bench import reachability_eval
+from repro_bench.reachability_eval import UnsupportedQueryError
 from repro.graph.generators import chain, cycle
 from repro.graph.graph import Graph, Step
 from repro.rpq.parser import parse

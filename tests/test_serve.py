@@ -690,20 +690,32 @@ class TestHttpService:
         assert status == 400
         assert payload["error"]["code"] == "validation"
 
-    @pytest.mark.parametrize("method", ["alchemy", "dfa"])
+    @pytest.mark.parametrize(
+        "method",
+        ["alchemy", "dfa", "automaton", "datalog", "reachability", "reference"],
+    )
     def test_unknown_method_is_a_400(self, served, client, method):
-        body = json.dumps({"query": "a/b", "method": method}).encode()
-        connection = http.client.HTTPConnection("127.0.0.1", served.port, timeout=30)
-        try:
-            connection.request(
-                "POST", "/query", body, {"Content-Type": "application/json"}
+        """Only Figure 2's strategies are methods; a baseline name is unknown."""
+        for path, body in (
+            ("/query", {"query": "a/b", "method": method, "timeout_ms": 100}),
+            ("/prepared", {"template": "a/b", "method": method}),
+        ):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", served.port, timeout=30
             )
-            response = connection.getresponse()
-            status, payload = response.status, json.loads(response.read())
-        finally:
-            connection.close()
-        assert status == 400
-        assert payload["error"]["code"] == "planning"
+            try:
+                connection.request(
+                    "POST",
+                    path,
+                    json.dumps(body).encode(),
+                    {"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                status, payload = response.status, json.loads(response.read())
+            finally:
+                connection.close()
+            assert status == 400, path
+            assert payload["error"]["code"] == "planning", path
         with pytest.raises(PlanningError):
             client.query("a/b", method=method)
 

@@ -429,15 +429,6 @@ class TestQueryBatch:
         with pytest.raises(TypeError):
             ServiceConfig(shard_query_workers=2)
 
-    def test_baseline_methods_batch_too(self):
-        database = GraphDatabase.from_edges(FIGURE1_EDGES, k=2)
-        batch = database.query_batch(
-            ["knows", "knows/worksFor"], method="reference"
-        )
-        for text, result in zip(["knows", "knows/worksFor"], batch):
-            assert set(result.pairs) == eval_query(database.graph, text)
-            assert result.method == "reference"
-
     def test_fallback_queries_share_the_batch_memo(self):
         """Unbounded stars take the hybrid fallback; the starred base
         repeats across the batch and must be computed once."""
