@@ -18,12 +18,23 @@ Workloads come from :func:`repro_bench.workloads.closure_base_pairs`:
 disjoint cycles (the delta worst case), a chain (bounded powers), and a
 scale-free graph (deep overlapping ancestor sets).
 
+A second set of rows times a concatenation into a closure, ``L / R*``
+(:func:`repro_bench.workloads.composed_closure_pairs`): the CSR kernel
+given ``L`` as its left operand (the reach-bitset fold, or its own
+compose when the density rule says the fold loses) against
+**compose-after**, the closure's pairs joined with ``L`` afterwards.
+
+Every row compares the CSR kernel with one baseline (``baseline``
+names it) and reports ``speedup = baseline_seconds / csr_seconds``.
+
 Run directly to print a table and export ``BENCH_closure.json``::
 
     PYTHONPATH=src python benchmarks/bench_closure.py          # full
     PYTHONPATH=src python benchmarks/bench_closure.py --smoke  # small sizes
 
-or under pytest (the smoke rows plus the >= 3x acceptance gate)::
+or under pytest (the smoke rows plus the acceptance gates: >= 3x over
+delta, and for ``L / R*`` >= 2x on the dense shape and within 10% of
+compose-after on the half-shift)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_closure.py -q
 """
@@ -45,7 +56,7 @@ from repro_bench.legacy import (
     tuple_bounded_powers,
     tuple_transitive_fixpoint,
 )
-from repro_bench.workloads import closure_base_pairs
+from repro_bench.workloads import closure_base_pairs, composed_closure_pairs
 from repro.relation import Order, Relation
 
 #: (workload kind, operation, edge count) per exported row.  The
@@ -71,30 +82,42 @@ GATE_SPEC = ("cyclic", "fixpoint", 50_000)
 #: prior kernel's garbage is not charged to the next one.
 POWER_BOUNDS = (1, 8)
 
+#: (workload kind, node count, low) per ``L / R{low,}`` row.  The
+#: half-shift row takes ``low == 1``: under ``low == 0`` compose-after
+#: also decodes an identity row for every node, which the left operand
+#: skips, so the row would time the identity rather than the density
+#: rule's choice.
+COMPOSED_FULL_SPECS: tuple[tuple[str, int, int], ...] = (
+    ("dense", 200, 0),
+    ("chain", 2_000, 0),
+    ("half_shift", 20_000, 1),
+)
+COMPOSED_SMOKE_SPECS: tuple[tuple[str, int, int], ...] = (
+    ("dense", 200, 0),
+    ("chain", 1_000, 0),
+    ("half_shift", 4_000, 1),
+)
+#: ``L / R*`` rows run in milliseconds: the best of this many rounds.
+COMPOSED_REPEATS = 7
+
 
 @dataclass(frozen=True, slots=True)
 class ClosureRow:
-    """One three-way kernel comparison on one workload."""
+    """The CSR kernel against one baseline on one workload."""
 
     kind: str
     operation: str
     edges: int
-    seed_seconds: float
-    delta_seconds: float
+    baseline: str
+    baseline_seconds: float
     csr_seconds: float
     output_size: int
 
     @property
-    def speedup_vs_seed(self) -> float:
+    def speedup(self) -> float:
         if self.csr_seconds == 0:
             return float("inf")
-        return self.seed_seconds / self.csr_seconds
-
-    @property
-    def speedup_vs_delta(self) -> float:
-        if self.csr_seconds == 0:
-            return float("inf")
-        return self.delta_seconds / self.csr_seconds
+        return self.baseline_seconds / self.csr_seconds
 
 
 # -- the PR-1 delta engine (frozen baseline) ----------------------------------
@@ -290,7 +313,11 @@ def _timed(callable_):
 def compare_closure(
     specs: tuple[tuple[str, str, int], ...] = FULL_SPECS,
 ) -> list[ClosureRow]:
-    """Time seed/delta/csr on every spec, checking the answers agree."""
+    """Time seed/delta/csr on every spec, checking the answers agree.
+
+    Each spec yields two rows: the CSR kernel against seed, and against
+    delta (one CSR timing serves both).
+    """
     rows: list[ClosureRow] = []
     for kind, operation, edges in specs:
         nodes, pairs = closure_base_pairs(kind, edges)
@@ -319,13 +346,50 @@ def compare_closure(
                 lambda: csr.bounded_powers(node_ids, base, low, high)
             )
         assert csr_out.to_set() == delta_out.to_set() == seed_out
+        for baseline, seconds in (("seed", seed_s), ("delta", delta_s)):
+            rows.append(
+                ClosureRow(
+                    kind=kind,
+                    operation=operation,
+                    edges=edges,
+                    baseline=baseline,
+                    baseline_seconds=seconds,
+                    csr_seconds=csr_s,
+                    output_size=len(csr_out),
+                )
+            )
+    return rows
+
+
+def compare_composed(
+    specs: tuple[tuple[str, int, int], ...] = COMPOSED_FULL_SPECS,
+    repeats: int = COMPOSED_REPEATS,
+) -> list[ClosureRow]:
+    """Time ``L / R{low,}``: the kernel's left operand vs compose-after."""
+    rows: list[ClosureRow] = []
+    for kind, nodes, low in specs:
+        left_pairs, base_pairs = composed_closure_pairs(kind, nodes)
+        left = Relation.from_pairs(left_pairs)
+        base = Relation.from_pairs(base_pairs)
+        node_ids = range(nodes)
+        after_s = csr_s = float("inf")
+        for _ in range(repeats):  # rounds alternate, so drift hits both
+            seconds, after_out = _timed(
+                lambda: rel.compose(left, csr.transitive_fixpoint(node_ids, base, low))
+            )
+            after_s = min(after_s, seconds)
+            seconds, csr_out = _timed(
+                lambda: csr.transitive_fixpoint(node_ids, base, low, left=left)
+            )
+            csr_s = min(csr_s, seconds)
+        assert csr_out.to_set() == after_out.to_set()
         rows.append(
             ClosureRow(
                 kind=kind,
-                operation=operation,
-                edges=edges,
-                seed_seconds=seed_s,
-                delta_seconds=delta_s,
+                operation="L/R*" if low == 0 else f"L/R{{{low},}}",
+                edges=len(base),
+                baseline="compose-after",
+                baseline_seconds=after_s,
                 csr_seconds=csr_s,
                 output_size=len(csr_out),
             )
@@ -345,15 +409,15 @@ def export_rows(
 
 
 def test_smoke_rows_agree_and_export(tmp_path):
-    """Smoke mode: the three engines agree on every small workload."""
-    rows = compare_closure(SMOKE_SPECS)
+    """Smoke mode: the engines agree on every small workload."""
+    rows = compare_closure(SMOKE_SPECS) + compare_composed(COMPOSED_SMOKE_SPECS)
     path = export_rows(rows, tmp_path / "BENCH_closure.json")
     from repro_bench.export import read_json
 
     payload = read_json(path)
     assert payload["experiment"] == "kleene-closure-ablation"
-    assert len(payload["rows"]) == len(SMOKE_SPECS)
-    assert all("speedup_vs_delta" in row for row in payload["rows"])
+    assert len(payload["rows"]) == 2 * len(SMOKE_SPECS) + len(COMPOSED_SMOKE_SPECS)
+    assert all("speedup" in row for row in payload["rows"])
 
 
 @pytest.mark.skipif(
@@ -369,26 +433,42 @@ def test_csr_fixpoint_at_least_3x(tmp_path):
     """
     rows = compare_closure((GATE_SPEC,))
     export_rows(rows, tmp_path / "BENCH_closure.json")
-    gate = rows[0]
-    assert gate.speedup_vs_delta >= 3.0, (
-        f"CSR frontier closure only {gate.speedup_vs_delta:.2f}x over "
+    gate = next(row for row in rows if row.baseline == "delta")
+    assert gate.speedup >= 3.0, (
+        f"CSR frontier closure only {gate.speedup:.2f}x over "
         f"the delta-iteration fixpoint"
+    )
+
+
+def test_left_operand_gates():
+    """Acceptance for ``L / R*``: the fold is >= 2x compose-after on the
+    dense shape, and on the wide-sparse half-shift (where the density
+    rule must keep the compose) the kernel is within 10% of it."""
+    specs = {spec[0]: spec for spec in COMPOSED_FULL_SPECS}
+    dense, half_shift = compare_composed((specs["dense"], specs["half_shift"]))
+    assert dense.speedup >= 2.0, (
+        f"L/R* on the dense shape only {dense.speedup:.2f}x over compose-after"
+    )
+    assert half_shift.speedup >= 1 / 1.1, (
+        f"L/R{{1,}} on the half-shift {1 / half_shift.speedup:.2f}x slower "
+        "than compose-after"
     )
 
 
 def main() -> None:
     smoke = "--smoke" in sys.argv[1:]
     rows = compare_closure(SMOKE_SPECS if smoke else FULL_SPECS)
+    rows += compare_composed(COMPOSED_SMOKE_SPECS if smoke else COMPOSED_FULL_SPECS)
     print(
-        f"{'kind':<12}{'op':<14}{'edges':>8}{'out':>10}{'seed s':>9}"
-        f"{'delta s':>9}{'csr s':>8}{'vs seed':>9}{'vs delta':>10}"
+        f"{'kind':<12}{'op':<14}{'edges':>8}{'out':>10}{'baseline':>15}"
+        f"{'base s':>9}{'csr s':>8}{'speedup':>9}"
     )
     for row in rows:
         print(
             f"{row.kind:<12}{row.operation:<14}{row.edges:>8}"
-            f"{row.output_size:>10}{row.seed_seconds:>9.3f}"
-            f"{row.delta_seconds:>9.3f}{row.csr_seconds:>8.3f}"
-            f"{row.speedup_vs_seed:>8.1f}x{row.speedup_vs_delta:>9.1f}x"
+            f"{row.output_size:>10}{row.baseline:>15}"
+            f"{row.baseline_seconds:>9.3f}{row.csr_seconds:>8.3f}"
+            f"{row.speedup:>8.1f}x"
         )
     path = export_rows(rows)
     print(f"\nwrote {path.resolve()}")

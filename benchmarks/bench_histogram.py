@@ -48,6 +48,7 @@ def test_minsupport_under_histogram(benchmark, prepared_bench, buckets):
     database._histogram = EquiDepthHistogram.from_counts(
         counts, k=2, buckets=buckets
     )
+    database.cache_clear()  # plan under this histogram, not the last one
     benchmark.group = "histogram-plan-quality"
     from repro_bench.queries import workload
 

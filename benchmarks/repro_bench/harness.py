@@ -207,6 +207,9 @@ def run_histogram_ablation(
         histogram = EquiDepthHistogram.from_counts(exact, k=k, buckets=buckets)
         error = histogram.mean_absolute_error(exact)
         database._histogram = histogram  # ablation: swap the synopsis
+        # The plan cache is stamped with the statistics epoch, which a
+        # swap does not move: drop the plans the previous arm made.
+        database.cache_clear()
         timings = [
             _time_query(database, query, "minsupport", repeats).seconds
             for query in workload(prepared.labels)

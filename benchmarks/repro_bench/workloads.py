@@ -104,6 +104,52 @@ def closure_base_pairs(
     )
 
 
+def composed_closure_pairs(
+    kind: str, nodes: int, seed: int = 7
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """``(left, base)`` pairs over ``range(nodes)`` for ``left / base*``.
+
+    Three shapes put the reach-bitset fold on either side of its density
+    rule (:func:`repro.csr._compose_left`):
+
+    * ``dense`` — the recursive end-to-end workload's ``a / b*``: its
+      graph (``benchmarks/e2e/workloads.py: trust_graph`` at out-degree
+      6), ``a`` edges on the left and ``b`` edges as the base, which
+      closes into one giant component the left operand reaches.
+    * ``chain`` — one directed path: reach sets of every size, each
+      its own component; one random left pair per node.
+    * ``half_shift`` — ``u -> u + nodes/2``: every reach set holds one
+      node far out in the id space (wide, sparse bitsets); one random
+      left pair per node.
+
+    Pairs come back duplicate-free and sorted.
+    """
+    rng = random.Random(seed)
+
+    def random_pairs(count: int) -> list[tuple[int, int]]:
+        return sorted(
+            {(rng.randrange(nodes), rng.randrange(nodes)) for _ in range(count)}
+        )
+
+    if kind == "dense":
+        from e2e.workloads import trust_graph
+
+        by_label: dict[str, set[tuple[int, int]]] = {"a": set(), "b": set()}
+        for source, label, target in trust_graph(nodes, 6, seed):
+            if label in by_label:
+                by_label[label].add((int(source[1:]), int(target[1:])))
+        return sorted(by_label["a"]), sorted(by_label["b"])
+    if kind == "chain":
+        return random_pairs(nodes), [(i, i + 1) for i in range(nodes - 1)]
+    if kind == "half_shift":
+        half = nodes // 2
+        return random_pairs(nodes), [(u, u + half) for u in range(half)]
+    raise ValidationError(
+        f"unknown composed-closure workload {kind!r}; expected dense, chain "
+        "or half_shift"
+    )
+
+
 def service_batch_queries(
     count: int = 120,
     seed: int = 7,

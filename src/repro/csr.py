@@ -21,6 +21,19 @@ accumulator:
   once per member: on recursive workloads nearly every source sits in
   one giant component.  Wide sets decode through ``numpy.unpackbits``
   when numpy is available, narrow ones through a per-byte table.
+* a left operand — :func:`transitive_fixpoint` (and
+  :func:`partitioned_closure`) take ``left`` and answer the
+  concatenation ``left / base{low,}`` in reach-bitset space: per source
+  of ``left``, the OR of its targets' reach sets, each distinct result
+  decoded once — never the ``|left| × |reach|`` pairs a join of the
+  closure's pairs builds and deduplicates.  A density rule picks the
+  fold only where it is the cheaper side: when the join's output,
+  ``Σ_{(s, t) ∈ left} popcount(reach(t))``, is at least the fold's
+  ``|left| · ⌈n/64⌉`` words.  Sparse, wide reach sets (a few bits far
+  out in ``n``-bit ints) compose as pairs instead.  A :class:`Reach`
+  handed to :func:`partitioned_closure` keeps a base's CSR and reach
+  sets between calls, so one condensation serves every closure and
+  concatenation over that base (``low >= 2`` extends the same reach).
 * power iteration — :func:`bounded_powers` (and the ``low >= 2`` seed
   of :func:`transitive_fixpoint`) advance per-source *level sets*
   through the same CSR (adjacency bitsets on the scalar path,
@@ -40,6 +53,8 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro import relation as rel
@@ -180,41 +195,171 @@ def dense_bound(node_ids, base: Relation) -> int:
 # -- public kernels ------------------------------------------------------------
 
 
+class Reach:
+    """One base relation's closure, kept for the next closure over it.
+
+    Empty until the first :func:`partitioned_closure` handed it fills it:
+    ``csr`` is the base in CSR form and ``bits`` each source's reach
+    bitset (paths of length >= 1, :func:`closure_bitsets`).  A later call
+    handed the same ``Reach`` starts from it, whatever its ``low`` or
+    ``left``, and reads no ``parts``: a caller that keeps one per closure
+    operand (the executor's scan memo) condenses ``b`` once for
+    ``a/b* | c/b{2,}``.
+    """
+
+    __slots__ = ("csr", "bits")
+
+    def __init__(self) -> None:
+        self.csr: CSR | None = None
+        self.bits: dict[int, int] | None = None
+
+    @property
+    def filled(self) -> bool:
+        return self.bits is not None
+
+    def fill(self, ids, base: Relation, deadline=None) -> "Reach":
+        self.csr = CSR.from_relation(base, dense_bound(ids, base))
+        self.bits = closure_bitsets(self.csr, deadline=deadline)
+        return self
+
+
 def transitive_fixpoint(
-    node_ids, base: Relation, low: int, deadline=None
+    node_ids, base: Relation, low: int, deadline=None, left: Relation | None = None
 ) -> Relation:
-    """``base^low ∪ base^{low+1} ∪ ...`` by condensation-based closure.
+    """``left ∘ (base^low ∪ base^{low+1} ∪ ...)`` by condensation-based closure.
 
     Semantics match :func:`repro.rpq.semantics.transitive_fixpoint`:
-    ``low == 0`` unions in the identity over ``node_ids``.  ``deadline`` (a
-    :class:`repro.faults.Deadline`) is checked cooperatively inside the
-    closure, the ``low >= 2`` power rounds and the per-source extension
-    — the one place a query's running time is not bounded by the plan
-    shape.
+    ``low == 0`` unions in the identity over ``node_ids``.  Without
+    ``left`` the answer is the closure itself; with one it is the
+    concatenation ``left / base{low,}``, composed from the reach bitsets
+    (see :func:`_compose_left`) rather than from the closure's pairs.
+
+    ``deadline`` (a :class:`repro.faults.Deadline`) is checked
+    cooperatively inside the closure, the ``low >= 2`` power rounds, the
+    per-source extension and the per-source fold — the one place a
+    query's running time is not bounded by the plan shape.
     """
     ids = node_ids if isinstance(node_ids, range) else list(node_ids)
-    if not len(base):
-        return rel.identity(ids) if low == 0 else Relation.empty()
-    csr = CSR.from_relation(base, dense_bound(ids, base))
-    reach = closure_bitsets(csr, deadline=deadline)
-    if low <= 1:
-        answers = reach
-    else:
-        answers = {}
-        for source, bits in _py_power_bitsets(csr, low, deadline).items():
-            if deadline is not None:
-                deadline.check()
-            total = bits
-            for node in _iter_bits(bits):
-                extension = reach.get(node)
-                if extension:
-                    total |= extension
-            answers[source] = total
-    return _emit_bitsets(answers, ids if low == 0 else None)
+    if left is not None and not len(left):
+        return Relation.empty()
+    return _close(ids, Reach().fill(ids, base, deadline), low, deadline, left)
+
+
+def _close(ids, reach: Reach, low: int, deadline, left: Relation | None) -> Relation:
+    """``left ∘ base^{low..}`` (the closure alone without ``left``) from
+    a filled ``reach`` of ``base``."""
+    answers = reach.bits if low <= 1 else _extended(reach, low, deadline)
+    identity_ids = ids if low == 0 else None
+    if left is None:
+        return _emit_bitsets(answers, identity_ids)
+    return _compose_left(left, answers, reach.csr.n, identity_ids, deadline)
+
+
+def _extended(reach: Reach, low: int, deadline=None) -> dict[int, int]:
+    """Each source's bitset of ``base^low ∪ base^{low+1} ∪ ...`` for
+    ``low >= 2``: the OR of the reach of every node ``base^{low-1}``
+    takes it to."""
+    answers = {}
+    canonical: dict[int, int] = {}
+    for source, level in _py_power_bitsets(reach.csr, low - 1, deadline).items():
+        if deadline is not None:
+            deadline.check()
+        total = 0
+        for node in _iter_bits(level):
+            total |= reach.bits.get(node, 0)
+        if total:
+            # Sources with equal sets share one object, as a component's
+            # members do in ``reach``, so each set decodes once.
+            answers[source] = canonical.setdefault(total, total)
+    return answers
+
+
+def _compose_left(
+    left: Relation, answers: dict[int, int], n: int, identity_ids, deadline=None
+) -> Relation:
+    """``left ∘ closure`` where ``answers[t]`` is the closure's row of ``t``.
+
+    Two ways to the same answer, picked by arithmetic:
+
+    * **compose** — decode the closure rows of ``left``'s targets into
+      pairs and join them with ``left`` (:func:`repro.relation.compose`):
+      the join materializes one pair per (left pair, reached node), that
+      is ``Σ_{(s, t) ∈ left} popcount(row(t))`` pairs.
+    * **fold** — OR, per source of ``left``, the rows of its targets,
+      and decode each distinct result once: ``|left|`` ORs of
+      ``⌈n/64⌉`` words.
+
+    The fold runs when the compose's output is at least the fold's word
+    count.  On dense answers (every source reaching most nodes) that
+    saves the join building ``|left| × |reach|`` pairs only to
+    deduplicate them; on sparse, wide ones (a few bits set far out in
+    ``n``-bit ints) the ORs cost more than the pairs, and the join runs.
+    The popcounts are the lengths of the decoded rows, which the compose
+    needs anyway (a row shared by a component decodes once); the rows
+    decode one by one and stop as soon as the sum reaches the fold's
+    word count, so the fold wastes no more decoding than that.
+    ``identity_ids`` (``low == 0``) adds ``(t, t)`` to the row of every
+    listed target.
+    """
+    membership = None
+    if identity_ids is not None:
+        membership = (
+            identity_ids if isinstance(identity_ids, range) else set(identity_ids)
+        )
+    multiplicity = Counter(left.tgt)
+    rows: dict[int, int] = {}  # each target's non-empty row, identity included
+    for target in multiplicity:
+        bits = answers.get(target, 0)
+        if membership is not None and target in membership:
+            if not bits >> target & 1:
+                bits |= 1 << target  # a fresh int, decoded on its own
+        if bits:
+            rows[target] = bits
+    fold_words = len(left) * ((n + 63) >> 6)
+    produced = 0
+    decoded: dict[int, array] = {}  # by id(row): one decoding per set
+    for target, bits in rows.items():
+        targets = decoded.get(id(bits))
+        if targets is None:
+            targets = decoded[id(bits)] = _decode(bits)
+        produced += multiplicity[target] * len(targets)
+        if produced >= fold_words:
+            return _fold_left(left, rows, deadline)
+    source_column = array("q")
+    target_column = array("q")
+    for target in sorted(rows):
+        targets = decoded[id(rows[target])]
+        target_column.extend(targets)
+        source_column.extend(array("q", (target,)) * len(targets))
+    closure = Relation(source_column, target_column, Order.BY_SRC)
+    return rel.compose(left, closure)
+
+
+def _fold_left(left: Relation, rows: dict[int, int], deadline=None) -> Relation:
+    """Per source of ``left``, the OR of its targets' ``rows``."""
+    folded: dict[int, int] = {}
+    canonical: dict[int, int] = {}
+    ordered = left.sorted_by(Order.BY_SRC)
+    for source, pairs in groupby(zip(ordered.src, ordered.tgt), key=itemgetter(0)):
+        if deadline is not None:
+            deadline.check()
+        bits = 0
+        for _, target in pairs:
+            bits |= rows.get(target, 0)
+        if bits:
+            # Equal sets become one object, so _emit_bitsets decodes
+            # each distinct set once.
+            folded[source] = canonical.setdefault(bits, bits)
+    return _emit_bitsets(folded)
 
 
 def partitioned_closure(
-    node_ids, parts: Sequence[Relation], low: int = 0, deadline=None
+    node_ids,
+    parts: Sequence[Relation],
+    low: int = 0,
+    deadline=None,
+    left: Relation | None = None,
+    reach: Reach | None = None,
 ) -> Relation:
     """Kleene closure of a base relation scattered across shards.
 
@@ -226,15 +371,21 @@ def partitioned_closure(
     the condensation.  This is the "exactness over locality" point
     of the design: recursion is the one operator that always gathers.
 
-    Delegates to :func:`repro.relation.transitive_fixpoint`; with a
-    single part this *is* the unsharded closure.
+    ``left`` as in :func:`transitive_fixpoint`, which this is with a
+    single part.  A filled ``reach`` (a :class:`Reach` of the same
+    parts from an earlier call) is closed from as it is, and ``parts``
+    is not read; an empty one is filled here.
     """
-    parts = [part for part in parts if len(part)]
-    if not parts:
-        ids = node_ids if isinstance(node_ids, range) else list(node_ids)
-        return rel.identity(ids) if low == 0 else Relation.empty()
-    base = parts[0] if len(parts) == 1 else rel.union(parts)
-    return rel.transitive_fixpoint(node_ids, base, low, deadline=deadline)
+    ids = node_ids if isinstance(node_ids, range) else list(node_ids)
+    if left is not None and not len(left):
+        return Relation.empty()
+    if reach is None:
+        reach = Reach()
+    if not reach.filled:
+        parts = [part for part in parts if len(part)]
+        base = parts[0] if len(parts) == 1 else rel.union(parts)
+        reach.fill(ids, base, deadline)
+    return _close(ids, reach, low, deadline, left)
 
 
 def bounded_powers(
@@ -550,3 +701,4 @@ def _np_bounded_powers(
         seen_powers.add(fingerprint)
     packed = rel._np_sorted_unique(numpy.concatenate(levels))
     return rel._unpack_np(packed, Order.BY_SRC)
+

@@ -9,8 +9,19 @@ correct but explodes for large graphs, so when a (sub)expression's
 expansion would exceed the disjunct budget, evaluation falls back to
 structural recursion at that node — child results are still computed
 through the index/planner where possible, and recursion is closed with
-the condensation-based CSR fixpoint (:mod:`repro.csr`).  For the bounded
-queries of the paper's evaluation, the fallback never triggers.
+the condensation-based CSR fixpoint (:mod:`repro.csr`).  A concatenation
+into a closure the rewriter refuses, ``R / S*`` (or an open ``S{n,}``),
+hands the accumulated ``R`` to the closure as its left operand: the CSR
+kernel folds ``R`` into the reach bitsets instead of decoding the
+closure's pairs and joining them, unless its density rule finds the
+join cheaper (the join's output, ``Σ_{(s, t) ∈ R} |reach(t)|``, below
+the fold's ``|R| · ⌈n/64⌉`` words: sparse, wide reach sets).  A closure
+the rewriter accepts is planned through the index and joined, as
+:func:`planned_operands` (``db.explain``) reports.  Each closure
+operand's reach bitsets are kept in the scan memo, so ``a/b* | c/b*``
+condenses ``b`` once.  ``S*/R`` still composes the closure's pairs.
+For the bounded queries of the paper's evaluation, the fallback never
+triggers.
 
 A ``from(v):`` anchor (``source=``) is not a second evaluator: the plan
 runs with its leftmost scan pinned to ``I(p, v)`` on the shard owning
@@ -427,26 +438,75 @@ def _structural(
         for part in node.parts[1:]:
             if not result:
                 return Relation.empty()
-            result = rel.compose(result, _hybrid(part, *rest))
+            if _folds(part, graph, max_disjuncts):
+                result = _closure(part, *rest, left=result)
+            else:
+                result = rel.compose(result, _hybrid(part, *rest))
         return result
     if isinstance(node, Union):
         return rel.union(_hybrid(part, *rest) for part in node.parts)
-    if isinstance(node, Star):
-        parts = _closure_base_parts(node.child, *rest)
-        return csr.partitioned_closure(
-            graph.node_ids(), parts, low=0, deadline=deadline
-        )
+    if _closure_low(node) is not None:
+        return _closure(node, *rest)
     if isinstance(node, Repeat):
-        if node.high is None:
-            parts = _closure_base_parts(node.child, *rest)
-            return csr.partitioned_closure(
-                graph.node_ids(), parts, low=node.low, deadline=deadline
-            )
         base = _hybrid(node.child, *rest)
         return rel.bounded_powers(
             graph.node_ids(), base, node.low, node.high, deadline=deadline
         )
     raise RewriteError(f"unknown AST node {type(node).__name__}")
+
+
+def _closure_low(node: Node) -> int | None:
+    """The ``low`` of an unbounded closure (``Star`` / open ``Repeat``), else None."""
+    if isinstance(node, Star):
+        return 0
+    if isinstance(node, Repeat) and node.high is None:
+        return node.low
+    return None
+
+
+def _folds(part: Node, graph: Graph, max_disjuncts: int) -> bool:
+    """Whether ``R / part`` folds ``R`` into ``part``'s closure: ``part``
+    is an unbounded closure the rewriter refuses (one it accepts is
+    planned through the index, as :func:`planned_operands` reports)."""
+    return (
+        _closure_low(part) is not None
+        and _try_normalize(part, graph, max_disjuncts) is None
+    )
+
+
+def _closure(
+    node: Node,
+    index: PathIndex,
+    graph: Graph,
+    statistics,
+    strategy: Strategy,
+    max_disjuncts: int,
+    memo: ScanMemo,
+    counters: ScatterCounters | None,
+    context: RunContext | None,
+    left: Relation | None = None,
+) -> Relation:
+    """``left / node`` (``node`` alone without ``left``) for an unbounded closure.
+
+    The operand is condensed once per execution: its :class:`repro.csr.Reach`
+    stays in the memo (``memo.closures``), and a later closure over the
+    same operand — ``a/b* | c/b*``, or ``b{2,}`` next to ``b*`` — neither
+    evaluates the operand again nor condenses it, but closes from the
+    kept reach with its own ``low`` and ``left``.
+    """
+    reach = memo.closures.get(node.child)
+    if reach is None:
+        reach = memo.closures[node.child] = csr.Reach()
+    rest = (index, graph, statistics, strategy, max_disjuncts, memo, counters, context)
+    parts = () if reach.filled else _closure_base_parts(node.child, *rest)
+    return csr.partitioned_closure(
+        graph.node_ids(),
+        parts,
+        low=_closure_low(node),
+        deadline=context.deadline if context is not None else None,
+        left=left,
+        reach=reach,
+    )
 
 
 def _closure_base_parts(

@@ -86,7 +86,9 @@ class ScanMemo:
 
     ``plans`` maps each executed :class:`PlanNode` to its result
     relation; ``asts`` does the same for AST nodes the hybrid fallback
-    evaluates structurally.  Stored relations are *frozen*
+    evaluates structurally, and ``closures`` maps each operand the
+    fallback closes to the :class:`repro.csr.Reach` its closures share.
+    Stored relations are *frozen*
     (:meth:`repro.relation.Relation.freeze`): a memoized result is
     handed to every consumer without copying, and every hit re-asserts
     the frozen invariant so a mutated shared relation fails loudly.
@@ -101,7 +103,7 @@ class ScanMemo:
     so nothing here is synchronized.
     """
 
-    __slots__ = ("plans", "asts", "hits", "misses")
+    __slots__ = ("plans", "asts", "closures", "hits", "misses")
 
     def __init__(self) -> None:
         # Keys are PlanNodes for global executions and (PlanNode, shard,
@@ -109,6 +111,7 @@ class ScanMemo:
         # read); both are immutable hashable value objects.
         self.plans: dict = {}
         self.asts: dict = {}
+        self.closures: dict = {}
         self.hits = 0
         self.misses = 0
 

@@ -695,17 +695,20 @@ def _from_packed_unordered(keys: set[int]) -> Relation:
 
 
 def transitive_fixpoint(
-    node_ids: Iterable[int], base: Relation, low: int, deadline=None
+    node_ids: Iterable[int], base: Relation, low: int, deadline=None,
+    left: Relation | None = None,
 ) -> Relation:
-    """``base^low ∪ base^{low+1} ∪ ...`` to fixpoint.
+    """``left ∘ (base^low ∪ base^{low+1} ∪ ...)`` to fixpoint (the
+    closure alone without ``left``).
 
     SCC condensation over a CSR adjacency
     (:func:`repro.csr.transitive_fixpoint`); ``deadline`` is checked
-    cooperatively per DFS root, component and power round.
+    cooperatively per DFS root, component, power round and folded
+    source.
     """
     from repro import csr
 
-    return csr.transitive_fixpoint(node_ids, base, low, deadline)
+    return csr.transitive_fixpoint(node_ids, base, low, deadline, left)
 
 
 def bounded_powers(

@@ -139,3 +139,23 @@ class TestIndexBuildAndHistogram:
         # more buckets -> error no worse
         assert rows[1].mean_absolute_error <= rows[0].mean_absolute_error + 1e-9
         assert "buckets" in reporting.format_histogram(rows)
+
+    def test_histogram_ablation_plans_each_arm_afresh(self, prepared, monkeypatch):
+        """Every bucket count's reads run plans made under its histogram:
+        each workload query is planned once per arm, not once in all."""
+        from repro import api
+
+        planned = []
+        original = api.prepare_ast
+
+        def counting(node, *args, **kwargs):
+            planned.append(str(node))
+            return original(node, *args, **kwargs)
+
+        monkeypatch.setattr(api, "prepare_ast", counting)
+        bucket_counts = (4, 256)
+        harness.run_histogram_ablation(
+            prepared, k=2, bucket_counts=bucket_counts, repeats=2
+        )
+        texts = {query.text for query in workload(prepared.labels)}
+        assert len(planned) == len(bucket_counts) * len(texts)

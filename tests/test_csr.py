@@ -191,7 +191,7 @@ class TestCondensation:
         assert result.pairs() == sorted(result.to_set())
 
     @BOTH_PATHS
-    @pytest.mark.parametrize("low", [0, 1])
+    @pytest.mark.parametrize("low", [0, 1, 2])
     def test_emit_decodes_each_reach_set_once(
         self, pure_python, low, monkeypatch
     ):
@@ -210,8 +210,10 @@ class TestCondensation:
             rows.setdefault(a, set()).add(b)
         # {0,1,2} share one set and {3,4,5} another; 6 and 7 have their
         # own, and under low == 0 so do the identity rows of 8 to 11.
+        # Under low == 2 the extended sets of 0, 1, 2 and 6 are equal
+        # ints, made one object.
         assert len(decoded) == len({frozenset(row) for row in rows.values()})
-        assert len(decoded) == (8 if low == 0 else 4)
+        assert len(decoded) == {0: 8, 1: 4, 2: 3}[low]
 
     @pytest.mark.parametrize("low", [2, 3])
     def test_deadline_is_checked_after_the_closure(self, low):
@@ -312,3 +314,177 @@ class TestRelationDelegation:
         )
         rel.transitive_fixpoint(range(3), Relation.from_pairs([(0, 1)]), 1)
         assert len(calls) == 1
+
+
+# -- a left operand: ``left / base{low,}`` ------------------------------------
+
+
+def _pairs_below(n: int):
+    return st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+
+
+@st.composite
+def dense_left(draw):
+    """``(n, left, base)`` on the fold's side of the density rule.
+
+    The base holds a cycle through every node, so every row is all of
+    ``range(n)``: ``n <= 64`` makes that one word, and every left pair
+    produces ``n >= 1`` pairs through the compose.
+    """
+    n = draw(st.integers(2, 40))
+    order = draw(st.permutations(range(n)))
+    base = set(zip(order, order[1:] + order[:1]))
+    base.update(draw(st.sets(_pairs_below(n), max_size=20)))
+    left = draw(st.sets(_pairs_below(n), min_size=1, max_size=30))
+    return n, sorted(left), sorted(base)
+
+
+@st.composite
+def wide_sparse_left(draw):
+    """``(n, left, base)`` on the compose's side of the density rule.
+
+    The half-shift ``u -> u + n/2`` over ``n > 128`` ids: every row holds
+    at most one reached node (plus its own under ``low == 0``) but spans
+    ``⌈n/64⌉ >= 3`` words.
+    """
+    n = 2 * draw(st.integers(65, 100))
+    left = draw(st.sets(_pairs_below(n), min_size=1, max_size=40))
+    return n, sorted(left), [(u, u + n // 2) for u in range(n // 2)]
+
+
+class _CountingCompose:
+    """Counts :func:`repro.relation.compose` calls while active."""
+
+    def __enter__(self):
+        self.calls = 0
+        self.original = rel.compose
+
+        def counting(left, right):
+            self.calls += 1
+            return self.original(left, right)
+
+        rel.compose = counting
+        return self
+
+    def __exit__(self, *exc):
+        rel.compose = self.original
+
+
+def _left_matches_compose(pure_python, n, left_pairs, base_pairs, low):
+    """Run ``left=`` against compose-after; return the compose calls made."""
+    ids = range(n)
+    left = Relation.from_pairs(left_pairs)
+    base = Relation.from_pairs(base_pairs)
+    with forced_path(pure_python):
+        expected = rel.compose(left, csr.transitive_fixpoint(ids, base, low))
+        with _CountingCompose() as counter:
+            result = csr.transitive_fixpoint(ids, base, low, left=left)
+    assert result.to_set() == expected.to_set()
+    assert len(result.pairs()) == len(set(result.pairs()))
+    return counter.calls
+
+
+@BOTH_PATHS
+class TestLeftOperand:
+    """``transitive_fixpoint(ids, base, low, left=L)`` is
+    ``compose(L, transitive_fixpoint(ids, base, low))`` on both sides of
+    the density rule."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(PAIRS, PAIRS, st.integers(0, 3))
+    def test_random(self, pure_python, left, base, low):
+        _left_matches_compose(pure_python, 12, left, base, low)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dense_left(), st.integers(0, 3))
+    def test_dense_folds(self, pure_python, case, low):
+        n, left, base = case
+        assert _left_matches_compose(pure_python, n, left, base, low) == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(wide_sparse_left(), st.integers(0, 3))
+    def test_wide_sparse_composes(self, pure_python, case, low):
+        n, left, base = case
+        assert _left_matches_compose(pure_python, n, left, base, low) == 1
+
+    @pytest.mark.parametrize("low", [0, 1, 2, 3])
+    def test_empty_left(self, pure_python, low):
+        with forced_path(pure_python):
+            result = csr.transitive_fixpoint(
+                range(12), Relation.from_pairs(MIXED), low, left=Relation.empty()
+            )
+        assert not result
+
+    @pytest.mark.parametrize("low", [0, 1, 2, 3])
+    def test_left_targets_without_reach(self, pure_python, low):
+        """Targets outside the base reach nothing: only ``low == 0``'s
+        identity keeps a pair, and a target outside ``node_ids`` not even that."""
+        left = [(0, 20), (1, 21), (2, 29), (3, 31)]
+        _left_matches_compose(pure_python, 30, left, MIXED, low)
+        with forced_path(pure_python):
+            result = csr.transitive_fixpoint(
+                range(30), Relation.from_pairs(MIXED), low,
+                left=Relation.from_pairs(left),
+            )
+        assert result.to_set() == ({(0, 20), (1, 21), (2, 29)} if low == 0 else set())
+
+    @pytest.mark.parametrize("low", [0, 1, 2])
+    def test_empty_base(self, pure_python, low):
+        left = [(0, 1), (1, 2)]
+        _left_matches_compose(pure_python, 4, left, [], low)
+
+    def test_deadline_is_checked_per_left_source(self, pure_python):
+        n = 8
+        base = Relation.from_pairs([(i, (i + 1) % n) for i in range(n)])
+        left = Relation.from_pairs([(s, t) for s in range(n) for t in range(2)])
+        with forced_path(pure_python):
+            reach = csr.Reach().fill(range(n), base)
+            counted = _ExpiresOnCheck(10**9)
+            csr.partitioned_closure(
+                range(n), (), 1, deadline=counted, left=left, reach=reach
+            )
+            assert counted.checks == n  # the closure came from ``reach``
+            with pytest.raises(QueryTimeoutError):
+                csr.partitioned_closure(
+                    range(n), (), 1, deadline=_ExpiresOnCheck(n),
+                    left=left, reach=reach,
+                )
+
+
+class TestReach:
+    def test_a_filled_reach_skips_the_condensation(self, monkeypatch):
+        base = Relation.from_pairs(MIXED)
+        left = Relation.from_pairs([(9, 0), (8, 3)])
+        expected = {
+            low: csr.transitive_fixpoint(range(12), base, low) for low in range(4)
+        }
+        calls = []
+        original = csr.closure_bitsets
+        monkeypatch.setattr(
+            csr, "closure_bitsets",
+            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs),
+        )
+        reach = csr.Reach()
+        alone = csr.partitioned_closure(range(12), [base], 0, reach=reach)
+        assert reach.filled
+        # A filled reach is closed from as it is: no parts are read.
+        results = {
+            low: csr.partitioned_closure(range(12), (), low, reach=reach)
+            for low in (1, 2, 3)
+        }
+        folded = {
+            low: csr.partitioned_closure(range(12), (), low, left=left, reach=reach)
+            for low in range(4)
+        }
+        assert len(calls) == 1  # every low, with or without left, shares it
+        assert alone.to_set() == expected[0].to_set()
+        for low, result in results.items():
+            assert result.to_set() == expected[low].to_set()
+        for low, result in folded.items():
+            assert result.to_set() == rel.compose(left, expected[low]).to_set()
+
+    def test_an_empty_base_fills_an_empty_reach(self):
+        reach = csr.Reach()
+        identity = csr.partitioned_closure(range(3), [Relation.empty()], 0, reach=reach)
+        assert identity.to_set() == {(0, 0), (1, 1), (2, 2)}
+        assert not csr.partitioned_closure(range(3), (), 1, reach=reach)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
 
+from repro import GraphDatabase, csr
+from repro.config import ServiceConfig
 from repro.graph.examples import figure1_graph
 from repro.graph.generators import cycle
 from repro.engine import executor
@@ -15,7 +18,7 @@ from repro.indexes.pathindex import PathIndex
 from repro.indexes.statistics import ExactStatistics
 from repro.rpq.parser import parse
 from repro.rpq.rewrite import normalize
-from repro.rpq.semantics import eval_ast as reference_eval
+from repro.rpq.semantics import eval_ast as reference_eval, eval_query
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +228,79 @@ class TestScanMemo:
         assert report.used_fallback
         assert report.scan_memo_hits > 0
         assert set(report.pairs) == reference_eval(graph, node)
+
+
+class TestConcatenationIntoClosure:
+    """``R / S*`` folds ``R`` into the closure of ``S``
+    (:func:`repro.csr.partitioned_closure` with ``left=``), unsharded and
+    scattered, on a graph large enough (90 nodes) that the rewriter
+    refuses every unbounded closure."""
+
+    @pytest.fixture(scope="class", params=[1, 3], ids=["shards1", "shards3"])
+    def database(self, request):
+        rng = random.Random(5)
+        edges = {
+            (f"n{rng.randrange(90)}", rng.choice("abc"), f"n{rng.randrange(90)}")
+            for _ in range(300)
+        }
+        config = ServiceConfig(k=2, shards=request.param)
+        return GraphDatabase.from_edges(sorted(edges), config=config)
+
+    @pytest.mark.parametrize("text", ["a/b*", "c/(a|b)*", "a/b*/c", "b/a{2,}"])
+    def test_matches_oracle(self, database, text):
+        result = database.query(text, use_cache=False)
+        assert result.report.used_fallback
+        assert set(result.pairs) == eval_query(database.graph, text)
+
+    def test_anchored_read_is_the_restricted_answer(self, database):
+        everything = eval_query(database.graph, "a/b*")
+        for source in ("n0", "n1", "n17", "n42"):
+            result = database.query(f"from({source}): a/b*", use_cache=False)
+            assert set(result.pairs) == {
+                pair for pair in everything if pair[0] == source
+            }
+
+    def test_a_repeated_closure_closes_once(self, database, monkeypatch):
+        calls = []
+        original = csr.closure_bitsets
+        monkeypatch.setattr(
+            csr,
+            "closure_bitsets",
+            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs),
+        )
+        text = "a/b* | c/b* | b{2,}"
+        result = database.query(text, use_cache=False)
+        assert len(calls) == 1
+        assert set(result.pairs) == eval_query(database.graph, text)
+
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_a_closure_the_rewriter_accepts_is_planned(self, shards, monkeypatch):
+        """On 10 nodes ``b*`` unrolls, and only the multiplied disjunct
+        count refuses the concatenation: ``b*`` runs through its index
+        plan, as ``explain`` reports, and not through the closure."""
+        rng = random.Random(3)
+        edges = {
+            (f"n{rng.randrange(10)}", rng.choice("abc"), f"n{rng.randrange(10)}")
+            for _ in range(30)
+        }
+        config = ServiceConfig(k=2, shards=shards)
+        database = GraphDatabase.from_edges(sorted(edges), config=config)
+        text = "(a|c){1,8}/b*"
+        explained = database.explain(text)
+        assert "route: hybrid" in explained
+        assert "operand: b*" in explained
+        closures = []
+        original = csr.partitioned_closure
+        monkeypatch.setattr(
+            csr,
+            "partitioned_closure",
+            lambda *args, **kwargs: closures.append(1) or original(*args, **kwargs),
+        )
+        result = database.query(text, use_cache=False)
+        assert result.report.used_fallback
+        assert not closures
+        assert set(result.pairs) == eval_query(database.graph, text)
 
 
 def _walk_plans(plan):
