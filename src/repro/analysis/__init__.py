@@ -2,7 +2,7 @@
 
 Run it as ``python -m repro.analysis src/`` or ``repro-rpq lint``.
 See :mod:`repro.analysis.core` for the framework and
-:mod:`repro.analysis.rules` for the six invariants it enforces.
+:mod:`repro.analysis.rules` for the seven invariants it enforces.
 """
 
 from repro.analysis.core import (

@@ -185,8 +185,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the multi-process query service until interrupted."""
-    import asyncio
-
     from repro.api import ServiceConfig
     from repro.serve import CoordinatorDatabase
     from repro.serve.server import serve_forever
@@ -207,7 +205,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         database = CoordinatorDatabase(graph, config=config)
 
     try:
-        asyncio.run(serve_forever(database, config))
+        serve_forever(database, config)
     except KeyboardInterrupt:
         pass
     finally:

@@ -4,10 +4,17 @@
 (:mod:`asyncio` streams) share every byte of request building and
 response decoding, and one hand-rolled HTTP/1.1 exchange: the request
 bytes (:func:`encode_request`), the response head (:func:`parse_head`)
-and a ``Content-Length`` body.  Each keeps a stack of idle keep-alive
-connections: a call pops one (a non-blocking peek first drops one the
-server has closed) or dials, and pushes it back after a complete
-response the server did not mark ``Connection: close``.
+and a ``Content-Length`` body, read straight into one buffer of that
+length.  Each keeps a stack of idle keep-alive connections: a call pops
+one (a non-blocking peek first drops one the server has closed) or
+dials, and pushes it back after a complete response the server did not
+mark ``Connection: close`` and that decoded.
+
+A pooled connection carries its :class:`~repro.serve.protocol.NameDictionary`:
+the server names each node id once per connection, so result frames
+after the first name only the ids the connection has not seen.  The
+dictionary lives and dies with its socket — a new connection starts
+empty, and a frame that does not decode drops both.
 
 The error taxonomy crosses the wire intact: a server-side
 :class:`~repro.errors.QueryTimeoutError` re-raises here as exactly
@@ -35,7 +42,12 @@ from operator import itemgetter
 
 from repro.errors import TransientWireError, WireError
 from repro.graph.graph import NamedPairs, name_probe
-from repro.serve.protocol import RESULT_FRAME_TYPE, raise_remote, unpack_result
+from repro.serve.protocol import (
+    RESULT_FRAME_TYPE,
+    NameDictionary,
+    raise_remote,
+    unpack_result,
+)
 from repro.write.mutation import ApplyResult, MutationBatch
 
 #: Seconds a client waits for a response before declaring the server
@@ -111,13 +123,18 @@ def encode_body(body: dict | None) -> bytes:
     return b"" if body is None else json.dumps(body, separators=(",", ":")).encode()
 
 
-def decode_payload(raw: bytes, content_type: str = "") -> dict:
-    """Response bytes -> payload dict; garbage raises :class:`WireError`."""
+def decode_payload(
+    raw, content_type: str = "", names: NameDictionary | None = None
+) -> dict:
+    """Response bytes -> payload dict; garbage raises :class:`WireError`.
+    A result frame is read against its connection's ``names`` (a fresh
+    dictionary without one) and adds what it names to them."""
     if content_type.startswith(RESULT_FRAME_TYPE):
         # The frame's header is the payload; its answer goes under "pairs".
-        payload, ranks = unpack_result(raw)
-        names = payload.pop("names")
-        payload["pairs"] = NamedPairs(ranks, names, dict(zip(names, range(len(names)))))
+        names = NameDictionary() if names is None else names
+        payload, columns = unpack_result(raw, names)
+        del payload["ids"], payload["names"]
+        payload["pairs"] = NamedPairs(columns, names.names, names.ids)
         return payload
     try:
         payload = json.loads(raw.decode("utf-8"))
@@ -189,28 +206,37 @@ def parse_head(head: bytes) -> tuple[int, str, bool]:
     return int(length), headers.get("content-type", ""), not close
 
 
-def _receive(sock: socket.socket) -> tuple[bytes, str, bool]:
-    """One response off a blocking socket: ``(body, Content-Type, keep-alive)``."""
-    data, end = bytearray(), None
-    while end is None or len(data) < end:
+def _receive(sock: socket.socket) -> tuple[bytearray, str, bool]:
+    """One response off a blocking socket: ``(body, Content-Type, keep-alive)``.
+    The body is read into one buffer of its ``Content-Length``."""
+    head = bytearray()
+    while (end := head.find(b"\r\n\r\n")) < 0:
+        if len(head) > MAX_HEAD_BYTES:
+            raise WireError(f"response head over {MAX_HEAD_BYTES} bytes")
         chunk = sock.recv(1 << 16)
         if not chunk:
             raise ConnectionResetError("connection closed mid-response")
-        data += chunk
-        if end is None and (start := data.find(b"\r\n\r\n") + 4) >= 4:
-            length, content_type, keep_alive = parse_head(data[:start])
-            end = start + length
-        elif end is None and len(data) > MAX_HEAD_BYTES:
-            raise WireError(f"response head over {MAX_HEAD_BYTES} bytes")
-    return bytes(data[start:end]), content_type, keep_alive
+        head += chunk
+    length, content_type, keep_alive = parse_head(head[: end + 4])
+    body = bytearray(length)
+    have = min(len(head) - end - 4, length)
+    body[:have] = memoryview(head)[end + 4 : end + 4 + have]
+    view = memoryview(body)
+    while have < length:
+        count = sock.recv_into(view[have:])
+        if not count:
+            raise ConnectionResetError("connection closed mid-response")
+        have += count
+    return body, content_type, keep_alive
 
 
 class Client:
     """Blocking client; safe to share across threads.
 
     Each call in flight holds one connection; a complete keep-alive
-    response returns it to a stack of idle ones the next call pops
-    (``append`` and ``pop`` are atomic, so the stack needs no lock).
+    response returns it, with its name dictionary, to a stack of idle
+    ones the next call pops (``append`` and ``pop`` are atomic, so the
+    stack needs no lock).
     """
 
     def __init__(
@@ -231,37 +257,42 @@ class Client:
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         request = encode_request(method, path, body, self.host, self.port)
-        sock, reusable = None, False
+        connection, reusable = None, False
         try:
-            sock = self._checkout()
+            connection = self._checkout()
+            sock, names = connection
             sock.sendall(request)
-            raw, content_type, reusable = _receive(sock)
+            raw, content_type, keep_alive = _receive(sock)
+            payload = decode_payload(raw, content_type, names)
+            reusable = keep_alive
         except OSError as error:
             raise self._failed(path, error) from error
         finally:
             if reusable:
-                self._idle.append(sock)
-            elif sock is not None:
-                sock.close()
-        return check_payload(decode_payload(raw, content_type))
+                self._idle.append(connection)
+            elif connection is not None:
+                connection[0].close()
+        return check_payload(payload)
 
-    def _checkout(self) -> socket.socket:
+    def _checkout(self) -> tuple[socket.socket, NameDictionary]:
         """An idle connection the server has not closed, or a new one."""
         while self._idle:
             try:
-                sock = self._idle.pop()
+                connection = self._idle.pop()
             except IndexError:  # another thread took the last one
                 break
+            sock = connection[0]
             sock.setblocking(False)
             try:  # an open idle connection has nothing to read
                 sock.recv(1, socket.MSG_PEEK)
             except BlockingIOError:
                 sock.settimeout(self.timeout)
-                return sock
+                return connection
             except OSError:
                 pass
             sock.close()  # at EOF (the server closed it), or stray bytes
-        return socket.create_connection((self.host, self.port), self.timeout)
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        return sock, NameDictionary()
 
     def _call(self, method: str, path: str, body: dict | None, decode):
         return decode(self._request(method, path, body))
@@ -269,7 +300,7 @@ class Client:
     def close(self) -> None:
         """Close the idle connections; a later call dials a new one."""
         while self._idle:
-            self._idle.pop().close()
+            self._idle.pop()[0].close()
 
     def query(
         self,
@@ -313,13 +344,14 @@ class AsyncClient(Client):
         try:
             async with asyncio.timeout(self.timeout):
                 connection = await self._checkout()
-                _, reader, writer = connection
+                _, reader, writer, names = connection
                 writer.write(request)
                 await writer.drain()
                 head = await reader.readuntil(b"\r\n\r\n")
                 length, content_type, keep_alive = parse_head(head)
                 raw = await reader.readexactly(length)
-                reusable = keep_alive
+            payload = decode_payload(raw, content_type, names)
+            reusable = keep_alive
         except (OSError, EOFError, asyncio.LimitOverrunError) as error:
             raise self._failed(path, error) from error
         finally:
@@ -327,11 +359,11 @@ class AsyncClient(Client):
                 self._idle.append(connection)
             elif connection is not None:
                 connection[2].close()
-        return check_payload(decode_payload(raw, content_type))
+        return check_payload(payload)
 
     async def _checkout(self) -> tuple:
-        """``(loop, reader, writer)``: an idle connection of this loop the
-        server has not closed, or a new one."""
+        """``(loop, reader, writer, names)``: an idle connection of this
+        loop the server has not closed, or a new one."""
         loop = asyncio.get_running_loop()
         while self._idle:
             connection = self._idle.pop()
@@ -339,7 +371,8 @@ class AsyncClient(Client):
                 return connection
             if connection[0] is loop:
                 connection[2].close()
-        return (loop, *await asyncio.open_connection(self.host, self.port))
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        return loop, reader, writer, NameDictionary()
 
     async def _call(self, method: str, path: str, body: dict | None, decode):
         return decode(await self._request(method, path, body))
@@ -348,6 +381,6 @@ class AsyncClient(Client):
         """Close the idle connections this loop opened."""
         loop = asyncio.get_running_loop()
         while self._idle:
-            owner, _, writer = self._idle.pop()
+            owner, _, writer, _ = self._idle.pop()
             if owner is loop:
                 writer.close()

@@ -19,10 +19,10 @@ import bisect
 import re
 from collections.abc import Set
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import GraphError, UnknownNodeError, ValidationError
-from repro.relation import _SHIFT, Order, Relation, dense_ranks, locate
+from repro.relation import _SHIFT, Order, Relation, locate, unmarked_ids
 
 #: Labels must look like programming-language identifiers.  This keeps
 #: the textual query syntax, the index key encoding and the Datalog
@@ -195,7 +195,9 @@ class NamedPairs(Set):
 
     What :attr:`repro.api.QueryResult.pairs` is (see there for what
     each read costs): the answer's id columns plus the graph's id→name
-    list and name→id dict.  ``len`` is the column length, ``in`` a
+    list and name→id dict (for a served answer, its connection's two
+    dicts, :class:`repro.serve.protocol.NameDictionary`).  ``len`` is
+    the column length, ``in`` a
     bisect of the sorted columns (a memoised packed-key set under
     ``Order.NONE``), iteration streams name tuples; comparison, algebra,
     ``hash`` and ``repr`` are ``frozenset``'s.  Decoding late is sound:
@@ -204,7 +206,12 @@ class NamedPairs(Set):
 
     __slots__ = ("_relation", "_names", "_ids", "_keys", "_frozen")
 
-    def __init__(self, relation: Relation, names: list[str], ids: dict[str, int]):
+    def __init__(
+        self,
+        relation: Relation,
+        names: Sequence[str] | Mapping[int, str],
+        ids: dict[str, int],
+    ):
         self._relation = relation
         self._names = names
         self._ids = ids
@@ -245,11 +252,17 @@ class NamedPairs(Set):
             self._frozen = frozenset(self)
         return self._frozen
 
-    def dense(self) -> tuple[list[str], Relation]:
-        """The names that occur, in id order, and the columns as ranks into
-        them: what crosses the wire, and reads as the same set over there."""
-        ids, ranks = dense_ranks(self._relation)
-        return list(map(self._names.__getitem__, ids)), ranks
+    def unsent(self, sent: bytearray) -> tuple[Relation, list[int], list[str]]:
+        """What crosses a connection already sent the names of the ids
+        marked in ``sent`` (a byte per node, grown here): the id columns,
+        and the ids of this answer not marked yet with their names.
+        Marks them."""
+        if len(sent) < len(self._names):
+            sent.extend(bytes(len(self._names) - len(sent)))
+        ids = unmarked_ids(self._relation, sent).tolist()
+        for node in ids:
+            sent[node] = 1
+        return self._relation, ids, list(map(self._names.__getitem__, ids))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, NamedPairs) and other._names is self._names:

@@ -657,25 +657,41 @@ def id_range(relation: Relation) -> tuple[int, int]:
     return min(min(src), min(tgt)), max(max(src), max(tgt))
 
 
-def dense_ranks(relation: Relation) -> tuple[array, Relation]:
-    """The ids occurring in ``relation``, ascending, and its columns as ranks
-    into them — an answer's wire form.  Ranking preserves order, so the tag
-    is kept; ids are graph-interned, hence dense, which bounds ``present``.
+def unmarked_ids(relation: Relation, marks: bytearray) -> array:
+    """The distinct ids of ``relation`` whose byte in ``marks`` is 0, or that
+    lie outside ``[0, len(marks))``, ascending.
+
+    A result frame's two ends ask it: the sender, which ids this
+    connection has not been sent a name for; the reader, which ids it
+    has no name for.  Both usually hear "none", which costs two
+    bounds-and-gather passes and no sort.
     """
+    if not relation:
+        return array("q")
+    bound = len(marks)
     if _vectorize(len(relation)):
-        src, tgt = _view(relation.src), _view(relation.tgt)
-        present = _np.zeros(id_range(relation)[1] + 1, dtype=bool)
-        present[src] = present[tgt] = True
-        rank = _np.cumsum(present) - 1
-        ids = _column(_np.flatnonzero(present))
-        return ids, Relation(_column(rank[src]), _column(rank[tgt]), relation.order)
-    ids = array("q", sorted(set(relation.src).union(relation.tgt)))
-    rank = {node: position for position, node in enumerate(ids)}.__getitem__
-    return ids, Relation(
-        array("q", map(rank, relation.src)),
-        array("q", map(rank, relation.tgt)),
-        relation.order,
-    )
+        flags = _np.frombuffer(marks, dtype=_np.uint8)
+        columns = (_view(relation.src), _view(relation.tgt))
+        every = 0 not in marks  # then the bounds alone decide
+        # Viewed unsigned, a negative id is out of bounds like a large one.
+        if all(
+            column.view(_np.uint64).max() < bound
+            and (every or flags.take(column).all())
+            for column in columns
+        ):
+            return array("q")
+        ids = _np.concatenate(columns)
+        inside = ids.view(_np.uint64) < bound
+        known = _np.zeros(len(ids), dtype=bool)
+        known[inside] = flags[ids[inside]] != 0
+        return _column(_np.unique(ids[~known]))
+    unmarked = {
+        node
+        for column in (relation.src, relation.tgt)
+        for node in column
+        if not 0 <= node < bound or not marks[node]
+    }
+    return array("q", sorted(unmarked))
 
 
 def _from_packed_unordered(keys: set[int]) -> Relation:

@@ -1,5 +1,5 @@
-"""Multi-process serving: shard workers, an RPC coordinator, and an
-asyncio HTTP front door.
+"""Multi-process serving: shard workers, an RPC coordinator, and a
+thread-per-connection HTTP front door.
 
 The process architecture the ROADMAP's "millions of users" north star
 asks for:
@@ -12,8 +12,9 @@ asks for:
   :class:`~repro.api.GraphDatabase` whose sharded index is a set of
   RPC stubs; the in-process scatter-gather engine, scatter pruning,
   prepared plans and degraded answers all run unmodified over it.
-* :mod:`repro.serve.server` — the asyncio HTTP/JSON front door with
-  bounded concurrency, backpressure and worker supervision, behind the
+* :mod:`repro.serve.server` — the HTTP/JSON front door, one thread per
+  connection, with bounded connections and concurrency, backpressure
+  and worker supervision, behind the
   ``repro-rpq serve`` CLI entry point.
 
 Clients live in :mod:`repro.client` (sync and async, one codec).

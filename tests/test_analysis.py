@@ -41,7 +41,7 @@ def rule_ids(findings) -> list[str]:
 class TestFramework:
     def test_every_rule_has_id_and_description(self):
         rules = default_rules()
-        assert len(rules) == 6
+        assert len(rules) == 7
         for rule in rules:
             assert rule.id and rule.description
 
@@ -374,6 +374,41 @@ class TestDualPath:
                 return values
         """
         assert findings_for(source, "src/repro/csr.py") == []
+
+
+class TestOneSchedule:
+    def test_pools_and_executor_hops_fire(self):
+        source = """
+            import concurrent.futures
+            from concurrent.futures import ThreadPoolExecutor
+
+            def build(parts):
+                with concurrent.futures.ProcessPoolExecutor() as pool:
+                    return list(pool.map(len, parts))
+
+            async def serve(loop, work):
+                return await loop.run_in_executor(None, work)
+        """
+        findings = findings_for(source, "src/repro/sharding.py")
+        assert rule_ids(findings) == ["one-schedule"] * 3
+        assert [found.symbol for found in findings] == ["<module>", "build", "serve"]
+
+    def test_threads_of_ones_own_are_clean(self):
+        source = """
+            import threading
+
+            def serve(sock, handle):
+                thread = threading.Thread(target=handle, args=(sock,), daemon=True)
+                thread.start()
+                return thread
+        """
+        assert findings_for(source, "src/repro/serve/server.py") == []
+
+    def test_rule_is_scoped_to_the_package(self):
+        source = """
+            from concurrent.futures import ThreadPoolExecutor
+        """
+        assert findings_for(source, "benchmarks/bench_service.py") == []
 
 
 class TestSuppression:

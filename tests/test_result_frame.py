@@ -2,14 +2,18 @@
 
 ``POST /query`` and ``POST /prepared`` answer a client whose ``Accept``
 names :data:`~repro.serve.protocol.RESULT_FRAME_TYPE` with one binary
-frame (JSON header with a per-response name list, packed rank columns),
-and the client lays the same :class:`~repro.graph.graph.NamedPairs` view
-over it that an in-process read gets.  Four things are pinned here:
+frame (JSON header naming the node ids new to the connection, the
+answer's own id columns), and the client lays the same
+:class:`~repro.graph.graph.NamedPairs` view over it, and over its
+connection's name dictionary, that an in-process read gets.  Four
+things are pinned here:
 
 * the frame and the JSON body decode to the same set, under every
-  relation order and on both paths of the re-coding kernel;
+  relation order and on both kernel paths, read after read on one
+  connection that names each node once;
 * nothing but :class:`~repro.errors.WireError` escapes the decoder,
-  whatever the bytes;
+  whatever the bytes and whatever the connection was sent before, and
+  a client drops a connection whose frame did not decode;
 * who gets which body: the negotiation matrix against a live server;
 * the front door answers (400 / 500) where it used to drop the
   connection, and both client transports call a cut response transient.
@@ -52,10 +56,11 @@ from repro.errors import (
 )
 from repro.faults import FakeClock, FaultPlan, FaultRule, armed
 from repro.graph.graph import NamedPairs
-from repro.relation import Order, Relation, dedup_sort, dense_ranks, id_range
+from repro.relation import Order, Relation, dedup_sort, unmarked_ids
 from repro.serve import server as server_module
 from repro.serve.protocol import (
     RESULT_FRAME_TYPE,
+    NameDictionary,
     encode_relation,
     pack_frame,
     pack_result,
@@ -93,14 +98,29 @@ def result_of(view: NamedPairs) -> QueryResult:
     )
 
 
-def through_frame(result: QueryResult) -> RemoteResult:
-    raw = _result_payload(result, framed=True)
-    return decode_result(check_payload(decode_payload(raw, RESULT_FRAME_TYPE)))
+class Connection:
+    """Both ends of one connection's name dictionary, without the socket."""
+
+    def __init__(self) -> None:
+        self.sent = bytearray()  # the server's marks
+        self.names = NameDictionary()  # the client's dictionary
+
+    def frame(self, result: QueryResult) -> bytes:
+        return _result_payload(result, framed=self.sent)
+
+    def read(self, result: QueryResult) -> RemoteResult:
+        raw = self.frame(result)
+        payload = decode_payload(raw, RESULT_FRAME_TYPE, self.names)
+        return decode_result(check_payload(payload))
 
 
 def through_json(result: QueryResult) -> RemoteResult:
     raw = json.dumps(_result_payload(result), separators=(",", ":")).encode()
     return decode_result(check_payload(decode_payload(raw, JSON_TYPE)))
+
+
+#: A node id of a twelve-name graph.
+NODE = st.integers(0, 11)
 
 
 @st.composite
@@ -115,6 +135,20 @@ def answers(draw):
 # -- (i) round trip --------------------------------------------------------------
 
 
+def assert_same_answer(remote: RemoteResult, view: NamedPairs, names, id_pairs):
+    expected = frozenset((names[a], names[b]) for a, b in id_pairs)
+    pairs = remote.pairs
+    assert isinstance(pairs, NamedPairs)
+    assert pairs == view and view == pairs and pairs == expected
+    assert len(pairs) == len(remote) == len(view) == len(expected)
+    assert sorted(pairs) == sorted(view)
+    assert hash(pairs) == hash(expected)
+    for pair in expected:
+        assert pair in pairs and list(pair) in remote
+    for probe in [(a, b) for a in names for b in names] + [("", "nobody")]:
+        assert (probe in pairs) == (probe in expected)
+
+
 class TestRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(answers())
@@ -122,73 +156,92 @@ class TestRoundTrip:
         names, id_pairs, order = answer
         view = view_over(names, id_pairs, order)
         result = result_of(view)
-        expected = frozenset((names[a], names[b]) for a, b in id_pairs)
         via_json = through_json(result)
-        assert via_json.pairs == expected
+        assert via_json.pairs == frozenset((names[a], names[b]) for a, b in id_pairs)
         for path in ("numpy", "python"):
+            connection = Connection()
             with kernel_path(path):
-                remote = through_frame(result)
-            pairs = remote.pairs
-            assert isinstance(pairs, NamedPairs)
-            # the same set as the JSON body's, and as the in-process view
-            assert pairs == via_json.pairs and via_json.pairs == pairs
-            assert pairs == view and view == pairs
-            assert len(pairs) == len(remote) == len(view) == len(expected)
-            assert sorted(pairs) == sorted(view)
-            assert hash(pairs) == hash(expected)
-            for pair in expected:
-                assert pair in pairs and list(pair) in remote
-            for probe in [(a, b) for a in names for b in names] + [("", "nobody")]:
-                assert (probe in pairs) == (probe in expected)
-            # every other field crosses unchanged on both bodies
-            for other in (remote, via_json):
-                assert (other.query, other.method) == ("q", "minjoin")
-                assert (other.seconds, other.version, other.cached) == (0.25, 7, True)
-                assert (other.partial, other.shards_failed) == (False, 0)
+                first = connection.read(result)
+                again = connection.read(result)  # names nothing new
+            for remote in (first, again):
+                assert remote.pairs == via_json.pairs and via_json.pairs == remote.pairs
+                assert_same_answer(remote, view, names, id_pairs)
+                # every other field crosses unchanged on both bodies
+                for other in (remote, via_json):
+                    assert (other.query, other.method) == ("q", "minjoin")
+                    assert (other.seconds, other.version) == (0.25, 7)
+                    assert other.cached and not other.partial
+                    assert other.shards_failed == 0
+            assert first.pairs == again.pairs  # one dictionary: compared by id
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.text(max_size=4), unique=True, min_size=1, max_size=12),
+        st.lists(st.lists(st.tuples(NODE, NODE)), max_size=5),
+        st.sampled_from(["numpy", "python"]),
+    )
+    def test_a_connection_names_each_node_once(self, names, reads, path):
+        connection = Connection()
+        named: list[int] = []
+        for id_pairs in reads:
+            id_pairs = sorted({(a % len(names), b % len(names)) for a, b in id_pairs})
+            view = view_over(names, id_pairs, Order.BY_SRC)
+            with kernel_path(path):
+                raw = connection.frame(result_of(view))
+                header, columns = unpack_result(raw, connection.names)
+            new = sorted({node for pair in id_pairs for node in pair} - set(named))
+            assert header["ids"] == new
+            assert header["names"] == [names[node] for node in new]
+            assert list(columns) == id_pairs
+            named += new
+        assert len(named) == len(set(named))
 
     @settings(max_examples=120, deadline=None)
-    @given(answers(), st.sampled_from(["numpy", "python"]))
-    def test_recoding_is_rank_preserving(self, answer, path):
-        """Ranks into the sorted ids that occur: the order tag stays true."""
-        names, id_pairs, order = answer
-        relation = view_over(names, id_pairs, order)._relation
-        with kernel_path(path):
-            ids, ranks = dense_ranks(relation)
-        occurring = sorted({node for pair in id_pairs for node in pair})
-        assert list(ids) == occurring
-        assert ranks.order is relation.order and len(ranks) == len(relation)
-        assert [(ids[a], ids[b]) for a, b in ranks] == list(relation)
-        if order is not Order.NONE:
-            assert ranks == dedup_sort(ranks, order)
-        if ranks:
-            with kernel_path(path):
-                assert id_range(ranks) == (0, len(ids) - 1)
-
-    def test_the_two_kernel_paths_agree_on_a_large_answer(self):
-        rng = random.Random(3)
-        pairs = {(rng.randrange(5000), rng.randrange(5000)) for _ in range(4000)}
-        relation = dedup_sort(Relation.from_pairs(pairs), Order.BY_SRC)
-        with kernel_path("python"):
-            slow = dense_ranks(relation)
-        fast = dense_ranks(relation)  # 4000 rows: numpy by the size gate itself
-        assert fast[0] == slow[0] and fast[1] == slow[1]
-        assert fast[1].order is Order.BY_SRC
+    @given(
+        st.lists(st.tuples(st.integers(-3, 50), st.integers(-3, 50)), max_size=30),
+        st.sets(st.integers(0, 40)),
+    )
+    def test_unmarked_ids_on_both_kernel_paths(self, id_pairs, marked):
+        """Ids outside the marks, negative ones too, count as unmarked."""
+        relation = Relation(
+            array("q", [a for a, _ in id_pairs]),
+            array("q", [b for _, b in id_pairs]),
+            Order.NONE,
+        )
+        marks = bytearray(41)
+        for node in marked:
+            marks[node] = 1
+        occurring = {node for pair in id_pairs for node in pair}
+        # a map with holes, and one without: there the bounds alone decide
+        for marks, named in ((marks, marked), (bytearray(b"\1" * 41), range(41))):
+            expected = sorted(occurring - set(named))
+            for path in ("numpy", "python"):
+                with kernel_path(path):
+                    assert list(unmarked_ids(relation, marks)) == expected
 
     def test_empty_answer(self):
         view = view_over(["a", "b"], [], Order.BY_SRC)
-        remote = through_frame(result_of(view))
+        remote = Connection().read(result_of(view))
         assert len(remote.pairs) == 0 and list(remote.pairs) == []
         assert remote.pairs == frozenset() and ("a", "b") not in remote
-        header, ranks = unpack_result(_result_payload(result_of(view), framed=True))
-        assert header["names"] == [] and len(ranks) == 0
+        raw = Connection().frame(result_of(view))
+        header, columns = unpack_result(raw, NameDictionary())
+        assert header["ids"] == header["names"] == [] and len(columns) == 0
 
     def test_only_the_names_that_occur_cross(self):
         names = [f"n{i}" for i in range(100)]
+        connection = Connection()
         view = view_over(names, [(7, 90), (90, 7), (7, 7)], Order.BY_SRC)
-        header, ranks = unpack_result(_result_payload(result_of(view), framed=True))
-        assert header["names"] == ["n7", "n90"]
-        assert list(ranks) == [(0, 0), (0, 1), (1, 0)]
+        raw = connection.frame(result_of(view))
+        header, columns = unpack_result(raw, connection.names)
+        assert header["ids"] == [7, 90] and header["names"] == ["n7", "n90"]
+        assert list(columns) == [(7, 7), (7, 90), (90, 7)]  # the graph's own ids
         assert "pairs" not in header and header["byteorder"] == sys.byteorder
+        # ...and only once per connection: the next answer names what is new
+        view = view_over(names, [(3, 7), (90, 3)], Order.BY_SRC)
+        raw = connection.frame(result_of(view))
+        header, _ = unpack_result(raw, connection.names)
+        assert header["ids"] == [3] and header["names"] == ["n3"]
 
 
 # -- (ii) hostile frames -----------------------------------------------------------
@@ -199,14 +252,20 @@ RANKS = Relation(array("q", [0, 0, 2]), array("q", [1, 3, 3]), Order.BY_SRC)
 ANSWER = {("a", "b"), ("a", "d"), ("c", "d")}
 
 
-def decode_frame(raw: bytes) -> RemoteResult:
+def decode_frame(raw: bytes, names: NameDictionary | None = None) -> RemoteResult:
     """The client's whole decode of one response body said to be a frame."""
-    return decode_result(check_payload(decode_payload(raw, RESULT_FRAME_TYPE)))
+    return decode_result(check_payload(decode_payload(raw, RESULT_FRAME_TYPE, names)))
 
 
 def hand_frame(relation: Relation = RANKS, **header) -> bytes:
     """A frame packed by hand, so a test can say anything in its header."""
-    fields = {**HEADER, "names": NAMES, "byteorder": sys.byteorder, **header}
+    fields = {
+        **HEADER,
+        "ids": list(range(len(NAMES))),
+        "names": NAMES,
+        "byteorder": sys.byteorder,
+        **header,
+    }
     fields = {key: value for key, value in fields.items() if value is not ...}
     return pack_frame(fields, encode_relation(relation))
 
@@ -218,7 +277,7 @@ def swapped(relation: Relation) -> Relation:
     return Relation(src, tgt, relation.order)
 
 
-#: A result frame's header: the JSON payload's keys minus ``pairs``, plus two.
+#: A result frame's header: the JSON payload's keys minus ``pairs``, plus three.
 FRAME_KEYS = [
     "ok",
     "query",
@@ -228,6 +287,7 @@ FRAME_KEYS = [
     "version",
     "partial",
     "shards_failed",
+    "ids",
     "names",
     "byteorder",
 ]
@@ -240,10 +300,21 @@ JSON_JUNK = st.recursive(
 )
 
 
+def a_dictionary_that_knows(ids: list[int], names: list[str]) -> NameDictionary:
+    dictionary = NameDictionary()
+    dictionary.learn(ids, names)
+    return dictionary
+
+
 class TestHostileFrames:
     def test_the_valid_frame_decodes(self):
         assert decode_frame(pack_result(HEADER, NAMES, RANKS)).pairs == ANSWER
         assert decode_frame(hand_frame()).pairs == ANSWER
+        # a later frame on the connection names nothing and reads the same
+        known = a_dictionary_that_knows([0, 1, 2, 3], NAMES)
+        assert decode_frame(hand_frame(ids=[], names=[]), known).pairs == ANSWER
+        # a name sent again, unchanged, is no conflict
+        assert decode_frame(hand_frame(ids=[2], names=["c"]), known).pairs == ANSWER
 
     def test_every_truncation_is_a_permanent_wire_error(self):
         frame = pack_result(HEADER, NAMES, RANKS)
@@ -276,14 +347,25 @@ class TestHostileFrames:
         ],
     )
     def test_ids_outside_the_dictionary(self, src, tgt, path):
-        """A ``WireError`` at decode time, never an ``IndexError`` at read time."""
+        """A ``WireError`` at decode time, never a ``KeyError`` at read time."""
         rogue = Relation(array("q", src), array("q", tgt), Order.NONE)
         with kernel_path(path), pytest.raises(WireError, match="outside"):
             decode_frame(hand_frame(rogue))
 
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    def test_an_id_the_connection_lacks(self, path):
+        """Inside the range of known ids, but never named on this connection."""
+        holes = a_dictionary_that_knows([0, 1, 3], ["a", "b", "d"])
+        with kernel_path(path), pytest.raises(WireError, match="outside"):
+            decode_frame(hand_frame(ids=[], names=[]), holes)
+        # the frame that names it is read
+        holes = a_dictionary_that_knows([0, 1, 3], ["a", "b", "d"])
+        with kernel_path(path):
+            assert decode_frame(hand_frame(ids=[2], names=["c"]), holes).pairs == ANSWER
+
     def test_ids_with_no_names_at_all(self):
         with pytest.raises(WireError, match="outside"):
-            decode_frame(hand_frame(names=[]))
+            decode_frame(hand_frame(ids=[], names=[]))
 
     @pytest.mark.parametrize(
         "names", [[1, 2, 3, 4], "abcd", None, ..., ["a", "b", None, "d"], {"a": 0}, 4]
@@ -291,6 +373,37 @@ class TestHostileFrames:
     def test_names_must_be_a_list_of_strings(self, names):
         with pytest.raises(WireError, match="names"):
             decode_frame(hand_frame(names=names))
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            None,
+            ...,
+            "0123",
+            [0, 1, 2],
+            [0, 1, 2, 3, 4],
+            [0, 1, 2.0, 3],
+            [0, True, 2, 3],
+            [0, 1, 2, -3],
+            [0, 1, 2, 2**26],
+            [0, 1, 2, 2**70],
+        ],
+    )
+    def test_ids_must_be_node_ids_one_per_name(self, ids):
+        with pytest.raises(WireError, match="id"):
+            decode_frame(hand_frame(ids=ids))
+
+    def test_a_second_name_for_a_known_id(self):
+        known = a_dictionary_that_knows([0, 1, 2, 3], NAMES)
+        with pytest.raises(WireError, match="second name"):
+            decode_frame(hand_frame(ids=[2], names=["z"]), known)
+        with pytest.raises(WireError, match="second name"):  # within one frame
+            decode_frame(hand_frame(ids=[0, 1, 2, 3, 2], names=[*NAMES, "z"]))
+
+    def test_a_second_id_for_a_known_name(self):
+        known = a_dictionary_that_knows([0, 1, 2, 3], NAMES)
+        with pytest.raises(WireError, match="already names"):
+            decode_frame(hand_frame(ids=[4], names=["a"]), known)
 
     def test_a_foreign_byte_order_is_swapped_not_misread(self):
         foreign = "big" if sys.byteorder == "little" else "little"
@@ -332,23 +445,59 @@ class TestHostileFrames:
                 frame[at] = data.draw(st.integers(0, 255))
             if not frame:
                 break
-        self._decodes_or_wire_error(bytes(frame))
+        # read on a fresh connection, and on one that already knows the names
+        self._decodes_or_wire_error(bytes(frame), NameDictionary())
+        known = a_dictionary_that_knows([0, 1, 2, 3], NAMES)
+        self._decodes_or_wire_error(bytes(frame), known)
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.sampled_from(FRAME_KEYS), JSON_JUNK, min_size=1))
     def test_junk_header_values_only_raise_wire_errors(self, junk):
-        self._decodes_or_wire_error(hand_frame(**junk))
+        self._decodes_or_wire_error(hand_frame(**junk), NameDictionary())
 
     @staticmethod
-    def _decodes_or_wire_error(raw: bytes) -> None:
+    def _decodes_or_wire_error(raw: bytes, names: NameDictionary) -> None:
         try:
-            payload = decode_payload(raw, RESULT_FRAME_TYPE)
+            payload = decode_payload(raw, RESULT_FRAME_TYPE, names)
             remote = decode_result(payload)
         except WireError:
             return
         # It decoded: then it reads, fully, without another exception.
         assert len(list(remote.pairs)) == len(remote.pairs)
         assert all(type(name) is str for pair in remote.pairs for name in pair)
+
+
+def keep_alive_head(content_type: str, length: int) -> bytes:
+    return (
+        f"HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode()
+
+
+@pytest.mark.parametrize("transport", ["sync", "async"])
+def test_a_connection_whose_frame_failed_is_not_pooled(transport):
+    """The socket and its dictionary go together: a frame that did not
+    decode may have left the dictionary half learned."""
+    good, bad = pack_result(HEADER, NAMES, RANKS), hand_frame(ids=[], names=[])
+    for frame, pooled in ((good, 1), (bad, 0)):
+        response = keep_alive_head(RESULT_FRAME_TYPE, len(frame)) + frame
+        with canned_server(response) as port:
+            remote = (Client if transport == "sync" else AsyncClient)(port=port)
+            outcome = contextlib.nullcontext() if pooled else pytest.raises(WireError)
+
+            async def read():
+                with outcome:
+                    await remote.query("q")
+                return len(remote._idle)
+
+            if transport == "sync":
+                with outcome:
+                    remote.query("q")
+                held = len(remote._idle)
+                remote.close()
+            else:
+                held = asyncio.run(read())
+            assert held == pooled
 
 
 # -- (iii) negotiation against a live server ----------------------------------------
@@ -378,9 +527,9 @@ def spy(monkeypatch):
     seen: list[str] = []
     original = client_module.decode_payload
 
-    def recording(raw, content_type=""):
+    def recording(raw, content_type="", names=None):
         seen.append(content_type)
-        return original(raw, content_type)
+        return original(raw, content_type, names)
 
     monkeypatch.setattr(client_module, "decode_payload", recording)
     return seen
@@ -526,12 +675,15 @@ class TestWireContract:
         database, port = service
         status, content_type, raw = self.raw(port, {"query": "a/b"}, accept)
         assert (status, content_type) == (200, RESULT_FRAME_TYPE)
-        header, ranks = unpack_result(raw)
+        header, columns = unpack_result(raw, NameDictionary())
         assert list(header) == FRAME_KEYS
         local = database.query("a/b").pairs
         occurring = {name for pair in local for name in pair}
-        assert header["names"] == sorted(occurring, key=database.graph.node_id)
-        assert {(header["names"][a], header["names"][b]) for a, b in ranks} == local
+        node_id = database.graph.node_id
+        assert header["names"] == sorted(occurring, key=node_id)
+        assert header["ids"] == [node_id(name) for name in header["names"]]
+        named = dict(zip(header["ids"], header["names"]))
+        assert {(named[a], named[b]) for a, b in columns} == local
 
     def test_errors_and_other_routes_stay_json(self, service):
         _, port = service

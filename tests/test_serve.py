@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import gc
 import http.client
 import json
-import logging
 import random
 import socket
 import struct
@@ -809,9 +807,9 @@ def counted(monkeypatch):
     accepted: list[object] = []
     original = QueryServer._handle_connection
 
-    async def counting(self, reader, writer):
-        accepted.append(writer.get_extra_info("peername"))
-        await original(self, reader, writer)
+    def counting(self, sock):
+        accepted.append(sock.getpeername())
+        original(self, sock)
 
     monkeypatch.setattr(QueryServer, "_handle_connection", counting)
     db = GraphDatabase.from_edges(
@@ -823,13 +821,16 @@ def counted(monkeypatch):
     db.close()
 
 
-def _raw(port: int, request: bytes) -> bytes:
-    """Send raw bytes and read until the server closes the connection."""
+def _raw(port: int, request: bytes, timeout: float = 10) -> bytes:
+    """Send raw bytes, read until the server closes; a reset keeps what came."""
     received = b""
-    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
         sock.sendall(request)
-        while chunk := sock.recv(65536):
-            received += chunk
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass
     return received
 
 
@@ -896,11 +897,11 @@ class TestKeepAlive:
         db, handle, _ = counted
         original = server_module._write_response
 
-        async def dropping(writer, status, payload, keep_alive):
+        def dropping(sock, status, payload, keep_alive):
             if isinstance(payload, dict) and "result" in payload:
-                writer.transport.abort()  # the answer to /apply never leaves
+                sock.shutdown(socket.SHUT_RDWR)  # the answer to /apply never leaves
                 raise ConnectionResetError("dropped")
-            await original(writer, status, payload, keep_alive)
+            original(sock, status, payload, keep_alive)
 
         monkeypatch.setattr(server_module, "_write_response", dropping)
         client = Client(port=handle.port)
@@ -913,29 +914,102 @@ class TestKeepAlive:
         assert not client.apply(Mutation.add("n1", "c", "n2")).changed
         client.close()
 
-    def test_stop_with_an_idle_pooled_connection(self, caplog):
+    def test_stop_with_an_idle_pooled_connection(self):
         db = GraphDatabase.from_edges(
             _edges(4, 10, 30), config=ServiceConfig(k=1, shards=1)
         )
         try:
+            before = set(threading.enumerate())
             handle = serve_in_thread(db)
-            client = Client(port=handle.port, timeout=5)
-            assert client.health()["ok"]
-            with caplog.at_level(logging.ERROR, logger="asyncio"):
-                started = time.perf_counter()
-                handle.stop()
-                assert time.perf_counter() - started < 2.0
-                del handle  # the loop, and any handler task left pending
-                gc.collect()
-            assert not [record for record in caplog.records if record.name == "asyncio"]
-            # The server closed the pooled connection: the next call
-            # fails at once instead of waiting out its timeout.
+            clients = [Client(port=handle.port, timeout=5) for _ in range(3)]
+            assert all(client.health()["ok"] for client in clients)
             started = time.perf_counter()
-            with pytest.raises(TransientWireError):
-                client.health()
+            handle.stop()
             assert time.perf_counter() - started < 2.0
+            assert _server_threads(before) == []
+            # The server closed the pooled connections: the next call
+            # fails at once instead of waiting out its timeout.
+            for client in clients:
+                started = time.perf_counter()
+                with pytest.raises(TransientWireError):
+                    client.health()
+                assert time.perf_counter() - started < 2.0
         finally:
             db.close()
+
+
+def _server_threads(before: set) -> list[threading.Thread]:
+    """Threads started since ``before`` that are still alive."""
+    return [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+
+def _refusal(response: bytes) -> tuple[bytes, bytes, str]:
+    """A one-response reply as ``(status line, head, wire error code)``."""
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head.split(b"\r\n", 1)[0], head, json.loads(body)["error"]["code"]
+
+
+class TestFrontDoorEdges:
+    """What the front door does at its limits, whatever serves the socket."""
+
+    def test_a_head_line_over_64_kib_is_a_400_and_a_close(self, counted):
+        _, handle, _ = counted
+        request = b"GET /health HTTP/1.1\r\nX-Padding: " + b"p" * 70_000 + b"\r\n\r\n"
+        status, head, code = _refusal(_raw(handle.port, request))
+        assert status.startswith(b"HTTP/1.1 400") and b"Connection: close" in head
+        assert code == "wire"
+
+    def test_a_length_over_the_cap_is_a_400_before_the_body_is_read(self, counted):
+        _, handle, _ = counted
+        length = server_module.MAX_REQUEST_BYTES + 1
+        request = f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        # No body follows: a server that waited for it would time out here.
+        started = time.perf_counter()
+        status, head, code = _refusal(_raw(handle.port, request.encode(), 5))
+        assert status.startswith(b"HTTP/1.1 400") and b"Connection: close" in head
+        assert code == "wire" and time.perf_counter() - started < 4
+
+    def test_a_drip_fed_request_is_closed_at_the_deadline(self, counted, monkeypatch):
+        """Every byte arrives within IDLE_TIMEOUT of the last; the request
+        does not arrive whole within it, so the connection is closed."""
+        _, handle, _ = counted
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.2)
+        request = b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n"
+        received = b""
+        started = time.perf_counter()
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock:
+            try:
+                for byte in request:
+                    sock.sendall(bytes([byte]))
+                    time.sleep(0.03)
+                while chunk := sock.recv(65536):
+                    received += chunk
+            except (BrokenPipeError, ConnectionResetError):
+                pass
+        assert received == b"" and time.perf_counter() - started < 4
+
+    def test_a_connection_past_the_cap_is_a_503_and_a_close(self, counted, monkeypatch):
+        db, handle, _ = counted
+        monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+        baseline = threading.active_count()
+        held = [Client(port=handle.port) for _ in range(2)]
+        try:
+            assert all(client.health()["ok"] for client in held)  # two kept open
+            response = _raw(handle.port, b"GET /health HTTP/1.1\r\n\r\n")
+            status, head, code = _refusal(response)
+            assert status.startswith(b"HTTP/1.1 503") and b"Connection: close" in head
+            assert code == "transient_wire"
+            with pytest.raises(TransientWireError):
+                Client(port=handle.port).health()
+        finally:
+            for client in held:
+                client.close()
+        deadline = time.monotonic() + 5
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == baseline
+        with contextlib.closing(Client(port=handle.port)) as client:
+            assert client.query("a/b").pairs == db.query("a/b").pairs
 
 
 class TestRequestFraming:
@@ -1097,7 +1171,7 @@ class TestCliServe:
 
         served = []
 
-        async def fake(database, config):
+        def fake(database, config):
             served.append((database.config.shards, config.port))
 
         monkeypatch.setattr(server_module, "serve_forever", fake)
