@@ -2,7 +2,7 @@
 
 :class:`repro.api.GraphDatabase` guards the index/statistics triple
 with a writer-preferring :class:`repro.concurrency.ReadWriteLock` and
-the query-cache counters with a separate ``_cache_lock``.  The
+the answer cache with a separate ``_cache_lock``.  The
 convention that makes this auditable is lexical: state is written
 inside a ``with ...write_locked():`` (or ``with self._cache_lock:``)
 block, or inside a method whose name ends in ``_locked`` — the
@@ -34,8 +34,9 @@ LOCK_STATE = {
     "_statistics_epoch",
 }
 
-#: Attributes owned by ``_cache_lock`` (LRU entries and counters).
-CACHE_STATE = {"_query_cache", "_cached_pairs", "_cache_version"}
+#: Attributes owned by ``_cache_lock``: the answer cache and the
+#: version it was filled at.
+CACHE_STATE = {"_query_cache", "_cache_version"}
 
 #: Calls that mutate shared state and therefore must never appear
 #: lexically inside a shared (read) section.

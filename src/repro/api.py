@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.concurrency import ReadWriteLock
+from repro.concurrency import BoundedLRU, ReadWriteLock
 from repro.config import ServiceConfig, default_shard_count  # noqa: F401
 from repro.engine.executor import (
     ExecutionReport,
@@ -160,9 +159,9 @@ class GraphDatabase:
         # cache probe, execution, cache store) one atomic read section
         # — a writer can never interleave between computing a cache key
         # and reading the index, so a served answer always matches the
-        # version it is keyed under.  The cache mutex guards the LRU
-        # OrderedDict and every counter (reads reorder the LRU, so even
-        # lookups are writes).
+        # version it is keyed under.  The cache mutex guards the
+        # answer cache's version stamp and every counter, and makes a
+        # stats() snapshot consistent with the answer cache's own.
         self._lock = ReadWriteLock()
         self._cache_lock = threading.Lock()
         # LRU cache over fully answered queries, keyed on
@@ -171,13 +170,10 @@ class GraphDatabase:
         # build_index() additionally clears it wholesale.  Bounded both
         # by entry count and by total cached answer pairs, so a run of
         # huge answers cannot pin unbounded memory.
-        self._query_cache: OrderedDict[tuple, QueryResult] = OrderedDict()
-        self._query_cache_size = config.query_cache_size
-        self._query_cache_max_pairs = config.query_cache_max_pairs
-        self._cached_pairs = 0
+        self._query_cache = BoundedLRU(
+            config.query_cache_size, config.query_cache_max_pairs
+        )
         self._cache_version = graph.version
-        self._cache_hits = 0
-        self._cache_misses = 0
         # Aggregated executor scan-memo traffic (per-execution memo of
         # index scans / shared subplans), summed over every query that
         # actually executed through the engine.
@@ -314,7 +310,7 @@ class GraphDatabase:
         retire them.  Caller holds the write lock.
         """
         with self._cache_lock:
-            self._cache_clear_locked()
+            self._query_cache.clear()
         old_index = self._index
         index = None
         try:
@@ -619,7 +615,6 @@ class GraphDatabase:
             self._disjuncts_pruned += report.disjuncts_pruned
             self._shards_failed += report.shards_failed
             if cache_key is not None:
-                self._cache_misses += 1
                 self._remember_locked(cache_key, result)
         return result
 
@@ -658,18 +653,16 @@ class GraphDatabase:
         return index
 
     def _cache_lookup(self, key: tuple, version: int) -> QueryResult | None:
-        """Probe the LRU under the cache mutex (a hit reorders it)."""
+        """Probe the answer cache under the cache mutex."""
         with self._cache_lock:
             if self._cache_version != version:
                 # The version only grows, so every entry keyed on an
                 # older version is dead forever — drop them rather than
                 # letting garbage pin the entry/pairs budgets.
-                self._cache_clear_locked()
+                self._query_cache.clear()
                 self._cache_version = version
             cached = self._query_cache.get(key)
             if cached is not None:
-                self._query_cache.move_to_end(key)
-                self._cache_hits += 1
                 return replace(cached, seconds=0.0, cached=True)
         return None
 
@@ -917,34 +910,16 @@ class GraphDatabase:
         )
 
     def _remember_locked(self, key: tuple, result: QueryResult) -> None:
-        if self._query_cache_size == 0:
-            return
         if result.report is not None and result.report.partial:
             # A degraded answer is a subset of the true answer, not the
             # answer — caching it would serve incomplete pairs to later
             # strict queries under the same key.
             return
-        size = len(result.pairs)
-        if size > self._query_cache_max_pairs:
-            return  # one answer would blow the whole memory budget
-        replaced = self._query_cache.pop(key, None)
-        if replaced is not None:
-            self._cached_pairs -= len(replaced.pairs)
-        if result.report is not None:
-            # Drop the execution report before pinning: it can memoize
-            # an id-pair frozenset the pairs budget does not count;
-            # cache hits return report=None.  An entry pins the view's
-            # id columns, 16 B a pair, until a reader asks for the name
-            # set — built once, served to every later hit.
-            result = replace(result, report=None)
-        self._query_cache[key] = result
-        self._cached_pairs += size
-        while (
-            len(self._query_cache) > self._query_cache_size
-            or self._cached_pairs > self._query_cache_max_pairs
-        ):
-            _, evicted = self._query_cache.popitem(last=False)
-            self._cached_pairs -= len(evicted.pairs)
+        # Drop the execution report before pinning: it can memoize an
+        # id-pair frozenset the pairs budget does not count; cache hits
+        # return report=None.  An entry pins the view's id columns, 16 B
+        # a pair, until a reader asks for the name set.
+        self._query_cache.put(key, replace(result, report=None), len(result.pairs))
 
     def stats(self) -> EngineStats:
         """One consistent snapshot of every engine counter, grouped.
@@ -968,12 +943,12 @@ class GraphDatabase:
         with self._cache_lock:
             return EngineStats(
                 cache=CacheStats(
-                    hits=self._cache_hits,
-                    misses=self._cache_misses,
+                    hits=self._query_cache.hits,
+                    misses=self._query_cache.misses,
                     entries=len(self._query_cache),
-                    capacity=self._query_cache_size,
-                    pairs=self._cached_pairs,
-                    max_pairs=self._query_cache_max_pairs,
+                    capacity=self._query_cache.max_entries,
+                    pairs=self._query_cache.weight,
+                    max_pairs=self._query_cache.max_weight,
                     scan_memo_hits=self._scan_memo_hits,
                     scan_memo_misses=self._scan_memo_misses,
                 ),
@@ -1003,11 +978,7 @@ class GraphDatabase:
         """Drop every cached answer, plan and parsed text (counters are kept)."""
         self._plan_cache.clear()
         with self._cache_lock:
-            self._cache_clear_locked()
-
-    def _cache_clear_locked(self) -> None:
-        self._query_cache.clear()
-        self._cached_pairs = 0
+            self._query_cache.clear()
 
     def explain(
         self,

@@ -35,6 +35,7 @@ surfaces as a transient the caller's own
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import socket
 from dataclasses import dataclass, field
@@ -369,8 +370,7 @@ class AsyncClient(Client):
             connection = self._idle.pop()
             if connection[0] is loop and not connection[1].at_eof():
                 return connection
-            if connection[0] is loop:
-                connection[2].close()
+            _shut(connection)
         reader, writer = await asyncio.open_connection(self.host, self.port)
         return loop, reader, writer, NameDictionary()
 
@@ -378,9 +378,20 @@ class AsyncClient(Client):
         return decode(await self._request(method, path, body))
 
     async def close(self) -> None:
-        """Close the idle connections this loop opened."""
-        loop = asyncio.get_running_loop()
+        """Close every idle connection, whichever loop opened it."""
         while self._idle:
-            owner, _, writer, _ = self._idle.pop()
-            if owner is loop:
-                writer.close()
+            _shut(self._idle.pop())
+
+
+def _shut(connection: tuple) -> None:
+    """Close a pooled connection from any loop: its own loop closes it
+    there; once that loop has stopped, only a shutdown of the socket
+    can still tell the server the connection is done."""
+    owner, _, writer, _ = connection
+    if owner is asyncio.get_running_loop():
+        writer.close()
+    elif owner.is_running():
+        owner.call_soon_threadsafe(writer.close)
+    else:
+        with contextlib.suppress(OSError):  # the peer is gone already
+            writer.get_extra_info("socket").shutdown(socket.SHUT_RDWR)

@@ -298,8 +298,8 @@ class ScatterPolicy:
 
     A shard's catalog only changes with its contents, so the whole
     (plan, shard) decision — result plan plus counter deltas — is
-    cached on the index (:attr:`ShardedGraph.decision_cache`, dropped
-    with the statistics caches): repeated queries pay one dictionary
+    cached on the index (:attr:`ShardedGraph.decision_cache`, an LRU
+    dropped with the statistics caches): repeated queries pay one dictionary
     hit per shard instead of re-walking every disjunct.  Decisions are
     made serially on the calling thread, so the counters need no lock;
     concurrent readers racing to fill a cache key store equal values.
@@ -313,14 +313,9 @@ class ScatterPolicy:
 
     def shard_plan(self, shard: int, plan: PlanNode) -> PlanNode | None:
         """The plan this shard should execute, or ``None`` to skip it."""
-        cache = self._sharded.decision_cache
-        key = (shard, plan)
-        decided = cache.get(key)
-        if decided is None:
-            decided = self._decide(shard, plan)
-            # The cache bounds itself (BoundedCache evicts FIFO), so a
-            # template-heavy workload cannot grow it without limit.
-            cache[key] = decided
+        decided = self._sharded.decision_cache.fetch(
+            (shard, plan), lambda: self._decide(shard, plan)
+        )
         result, scanned, pruned, disjuncts_pruned = decided
         self.counters.scanned += scanned
         self.counters.pruned += pruned

@@ -19,10 +19,11 @@ never drift.
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
+from repro.concurrency import BoundedLRU
 from repro.engine.executor import PreparedQuery
 from repro.engine.planner import Strategy
 from repro.errors import ValidationError
@@ -42,51 +43,30 @@ PLAN_CACHE_MAX = 256
 # -- the plan cache ------------------------------------------------------------
 
 
-def _lru_get(lru: OrderedDict, key):
-    found = lru.get(key)
-    if found is not None:
-        lru.move_to_end(key)
-    return found
-
-
-def _lru_put(lru: OrderedDict, key, value) -> None:
-    lru[key] = value
-    lru.move_to_end(key)
-    while len(lru) > PLAN_CACHE_MAX:
-        lru.popitem(last=False)
-
-
 class PlanCache:
     """A database's one plan cache: text → AST, and AST → plan.
 
-    Two LRUs of ``PLAN_CACHE_MAX`` entries behind one lock.
-    :meth:`parse` memoises :func:`~repro.rpq.parser.parse_query`, which
-    is pure, so an entry never goes stale (a text that raises is never
-    stored).  :meth:`plan` keys on ``(AST, strategy,
-    use_exact_statistics, max_disjuncts)`` — not the anchor, which pins
-    execution, so ``q`` and ``from(x): q`` share a plan — and a lookup
-    under another ``(graph version, statistics epoch)`` stamp re-plans.
-    A reused plan reports ``planning_seconds == 0.0``.
+    Two :class:`~repro.concurrency.BoundedLRU` of ``PLAN_CACHE_MAX``
+    entries.  :meth:`parse` memoises
+    :func:`~repro.rpq.parser.parse_query`, which is pure, so an entry
+    never goes stale (a text that raises is never stored).
+    :meth:`plan` keys on ``(AST, strategy, use_exact_statistics,
+    max_disjuncts)`` — not the anchor, which pins execution, so ``q``
+    and ``from(x): q`` share a plan — and a lookup under another
+    ``(graph version, statistics epoch)`` stamp re-plans.  A reused
+    plan reports ``planning_seconds == 0.0``.
     """
 
     def __init__(self) -> None:
-        self._texts: OrderedDict[str, tuple[Node, str | None]] = OrderedDict()
+        self._texts = BoundedLRU(PLAN_CACHE_MAX)  # text -> (AST, anchor)
         # key -> ((graph version, statistics epoch), plan)
-        self._plans: OrderedDict[tuple, tuple[tuple[int, int], PreparedQuery]] = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
+        self._plans = BoundedLRU(PLAN_CACHE_MAX)
+        self._lock = threading.Lock()  # the counters, one lookup at a time
         self._counts: Counter[str] = Counter()  # PreparedStats field -> count
 
     def parse(self, text: str) -> tuple[Node, str | None]:
         """``parse_query(text)``, memoised."""
-        with self._lock:
-            parsed = _lru_get(self._texts, text)
-        if parsed is None:
-            parsed = parse_query(text)
-            with self._lock:
-                _lru_put(self._texts, text, parsed)
-        return parsed
+        return self._texts.fetch(text, lambda: parse_query(text))
 
     def plan(
         self,
@@ -96,7 +76,7 @@ class PlanCache:
     ) -> PreparedQuery:
         """The plan for ``key`` under ``stamp``: cached, else ``compute()``."""
         with self._lock:
-            entry = _lru_get(self._plans, key)
+            entry = self._plans.get(key)
             if entry is not None and entry[0] == stamp:
                 self._counts["hits"] += 1
                 return entry[1]
@@ -105,7 +85,7 @@ class PlanCache:
         prepared = compute()
         with self._lock:
             self._counts["plans_computed"] += 1
-            _lru_put(self._plans, key, (stamp, replace(prepared, planning_seconds=0.0)))
+        self._plans.put(key, (stamp, replace(prepared, planning_seconds=0.0)))
         return prepared
 
     def stats(self) -> PreparedStats:
@@ -115,14 +95,12 @@ class PlanCache:
 
     def held(self) -> tuple[int, int]:
         """``(parsed texts, plans)`` the cache holds now."""
-        with self._lock:
-            return len(self._texts), len(self._plans)
+        return len(self._texts), len(self._plans)
 
     def clear(self) -> None:
         """Drop every parsed text and plan (the counters are kept)."""
-        with self._lock:
-            self._texts.clear()
-            self._plans.clear()
+        self._texts.clear()
+        self._plans.clear()
 
 
 # -- statements ----------------------------------------------------------------

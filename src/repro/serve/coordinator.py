@@ -16,10 +16,11 @@ Two classes:
   PR-4 design, and this module is where it pays off.
 
 A warm scan makes no RPC: a worker's columns change only when a commit
-group patches them, so each fetched slice is kept (:class:`SliceCache`)
-until ``apply_commit_group`` empties the cache before its broadcast.  A
-relaunched fleet starts empty; a restarted worker replays to the same
-columns, so a restart keeps it.  Point lookups (``scan_from``, the
+group patches them, so each fetched slice is kept in
+:attr:`RpcShardedGraph.slices` (a :class:`~repro.concurrency.BoundedLRU`
+weighed in pairs) until ``apply_commit_group`` empties it before its
+broadcast.  A relaunched fleet starts empty; a restarted worker replays
+to the same columns, so a restart keeps it.  Point lookups (``scan_from``, the
 leftmost scan of an anchored read, and ``contains``) cut the owner's
 kept slice rather than asking the worker, so they share it.
 
@@ -48,6 +49,7 @@ import threading
 from dataclasses import replace
 
 from repro.api import GraphDatabase
+from repro.concurrency import BoundedLRU
 from repro.errors import (
     ReproError,
     TransientWireError,
@@ -187,39 +189,6 @@ class WorkerStub:
             self._drop()
 
 
-class SliceCache:
-    """Fetched worker slices, frozen, keyed ``(shard, path, order)``;
-    thread-safe, at most ``max_pairs`` pairs, oldest slice out first."""
-
-    def __init__(self, max_pairs: int) -> None:
-        self.max_pairs = max_pairs
-        self.hits = self.misses = self.pairs = 0
-        self._slices: dict[tuple, Relation] = {}
-        self._lock = threading.Lock()
-
-    def fetch(self, key: tuple, load) -> Relation:
-        """The slice kept under ``key``; on a miss, ``load()`` and keep it."""
-        with self._lock:
-            kept = self._slices.get(key)
-            if kept is not None:
-                self.hits += 1
-                return kept
-            self.misses += 1
-        relation = load().freeze()
-        with self._lock:
-            if key not in self._slices and len(relation) <= self.max_pairs:
-                self._slices[key] = relation
-                self.pairs += len(relation)
-                while self.pairs > self.max_pairs:
-                    self.pairs -= len(self._slices.pop(next(iter(self._slices))))
-        return relation
-
-    def clear(self) -> None:
-        with self._lock:
-            self._slices.clear()
-            self.pairs = 0
-
-
 class RpcShardedGraph(ShardedGraph):
     """A :class:`ShardedGraph` whose shard "indexes" are RPC stubs.
 
@@ -263,8 +232,9 @@ class RpcShardedGraph(ShardedGraph):
         #: Restarts that had to re-ship the full current graph (the
         #: pre-journal behavior).  The replay path keeps this at 0.
         self.full_graph_transfers = 0
-        #: Every slice fetched since the last commit group.
-        self.slices = SliceCache(max_cached_pairs)
+        #: Slices fetched since the last commit group, frozen, keyed
+        #: ``(shard, path, order)``, at most ``max_cached_pairs`` pairs.
+        self.slices = BoundedLRU(max_weight=max_cached_pairs)
 
     @classmethod
     def launch(
@@ -322,7 +292,9 @@ class RpcShardedGraph(ShardedGraph):
             return self._shards[shard].scan(path, deadline=deadline)
 
         return self.slices.fetch(
-            (shard, path, Order.BY_SRC), lambda: retry_call(attempt, deadline=deadline)
+            (shard, path, Order.BY_SRC),
+            lambda: retry_call(attempt, deadline=deadline).freeze(),
+            len,
         )
 
     def shard_scan_swapped(
@@ -332,7 +304,10 @@ class RpcShardedGraph(ShardedGraph):
         canonical :meth:`shard_scan` slice either way, the sort is here."""
         return self.slices.fetch(
             (shard, path, Order.BY_TGT),
-            lambda: dedup_sort(self.shard_scan(shard, path, deadline), Order.BY_TGT),
+            lambda: dedup_sort(
+                self.shard_scan(shard, path, deadline), Order.BY_TGT
+            ).freeze(),
+            len,
         )
 
     # -- lifecycle --------------------------------------------------------
@@ -438,8 +413,8 @@ class CoordinatorDatabase(GraphDatabase):
       (workers rebuild from the coordinator's graph, durability lives
       elsewhere) before deferring to the base class;
     * :meth:`ensure_workers` restarts crashed workers;
-    * :meth:`cache_clear` and :meth:`stats` cover the index's
-      :class:`SliceCache` beside the result cache.
+    * :meth:`cache_clear` and :meth:`stats` cover the index's kept
+      slices beside the result cache.
     """
 
     def _build_index_locked(self):
@@ -470,12 +445,12 @@ class CoordinatorDatabase(GraphDatabase):
     def stats(self) -> EngineStats:
         """The engine's counters, the slice cache's in ``scatter``."""
         stats = super().stats()
-        slices = getattr(self._index, "slices", SliceCache(0))
+        slices = getattr(self._index, "slices", BoundedLRU())
         scatter = replace(
             stats.scatter,
             scan_cache_hits=slices.hits,
             scan_cache_misses=slices.misses,
-            scan_cache_pairs=slices.pairs,
+            scan_cache_pairs=slices.weight,
         )
         return replace(stats, scatter=scatter)
 

@@ -47,12 +47,12 @@ per-shard scan methods to keep join fan-in partitioned.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
 from pathlib import Path as FilePath
 from typing import Iterable, Iterator, Sequence
 
 from repro import relation as rel
+from repro.concurrency import BoundedLRU
 from repro.errors import ShardUnavailableError, TransientError, ValidationError
 from repro.faults import fire, retry_call
 from repro.graph.graph import Graph, LabelPath
@@ -68,59 +68,10 @@ SHARD_MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _SHARD_SHIFT = 17
 
-#: Size bound on the per-index scatter-decision cache: decisions are
-#: tiny, but a template-heavy workload of distinct queries would
-#: otherwise pin plan trees forever.
+#: Entry cap on the per-index scatter-decision LRU: decisions are tiny,
+#: but a template-heavy workload of distinct queries would otherwise pin
+#: plan trees forever.
 DECISION_CACHE_MAX = 4096
-
-
-class BoundedCache:
-    """A size-capped mapping with FIFO eviction.
-
-    Holds the sharded engine's scatter-pruning decisions.  They are
-    pure functions of state that only changes when a shard's contents
-    do, so eviction merely costs a re-derivation —
-    insertion order is as good an eviction policy as any, and it keeps
-    every operation O(1).  Writes can race between reader threads
-    (queries are readers); each mutation is guarded by a lock so the
-    size invariant holds under concurrency, and racing writers of the
-    same key store equal values.
-    """
-
-    __slots__ = ("_data", "_maxsize", "_lock")
-
-    def __init__(self, maxsize: int = DECISION_CACHE_MAX) -> None:
-        if maxsize < 1:
-            raise ValidationError(f"cache maxsize must be >= 1, got {maxsize}")
-        self._data: OrderedDict = OrderedDict()
-        self._maxsize = maxsize
-        self._lock = threading.Lock()
-
-    @property
-    def maxsize(self) -> int:
-        return self._maxsize
-
-    def get(self, key, default=None):
-        return self._data.get(key, default)
-
-    def __getitem__(self, key):
-        return self._data[key]
-
-    def __setitem__(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            while len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
 
 
 def shard_of(node_id: int, shard_count: int, seed: int = 0) -> int:
@@ -225,11 +176,11 @@ class ShardedGraph:
         #: Scatter-pruning decisions, keyed on ``(shard, plan)``.  A
         #: shard's catalog only changes with its contents, so its
         #: decisions are a per-*change* cost instead of a per-execution
-        #: one.  Bounded (FIFO eviction) so a template-heavy workload of
+        #: one.  Bounded (LRU eviction) so a template-heavy workload of
         #: distinct queries cannot grow it without limit; dropped
         #: wholesale with the other statistics caches in
         #: :meth:`invalidate_statistics`.
-        self.decision_cache = BoundedCache(DECISION_CACHE_MAX)
+        self.decision_cache = BoundedLRU(DECISION_CACHE_MAX)
 
     # -- construction ----------------------------------------------------
 

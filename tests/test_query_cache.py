@@ -58,12 +58,10 @@ class TestCacheHits:
         """Regression: re-storing the same key must not double-count."""
         database = _database()
         size = len(database.query("knows").pairs)
+        ((key, (kept, _)),) = database._query_cache._data.items()
         for _ in range(5):
             with database._cache_lock:
-                database._remember_locked(
-                    next(iter(database._query_cache)),
-                    next(iter(database._query_cache.values())),
-                )
+                database._remember_locked(key, kept)
         info = database.stats().as_dict()
         assert info["entries"] == 1
         assert info["pairs"] == size

@@ -488,7 +488,9 @@ def test_a_connection_whose_frame_failed_is_not_pooled(transport):
             async def read():
                 with outcome:
                     await remote.query("q")
-                return len(remote._idle)
+                held = len(remote._idle)
+                await remote.close()
+                return held
 
             if transport == "sync":
                 with outcome:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import http.client
 import json
 import random
@@ -18,6 +19,7 @@ import socket
 import struct
 import threading
 import time
+import warnings
 from array import array
 
 import pytest
@@ -43,7 +45,7 @@ from repro.relation import Order, Relation
 from repro.serve import CoordinatorDatabase, launch_workers
 from repro.serve import protocol
 from repro.serve import server as server_module
-from repro.serve.coordinator import SliceCache, WorkerStub
+from repro.serve.coordinator import WorkerStub
 from repro.serve.server import QueryServer, serve_in_thread
 from repro.serve.worker import WorkerHandle, _await_ready
 from repro.stats import EngineStats
@@ -542,6 +544,8 @@ class TestSliceCache:
         assert again.pairs == oracle.query("(a|b)/c").pairs
         scatter = coordinator.stats().scatter
         assert scatter.scan_cache_hits > hits and scatter.scan_cache_pairs > 0
+        budget = coordinator.config.query_cache_max_pairs
+        assert coordinator._index.slices.max_weight == budget
 
     def test_an_anchored_read_cuts_the_kept_slice(
         self, coordinator, oracle, monkeypatch
@@ -584,30 +588,6 @@ class TestSliceCache:
         # A restarted worker replays to the same columns: the slices stay.
         assert coordinator.stats().scatter.scan_cache_pairs > 0
         assert coordinator.query("c", use_cache=False).pairs == oracle.query("c").pairs
-
-    def test_the_pair_budget_evicts_oldest_first(self, coordinator):
-        def relation(size: int) -> Relation:
-            column = array("q", range(size))
-            return Relation(column, array("q", column), Order.BY_SRC)
-
-        loads: list[str] = []
-        cache = SliceCache(max_pairs=5)
-
-        def fetch(key: str, size: int) -> Relation:
-            return cache.fetch(key, lambda: loads.append(key) or relation(size))
-
-        fetch("old", 3)
-        fetch("new", 2)
-        assert cache.pairs == 5 and cache.misses == 2
-        fetch("newest", 1)  # 6 > 5: "old" goes
-        assert cache.pairs == 3
-        assert fetch("new", 2).frozen and loads == ["old", "new", "newest"]
-        fetch("old", 3)
-        assert loads[-1] == "old" and cache.pairs <= 5
-        fetch("huge", 6)  # over the whole budget: served, never kept
-        assert cache.pairs <= 5 and cache.hits == 1
-        budget = coordinator.config.query_cache_max_pairs
-        assert coordinator._index.slices.max_pairs == budget
 
 
 # -- the HTTP front door -------------------------------------------------------
@@ -859,6 +839,36 @@ class TestKeepAlive:
             time.sleep(0.01)
         assert not handle.server._connections
 
+    def test_connections_of_another_loop_are_shut(self, counted):
+        """Another loop's pooled connection is closed, not left to IDLE_TIMEOUT."""
+        remote, live = AsyncClient(port=counted[1].port), counted[1].server._connections
+
+        def open_connections(expected: int) -> int:
+            deadline = time.monotonic() + 5
+            while len(live) != expected and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return len(live)
+
+        running = asyncio.new_event_loop()
+        thread = threading.Thread(target=running.run_forever, daemon=True)
+        thread.start()
+        asyncio.run_coroutine_threadsafe(remote.health(), running).result(5)
+        asyncio.run(remote.close())  # the owner still runs: it closes it
+        assert open_connections(0) == 0
+        running.call_soon_threadsafe(running.stop)
+        thread.join(5)
+        running.close()
+        with warnings.catch_warnings():
+            # asyncio warns when it collects a transport whose loop is
+            # closed; no public call can close such a transport.
+            warnings.simplefilter("ignore", ResourceWarning)
+            for _ in range(2):
+                asyncio.run(remote.health())
+            assert open_connections(1) == 1  # the first loop's is shut
+            asyncio.run(remote.close())
+            assert open_connections(0) == 0
+            gc.collect()
+
     def test_two_threads_share_one_client(self, counted):
         db, handle, accepted = counted
         client = Client(port=handle.port)
@@ -1103,9 +1113,9 @@ class TestSliceCacheAcrossWrites:
         coordinator, _ = pair
         index = coordinator.index
         coordinator.query("a|b|c", use_cache=False)
-        assert index.slices.pairs > 0
+        assert index.slices.weight > 0
         index.apply_commit_group([], {}, set())  # an empty group, to the index itself
-        assert index.slices.pairs == 0
+        assert index.slices.weight == 0
 
 
 def test_kill_worker_mid_hammer_stays_typed_or_exact():

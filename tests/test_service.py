@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro import relation as rel
 from repro.api import GraphDatabase
-from repro.concurrency import ReadWriteLock
+from repro.concurrency import BoundedLRU, ReadWriteLock
 from repro.config import ServiceConfig
 from repro.engine.operators import ScanMemo
 from repro.engine.plan import IdentityPlan
@@ -148,6 +149,70 @@ class TestReadWriteLock:
             thread.join()
         # The queued writer beat the reader that arrived after it.
         assert order == ["writer", "late_reader"]
+
+
+# -- BoundedLRU ------------------------------------------------------------------
+
+
+class TestBoundedLRU:
+    CALLS = ("get", "put", "clear")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        max_entries=st.integers(0, 4),
+        max_weight=st.integers(0, 8),
+        operations=st.lists(
+            st.tuples(st.sampled_from(CALLS), st.integers(0, 5), st.integers(0, 6))
+        ),
+    )
+    def test_matches_a_dict_and_list_model(self, max_entries, max_weight, operations):
+        cache = BoundedLRU(max_entries, max_weight)
+        order, held = [], {}  # keys, least recently used first; key -> weight
+        hits = misses = 0
+        for operation, key, weight in operations:
+            if operation == "clear":
+                cache.clear()
+                order, held, touched = [], {}, False
+            elif operation == "get":
+                touched = key in held
+                assert cache.get(key) == ((key, held[key]) if touched else None)
+                hits, misses = hits + touched, misses + (not touched)
+            else:
+                cache.put(key, (key, weight), weight)
+                touched = weight <= max_weight  # a heavier value is refused
+                if touched:
+                    held[key] = weight
+            if touched:
+                order = [other for other in order if other != key] + [key]
+            while len(order) > max_entries or sum(held.values()) > max_weight:
+                del held[order.pop(0)]
+            assert list(cache._data) == order and len(cache) <= max_entries
+            assert cache.weight == sum(held.values()) <= max_weight
+            assert (cache.hits, cache.misses) == (hits, misses)
+
+    def test_caps_hold_under_four_threads(self):
+        cache, found = BoundedLRU(max_entries=8, max_weight=20), []
+
+        def hammer(rng: random.Random) -> None:
+            for _ in range(3000):
+                key = rng.randrange(16)
+                if rng.random() < 0.5:
+                    cache.put(key, key, rng.randrange(7))
+                else:
+                    found.append(cache.get(key))
+                with cache._lock:
+                    held = sum(weight for _, weight in cache._data.values())
+                    assert len(cache._data) <= 8 and cache.weight == held <= 20
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seeded = [random.Random(seed) for seed in range(4)]
+            assert _run_threads([lambda rng=rng: hammer(rng) for rng in seeded]) == []
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.hits + cache.misses == len(found)
+        assert set(found) <= {None, *range(16)}
 
 
 # -- frozen relations and the scan memo ----------------------------------------

@@ -133,14 +133,14 @@ class TestStatisticsCaches:
         sharded = ShardedGraph.build(graph, 2, shards=3)
         sharded.counts_by_path()  # warm the merge cache
         stats_before = sharded.shard_statistics(0)
-        sharded.decision_cache["sentinel"] = object()
+        sharded.decision_cache.put("sentinel", object())
         graph.add_edge("n0", "a", "n1") or graph.remove_edge("n0", "a", "n1")
         sharded.rebuild_shards()
         after = sharded.counts_by_path()
         assert after == merge_shard_counts(
             [index.counts_by_path() for index in sharded.shard_indexes]
         )
-        assert "sentinel" not in sharded.decision_cache
+        assert sharded.decision_cache.get("sentinel") is None
         # Shard statistics are rebuilt lazily against the new catalogs.
         assert sharded.shard_statistics(0) is not stats_before
 
@@ -238,6 +238,16 @@ class TestShardPruning:
             assert getattr(again, counter) == getattr(first, counter), counter
         assert first.shards_pruned >= 1
 
+    def test_decision_cache_is_bounded(self):
+        from repro.sharding import DECISION_CACHE_MAX
+
+        graph = interleaved_chain(2, 4)
+        sharded = ShardedGraph.build(graph, k=2, shards=2)
+        assert sharded.decision_cache.max_entries == DECISION_CACHE_MAX
+        for i in range(DECISION_CACHE_MAX + 50):
+            sharded.decision_cache.put(("synthetic", i), object())
+        assert len(sharded.decision_cache) == DECISION_CACHE_MAX
+
     @BOTH_PATHS
     @settings(max_examples=25, deadline=None)
     @given(
@@ -285,37 +295,3 @@ class TestDefaultShardsKnob:
         monkeypatch.setenv("REPRO_DEFAULT_SHARDS", "0")
         with pytest.raises(ValidationError):
             default_shard_count()
-
-
-# -- the bounded decision cache -----------------------------------------------
-
-
-class TestBoundedCache:
-    def test_fifo_eviction_caps_size(self):
-        from repro.sharding import BoundedCache
-
-        cache = BoundedCache(maxsize=3)
-        for i in range(10):
-            cache[i] = i * i
-        assert len(cache) == 3
-        assert 6 not in cache and 9 in cache
-        assert cache[9] == 81
-        assert cache.get(0) is None and cache.get(9) == 81
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_maxsize_validated(self):
-        from repro.sharding import BoundedCache
-
-        with pytest.raises(ValidationError):
-            BoundedCache(maxsize=0)
-
-    def test_decision_cache_is_bounded(self):
-        from repro.sharding import DECISION_CACHE_MAX
-
-        graph = interleaved_chain(2, 4)
-        sharded = ShardedGraph.build(graph, k=2, shards=2)
-        assert sharded.decision_cache.maxsize == DECISION_CACHE_MAX
-        for i in range(DECISION_CACHE_MAX + 50):
-            sharded.decision_cache[("synthetic", i)] = object()
-        assert len(sharded.decision_cache) == DECISION_CACHE_MAX
