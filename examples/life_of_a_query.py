@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from repro import Client, GraphDatabase, ServiceConfig
-from repro.engine.executor import evaluate_normal_form
+from repro.engine.executor import evaluate_ast
 from repro.errors import QueryTimeoutError, ShardUnavailableError
 from repro.faults import FaultPlan, FaultRule, armed
 from repro.engine.plan import render
@@ -86,9 +86,7 @@ def main() -> None:
     print("5. EXECUTION")
     print("=" * 72)
     for strategy in Strategy:
-        report = evaluate_normal_form(
-            normal, db.index, graph, db.histogram, strategy
-        )
+        report = evaluate_ast(node, db.index, graph, db.histogram, strategy)
         print(
             f"{strategy.value:<12} {len(report.pairs):>4} pairs   "
             f"plan {report.planning_seconds * 1000:6.2f} ms   "

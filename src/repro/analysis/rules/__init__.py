@@ -5,6 +5,7 @@ from repro.analysis.rules.dual_path import DualPathRule
 from repro.analysis.rules.error_taxonomy import ErrorTaxonomyRule
 from repro.analysis.rules.fault_points import FaultPointRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
+from repro.analysis.rules.one_index import OneIndexRule
 from repro.analysis.rules.one_schedule import OneScheduleRule
 from repro.analysis.rules.order_contract import OrderContractRule
 
@@ -17,4 +18,5 @@ ALL_RULES = (
     DeadlineLoopRule,
     DualPathRule,
     OneScheduleRule,
+    OneIndexRule,
 )

@@ -1,14 +1,16 @@
 """Clients for the serve front door: one codec, one exchange, sync and async.
 
 :class:`Client` (blocking sockets) and :class:`AsyncClient`
-(:mod:`asyncio` streams) share every byte of request building and
-response decoding, and one hand-rolled HTTP/1.1 exchange: the request
-bytes (:func:`encode_request`), the response head (:func:`parse_head`)
-and a ``Content-Length`` body, read straight into one buffer of that
-length.  Each keeps a stack of idle keep-alive connections: a call pops
-one (a non-blocking peek first drops one the server has closed) or
-dials, and pushes it back after a complete response the server did not
-mark ``Connection: close`` and that decoded.
+(non-blocking sockets driven by the running :mod:`asyncio` loop) share
+every byte of request building and response decoding, and one
+hand-rolled HTTP/1.1 exchange: the request bytes
+(:func:`encode_request`), the response head (:func:`parse_head`) and a
+``Content-Length`` body, read straight into one buffer of that length
+(:func:`_response`).  Each keeps a stack of idle keep-alive
+connections: a call pops one (a non-blocking peek first drops one the
+server has closed) or dials, and pushes it back after a complete
+response the server did not mark ``Connection: close`` and that
+decoded.
 
 A pooled connection carries its :class:`~repro.serve.protocol.NameDictionary`:
 the server names each node id once per connection, so result frames
@@ -35,7 +37,6 @@ surfaces as a transient the caller's own
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import socket
 from dataclasses import dataclass, field
@@ -207,28 +208,76 @@ def parse_head(head: bytes) -> tuple[int, str, bool]:
     return int(length), headers.get("content-type", ""), not close
 
 
-def _receive(sock: socket.socket) -> tuple[bytearray, str, bool]:
-    """One response off a blocking socket: ``(body, Content-Type, keep-alive)``.
-    The body is read into one buffer of its ``Content-Length``."""
-    head = bytearray()
+def _response():
+    """Reads one response without doing I/O: yields a buffer to fill, is
+    sent how many bytes landed in it, and returns ``(body, Content-Type,
+    keep-alive)``.  The body is read into one buffer of its
+    ``Content-Length``."""
+    head, chunk = bytearray(), bytearray(1 << 16)
     while (end := head.find(b"\r\n\r\n")) < 0:
         if len(head) > MAX_HEAD_BYTES:
             raise WireError(f"response head over {MAX_HEAD_BYTES} bytes")
-        chunk = sock.recv(1 << 16)
-        if not chunk:
+        count = yield chunk
+        if not count:
             raise ConnectionResetError("connection closed mid-response")
-        head += chunk
+        head += memoryview(chunk)[:count]
     length, content_type, keep_alive = parse_head(head[: end + 4])
     body = bytearray(length)
     have = min(len(head) - end - 4, length)
     body[:have] = memoryview(head)[end + 4 : end + 4 + have]
     view = memoryview(body)
     while have < length:
-        count = sock.recv_into(view[have:])
+        count = yield view[have:]
         if not count:
             raise ConnectionResetError("connection closed mid-response")
         have += count
     return body, content_type, keep_alive
+
+
+def _receive(sock: socket.socket) -> tuple[bytearray, str, bool]:
+    """One :func:`_response` off a blocking socket."""
+    reading = _response()
+    try:
+        buffer = next(reading)
+        while True:
+            buffer = reading.send(sock.recv_into(buffer))
+    except StopIteration as done:
+        return done.value
+
+
+async def _receive_async(sock: socket.socket) -> tuple[bytearray, str, bool]:
+    """One :func:`_response` off a non-blocking socket, on the running loop."""
+    loop, reading = asyncio.get_running_loop(), _response()
+    try:
+        buffer = next(reading)
+        while True:
+            buffer = reading.send(await loop.sock_recv_into(sock, buffer))
+    except StopIteration as done:
+        return done.value
+
+
+def _idle_connection(idle: list) -> tuple[socket.socket, NameDictionary] | None:
+    """Pop an idle connection the server has not closed, left non-blocking.
+
+    A non-blocking peek tells them apart: an open idle connection has
+    nothing to read, one at EOF (the server closed it) or holding stray
+    bytes is closed and the next one tried.
+    """
+    while idle:
+        try:
+            connection = idle.pop()
+        except IndexError:  # another thread took the last one
+            break
+        sock = connection[0]
+        sock.setblocking(False)
+        try:
+            sock.recv(1, socket.MSG_PEEK)
+        except BlockingIOError:
+            return connection
+        except OSError:
+            pass
+        sock.close()
+    return None
 
 
 class Client:
@@ -277,21 +326,10 @@ class Client:
 
     def _checkout(self) -> tuple[socket.socket, NameDictionary]:
         """An idle connection the server has not closed, or a new one."""
-        while self._idle:
-            try:
-                connection = self._idle.pop()
-            except IndexError:  # another thread took the last one
-                break
-            sock = connection[0]
-            sock.setblocking(False)
-            try:  # an open idle connection has nothing to read
-                sock.recv(1, socket.MSG_PEEK)
-            except BlockingIOError:
-                sock.settimeout(self.timeout)
-                return connection
-            except OSError:
-                pass
-            sock.close()  # at EOF (the server closed it), or stray bytes
+        connection = _idle_connection(self._idle)
+        if connection is not None:
+            connection[0].settimeout(self.timeout)
+            return connection
         sock = socket.create_connection((self.host, self.port), self.timeout)
         return sock, NameDictionary()
 
@@ -335,9 +373,12 @@ class Client:
 
 
 class AsyncClient(Client):
-    """Asyncio client: every :class:`Client` call, as an awaitable, over
-    asyncio streams.  A pooled connection serves only the event loop
-    that opened it."""
+    """Asyncio client: every :class:`Client` call, as an awaitable.
+
+    It pools the same ``(socket, names)`` connections, kept
+    non-blocking and driven through the running loop's ``sock_*``
+    calls, so a pooled connection serves whichever loop pops it next.
+    """
 
     async def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         request = encode_request(method, path, body, self.host, self.port)
@@ -345,53 +386,39 @@ class AsyncClient(Client):
         try:
             async with asyncio.timeout(self.timeout):
                 connection = await self._checkout()
-                _, reader, writer, names = connection
-                writer.write(request)
-                await writer.drain()
-                head = await reader.readuntil(b"\r\n\r\n")
-                length, content_type, keep_alive = parse_head(head)
-                raw = await reader.readexactly(length)
+                sock, names = connection
+                await asyncio.get_running_loop().sock_sendall(sock, request)
+                raw, content_type, keep_alive = await _receive_async(sock)
             payload = decode_payload(raw, content_type, names)
             reusable = keep_alive
-        except (OSError, EOFError, asyncio.LimitOverrunError) as error:
+        except OSError as error:
             raise self._failed(path, error) from error
         finally:
             if reusable:
                 self._idle.append(connection)
             elif connection is not None:
-                connection[2].close()
+                connection[0].close()
         return check_payload(payload)
 
-    async def _checkout(self) -> tuple:
-        """``(loop, reader, writer, names)``: an idle connection of this
-        loop the server has not closed, or a new one."""
-        loop = asyncio.get_running_loop()
-        while self._idle:
-            connection = self._idle.pop()
-            if connection[0] is loop and not connection[1].at_eof():
-                return connection
-            _shut(connection)
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        return loop, reader, writer, NameDictionary()
+    async def _checkout(self) -> tuple[socket.socket, NameDictionary]:
+        """An idle connection the server has not closed, or a new one."""
+        connection = _idle_connection(self._idle)
+        if connection is not None:
+            return connection
+        # The front door listens on IPv4 (socket.create_server's default);
+        # sock_connect resolves a host name itself.
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(sock, (self.host, self.port))
+        except BaseException:
+            sock.close()
+            raise
+        return sock, NameDictionary()
 
     async def _call(self, method: str, path: str, body: dict | None, decode):
         return decode(await self._request(method, path, body))
 
     async def close(self) -> None:
-        """Close every idle connection, whichever loop opened it."""
-        while self._idle:
-            _shut(self._idle.pop())
-
-
-def _shut(connection: tuple) -> None:
-    """Close a pooled connection from any loop: its own loop closes it
-    there; once that loop has stopped, only a shutdown of the socket
-    can still tell the server the connection is done."""
-    owner, _, writer, _ = connection
-    if owner is asyncio.get_running_loop():
-        writer.close()
-    elif owner.is_running():
-        owner.call_soon_threadsafe(writer.close)
-    else:
-        with contextlib.suppress(OSError):  # the peer is gone already
-            writer.get_extra_info("socket").shutdown(socket.SHUT_RDWR)
+        """Close the idle connections; a later call dials a new one."""
+        super().close()

@@ -1,6 +1,6 @@
 """Query planning and execution over the k-path index."""
 
-from repro.engine.executor import ExecutionReport, evaluate_ast, evaluate_normal_form
+from repro.engine.executor import ExecutionReport, evaluate_ast
 from repro.engine.plan import (
     IdentityPlan,
     IndexScanPlan,
@@ -23,6 +23,5 @@ __all__ = [
     "Strategy",
     "UnionPlan",
     "evaluate_ast",
-    "evaluate_normal_form",
     "render",
 ]

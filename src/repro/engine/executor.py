@@ -1,9 +1,10 @@
 """Query execution: rewrite, plan, run — plus the hybrid fallback.
 
-:func:`evaluate_normal_form` is the paper's path: normal form → plan →
-physical operators → answer set.
+The paper's path is :func:`prepare_ast` (normal form → plan) then
+:func:`execute_prepared` (physical operators → answer set);
+:func:`evaluate_ast` runs the two.
 
-:func:`evaluate_ast` adds a pragmatic layer the demo system needs for
+:func:`execute_prepared` adds a pragmatic layer the demo system needs for
 *unbounded* recursion: expanding ``R{0,n(G)}`` into ``n(G)+1`` powers is
 correct but explodes for large graphs, so when a (sub)expression's
 expansion would exceed the disjunct budget, evaluation falls back to
@@ -53,8 +54,9 @@ from repro.engine.operators import (
     execute_scattered,
     scattered_parts,
 )
+from repro.engine.plan import PlanNode
 from repro.engine.planner import Planner, Strategy
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, LabelPath
 from repro.graph.stats import star_bound
 from repro.indexes.pathindex import PathIndex
 from repro.relation import Relation
@@ -117,42 +119,6 @@ class ExecutionReport:
         return self.planning_seconds + self.execution_seconds
 
 
-def evaluate_normal_form(
-    normal_form,
-    index: PathIndex,
-    graph: Graph,
-    statistics,
-    strategy: Strategy,
-    memo: ScanMemo | None = None,
-    deadline=None,
-) -> ExecutionReport:
-    """Plan and execute a query already in normal form.
-
-    ``memo`` shares a scan memo with an enclosing execution (the hybrid
-    fallback passes its own so disjuncts of *different* bounded subtrees
-    still share scans); by default each call gets a fresh one.
-    ``deadline`` bounds the execution phase cooperatively.
-    """
-    if memo is None:
-        memo = ScanMemo()
-    planner = Planner(index.k, statistics, graph, strategy)
-    started = time.perf_counter()
-    costed = planner.plan(normal_form)
-    planned = time.perf_counter()
-    pairs = execute(costed.plan, index, graph, memo, deadline)
-    finished = time.perf_counter()
-    return ExecutionReport(
-        strategy=strategy,
-        plan=costed,
-        relation=pairs,
-        planning_seconds=planned - started,
-        execution_seconds=finished - planned,
-        used_fallback=False,
-        scan_memo_hits=memo.hits,
-        scan_memo_misses=memo.misses,
-    )
-
-
 def evaluate_ast(
     node: Node,
     index: PathIndex,
@@ -180,9 +146,8 @@ class PreparedQuery:
     """One query planned up front, awaiting execution.
 
     :meth:`repro.api.GraphDatabase.query_batch` plans every query in
-    the batch first (cheap, sequential) and only fans the *execution*
-    out over worker threads, all sharing one
-    :class:`~repro.engine.operators.ScanMemo`.  ``costed`` is ``None``
+    the batch first and executes each on the calling thread, all
+    sharing one :class:`~repro.engine.operators.ScanMemo`.  ``costed`` is ``None``
     when normalization blew the disjunct budget — execution then takes
     the hybrid fallback.
     """
@@ -217,18 +182,6 @@ def prepare_ast(
     )
 
 
-def _scatters(index) -> bool:
-    """The engine's one selection: scatter-gather, or the plain executor.
-
-    More than one shard runs :func:`execute_scattered` /
-    :func:`scattered_parts` under a :class:`ScatterPolicy`.  One shard
-    runs :func:`execute` over the index facade: there is nothing to
-    prune or gather, and a facade ``scan_swapped`` is the zero-copy
-    inverse-path scan where a shard slice has to re-sort.
-    """
-    return index.shard_count > 1
-
-
 def execute_prepared(
     prepared: PreparedQuery,
     index: PathIndex,
@@ -244,75 +197,47 @@ def execute_prepared(
     query ran.
 
     ``context`` carries the execution's resilience settings (deadline,
-    degraded mode, retry policy).  A deadline that fires gets this
-    execution's partial :class:`ScatterCounters` attached to the
-    :class:`QueryTimeoutError` — the caller sees how far the scatter
-    got before time ran out.
+    degraded mode, retry policy).  A deadline that fires during a
+    scattered execution gets its partial :class:`ScatterCounters`
+    attached to the :class:`QueryTimeoutError` — the caller sees how far
+    the scatter got before time ran out.
 
     ``source`` anchors the execution: the answer is the pairs starting
     at that node id.  The plan is the unanchored one — an anchor is an
     execution-time pin, so every anchor value shares a plan.
     """
-    sharded = _scatters(index)
     if memo is None:
         memo = ScanMemo()
-    counters = ScatterCounters() if sharded else None
-    deadline = context.deadline if context is not None else None
+    execution = _Execution(prepared, index, graph, statistics, memo, context)
+    counters = execution.counters
     hits_before, misses_before = memo.hits, memo.misses
     started = time.perf_counter()
     try:
         if prepared.costed is not None:
-            if sharded:
-                relation = execute_scattered(
-                    prepared.costed.plan,
-                    index,
-                    graph,
-                    memo,
-                    policy=ScatterPolicy(index, counters),
-                    context=context,
-                    source=source,
-                )
-            else:
-                relation = execute(
-                    prepared.costed.plan, index, graph, memo, deadline, source=source
-                )
-            used_fallback = False
+            relation = execution.run(prepared.costed.plan, source)
         else:
-            relation = _hybrid(
-                push_inverse(prepared.node),
-                index,
-                graph,
-                statistics,
-                prepared.strategy,
-                prepared.max_disjuncts,
-                memo,
-                counters,
-                context,
-                refused=True,
-            )
+            relation = execution.hybrid(push_inverse(prepared.node), refused=True)
             if source is not None:
                 relation = rel.restrict_src(relation, source)
-            used_fallback = True
     except QueryTimeoutError as error:
-        if error.counters is None:
+        if error.counters is None and execution.policy is not None:
             error.counters = counters
         raise
     finished = time.perf_counter()
-    failed = counters.failed if counters else 0
     return ExecutionReport(
         strategy=prepared.strategy,
         plan=prepared.costed,
         relation=relation,
         planning_seconds=prepared.planning_seconds,
         execution_seconds=finished - started,
-        used_fallback=used_fallback,
+        used_fallback=prepared.costed is None,
         scan_memo_hits=memo.hits - hits_before,
         scan_memo_misses=memo.misses - misses_before,
-        shards_scanned=counters.scanned if counters else 0,
-        shards_pruned=counters.pruned if counters else 0,
-        disjuncts_pruned=counters.disjuncts_pruned if counters else 0,
-        shards_failed=failed,
-        partial=failed > 0,
+        shards_scanned=counters.scanned,
+        shards_pruned=counters.pruned,
+        disjuncts_pruned=counters.disjuncts_pruned,
+        shards_failed=counters.failed,
+        partial=counters.failed > 0,
     )
 
 
@@ -328,8 +253,9 @@ def planned_operands(
 ):
     """The bounded operands of a refused ``node``, each with its normal form.
 
-    The walk :func:`_hybrid` makes: an operand the rewriter accepts is
-    planned through the index, one it refuses is descended into.
+    The walk :meth:`_Execution.hybrid` makes: an operand the rewriter
+    accepts is planned through the index, one it refuses is descended
+    into.
     """
     for operand in node.children():
         normal_form = _try_normalize(operand, graph, max_disjuncts)
@@ -339,120 +265,166 @@ def planned_operands(
             yield from planned_operands(operand, graph, max_disjuncts)
 
 
-def _hybrid(
-    node: Node,
-    index: PathIndex,
-    graph: Graph,
-    statistics,
-    strategy: Strategy,
-    max_disjuncts: int,
-    memo: ScanMemo | None = None,
-    counters: ScatterCounters | None = None,
-    context: RunContext | None = None,
-    refused: bool = False,
-) -> Relation:
-    """Structural evaluation with planner acceleration on bounded parts.
+class _Execution:
+    """One execution of a prepared query: what every step of it shares.
 
-    Recursion (``Star`` / open ``Repeat``) is closed with the
-    condensation-based CSR engine (:mod:`repro.csr`, reached through
-    :func:`repro.relation.transitive_fixpoint`); every intermediate is
-    an array-backed :class:`~repro.relation.Relation`.  One
-    :class:`ScanMemo` spans the whole traversal: repeated AST subtrees
-    (the normalized ``(a|b)*`` shape repeats its base under every
-    disjunct) and repeated plan subtrees inside bounded parts are each
-    evaluated once.  ``counters`` likewise spans the traversal,
-    summing the scatter decisions of every bounded subtree; ``context``
-    threads the deadline into every structural step and closure loop.
-    ``refused`` is set by a caller that has already seen the rewriter
-    refuse ``node`` itself, so only its operands are offered to the
-    planner.
+    Built once by :func:`execute_prepared`.  ``policy`` is the engine's
+    one selection: more than one shard runs every plan through
+    :func:`execute_scattered` (and a closure operand through
+    :func:`scattered_parts`) under a :class:`ScatterPolicy`; one shard
+    runs :func:`execute` over the index facade, where there is nothing
+    to prune or gather and a facade ``scan_swapped`` is the zero-copy
+    inverse-path scan a shard slice has to re-sort.  ``counters`` sums
+    the scatter decisions of every plan the execution runs (all zero at
+    one shard).
     """
-    if memo is None:
-        memo = ScanMemo()
-    if context is not None and context.deadline is not None:
-        context.deadline.check()
-    cached = memo.lookup_ast(node)
-    if cached is not None:
-        return cached
-    rest = (index, graph, statistics, strategy, max_disjuncts, memo, counters, context)
-    result = None if refused else _planned(node, *rest)
-    if result is None:
-        result = _structural(node, *rest)
-    memo.store_ast(node, result)
-    return result
 
+    def __init__(
+        self,
+        prepared: PreparedQuery,
+        index: PathIndex,
+        graph: Graph,
+        statistics,
+        memo: ScanMemo,
+        context: RunContext | None,
+    ) -> None:
+        self.index = index
+        self.graph = graph
+        self.statistics = statistics
+        self.strategy = prepared.strategy
+        self.max_disjuncts = prepared.max_disjuncts
+        self.memo = memo
+        self.context = context
+        self.deadline = context.deadline if context is not None else None
+        self.counters = ScatterCounters()
+        self.policy = (
+            ScatterPolicy(index, self.counters) if index.shard_count > 1 else None
+        )
 
-def _planned(
-    node: Node,
-    index: PathIndex,
-    graph: Graph,
-    statistics,
-    strategy: Strategy,
-    max_disjuncts: int,
-    memo: ScanMemo,
-    counters: ScatterCounters | None,
-    context: RunContext | None,
-) -> Relation | None:
-    """``node`` through the planner and the index, or ``None`` if it is refused."""
-    normal_form = _try_normalize(node, graph, max_disjuncts)
-    if normal_form is None:
-        return None
-    if _scatters(index):
+    def run(self, plan: PlanNode, source: int | None = None) -> Relation:
+        """The answer of ``plan``, scattered over the shards or not."""
+        if self.policy is None:
+            return execute(
+                plan, self.index, self.graph, self.memo, self.deadline, source=source
+            )
         return execute_scattered(
-            Planner(index.k, statistics, graph, strategy).plan(normal_form).plan,
-            index,
-            graph,
-            memo,
-            policy=ScatterPolicy(index, counters),
-            context=context,
+            plan,
+            self.index,
+            self.graph,
+            self.memo,
+            policy=self.policy,
+            context=self.context,
+            source=source,
         )
-    deadline = context.deadline if context is not None else None
-    report = evaluate_normal_form(
-        normal_form, index, graph, statistics, strategy, memo, deadline
-    )
-    return report.relation
 
+    def plan(self, normal_form) -> PlanNode:
+        planner = Planner(self.index.k, self.statistics, self.graph, self.strategy)
+        return planner.plan(normal_form).plan
 
-def _structural(
-    node: Node,
-    index: PathIndex,
-    graph: Graph,
-    statistics,
-    strategy: Strategy,
-    max_disjuncts: int,
-    memo: ScanMemo,
-    counters: ScatterCounters | None,
-    context: RunContext | None,
-) -> Relation:
-    """One step of structural recursion; operands go back through :func:`_hybrid`."""
-    rest = (index, graph, statistics, strategy, max_disjuncts, memo, counters, context)
-    deadline = context.deadline if context is not None else None
-    if isinstance(node, Epsilon):
-        return rel.identity(graph.node_ids())
-    if isinstance(node, Label):
-        return index.scan(_single_step_path(node))
-    if isinstance(node, Inverse):
-        return _hybrid(push_inverse(node), *rest)
-    if isinstance(node, Concat):
-        result = _hybrid(node.parts[0], *rest)
-        for part in node.parts[1:]:
-            if not result:
-                return Relation.empty()
-            if _folds(part, graph, max_disjuncts):
-                result = _closure(part, *rest, left=result)
-            else:
-                result = rel.compose(result, _hybrid(part, *rest))
+    def hybrid(self, node: Node, refused: bool = False) -> Relation:
+        """Structural evaluation with planner acceleration on bounded parts.
+
+        ``node`` goes through the planner and the index if the rewriter
+        accepts it, else one step of :meth:`structural` recursion whose
+        operands come back here.  Every intermediate is an array-backed
+        :class:`~repro.relation.Relation`.  The memo spans the whole
+        traversal: repeated AST subtrees (the normalized ``(a|b)*`` shape
+        repeats its base under every disjunct) and repeated plan
+        subtrees inside bounded parts are each evaluated once.
+        ``refused`` is set by a caller that has already seen the
+        rewriter refuse ``node`` itself, so only its operands are
+        offered to the planner.
+        """
+        if self.deadline is not None:
+            self.deadline.check()
+        cached = self.memo.lookup(node)
+        if cached is not None:
+            return cached
+        normal_form = (
+            None if refused else _try_normalize(node, self.graph, self.max_disjuncts)
+        )
+        if normal_form is None:
+            result = self.structural(node)
+        else:
+            result = self.run(self.plan(normal_form))
+        self.memo.store(node, result)
         return result
-    if isinstance(node, Union):
-        return rel.union(_hybrid(part, *rest) for part in node.parts)
-    if _closure_low(node) is not None:
-        return _closure(node, *rest)
-    if isinstance(node, Repeat):
-        base = _hybrid(node.child, *rest)
-        return rel.bounded_powers(
-            graph.node_ids(), base, node.low, node.high, deadline=deadline
+
+    def structural(self, node: Node) -> Relation:
+        """One step of structural recursion; operands go back through :meth:`hybrid`."""
+        graph = self.graph
+        if isinstance(node, Epsilon):
+            return rel.identity(graph.node_ids())
+        if isinstance(node, Label):
+            return self.index.scan(LabelPath((node.step,)))
+        if isinstance(node, Inverse):
+            return self.hybrid(push_inverse(node))
+        if isinstance(node, Concat):
+            result = self.hybrid(node.parts[0])
+            for part in node.parts[1:]:
+                if not result:
+                    return Relation.empty()
+                if _folds(part, graph, self.max_disjuncts):
+                    result = self.closure(part, left=result)
+                else:
+                    result = rel.compose(result, self.hybrid(part))
+            return result
+        if isinstance(node, Union):
+            return rel.union(self.hybrid(part) for part in node.parts)
+        if _closure_low(node) is not None:
+            return self.closure(node)
+        if isinstance(node, Repeat):
+            base = self.hybrid(node.child)
+            return rel.bounded_powers(
+                graph.node_ids(), base, node.low, node.high, deadline=self.deadline
+            )
+        raise RewriteError(f"unknown AST node {type(node).__name__}")
+
+    def closure(self, node: Node, left: Relation | None = None) -> Relation:
+        """``left / node`` (``node`` alone without ``left``) for an unbounded closure.
+
+        Closed by :func:`repro.csr.partitioned_closure`.  The operand is
+        condensed once per execution: its :class:`repro.csr.Reach` stays
+        in the memo (``memo.closures``), and a later closure over the
+        same operand — ``a/b* | c/b*``, or ``b{2,}`` next to ``b*`` —
+        neither evaluates the operand again nor condenses it, but closes
+        from the kept reach with its own ``low`` and ``left``.
+        """
+        reach = self.memo.closures.get(node.child)
+        if reach is None:
+            reach = self.memo.closures[node.child] = csr.Reach()
+        parts = () if reach.filled else self.closure_parts(node.child)
+        return csr.partitioned_closure(
+            self.graph.node_ids(),
+            parts,
+            low=_closure_low(node),
+            deadline=self.deadline,
+            left=left,
+            reach=reach,
         )
-    raise RewriteError(f"unknown AST node {type(node).__name__}")
+
+    def closure_parts(self, operand: Node) -> list[Relation]:
+        """The operand of a Kleene closure, as per-shard slices when possible.
+
+        A scattering execution evaluates a bounded closure operand once
+        per shard (the gather is subsumed by the closure's own merge);
+        the closure itself always runs globally, because recursive paths
+        hop shards freely.  Pruned shards simply contribute no slice.
+        One shard — and any operand the planner cannot bound — keeps the
+        single-relation path, memoized under the operand's AST node.
+        """
+        if self.policy is not None:
+            normal_form = _try_normalize(operand, self.graph, self.max_disjuncts)
+            if normal_form is not None:
+                return scattered_parts(
+                    self.plan(normal_form),
+                    self.index,
+                    self.graph,
+                    self.memo,
+                    policy=self.policy,
+                    context=self.context,
+                )
+        return [self.hybrid(operand)]
 
 
 def _closure_low(node: Node) -> int | None:
@@ -472,91 +444,3 @@ def _folds(part: Node, graph: Graph, max_disjuncts: int) -> bool:
         _closure_low(part) is not None
         and _try_normalize(part, graph, max_disjuncts) is None
     )
-
-
-def _closure(
-    node: Node,
-    index: PathIndex,
-    graph: Graph,
-    statistics,
-    strategy: Strategy,
-    max_disjuncts: int,
-    memo: ScanMemo,
-    counters: ScatterCounters | None,
-    context: RunContext | None,
-    left: Relation | None = None,
-) -> Relation:
-    """``left / node`` (``node`` alone without ``left``) for an unbounded closure.
-
-    The operand is condensed once per execution: its :class:`repro.csr.Reach`
-    stays in the memo (``memo.closures``), and a later closure over the
-    same operand — ``a/b* | c/b*``, or ``b{2,}`` next to ``b*`` — neither
-    evaluates the operand again nor condenses it, but closes from the
-    kept reach with its own ``low`` and ``left``.
-    """
-    reach = memo.closures.get(node.child)
-    if reach is None:
-        reach = memo.closures[node.child] = csr.Reach()
-    rest = (index, graph, statistics, strategy, max_disjuncts, memo, counters, context)
-    parts = () if reach.filled else _closure_base_parts(node.child, *rest)
-    return csr.partitioned_closure(
-        graph.node_ids(),
-        parts,
-        low=_closure_low(node),
-        deadline=context.deadline if context is not None else None,
-        left=left,
-        reach=reach,
-    )
-
-
-def _closure_base_parts(
-    node: Node,
-    index: PathIndex,
-    graph: Graph,
-    statistics,
-    strategy: Strategy,
-    max_disjuncts: int,
-    memo: ScanMemo,
-    counters: ScatterCounters | None,
-    context: RunContext | None = None,
-) -> list[Relation]:
-    """The operand of a Kleene closure, as per-shard slices when possible.
-
-    Scattering engines evaluate a bounded closure operand once per shard
-    (the gather is subsumed by the closure's own merge —
-    :func:`repro.csr.partitioned_closure`); the closure itself always
-    runs globally, because recursive paths hop shards freely.  Pruned
-    shards simply contribute no slice.  One shard — and any operand the
-    planner cannot bound — keeps the single-relation path, memoized
-    under the operand's AST node.
-    """
-    if _scatters(index):
-        normal_form = _try_normalize(node, graph, max_disjuncts)
-        if normal_form is not None:
-            return scattered_parts(
-                Planner(index.k, statistics, graph, strategy).plan(normal_form).plan,
-                index,
-                graph,
-                memo,
-                policy=ScatterPolicy(index, counters),
-                context=context,
-            )
-    return [
-        _hybrid(
-            node,
-            index,
-            graph,
-            statistics,
-            strategy,
-            max_disjuncts,
-            memo,
-            counters,
-            context,
-        )
-    ]
-
-
-def _single_step_path(node: Label):
-    from repro.graph.graph import LabelPath
-
-    return LabelPath((node.step,))

@@ -84,11 +84,14 @@ def hash_join(left, right) -> Relation:
 class ScanMemo:
     """Per-execution memo over plan subtrees (and hybrid AST subtrees).
 
-    ``plans`` maps each executed :class:`PlanNode` to its result
-    relation; ``asts`` does the same for AST nodes the hybrid fallback
-    evaluates structurally, and ``closures`` maps each operand the
-    fallback closes to the :class:`repro.csr.Reach` its closures share.
-    Stored relations are *frozen*
+    ``table`` maps each executed :class:`PlanNode` — or ``(plan, shard,
+    source)`` tuple, for a pinned run (a shard slice, an anchored read)
+    — and each AST node the hybrid fallback evaluates structurally to
+    its result relation.  Plan nodes, pinned tuples and AST nodes are
+    immutable value objects of distinct types, so no two kinds of key
+    compare equal and one table holds them all.  ``closures`` maps each
+    operand the fallback closes to the :class:`repro.csr.Reach` its
+    closures share.  Stored relations are *frozen*
     (:meth:`repro.relation.Relation.freeze`): a memoized result is
     handed to every consumer without copying, and every hit re-asserts
     the frozen invariant so a mutated shared relation fails loudly.
@@ -103,51 +106,31 @@ class ScanMemo:
     so nothing here is synchronized.
     """
 
-    __slots__ = ("plans", "asts", "closures", "hits", "misses")
+    __slots__ = ("table", "closures", "hits", "misses")
 
     def __init__(self) -> None:
-        # Keys are PlanNodes for global executions and (PlanNode, shard,
-        # source) tuples for pinned ones (a shard slice, an anchored
-        # read); both are immutable hashable value objects.
-        self.plans: dict = {}
-        self.asts: dict = {}
+        self.table: dict = {}
         self.closures: dict = {}
         self.hits = 0
         self.misses = 0
 
-    # -- plan subtrees ---------------------------------------------------
-
-    def lookup_plan(self, plan: PlanNode) -> Relation | None:
-        """The memoized result of ``plan``, counting the hit/miss."""
-        cached = self.plans.get(plan)
+    def lookup(self, key) -> Relation | None:
+        """The memoized result under ``key``, counting the hit/miss."""
+        cached = self.table.get(key)
         if cached is not None:
             self.hits += 1
             return cached.check_frozen()
         self.misses += 1
         return None
 
-    def store_plan(self, plan: PlanNode, result: Relation) -> Relation:
-        self.plans[plan] = result.freeze()
-        return result
-
-    # -- hybrid AST subtrees ----------------------------------------------
-
-    def lookup_ast(self, node) -> Relation | None:
-        cached = self.asts.get(node)
-        if cached is not None:
-            self.hits += 1
-            return cached.check_frozen()
-        self.misses += 1
-        return None
-
-    def store_ast(self, node, result: Relation) -> Relation:
-        self.asts[node] = result.freeze()
+    def store(self, key, result: Relation) -> Relation:
+        self.table[key] = result.freeze()
         return result
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}"
-            f"(entries={len(self.plans) + len(self.asts)}, "
+            f"(entries={len(self.table)}, "
             f"hits={self.hits}, misses={self.misses})"
         )
 
@@ -193,12 +176,12 @@ def execute(
         deadline.check()
     key = plan if shard is None and source is None else (plan, shard, source)
     if memo is not None:
-        cached = memo.lookup_plan(key)
+        cached = memo.lookup(key)
         if cached is not None:
             return cached
     result = _run(plan, index, graph, memo, deadline, shard, source)
     if memo is not None:
-        memo.store_plan(key, result)
+        memo.store(key, result)
     return result
 
 

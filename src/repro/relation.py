@@ -19,10 +19,11 @@ this module replaces that with a single *columnar* representation:
   keys (cheap int hashing, no tuple allocation) and exploit tracked
   sort orders instead of re-sorting.
 * columnar recursion — :func:`transitive_fixpoint` and
-  :func:`bounded_powers` — the names the executor's hybrid fallback
-  calls; both run the one Kleene closure engine, strongly connected
-  component condensation over a compressed-sparse-row adjacency
-  (:mod:`repro.csr`).
+  :func:`bounded_powers` — both run the one Kleene closure engine,
+  strongly connected component condensation over a compressed-sparse-row
+  adjacency (:mod:`repro.csr`).  The executor's hybrid fallback calls
+  :func:`bounded_powers` here and closes unbounded recursion with
+  :func:`repro.csr.partitioned_closure` directly.
 
 Representation contract
 -----------------------
@@ -706,8 +707,10 @@ def _from_packed_unordered(keys: set[int]) -> Relation:
 # -- recursion -----------------------------------------------------------------
 #
 # One Kleene closure: both kernels are the condensation-based CSR engine
-# (:mod:`repro.csr`).  They keep their names here because the executor
-# calls them through this module.
+# (:mod:`repro.csr`).  The executor calls bounded_powers through this
+# module and closes unbounded recursion with csr.partitioned_closure;
+# transitive_fixpoint is the closure alone, kept for the tests, the
+# closure ablation benchmark and the end-to-end tracer, which name it.
 
 
 def transitive_fixpoint(

@@ -41,7 +41,7 @@ def rule_ids(findings) -> list[str]:
 class TestFramework:
     def test_every_rule_has_id_and_description(self):
         rules = default_rules()
-        assert len(rules) == 7
+        assert len(rules) == 8
         for rule in rules:
             assert rule.id and rule.description
 
@@ -409,6 +409,43 @@ class TestOneSchedule:
             from concurrent.futures import ThreadPoolExecutor
         """
         assert findings_for(source, "benchmarks/bench_service.py") == []
+
+
+class TestOneIndex:
+    def test_isinstance_on_the_index_type_fires(self):
+        source = """
+            from repro import sharding
+            from repro.indexes.pathindex import PathIndex
+
+            def scatters(index):
+                return isinstance(index, sharding.ShardedGraph)
+
+            def facade(index):
+                return isinstance(index, (dict, PathIndex))
+        """
+        findings = findings_for(source, "src/repro/engine/executor.py")
+        assert rule_ids(findings) == ["one-index"] * 2
+        assert [found.symbol for found in findings] == ["scatters", "facade"]
+
+    def test_selecting_on_shard_count_is_clean(self):
+        source = """
+            from repro.sharding import RpcShardedGraph, ShardedGraph
+
+            def scatters(index):
+                return index.shard_count > 1 and not isinstance(index, RpcShardedGraph)
+
+            def build(graph):
+                return ShardedGraph.build(graph, 2, shards=3)
+        """
+        assert findings_for(source, "src/repro/engine/executor.py") == []
+
+    def test_the_defining_modules_may_test_their_own_types(self):
+        source = """
+            def absorb(self, other):
+                return isinstance(other, ShardedGraph)
+        """
+        assert findings_for(source, "src/repro/sharding.py") == []
+        assert findings_for(source, "src/repro/indexes/pathindex.py") == []
 
 
 class TestSuppression:

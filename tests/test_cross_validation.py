@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import automaton_eval
 from repro_bench import datalog_eval
@@ -22,7 +23,9 @@ from repro.indexes.histogram import EquiDepthHistogram
 from repro.indexes.pathindex import PathIndex
 from repro.indexes.statistics import ExactStatistics, UniformStatistics
 from repro.rpq.parser import parse
+from repro.rpq.rewrite import DEFAULT_MAX_DISJUNCTS
 from repro.rpq.semantics import eval_ast as reference
+from repro.sharding import ShardedGraph
 
 from tests.strategies import graphs, rpq_asts
 
@@ -37,13 +40,23 @@ def _index_answer(graph, node, strategy, statistics=None, k=2):
 
 class TestRandomized:
     @settings(max_examples=40, deadline=None)
-    @given(graphs(max_nodes=6, max_edges=12), rpq_asts(max_leaves=4))
-    def test_all_strategies_match_reference(self, graph, node):
+    @given(
+        graphs(max_nodes=6, max_edges=12),
+        rpq_asts(max_leaves=4, allow_star=True),
+        st.sampled_from(["pathindex", "sharded"]),
+        st.sampled_from([DEFAULT_MAX_DISJUNCTS, 4]),
+    )
+    def test_all_strategies_match_reference(self, graph, node, layout, budget):
+        """A budget of 4 sends most starred ASTs down the hybrid walk, and
+        three shards scatter its bounded parts and closure operands."""
         expected = reference(graph, node)
-        index = PathIndex.build(graph, k=2)
+        if layout == "sharded":
+            index = ShardedGraph.build(graph, 2, shards=3)
+        else:
+            index = PathIndex.build(graph, k=2)
         statistics = ExactStatistics.from_index(index)
         for strategy in Strategy:
-            report = evaluate_ast(node, index, graph, statistics, strategy)
+            report = evaluate_ast(node, index, graph, statistics, strategy, budget)
             assert set(report.pairs) == expected, strategy
 
     @settings(max_examples=25, deadline=None)

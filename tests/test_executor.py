@@ -12,7 +12,7 @@ from repro.config import ServiceConfig
 from repro.graph.examples import figure1_graph
 from repro.graph.generators import cycle
 from repro.engine import executor
-from repro.engine.executor import evaluate_ast, evaluate_normal_form, prepare_ast
+from repro.engine.executor import evaluate_ast, prepare_ast
 from repro.engine.planner import Strategy
 from repro.indexes.pathindex import PathIndex
 from repro.indexes.statistics import ExactStatistics
@@ -33,20 +33,15 @@ class TestNormalFormExecution:
     def test_answers_match_reference(self, setup):
         graph, index, stats = setup
         node = parse("knows/knows/worksFor")
-        normal = normalize(node, star_bound_value=8)
-        report = evaluate_normal_form(
-            normal, index, graph, stats, Strategy.MIN_SUPPORT
-        )
+        report = evaluate_ast(node, index, graph, stats, Strategy.MIN_SUPPORT)
         assert set(report.pairs) == reference_eval(graph, node)
         assert not report.used_fallback
         assert report.plan is not None
 
     def test_timings_populated(self, setup):
         graph, index, stats = setup
-        normal = normalize(parse("knows/worksFor"), star_bound_value=8)
-        report = evaluate_normal_form(
-            normal, index, graph, stats, Strategy.SEMI_NAIVE
-        )
+        node = parse("knows/worksFor")
+        report = evaluate_ast(node, index, graph, stats, Strategy.SEMI_NAIVE)
         assert report.planning_seconds >= 0.0
         assert report.execution_seconds >= 0.0
         assert report.total_seconds == pytest.approx(
@@ -169,6 +164,8 @@ class TestRefusedRoot:
 class _CountingIndex:
     """A PathIndex proxy counting how often each leaf scan really runs."""
 
+    shard_count = 1
+
     def __init__(self, inner):
         self._inner = inner
         self.scans = 0
@@ -195,10 +192,7 @@ class TestScanMemo:
         graph, index, stats = setup
         counting = _CountingIndex(index)
         node = parse("knows{1,3}")
-        normal = normalize(node, star_bound_value=8)
-        report = evaluate_normal_form(
-            normal, counting, graph, stats, Strategy.NAIVE
-        )
+        report = evaluate_ast(node, counting, graph, stats, Strategy.NAIVE)
         distinct_scans = {
             (plan.path, plan.via_inverse)
             for plan in _walk_plans(report.plan.plan)
@@ -210,10 +204,8 @@ class TestScanMemo:
 
     def test_counters_zero_without_sharing(self, setup):
         graph, index, stats = setup
-        normal = normalize(parse("knows/worksFor"), star_bound_value=8)
-        report = evaluate_normal_form(
-            normal, index, graph, stats, Strategy.SEMI_NAIVE
-        )
+        node = parse("knows/worksFor")
+        report = evaluate_ast(node, index, graph, stats, Strategy.SEMI_NAIVE)
         assert report.scan_memo_hits == 0
         assert report.scan_memo_misses > 0
 

@@ -19,14 +19,13 @@ import socket
 import struct
 import threading
 import time
-import warnings
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import GraphDatabase, QueryResult, ServiceConfig
+from repro.api import GraphDatabase, ServiceConfig
 from repro.client import AsyncClient, Client, RemoteResult, check_payload
 from repro.config import default_shard_count
 from repro.errors import (
@@ -858,16 +857,12 @@ class TestKeepAlive:
         running.call_soon_threadsafe(running.stop)
         thread.join(5)
         running.close()
-        with warnings.catch_warnings():
-            # asyncio warns when it collects a transport whose loop is
-            # closed; no public call can close such a transport.
-            warnings.simplefilter("ignore", ResourceWarning)
-            for _ in range(2):
-                asyncio.run(remote.health())
-            assert open_connections(1) == 1  # the first loop's is shut
-            asyncio.run(remote.close())
-            assert open_connections(0) == 0
-            gc.collect()
+        for _ in range(2):
+            asyncio.run(remote.health())
+        assert open_connections(1) == 1  # one connection serves both loops
+        asyncio.run(remote.close())
+        assert open_connections(0) == 0
+        gc.collect()
 
     def test_two_threads_share_one_client(self, counted):
         db, handle, accepted = counted

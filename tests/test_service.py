@@ -233,12 +233,12 @@ class TestFrozenRelations:
         memo = ScanMemo()
         plan = IdentityPlan()
         relation = Relation.from_pairs([(0, 0)], Order.BY_SRC)
-        memo.store_plan(plan, relation)
+        memo.store(plan, relation)
         assert relation.frozen
-        assert memo.lookup_plan(plan) is relation
+        assert memo.lookup(plan) is relation
         relation.src.append(7)
         with pytest.raises(ExecutionError):
-            memo.lookup_plan(plan)
+            memo.lookup(plan)
 
 
 # -- every read entry point is a reader ----------------------------------------
