@@ -24,6 +24,11 @@ given ``L`` as its left operand (the reach-bitset fold, or its own
 compose when the density rule says the fold loses) against
 **compose-after**, the closure's pairs joined with ``L`` afterwards.
 
+A third set times a closure into a right operand, ``R* / L`` on the
+same shapes (``L``, the left pairs, now follows the closure): the CSR
+kernel given ``L`` as its right operand (one pass seeded with ``L``'s
+rows) against **compose-after**, the closure's pairs joined with ``L``.
+
 Every row compares the CSR kernel with one baseline (``baseline``
 names it) and reports ``speedup = baseline_seconds / csr_seconds``.
 
@@ -33,8 +38,8 @@ Run directly to print a table and export ``BENCH_closure.json``::
     PYTHONPATH=src python benchmarks/bench_closure.py --smoke  # small sizes
 
 or under pytest (the smoke rows plus the acceptance gates: >= 3x over
-delta, and for ``L / R*`` >= 2x on the dense shape and within 10% of
-compose-after on the half-shift)::
+delta, and for each of ``L / R*`` and ``R* / L`` >= 2x on the dense
+shape and within 10% of compose-after on the half-shift)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_closure.py -q
 """
@@ -397,6 +402,46 @@ def compare_composed(
     return rows
 
 
+def compare_right(
+    specs: tuple[tuple[str, int, int], ...] = COMPOSED_FULL_SPECS,
+    repeats: int = COMPOSED_REPEATS,
+) -> list[ClosureRow]:
+    """Time ``R{low,} / L``: the kernel's right operand vs compose-after.
+
+    The shapes of :func:`compare_composed`, with the workload's left
+    pairs as the operand after the closure.
+    """
+    rows: list[ClosureRow] = []
+    for kind, nodes, low in specs:
+        right_pairs, base_pairs = composed_closure_pairs(kind, nodes)
+        right = Relation.from_pairs(right_pairs)
+        base = Relation.from_pairs(base_pairs)
+        node_ids = range(nodes)
+        after_s = csr_s = float("inf")
+        for _ in range(repeats):  # rounds alternate, so drift hits both
+            seconds, after_out = _timed(
+                lambda: rel.compose(csr.transitive_fixpoint(node_ids, base, low), right)
+            )
+            after_s = min(after_s, seconds)
+            seconds, csr_out = _timed(
+                lambda: csr.transitive_fixpoint(node_ids, base, low, right=right)
+            )
+            csr_s = min(csr_s, seconds)
+        assert csr_out.to_set() == after_out.to_set()
+        rows.append(
+            ClosureRow(
+                kind=kind,
+                operation="R*/L" if low == 0 else f"R{{{low},}}/L",
+                edges=len(base),
+                baseline="compose-after",
+                baseline_seconds=after_s,
+                csr_seconds=csr_s,
+                output_size=len(csr_out),
+            )
+        )
+    return rows
+
+
 def export_rows(
     rows: list[ClosureRow], path: str | Path = "BENCH_closure.json"
 ) -> Path:
@@ -410,13 +455,17 @@ def export_rows(
 
 def test_smoke_rows_agree_and_export(tmp_path):
     """Smoke mode: the engines agree on every small workload."""
-    rows = compare_closure(SMOKE_SPECS) + compare_composed(COMPOSED_SMOKE_SPECS)
+    rows = (
+        compare_closure(SMOKE_SPECS)
+        + compare_composed(COMPOSED_SMOKE_SPECS)
+        + compare_right(COMPOSED_SMOKE_SPECS)
+    )
     path = export_rows(rows, tmp_path / "BENCH_closure.json")
     from repro_bench.export import read_json
 
     payload = read_json(path)
     assert payload["experiment"] == "kleene-closure-ablation"
-    assert len(payload["rows"]) == 2 * len(SMOKE_SPECS) + len(COMPOSED_SMOKE_SPECS)
+    assert len(payload["rows"]) == 2 * len(SMOKE_SPECS) + 2 * len(COMPOSED_SMOKE_SPECS)
     assert all("speedup" in row for row in payload["rows"])
 
 
@@ -455,10 +504,26 @@ def test_left_operand_gates():
     )
 
 
+def test_right_operand_gates():
+    """Acceptance for ``R* / L``: the seeded pass is >= 2x compose-after
+    on the dense shape, and on the wide-sparse half-shift (rows of one or
+    two ids far out in the id space) within 10% of it."""
+    specs = {spec[0]: spec for spec in COMPOSED_FULL_SPECS}
+    dense, half_shift = compare_right((specs["dense"], specs["half_shift"]))
+    assert dense.speedup >= 2.0, (
+        f"R*/L on the dense shape only {dense.speedup:.2f}x over compose-after"
+    )
+    assert half_shift.speedup >= 1 / 1.1, (
+        f"R{{1,}}/L on the half-shift {1 / half_shift.speedup:.2f}x slower "
+        "than compose-after"
+    )
+
+
 def main() -> None:
     smoke = "--smoke" in sys.argv[1:]
     rows = compare_closure(SMOKE_SPECS if smoke else FULL_SPECS)
-    rows += compare_composed(COMPOSED_SMOKE_SPECS if smoke else COMPOSED_FULL_SPECS)
+    composed_specs = COMPOSED_SMOKE_SPECS if smoke else COMPOSED_FULL_SPECS
+    rows += compare_composed(composed_specs) + compare_right(composed_specs)
     print(
         f"{'kind':<12}{'op':<14}{'edges':>8}{'out':>10}{'baseline':>15}"
         f"{'base s':>9}{'csr s':>8}{'speedup':>9}"

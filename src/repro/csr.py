@@ -16,11 +16,20 @@ accumulator:
 * condensation — one iterative Tarjan pass closes each strongly
   connected component once, in reverse topological order, as a **reach
   bitset** (a Python big-int: union is one word-parallel ``|`` instead
-  of the delta loop's per-pair hashing) shared by all its members.
-* decode once — a reach set becomes id columns once per component, not
-  once per member: on recursive workloads nearly every source sits in
-  one giant component.  Wide sets decode through ``numpy.unpackbits``
-  when numpy is available, narrow ones through a per-byte table.
+  of the delta loop's per-pair hashing) shared by all its members.  The
+  DFS accumulates reach as it goes: each node ORs in the set of every
+  successor it finds closed, so a component closes by ORing its
+  members' accumulators — O(n + m) big-int ORs, no per-component set of
+  out-edge heads.
+* decode once, write once — a reach set becomes id columns once per
+  component, not once per member: on recursive workloads nearly every
+  source sits in one giant component.  Wide sets decode through
+  ``numpy.unpackbits`` when numpy is available, narrow ones through a
+  per-byte table, sparse ones (a few ids far out) bit by bit.  Each
+  output column is then written once at its final size — the target
+  column as the concatenation (or one repeat) of the decoded rows, the
+  source column by one ``numpy.repeat`` or broadcast — never by
+  per-source appends.
 * a left operand — :func:`transitive_fixpoint` (and
   :func:`partitioned_closure`) take ``left`` and answer the
   concatenation ``left / base{low,}`` in reach-bitset space: per source
@@ -30,9 +39,15 @@ accumulator:
   fold only where it is the cheaper side: when the join's output,
   ``Σ_{(s, t) ∈ left} popcount(reach(t))``, is at least the fold's
   ``|left| · ⌈n/64⌉`` words.  Sparse, wide reach sets (a few bits far
-  out in ``n``-bit ints) compose as pairs instead.  A :class:`Reach`
-  handed to :func:`partitioned_closure` keeps a base's CSR and reach
-  sets between calls, so one condensation serves every closure and
+  out in ``n``-bit ints) compose as pairs instead.
+* a right operand — ``right`` seeds the same pass: each node starts
+  from its row of ``right`` instead of its own bit, so a component's set
+  is the ``right``-rows of everything it reaches and the pass answers
+  ``base{low,} / right`` directly; with ``left`` too, ``left /
+  base{low,} / right`` is still one pass and one fold.  A
+  :class:`Reach` handed to :func:`partitioned_closure` keeps a base's
+  CSR (and, once a closure without ``right`` needs them, its reach
+  sets) between calls, so one compilation serves every closure and
   concatenation over that base (``low >= 2`` extends the same reach).
 * power iteration — :func:`bounded_powers` (and the ``low >= 2`` seed
   of :func:`transitive_fixpoint`) advance per-source *level sets*
@@ -52,10 +67,12 @@ tests against the independent tuple-set oracle in
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Sequence
+from struct import Struct
+from typing import Sequence
 
 from repro import relation as rel
 from repro.relation import Order, Relation
@@ -63,10 +80,21 @@ from repro.relation import Order, Relation
 _SHIFT = rel._SHIFT
 _MASK = rel._MASK
 
+#: One id as a column's bytes (``array('q')`` is native-endian int64).
+_PACK = Struct("q").pack
+#: Repeated, a zero-filled column of any length.
+_ZERO = array("q", (0,))
+
 #: Bitsets at least this many bytes wide decode through numpy
 #: (``unpackbits`` + ``flatnonzero``); narrower ones through the byte
 #: table below, which has no per-call dispatch overhead.
 _WIDE_BITSET_BYTES = 512
+
+#: Sets of one id, or of at most this many ids under one id per eight
+#: bytes of width, decode bit by bit: each step is one pass over a
+#: shrinking int, and up to about this count that beats a scan of every
+#: byte (or ``unpackbits``) at the widths measured (2k to 80k bits).
+_SPARSE_BITS = 32
 
 #: Bit positions set in each byte value — drives bitset -> id decoding.
 _BYTE_BITS = tuple(
@@ -196,15 +224,17 @@ def dense_bound(node_ids, base: Relation) -> int:
 
 
 class Reach:
-    """One base relation's closure, kept for the next closure over it.
+    """One base relation compiled for closure, kept for the next closure over it.
 
-    Empty until the first :func:`partitioned_closure` handed it fills it:
-    ``csr`` is the base in CSR form and ``bits`` each source's reach
-    bitset (paths of length >= 1, :func:`closure_bitsets`).  A later call
-    handed the same ``Reach`` starts from it, whatever its ``low`` or
-    ``left``, and reads no ``parts``: a caller that keeps one per closure
-    operand (the executor's scan memo) condenses ``b`` once for
-    ``a/b* | c/b{2,}``.
+    Empty until the first :func:`partitioned_closure` handed it fills it
+    with ``csr``, the base in CSR form.  ``bits``, each source's reach
+    bitset (paths of length >= 1, :func:`closure_bitsets`), is closed
+    from ``csr`` the first time a closure without a right operand needs
+    it; a closure with one runs its own seeded pass over ``csr``.  A
+    later call handed the same filled ``Reach`` starts from it, whatever
+    its ``low``, ``left`` or ``right``, and reads no ``parts``: a caller
+    that keeps one per closure operand (the executor's scan memo)
+    compiles ``b`` once, and condenses it once, for ``a/b* | c/b{2,}``.
     """
 
     __slots__ = ("csr", "bits")
@@ -215,67 +245,124 @@ class Reach:
 
     @property
     def filled(self) -> bool:
-        return self.bits is not None
+        return self.csr is not None
 
     def fill(self, ids, base: Relation, deadline=None) -> "Reach":
-        self.csr = CSR.from_relation(base, dense_bound(ids, base))
-        self.bits = closure_bitsets(self.csr, deadline=deadline)
+        """Compile ``base`` and close it."""
+        self.compile(ids, base)
+        self.closed(deadline)
         return self
+
+    def compile(self, ids, base: Relation) -> None:
+        self.csr = CSR.from_relation(base, dense_bound(ids, base))
+
+    def closed(self, deadline=None) -> dict[int, int]:
+        """``bits``, closing ``csr`` on first use."""
+        if self.bits is None:
+            self.bits = closure_bitsets(self.csr, deadline=deadline)
+        return self.bits
 
 
 def transitive_fixpoint(
-    node_ids, base: Relation, low: int, deadline=None, left: Relation | None = None
+    node_ids,
+    base: Relation,
+    low: int,
+    deadline=None,
+    left: Relation | None = None,
+    right: Relation | None = None,
 ) -> Relation:
-    """``left ∘ (base^low ∪ base^{low+1} ∪ ...)`` by condensation-based closure.
+    """``left ∘ (base^low ∪ base^{low+1} ∪ ...) ∘ right`` by condensation-based closure.
 
     Semantics match :func:`repro.rpq.semantics.transitive_fixpoint`:
     ``low == 0`` unions in the identity over ``node_ids``.  Without
-    ``left`` the answer is the closure itself; with one it is the
-    concatenation ``left / base{low,}``, composed from the reach bitsets
-    (see :func:`_compose_left`) rather than from the closure's pairs.
+    ``left`` and ``right`` the answer is the closure itself.  With
+    ``left`` it is the concatenation ``left / base{low,}``, composed
+    from the reach bitsets (see :func:`_compose_left`) rather than from
+    the closure's pairs; with ``right`` it is ``base{low,} / right``,
+    closed in the same pass (see :func:`closure_bitsets`); with both,
+    ``left / base{low,} / right``.
 
     ``deadline`` (a :class:`repro.faults.Deadline`) is checked
     cooperatively inside the closure, the ``low >= 2`` power rounds, the
     per-source extension and the per-source fold — the one place a
     query's running time is not bounded by the plan shape.
     """
-    ids = node_ids if isinstance(node_ids, range) else list(node_ids)
-    if left is not None and not len(left):
-        return Relation.empty()
-    return _close(ids, Reach().fill(ids, base, deadline), low, deadline, left)
+    return partitioned_closure(
+        node_ids, [base], low, deadline=deadline, left=left, right=right
+    )
 
 
-def _close(ids, reach: Reach, low: int, deadline, left: Relation | None) -> Relation:
-    """``left ∘ base^{low..}`` (the closure alone without ``left``) from
-    a filled ``reach`` of ``base``."""
-    answers = reach.bits if low <= 1 else _extended(reach, low, deadline)
+def _close(
+    ids, reach: Reach, low: int, deadline, left: Relation | None, right: Relation | None
+) -> Relation:
+    """``left ∘ base^{low..} ∘ right`` from a filled ``reach`` of ``base``
+    (either operand may be absent)."""
+    n = reach.csr.n
+    if right is None:
+        seeds = None
+        answers = reach.closed(deadline)
+    else:
+        seeds = _right_rows(right, n)
+        answers = closure_bitsets(reach.csr, deadline=deadline, seeds=seeds)
+    if low >= 2:
+        answers = _extended(reach.csr, answers, low, deadline)
     identity_ids = ids if low == 0 else None
     if left is None:
-        return _emit_bitsets(answers, identity_ids)
-    return _compose_left(left, answers, reach.csr.n, identity_ids, deadline)
+        return _emit_bitsets(answers, identity_ids, seeds)
+    if right is not None:
+        n = max(n, _relation_bound(right))
+    return _compose_left(left, answers, n, identity_ids, seeds, deadline)
 
 
-def _extended(reach: Reach, low: int, deadline=None) -> dict[int, int]:
-    """Each source's bitset of ``base^low ∪ base^{low+1} ∪ ...`` for
-    ``low >= 2``: the OR of the reach of every node ``base^{low-1}``
+def _right_rows(right: Relation, n: int) -> list[int]:
+    """Each node's row of ``right`` as a bitset, indexed by node id below
+    ``n`` (a source at or past ``n`` is outside the base and the identity,
+    so no pass reads its row).  One OR of at most ``⌈n/64⌉`` words per
+    pair, the fold's cost per left pair (:func:`_compose_left`)."""
+    rows = [0] * n
+    for source, target in zip(right.src, right.tgt):
+        if source < n:
+            row = rows[source]
+            rows[source] = row | 1 << target if row else 1 << target
+    return rows
+
+
+def _bitset(ids: list[int]) -> int:
+    """The bitset of a non-empty list of ids, built in one byte buffer:
+    ORing shifted ints would copy the growing set once per id."""
+    buffer = bytearray((max(ids) >> 3) + 1)
+    for node in ids:
+        buffer[node >> 3] |= 1 << (node & 7)
+    return int.from_bytes(buffer, "little")
+
+
+def _extended(csr: CSR, answers: dict[int, int], low: int, deadline=None) -> dict[int, int]:
+    """Each source's bitset of ``base^low ∪ base^{low+1} ∪ ...`` (then
+    through the right operand, when ``answers`` was seeded with one) for
+    ``low >= 2``: the OR of the answers of every node ``base^{low-1}``
     takes it to."""
-    answers = {}
+    extended = {}
     canonical: dict[int, int] = {}
-    for source, level in _py_power_bitsets(reach.csr, low - 1, deadline).items():
+    for source, level in _py_power_bitsets(csr, low - 1, deadline).items():
         if deadline is not None:
             deadline.check()
         total = 0
         for node in _iter_bits(level):
-            total |= reach.bits.get(node, 0)
+            total |= answers.get(node, 0)
         if total:
             # Sources with equal sets share one object, as a component's
-            # members do in ``reach``, so each set decodes once.
-            answers[source] = canonical.setdefault(total, total)
-    return answers
+            # members do in ``answers``, so each set decodes once.
+            extended[source] = canonical.setdefault(total, total)
+    return extended
 
 
 def _compose_left(
-    left: Relation, answers: dict[int, int], n: int, identity_ids, deadline=None
+    left: Relation,
+    answers: dict[int, int],
+    n: int,
+    identity_ids,
+    seeds: list[int] | None = None,
+    deadline=None,
 ) -> Relation:
     """``left ∘ closure`` where ``answers[t]`` is the closure's row of ``t``.
 
@@ -298,8 +385,10 @@ def _compose_left(
     needs anyway (a row shared by a component decodes once); the rows
     decode one by one and stop as soon as the sum reaches the fold's
     word count, so the fold wastes no more decoding than that.
-    ``identity_ids`` (``low == 0``) adds ``(t, t)`` to the row of every
-    listed target.
+    ``identity_ids`` (``low == 0``) adds the seed of every listed target
+    to its row: ``(t, t)``, or ``t``'s row of the right operand.  A
+    cyclic component's members reach their own seeds already, so their
+    rows stay one shared object.
     """
     membership = None
     if identity_ids is not None:
@@ -311,8 +400,9 @@ def _compose_left(
     for target in multiplicity:
         bits = answers.get(target, 0)
         if membership is not None and target in membership:
-            if not bits >> target & 1:
-                bits |= 1 << target  # a fresh int, decoded on its own
+            seed = 1 << target if seeds is None else seeds[target]
+            if seed & ~bits:
+                bits |= seed  # a fresh int, decoded on its own
         if bits:
             rows[target] = bits
     fold_words = len(left) * ((n + 63) >> 6)
@@ -325,13 +415,8 @@ def _compose_left(
         produced += multiplicity[target] * len(targets)
         if produced >= fold_words:
             return _fold_left(left, rows, deadline)
-    source_column = array("q")
-    target_column = array("q")
-    for target in sorted(rows):
-        targets = decoded[id(rows[target])]
-        target_column.extend(targets)
-        source_column.extend(array("q", (target,)) * len(targets))
-    closure = Relation(source_column, target_column, Order.BY_SRC)
+    sources = sorted(rows)
+    closure = _columns(sources, [decoded[id(rows[target])] for target in sources])
     return rel.compose(left, closure)
 
 
@@ -360,6 +445,7 @@ def partitioned_closure(
     deadline=None,
     left: Relation | None = None,
     reach: Reach | None = None,
+    right: Relation | None = None,
 ) -> Relation:
     """Kleene closure of a base relation scattered across shards.
 
@@ -371,21 +457,20 @@ def partitioned_closure(
     the condensation.  This is the "exactness over locality" point
     of the design: recursion is the one operator that always gathers.
 
-    ``left`` as in :func:`transitive_fixpoint`, which this is with a
-    single part.  A filled ``reach`` (a :class:`Reach` of the same
-    parts from an earlier call) is closed from as it is, and ``parts``
-    is not read; an empty one is filled here.
+    ``left`` and ``right`` as in :func:`transitive_fixpoint`, which is
+    this with a single part.  A filled ``reach`` (a :class:`Reach` of
+    the same parts from an earlier call) is closed from as it is, and
+    ``parts`` is not read; an empty one is filled here.
     """
     ids = node_ids if isinstance(node_ids, range) else list(node_ids)
-    if left is not None and not len(left):
+    if (left is not None and not len(left)) or (right is not None and not len(right)):
         return Relation.empty()
     if reach is None:
         reach = Reach()
     if not reach.filled:
         parts = [part for part in parts if len(part)]
-        base = parts[0] if len(parts) == 1 else rel.union(parts)
-        reach.fill(ids, base, deadline)
-    return _close(ids, reach, low, deadline, left)
+        reach.compile(ids, parts[0] if len(parts) == 1 else rel.union(parts))
+    return _close(ids, reach, low, deadline, left, right)
 
 
 def bounded_powers(
@@ -419,29 +504,43 @@ def _iter_bits(bits: int):
         bits ^= lowest
 
 
-def closure_bitsets(csr: CSR, deadline=None) -> dict[int, int]:
+def closure_bitsets(
+    csr: CSR, deadline=None, seeds: list[int] | None = None
+) -> dict[int, int]:
     """``reach(s)`` (targets of paths of length >= 1) for every source.
 
     One iterative Tarjan pass condenses the graph into strongly
     connected components, which close in reverse topological order: when
-    a component closes, every component it points to already has.  Its
-    reach is the OR, over its members' out-edges ``(v, t)``, of
-    ``1 << t | reach(t)``.  A cyclic component (more than one member, or
-    a self-loop) needs nothing more: each member is the target of an
-    edge inside it, so the members' own bits arrive through the same OR.
-    Every member gets that one int object — :func:`_emit_bitsets` decodes
-    it once for all of them.
+    a component closes, every component it points to already has.  Each
+    node entered keeps an accumulator: as the DFS finds a successor
+    closed — already closed when the edge is scanned, or a tree child
+    that has just closed its own component — it ORs in the successor's
+    ``1 << t | reach(t)``, precomputed at its close; a successor without
+    out-edges (a sink) adds only its own bit.  A component then closes
+    by ORing its members' accumulators (edges inside it add nothing
+    there), plus the members' own bits when it is cyclic (more than one
+    member, or a self-loop): each member is then the target of an edge
+    inside it.  Every member gets that one int object —
+    :func:`_emit_bitsets` decodes it once for all of them.
+
+    ``seeds``, a right operand's rows indexed by node
+    (:func:`_right_rows`), replaces each node's own bit: the answer is
+    then ``reach(s) / right`` — ``right``'s rows of the nodes ``s``
+    reaches — in the same pass.
 
     Nodes without successors are never entered (their reach is empty).
     The deadline is checked per DFS root and per closed component.
     """
-    offsets, targets = csr.offsets, csr.targets
+    # Lists, not arrays: their items index and iterate without boxing.
+    offsets = csr.offsets.tolist()
+    targets = csr.targets.tolist()
     n = csr.n
     closed = n + 1  # a preorder number above every real one
     number = [0] * n  # preorder number, 0 = not entered, ``closed`` = done
     lowlink = [0] * n
     slot = [0] * n  # position on ``pending`` when entered
-    reach_of = [0] * n
+    gathered = [0] * n  # what each node's closed successors reach
+    through = [0] * n  # seed(t) | reach(t) of each closed t
     reach: dict[int, int] = {}
     pending: list[int] = []
     counter = 0
@@ -454,44 +553,82 @@ def closure_bitsets(csr: CSR, deadline=None) -> dict[int, int]:
         number[root] = lowlink[root] = counter
         slot[root] = len(pending)
         pending.append(root)
-        frames = [(root, iter(targets[offsets[root] : offsets[root + 1]]))]
-        while frames:
-            node, successors = frames[-1]
+        # The DFS path: ``node`` and its successors still to scan, with
+        # every ancestor's suspended on ``path``.
+        node = root
+        successors = iter(targets[offsets[root] : offsets[root + 1]])
+        path: list = []
+        while True:
             for successor in successors:
                 seen = number[successor]
+                if seen == closed:
+                    bits = through[successor]
+                    if gathered[node]:  # an OR into 0 would copy ``bits``
+                        bits |= gathered[node]
+                    gathered[node] = bits
+                    continue
                 if not seen:
                     start, end = offsets[successor], offsets[successor + 1]
-                    if start == end:
+                    if start == end:  # a sink: closed as soon as seen
+                        number[successor] = closed
+                        through[successor] = bits = (
+                            1 << successor if seeds is None else seeds[successor]
+                        )
+                        if gathered[node]:
+                            bits |= gathered[node]
+                        gathered[node] = bits
                         continue
                     counter += 1
                     number[successor] = lowlink[successor] = counter
                     slot[successor] = len(pending)
                     pending.append(successor)
-                    frames.append((successor, iter(targets[start:end])))
+                    path.append((node, successors))
+                    node = successor
+                    successors = iter(targets[start:end])
                     break
                 if seen < lowlink[node]:
                     lowlink[node] = seen
             else:
-                frames.pop()
-                if frames:
-                    parent = frames[-1][0]
-                    if lowlink[node] < lowlink[parent]:
-                        lowlink[parent] = lowlink[node]
-                if lowlink[node] != number[node]:
+                low = lowlink[node]
+                if low != number[node]:  # not a component's root: resume the parent
+                    node, successors = path.pop()
+                    if low < lowlink[node]:
+                        lowlink[node] = low
                     continue
                 if deadline is not None:
                     deadline.check()
-                members = pending[slot[node] :]
-                del pending[slot[node] :]
-                heads = set()
-                for member in members:
-                    heads.update(targets[offsets[member] : offsets[member + 1]])
-                bits = 0
-                for head in heads:
-                    bits |= reach_of[head] | 1 << head
-                for member in members:
-                    number[member] = closed
-                    reach_of[member] = reach[member] = bits
+                first = slot[node]
+                if first == len(pending) - 1:  # a single member
+                    pending.pop()
+                    number[node] = closed
+                    bits = gathered[node]
+                    own = 1 << node if seeds is None else seeds[node]
+                    start, end = offsets[node], offsets[node + 1]
+                    if targets[bisect_left(targets, node, start, end - 1)] == node:
+                        bits |= own  # a self-loop: cyclic
+                        through[node] = reach[node] = bits
+                    else:
+                        reach[node] = bits
+                        through[node] = bits | own
+                else:
+                    members = pending[first:]
+                    del pending[first:]
+                    bits = _bitset(members) if seeds is None else 0
+                    for member in members:
+                        number[member] = closed
+                        bits |= gathered[member]
+                    if seeds is not None:
+                        for member in members:
+                            bits |= seeds[member]
+                    for member in members:
+                        through[member] = reach[member] = bits
+                if not path:
+                    break
+                bits = through[node]  # the parent finds its tree child closed
+                node, successors = path.pop()
+                if gathered[node]:
+                    bits |= gathered[node]
+                gathered[node] = bits
     return reach
 
 
@@ -549,57 +686,105 @@ def _py_bounded_powers(
     return _emit_bitsets(accumulated)
 
 
-def _emit_bitsets(answers: dict[int, int], identity_ids=None) -> Relation:
+def _emit_bitsets(
+    answers: dict[int, int], identity_ids=None, seeds: list[int] | None = None
+) -> Relation:
     """Bitsets -> a BY_SRC-sorted, duplicate-free columnar relation.
 
     Sources are emitted ascending and each bitset decodes ascending, so
     the output needs no further sort.  ``identity_ids`` additionally
-    unions in ``(n, n)`` for every listed node.
+    adds each listed node's seed to its row: ``(n, n)``, or with
+    ``seeds`` the node's row of the right operand.
 
     Sources handed the same int *object* (the members of one strongly
     connected component, see :func:`closure_bitsets`) share one
-    decoding: it is made at the first of them and dropped after the
-    last, so an all-singleton answer holds nothing extra.
+    decoding, and :func:`_columns` writes each column once.
     """
-    source_column = array("q")
-    target_column = array("q")
-    uses = Counter(map(id, answers.values()))
-    shared: dict[int, array] = {}
     if identity_ids is None:
-        sources: Iterable[int] = sorted(
-            source for source, bits in answers.items() if bits
-        )
-        membership = None
+        sources = sorted(source for source, bits in answers.items() if bits)
+        sets = [answers[source] for source in sources]
     else:
         membership = (
             identity_ids if isinstance(identity_ids, range) else set(identity_ids)
         )
-        sources = sorted(
-            {source for source, bits in answers.items() if bits} | set(membership)
-        )
-    for source in sources:
-        bits = answers.get(source, 0)
-        if membership is not None and source in membership:
-            if not bits >> source & 1:
-                bits |= 1 << source  # a fresh int, decoded on its own
-        if not bits:
-            continue
-        key = id(bits)
-        left = uses.get(key, 0)
-        if left > 1:
-            uses[key] = left - 1
-            decoded = shared.get(key)
-            if decoded is None:
-                decoded = shared[key] = _decode(bits)
+        if seeds is None:
+            seeded = membership
         else:
-            decoded = shared.pop(key, None) or _decode(bits)
-        target_column.extend(decoded)
-        source_column.extend(array("q", (source,)) * len(decoded))
+            seeded = [node for node, row in enumerate(seeds) if row and node in membership]
+        get = answers.get
+        sources, sets = [], []
+        for source in sorted(set(seeded).union(answers)):
+            bits = get(source, 0)
+            if source in membership:
+                if seeds is None:
+                    if not bits >> source & 1:
+                        bits |= 1 << source  # a fresh int, decoded on its own
+                else:
+                    seed = seeds[source]
+                    if seed & ~bits:
+                        bits |= seed  # a fresh int, decoded on its own
+            if bits:
+                sources.append(source)
+                sets.append(bits)
+    # By id: ``sets`` keeps every object alive while the ids are used.
+    distinct = {id(bits): bits for bits in sets}
+    decoded = {key: _decode(bits) for key, bits in distinct.items()}
+    return _columns(sources, [decoded[id(bits)] for bits in sets])
+
+
+def _columns(sources: list[int], rows: list[array]) -> Relation:
+    """The BY_SRC relation pairing ``sources[i]`` with each id of ``rows[i]``.
+
+    Each column is written once, at its final size: the target column is
+    the concatenation of the rows (one repeat when every source shares
+    one row, the common case of a single giant component), and the source
+    column is each source repeated by its row's length.  No column is
+    built by per-source appends.
+    """
+    if not rows:
+        return Relation.empty()
+    first = rows[0]
+    shared = rows.count(first) == len(rows)  # one row for every source
+    if shared:
+        target_column = first * len(rows)
+    else:
+        target_column = array("q")
+        target_column.frombytes(b"".join(rows))
+    numpy = _np()
+    if numpy is not None and len(rows) >= rel._VECTOR_MIN:
+        ids = numpy.array(sources, dtype=numpy.int64)
+        if shared:
+            # Written in place through a view: no temporary column.
+            source_column = _ZERO * len(target_column)
+            view = numpy.frombuffer(source_column, dtype=numpy.int64)
+            view.reshape(len(rows), len(first))[:] = ids[:, None]
+        else:
+            lengths = numpy.fromiter(map(len, rows), dtype=numpy.int64, count=len(rows))
+            source_column = array("q")
+            source_column.frombytes(numpy.repeat(ids, lengths).view(numpy.uint8))
+    else:
+        pack = _PACK
+        source_column = array("q")
+        source_column.frombytes(
+            b"".join([pack(source) * len(row) for source, row in zip(sources, rows)])
+        )
     return Relation(source_column, target_column, Order.BY_SRC)
 
 
 def _decode(bits: int) -> array:
     """The set-bit positions of a non-zero ``bits``, ascending."""
+    count = bits.bit_count()
+    if count == 1 or (count <= _SPARSE_BITS and count << 6 < bits.bit_length()):
+        # Sparse set: peel the highest bit off until none is left; each
+        # peel shrinks the int to the next set bit below.
+        ids = []
+        # repro: ignore[deadline-loop] one round per set bit, at most _SPARSE_BITS
+        while bits:
+            top = bits.bit_length() - 1
+            ids.append(top)
+            bits ^= 1 << top
+        ids.reverse()
+        return array("q", ids)
     # Skip leading zero bytes so narrow bitsets decode in O(range).
     lowest = bits & -bits
     base = ((lowest.bit_length() - 1) >> 3) << 3

@@ -16,13 +16,14 @@ hands the accumulated ``R`` to the closure as its left operand: the CSR
 kernel folds ``R`` into the reach bitsets instead of decoding the
 closure's pairs and joining them, unless its density rule finds the
 join cheaper (the join's output, ``Σ_{(s, t) ∈ R} |reach(t)|``, below
-the fold's ``|R| · ⌈n/64⌉`` words: sparse, wide reach sets).  A closure
-the rewriter accepts is planned through the index and joined, as
-:func:`planned_operands` (``db.explain``) reports.  Each closure
-operand's reach bitsets are kept in the scan memo, so ``a/b* | c/b*``
-condenses ``b`` once.  ``S*/R`` still composes the closure's pairs.
-For the bounded queries of the paper's evaluation, the fallback never
-triggers.
+the fold's ``|R| · ⌈n/64⌉`` words: sparse, wide reach sets).  The part
+after such a closure, ``S* / R``, goes to it as its right operand, which
+seeds the closure's pass, so ``L / S* / R`` is one pass and no join
+follows the closure.  A closure the rewriter accepts is planned through
+the index and joined, as :func:`planned_operands` (``db.explain``)
+reports.  Each closure operand is compiled once per execution and kept
+in the scan memo, so ``a/b* | c/b*`` condenses ``b`` once.  For the
+bounded queries of the paper's evaluation, the fallback never triggers.
 
 A ``from(v):`` anchor (``source=``) is not a second evaluator: the plan
 runs with its leftmost scan pinned to ``I(p, v)`` on the shard owning
@@ -360,15 +361,7 @@ class _Execution:
         if isinstance(node, Inverse):
             return self.hybrid(push_inverse(node))
         if isinstance(node, Concat):
-            result = self.hybrid(node.parts[0])
-            for part in node.parts[1:]:
-                if not result:
-                    return Relation.empty()
-                if _folds(part, graph, self.max_disjuncts):
-                    result = self.closure(part, left=result)
-                else:
-                    result = rel.compose(result, self.hybrid(part))
-            return result
+            return self.concatenation(node.parts)
         if isinstance(node, Union):
             return rel.union(self.hybrid(part) for part in node.parts)
         if _closure_low(node) is not None:
@@ -380,26 +373,69 @@ class _Execution:
             )
         raise RewriteError(f"unknown AST node {type(node).__name__}")
 
-    def closure(self, node: Node, left: Relation | None = None) -> Relation:
-        """``left / node`` (``node`` alone without ``left``) for an unbounded closure.
+    def concatenation(self, parts: tuple[Node, ...]) -> Relation:
+        """``parts[0] / parts[1] / ...``, folding operands into closures.
+
+        A closure the rewriter refuses (:func:`_folds`) takes the
+        concatenation before it as its left operand and the part after it
+        as its right one, so ``L / S* / R`` is one pass of the closure
+        kernel and no join composes the closure's pairs on either side.
+        A closure that opens the concatenation has no left operand; its
+        ``S* / R`` is memoized under that pair's AST, as :meth:`hybrid`
+        memoizes every subtree it evaluates.
+        """
+        folds = [_folds(part, self.graph, self.max_disjuncts) for part in parts]
+        # Each part with whether it and the part after it fold (past the
+        # last part there is nothing to hand over, read as folding).
+        steps = iter(zip(parts, folds, folds[1:] + [True]))
+        result: Relation | None = None
+        for part, folding, next_folding in steps:
+            if result is not None and not result:
+                return Relation.empty()
+            if not folding:
+                operand = self.hybrid(part)
+                result = operand if result is None else rel.compose(result, operand)
+                continue
+            right = None if next_folding else next(steps)[0]
+            if result is None and right is not None:
+                pair = Concat((part, right))
+                result = self.memo.lookup(pair)
+                if result is None:
+                    result = self.closure(part, right=right)
+                    self.memo.store(pair, result)
+            else:
+                result = self.closure(part, left=result, right=right)
+        return result
+
+    def closure(
+        self, node: Node, left: Relation | None = None, right: Node | None = None
+    ) -> Relation:
+        """``left / node / right`` for an unbounded closure ``node`` (either
+        operand may be absent; ``right`` is evaluated here, after the
+        closure's own operand).
 
         Closed by :func:`repro.csr.partitioned_closure`.  The operand is
-        condensed once per execution: its :class:`repro.csr.Reach` stays
+        compiled once per execution: its :class:`repro.csr.Reach` stays
         in the memo (``memo.closures``), and a later closure over the
         same operand — ``a/b* | c/b*``, or ``b{2,}`` next to ``b*`` —
-        neither evaluates the operand again nor condenses it, but closes
-        from the kept reach with its own ``low`` and ``left``.
+        neither evaluates the operand again nor compiles it, but closes
+        from the kept reach with its own ``low``, ``left`` and ``right``.
         """
         reach = self.memo.closures.get(node.child)
         if reach is None:
             reach = self.memo.closures[node.child] = csr.Reach()
-        parts = () if reach.filled else self.closure_parts(node.child)
+        if reach.filled:
+            parts = ()
+            self.memo.hits += 1  # the operand served from the memo
+        else:
+            parts = self.closure_parts(node.child)
         return csr.partitioned_closure(
             self.graph.node_ids(),
             parts,
             low=_closure_low(node),
             deadline=self.deadline,
             left=left,
+            right=None if right is None else self.hybrid(right),
             reach=reach,
         )
 

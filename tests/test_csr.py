@@ -20,6 +20,7 @@ from repro.graph.graph import Graph, Step
 from repro.relation import Order, Relation
 from repro.rpq.semantics import (
     bounded_powers as set_bounded_powers,
+    compose as set_compose,
     relation_power as set_relation_power,
     transitive_fixpoint as set_transitive_fixpoint,
 )
@@ -229,6 +230,140 @@ class TestCondensation:
                 csr.transitive_fixpoint(
                     range(10), base, low, deadline=_ExpiresOnCheck(nth)
                 )
+
+
+@st.composite
+def layered_pairs(draw):
+    """Pairs over ``n`` scattered ids: several cycles, self-loops, a long
+    chain and sinks, wired forward between them.
+
+    The ids are a random permutation.  The first groups of it close into
+    cycles (one strongly connected component each, a one-node group only
+    through a self-loop); the next 40 to 80 form a chain, long enough
+    that the chain alone takes the vectorized emission; the rest are
+    sinks.  Every other edge points forward in the permutation, so no
+    component merges with another, and sinks are reached but never left.
+    """
+    n = draw(st.integers(75, 100))
+    order = draw(st.permutations(range(n)))
+    position = {node: index for index, node in enumerate(order)}
+    pairs = set()
+    start = 0
+    for size in draw(st.lists(st.integers(1, 6), min_size=2, max_size=5)):
+        group = order[start : start + size]
+        start += size
+        if len(group) > 1:
+            pairs.update(zip(group, group[1:] + group[:1]))
+    chain = order[start : start + draw(st.integers(40, n - start - 2))]
+    pairs.update(zip(chain, chain[1:]))
+    loops = draw(st.sets(st.sampled_from(order[: start + len(chain)]), max_size=6))
+    pairs.update((node, node) for node in loops)
+    for a, b in draw(st.lists(_pairs_below(n), max_size=40)):
+        if position[a] < position[b]:
+            pairs.add((a, b))
+    return n, sorted(pairs)
+
+
+def _graph_of(n: int) -> Graph:
+    return _graph_with([(n - 1, n - 1)])
+
+
+@BOTH_PATHS
+class TestComponentsMatchOracle:
+    """The condensation pass against the tuple-set oracle on graphs with
+    self-loops, sinks, several components and a long chain."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(layered_pairs(), st.integers(0, 3))
+    def test_closure(self, pure_python, case, low):
+        n, pairs = case
+        graph = _graph_of(n)
+        with forced_path(pure_python):
+            result = csr.transitive_fixpoint(
+                graph.node_ids(), Relation.from_pairs(pairs), low
+            )
+        assert result.to_set() == set_transitive_fixpoint(graph, set(pairs), low)
+        assert result.pairs() == sorted(result.to_set())
+
+    @settings(max_examples=30, deadline=None)
+    @given(layered_pairs(), st.integers(0, 2), st.data())
+    def test_right_operand(self, pure_python, case, low, data):
+        n, pairs = case
+        right = sorted(data.draw(st.sets(_pairs_below(n), max_size=60)))
+        graph = _graph_of(n)
+        with forced_path(pure_python):
+            result = csr.transitive_fixpoint(
+                graph.node_ids(),
+                Relation.from_pairs(pairs),
+                low,
+                right=Relation.from_pairs(right),
+            )
+        closure = set_transitive_fixpoint(graph, set(pairs), low)
+        assert result.to_set() == set_compose(closure, set(right))
+        assert result.pairs() == sorted(result.to_set())
+
+
+def _counting_decode(monkeypatch) -> list[int]:
+    """Record each bitset :func:`repro.csr._decode` decodes."""
+    decoded = []
+    original = csr._decode
+    monkeypatch.setattr(
+        csr, "_decode", lambda bits: decoded.append(bits) or original(bits)
+    )
+    return decoded
+
+
+@BOTH_PATHS
+class TestEmission:
+    """``_emit_bitsets`` writes the columns of its rows, decoding each
+    distinct set object once wherever its sources sit."""
+
+    def _emit(self, pure_python, answers, monkeypatch, **kwargs):
+        decoded = _counting_decode(monkeypatch)
+        with forced_path(pure_python):
+            result = csr._emit_bitsets(answers, **kwargs)
+        return result, decoded
+
+    def test_equal_rows_of_non_adjacent_sources(self, pure_python, monkeypatch):
+        shared = 0b1011_0001 << 60  # one object, a wide set
+        other = 0b110
+        answers = {9: shared, 3: other, 0: shared, 5: shared, 7: other, 8: 1 << 2}
+        result, decoded = self._emit(pure_python, answers, monkeypatch)
+        expected = sorted(
+            (source, target)
+            for source, bits in answers.items()
+            for target in _decoded(bits)
+        )
+        assert list(result.src) == [source for source, _ in expected]
+        assert list(result.tgt) == [target for _, target in expected]
+        assert result.order is Order.BY_SRC
+        assert sorted(decoded) == sorted([shared, other, 1 << 2])
+
+    def test_every_source_shares_one_row(self, pure_python, monkeypatch):
+        row = sum(1 << node for node in range(0, 150, 3))
+        sources = list(range(0, 200, 2))
+        result, decoded = self._emit(
+            pure_python, {source: row for source in sources}, monkeypatch
+        )
+        targets = sorted(_decoded(row))
+        assert list(result.src) == [s for s in sources for _ in targets]
+        assert list(result.tgt) == targets * len(sources)
+        assert decoded == [row]
+
+    def test_identity_keeps_a_component_shared(self, pure_python, monkeypatch):
+        """Under ``low == 0`` a cyclic component's members already reach
+        themselves: their row stays one object, and only rows the
+        identity widens decode on their own."""
+        component = 0b0111  # 0, 1, 2 reach each other
+        answers = {0: component, 1: component, 2: component, 4: 0b1000}
+        result, decoded = self._emit(
+            pure_python, answers, monkeypatch, identity_ids=range(6)
+        )
+        assert result.to_set() == {
+            (s, t) for s in range(3) for t in range(3)
+        } | {(4, 3), (4, 4), (3, 3), (5, 5)}
+        assert decoded.count(component) == 1
+        assert len(decoded) == 4  # the component, 4's widened row, 3 and 5
 
 
 @BOTH_PATHS
@@ -449,6 +584,97 @@ class TestLeftOperand:
                     range(n), (), 1, deadline=_ExpiresOnCheck(n),
                     left=left, reach=reach,
                 )
+
+
+def _right_matches_oracle(pure_python, n, base_pairs, right_pairs, low, left_pairs=None):
+    """Run ``right=`` (and ``left=``) against the tuple-set oracle."""
+    graph = _graph_of(n)
+    left = None if left_pairs is None else Relation.from_pairs(left_pairs)
+    with forced_path(pure_python):
+        result = csr.transitive_fixpoint(
+            graph.node_ids(),
+            Relation.from_pairs(base_pairs),
+            low,
+            left=left,
+            right=Relation.from_pairs(right_pairs),
+        )
+    expected = set_compose(
+        set_transitive_fixpoint(graph, set(base_pairs), low), set(right_pairs)
+    )
+    if left_pairs is not None:
+        expected = set_compose(set(left_pairs), expected)
+    assert result.to_set() == expected
+    assert result.pairs() == sorted(expected)
+    return result
+
+
+@BOTH_PATHS
+class TestRightOperand:
+    """``transitive_fixpoint(ids, base, low, right=R)`` is ``base{low,} / R``,
+    closed in one seeded pass, against the tuple-set oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(PAIRS, PAIRS, st.integers(0, 1))
+    def test_random(self, pure_python, base, right, low):
+        _right_matches_oracle(pure_python, 12, base, right, low)
+
+    @settings(max_examples=20, deadline=None)
+    @given(PAIRS, PAIRS, st.integers(2, 3))
+    def test_random_high_low(self, pure_python, base, right, low):
+        _right_matches_oracle(pure_python, 12, base, right, low)
+
+    @pytest.mark.parametrize("low", [0, 1])
+    def test_mixed_components(self, pure_python, low):
+        right = [(0, 11), (3, 10), (5, 0), (8, 8), (9, 1), (9, 2)]
+        _right_matches_oracle(pure_python, 12, MIXED, right, low)
+
+    @pytest.mark.parametrize("low", [0, 1, 2])
+    def test_empty_right(self, pure_python, low, monkeypatch):
+        calls = []
+        monkeypatch.setattr(csr, "closure_bitsets", lambda *a, **k: calls.append(1))
+        with forced_path(pure_python):
+            result = csr.transitive_fixpoint(
+                range(12), Relation.from_pairs(MIXED), low, right=Relation.empty()
+            )
+        assert not result
+        assert not calls  # an empty right operand closes nothing
+
+    @pytest.mark.parametrize("low", [0, 1])
+    def test_rows_of_nodes_outside_the_base(self, pure_python, low):
+        """``R``-rows of nodes the base never touches (10, 11) count only
+        under ``low == 0``'s identity; a row of a node outside
+        ``node_ids`` (40) never does."""
+        right = [(10, 3), (11, 11), (40, 1), (4, 30)]
+        result = _right_matches_oracle(pure_python, 12, MIXED, right, low)
+        assert ((10, 3) in result.to_set()) == (low == 0)
+        assert not any(source == 40 for source, _ in result.pairs())
+
+    @pytest.mark.parametrize("low", [0, 1, 2])
+    def test_left_and_right(self, pure_python, low):
+        left = [(0, 6), (1, 7), (2, 3), (9, 9), (11, 4)]
+        right = [(0, 1), (3, 5), (5, 8), (9, 11), (8, 2)]
+        _right_matches_oracle(pure_python, 12, MIXED, right, low, left_pairs=left)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dense_left(), st.integers(0, 1), st.data())
+    def test_left_and_right_dense(self, pure_python, case, low, data):
+        n, left, base = case
+        right = sorted(data.draw(st.sets(_pairs_below(n), min_size=1, max_size=30)))
+        _right_matches_oracle(pure_python, n, base, right, low, left_pairs=left)
+
+    def test_a_filled_reach_is_seeded_without_closing_it(self, pure_python):
+        """A right operand closes its own seeded pass over the kept CSR:
+        the reach's plain bitsets are closed only when a closure without
+        one needs them."""
+        base = Relation.from_pairs(MIXED)
+        right = Relation.from_pairs([(3, 0), (7, 9)])
+        reach = csr.Reach()
+        with forced_path(pure_python):
+            seeded = csr.partitioned_closure(range(12), [base], 1, right=right, reach=reach)
+            assert reach.filled and reach.bits is None
+            plain = csr.partitioned_closure(range(12), (), 1, reach=reach)
+        assert reach.bits is not None
+        assert seeded.to_set() == rel.compose(plain, right).to_set()
 
 
 class TestReach:

@@ -295,6 +295,100 @@ class TestConcatenationIntoClosure:
         assert set(result.pairs) == eval_query(database.graph, text)
 
 
+class TestClosureIntoRightOperand:
+    """``S* / R`` hands ``R`` to the closure as its right operand
+    (:func:`repro.csr.partitioned_closure` with ``right=``): one seeded
+    pass, no join of the closure's pairs, unsharded and scattered, on the
+    same 90-node graph the rewriter refuses every unbounded closure on."""
+
+    @pytest.fixture(scope="class", params=[1, 3], ids=["shards1", "shards3"])
+    def database(self, request):
+        rng = random.Random(5)
+        edges = {
+            (f"n{rng.randrange(90)}", rng.choice("abc"), f"n{rng.randrange(90)}")
+            for _ in range(300)
+        }
+        config = ServiceConfig(k=2, shards=request.param)
+        return GraphDatabase.from_edges(sorted(edges), config=config)
+
+    @pytest.mark.parametrize("text", ["b*/c", "(a|b)*/c", "a/b*/c", "b{2,}/c/a"])
+    def test_matches_oracle(self, database, text, monkeypatch):
+        closures = []
+        original = csr.partitioned_closure
+        monkeypatch.setattr(
+            csr,
+            "partitioned_closure",
+            lambda *args, **kwargs: closures.append(kwargs["right"]) or original(*args, **kwargs),
+        )
+        result = database.query(text, use_cache=False)
+        assert result.report.used_fallback
+        assert len(closures) == 1 and closures[0] is not None
+        assert set(result.pairs) == eval_query(database.graph, text)
+
+    @pytest.mark.parametrize("text", ["b*/c", "(a|b)*/c"])
+    def test_no_join_follows_the_closure(self, database, text, monkeypatch):
+        joins = []
+        original = executor.rel.compose
+        monkeypatch.setattr(
+            executor.rel, "compose", lambda *args: joins.append(1) or original(*args)
+        )
+        result = database.query(text, use_cache=False)
+        assert not joins
+        assert set(result.pairs) == eval_query(database.graph, text)
+
+    def test_anchored_read_is_the_restricted_answer(self, database):
+        everything = eval_query(database.graph, "b*/c")
+        for source in ("n0", "n1", "n17", "n42"):
+            result = database.query(f"from({source}): b*/c", use_cache=False)
+            assert set(result.pairs) == {
+                pair for pair in everything if pair[0] == source
+            }
+
+    def test_a_closure_next_to_its_folded_form_closes_once(self, database, monkeypatch):
+        """``b*/c | b*``: the seeded pass and the plain one share the
+        compiled operand, which is evaluated once."""
+        calls = []
+        original = csr.closure_bitsets
+        monkeypatch.setattr(
+            csr,
+            "closure_bitsets",
+            lambda *args, **kwargs: calls.append(kwargs.get("seeds")) or original(*args, **kwargs),
+        )
+        text = "b*/c | b*"
+        result = database.query(text, use_cache=False)
+        assert len(calls) == 2 and sum(seeds is None for seeds in calls) == 1
+        assert result.report.scan_memo_hits > 0
+        assert set(result.pairs) == eval_query(database.graph, text)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_a_closure_the_rewriter_accepts_is_planned(self, shards, monkeypatch):
+        """On 10 nodes ``b*`` unrolls, and only the multiplied disjunct
+        count refuses the concatenation: ``b*`` runs through its index
+        plan, as ``explain`` reports, and no closure runs."""
+        rng = random.Random(3)
+        edges = {
+            (f"n{rng.randrange(10)}", rng.choice("abc"), f"n{rng.randrange(10)}")
+            for _ in range(30)
+        }
+        config = ServiceConfig(k=2, shards=shards)
+        database = GraphDatabase.from_edges(sorted(edges), config=config)
+        text = "b*/(a|c){1,8}"
+        explained = database.explain(text)
+        assert "route: hybrid" in explained
+        assert "operand: b*" in explained
+        closures = []
+        original = csr.partitioned_closure
+        monkeypatch.setattr(
+            csr,
+            "partitioned_closure",
+            lambda *args, **kwargs: closures.append(1) or original(*args, **kwargs),
+        )
+        result = database.query(text, use_cache=False)
+        assert result.report.used_fallback
+        assert not closures
+        assert set(result.pairs) == eval_query(database.graph, text)
+
+
 def _walk_plans(plan):
     from repro.engine.plan import IndexScanPlan
 
